@@ -6,35 +6,50 @@ out across a heterogeneous fleet in staged waves.  The series reports
 * batched admission (shared analysis cache + incremental engine + verdict
   dedupe across equivalent vehicles) versus per-vehicle sequential
   admission — verdict parity is asserted and the measured speedup must
-  clear 1.5x (the quantity lands in ``BENCH_e10_fleet_campaign.json``);
+  clear 1.5x (the quantity lands in ``BENCH_e10_fleet_campaign.json``,
+  next to the batched run's provisioning, campaign and total seconds and
+  the exact provisioning work: one integration per baseline contract per
+  variant);
 * the staged-rollout safety net: failure injection drives the wave failure
   rate over the policy threshold, the campaign halts at the canary or an
-  early wave and rolls the wave back, bounding the blast radius.
+  early wave and rolls the wave back, bounding the blast radius;
+* a scale case, 10^5 vehicles in 8 variants (10^4 in quick mode), run in a
+  fresh process so its peak RSS is its own
+  (``BENCH_e10_fleet_scale.json``); it asserts work counters and coverage,
+  never wall time.
+
+Run as a script (``python benchmarks/bench_e10_fleet_campaign.py --scale
+N``) it prints the scale case's payload for an ``N``-vehicle fleet as JSON.
 """
 
 from __future__ import annotations
 
+import json
+import resource
+import subprocess
+import sys
 import time
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
 from conftest import print_table, quick_mode, write_bench_record
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
-from repro.fleet.vehicle import FleetSpec, generate_fleet
+from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
+                                 variant_contracts)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
+from repro.mcc.integration import IntegrationProcess
 from repro.scenarios.fleet_campaign import (build_update_contract,
                                             run_fleet_campaign_scenario)
 
+SCALE_VARIANTS = 8
 
-def _campaign_run(batched: bool, fleet_size: int, num_variants: int,
-                  failure_injection_rate: float = 0.0
-                  ) -> Tuple[float, CampaignResult]:
-    """Build a fresh fleet and time one campaign run (admission only)."""
-    spec = FleetSpec(size=fleet_size, seed=0, num_variants=num_variants)
-    cache = AnalysisCache() if batched else None
-    fleet = generate_fleet(spec, analysis_cache=cache)
+
+def _update_factory():
+    """ADD of one per-variant update contract (shared by the variant)."""
     contracts: Dict[int, object] = {}
 
     def factory(vehicle):
@@ -45,12 +60,49 @@ def _campaign_run(batched: bool, fleet_size: int, num_variants: int,
         return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
                              component=contract.component, contract=contract)
 
-    campaign = Campaign(fleet, factory, analysis_cache=cache,
+    return factory
+
+
+@contextmanager
+def _counting_integrations() -> Iterator[List[int]]:
+    """Count ``IntegrationProcess.integrate`` calls inside the block."""
+    calls = [0]
+    integrate = IntegrationProcess.integrate
+
+    def counting(self, candidate, request):
+        calls[0] += 1
+        return integrate(self, candidate, request)
+
+    IntegrationProcess.integrate = counting
+    try:
+        yield calls
+    finally:
+        IntegrationProcess.integrate = integrate
+
+
+def _baseline_contracts(spec: FleetSpec) -> int:
+    """Baseline contracts summed over the fleet's distinct variants."""
+    return sum(len(variant_contracts(variant, spec))
+               for variant in generate_variants(spec))
+
+
+def _campaign_run(batched: bool, fleet_size: int, num_variants: int,
+                  failure_injection_rate: float = 0.0
+                  ) -> Tuple[float, float, CampaignResult]:
+    """Provision a fresh fleet and run one campaign over it.
+
+    Returns (provisioning seconds, campaign seconds, result).
+    """
+    spec = FleetSpec(size=fleet_size, seed=0, num_variants=num_variants)
+    cache = AnalysisCache() if batched else None
+    started = time.perf_counter()
+    fleet = generate_fleet(spec, analysis_cache=cache)
+    provisioned = time.perf_counter()
+    campaign = Campaign(fleet, _update_factory(), analysis_cache=cache,
                         batch_admission=batched,
                         failure_injection_rate=failure_injection_rate)
-    started = time.perf_counter()
     result = campaign.run()
-    return time.perf_counter() - started, result
+    return provisioned - started, time.perf_counter() - provisioned, result
 
 
 def _digest(result: CampaignResult) -> Tuple:
@@ -73,14 +125,22 @@ def test_e10_batched_vs_sequential_admission(benchmark):
 
     sequential_s = float("inf")
     batched_s = float("inf")
+    generation_s = float("inf")
     sequential_result: Optional[CampaignResult] = None
     batched_result: Optional[CampaignResult] = None
     for _ in range(3):
-        elapsed, sequential_result = _campaign_run(False, fleet_size, num_variants)
+        _, elapsed, sequential_result = _campaign_run(False, fleet_size,
+                                                      num_variants)
         sequential_s = min(sequential_s, elapsed)
-        elapsed, batched_result = _campaign_run(True, fleet_size, num_variants)
+        provisioning, elapsed, batched_result = _campaign_run(
+            True, fleet_size, num_variants)
         batched_s = min(batched_s, elapsed)
-    benchmark(lambda: _campaign_run(True, fleet_size, num_variants)[1])
+        generation_s = min(generation_s, provisioning)
+    benchmark(lambda: _campaign_run(True, fleet_size, num_variants)[2])
+
+    spec = FleetSpec(size=fleet_size, seed=0, num_variants=num_variants)
+    with _counting_integrations() as integrations:
+        generate_fleet(spec, analysis_cache=AnalysisCache())
 
     assert _digest(batched_result) == _digest(sequential_result)
     assert batched_result.admitted == fleet_size  # clean rollout covers the fleet
@@ -96,11 +156,19 @@ def test_e10_batched_vs_sequential_admission(benchmark):
         "cache_hits": batched_result.cache_hits,
         "cache_misses": batched_result.cache_misses,
         "engine_reuse_rate": batched_result.engine_reuse_rate,
+        # The batched run end to end: provisioning, then the campaign
+        # (each min-of-3; total_s is their sum).
+        "generation_s": generation_s,
+        "campaign_s": batched_s,
+        "total_s": generation_s + batched_s,
+        "provision_integrations": integrations[0],
+        "baseline_contracts": _baseline_contracts(spec),
     }
     print_table("E10: batched vs sequential fleet admission (target: >= 1.5x)",
                 [row])
     write_bench_record("e10_fleet_campaign", row)
     assert speedup >= 1.5
+    assert row["provision_integrations"] == row["baseline_contracts"]
 
 
 @pytest.mark.benchmark(group="e10-fleet")
@@ -160,18 +228,7 @@ def test_e10_wave_policy_shapes_the_rollout(benchmark):
                              num_variants=4 if quick else 8)
             cache = AnalysisCache()
             fleet = generate_fleet(spec, analysis_cache=cache)
-            contracts: Dict[int, object] = {}
-
-            def factory(vehicle):
-                contract = contracts.get(vehicle.variant.index)
-                if contract is None:
-                    contract = build_update_contract(vehicle.wcet_factor)
-                    contracts[vehicle.variant.index] = contract
-                return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                                     component=contract.component,
-                                     contract=contract)
-
-            result = Campaign(fleet, factory, policy=policy,
+            result = Campaign(fleet, _update_factory(), policy=policy,
                               analysis_cache=cache,
                               failure_injection_rate=1.0).run()
             rows.append({"policy": name, "exposed": result.admitted,
@@ -185,3 +242,58 @@ def test_e10_wave_policy_shapes_the_rollout(benchmark):
     staged = next(row for row in rows if row["policy"] == "canary+staged")
     big_bang = next(row for row in rows if row["policy"] == "big-bang")
     assert staged["exposed"] < big_bang["exposed"]
+
+
+def _scale_payload(fleet_size: int) -> Dict[str, object]:
+    """Provision and roll out one ``fleet_size``-vehicle fleet; this
+    process's times, peak RSS and work counters."""
+    spec = FleetSpec(size=fleet_size, seed=0, num_variants=SCALE_VARIANTS)
+    cache = AnalysisCache()
+    started = time.perf_counter()
+    with _counting_integrations() as integrations:
+        fleet = generate_fleet(spec, analysis_cache=cache)
+    provisioned = time.perf_counter()
+    result = Campaign(fleet, _update_factory(), analysis_cache=cache).run()
+    finished = time.perf_counter()
+    return {
+        "fleet_size": fleet_size,
+        "num_variants": SCALE_VARIANTS,
+        "generation_s": provisioned - started,
+        "campaign_s": finished - provisioned,
+        "total_s": finished - started,
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "provision_integrations": integrations[0],
+        "baseline_contracts": _baseline_contracts(spec),
+        "admitted": result.admitted,
+        "waves": len(result.waves),
+        "update_coverage": result.update_coverage,
+    }
+
+
+@pytest.mark.benchmark(group="e10-fleet")
+def test_e10_fleet_scale(benchmark):
+    """Provisioning stays one integration per baseline contract per variant
+    at 10^5 vehicles, and the clean rollout covers the whole fleet."""
+    fleet_size = 10_000 if quick_mode() else 100_000
+
+    def measure():
+        completed = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--scale",
+             str(fleet_size)],
+            check=True, capture_output=True, text=True)
+        return json.loads(completed.stdout.splitlines()[-1])
+
+    row = benchmark.pedantic(measure, rounds=1, iterations=1)
+    print_table(f"E10: {fleet_size} vehicles in {SCALE_VARIANTS} variants, "
+                "end to end", [row])
+    write_bench_record("e10_fleet_scale", row)
+    assert row["provision_integrations"] == row["baseline_contracts"]
+    assert row["admitted"] == fleet_size
+    assert row["update_coverage"] == 1.0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--scale"] or len(sys.argv) != 3:
+        sys.exit("usage: bench_e10_fleet_campaign.py --scale FLEET_SIZE")
+    print(json.dumps(_scale_payload(int(sys.argv[2]))))

@@ -14,17 +14,31 @@ of the same variant produce identical candidate task sets for the same
 update, so a shared :class:`~repro.analysis.cache.AnalysisCache` answers one
 variant's admission analysis once per wave, and the incremental engine
 warm-starts the remaining variants off each other.
+
+It also makes provisioning cheap.  Every vehicle of a variant reaches the
+identical MCC state after its baseline integrations, so
+:func:`generate_fleet` integrates each variant's baseline once, on the
+variant's first vehicle, and *stamps* every later vehicle of that variant:
+the sibling gets its own platform, RTE, acceptance battery and MCC, then
+adopts the first vehicle's :class:`~repro.mcc.controller.MccSnapshot`
+through :meth:`~repro.mcc.controller.MultiChangeController.rollback`.
+Stamped siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
+:class:`~repro.platform.rte.RteConfiguration`, expectations and baseline
+:class:`~repro.mcc.configuration.IntegrationReport` objects; all of them are
+read-only (adoption swaps references, it never mutates an adopted object),
+so a later change on one vehicle never reaches its siblings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.cache import AnalysisCache
 from repro.contracts.language import ContractParser
 from repro.contracts.model import Contract
 from repro.mcc.acceptance import AcceptanceTest, default_acceptance_tests
+from repro.mcc.configuration import IntegrationReport
 from repro.mcc.controller import MccSnapshot, MultiChangeController
 from repro.mcc.mapping import MappingStrategy
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
@@ -260,21 +274,44 @@ def generate_fleet(spec: FleetSpec,
                    ) -> List["FleetVehicle"]:
     """Instantiate a fleet: per-vehicle platforms and MCCs, baselines deployed.
 
+    Only the first vehicle of each variant (vehicles ``0`` to
+    ``num_variants - 1``, in index order) integrates the variant's baseline
+    contracts through :meth:`MultiChangeController.add_component`; a
+    rejected core component raises :class:`RuntimeError` naming that
+    vehicle.  Every later vehicle of the variant is stamped from it: it gets
+    its own platform, RTE (``spec.deploy``), acceptance battery and MCC,
+    adopts the first vehicle's baseline snapshot (deploying it on its own
+    platform) and holds the first vehicle's baseline reports in its own
+    ``reports`` list.  The stamped state is shared and read-only; see the
+    module docstring.  Stamping is exact because integration is a pure
+    function of the contracts, the platform shape and the acceptance
+    battery, all of which depend on the variant alone.  The provisioning
+    work is therefore the baseline contract count summed over the distinct
+    variants, whatever the fleet size.
+
     Pass a shared :class:`AnalysisCache` to let all vehicles' timing
     acceptance tests share one content-addressed store plus one incremental
     engine (the batched-admission mode); without it every vehicle admits in
     isolation (the sequential baseline).  Either way the fleet is a pure
-    function of ``spec`` — verdicts cannot depend on the cache.
+    function of ``spec`` — verdicts cannot depend on the cache.  The cache
+    and its engine see the same misses as if every vehicle had integrated
+    its own baseline; only the sibling hits are gone.
 
     ``extra_acceptance_tests`` optionally extends every vehicle's default
     viewpoint battery: the factory is called once per vehicle with its
     variant and platform and returns additional tests (e.g. a
     :class:`~repro.mcc.acceptance.DistributedTimingAcceptanceTest` checking
-    cross-ECU end-to-end deadlines during campaign admission).
+    cross-ECU end-to-end deadlines during campaign admission).  The tests
+    it returns must depend only on the variant (the platform's shape, never
+    its name or identity): a stamped vehicle inherits the first vehicle's
+    baseline verdicts without running its own battery.
     """
     variants = generate_variants(spec)
     contracts_by_variant = {variant.index: variant_contracts(variant, spec)
                             for variant in variants}
+    # Variant index -> (adopted baseline, baseline reports) of the
+    # variant's first vehicle, which every later vehicle adopts.
+    baselines: Dict[int, Tuple[MccSnapshot, List[IntegrationReport]]] = {}
     vehicles: List[FleetVehicle] = []
     for index in range(spec.size):
         variant = variants[index % len(variants)]
@@ -288,15 +325,20 @@ def generate_fleet(spec: FleetSpec,
                                     acceptance_tests=acceptance_tests,
                                     mapping_strategy=spec.mapping_strategy,
                                     analysis_cache=analysis_cache)
-        for contract in contracts_by_variant[variant.index]:
-            report = mcc.add_component(contract)
-            if not report.accepted:
-                if contract.component in _CORE_COMPONENTS:
+        baseline = baselines.get(variant.index)
+        if baseline is None:
+            for contract in contracts_by_variant[variant.index]:
+                report = mcc.add_component(contract)
+                # An optional app that does not fit this build simply is
+                # not installed on it — variants legitimately differ in
+                # their installed base; every core component must fit.
+                if not report.accepted and contract.component in _CORE_COMPONENTS:
                     raise RuntimeError(
                         f"vehicle {index} rejected its baseline: {report.summary()}")
-                # An optional app that does not fit this build simply is not
-                # installed on it — variants legitimately differ in their
-                # installed base.
-                continue
+            baselines[variant.index] = (mcc.snapshot(), list(mcc.reports))
+        else:
+            snapshot, reports = baseline
+            mcc.rollback(snapshot)
+            mcc.reports = list(reports)
         vehicles.append(FleetVehicle(index, variant, platform, mcc))
     return vehicles

@@ -59,7 +59,7 @@ from repro.contracts.model import Contract
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint,
                                   CampaignResult, WavePolicy, plan_waves)
 from repro.fleet.engine import CampaignEngine
-from repro.fleet.vehicle import FleetSpec, FleetVehicle, VehicleState, generate_fleet
+from repro.fleet.vehicle import FleetVehicle, VehicleState, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.service.schemas import (CampaignStatus, HaltRequest, JobState,
                                    ResumeRequest, RollbackRequest,
@@ -393,11 +393,8 @@ class AdmissionService:
         request = job.request
         if job.fleet is None:
             job.cache = AnalysisCache(batch_kernel=request.batch_kernel)
-            spec = FleetSpec(size=request.fleet_size, seed=request.seed,
-                             heterogeneity=request.heterogeneity,
-                             num_variants=request.num_variants,
-                             extra_components=request.extra_components)
-            job.fleet = generate_fleet(spec, analysis_cache=job.cache)
+            job.fleet = generate_fleet(request.fleet_spec(),
+                                       analysis_cache=job.cache)
             job.initial_states = [vehicle.capture_state()
                                   for vehicle in job.fleet]
 

@@ -21,7 +21,10 @@ store (the E17 benchmark pins this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.fleet.vehicle import FleetSpec
 
 __all__ = [
     "ServiceError",
@@ -94,8 +97,6 @@ class SubmitCampaign:
             raise ServiceError("fleet_size must be at least 1")
         if self.num_variants < 1:
             raise ServiceError("num_variants must be at least 1")
-        if not 0.0 <= self.heterogeneity <= 1.0:
-            raise ServiceError("heterogeneity must be in [0, 1]")
         if self.update_utilization <= 0.0:
             raise ServiceError("update_utilization must be positive")
         if not 0.0 <= self.failure_injection_rate <= 1.0:
@@ -115,6 +116,22 @@ class SubmitCampaign:
                        rollback_on_halt=self.rollback_on_halt)
         except CampaignError as error:
             raise ServiceError(f"invalid staging policy: {error}") from error
+        # Fleet-shape errors (heterogeneity, extra_components) likewise
+        # surface here, with FleetSpec's own messages, instead of failing
+        # the job once provisioning runs.
+        try:
+            self.fleet_spec()
+        except ValueError as error:
+            raise ServiceError(f"invalid fleet: {error}") from error
+
+    def fleet_spec(self) -> "FleetSpec":
+        """The :class:`~repro.fleet.vehicle.FleetSpec` this submission
+        provisions."""
+        from repro.fleet.vehicle import FleetSpec
+        return FleetSpec(size=self.fleet_size, seed=self.seed,
+                         heterogeneity=self.heterogeneity,
+                         num_variants=self.num_variants,
+                         extra_components=self.extra_components)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ holds the pieces those suites share:
   (``random_chain``, ``make_contract``, ``clone_request``,
   ``build_platform``);
 * the event-driven CAN bus ground truth ``simulate_latencies`` and the
-  ``frame_workloads`` hypothesis strategy used by the CAN RTA suite.
+  ``frame_workloads`` hypothesis strategy used by the CAN RTA suite;
+* the integrate-each fleet provisioning reference
+  ``generate_fleet_integrating_each`` used by the fleet stamping suite.
 
 Everything here is deterministic given the caller's seeds — extracting it
 changed no seed and no behaviour, only the import site.
@@ -23,10 +25,11 @@ changed no seed and no behaviour, only the import site.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.analysis.compositional import FrameSpec
 from repro.can.bus import CanBus
@@ -34,9 +37,15 @@ from repro.can.controller import CanController
 from repro.can.frame import CanFrame
 from repro.contracts.model import (Contract, RealTimeRequirement,
                                    SafetyRequirement, SecurityRequirement)
-from repro.mcc.acceptance import AcceptanceResult, tasksets_from_mapping
+from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
+                                 VehicleVariant, build_vehicle_platform,
+                                 generate_variants, variant_contracts)
+from repro.mcc.acceptance import (AcceptanceResult, AcceptanceTest,
+                                  default_acceptance_tests, tasksets_from_mapping)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
+from repro.mcc.controller import MultiChangeController
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
+from repro.platform.rte import RuntimeEnvironment
 from repro.platform.tasks import Task, TaskSet
 from repro.sim.kernel import Simulator
 from repro.sim.random import SeededRNG
@@ -167,6 +176,47 @@ def clone_request(request: ChangeRequest) -> ChangeRequest:
     """A fresh request (own id) targeting the same contract object."""
     return ChangeRequest(kind=request.kind, component=request.component,
                          contract=request.contract)
+
+
+# ---------------------------------------------------------------------------
+# Fleet provisioning oracle: every vehicle integrates its own baseline
+# ---------------------------------------------------------------------------
+
+
+def generate_fleet_integrating_each(
+        spec: FleetSpec, analysis_cache: Optional[AnalysisCache] = None,
+        extra_acceptance_tests: Optional[
+            Callable[[VehicleVariant, Platform], List[AcceptanceTest]]] = None
+) -> List[FleetVehicle]:
+    """The reference for :func:`repro.fleet.vehicle.generate_fleet`.
+
+    Same fleet, but every vehicle runs every baseline contract through its
+    own :meth:`MultiChangeController.add_component` instead of adopting the
+    first same-variant vehicle's baseline.
+    """
+    variants = generate_variants(spec)
+    contracts_by_variant = {variant.index: variant_contracts(variant, spec)
+                            for variant in variants}
+    vehicles: List[FleetVehicle] = []
+    for index in range(spec.size):
+        variant = variants[index % len(variants)]
+        platform = build_vehicle_platform(variant, name=f"veh{index:04d}-platform")
+        rte = RuntimeEnvironment(platform) if spec.deploy else None
+        acceptance_tests = None
+        if extra_acceptance_tests is not None:
+            acceptance_tests = (default_acceptance_tests(cache=analysis_cache)
+                                + list(extra_acceptance_tests(variant, platform)))
+        mcc = MultiChangeController(platform, rte=rte,
+                                    acceptance_tests=acceptance_tests,
+                                    mapping_strategy=spec.mapping_strategy,
+                                    analysis_cache=analysis_cache)
+        for contract in contracts_by_variant[variant.index]:
+            report = mcc.add_component(contract)
+            if not report.accepted and contract.component in _CORE_COMPONENTS:
+                raise RuntimeError(
+                    f"vehicle {index} rejected its baseline: {report.summary()}")
+        vehicles.append(FleetVehicle(index, variant, platform, mcc))
+    return vehicles
 
 
 # ---------------------------------------------------------------------------

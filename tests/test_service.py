@@ -280,6 +280,25 @@ class TestValidation:
         with pytest.raises(ServiceError, match="max_failure_rate"):
             ResumeRequest(job_id="acme/1", max_failure_rate=2.0)
 
+    @pytest.mark.parametrize("knobs, message", [
+        ({"heterogeneity": 1.0}, r"heterogeneity must be in \[0, 1\)"),
+        ({"heterogeneity": -0.1}, r"heterogeneity must be in \[0, 1\)"),
+        ({"extra_components": -1}, "extra_components must be non-negative"),
+    ])
+    def test_fleet_shape_fails_the_submission(self, knobs, message):
+        """Regression: these used to pass the schema and end the job FAILED
+        with a plain ValueError raised during provisioning."""
+        with pytest.raises(ServiceError, match="invalid fleet: " + message):
+            SubmitCampaign(tenant="acme", **knobs)
+
+    def test_fleet_spec_mirrors_the_submission(self):
+        request = SubmitCampaign(tenant="acme", fleet_size=9, seed=4,
+                                 heterogeneity=0.3, num_variants=2,
+                                 extra_components=5)
+        assert request.fleet_spec() == FleetSpec(
+            size=9, seed=4, heterogeneity=0.3, num_variants=2,
+            extra_components=5)
+
     def test_unknown_job_and_invalid_transitions(self):
         async def drive():
             async with AdmissionService() as service:
