@@ -36,7 +36,8 @@ identical to a previously analysed one.
    re-deriving identical sums.
 
 The engine is stateful: each :meth:`analyse` call diffs the task set against
-a bounded history of recent snapshots (most-overlapping base wins), so one
+a bounded history of recent snapshots (the base sharing the most identical
+tasks wins, see :meth:`IncrementalResponseTimeAnalysis._find_base`), so one
 engine instance transparently accelerates interleaved sweeps over several
 processors.  All reuse decisions are conservative; the produced ``wcrt``/
 ``schedulable`` verdicts are bit-identical to a full analysis, which the
@@ -47,6 +48,7 @@ UUniFast workloads and mutation chains.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.batch import BatchResponseTimeAnalysis, congruence_signature
@@ -61,6 +63,10 @@ _PRIORITY = 3
 _WCET = 1
 _MODEL_PERIOD = 5
 _MODEL_JITTER = 6
+
+#: Most recent snapshots :meth:`IncrementalResponseTimeAnalysis._find_base`
+#: scores besides the one over the same task names.
+_RECENT_CANDIDATES = 8
 
 
 class InterferenceMemo(dict):
@@ -187,14 +193,32 @@ class IncrementalResponseTimeAnalysis:
 
     def _find_base(self, speed_factor: float,
                    params: Dict[str, _TaskParams]) -> Optional[_Snapshot]:
-        """Most recent snapshot (same speed factor) with maximal name overlap."""
-        # Fast path: a snapshot over exactly these task names (the common
-        # sweep-grid case) is the best possible base.
+        """The snapshot (same speed factor) to delta ``params`` against.
+
+        Candidates are the snapshot over exactly these task names and the
+        ``_RECENT_CANDIDATES`` most recent snapshots; the one sharing the
+        most identically parameterised tasks wins, earlier candidates on a
+        tie.  A snapshot over the same names can belong to an unrelated set
+        (another vehicle's build of the same components), while the set this
+        one grew from shares all but its delta.  Without any identical task,
+        the exact-name snapshot wins, else the most recent snapshot with
+        maximal name overlap.
+        """
         exact = self._history.get((speed_factor, frozenset(params)))
-        if exact is not None:
-            return exact
+        candidates = [exact] if exact is not None else []
+        for (snap_speed, _), snapshot in islice(reversed(self._history.items()),
+                                                _RECENT_CANDIDATES):
+            if snap_speed == speed_factor and snapshot is not exact:
+                candidates.append(snapshot)
+        best, best_shared = exact, 0
+        items = params.items()
+        for snapshot in candidates:
+            shared = len(items & snapshot.params.items())
+            if shared > best_shared:
+                best, best_shared = snapshot, shared
+        if best is not None:
+            return best
         names = params.keys()
-        best: Optional[_Snapshot] = None
         best_overlap = 0
         for (snap_speed, _), snapshot in reversed(self._history.items()):
             if snap_speed != speed_factor:

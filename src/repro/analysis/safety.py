@@ -54,13 +54,16 @@ class SafetyAnalysis:
         ASIL (ISO 26262 ASIL decomposition / criticality inheritance), unless
         the provider is part of a declared redundancy group."""
         findings: List[SafetyFinding] = []
+        providers_of: Dict[str, List[Contract]] = {}
+        for contract in self.contracts.values():
+            for service in dict.fromkeys(contract.provided_services()):
+                providers_of.setdefault(service, []).append(contract)
         for contract in self.contracts.values():
             client_asil = contract.asil
             if client_asil == AsilLevel.QM:
                 continue
             for requirement in contract.requires:
-                providers = [c for c in self.contracts.values()
-                             if requirement.service in c.provided_services()]
+                providers = providers_of.get(requirement.service, [])
                 if not providers:
                     if not requirement.optional:
                         findings.append(SafetyFinding(

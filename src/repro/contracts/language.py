@@ -59,12 +59,11 @@ class ContractParser:
         if "component" not in document:
             raise ContractSyntaxError("contract document is missing the 'component' field")
 
+        requirements = [self._parse_requirement(key, document[key])
+                        for key in document if key in _REQUIREMENT_KEYS]
         contract = Contract(component=str(document["component"]),
+                            requirements=requirements,
                             metadata=dict(document.get("metadata", {})))
-
-        for key in document:
-            if key in _REQUIREMENT_KEYS:
-                contract.add_requirement(self._parse_requirement(key, document[key]))
 
         for entry in document.get("requires", []):
             contract.requires.append(self._parse_service_requirement(entry))

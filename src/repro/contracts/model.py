@@ -218,6 +218,15 @@ class Contract:
     A contract bundles the component's identity, its viewpoint requirements
     and its service interface.  ``metadata`` carries free-form annotations
     (e.g. the functional skill the component implements).
+
+    ``timing``, ``safety``, ``security`` and ``resources`` hold the first
+    requirement of their viewpoint (``None`` when there is none or it has
+    another type).  The MCC reads them on every integration, so they are
+    resolved whenever the requirement list changes -- at construction, in
+    :meth:`add_requirement` and when ``requirements`` is reassigned -- not
+    searched on each read.  Appending to ``requirements`` in place would
+    leave them stale; use :meth:`add_requirement` or assign a new list.
+    ``asil`` reads the resolved safety requirement on every access.
     """
 
     component: str
@@ -225,10 +234,24 @@ class Contract:
     requires: List[ServiceRequirement] = field(default_factory=list)
     provides: List[ServiceProvision] = field(default_factory=list)
     metadata: Dict[str, Any] = field(default_factory=dict)
+    timing: Optional[RealTimeRequirement] = field(init=False, repr=False,
+                                                  compare=False)
+    safety: Optional[SafetyRequirement] = field(init=False, repr=False,
+                                                compare=False)
+    security: Optional[SecurityRequirement] = field(init=False, repr=False,
+                                                    compare=False)
+    resources: Optional[ResourceRequirement] = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self) -> None:
         if not self.component:
             raise ContractViolation("contract needs a component name")
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Re-resolve on unpickling: a pickle written before the viewpoint
+        # attributes existed carries only the requirement list.
+        self.__dict__.update(state)
+        _set_requirements(self, self.requirements)
 
     # -- accessors --------------------------------------------------------
 
@@ -241,26 +264,6 @@ class Contract:
 
     def requirements_for(self, viewpoint: str) -> List[Requirement]:
         return [req for req in self.requirements if req.viewpoint == viewpoint]
-
-    @property
-    def timing(self) -> Optional[RealTimeRequirement]:
-        req = self.requirement("timing")
-        return req if isinstance(req, RealTimeRequirement) else None
-
-    @property
-    def safety(self) -> Optional[SafetyRequirement]:
-        req = self.requirement("safety")
-        return req if isinstance(req, SafetyRequirement) else None
-
-    @property
-    def security(self) -> Optional[SecurityRequirement]:
-        req = self.requirement("security")
-        return req if isinstance(req, SecurityRequirement) else None
-
-    @property
-    def resources(self) -> Optional[ResourceRequirement]:
-        req = self.requirement("resources")
-        return req if isinstance(req, ResourceRequirement) else None
 
     @property
     def asil(self) -> AsilLevel:
@@ -277,6 +280,7 @@ class Contract:
 
     def add_requirement(self, requirement: Requirement) -> "Contract":
         self.requirements.append(requirement)
+        _set_requirements(self, self.requirements)
         return self
 
     def add_required_service(self, service: str, max_latency: Optional[float] = None,
@@ -316,3 +320,29 @@ class Contract:
             "provides": [p.to_dict() for p in self.provides],
             "metadata": dict(self.metadata),
         }
+
+
+#: The requirement type each resolved viewpoint attribute of a
+#: :class:`Contract` holds.
+_RESOLVED_TYPES = {"timing": RealTimeRequirement, "safety": SafetyRequirement,
+                   "security": SecurityRequirement,
+                   "resources": ResourceRequirement}
+
+
+def _set_requirements(contract: Contract, requirements: List[Requirement]) -> None:
+    """Store ``requirements`` on ``contract`` and resolve its viewpoints."""
+    state = contract.__dict__
+    state["requirements"] = requirements
+    state["timing"] = state["safety"] = state["security"] = \
+        state["resources"] = None
+    # Backwards, so the first requirement of a viewpoint is written last.
+    for req in reversed(requirements):
+        kind = _RESOLVED_TYPES.get(req.viewpoint)
+        if kind is not None:
+            state[req.viewpoint] = req if isinstance(req, kind) else None
+
+
+Contract.requirements = property(  # type: ignore[assignment]
+    lambda contract: contract.__dict__["requirements"], _set_requirements,
+    doc="The viewpoint requirements; assigning a list re-resolves the "
+        "viewpoint attributes.")

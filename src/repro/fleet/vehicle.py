@@ -218,6 +218,10 @@ def variant_contracts(variant: VehicleVariant, spec: FleetSpec) -> List[Contract
         shrink = headroom / extra_util
         for document in extras:
             document["timing"]["wcet"] *= shrink
+        # When the core stack leaves no headroom, the extras shrink to a
+        # zero budget: such a build does not install them.
+        extras = [document for document in extras
+                  if document["timing"]["wcet"] > 0.0]
     documents = documents + extras
     scaled: List[Dict[str, Any]] = []
     for document in documents:

@@ -453,7 +453,18 @@ class SecurityAcceptanceTest:
 
     def run(self, contracts: List[Contract], mapping: Dict[str, str],
             priorities: Dict[str, int], platform: Platform) -> AcceptanceResult:
-        """Evaluate the security viewpoint of a candidate configuration."""
+        """Evaluate the security viewpoint of a candidate configuration.
+
+        Attack paths and exposure distances start at the entry points, the
+        components with an external interface.  Without one the threat
+        analysis finds nothing, so no model is built.
+        """
+        if not any(contract.security is not None
+                   and contract.security.external_interface
+                   for contract in contracts):
+            return AcceptanceResult(viewpoint=self.viewpoint, passed=True,
+                                    metrics={"attack_paths": 0.0,
+                                             "under_protected": 0.0})
         model = ThreatModel()
         model.add_components(contracts)
         providers: Dict[str, List[str]] = {}

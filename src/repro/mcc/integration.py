@@ -53,11 +53,12 @@ class IntegrationProcess:
         caller decides whether to adopt it based on ``report.accepted``.
         """
         report = IntegrationReport(request_id=request.request_id)
+        contracts = candidate.contracts()
 
         # Step 1: functional architecture — validate contracts and service
         # completeness.
         problems: List[str] = []
-        for contract in candidate.contracts():
+        for contract in contracts:
             problems.extend(contract.validate())
         problems.extend(f"missing provider for {entry}" for entry in candidate.missing_services())
         report.add_step("functional-architecture",
@@ -70,7 +71,7 @@ class IntegrationProcess:
 
         # Step 2: technical architecture — map components to the platform.
         try:
-            decision = self.mapping_engine.map(candidate.contracts(),
+            decision = self.mapping_engine.map(contracts,
                                                existing=candidate.mapping)
         except MappingError as exc:
             report.add_step("technical-architecture", "mapping failed", error=str(exc))
@@ -93,7 +94,7 @@ class IntegrationProcess:
         # Step 4: acceptance tests for every viewpoint.
         all_passed = True
         for test in self.acceptance_tests:
-            result = test.run(candidate.contracts(), candidate.mapping,
+            result = test.run(contracts, candidate.mapping,
                               candidate.priorities, self.platform)
             report.acceptance_results[test.viewpoint] = result.passed
             report.findings.extend(f"[{test.viewpoint}] {finding}" for finding in result.findings

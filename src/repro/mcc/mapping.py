@@ -96,14 +96,15 @@ class MappingEngine:
                 group_processors.setdefault(group, set()).add(processor_name)
 
         # Account for components that keep their existing placement.
-        ordered = sorted(contracts, key=self._utilization_of, reverse=True)
         if self.keep_existing:
             for contract in contracts:
                 previous = existing.get(contract.component)
                 if previous is not None and previous in utilization:
                     note_placement(contract.component, previous, contract)
 
-        for contract in ordered:
+        unplaced = [contract for contract in contracts
+                    if contract.component not in placement]
+        for contract in sorted(unplaced, key=self._utilization_of, reverse=True):
             if contract.component in placement:
                 continue
             group = group_of.get(contract.component)

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Deque, Dict, List, Optional
 
 from repro.analysis.cache import AnalysisCache
@@ -317,6 +317,7 @@ class AdmissionService:
                     job.engine = None
                 job.error = str(error)
                 job.state = JobState.FAILED
+                self._release(job)
             if job.state in (JobState.QUEUED, JobState.RUNNING):
                 # Still work to do: back to the *head* of the tenant's
                 # queue — jobs of one tenant run FIFO, one at a time.
@@ -371,6 +372,21 @@ class AdmissionService:
                 job.state = JobState.HALTED
             else:
                 job.state = JobState.COMPLETED
+                self._release(job)
+
+    @staticmethod
+    def _release(job: _Job) -> None:
+        """Drop what only a resume or a rollback reads.
+
+        A COMPLETED or FAILED job can do neither, and the service keeps
+        every finished job, so its fleet, cache, campaign and vehicle
+        states would otherwise stay in memory for the service's lifetime.
+        A job that failed after a resume keeps reporting the aggregate of
+        its parked checkpoint in :meth:`status`, so only that survives.
+        """
+        job.fleet = job.cache = job.campaign = job.initial_states = None
+        if job.checkpoint is not None:
+            job.checkpoint = replace(job.checkpoint, vehicle_states=[])
 
     def _park(self, job: _Job) -> None:
         """Operator halt: boundary checkpoint, engine teardown, HALTED."""

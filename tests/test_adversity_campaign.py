@@ -9,7 +9,8 @@ Two differential harnesses pin the load-bearing guarantees of
   between ``workers=1`` and a pooled layout (hypothesis-seeded).
 * **Sequential reference** — the halt decision under compromised/false
   deviation feedback is recomputed by an independent sequential replay
-  (per-vehicle feedback draws, two-sided band check, a hand-rolled
+  (per-vehicle admission on a fresh fleet, per-vehicle feedback draws for
+  the admitted vehicles, two-sided band check, a hand-rolled
   sliding-window rate counter standing in for the IDS) and compared wave by
   wave against what the campaign engine actually did.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
@@ -224,23 +225,28 @@ class _ReferenceRateIds:
         return self._violations.get(sender, 0) >= self.threshold
 
 
-def intrusion_reference(fleet, policy, *, compromise_rate, mode,
-                        reports_per_wave, suspicion_threshold,
+def intrusion_reference(fleet, update_factory, policy, *, compromise_rate,
+                        mode, reports_per_wave, suspicion_threshold,
                         discount_suspected, adversity_seed, feedback_seed):
-    """Sequential replay of the campaign's feedback grading and halt logic.
+    """Sequential replay of the campaign's admission, feedback grading and
+    halt logic.
 
-    Assumes every delivered vehicle is admitted (the caller runs a low-
-    utilization update and asserts ``rejected == 0``).  Returns the
-    per-executed-wave ``(deviating, discounted)`` pairs and the halting wave
-    index (``None`` when the rollout completes).
+    ``fleet`` is freshly provisioned: each vehicle of a wave requests its
+    update through its own MCC, and only the admitted ones report
+    feedback, as in the campaign.  Returns the per-executed-wave
+    ``(admitted, deviating, discounted)`` triples and the halting wave index
+    (``None`` when the rollout completes).
     """
     ids = _ReferenceRateIds(threshold=suspicion_threshold)
     spacing = ids.window_s / (4.0 * reports_per_wave)
     per_wave = []
     halted_wave = None
     for wave_index, (_, wave) in enumerate(plan_waves(fleet, policy)):
-        deviating = discounted = 0
+        admitted = deviating = discounted = 0
         for vehicle in wave:
+            if not vehicle.mcc.request_change(update_factory(vehicle)).accepted:
+                continue
+            admitted += 1
             rng = SeededRNG(derive_seed(feedback_seed, vehicle.index))
             rng.uniform()  # failure-injection draw (rate 0 in this harness)
             factor = rng.uniform(0.92, 1.08)
@@ -261,8 +267,9 @@ def intrusion_reference(fleet, policy, *, compromise_rate, mode,
                            float(wave_index) + copy * spacing)
             if discount_suspected and ids.suspected(vehicle.vehicle_id):
                 discounted += 1
-        per_wave.append((deviating, discounted))
-        if policy.halts(max(deviating - discounted, 0), len(wave)):
+        per_wave.append((admitted, deviating, discounted))
+        rejected = len(wave) - admitted
+        if policy.halts(max(rejected + deviating - discounted, 0), len(wave)):
             halted_wave = wave_index
             break
     return per_wave, halted_wave
@@ -278,6 +285,10 @@ class TestIntrusionSequentialReference:
            compromise_rate=st.sampled_from([0.0, 0.25, 0.6]),
            mode=st.sampled_from(["over_report", "under_report"]),
            discount=st.booleans())
+    # A telematics WCRT exceeds its deadline on one vehicle of this fleet,
+    # so the update is rejected there.
+    @example(seed=2850, compromise_rate=0.25, mode="over_report",
+             discount=True)
     def test_halt_matches_reference(self, seed, compromise_rate, mode,
                                     discount):
         policy = WavePolicy(canary_size=2, wave_fractions=(0.4, 1.0),
@@ -285,20 +296,23 @@ class TestIntrusionSequentialReference:
         adversity = IntrusionAdversity(compromise_rate=compromise_rate,
                                        mode=mode, discount_suspected=discount,
                                        seed=seed)
-        fleet, _, result = run_adverse(14, seed=seed, workers=1,
-                                       adversity=adversity, policy=policy,
-                                       utilization=0.08)
-        # The reference replays grading, not admission — the low-utilization
-        # update must admit every vehicle for the comparison to be exact.
-        assert result.rejected == 0
+        _, _, result = run_adverse(14, seed=seed, workers=1,
+                                   adversity=adversity, policy=policy,
+                                   utilization=0.08)
+        fresh = generate_fleet(FleetSpec(size=14, seed=seed, num_variants=3,
+                                         extra_components=2))
         per_wave, halted_wave = intrusion_reference(
-            fleet, policy, compromise_rate=compromise_rate, mode=mode,
+            fresh, make_factory(0.08), policy,
+            compromise_rate=compromise_rate, mode=mode,
             reports_per_wave=adversity.reports_per_wave,
             suspicion_threshold=adversity.ids.suspicion_threshold,
             discount_suspected=discount, adversity_seed=seed,
             feedback_seed=seed)
         assert len(result.waves) == len(per_wave)
-        for record, (deviating, discounted) in zip(result.waves, per_wave):
+        for record, (admitted, deviating, discounted) in zip(result.waves,
+                                                             per_wave):
+            assert record.admitted == admitted
+            assert record.rejected == record.size - admitted
             assert record.deviating == deviating
             assert record.discounted == discounted
         assert result.halted == (halted_wave is not None)

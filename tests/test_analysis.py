@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dependency import Dependency, DependencyAnalysis, DependencyGraph, DependencyKind
-from repro.analysis.safety import SafetyAnalysis
+from repro.analysis.safety import SafetyAnalysis, SafetyFinding
 from repro.analysis.threat import ThreatModel
 from repro.contracts.model import (
+    AsilLevel,
     Contract,
     SafetyRequirement,
     SecurityRequirement,
 )
+from repro.mcc import acceptance
+from repro.mcc.acceptance import AcceptanceResult, SecurityAcceptanceTest
 
 
 def _vehicle_dependency_graph() -> DependencyGraph:
@@ -245,3 +250,138 @@ class TestSafetyAnalysis:
         analysis = SafetyAnalysis([safe], {"comp": "cpu0"})
         assert analysis.acceptable()
         assert analysis.analyse() == []
+
+
+def asil_decomposition_by_scan(analysis):
+    """Reference for :meth:`SafetyAnalysis.check_asil_decomposition`: the
+    providers of each required service found by scanning every contract."""
+    findings = []
+    for contract in analysis.contracts.values():
+        client_asil = contract.asil
+        if client_asil == AsilLevel.QM:
+            continue
+        for requirement in contract.requires:
+            providers = [c for c in analysis.contracts.values()
+                         if requirement.service in c.provided_services()]
+            if not providers:
+                if not requirement.optional:
+                    findings.append(SafetyFinding(
+                        kind="missing-provider", component=contract.component,
+                        detail=f"requires {requirement.service!r} but no provider exists"))
+                continue
+            for provider in providers:
+                if provider.asil < client_asil and not analysis._redundant(provider):
+                    findings.append(SafetyFinding(
+                        kind="asil-inheritance", component=contract.component,
+                        detail=(f"ASIL {client_asil.name} component depends on "
+                                f"{provider.component} (ASIL {provider.asil.name}) "
+                                f"for service {requirement.service!r}")))
+    return findings
+
+
+_SERVICES = ["s0", "s1", "s2", "s3"]
+
+
+@st.composite
+def service_contracts(draw, exposed=st.just(False)):
+    """Up to eight contracts wired by services from a small pool; a
+    contract may provide a service more than once."""
+    contracts = []
+    for index in range(draw(st.integers(1, 8))):
+        contract = Contract(f"c{index}")
+        if draw(st.booleans()):
+            contract.add_requirement(SafetyRequirement(
+                asil=draw(st.sampled_from(list(AsilLevel))),
+                redundancy_group=draw(st.sampled_from([None, "g"]))))
+        if draw(st.booleans()):
+            contract.add_requirement(SecurityRequirement(
+                level=draw(st.sampled_from(["NONE", "LOW", "MEDIUM", "HIGH"])),
+                external_interface=draw(exposed)))
+        for service in draw(st.lists(st.sampled_from(_SERVICES), max_size=3)):
+            contract.add_provided_service(service)
+        for service in draw(st.lists(st.sampled_from(_SERVICES), max_size=2,
+                                     unique=True)):
+            contract.add_required_service(service, optional=draw(st.booleans()))
+        contracts.append(contract)
+    return contracts
+
+
+class TestSafetyProviderIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(contracts=service_contracts())
+    def test_index_matches_the_scan(self, contracts):
+        analysis = SafetyAnalysis(contracts)
+        assert analysis.check_asil_decomposition() == \
+            asil_decomposition_by_scan(analysis)
+
+    def test_a_service_provided_twice_is_one_provider(self):
+        client = Contract("client")
+        client.add_requirement(SafetyRequirement(asil="C"))
+        client.add_required_service("svc")
+        provider = Contract("provider")
+        provider.add_requirement(SafetyRequirement(asil="A"))
+        provider.add_provided_service("svc").add_provided_service("svc")
+        analysis = SafetyAnalysis([client, provider])
+        findings = analysis.check_asil_decomposition()
+        assert findings == asil_decomposition_by_scan(analysis)
+        assert [f.kind for f in findings] == ["asil-inheritance"]
+
+
+def security_by_threat_model(contracts):
+    """Reference for :class:`SecurityAcceptanceTest`: always build and
+    analyse the full threat model."""
+    model = ThreatModel()
+    model.add_components(contracts)
+    providers = {}
+    for contract in contracts:
+        for provision in contract.provides:
+            providers.setdefault(provision.service, []).append(contract.component)
+    for contract in contracts:
+        for requirement in contract.requires:
+            for provider in providers.get(requirement.service, []):
+                model.add_session(contract.component, provider)
+    assessment = model.analyse()
+    findings = [f"component {name} is under-protected for its exposure"
+                for name in assessment.under_protected]
+    for path in assessment.attack_paths[:10]:
+        findings.append(
+            f"attack path {' -> '.join(path.path)} (exposure {path.exposure:.2f})")
+    return AcceptanceResult(viewpoint="security", passed=assessment.acceptable,
+                            findings=findings,
+                            metrics={"attack_paths": float(len(assessment.attack_paths)),
+                                     "under_protected": float(len(assessment.under_protected))})
+
+
+class TestSecurityWithoutEntryPoints:
+    """Without an external interface the threat model has no entry point,
+    so the acceptance test skips building it; the verdict is unchanged."""
+
+    @staticmethod
+    def counting_models(monkeypatch):
+        built = []
+
+        class CountingThreatModel(ThreatModel):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(acceptance, "ThreatModel", CountingThreatModel)
+        return built
+
+    @settings(max_examples=60, deadline=None)
+    @given(contracts=service_contracts())
+    def test_unexposed_sets_match_the_threat_model(self, contracts):
+        result = SecurityAcceptanceTest().run(contracts, {}, {}, None)
+        assert result == security_by_threat_model(contracts)
+        assert result.passed and not result.findings
+
+    @settings(max_examples=60, deadline=None)
+    @given(contracts=service_contracts(exposed=st.booleans()))
+    def test_exposed_sets_build_the_threat_model(self, contracts):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            built = self.counting_models(monkeypatch)
+            result = SecurityAcceptanceTest().run(contracts, {}, {}, None)
+        assert result == security_by_threat_model(contracts)
+        exposed = any(c.security is not None and c.security.external_interface
+                      for c in contracts)
+        assert len(built) == int(exposed)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.contracts.language import ContractParser, ContractSerializer, ContractSyntaxError
 from repro.contracts.model import (
@@ -10,12 +12,17 @@ from repro.contracts.model import (
     Contract,
     ContractViolation,
     RealTimeRequirement,
+    Requirement,
     ResourceRequirement,
     SafetyRequirement,
     SecurityLevel,
     SecurityRequirement,
 )
 from repro.contracts.viewpoints import STANDARD_VIEWPOINTS, Viewpoint, ViewpointRegistry
+from repro.fleet.campaign import CampaignCheckpoint, CampaignResult
+from repro.fleet.vehicle import VehicleState
+from repro.mcc.configuration import SystemModel
+from repro.mcc.controller import MccSnapshot
 
 
 class TestAsilLevel:
@@ -115,6 +122,96 @@ class TestContract:
     def test_negative_resources_rejected(self):
         with pytest.raises(ContractViolation):
             ResourceRequirement(memory_kib=-1)
+
+
+_RESOLVED = {"timing": RealTimeRequirement, "safety": SafetyRequirement,
+             "security": SecurityRequirement, "resources": ResourceRequirement}
+
+
+def _claiming(viewpoint):
+    """A base :class:`Requirement` that claims ``viewpoint`` with the wrong
+    type: the accessor of that viewpoint must then read ``None``."""
+    requirement = Requirement()
+    requirement.viewpoint = viewpoint
+    return requirement
+
+
+_typed_requirements = st.one_of(
+    st.builds(RealTimeRequirement, period=st.just(0.1),
+              wcet=st.floats(0.001, 0.09)),
+    st.builds(SafetyRequirement, asil=st.sampled_from(list(AsilLevel)),
+              redundancy_group=st.sampled_from([None, "g"])),
+    st.builds(SecurityRequirement, level=st.sampled_from(list(SecurityLevel)),
+              external_interface=st.booleans()),
+    st.builds(ResourceRequirement, memory_kib=st.floats(0.0, 1024.0)))
+_requirements = st.one_of(
+    _typed_requirements,
+    st.builds(_claiming, st.sampled_from(["generic"] + list(_RESOLVED))))
+
+
+def assert_resolved_like_the_scan(contract):
+    """The resolved viewpoint attributes equal the first-requirement scan."""
+    for viewpoint, kind in _RESOLVED.items():
+        first = contract.requirement(viewpoint)
+        expected = first if isinstance(first, kind) else None
+        assert getattr(contract, viewpoint) is expected, viewpoint
+    safety = contract.requirement("safety")
+    expected_asil = safety.asil if isinstance(safety, SafetyRequirement) \
+        else AsilLevel.QM
+    assert contract.asil == expected_asil
+
+
+class TestResolvedViewpoints:
+    """``timing``/``safety``/``security``/``resources`` are resolved when
+    the requirement list changes; every route must agree with a scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(requirements=st.lists(_requirements, max_size=7))
+    def test_construction_add_and_reassignment(self, requirements):
+        constructed = Contract("comp", requirements=list(requirements))
+        assert_resolved_like_the_scan(constructed)
+        added = Contract("comp")
+        for requirement in requirements:
+            added.add_requirement(requirement)
+            assert_resolved_like_the_scan(added)
+        reassigned = Contract("comp", requirements=[
+            SafetyRequirement(asil="D"), RealTimeRequirement(period=1.0, wcet=0.5)])
+        reassigned.requirements = list(requirements)
+        assert_resolved_like_the_scan(reassigned)
+        assert constructed == added == reassigned
+
+    @settings(max_examples=30, deadline=None)
+    @given(requirements=st.lists(_typed_requirements, max_size=4,
+                                 unique_by=lambda requirement: requirement.viewpoint))
+    def test_parse_serialize_round_trip(self, requirements):
+        parser, serializer = ContractParser(), ContractSerializer()
+        original = Contract("comp", requirements=list(requirements))
+        parsed = parser.parse(serializer.to_dict(original))
+        assert_resolved_like_the_scan(parsed)
+        for viewpoint in _RESOLVED:
+            assert getattr(parsed, viewpoint) == getattr(original, viewpoint)
+
+    @settings(max_examples=15, deadline=None)
+    @given(requirements=st.lists(_requirements, max_size=7))
+    def test_checkpoint_unpickler(self, requirements, tmp_path_factory):
+        contract = Contract("comp", requirements=list(requirements))
+        snapshot = MccSnapshot(model=SystemModel(contracts=[contract]),
+                               deployed_configuration=None, expectations=())
+        checkpoint = CampaignCheckpoint(
+            next_wave=0, result=CampaignResult(fleet_size=1, batched=False),
+            vehicle_states=[VehicleState("veh0000", snapshot, False, False,
+                                         False)])
+        path = str(tmp_path_factory.mktemp("checkpoint") / "c.ckpt")
+        checkpoint.save(path)
+        loaded = CampaignCheckpoint.load(path)
+        restored = loaded.vehicle_states[0].snapshot.model.contract("comp")
+        assert restored == contract
+        assert_resolved_like_the_scan(restored)
+
+    def test_asil_follows_an_in_place_change(self):
+        contract = Contract("comp", requirements=[SafetyRequirement(asil="A")])
+        contract.safety.asil = AsilLevel.D
+        assert contract.asil == AsilLevel.D
 
 
 class TestContractParser:

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
 from repro.experiments.registry import run_scenario
 from repro.fleet.campaign import (Campaign, CampaignError, WavePolicy,
                                   WaveRecord, plan_waves)
-from repro.fleet.vehicle import (FleetSpec, FleetVehicle, generate_fleet,
+from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
+                                 build_vehicle_platform, generate_fleet,
                                  generate_variants, variant_contracts)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
+from repro.mcc.controller import MultiChangeController
 from repro.scenarios.fleet_campaign import (build_update_contract,
                                             run_fleet_campaign_scenario)
 
@@ -74,6 +79,61 @@ class TestFleetGeneration:
             contracts = variant_contracts(variant, spec)
             total = sum(c.timing.utilization for c in contracts if c.timing)
             assert total <= variant.num_processors * variant.capacity + 1e-9
+
+    @staticmethod
+    def crowded_spec(seed: int) -> FleetSpec:
+        """A fleet shape where some seeds draw a variant whose core stack
+        leaves no headroom for the extra apps."""
+        return FleetSpec(size=4, seed=seed, num_variants=4, extra_components=2,
+                         heterogeneity=0.8)
+
+    @pytest.mark.parametrize("seed", [77, 258, 298, 381])
+    def test_a_build_without_headroom_installs_no_extras(self, seed):
+        """Regression: the extras of such a build used to shrink to a zero
+        WCET and provisioning raised ContractSyntaxError."""
+        fleet = generate_fleet(self.crowded_spec(seed))
+        installed = [set(vehicle.mcc.model.components()) for vehicle in fleet]
+        assert all(components >= {"perception", "planner", "actuation"}
+                   for components in installed)
+        assert any(not any(name.startswith("app") for name in components)
+                   for components in installed)
+
+    @pytest.mark.parametrize("seed", [5, 10, 26, 30, 34])
+    def test_a_build_without_room_for_its_core_stack_is_rejected(self, seed):
+        """These seeds also used to raise ContractSyntaxError; their crowded
+        variant cannot host the core stack either, which is the documented
+        core rejection."""
+        with pytest.raises(RuntimeError, match="rejected its baseline"):
+            generate_fleet(self.crowded_spec(seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), heterogeneity=st.floats(0.0, 0.99),
+           size=st.integers(1, 6), num_variants=st.integers(1, 6),
+           extra_components=st.integers(0, 6))
+    @example(seed=5, heterogeneity=0.8, size=4, num_variants=4,
+             extra_components=2)
+    @example(seed=77, heterogeneity=0.8, size=4, num_variants=4,
+             extra_components=2)
+    def test_valid_specs_provision_unless_a_core_stack_does_not_fit(
+            self, seed, heterogeneity, size, num_variants, extra_components):
+        spec = FleetSpec(size=size, seed=seed, heterogeneity=heterogeneity,
+                         num_variants=num_variants,
+                         extra_components=extra_components)
+        try:
+            fleet = generate_fleet(spec)
+        except RuntimeError as error:
+            rejected = re.match(r"vehicle (\d+) rejected its baseline",
+                                str(error))
+            assert rejected, error
+            variants = generate_variants(spec)
+            variant = variants[int(rejected.group(1)) % len(variants)]
+            mcc = MultiChangeController(build_vehicle_platform(variant, "probe"))
+            core = [contract for contract in variant_contracts(variant, spec)
+                    if contract.component in _CORE_COMPONENTS]
+            assert not all(mcc.add_component(contract).accepted
+                           for contract in core)
+        else:
+            assert len(fleet) == size
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -398,6 +398,20 @@ class TestProvisioningWork:
         assert self.count_integrations(monkeypatch, generate_fleet, spec) \
             == baseline_contracts
 
+    def test_fixpoints_of_a_diverged_fleet(self):
+        """Exact work counters of provisioning 16 distinct variants: the
+        busy-window fixpoints (cold plus warm) the shared engine iterates,
+        the task results it reuses, and the cache traffic in front of it.
+        The warm-start base decides the first two; the cache's hits and
+        misses depend on the task sets alone."""
+        cache = AnalysisCache()
+        generate_fleet(FleetSpec(size=16, seed=11, num_variants=16,
+                                 extra_components=10), analysis_cache=cache)
+        engine = cache.engine
+        assert (engine.tasks_cold + engine.tasks_warm_started,
+                engine.tasks_reused, engine.tasks_batched) == (532, 360, 0)
+        assert (cache.hits, cache.misses) == (116, 218)
+
     def test_reference_integrates_per_vehicle(self, monkeypatch):
         spec = FleetSpec(size=12, seed=11, num_variants=3,
                          extra_components=2)

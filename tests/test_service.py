@@ -17,6 +17,9 @@ Four guarantees under test:
 * **Validation** — malformed requests and invalid transitions raise
   :class:`ServiceError` at the API surface, never inside the scheduler.
 
+A completed job releases its fleet while the service keeps running; a
+halted one keeps it for resume and rollback.
+
 No pytest-asyncio in the toolchain: each test drives the service through
 ``asyncio.run`` on a self-contained coroutine.
 """
@@ -24,6 +27,8 @@ No pytest-asyncio in the toolchain: each test drives the service through
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -34,6 +39,7 @@ from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.observability.metrics_bridge import (SERVICE_SOURCE,
                                                 service_metric_registry)
 from repro.scenarios.fleet_campaign import build_update_contract
+from repro.service import admission
 from repro.service import (AdmissionService, CampaignStatus, HaltRequest,
                            JobState, ResumeRequest, RollbackRequest,
                            ServiceError, SubmitCampaign, WaveProgress)
@@ -160,6 +166,59 @@ class TestLifecycle:
         assert final.state == JobState.COMPLETED
         assert campaign_digest(result) == \
             campaign_digest(reference_result(request))
+
+
+class TestReleasedState:
+    @staticmethod
+    def tracked_fleets(monkeypatch):
+        """Weak references to every vehicle the service provisions."""
+        vehicles = []
+
+        def tracking(spec, **kwargs):
+            fleet = generate_fleet(spec, **kwargs)
+            vehicles.extend(weakref.ref(vehicle) for vehicle in fleet)
+            return fleet
+
+        monkeypatch.setattr(admission, "generate_fleet", tracking)
+        return vehicles
+
+    def test_a_completed_job_releases_its_fleet(self, monkeypatch):
+        vehicles = self.tracked_fleets(monkeypatch)
+
+        async def drive():
+            async with AdmissionService() as service:
+                receipt = await service.submit(SUBMIT)
+                status = await service.wait(receipt.job_id)
+                gc.collect()
+                released = all(vehicle() is None for vehicle in vehicles)
+                progress = [record async for record
+                            in service.stream(receipt.job_id)]
+                return (released, status, service.status(receipt.job_id),
+                        service.result(receipt.job_id), progress)
+
+        released, status, later, result, progress = asyncio.run(drive())
+        assert len(vehicles) == SUBMIT.fleet_size and released
+        assert status.state == JobState.COMPLETED and later == status
+        assert campaign_digest(result) == \
+            campaign_digest(reference_result(SUBMIT))
+        assert len(progress) == len(result.waves) and progress[-1].final
+
+    def test_a_halted_job_keeps_its_fleet(self, monkeypatch):
+        vehicles = self.tracked_fleets(monkeypatch)
+        request = SubmitCampaign(tenant="acme", fleet_size=8, seed=3,
+                                 failure_injection_rate=1.0,
+                                 max_failure_rate=0.0)
+
+        async def drive():
+            async with AdmissionService() as service:
+                receipt = await service.submit(request)
+                status = await service.wait(receipt.job_id)
+                gc.collect()
+                return status, all(vehicle() is not None
+                                   for vehicle in vehicles)
+
+        status, kept = asyncio.run(drive())
+        assert status.state == JobState.HALTED and kept
 
 
 class TestTenancyIdentity:
@@ -290,6 +349,22 @@ class TestValidation:
         with a plain ValueError raised during provisioning."""
         with pytest.raises(ServiceError, match="invalid fleet: " + message):
             SubmitCampaign(tenant="acme", **knobs)
+
+    def test_a_build_without_headroom_completes(self):
+        """Regression: a variant without headroom for its extra apps used to
+        end the job FAILED with ContractSyntaxError during provisioning."""
+        request = SubmitCampaign(tenant="acme", fleet_size=4, seed=77,
+                                 heterogeneity=0.8, num_variants=4,
+                                 extra_components=2, max_failure_rate=1.0)
+
+        async def drive():
+            async with AdmissionService() as service:
+                receipt = await service.submit(request)
+                return await service.wait(receipt.job_id)
+
+        status = asyncio.run(drive())
+        assert status.state == JobState.COMPLETED and status.error is None
+        assert status.waves_executed > 0
 
     def test_fleet_spec_mirrors_the_submission(self):
         request = SubmitCampaign(tenant="acme", fleet_size=9, seed=4,
