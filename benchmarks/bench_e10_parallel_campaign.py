@@ -29,11 +29,12 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from conftest import print_table, quick_mode, write_bench_record
+from conftest import (print_table, provisioned_fleet, quick_mode,
+                      write_bench_record)
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint,
                                   CampaignResult, WavePolicy)
-from repro.fleet.vehicle import FleetSpec, generate_fleet
+from repro.fleet.vehicle import FleetSpec
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import build_update_contract
 
@@ -74,7 +75,7 @@ def _run(workers: int, batched: bool, cache_path: Optional[str] = None,
     fleet_size, num_variants = _dimensions()
     spec = FleetSpec(size=fleet_size, seed=SEED, num_variants=num_variants)
     cache = AnalysisCache(max_entries=16384) if batched else None
-    fleet = generate_fleet(spec, analysis_cache=cache)
+    fleet = provisioned_fleet(spec, cache)
     campaign = Campaign(fleet, _factory(), policy=policy,
                         analysis_cache=cache, batch_admission=batched,
                         workers=workers, cache_path=cache_path,
@@ -187,7 +188,7 @@ def test_e10_checkpoint_resume_roundtrip(benchmark, tmp_path):
         spec = FleetSpec(size=fleet_size, seed=SEED,
                          num_variants=num_variants)
         cache = AnalysisCache(max_entries=16384)
-        fleet = generate_fleet(spec, analysis_cache=cache)
+        fleet = provisioned_fleet(spec, cache)
         campaign = Campaign(fleet, _factory(), policy=tolerant,
                             analysis_cache=cache, failure_injection_rate=0.3,
                             feedback_seed=SEED)

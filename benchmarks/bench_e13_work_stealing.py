@@ -37,7 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from conftest import print_table, quick_mode, write_bench_record
+from conftest import (print_table, provisioned_fleet, quick_mode,
+                      write_bench_record)
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, CampaignResult
 from repro.fleet.shard import ShardItem, ShardTask, execute_shard, plan_chunks, plan_shards
@@ -60,7 +61,7 @@ def _representatives(extra_components: int, variants: int,
     """One vehicle per variant — the representative set of one wave."""
     spec = FleetSpec(size=variants, seed=seed, num_variants=variants,
                      extra_components=extra_components)
-    return generate_fleet(spec)
+    return provisioned_fleet(spec)
 
 
 def _measure_costs(build_vehicles, repeats: int = 3) -> List[float]:

@@ -22,11 +22,12 @@ import time
 
 import pytest
 
-from conftest import print_table, quick_mode, write_bench_record
+from conftest import (print_table, provisioned_fleet, quick_mode,
+                      write_bench_record)
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.adversity import IntrusionAdversity
 from repro.fleet.campaign import Campaign, WavePolicy
-from repro.fleet.vehicle import FleetSpec, generate_fleet
+from repro.fleet.vehicle import FleetSpec
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.adversity_campaigns import (
     run_intrusion_campaign_scenario, run_lossy_ota_campaign_scenario,
@@ -51,7 +52,7 @@ def _run_intrusion_admission(fleet_size: int, batch: bool):
     spec = FleetSpec(size=fleet_size, seed=SEED, num_variants=6,
                      extra_components=6)
     cache = AnalysisCache() if batch else None
-    fleet = generate_fleet(spec, analysis_cache=cache)
+    fleet = provisioned_fleet(spec, cache)
     contracts = {}
 
     def factory(vehicle):

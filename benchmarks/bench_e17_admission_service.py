@@ -15,8 +15,10 @@ the service and records:
   cache counters excluded) to an isolated direct ``Campaign.run()`` of
   the same submission.  Sharing the store moves wall time only.
 * ``generation_s``, ``campaign_s`` and ``total_s`` — the measured service
-  run split into fleet provisioning (the service calls ``generate_fleet``
-  inline on its event loop) and everything else.
+  run split into the service's ``generate_fleet`` calls (inline on its
+  event loop: the variant catalog and the core-stack check; vehicles
+  provision when a wave stages them, so their integrations fall in
+  ``campaign_s``) and everything else.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
 
 @contextmanager
 def _timing_provisioning() -> Iterator[List[float]]:
-    """Accumulate the seconds the service spends in ``generate_fleet``."""
+    """Accumulate the seconds the service spends in ``generate_fleet``
+    (which builds no vehicle's platform or MCC; see the module docstring)."""
     spent = [0.0]
     provision = admission.generate_fleet
 
@@ -186,8 +189,9 @@ def test_e17_multi_tenant_admission_throughput(benchmark):
         "shared_store_wall_s": shared_wall,
         "isolated_wall_s": isolated_wall,
         "admissions_per_s": admitted / shared_wall,
-        # The shared-store run above, split: provisioning inside the
-        # service, then everything else (waves, scheduling, streaming).
+        # The shared-store run above, split: generate_fleet inside the
+        # service, then everything else (waves with the provisioning they
+        # trigger, scheduling, streaming).
         "generation_s": generation_s,
         "campaign_s": shared_wall - generation_s,
         "total_s": shared_wall,

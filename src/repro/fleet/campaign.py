@@ -262,6 +262,13 @@ class CampaignResult:
     discounted: int = 0
     halted: bool = False
     halted_wave: Optional[int] = None
+    #: The shared analysis cache's hits and misses during this run: its
+    #: admissions plus the provisioning of every vehicle the run touched
+    #: first (vehicles provision on first touch, see
+    #: :func:`~repro.fleet.vehicle.generate_fleet`).  Like
+    #: ``engine_reuse_rate`` (the shared incremental engine's lifetime
+    #: reuse rate) they are informational and vary with the order in which
+    #: vehicles were touched; verdicts never do.
     cache_hits: int = 0
     cache_misses: int = 0
     engine_reuse_rate: float = 0.0
@@ -344,7 +351,9 @@ class CampaignCheckpoint:
     in flight — no rewind needed).  Either way the checkpoint is the
     serialized :class:`~repro.fleet.engine.CampaignState`: ``next_wave`` is
     the wave cursor, ``result`` the running aggregate, ``vehicle_states``
-    every fleet vehicle's portable MCC snapshot and rollout flags, and
+    every fleet vehicle's portable MCC snapshot (``None`` for a vehicle at
+    its variant's baseline, see :class:`~repro.fleet.vehicle.VehicleState`)
+    and rollout flags, and
     ``cost_model`` the EWMA cost seeds (wall-time-only; the retry carry is
     structurally empty wherever checkpoints are legal — they require
     ``adversity=None``).  The checkpoint pickles cleanly —

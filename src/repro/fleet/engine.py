@@ -36,14 +36,17 @@ wave cursor, the straggler/retry carry, the stall guard, the running
 per-vehicle rollout state lives where it always did — on the
 :class:`~repro.fleet.vehicle.FleetVehicle` objects (MCC model, ``updated``/
 ``deviating``/``rolled_back`` flags) — and is captured into checkpoints as
-portable :class:`~repro.fleet.vehicle.VehicleState` snapshots.  The
-simulated feedback RNG needs no stream state at all: every draw is derived
-fresh from ``(feedback_seed, vehicle.index)``, so it is position- not
-history-dependent.  Two engine-local caches are deliberately *not* part of
-the state: the ``precedents`` verdict table and its ``pinned`` object list
-key on object identity (:meth:`CampaignEngine._equivalence_key`), which
-cannot cross a process boundary — a resumed engine rebuilds them, trading
-replays for re-analyses but never changing a verdict.
+portable :class:`~repro.fleet.vehicle.VehicleState` snapshots; a vehicle at
+its variant's baseline (never provisioned, or adopting the baseline model)
+is captured without a snapshot and restored to its own fleet's baseline
+objects.  The simulated feedback RNG needs no stream state at all: every
+draw is derived fresh from ``(feedback_seed, vehicle.index)``, so it is
+position- not history-dependent.  Two engine-local caches are deliberately
+*not* part of the state: the ``precedents`` verdict table and its ``pinned``
+object list key on object identity
+(:meth:`CampaignEngine._equivalence_key`), which cannot cross a process
+boundary — a resumed engine rebuilds them, trading replays for re-analyses
+but never changing a verdict.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ class CampaignState:
         persists on the campaign across engine lifetimes (and checkpoints
         carry a value snapshot of it); wall-time-only by construction.
     ``hits_before`` / ``misses_before``
-        Shared-cache counter baselines taken at engine construction, so
-        ``result`` reports this run's cache traffic only.
+        Shared-cache counter baselines taken when engine construction
+        starts, so ``result`` reports this run's cache traffic only: its
+        admissions plus the provisioning of the vehicles it touched first.
     """
 
     wave_index: int = 0
@@ -131,9 +135,10 @@ class CampaignEngine:
     counter baselines, shard-pool fork — so a constructed engine is
     positioned at the first wave boundary.  Then:
 
-    * :meth:`step` executes exactly one wave (staging, adversity delivery,
-      dedupe, pooled or in-process admission, feedback, halt decision,
-      rollback) and returns its :class:`WaveRecord`;
+    * :meth:`step` executes exactly one wave (staging and provisioning the
+      staged vehicles, adversity delivery, dedupe, pooled or in-process
+      admission, feedback, halt decision, rollback) and returns its
+      :class:`WaveRecord`;
     * :attr:`done` reports whether a next wave exists (the plan is
       exhausted with no carry, or the campaign halted);
     * :meth:`finalize` runs the epilogue (pool join, snapshot/store
@@ -152,6 +157,14 @@ class CampaignEngine:
     def __init__(self, campaign: Campaign,
                  resume_from: Optional[CampaignCheckpoint] = None) -> None:
         self.campaign = campaign
+        cache = campaign.analysis_cache
+        # Counter baseline: the result reports this run's cache traffic
+        # only -- its admissions and the provisioning of every vehicle it
+        # touches first, a resume's restore included -- not the traffic of
+        # whatever used the shared cache before (a halted run, a fleet
+        # touched outside the campaign).
+        hits_before = cache.hits if cache is not None else 0
+        misses_before = cache.misses if cache is not None else 0
         result = CampaignResult(fleet_size=len(campaign.vehicles),
                                 batched=campaign.batch_admission)
         self.plan = plan_waves(campaign.vehicles, campaign.policy)
@@ -183,12 +196,13 @@ class CampaignEngine:
             if campaign.workers > 1:
                 # Refresh the snapshot so spawn-method workers (which cannot
                 # inherit the parent cache at fork) warm-start from the
-                # provisioning analyses; fork-method workers ignore the file.
+                # analyses derived so far; fork-method workers ignore the
+                # file.
                 campaign.analysis_cache.save_snapshot(campaign.cache_path)
         if campaign.analysis_cache is not None and campaign.cache_store is not None:
             # Warm-start from the shared store, then make this run's
-            # pre-pool entries (fleet provisioning analyses) durable so
-            # even spawn-started workers begin warm.
+            # pre-pool entries (analyses of vehicles provisioned so far)
+            # durable so even spawn-started workers begin warm.
             if campaign._parent_store is None:
                 campaign._parent_store = SegmentStore(campaign.cache_store)
             self._absorb_store()
@@ -225,16 +239,10 @@ class CampaignEngine:
                               worker_batch_kernel, campaign.cache_store))
             finally:
                 shard_module._FORK_SEED = None
-        # Counter baseline: the shared cache typically served fleet
-        # provisioning too; the result reports this run's traffic only (a
-        # resumed run reports the resumed waves', not the halted run's).
         self.state = CampaignState(
             wave_index=start_wave, start_wave=start_wave, carry=[],
             stalled_waves=0, result=result, cost_model=campaign._cost_model,
-            hits_before=campaign.analysis_cache.hits
-            if campaign.analysis_cache else 0,
-            misses_before=campaign.analysis_cache.misses
-            if campaign.analysis_cache else 0)
+            hits_before=hits_before, misses_before=misses_before)
 
     # -- stepping ----------------------------------------------------------
 
@@ -249,11 +257,15 @@ class CampaignEngine:
         """Execute exactly one wave and return its record.
 
         The wave runs to commit — staging (planned members plus delivery
-        carry), adversity delivery, request construction, equivalence
-        dedupe, pooled or in-process admission, per-vehicle adoption,
-        monitor feedback, the halt decision and any rollback — so after
-        ``step()`` returns the campaign sits at the next wave boundary.  On
-        a halt the record is still returned (it is part of the result) and
+        carry), provisioning every staged vehicle not yet provisioned,
+        adversity delivery, request construction, equivalence dedupe,
+        pooled or in-process admission, per-vehicle adoption, monitor
+        feedback, the halt decision and any rollback — so after ``step()``
+        returns the campaign sits at the next wave boundary.  Provisioning
+        runs before anything else, so a provisioning error (see
+        :func:`~repro.fleet.vehicle.generate_fleet`) propagates with the
+        campaign still at the boundary it started from.  On a halt the
+        record is still returned (it is part of the result) and
         :attr:`done` turns true.  Stepping a finished engine raises
         :class:`CampaignError`.
         """
@@ -270,6 +282,10 @@ class CampaignEngine:
         else:
             kind, planned = "straggler", []
         staged = [vehicle for vehicle, _ in state.carry] + list(planned)
+        # Provision the staged vehicles before the wave mutates anything, so
+        # a provisioning error leaves the campaign at this wave boundary.
+        for vehicle in staged:
+            vehicle.provision()
         attempts = {vehicle.vehicle_id: tries
                     for vehicle, tries in state.carry}
         record = WaveRecord(index=wave_index, kind=kind,
@@ -779,8 +795,10 @@ class CampaignEngine:
         states = []
         for vehicle in self.campaign.vehicles:
             if vehicle.vehicle_id in halting:
+                snapshot = vehicle.checkpoint_snapshot(
+                    pre_wave[vehicle.vehicle_id])
                 states.append(VehicleState(vehicle_id=vehicle.vehicle_id,
-                                           snapshot=pre_wave[vehicle.vehicle_id],
+                                           snapshot=snapshot,
                                            updated=False, deviating=False,
                                            rolled_back=False))
             else:

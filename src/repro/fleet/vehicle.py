@@ -15,18 +15,24 @@ update, so a shared :class:`~repro.analysis.cache.AnalysisCache` answers one
 variant's admission analysis once per wave, and the incremental engine
 warm-starts the remaining variants off each other.
 
-It also makes provisioning cheap.  Every vehicle of a variant reaches the
-identical MCC state after its baseline integrations, so
-:func:`generate_fleet` integrates each variant's baseline once, on the
-variant's first vehicle, and *stamps* every later vehicle of that variant:
-the sibling gets its own platform, RTE, acceptance battery and MCC, then
-adopts the first vehicle's :class:`~repro.mcc.controller.MccSnapshot`
-through :meth:`~repro.mcc.controller.MultiChangeController.rollback`.
-Stamped siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
+It also makes provisioning cheap, and lets it wait until a vehicle is
+needed.  A generated vehicle starts with its id, index and variant only;
+its platform and MCC are built the first time anything reads either of
+them.  Every vehicle of a variant reaches the identical MCC state after its
+baseline integrations, so the first touched vehicle of a variant parses the
+variant's contracts and integrates them, and every later vehicle of that
+variant is *stamped*: it gets its own platform, RTE, acceptance battery and
+MCC, then adopts the first vehicle's
+:class:`~repro.mcc.controller.MccSnapshot` through
+:meth:`~repro.mcc.controller.MultiChangeController.rollback`.  Stamped
+siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
 :class:`~repro.platform.rte.RteConfiguration`, expectations and baseline
 :class:`~repro.mcc.configuration.IntegrationReport` objects; all of them are
 read-only (adoption swaps references, it never mutates an adopted object),
-so a later change on one vehicle never reaches its siblings.
+so a later change on one vehicle never reaches its siblings.  A staged
+campaign touches a vehicle when its wave is staged, so a canary verdict
+waits only for the canary's variants, and a halted campaign never
+provisions the waves it did not reach.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from repro.contracts.model import Contract
 from repro.mcc.acceptance import AcceptanceTest, default_acceptance_tests
 from repro.mcc.configuration import IntegrationReport
 from repro.mcc.controller import MccSnapshot, MultiChangeController
-from repro.mcc.mapping import MappingStrategy
+from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
 from repro.platform.rte import RuntimeEnvironment
 from repro.sim.random import SeededRNG
@@ -102,38 +108,105 @@ class VehicleState:
     campaign's rollout flags.  Campaign checkpoints pickle a list of these
     so a halted campaign can be resumed in a fresh process over a
     regenerated fleet.
+
+    ``snapshot`` is ``None`` when the vehicle is *at baseline*: never
+    touched, or adopting its variant's baseline model.  Restoring such a
+    state leaves an untouched vehicle untouched and rolls a touched one
+    back to its own fleet's baseline objects, so a resumed campaign's
+    vehicles share baseline identities with the vehicles it provisions
+    later, exactly as an uninterrupted run's do.
     """
 
     vehicle_id: str
-    snapshot: MccSnapshot
+    snapshot: Optional[MccSnapshot]
     updated: bool
     deviating: bool
     rolled_back: bool
 
 
 class FleetVehicle:
-    """One simulated vehicle: platform model plus its own MCC."""
+    """One simulated vehicle: platform model plus its own MCC.
 
-    def __init__(self, index: int, variant: VehicleVariant, platform: Platform,
-                 mcc: MultiChangeController) -> None:
+    Construct it either with its ``platform`` and ``mcc``, or with the
+    ``provisioner`` of a generated fleet, which builds both the first time
+    anything reads either of them (see :func:`generate_fleet`).
+    """
+
+    def __init__(self, index: int, variant: VehicleVariant,
+                 platform: Optional[Platform] = None,
+                 mcc: Optional[MultiChangeController] = None, *,
+                 provisioner: Optional["FleetProvisioner"] = None) -> None:
+        if (platform is None or mcc is None) == (provisioner is None):
+            raise ValueError("a fleet vehicle needs its platform and MCC, "
+                             "or a provisioner, but not both")
         self.index = index
         self.vehicle_id = f"veh{index:04d}"
         self.variant = variant
-        self.platform = platform
-        self.mcc = mcc
         #: Rollout bookkeeping maintained by the campaign engine.
         self.updated = False
         self.deviating = False
         self.rolled_back = False
+        self._provisioner = provisioner
+        self._platform = platform
+        self._mcc = mcc
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickled vehicle (a shard item) is provisioned first and carries
+        # no provisioner: the provisioner holds the fleet's analysis cache.
+        self.provision()
+        return {**self.__dict__, "_provisioner": None}
+
+    @property
+    def platform(self) -> Platform:
+        """This vehicle's platform model, provisioned on first read."""
+        if self._mcc is None:
+            self.provision()
+        return self._platform
+
+    @property
+    def mcc(self) -> MultiChangeController:
+        """This vehicle's MCC, provisioned on first read."""
+        mcc = self._mcc
+        if mcc is None:
+            self.provision()
+            mcc = self._mcc
+        return mcc
+
+    @property
+    def provisioned(self) -> bool:
+        """Whether this vehicle's platform and MCC exist yet."""
+        return self._mcc is not None
+
+    def provision(self) -> None:
+        """Build this vehicle's platform and MCC now, unless they exist.
+
+        Raises the fleet's :class:`RuntimeError` when this vehicle is the
+        first touched vehicle of its variant and rejects a core component
+        of the variant's baseline; the vehicle then stays unprovisioned.
+        """
+        if self._mcc is None:
+            self._platform, self._mcc = self._provisioner.provision(self)
 
     @property
     def wcet_factor(self) -> float:
         return self.variant.wcet_factor
 
+    def checkpoint_snapshot(self, snapshot: MccSnapshot) -> Optional[MccSnapshot]:
+        """``snapshot`` as a :class:`VehicleState` stores it: ``None`` when it
+        adopts this vehicle's variant baseline model."""
+        provisioner = self._provisioner
+        if provisioner is not None and \
+                snapshot.model is provisioner.baseline(self.variant).model:
+            return None
+        return snapshot
+
     def capture_state(self) -> VehicleState:
         """This vehicle's current :class:`VehicleState` (for checkpoints)."""
+        snapshot = None
+        if self.provisioned:
+            snapshot = self.checkpoint_snapshot(self.mcc.snapshot())
         return VehicleState(vehicle_id=self.vehicle_id,
-                            snapshot=self.mcc.snapshot(),
+                            snapshot=snapshot,
                             updated=self.updated,
                             deviating=self.deviating,
                             rolled_back=self.rolled_back)
@@ -143,14 +216,22 @@ class FleetVehicle:
         if state.vehicle_id != self.vehicle_id:
             raise ValueError(f"state of {state.vehicle_id!r} cannot restore "
                              f"{self.vehicle_id!r}")
-        self.mcc.rollback(state.snapshot)
+        if state.snapshot is not None:
+            self.mcc.rollback(state.snapshot)
+        elif self.provisioned:
+            if self._provisioner is None:
+                raise ValueError(f"{self.vehicle_id} was not generated by "
+                                 "generate_fleet and has no baseline to "
+                                 "restore")
+            self.mcc.rollback(self._provisioner.baseline(self.variant))
         self.updated = state.updated
         self.deviating = state.deviating
         self.rolled_back = state.rolled_back
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        version = self.mcc.version if self.provisioned else "unprovisioned"
         return (f"FleetVehicle({self.vehicle_id}, variant={self.variant.index}, "
-                f"version={self.mcc.version})")
+                f"version={version})")
 
 
 _BASELINE_DOCUMENTS: List[Dict[str, Any]] = [
@@ -222,18 +303,18 @@ def variant_contracts(variant: VehicleVariant, spec: FleetSpec) -> List[Contract
         # zero budget: such a build does not install them.
         extras = [document for document in extras
                   if document["timing"]["wcet"] > 0.0]
-    documents = documents + extras
-    scaled: List[Dict[str, Any]] = []
-    for document in documents:
-        entry = dict(document)
-        timing = dict(entry["timing"])
-        # A variant never ships a baseline that is unschedulable by
-        # construction, so the scaled WCET stays below the implicit deadline.
-        timing["wcet"] = min(timing["wcet"] * variant.wcet_factor,
-                             0.9 * timing["period"])
-        entry["timing"] = timing
-        scaled.append(entry)
-    return parser.parse_many(scaled)
+    return parser.parse_many(_scaled(document, variant)
+                             for document in documents + extras)
+
+
+def _scaled(document: Dict[str, Any], variant: VehicleVariant) -> Dict[str, Any]:
+    """``document`` with its WCET scaled to the variant's build."""
+    timing = dict(document["timing"])
+    # A variant never ships a baseline that is unschedulable by
+    # construction, so the scaled WCET stays below the implicit deadline.
+    timing["wcet"] = min(timing["wcet"] * variant.wcet_factor,
+                         0.9 * timing["period"])
+    return {**document, "timing": timing}
 
 
 def generate_variants(spec: FleetSpec) -> List[VehicleVariant]:
@@ -270,36 +351,139 @@ def build_vehicle_platform(variant: VehicleVariant, name: str) -> Platform:
     return platform
 
 
+class FleetProvisioner:
+    """Builds a generated fleet's vehicles the first time each is touched.
+
+    One per :func:`generate_fleet` call.  It holds what provisioning reads
+    -- the spec, the shared analysis cache and the
+    ``extra_acceptance_tests`` factory -- plus the baseline each variant's
+    first touched vehicle integrated, which every later vehicle of the
+    variant adopts.
+    """
+
+    def __init__(self, spec: FleetSpec,
+                 analysis_cache: Optional[AnalysisCache] = None,
+                 extra_acceptance_tests: Optional[
+                     Callable[[VehicleVariant, Platform],
+                              List[AcceptanceTest]]] = None) -> None:
+        self.spec = spec
+        self.analysis_cache = analysis_cache
+        self.extra_acceptance_tests = extra_acceptance_tests
+        #: Variant index -> (adopted baseline, baseline reports) of the
+        #: variant's first touched vehicle.
+        self._baselines: Dict[int, Tuple[MccSnapshot,
+                                         List[IntegrationReport]]] = {}
+
+    def baseline(self, variant: VehicleVariant) -> MccSnapshot:
+        """The adopted baseline of ``variant`` (provisioned already)."""
+        return self._baselines[variant.index][0]
+
+    def provision(self, vehicle: FleetVehicle
+                  ) -> Tuple[Platform, MultiChangeController]:
+        """``vehicle``'s own platform and MCC, its baseline deployed."""
+        spec, variant = self.spec, vehicle.variant
+        platform = build_vehicle_platform(variant,
+                                          name=f"{vehicle.vehicle_id}-platform")
+        rte = RuntimeEnvironment(platform) if spec.deploy else None
+        acceptance_tests = None
+        if self.extra_acceptance_tests is not None:
+            acceptance_tests = (
+                default_acceptance_tests(cache=self.analysis_cache)
+                + list(self.extra_acceptance_tests(variant, platform)))
+        mcc = MultiChangeController(platform, rte=rte,
+                                    acceptance_tests=acceptance_tests,
+                                    mapping_strategy=spec.mapping_strategy,
+                                    analysis_cache=self.analysis_cache)
+        baseline = self._baselines.get(variant.index)
+        if baseline is None:
+            for contract in variant_contracts(variant, spec):
+                report = mcc.add_component(contract)
+                # An optional app that does not fit this build simply is
+                # not installed on it — variants legitimately differ in
+                # their installed base; every core component must fit.
+                if not report.accepted and contract.component in _CORE_COMPONENTS:
+                    raise RuntimeError(f"vehicle {vehicle.index} rejected its "
+                                       f"baseline: {report.summary()}")
+            self._baselines[variant.index] = (mcc.snapshot(), list(mcc.reports))
+        else:
+            snapshot, reports = baseline
+            mcc.rollback(snapshot)
+            mcc.reports = list(reports)
+        return platform, mcc
+
+
+def _check_core_stack(variant: VehicleVariant, spec: FleetSpec) -> None:
+    """Raise provisioning's core :class:`RuntimeError` if the variant's
+    platform cannot host its core stack.
+
+    Integration maps the core contracts first, one at a time, each keeping
+    the placements before it, so running the mapping engine over them the
+    same way decides every mapping rejection of a core component -- the
+    only kind of core rejection seen in sweeps over the generated fleet
+    shapes.  Rejections that only the acceptance tests can decide still
+    raise when the variant's first vehicle is touched.
+    """
+    documents = [_scaled(document, variant) for document in _BASELINE_DOCUMENTS]
+    # Every processor of the variant has the same capacity and the core
+    # contracts form no redundancy group, so a core stack that fits on one
+    # processor fits whatever the strategy places first: no contract can
+    # then find less room than the stack minus itself leaves.  The margin
+    # dwarfs the rounding of the engine's own utilization sums.
+    if sum(document["timing"]["wcet"] / document["timing"]["period"]
+           for document in documents) <= variant.capacity - 1e-9:
+        return
+    engine = MappingEngine(build_vehicle_platform(variant, name="core-check"),
+                           strategy=spec.mapping_strategy)
+    core = ContractParser().parse_many(documents)
+    placement: Dict[str, str] = {}
+    for count in range(1, len(core) + 1):
+        try:
+            placement = engine.map(core[:count], existing=placement).placement
+        except MappingError as error:
+            raise RuntimeError(f"vehicle {variant.index} rejected its "
+                               f"baseline: {error}") from None
+
+
 def generate_fleet(spec: FleetSpec,
                    analysis_cache: Optional[AnalysisCache] = None,
                    extra_acceptance_tests: Optional[
-                       Callable[["VehicleVariant", Platform],
+                       Callable[[VehicleVariant, Platform],
                                 List[AcceptanceTest]]] = None
-                   ) -> List["FleetVehicle"]:
-    """Instantiate a fleet: per-vehicle platforms and MCCs, baselines deployed.
+                   ) -> List[FleetVehicle]:
+    """Instantiate a fleet whose vehicles provision on first touch.
 
-    Only the first vehicle of each variant (vehicles ``0`` to
-    ``num_variants - 1``, in index order) integrates the variant's baseline
-    contracts through :meth:`MultiChangeController.add_component`; a
-    rejected core component raises :class:`RuntimeError` naming that
-    vehicle.  Every later vehicle of the variant is stamped from it: it gets
-    its own platform, RTE (``spec.deploy``), acceptance battery and MCC,
-    adopts the first vehicle's baseline snapshot (deploying it on its own
-    platform) and holds the first vehicle's baseline reports in its own
+    Every returned vehicle has its id, index and variant at once.  Its
+    platform and MCC are built the first time anything reads either of them
+    (a campaign wave staging it, an update factory, a checkpoint restore,
+    or :meth:`FleetVehicle.provision`).  The first touched vehicle of each
+    variant parses the variant's baseline contracts and integrates them
+    through :meth:`MultiChangeController.add_component`; a rejected core
+    component raises :class:`RuntimeError` naming that vehicle, which stays
+    unprovisioned.  Every later vehicle of the variant is stamped from it:
+    it gets its own platform, RTE (``spec.deploy``), acceptance battery and
+    MCC, adopts the first vehicle's baseline snapshot (deploying it on its
+    own platform) and holds the first vehicle's baseline reports in its own
     ``reports`` list.  The stamped state is shared and read-only; see the
     module docstring.  Stamping is exact because integration is a pure
     function of the contracts, the platform shape and the acceptance
-    battery, all of which depend on the variant alone.  The provisioning
-    work is therefore the baseline contract count summed over the distinct
-    variants, whatever the fleet size.
+    battery, all of which depend on the variant alone, so the order in
+    which vehicles are touched changes no vehicle's state.  Touching the
+    whole fleet integrates the baseline contract count summed over the
+    distinct variants, whatever the fleet size.
+
+    Before it builds any vehicle, ``generate_fleet`` maps every variant's
+    core stack onto the variant's platform, in variant order, and raises
+    the same :class:`RuntimeError`, naming the variant's first vehicle,
+    when a core component cannot be placed.
 
     Pass a shared :class:`AnalysisCache` to let all vehicles' timing
     acceptance tests share one content-addressed store plus one incremental
     engine (the batched-admission mode); without it every vehicle admits in
     isolation (the sequential baseline).  Either way the fleet is a pure
-    function of ``spec`` — verdicts cannot depend on the cache.  The cache
-    and its engine see the same misses as if every vehicle had integrated
-    its own baseline; only the sibling hits are gone.
+    function of ``spec`` — verdicts cannot depend on the cache, nor on
+    when each vehicle is touched.  The cache and its engine see the same
+    misses as if every touched vehicle had integrated its own baseline;
+    only the sibling hits are gone.
 
     ``extra_acceptance_tests`` optionally extends every vehicle's default
     viewpoint battery: the factory is called once per vehicle with its
@@ -311,38 +495,9 @@ def generate_fleet(spec: FleetSpec,
     baseline verdicts without running its own battery.
     """
     variants = generate_variants(spec)
-    contracts_by_variant = {variant.index: variant_contracts(variant, spec)
-                            for variant in variants}
-    # Variant index -> (adopted baseline, baseline reports) of the
-    # variant's first vehicle, which every later vehicle adopts.
-    baselines: Dict[int, Tuple[MccSnapshot, List[IntegrationReport]]] = {}
-    vehicles: List[FleetVehicle] = []
-    for index in range(spec.size):
-        variant = variants[index % len(variants)]
-        platform = build_vehicle_platform(variant, name=f"veh{index:04d}-platform")
-        rte = RuntimeEnvironment(platform) if spec.deploy else None
-        acceptance_tests = None
-        if extra_acceptance_tests is not None:
-            acceptance_tests = (default_acceptance_tests(cache=analysis_cache)
-                                + list(extra_acceptance_tests(variant, platform)))
-        mcc = MultiChangeController(platform, rte=rte,
-                                    acceptance_tests=acceptance_tests,
-                                    mapping_strategy=spec.mapping_strategy,
-                                    analysis_cache=analysis_cache)
-        baseline = baselines.get(variant.index)
-        if baseline is None:
-            for contract in contracts_by_variant[variant.index]:
-                report = mcc.add_component(contract)
-                # An optional app that does not fit this build simply is
-                # not installed on it — variants legitimately differ in
-                # their installed base; every core component must fit.
-                if not report.accepted and contract.component in _CORE_COMPONENTS:
-                    raise RuntimeError(
-                        f"vehicle {index} rejected its baseline: {report.summary()}")
-            baselines[variant.index] = (mcc.snapshot(), list(mcc.reports))
-        else:
-            snapshot, reports = baseline
-            mcc.rollback(snapshot)
-            mcc.reports = list(reports)
-        vehicles.append(FleetVehicle(index, variant, platform, mcc))
-    return vehicles
+    for variant in variants[:spec.size]:
+        _check_core_stack(variant, spec)
+    provisioner = FleetProvisioner(spec, analysis_cache, extra_acceptance_tests)
+    return [FleetVehicle(index, variants[index % len(variants)],
+                         provisioner=provisioner)
+            for index in range(spec.size)]

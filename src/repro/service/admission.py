@@ -17,10 +17,10 @@ job at its **next wave boundary** with a
 :meth:`~repro.fleet.engine.CampaignEngine.checkpoint`-serialized state (a
 policy halt parks it with the halt-written
 :attr:`~repro.fleet.campaign.Campaign.last_checkpoint`);
-:class:`~repro.service.schemas.ResumeRequest` re-provisions a fresh engine
-with ``resume_from=`` (optionally remediating the halt threshold), and
-:class:`~repro.service.schemas.RollbackRequest` restores the fleet's
-pre-campaign vehicle states and retires the job.
+:class:`~repro.service.schemas.ResumeRequest` builds a fresh engine with
+``resume_from=`` (optionally remediating the halt threshold), and
+:class:`~repro.service.schemas.RollbackRequest` returns every vehicle of the
+fleet to its at-baseline state and retires the job.
 
 Tenancy and sharing
 -------------------
@@ -83,15 +83,13 @@ class _Job:
     engine: Optional[CampaignEngine] = None
     #: Resumable boundary state while parked (halt-written or operator-taken).
     checkpoint: Optional[CampaignCheckpoint] = None
-    #: Pre-campaign vehicle states, for :meth:`AdmissionService.rollback`.
-    initial_states: Optional[List[VehicleState]] = None
-    #: Per-variant update contracts, stable across provision/resume cycles.
+    #: Per-variant update contracts, stable across halt/resume cycles.
     update_contracts: Dict[int, Contract] = field(default_factory=dict)
     progress: List[WaveProgress] = field(default_factory=list)
     result: Optional[CampaignResult] = None
     error: Optional[str] = None
     halt_requested: bool = False
-    #: Remediated halt threshold applied at the next (re-)provisioning.
+    #: Remediated halt threshold applied when the engine is next built.
     max_failure_rate: Optional[float] = None
 
     async def _notify(self) -> None:
@@ -292,10 +290,10 @@ class AdmissionService:
         if job.state != JobState.HALTED:
             raise ServiceError(f"job {request.job_id!r} is {job.state}, "
                                "only halted jobs roll back")
-        if job.fleet is not None and job.initial_states is not None:
-            states = {state.vehicle_id: state for state in job.initial_states}
-            for vehicle in job.fleet:
-                vehicle.restore_state(states[vehicle.vehicle_id])
+        for vehicle in job.fleet or ():
+            vehicle.restore_state(VehicleState(
+                vehicle_id=vehicle.vehicle_id, snapshot=None, updated=False,
+                deviating=False, rolled_back=False))
         job.state = JobState.ROLLED_BACK
         await job._notify()
         return self.status(job.job_id)
@@ -344,14 +342,17 @@ class AdmissionService:
         return None
 
     def _advance(self, job: _Job) -> None:
-        """Execute one scheduling claim: provision, park, or step one wave."""
+        """Execute one scheduling claim: park, or step one wave.
+
+        A job's first claim, and a resume's, builds the engine first; the
+        wave it steps provisions the vehicles it stages.
+        """
         if job.halt_requested:
             self._park(job)
             return
         if job.engine is None:
-            self._provision(job)
+            self._start(job)
             job.state = JobState.RUNNING
-            return
         record = job.engine.step()
         done = job.engine.done
         running = job.engine.state.result
@@ -384,7 +385,7 @@ class AdmissionService:
         A job that failed after a resume keeps reporting the aggregate of
         its parked checkpoint in :meth:`status`, so only that survives.
         """
-        job.fleet = job.cache = job.campaign = job.initial_states = None
+        job.fleet = job.cache = job.campaign = None
         if job.checkpoint is not None:
             job.checkpoint = replace(job.checkpoint, vehicle_states=[])
 
@@ -397,13 +398,14 @@ class AdmissionService:
             job.engine = None
         job.state = JobState.HALTED
 
-    def _provision(self, job: _Job) -> None:
+    def _start(self, job: _Job) -> None:
         """Build (or rebuild, on resume) the job's campaign and engine.
 
         The fleet and its analysis cache are generated once per job and
-        survive halts; every (re-)provisioning builds a fresh ``Campaign``
-        — ``run()``-state free by construction — and a fresh engine,
-        resumed from the parked checkpoint when one exists.
+        survive halts; its vehicles provision as the waves stage them.
+        Every start builds a fresh ``Campaign`` — ``run()``-state free by
+        construction — and a fresh engine, resumed from the parked
+        checkpoint when one exists.
         """
         from repro.scenarios.fleet_campaign import build_update_contract
         request = job.request
@@ -411,8 +413,6 @@ class AdmissionService:
             job.cache = AnalysisCache(batch_kernel=request.batch_kernel)
             job.fleet = generate_fleet(request.fleet_spec(),
                                        analysis_cache=job.cache)
-            job.initial_states = [vehicle.capture_state()
-                                  for vehicle in job.fleet]
 
         def update_factory(vehicle: FleetVehicle) -> ChangeRequest:
             variant = vehicle.variant.index

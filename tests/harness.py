@@ -16,8 +16,10 @@ holds the pieces those suites share:
   ``build_platform``);
 * the event-driven CAN bus ground truth ``simulate_latencies`` and the
   ``frame_workloads`` hypothesis strategy used by the CAN RTA suite;
-* the integrate-each fleet provisioning reference
-  ``generate_fleet_integrating_each`` used by the fleet stamping suite.
+* the fleet provisioning references used by the fleet stamping suite:
+  ``generate_fleet_eagerly`` (every vehicle provisioned before the fleet is
+  returned) and ``generate_fleet_integrating_each`` (every vehicle
+  integrates its own baseline).
 
 Everything here is deterministic given the caller's seeds — extracting it
 changed no seed and no behaviour, only the import site.
@@ -39,7 +41,8 @@ from repro.contracts.model import (Contract, RealTimeRequirement,
                                    SafetyRequirement, SecurityRequirement)
 from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
                                  VehicleVariant, build_vehicle_platform,
-                                 generate_variants, variant_contracts)
+                                 generate_fleet, generate_variants,
+                                 variant_contracts)
 from repro.mcc.acceptance import (AcceptanceResult, AcceptanceTest,
                                   default_acceptance_tests, tasksets_from_mapping)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
@@ -179,8 +182,23 @@ def clone_request(request: ChangeRequest) -> ChangeRequest:
 
 
 # ---------------------------------------------------------------------------
-# Fleet provisioning oracle: every vehicle integrates its own baseline
+# Fleet provisioning oracles: eager, and every vehicle integrating its own
+# baseline
 # ---------------------------------------------------------------------------
+
+
+def generate_fleet_eagerly(
+        spec: FleetSpec, analysis_cache: Optional[AnalysisCache] = None,
+        extra_acceptance_tests: Optional[
+            Callable[[VehicleVariant, Platform], List[AcceptanceTest]]] = None
+) -> List[FleetVehicle]:
+    """:func:`repro.fleet.vehicle.generate_fleet`, every vehicle provisioned
+    in index order before the fleet is returned."""
+    fleet = generate_fleet(spec, analysis_cache=analysis_cache,
+                           extra_acceptance_tests=extra_acceptance_tests)
+    for vehicle in fleet:
+        vehicle.provision()
+    return fleet
 
 
 def generate_fleet_integrating_each(
@@ -188,11 +206,13 @@ def generate_fleet_integrating_each(
         extra_acceptance_tests: Optional[
             Callable[[VehicleVariant, Platform], List[AcceptanceTest]]] = None
 ) -> List[FleetVehicle]:
-    """The reference for :func:`repro.fleet.vehicle.generate_fleet`.
+    """The stamping reference for :func:`repro.fleet.vehicle.generate_fleet`.
 
-    Same fleet, but every vehicle runs every baseline contract through its
-    own :meth:`MultiChangeController.add_component` instead of adopting the
-    first same-variant vehicle's baseline.
+    Same fleet, provisioned eagerly, but every vehicle runs every baseline
+    contract through its own :meth:`MultiChangeController.add_component`
+    instead of adopting the first same-variant vehicle's baseline.  Its
+    vehicles are built with their platform and MCC, so they have no
+    provisioner and checkpoint every state with an explicit snapshot.
     """
     variants = generate_variants(spec)
     contracts_by_variant = {variant.index: variant_contracts(variant, spec)

@@ -575,7 +575,12 @@ class TestFleetDistributedAdmission:
 
     def test_fleet_generation_fails_loudly_on_impossible_chain_deadline(self):
         """A distributed deadline no build can meet must reject the core
-        baseline — and that is a hard error, not a silently thinner fleet."""
+        baseline — and that is a hard error, not a silently thinner fleet.
+        Only the acceptance battery decides it, so it raises when the
+        variant's first vehicle is touched; that vehicle stays
+        unprovisioned."""
         spec = FleetSpec(size=4, num_variants=2, seed=7)
-        with pytest.raises(RuntimeError, match="rejected its baseline"):
-            generate_fleet(spec, extra_acceptance_tests=self._factory(1e-4))
+        fleet = generate_fleet(spec, extra_acceptance_tests=self._factory(1e-4))
+        with pytest.raises(RuntimeError, match="vehicle 0 rejected its baseline"):
+            fleet[0].provision()
+        assert not fleet[0].provisioned

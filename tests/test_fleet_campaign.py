@@ -18,6 +18,7 @@ from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
                                  generate_variants, variant_contracts)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
+from repro.mcc.mapping import MappingStrategy
 from repro.scenarios.fleet_campaign import (build_update_contract,
                                             run_fleet_campaign_scenario)
 
@@ -109,25 +110,39 @@ class TestFleetGeneration:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), heterogeneity=st.floats(0.0, 0.99),
            size=st.integers(1, 6), num_variants=st.integers(1, 6),
-           extra_components=st.integers(0, 6))
+           extra_components=st.integers(0, 6),
+           min_processors=st.integers(1, 2), max_processors=st.integers(2, 4),
+           strategy=st.sampled_from(MappingStrategy))
     @example(seed=5, heterogeneity=0.8, size=4, num_variants=4,
-             extra_components=2)
+             extra_components=2, min_processors=2, max_processors=3,
+             strategy=MappingStrategy.FIRST_FIT)
     @example(seed=77, heterogeneity=0.8, size=4, num_variants=4,
-             extra_components=2)
+             extra_components=2, min_processors=2, max_processors=3,
+             strategy=MappingStrategy.FIRST_FIT)
     def test_valid_specs_provision_unless_a_core_stack_does_not_fit(
-            self, seed, heterogeneity, size, num_variants, extra_components):
+            self, seed, heterogeneity, size, num_variants, extra_components,
+            min_processors, max_processors, strategy):
+        """Either every vehicle provisions, or ``generate_fleet`` (or a
+        vehicle's first touch) names a vehicle whose variant the real MCC
+        cannot admit the core stack on."""
         spec = FleetSpec(size=size, seed=seed, heterogeneity=heterogeneity,
                          num_variants=num_variants,
-                         extra_components=extra_components)
+                         extra_components=extra_components,
+                         min_processors=min_processors,
+                         max_processors=max_processors,
+                         mapping_strategy=strategy)
         try:
             fleet = generate_fleet(spec)
+            for vehicle in fleet:
+                vehicle.provision()
         except RuntimeError as error:
             rejected = re.match(r"vehicle (\d+) rejected its baseline",
                                 str(error))
             assert rejected, error
             variants = generate_variants(spec)
             variant = variants[int(rejected.group(1)) % len(variants)]
-            mcc = MultiChangeController(build_vehicle_platform(variant, "probe"))
+            mcc = MultiChangeController(build_vehicle_platform(variant, "probe"),
+                                        mapping_strategy=strategy)
             core = [contract for contract in variant_contracts(variant, spec)
                     if contract.component in _CORE_COMPONENTS]
             assert not all(mcc.add_component(contract).accepted
@@ -369,12 +384,16 @@ class TestCampaign:
         assert result.refined > 0
 
     def test_cache_counters_report_campaign_traffic_only(self):
+        """The run's own traffic: its admissions and the provisioning of
+        the vehicles it touched first, not what used the cache before."""
         spec = small_spec()
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)
+        fleet[0].provision()  # touched before the campaign
         hits_before, misses_before = cache.hits, cache.misses
         assert hits_before + misses_before > 0  # provisioning used the cache
         result = Campaign(fleet, update_factory_for(), analysis_cache=cache).run()
+        assert all(vehicle.provisioned for vehicle in fleet)
         assert result.cache_hits == cache.hits - hits_before
         assert result.cache_misses == cache.misses - misses_before
 

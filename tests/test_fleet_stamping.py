@@ -1,30 +1,40 @@
-"""Stamped fleet provisioning against the integrate-each reference.
+"""Lazy, stamped fleet provisioning against eager references.
 
-:func:`repro.fleet.vehicle.generate_fleet` integrates each variant's
-baseline once, on the variant's first vehicle, and stamps every later
-vehicle of the variant from that vehicle's snapshot.  The reference in
-``tests/harness.py`` (:func:`generate_fleet_integrating_each`) runs every
-vehicle's baseline through its own MCC.  The two must be indistinguishable:
+:func:`repro.fleet.vehicle.generate_fleet` returns vehicles that provision
+on first touch: the first touched vehicle of a variant integrates the
+variant's baseline, and every later vehicle of the variant is stamped from
+that vehicle's snapshot.  ``tests/harness.py`` holds two references:
+:func:`generate_fleet_eagerly` touches every vehicle in index order before
+returning the fleet, and :func:`generate_fleet_integrating_each` runs every
+vehicle's baseline through its own MCC.  They must be indistinguishable:
 
-* right after provisioning, vehicle by vehicle: installed components,
-  mapping, priorities, model version, expectations, deployed configuration
-  and every baseline report's verdict, viewpoint results and findings;
-* after any campaign over them: the whole ``CampaignResult`` (the shared
-  cache's hit and miss counters and the engine reuse rate included; only
-  the wall-clock shard telemetry is left out) and every vehicle's state
-  and rollout flags — across ADD and UPDATE updates, halts with and
-  without rollback, resumes from every wave boundary, pooled waves and
-  the three adversity models.
+* eager stamping against integrate-each, right after provisioning, vehicle
+  by vehicle: installed components, mapping, priorities, model version,
+  expectations, deployed configuration and every baseline report's
+  verdict, viewpoint results and findings; and after any campaign over
+  them, the whole ``CampaignResult`` (the shared cache's hit and miss
+  counters and the engine reuse rate included; only the wall-clock shard
+  telemetry is left out) and every vehicle's state and rollout flags;
+* lazy against eager, compared only after the campaign (reading a lazy
+  fleet's state would provision it): the same, except the cache counters
+  and the engine reuse rate, which move because provisioning now
+  interleaves with admission; fixed cases pin their exact values instead.
 
-The provisioning work is pinned exactly (one integration per baseline
-contract per variant, whatever the fleet size), and the sharing is pinned
-to be invisible: a change adopted, rejected or rolled back on one vehicle
-never reaches its siblings.
+Both hold across ADD and UPDATE updates, halts with and without rollback,
+resumes from every wave boundary, pooled waves and the three adversity
+models.  The provisioning work is pinned exactly (one integration per
+baseline contract per touched variant, whatever the fleet size; a halted
+campaign provisions only the variants it reached), a provisioning error
+leaves the campaign at a wave boundary, and the sharing is pinned to be
+invisible: a change adopted, rejected or rolled back on one vehicle never
+reaches its siblings.
 """
 
 from __future__ import annotations
 
+import pickle
 import re
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import partial
 
@@ -32,22 +42,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harness import generate_fleet_integrating_each
+from harness import generate_fleet_eagerly, generate_fleet_integrating_each
 from repro.analysis.cache import AnalysisCache
 from repro.contracts.language import ContractParser, ContractSerializer
 from repro.fleet.adversity import (IntrusionAdversity, LossyDeliveryAdversity,
                                    ThermalAdversity)
 from repro.fleet.campaign import Campaign, CampaignCheckpoint, WavePolicy
 from repro.fleet.engine import CampaignEngine
-from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
-                                 variant_contracts)
+from repro.fleet.vehicle import (FleetSpec, VehicleState, generate_fleet,
+                                 generate_variants, variant_contracts)
 from repro.mcc.acceptance import (AcceptanceResult, DistributedChainSpec,
                                   DistributedTimingAcceptanceTest, MessageSpec)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.mcc.integration import IntegrationProcess
+from repro.mcc.controller import MultiChangeController
 from repro.scenarios.fleet_campaign import build_update_contract
 
-PROVISIONERS = (generate_fleet, generate_fleet_integrating_each)
+#: Lazy provisioning, then the eager references it is compared against.
+PROVISIONERS = (generate_fleet, generate_fleet_eagerly,
+                generate_fleet_integrating_each)
+
+#: ``CampaignResult`` fields that depend on when vehicles are provisioned.
+COUNTERS = frozenset({"cache_hits", "cache_misses", "engine_reuse_rate"})
 
 
 # -- comparable state ---------------------------------------------------------
@@ -79,10 +94,12 @@ def fleet_state(fleet):
     return [vehicle_state(vehicle) for vehicle in fleet]
 
 
-def result_state(result):
-    """Every ``CampaignResult`` field except the wall-clock shard telemetry."""
+def result_state(result, counters=True):
+    """Every ``CampaignResult`` field except the wall-clock shard telemetry
+    (and, with ``counters=False``, except :data:`COUNTERS`)."""
     return [(field.name, getattr(result, field.name))
-            for field in fields(result) if field.name != "shard_telemetry"]
+            for field in fields(result) if field.name != "shard_telemetry"
+            and (counters or field.name not in COUNTERS)]
 
 
 def rte_state(vehicle):
@@ -168,18 +185,39 @@ failure_rates = st.sampled_from([0.0, 0.3, 1.0])
 
 
 def provision_and_run(provisioner, spec, update, policy, failure_rate, *,
-                      shared_cache=True, workers=1, adversity=None):
-    """Provision with ``provisioner``, run one campaign; return both states."""
+                      shared_cache=True, workers=1, adversity=None,
+                      extra_acceptance_tests=None):
+    """Provision with ``provisioner`` and run one campaign.
+
+    Returns the fleet's state before the campaign (``None`` for the lazy
+    fleet, which reading would provision), the result's state and the
+    fleet's state after it.
+    """
     cache = AnalysisCache() if shared_cache else None
-    fleet = provisioner(spec, analysis_cache=cache)
-    provisioned = fleet_state(fleet)
+    fleet = provisioner(spec, analysis_cache=cache,
+                        extra_acceptance_tests=extra_acceptance_tests)
+    provisioned = None if provisioner is generate_fleet else fleet_state(fleet)
     campaign = Campaign(fleet, make_update(*update), policy=policy,
                         analysis_cache=cache, batch_admission=shared_cache,
                         failure_injection_rate=failure_rate,
                         feedback_seed=spec.seed, workers=workers,
                         adversity=adversity)
     result = campaign.run()
-    return provisioned, result_state(result), fleet_state(fleet)
+    return provisioned, result, fleet_state(fleet)
+
+
+def assert_matches_references(run):
+    """``run(provisioner)`` returns ``(provisioned, result, state)``; eager
+    stamping must match integrate-each in full, and lazy provisioning must
+    match eager stamping after the campaign, cache counters aside."""
+    (_, lazy, lazy_fleet), (provisioned, eager, eager_fleet), \
+        (reference_provisioned, reference, reference_fleet) = \
+        (run(provisioner) for provisioner in PROVISIONERS)
+    assert provisioned == reference_provisioned
+    assert (result_state(eager), eager_fleet) == \
+        (result_state(reference), reference_fleet)
+    assert (result_state(lazy, counters=False), lazy_fleet) == \
+        (result_state(eager, counters=False), eager_fleet)
 
 
 def slow(max_examples):
@@ -188,28 +226,25 @@ def slow(max_examples):
 
 
 class TestStampedMatchesReference:
-    """Stamped fleets behave exactly like integrate-each fleets."""
+    """Lazy fleets behave exactly like eagerly stamped fleets, and those
+    exactly like integrate-each fleets."""
 
     @slow(60)
     @given(spec=specs, update=updates, policy=policies,
            failure_rate=failure_rates, shared_cache=st.booleans())
     def test_provisioning_and_campaign(self, spec, update, policy,
                                        failure_rate, shared_cache):
-        stamped, reference = (
-            provision_and_run(provisioner, spec, update, policy, failure_rate,
-                              shared_cache=shared_cache)
-            for provisioner in PROVISIONERS)
-        assert stamped == reference
+        assert_matches_references(partial(
+            provision_and_run, spec=spec, update=update, policy=policy,
+            failure_rate=failure_rate, shared_cache=shared_cache))
 
     @slow(5)
     @given(spec=specs, update=updates, policy=policies,
            failure_rate=failure_rates)
     def test_pooled_waves(self, spec, update, policy, failure_rate):
-        stamped, reference = (
-            provision_and_run(provisioner, spec, update, policy, failure_rate,
-                              workers=2)
-            for provisioner in PROVISIONERS)
-        assert stamped == reference
+        assert_matches_references(partial(
+            provision_and_run, spec=spec, update=update, policy=policy,
+            failure_rate=failure_rate, workers=2))
 
     @slow(12)
     @given(spec=specs, update=updates, seed=st.integers(0, 2**16),
@@ -222,11 +257,10 @@ class TestStampedMatchesReference:
                 return IntrusionAdversity(compromise_rate=0.3, seed=seed)
             return ThermalAdversity(peak_wave=1)
 
-        stamped, reference = (
-            provision_and_run(provisioner, spec, update, WavePolicy(), 0.1,
-                              adversity=adversity())
-            for provisioner in PROVISIONERS)
-        assert stamped == reference
+        assert_matches_references(
+            lambda provisioner: provision_and_run(
+                provisioner, spec, update, WavePolicy(), 0.1,
+                adversity=adversity()))
 
     @slow(10)
     @given(spec=specs, update=updates, policy=policies,
@@ -254,7 +288,8 @@ class TestStampedMatchesReference:
                 fleet_resumed, campaign_resumed = fresh(provisioner)
                 result = campaign_resumed.run(
                     resume_from=CampaignCheckpoint.load(path))
-                runs.append((result_state(result), fleet_state(fleet_resumed)))
+                runs.append((result_state(result, counters=False),
+                             fleet_state(fleet_resumed)))
                 if engine.done:
                     break
                 engine.step()
@@ -262,7 +297,8 @@ class TestStampedMatchesReference:
                 if engine.state.result.halted:
                     break
             engine.finalize()
-            runs.append((result_state(engine.state.result), fleet_state(fleet)))
+            runs.append((result_state(engine.state.result, counters=False),
+                         fleet_state(fleet)))
             if campaign.last_checkpoint is not None:
                 # A policy halt: remediate the threshold and resume the
                 # halting wave from the halt-written checkpoint.
@@ -270,11 +306,19 @@ class TestStampedMatchesReference:
                     provisioner, replace(policy, max_failure_rate=1.0))
                 result = campaign_resumed.run(
                     resume_from=campaign.last_checkpoint)
-                runs.append((result_state(result), fleet_state(fleet_resumed)))
+                runs.append((result_state(result, counters=False),
+                             fleet_state(fleet_resumed)))
             return runs
 
-        assert resumed_runs(generate_fleet) == \
-            resumed_runs(generate_fleet_integrating_each)
+        # Cache counters are left out of every comparison here, eager
+        # against integrate-each included: integrate-each vehicles have no
+        # provisioner, so their checkpoints hold explicit baseline
+        # snapshots, and restoring those from a file splits the resumed
+        # run's identity-keyed equivalence groups (more re-analyses, the
+        # same verdicts).
+        lazy, eager, reference = (resumed_runs(provisioner)
+                                  for provisioner in PROVISIONERS)
+        assert lazy == eager == reference
 
 
 # -- fixed cases ----------------------------------------------------------------
@@ -319,17 +363,23 @@ def distributed_chain(deadline):
 class TestFixedCases:
 
     def test_core_rejection_names_the_same_vehicle(self):
+        """A core rejection that only the acceptance battery decides raises
+        when the variant's first vehicle is touched: while the eager
+        references provision, and on the lazy fleet when a campaign wave
+        stages that vehicle -- with the same message either way."""
         spec = FleetSpec(size=9, seed=4, num_variants=3, extra_components=2)
         messages = []
         for provisioner in PROVISIONERS:
             with pytest.raises(RuntimeError, match="rejected its baseline") \
                     as raised:
-                provisioner(spec, extra_acceptance_tests=rejecting("planner", 2))
+                fleet = provisioner(
+                    spec, extra_acceptance_tests=rejecting("planner", 2))
+                Campaign(fleet, add_update(), batch_admission=False).run()
             # Request ids come from a process-wide counter; the rest of the
             # message must match.
             messages.append(re.sub(r"request \d+", "request N",
                                    str(raised.value)))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
         assert messages[0].startswith("vehicle 2 rejected its baseline")
 
     def test_optional_app_rejection_is_inherited(self):
@@ -355,58 +405,103 @@ class TestFixedCases:
         states = []
         for provisioner in PROVISIONERS:
             fleet = provisioner(spec)
-            provisioned = [rte_state(vehicle) for vehicle in fleet]
+            provisioned = None if provisioner is generate_fleet \
+                else [rte_state(vehicle) for vehicle in fleet]
             Campaign(fleet, add_update(memory_kib=256.0),
                      batch_admission=False, feedback_seed=2).run()
             states.append((provisioned, [rte_state(v) for v in fleet],
                            fleet_state(fleet)))
-        assert states[0] == states[1]
+        lazy, eager, reference = states
+        assert eager == reference
+        assert lazy[1:] == eager[1:]
 
     def test_extra_acceptance_tests(self):
         spec = FleetSpec(size=10, seed=7, num_variants=3, extra_components=2)
-        stamped, reference = (
-            provision_and_run(
-                partial(provisioner, extra_acceptance_tests=distributed_chain(0.5)),
-                spec, ("add", 0.22), WavePolicy(), 0.3)
-            for provisioner in PROVISIONERS)
-        assert stamped == reference
+        assert_matches_references(partial(
+            provision_and_run, spec=spec, update=("add", 0.22),
+            policy=WavePolicy(), failure_rate=0.3,
+            extra_acceptance_tests=distributed_chain(0.5)))
+
+    @pytest.mark.parametrize("spec, update, policy, failure_rate, counters", [
+        (FleetSpec(size=24, seed=5, num_variants=2, extra_components=10),
+         ("add", 0.22), WavePolicy(), 0.0, (22, 29, 0.261905)),
+        (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
+         ("rebudget", 1.05), WavePolicy(), 0.0, (164, 236, 0.361421)),
+        (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
+         ("rebudget", 1.05), WavePolicy(max_failure_rate=0.0), 1.0,
+         (21, 30, 0.314961)),
+    ])
+    def test_cache_counters_of_a_lazy_fleet(self, spec, update, policy,
+                                            failure_rate, counters):
+        """The counters the lazy differential leaves out, pinned exactly: a
+        lazy campaign's result counts the provisioning it did itself (the
+        last case halts at the canary and provisions two variants)."""
+        _, result, _ = provision_and_run(generate_fleet, spec, update, policy,
+                                         failure_rate)
+        assert (result.cache_hits, result.cache_misses,
+                round(result.engine_reuse_rate, 6)) == counters
+
+
+@contextmanager
+def counting_integrations(monkeypatch):
+    """Baseline integrations (``add_component`` calls: provisioning is
+    their only caller in a campaign) and ``request_change`` calls (every
+    full integration, provisioning included) made inside the block."""
+    counts = {"baseline": 0, "request_change": 0}
+    add_component = MultiChangeController.add_component
+    request_change = MultiChangeController.request_change
+
+    def counting_add(self, contract):
+        counts["baseline"] += 1
+        return add_component(self, contract)
+
+    def counting_request(self, request):
+        counts["request_change"] += 1
+        return request_change(self, request)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MultiChangeController, "add_component", counting_add)
+        patch.setattr(MultiChangeController, "request_change",
+                      counting_request)
+        yield counts
+
+
+def baseline_contracts(spec, variants=None):
+    """Baseline contracts summed over ``variants`` (default: all)."""
+    return sum(len(variant_contracts(variant, spec))
+               for variant in generate_variants(spec)
+               if variants is None or variant.index in variants)
 
 
 class TestProvisioningWork:
-    """One integration per baseline contract per variant, never per vehicle."""
-
-    @staticmethod
-    def count_integrations(monkeypatch, provisioner, spec):
-        calls = []
-        integrate = IntegrationProcess.integrate
-
-        def counting(self, candidate, request):
-            calls.append(request.component)
-            return integrate(self, candidate, request)
-
-        monkeypatch.setattr(IntegrationProcess, "integrate", counting)
-        provisioner(spec, analysis_cache=AnalysisCache())
-        monkeypatch.undo()
-        return len(calls)
+    """One integration per baseline contract per touched variant, never per
+    vehicle."""
 
     @pytest.mark.parametrize("size", [1, 5, 8, 40, 200])
     def test_integrations_equal_baseline_contracts(self, monkeypatch, size):
+        """A completed campaign touches every vehicle."""
         spec = FleetSpec(size=size, seed=11, num_variants=8,
                          extra_components=6)
-        baseline_contracts = sum(len(variant_contracts(variant, spec))
-                                 for variant in generate_variants(spec))
-        assert self.count_integrations(monkeypatch, generate_fleet, spec) \
-            == baseline_contracts
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
+        with counting_integrations(monkeypatch) as counts:
+            result = Campaign(fleet, add_update(),
+                              policy=WavePolicy(max_failure_rate=1.0),
+                              analysis_cache=cache).run()
+        assert result.completed
+        assert all(vehicle.provisioned for vehicle in fleet)
+        assert counts["baseline"] == baseline_contracts(spec)
 
     def test_fixpoints_of_a_diverged_fleet(self):
-        """Exact work counters of provisioning 16 distinct variants: the
-        busy-window fixpoints (cold plus warm) the shared engine iterates,
-        the task results it reuses, and the cache traffic in front of it.
-        The warm-start base decides the first two; the cache's hits and
-        misses depend on the task sets alone."""
+        """Exact work counters of provisioning 16 distinct variants in index
+        order: the busy-window fixpoints (cold plus warm) the shared engine
+        iterates, the task results it reuses, and the cache traffic in
+        front of it.  The warm-start base decides the first two; the
+        cache's hits and misses depend on the task sets alone."""
         cache = AnalysisCache()
-        generate_fleet(FleetSpec(size=16, seed=11, num_variants=16,
-                                 extra_components=10), analysis_cache=cache)
+        generate_fleet_eagerly(FleetSpec(size=16, seed=11, num_variants=16,
+                                         extra_components=10),
+                               analysis_cache=cache)
         engine = cache.engine
         assert (engine.tasks_cold + engine.tasks_warm_started,
                 engine.tasks_reused, engine.tasks_batched) == (532, 360, 0)
@@ -415,10 +510,159 @@ class TestProvisioningWork:
     def test_reference_integrates_per_vehicle(self, monkeypatch):
         spec = FleetSpec(size=12, seed=11, num_variants=3,
                          extra_components=2)
-        per_vehicle = sum(len(variant_contracts(variant, spec))
-                          for variant in generate_variants(spec)) * 12 // 3
-        assert self.count_integrations(
-            monkeypatch, generate_fleet_integrating_each, spec) == per_vehicle
+        with counting_integrations(monkeypatch) as counts:
+            generate_fleet_integrating_each(spec, analysis_cache=AnalysisCache())
+        assert counts["baseline"] == baseline_contracts(spec) * 12 // 3
+
+    def test_a_canary_halt_provisions_only_the_canary_variants(
+            self, monkeypatch):
+        """A diverged fleet (every vehicle its own variant) whose canary
+        halts integrates the canary variants' baselines and nothing else,
+        and leaves every other vehicle unprovisioned."""
+        spec = FleetSpec(size=16, seed=201, num_variants=16,
+                         extra_components=10)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
+        with counting_integrations(monkeypatch) as counts:
+            result = Campaign(fleet, rebudget_update(1.05),
+                              policy=WavePolicy(max_failure_rate=0.0),
+                              analysis_cache=cache,
+                              failure_injection_rate=1.0).run()
+        assert result.halted_wave == 0
+        assert counts["baseline"] == baseline_contracts(spec, {0, 1})
+        assert [vehicle.provisioned for vehicle in fleet] == \
+            [True] * 2 + [False] * 14
+
+
+class TestLazyProvisioning:
+    """What laziness changes: checkpoints, resumes and provisioning errors."""
+
+    SPEC = FleetSpec(size=12, seed=3, num_variants=3, extra_components=3)
+
+    def campaign(self, fleet, cache, **policy):
+        return Campaign(fleet, add_update(0.45), policy=WavePolicy(**policy),
+                        analysis_cache=cache, failure_injection_rate=0.2,
+                        feedback_seed=3)
+
+    def test_a_fresh_boundary_checkpoint_holds_only_at_baseline_states(self):
+        cache = AnalysisCache()
+        fleet = generate_fleet(self.SPEC, analysis_cache=cache)
+        engine = CampaignEngine(self.campaign(fleet, cache,
+                                              max_failure_rate=1.0))
+        checkpoint = engine.checkpoint()
+        assert [state.snapshot for state in checkpoint.vehicle_states] == \
+            [None] * len(fleet)
+        assert not any(vehicle.provisioned for vehicle in fleet)
+        # Provisioned vehicles adopting their baseline stay snapshot-free:
+        # vehicle 4 integrates variant 1's baseline, vehicle 1 is stamped.
+        fleet[0].provision()
+        fleet[4].provision()
+        assert fleet[1].mcc.model is fleet[4].mcc.model
+        assert all(state.snapshot is None
+                   for state in engine.checkpoint().vehicle_states)
+
+    def test_a_pickled_vehicle_is_provisioned_without_its_provisioner(self):
+        """Shard items pickle vehicles: the copy is usable on its own and
+        does not drag the fleet's provisioner along."""
+        fleet = generate_fleet(self.SPEC, analysis_cache=AnalysisCache())
+        pickled = pickle.dumps(fleet[5])
+        assert fleet[5].provisioned and b"FleetProvisioner" not in pickled
+        copy = pickle.loads(pickled)
+        assert copy.provisioned
+        assert repr(copy.mcc.model.contracts()) == \
+            repr(fleet[5].mcc.model.contracts())
+        assert not any(vehicle.provisioned for vehicle in fleet[:5])
+
+    def test_only_a_generated_vehicle_restores_an_at_baseline_state(self):
+        """An at-baseline state names no snapshot; a vehicle built with its
+        own platform and MCC has no fleet baseline to roll back to."""
+        state = VehicleState(vehicle_id="veh0000", snapshot=None,
+                             updated=False, deviating=False, rolled_back=False)
+        with pytest.raises(ValueError, match="no baseline"):
+            generate_fleet_integrating_each(self.SPEC)[0].restore_state(state)
+
+    def test_a_canary_halted_checkpoint_is_small(self):
+        """Only the waves a campaign reached can carry a snapshot; at most
+        a tenth of an integrate-each fleet's checkpoint, which stores one
+        for every vehicle."""
+        spec = FleetSpec(size=48, seed=9, num_variants=8, extra_components=10)
+        sizes = []
+        for provisioner in (generate_fleet, generate_fleet_integrating_each):
+            cache = AnalysisCache()
+            campaign = Campaign(provisioner(spec, analysis_cache=cache),
+                                add_update(), analysis_cache=cache,
+                                failure_injection_rate=1.0)
+            assert campaign.run().halted_wave == 0
+            sizes.append(len(pickle.dumps(campaign.last_checkpoint)))
+        assert sizes[0] * 10 <= sizes[1]
+
+    def test_resuming_from_a_file_does_no_more_integrations(
+            self, monkeypatch, tmp_path):
+        """A checkpoint file restores reached vehicles that sit at their
+        baseline to the resumed fleet's own baseline objects, so the
+        resumed run's identity-keyed groups do not split and it integrates
+        no more than the uninterrupted run -- from every wave boundary and
+        from the halt checkpoint."""
+        def integrations(run):
+            with counting_integrations(monkeypatch) as counts:
+                run()
+            return counts["request_change"]
+
+        def uninterrupted():
+            cache = AnalysisCache()
+            self.campaign(generate_fleet(self.SPEC, analysis_cache=cache),
+                          cache, max_failure_rate=1.0).run()
+
+        def resumed(path):
+            cache = AnalysisCache()
+            self.campaign(generate_fleet(self.SPEC, analysis_cache=cache),
+                          cache, max_failure_rate=1.0).run(
+                resume_from=CampaignCheckpoint.load(path))
+
+        ceiling = integrations(uninterrupted)
+        cache = AnalysisCache()
+        halt_path = str(tmp_path / "halt.ckpt")
+        halting = self.campaign(generate_fleet(self.SPEC, analysis_cache=cache),
+                                cache, max_failure_rate=0.0)
+        halting.checkpoint_path = halt_path
+        engine = CampaignEngine(halting)
+        paths = []
+        while not engine.done:
+            paths.append(str(tmp_path / f"{len(paths)}.ckpt"))
+            engine.checkpoint(paths[-1])
+            engine.step()
+        assert engine.state.result.halted and len(paths) > 1
+        for path in paths + [halt_path]:
+            assert integrations(partial(resumed, path)) <= ceiling, path
+
+    @pytest.mark.parametrize("mode", ["batched", "sequential", "adversity"])
+    def test_a_provisioning_error_leaves_the_wave_unadmitted(self, mode):
+        """Provisioning runs before a wave admits anything: a core
+        rejection on the wave's third vehicle leaves its first two
+        unadmitted and the campaign at the boundary it started from (the
+        adversity run admits sequentially, where admission would otherwise
+        reach the first two vehicles before the third is touched)."""
+        spec = FleetSpec(size=9, seed=4, num_variants=3, extra_components=2)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache,
+                               extra_acceptance_tests=rejecting("planner", 2))
+        campaign = Campaign(
+            fleet, add_update(), analysis_cache=cache,
+            policy=WavePolicy(canary_size=0, wave_fractions=(1.0,)),
+            batch_admission=mode == "batched",
+            adversity=LossyDeliveryAdversity(0.0, seed=1)
+            if mode == "adversity" else None)
+        engine = CampaignEngine(campaign)
+        with pytest.raises(RuntimeError,
+                           match="vehicle 2 rejected its baseline"):
+            engine.step()
+        assert (engine.state.wave_index, engine.state.result.waves,
+                engine.state.carry) == (0, [], [])
+        assert [vehicle.provisioned for vehicle in fleet[:3]] == \
+            [True, True, False]
+        for vehicle in fleet[:2]:
+            assert not vehicle.updated
+            assert "nav_assist" not in vehicle.mcc.model.components()
 
 
 class TestSiblingIsolation:

@@ -255,6 +255,7 @@ class TestShardExecution:
         fleet = generate_fleet(FleetSpec(size=1, seed=5, num_variants=1,
                                          extra_components=2),
                                analysis_cache=cache)
+        fleet[0].provision()
         factory = make_factory()
         snapshot_path = os.path.join(tmp_path, "cache.pkl")
         preloaded = cache.save_snapshot(snapshot_path)
@@ -292,6 +293,7 @@ class TestWorkerInitializer:
         fleet = generate_fleet(FleetSpec(size=1, seed=5, num_variants=1,
                                          extra_components=1),
                                analysis_cache=source)
+        fleet[0].provision()
         path = str(tmp_path / "snap.pkl")
         entries = source.save_snapshot(path)
         shard_module._FORK_SEED = None
@@ -323,7 +325,8 @@ class TestWorkerInitializer:
     def test_store_path_warm_starts_and_installs_store(self, tmp_path):
         source = AnalysisCache()
         generate_fleet(FleetSpec(size=1, seed=5, num_variants=1,
-                                 extra_components=1), analysis_cache=source)
+                                 extra_components=1),
+                       analysis_cache=source)[0].provision()
         store_path = str(tmp_path / "store")
         SegmentStore(store_path).append(source.export_entries())
         shard_module.initialize_worker(None, store_path=store_path)

@@ -323,6 +323,49 @@ class TestOperatorControl:
         rolled = asyncio.run(drive())
         assert rolled.state == JobState.ROLLED_BACK
 
+    def test_rollback_returns_reached_vehicles_to_their_baseline(self):
+        """The canary stays updated at the halt (no policy rollback); the
+        operator rollback returns it to the fleet's own baseline objects
+        and leaves the vehicles the campaign never reached unprovisioned."""
+        request = SubmitCampaign(tenant="acme", fleet_size=8, seed=3,
+                                 failure_injection_rate=1.0,
+                                 max_failure_rate=0.0, rollback_on_halt=False)
+
+        async def drive():
+            async with AdmissionService() as service:
+                receipt = await service.submit(request)
+                await service.wait(receipt.job_id)
+                fleet = service._jobs[receipt.job_id].fleet
+                updated = [vehicle.updated for vehicle in fleet]
+                await service.rollback(RollbackRequest(job_id=receipt.job_id))
+                return fleet, updated
+
+        fleet, updated = asyncio.run(drive())
+        assert updated == [True] * 2 + [False] * 6
+        for vehicle in fleet[:2]:
+            assert "nav_assist" not in vehicle.mcc.model.components()
+            assert vehicle.capture_state().snapshot is None  # at baseline
+            assert not (vehicle.updated or vehicle.deviating
+                        or vehicle.rolled_back)
+        assert not any(vehicle.provisioned for vehicle in fleet[2:])
+
+    def test_the_first_claim_steps_the_canary(self):
+        """No separate provisioning claim: a job's first claim builds its
+        engine and executes the canary wave, provisioning the canary's
+        vehicles only."""
+        async def drive():
+            service = AdmissionService()
+            receipt = await service.submit(SUBMIT)
+            service._advance(service._claim())
+            return service._jobs[receipt.job_id]
+
+        job = asyncio.run(drive())
+        assert job.state == JobState.RUNNING
+        assert [(record.index, record.kind) for record in job.progress] == \
+            [(0, "canary")]
+        assert [vehicle.provisioned for vehicle in job.fleet] == \
+            [True] * 2 + [False] * 6
+
 
 class TestValidation:
     def test_submit_schema_validates_at_construction(self):
