@@ -8,8 +8,9 @@ out across a heterogeneous fleet in staged waves.  The series reports
   admission — verdict parity is asserted and the measured speedup must
   clear 1.5x (the quantity lands in ``BENCH_e10_fleet_campaign.json``,
   next to the batched run's provisioning, campaign and total seconds and
-  the exact provisioning work: one integration per baseline contract per
-  variant).  Vehicles provision on first touch, so every run touches its
+  the exact provisioning work: one admission report per baseline contract
+  per variant, and one acceptance battery run per variant whose baseline
+  passes whole).  Vehicles provision on first touch, so every run touches its
   whole fleet inside the provisioning timer: the campaign timer then
   covers admission alone, on both sides of the comparison;
 * the staged-rollout safety net: failure injection drives the wave failure
@@ -33,7 +34,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import pytest
 
@@ -43,12 +44,20 @@ from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
 from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
                                  variant_contracts)
+from repro.mcc.acceptance import TimingAcceptanceTest
 from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.mcc.integration import IntegrationProcess
+from repro.mcc.controller import MultiChangeController
 from repro.scenarios.fleet_campaign import (build_update_contract,
                                             run_fleet_campaign_scenario)
 
 SCALE_VARIANTS = 8
+
+#: Acceptance battery runs provisioning seed 0's variants, by variant
+#: count.  None of the 4 quick-mode variants rejects an app, so each runs
+#: its battery once.  Of the 8 full-mode and scale variants, variant 5
+#: rejects two apps on timing, so its failed one-pass run and one run for
+#: each of its 13 contracts replace its one run (7 + 1 + 13).
+BATTERY_RUNS = {4: 4, 8: 21}
 
 
 def _update_factory():
@@ -67,20 +76,36 @@ def _update_factory():
 
 
 @contextmanager
-def _counting_integrations() -> Iterator[List[int]]:
-    """Count ``IntegrationProcess.integrate`` calls inside the block."""
-    calls = [0]
-    integrate = IntegrationProcess.integrate
+def _counting_provisioning() -> Iterator[Dict[str, int]]:
+    """Provisioning's work inside the block: the admission reports
+    ``MultiChangeController.request_changes`` returns (provisioning is its
+    only caller) and the acceptance battery runs inside it (timing is each
+    default battery's first test, so its runs count the batteries)."""
+    counts = {"reports": 0, "battery_runs": 0}
+    inside = [0]
+    request_changes = MultiChangeController.request_changes
+    timing_run = TimingAcceptanceTest.run
 
-    def counting(self, candidate, request):
-        calls[0] += 1
-        return integrate(self, candidate, request)
+    def counting_requests(self, requests):
+        inside[0] += 1
+        try:
+            reports = request_changes(self, requests)
+        finally:
+            inside[0] -= 1
+        counts["reports"] += len(reports)
+        return reports
 
-    IntegrationProcess.integrate = counting
+    def counting_timing(self, *args):
+        counts["battery_runs"] += bool(inside[0])
+        return timing_run(self, *args)
+
+    MultiChangeController.request_changes = counting_requests
+    TimingAcceptanceTest.run = counting_timing
     try:
-        yield calls
+        yield counts
     finally:
-        IntegrationProcess.integrate = integrate
+        MultiChangeController.request_changes = request_changes
+        TimingAcceptanceTest.run = timing_run
 
 
 def _baseline_contracts(spec: FleetSpec) -> int:
@@ -142,7 +167,7 @@ def test_e10_batched_vs_sequential_admission(benchmark):
     benchmark(lambda: _campaign_run(True, fleet_size, num_variants)[2])
 
     spec = FleetSpec(size=fleet_size, seed=0, num_variants=num_variants)
-    with _counting_integrations() as integrations:
+    with _counting_provisioning() as provisioning:
         provisioned_fleet(spec, AnalysisCache())
 
     assert _digest(batched_result) == _digest(sequential_result)
@@ -164,7 +189,8 @@ def test_e10_batched_vs_sequential_admission(benchmark):
         "generation_s": generation_s,
         "campaign_s": batched_s,
         "total_s": generation_s + batched_s,
-        "provision_integrations": integrations[0],
+        "provision_integrations": provisioning["reports"],
+        "provision_battery_runs": provisioning["battery_runs"],
         "baseline_contracts": _baseline_contracts(spec),
     }
     print_table("E10: batched vs sequential fleet admission (target: >= 1.5x)",
@@ -172,6 +198,7 @@ def test_e10_batched_vs_sequential_admission(benchmark):
     write_bench_record("e10_fleet_campaign", row)
     assert speedup >= 1.5
     assert row["provision_integrations"] == row["baseline_contracts"]
+    assert row["provision_battery_runs"] == BATTERY_RUNS[num_variants]
 
 
 @pytest.mark.benchmark(group="e10-fleet")
@@ -253,7 +280,7 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
     spec = FleetSpec(size=fleet_size, seed=0, num_variants=SCALE_VARIANTS)
     cache = AnalysisCache()
     started = time.perf_counter()
-    with _counting_integrations() as integrations:
+    with _counting_provisioning() as provisioning:
         fleet = provisioned_fleet(spec, cache)
     provisioned = time.perf_counter()
     result = Campaign(fleet, _update_factory(), analysis_cache=cache).run()
@@ -266,7 +293,8 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
         "total_s": finished - started,
         # ru_maxrss is in KiB on Linux.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "provision_integrations": integrations[0],
+        "provision_integrations": provisioning["reports"],
+        "provision_battery_runs": provisioning["battery_runs"],
         "baseline_contracts": _baseline_contracts(spec),
         "admitted": result.admitted,
         "waves": len(result.waves),
@@ -276,8 +304,9 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
 
 @pytest.mark.benchmark(group="e10-fleet")
 def test_e10_fleet_scale(benchmark):
-    """Provisioning stays one integration per baseline contract per variant
-    at 10^5 vehicles, and the clean rollout covers the whole fleet."""
+    """Provisioning stays one admission report per baseline contract per
+    variant, and its battery runs stay per variant, at 10^5 vehicles; the
+    clean rollout covers the whole fleet."""
     fleet_size = 10_000 if quick_mode() else 100_000
 
     def measure():
@@ -292,6 +321,7 @@ def test_e10_fleet_scale(benchmark):
                 "end to end", [row])
     write_bench_record("e10_fleet_scale", row)
     assert row["provision_integrations"] == row["baseline_contracts"]
+    assert row["provision_battery_runs"] == BATTERY_RUNS[SCALE_VARIANTS]
     assert row["admitted"] == fleet_size
     assert row["update_coverage"] == 1.0
 

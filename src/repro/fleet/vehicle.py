@@ -20,9 +20,12 @@ needed.  A generated vehicle starts with its id, index and variant only;
 its platform and MCC are built the first time anything reads either of
 them.  Every vehicle of a variant reaches the identical MCC state after its
 baseline integrations, so the first touched vehicle of a variant parses the
-variant's contracts and integrates them, and every later vehicle of that
-variant is *stamped*: it gets its own platform, RTE, acceptance battery and
-MCC, then adopts the first vehicle's
+variant's contracts and admits them in one
+:meth:`~repro.mcc.controller.MultiChangeController.request_changes` call
+(one acceptance run on the whole baseline when every test vouches for it,
+else one integration per contract, with the same reports either way), and
+every later vehicle of that variant is *stamped*: it gets its own platform,
+RTE, acceptance battery and MCC, then adopts the first vehicle's
 :class:`~repro.mcc.controller.MccSnapshot` through
 :meth:`~repro.mcc.controller.MultiChangeController.rollback`.  Stamped
 siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
@@ -44,7 +47,7 @@ from repro.analysis.cache import AnalysisCache
 from repro.contracts.language import ContractParser
 from repro.contracts.model import Contract
 from repro.mcc.acceptance import AcceptanceTest, default_acceptance_tests
-from repro.mcc.configuration import IntegrationReport
+from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport
 from repro.mcc.controller import MccSnapshot, MultiChangeController
 from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
@@ -357,7 +360,7 @@ class FleetProvisioner:
     One per :func:`generate_fleet` call.  It holds what provisioning reads
     -- the spec, the shared analysis cache and the
     ``extra_acceptance_tests`` factory -- plus the baseline each variant's
-    first touched vehicle integrated, which every later vehicle of the
+    first touched vehicle admitted, which every later vehicle of the
     variant adopts.
     """
 
@@ -396,12 +399,15 @@ class FleetProvisioner:
                                     analysis_cache=self.analysis_cache)
         baseline = self._baselines.get(variant.index)
         if baseline is None:
-            for contract in variant_contracts(variant, spec):
-                report = mcc.add_component(contract)
+            requests = [ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
+                                      component=contract.component,
+                                      contract=contract)
+                        for contract in variant_contracts(variant, spec)]
+            for request, report in zip(requests, mcc.request_changes(requests)):
                 # An optional app that does not fit this build simply is
                 # not installed on it — variants legitimately differ in
                 # their installed base; every core component must fit.
-                if not report.accepted and contract.component in _CORE_COMPONENTS:
+                if not report.accepted and request.component in _CORE_COMPONENTS:
                     raise RuntimeError(f"vehicle {vehicle.index} rejected its "
                                        f"baseline: {report.summary()}")
             self._baselines[variant.index] = (mcc.snapshot(), list(mcc.reports))
@@ -456,10 +462,16 @@ def generate_fleet(spec: FleetSpec,
     platform and MCC are built the first time anything reads either of them
     (a campaign wave staging it, an update factory, a checkpoint restore,
     or :meth:`FleetVehicle.provision`).  The first touched vehicle of each
-    variant parses the variant's baseline contracts and integrates them
-    through :meth:`MultiChangeController.add_component`; a rejected core
-    component raises :class:`RuntimeError` naming that vehicle, which stays
-    unprovisioned.  Every later vehicle of the variant is stamped from it:
+    variant parses the variant's baseline contracts and admits them, as one
+    ADD request each, through
+    :meth:`MultiChangeController.request_changes`: the contracts are
+    validated and mapped one prefix at a time, and the acceptance battery
+    runs once, on the whole baseline, unless a test cannot vouch for it or
+    the run fails, in which case every contract is integrated in turn.
+    Either way the vehicle records one report per contract, exactly as
+    per-contract integration would.  A rejected core component raises
+    :class:`RuntimeError` naming that vehicle, which stays unprovisioned.
+    Every later vehicle of the variant is stamped from it:
     it gets its own platform, RTE (``spec.deploy``), acceptance battery and
     MCC, adopts the first vehicle's baseline snapshot (deploying it on its
     own platform) and holds the first vehicle's baseline reports in its own
@@ -468,7 +480,7 @@ def generate_fleet(spec: FleetSpec,
     function of the contracts, the platform shape and the acceptance
     battery, all of which depend on the variant alone, so the order in
     which vehicles are touched changes no vehicle's state.  Touching the
-    whole fleet integrates the baseline contract count summed over the
+    whole fleet admits the baseline contract count summed over the
     distinct variants, whatever the fleet size.
 
     Before it builds any vehicle, ``generate_fleet`` maps every variant's
@@ -482,7 +494,7 @@ def generate_fleet(spec: FleetSpec,
     isolation (the sequential baseline).  Either way the fleet is a pure
     function of ``spec`` — verdicts cannot depend on the cache, nor on
     when each vehicle is touched.  The cache and its engine see the same
-    misses as if every touched vehicle had integrated its own baseline;
+    misses as if every touched vehicle had admitted its own baseline;
     only the sibling hits are gone.
 
     ``extra_acceptance_tests`` optionally extends every vehicle's default

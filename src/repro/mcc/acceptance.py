@@ -43,7 +43,18 @@ class AcceptanceResult:
 
 
 class AcceptanceTest(Protocol):
-    """Interface of an MCC acceptance test."""
+    """Interface of an MCC acceptance test.
+
+    A test may also define ``monotone(contracts) -> bool``.  Answering
+    ``True`` promises that a pass on ``contracts`` implies a pass on every
+    configuration that drops later-added components and keeps the remaining
+    placements and relative priorities.
+    :meth:`~repro.mcc.controller.MultiChangeController.request_changes`
+    relies on that promise to admit a run of additions with one acceptance
+    run on the final candidate.  A test without the method, like
+    :class:`DistributedTimingAcceptanceTest`, keeps every addition on the
+    per-request path.
+    """
 
     viewpoint: str
 
@@ -98,6 +109,12 @@ class TimingAcceptanceTest:
         self.speed_factor = speed_factor
         self.cache = cache
         self._engine = IncrementalResponseTimeAnalysis() if cache is None else None
+
+    def monotone(self, contracts: List[Contract]) -> bool:
+        """Always: deadline-monotonic order is a total order that does not
+        depend on which tasks are in the set, and an added task only adds
+        interference to lower-priority tasks, so no WCRT falls."""
+        return True
 
     def run(self, contracts: List[Contract], mapping: Dict[str, str],
             priorities: Dict[str, int], platform: Platform) -> AcceptanceResult:
@@ -433,6 +450,18 @@ class SafetyAcceptanceTest:
 
     viewpoint = "safety"
 
+    def monotone(self, contracts: List[Contract]) -> bool:
+        """When no contract declares a redundancy group.
+
+        ``missing-redundancy`` and ``redundancy-colocation`` are the only
+        blocking findings an added component can clear, and both need a
+        group.  ``missing-provider`` never reaches acceptance: service
+        completeness rejects the candidate first.
+        """
+        return not any(contract.safety is not None
+                       and contract.safety.redundancy_group
+                       for contract in contracts)
+
     def run(self, contracts: List[Contract], mapping: Dict[str, str],
             priorities: Dict[str, int], platform: Platform) -> AcceptanceResult:
         """Evaluate the safety viewpoint of a candidate configuration."""
@@ -451,6 +480,17 @@ class SecurityAcceptanceTest:
 
     viewpoint = "security"
 
+    @staticmethod
+    def _has_entry_point(contracts: List[Contract]) -> bool:
+        return any(contract.security is not None
+                   and contract.security.external_interface
+                   for contract in contracts)
+
+    def monotone(self, contracts: List[Contract]) -> bool:
+        """When no contract declares an external interface: every subset
+        then passes with no findings."""
+        return not self._has_entry_point(contracts)
+
     def run(self, contracts: List[Contract], mapping: Dict[str, str],
             priorities: Dict[str, int], platform: Platform) -> AcceptanceResult:
         """Evaluate the security viewpoint of a candidate configuration.
@@ -459,9 +499,7 @@ class SecurityAcceptanceTest:
         components with an external interface.  Without one the threat
         analysis finds nothing, so no model is built.
         """
-        if not any(contract.security is not None
-                   and contract.security.external_interface
-                   for contract in contracts):
+        if not self._has_entry_point(contracts):
             return AcceptanceResult(viewpoint=self.viewpoint, passed=True,
                                     metrics={"attack_paths": 0.0,
                                              "under_protected": 0.0})
@@ -491,6 +529,12 @@ class ResourceAcceptanceTest:
     """Resource viewpoint: memory and network bandwidth budgets fit."""
 
     viewpoint = "resources"
+
+    def monotone(self, contracts: List[Contract]) -> bool:
+        """Always: memory and CAN demands are sums of budgets that
+        :class:`~repro.contracts.model.ResourceRequirement` keeps
+        non-negative."""
+        return True
 
     def run(self, contracts: List[Contract], mapping: Dict[str, str],
             priorities: Dict[str, int], platform: Platform) -> AcceptanceResult:

@@ -91,19 +91,37 @@ class MultiChangeController:
 
         report = self.process.integrate(candidate, request)
         if report.accepted:
-            candidate.version = self.model.version + 1
-            self.model = candidate
-            configuration = self.process.synthesize_configuration(candidate, candidate.version)
-            self.deployed_configuration = configuration
-            report.configuration_version = configuration.version
-            self._refresh_expectations()
-            if self.rte is not None:
-                self.rte.deploy(configuration)
+            report.configuration_version = self._adopt(candidate,
+                                                       self.model.version + 1)
         self.reports.append(report)
         return report
 
     def request_changes(self, requests: List[ChangeRequest]) -> List[IntegrationReport]:
-        return [self.request_change(request) for request in requests]
+        """Process a sequence of change requests in order.
+
+        Returns what ``[self.request_change(r) for r in requests]`` returns
+        and leaves the same model, configuration, expectations and report
+        history behind, request ids and refinement steps included.  When
+        every request is an addition and every acceptance test vouches for
+        the final contract set (see
+        :class:`~repro.mcc.acceptance.AcceptanceTest`), the additions are
+        validated and mapped prefix by prefix and tested once, on the final
+        candidate.  If that run passes, the final model is adopted and
+        deployed once, so the execution domain sees one deployment instead
+        of one per request.  Otherwise, or if any prefix is rejected, every
+        request runs through :meth:`request_change` in turn.  A test
+        without a ``monotone`` method keeps every call on that path.
+        """
+        outcome = self.process._integrate_additions(self.model, requests)
+        if outcome is None:
+            return [self.request_change(request) for request in requests]
+        candidate, reports = outcome
+        base = self.model.version
+        for offset, report in enumerate(reports, start=1):
+            report.configuration_version = base + offset
+        self._adopt(candidate, base + len(reports))
+        self.reports.extend(reports)
+        return reports
 
     def replay_change(self, request: ChangeRequest, precedent: IntegrationReport,
                       mapping: Dict[str, str],
@@ -140,16 +158,22 @@ class MultiChangeController:
         if report.accepted:
             candidate.mapping = dict(mapping)
             candidate.priorities = dict(priorities)
-            candidate.version = self.model.version + 1
-            self.model = candidate
-            configuration = self.process.synthesize_configuration(candidate, candidate.version)
-            self.deployed_configuration = configuration
-            report.configuration_version = configuration.version
-            self._refresh_expectations()
-            if self.rte is not None:
-                self.rte.deploy(configuration)
+            report.configuration_version = self._adopt(candidate,
+                                                       self.model.version + 1)
         self.reports.append(report)
         return report
+
+    def _adopt(self, candidate: SystemModel, version: int) -> int:
+        """Adopt an accepted candidate as ``version`` and deploy it; returns
+        the deployed configuration's version."""
+        candidate.version = version
+        self.model = candidate
+        configuration = self.process.synthesize_configuration(candidate, version)
+        self.deployed_configuration = configuration
+        self._refresh_expectations()
+        if self.rte is not None:
+            self.rte.deploy(configuration)
+        return configuration.version
 
     def add_component(self, contract: Contract) -> IntegrationReport:
         return self.request_change(ChangeRequest(kind=ChangeKind.ADD_COMPONENT,

@@ -14,16 +14,23 @@ The refinement steps implemented here:
 3. **Acceptance testing** — every viewpoint analysis must pass.
 4. **Configuration synthesis** — an :class:`~repro.platform.rte.RteConfiguration`
    is produced for the execution domain.
+
+A run of additions can share step 3: the process refines every prefix of
+the run and tests only the final candidate, when every acceptance test
+vouches that a pass there implies a pass on each prefix (see
+:meth:`~repro.mcc.controller.MultiChangeController.request_changes`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cache import AnalysisCache
+from repro.contracts.model import Contract
 from repro.mcc.acceptance import (AcceptanceTest, default_acceptance_tests,
                                   tasksets_from_mapping)
-from repro.mcc.configuration import ChangeRequest, IntegrationReport, SystemModel
+from repro.mcc.configuration import (ChangeKind, ChangeRequest, IntegrationReport,
+                                    SystemModel)
 from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
 from repro.platform.resources import Platform
 from repro.platform.rte import RteConfiguration
@@ -54,42 +61,10 @@ class IntegrationProcess:
         """
         report = IntegrationReport(request_id=request.request_id)
         contracts = candidate.contracts()
-
-        # Step 1: functional architecture — validate contracts and service
-        # completeness.
-        problems: List[str] = []
-        for contract in contracts:
-            problems.extend(contract.validate())
-        problems.extend(f"missing provider for {entry}" for entry in candidate.missing_services())
-        report.add_step("functional-architecture",
-                        "validate contracts and service completeness",
-                        problems=list(problems))
-        if problems:
-            report.findings.extend(problems)
-            report.accepted = False
+        problems = [problem for contract in contracts
+                    for problem in contract.validate()]
+        if not self._refine(candidate, contracts, problems, report):
             return report
-
-        # Step 2: technical architecture — map components to the platform.
-        try:
-            decision = self.mapping_engine.map(contracts,
-                                               existing=candidate.mapping)
-        except MappingError as exc:
-            report.add_step("technical-architecture", "mapping failed", error=str(exc))
-            report.findings.append(str(exc))
-            report.accepted = False
-            return report
-        candidate.mapping = decision.placement
-        candidate.priorities = decision.priorities
-        report.add_step("technical-architecture",
-                        "map components to processing resources",
-                        placement=dict(decision.placement),
-                        utilization=dict(decision.utilization))
-
-        # Step 3: implementation model — priorities were assigned during
-        # mapping; record them explicitly as their own refinement step.
-        report.add_step("implementation-model",
-                        "assign scheduling priorities (deadline monotonic per resource)",
-                        priorities=dict(decision.priorities))
 
         # Step 4: acceptance tests for every viewpoint.
         all_passed = True
@@ -105,6 +80,104 @@ class IntegrationProcess:
 
         report.accepted = all_passed
         return report
+
+    def _integrate_additions(self, model: SystemModel, requests: List[ChangeRequest]
+                             ) -> Optional[Tuple[SystemModel, List[IntegrationReport]]]:
+        """Integrate a run of additions with one acceptance run.
+
+        Applies the requests to one candidate of ``model`` in order and runs
+        steps 1-3 of :meth:`integrate` on every prefix, then runs the
+        acceptance tests once, on the final candidate.  Returns that
+        candidate and one report per request, each holding exactly what
+        :meth:`integrate` records for it in turn; the caller sets the
+        configuration versions.  That is exact because every test vouches,
+        through its ``monotone`` method, that a pass on the final contract
+        set implies a pass on each prefix: placements are kept from one
+        prefix to the next, and priorities keep their relative order.
+
+        Returns ``None``, having adopted nothing, when per-request
+        integration must decide instead: there are no requests, a request
+        is not an addition, a test has no ``monotone`` method or answers
+        ``False``, a prefix is rejected before the acceptance tests, or the
+        final candidate fails one.
+        """
+        if not requests or any(request.kind is not ChangeKind.ADD_COMPONENT
+                               for request in requests):
+            return None
+        final = model.contracts() + [request.contract for request in requests]
+        for test in self.acceptance_tests:
+            monotone = getattr(test, "monotone", None)
+            if monotone is None or not monotone(final):
+                return None
+        # A contract's own problems do not depend on the others, so each
+        # contract is validated once, not once per prefix holding it.
+        if any(contract.validate() for contract in final):
+            return None
+        candidate = model.candidate()
+        reports: List[IntegrationReport] = []
+        for request in requests:
+            try:
+                candidate.apply_change(request)
+            except (ValueError, KeyError):
+                return None
+            contracts = candidate.contracts()
+            report = IntegrationReport(request_id=request.request_id)
+            if not self._refine(candidate, contracts, [], report):
+                return None
+            reports.append(report)
+        for test in self.acceptance_tests:
+            if not test.run(contracts, candidate.mapping, candidate.priorities,
+                            self.platform).passed:
+                return None
+        results = {test.viewpoint: True for test in self.acceptance_tests}
+        for report in reports:
+            report.acceptance_results = dict(results)
+            report.add_step("acceptance-tests", "run viewpoint analyses",
+                            results=dict(results))
+            report.accepted = True
+        return candidate, reports
+
+    def _refine(self, candidate: SystemModel, contracts: List[Contract],
+                problems: List[str], report: IntegrationReport) -> bool:
+        """Steps 1-3 of :meth:`integrate` on ``candidate``, given its
+        ``contracts`` and their validation ``problems``, recorded in
+        ``report``; fills in the candidate's mapping and priorities.
+        ``False`` when the candidate is rejected (its findings are in
+        ``report``)."""
+        # Step 1: functional architecture — validate contracts and service
+        # completeness.
+        problems = problems + [f"missing provider for {entry}"
+                               for entry in candidate.missing_services()]
+        report.add_step("functional-architecture",
+                        "validate contracts and service completeness",
+                        problems=list(problems))
+        if problems:
+            report.findings.extend(problems)
+            report.accepted = False
+            return False
+
+        # Step 2: technical architecture — map components to the platform.
+        try:
+            decision = self.mapping_engine.map(contracts,
+                                               existing=candidate.mapping)
+        except MappingError as exc:
+            report.add_step("technical-architecture", "mapping failed", error=str(exc))
+            report.findings.append(str(exc))
+            report.accepted = False
+            return False
+        candidate.mapping = decision.placement
+        candidate.priorities = decision.priorities
+        report.add_step("technical-architecture",
+                        "map components to processing resources",
+                        placement=dict(decision.placement),
+                        utilization=dict(decision.utilization))
+
+        # Step 3: implementation model — priorities were assigned during
+        # mapping; record them explicitly as their own refinement step.
+        report.add_step("implementation-model",
+                        "assign scheduling priorities (deadline monotonic per resource)",
+                        priorities=dict(decision.priorities))
+        return True
 
     def preview_tasksets(self, model: SystemModel,
                          request: ChangeRequest) -> Optional[Dict[str, TaskSet]]:

@@ -19,7 +19,7 @@ holds the pieces those suites share:
 * the fleet provisioning references used by the fleet stamping suite:
   ``generate_fleet_eagerly`` (every vehicle provisioned before the fleet is
   returned) and ``generate_fleet_integrating_each`` (every vehicle
-  integrates its own baseline).
+  integrates its own baseline, one contract at a time).
 
 Everything here is deterministic given the caller's seeds — extracting it
 changed no seed and no behaviour, only the import site.
@@ -209,10 +209,14 @@ def generate_fleet_integrating_each(
     """The stamping reference for :func:`repro.fleet.vehicle.generate_fleet`.
 
     Same fleet, provisioned eagerly, but every vehicle runs every baseline
-    contract through its own :meth:`MultiChangeController.add_component`
-    instead of adopting the first same-variant vehicle's baseline.  Its
-    vehicles are built with their platform and MCC, so they have no
-    provisioner and checkpoint every state with an explicit snapshot.
+    contract through its own :meth:`MultiChangeController.add_component`,
+    one full integration (acceptance battery included) per contract,
+    instead of adopting the first same-variant vehicle's baseline.  So it
+    is also the reference for the one acceptance run with which
+    :meth:`MultiChangeController.request_changes` admits that vehicle's
+    baseline.  Its vehicles are built with their platform and MCC, so they
+    have no provisioner and checkpoint every state with an explicit
+    snapshot.
     """
     variants = generate_variants(spec)
     contracts_by_variant = {variant.index: variant_contracts(variant, spec)

@@ -11,20 +11,24 @@ vehicle's baseline through its own MCC.  They must be indistinguishable:
 * eager stamping against integrate-each, right after provisioning, vehicle
   by vehicle: installed components, mapping, priorities, model version,
   expectations, deployed configuration and every baseline report's
-  verdict, viewpoint results and findings; and after any campaign over
-  them, the whole ``CampaignResult`` (the shared cache's hit and miss
-  counters and the engine reuse rate included; only the wall-clock shard
-  telemetry is left out) and every vehicle's state and rollout flags;
+  verdict, viewpoint results, findings, configuration version and
+  refinement steps; and after any campaign over them, the whole
+  ``CampaignResult`` and every vehicle's state and rollout flags.  The
+  shared cache's hit and miss counters, the engine reuse rate and the
+  wall-clock shard telemetry are left out: stamped provisioning admits a
+  variant's baseline with one acceptance run, integrate-each with one run
+  per contract, so the cache and its engine start the campaign warmed
+  differently;
 * lazy against eager, compared only after the campaign (reading a lazy
-  fleet's state would provision it): the same, except the cache counters
-  and the engine reuse rate, which move because provisioning now
-  interleaves with admission; fixed cases pin their exact values instead.
+  fleet's state would provision it): the same.  Fixed cases pin the lazy
+  fleet's counters exactly instead.
 
 Both hold across ADD and UPDATE updates, halts with and without rollback,
 resumes from every wave boundary, pooled waves and the three adversity
-models.  The provisioning work is pinned exactly (one integration per
-baseline contract per touched variant, whatever the fleet size; a halted
-campaign provisions only the variants it reached), a provisioning error
+models.  The provisioning work is pinned exactly (one admission report
+per baseline contract and one acceptance battery run per touched variant,
+whatever the fleet size; a halted campaign provisions only the variants it
+reached), a provisioning error
 leaves the campaign at a wave boundary, and the sharing is pinned to be
 invisible: a change adopted, rejected or rolled back on one vehicle never
 reaches its siblings.
@@ -52,7 +56,8 @@ from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import (FleetSpec, VehicleState, generate_fleet,
                                  generate_variants, variant_contracts)
 from repro.mcc.acceptance import (AcceptanceResult, DistributedChainSpec,
-                                  DistributedTimingAcceptanceTest, MessageSpec)
+                                  DistributedTimingAcceptanceTest, MessageSpec,
+                                  TimingAcceptanceTest)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
 from repro.scenarios.fleet_campaign import build_update_contract
@@ -61,7 +66,8 @@ from repro.scenarios.fleet_campaign import build_update_contract
 PROVISIONERS = (generate_fleet, generate_fleet_eagerly,
                 generate_fleet_integrating_each)
 
-#: ``CampaignResult`` fields that depend on when vehicles are provisioned.
+#: ``CampaignResult`` fields that depend on how and when vehicles are
+#: provisioned.
 COUNTERS = frozenset({"cache_hits", "cache_misses", "engine_reuse_rate"})
 
 
@@ -69,8 +75,14 @@ COUNTERS = frozenset({"cache_hits", "cache_misses", "engine_reuse_rate"})
 
 
 def report_state(report):
+    """A report's verdicts and refinement steps; request ids are left out,
+    because they come from a process-wide counter."""
     return (report.accepted, dict(report.acceptance_results),
-            list(report.findings), report.configuration_version)
+            list(report.findings), report.configuration_version,
+            [(step.name, step.description,
+              {name: value for name, value in step.artefacts.items()
+               if name != "precedent_request_id"})
+             for step in report.steps])
 
 
 def vehicle_state(vehicle):
@@ -208,14 +220,14 @@ def provision_and_run(provisioner, spec, update, policy, failure_rate, *,
 
 def assert_matches_references(run):
     """``run(provisioner)`` returns ``(provisioned, result, state)``; eager
-    stamping must match integrate-each in full, and lazy provisioning must
-    match eager stamping after the campaign, cache counters aside."""
+    stamping must match integrate-each, and lazy provisioning must match
+    eager stamping after the campaign, cache counters aside."""
     (_, lazy, lazy_fleet), (provisioned, eager, eager_fleet), \
         (reference_provisioned, reference, reference_fleet) = \
         (run(provisioner) for provisioner in PROVISIONERS)
     assert provisioned == reference_provisioned
-    assert (result_state(eager), eager_fleet) == \
-        (result_state(reference), reference_fleet)
+    assert (result_state(eager, counters=False), eager_fleet) == \
+        (result_state(reference, counters=False), reference_fleet)
     assert (result_state(lazy, counters=False), lazy_fleet) == \
         (result_state(eager, counters=False), eager_fleet)
 
@@ -310,8 +322,8 @@ class TestStampedMatchesReference:
                              fleet_state(fleet_resumed)))
             return runs
 
-        # Cache counters are left out of every comparison here, eager
-        # against integrate-each included: integrate-each vehicles have no
+        # Cache counters are left out of every comparison here, as in
+        # assert_matches_references.  Integrate-each vehicles also have no
         # provisioner, so their checkpoints hold explicit baseline
         # snapshots, and restoring those from a file splits the resumed
         # run's identity-keyed equivalence groups (more re-analyses, the
@@ -424,12 +436,12 @@ class TestFixedCases:
 
     @pytest.mark.parametrize("spec, update, policy, failure_rate, counters", [
         (FleetSpec(size=24, seed=5, num_variants=2, extra_components=10),
-         ("add", 0.22), WavePolicy(), 0.0, (22, 29, 0.261905)),
+         ("add", 0.22), WavePolicy(), 0.0, (6, 6, 0.044444)),
         (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
-         ("rebudget", 1.05), WavePolicy(), 0.0, (164, 236, 0.361421)),
+         ("rebudget", 1.05), WavePolicy(), 0.0, (52, 65, 0.175127)),
         (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
          ("rebudget", 1.05), WavePolicy(max_failure_rate=0.0), 1.0,
-         (21, 30, 0.314961)),
+         (5, 7, 0.195652)),
     ])
     def test_cache_counters_of_a_lazy_fleet(self, spec, update, policy,
                                             failure_rate, counters):
@@ -444,25 +456,43 @@ class TestFixedCases:
 
 @contextmanager
 def counting_integrations(monkeypatch):
-    """Baseline integrations (``add_component`` calls: provisioning is
-    their only caller in a campaign) and ``request_change`` calls (every
-    full integration, provisioning included) made inside the block."""
-    counts = {"baseline": 0, "request_change": 0}
-    add_component = MultiChangeController.add_component
-    request_change = MultiChangeController.request_change
+    """Work done inside the block.
 
-    def counting_add(self, contract):
-        counts["baseline"] += 1
-        return add_component(self, contract)
+    ``baseline`` counts the admission reports ``request_changes`` returns
+    (provisioning is its only caller in a campaign), ``battery`` the
+    acceptance battery runs inside it (timing is each default battery's
+    first test, so its runs count the batteries), and ``request_change``
+    every per-request integration, provisioning fallbacks included.
+    """
+    counts = {"baseline": 0, "battery": 0, "request_change": 0}
+    inside = [0]
+    request_changes = MultiChangeController.request_changes
+    request_change = MultiChangeController.request_change
+    timing_run = TimingAcceptanceTest.run
+
+    def counting_requests(self, requests):
+        inside[0] += 1
+        try:
+            reports = request_changes(self, requests)
+        finally:
+            inside[0] -= 1
+        counts["baseline"] += len(reports)
+        return reports
 
     def counting_request(self, request):
         counts["request_change"] += 1
         return request_change(self, request)
 
+    def counting_timing(self, *args):
+        counts["battery"] += bool(inside[0])
+        return timing_run(self, *args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(MultiChangeController, "add_component", counting_add)
+        patch.setattr(MultiChangeController, "request_changes",
+                      counting_requests)
         patch.setattr(MultiChangeController, "request_change",
                       counting_request)
+        patch.setattr(TimingAcceptanceTest, "run", counting_timing)
         yield counts
 
 
@@ -474,12 +504,15 @@ def baseline_contracts(spec, variants=None):
 
 
 class TestProvisioningWork:
-    """One integration per baseline contract per touched variant, never per
-    vehicle."""
+    """One admission report per baseline contract and one acceptance battery
+    run per touched variant, never per vehicle."""
 
     @pytest.mark.parametrize("size", [1, 5, 8, 40, 200])
     def test_integrations_equal_baseline_contracts(self, monkeypatch, size):
-        """A completed campaign touches every vehicle."""
+        """A completed campaign touches every vehicle.  Variant 6 rejects
+        app03 on timing, so its one acceptance run fails and its 9
+        contracts are integrated one by one: 1 + 9 battery runs where every
+        other variant makes 1."""
         spec = FleetSpec(size=size, seed=11, num_variants=8,
                          extra_components=6)
         cache = AnalysisCache()
@@ -491,34 +524,39 @@ class TestProvisioningWork:
         assert result.completed
         assert all(vehicle.provisioned for vehicle in fleet)
         assert counts["baseline"] == baseline_contracts(spec)
+        touched = min(size, spec.num_variants)
+        assert counts["battery"] == touched + (9 if touched > 6 else 0)
 
     def test_fixpoints_of_a_diverged_fleet(self):
         """Exact work counters of provisioning 16 distinct variants in index
         order: the busy-window fixpoints (cold plus warm) the shared engine
         iterates, the task results it reuses, and the cache traffic in
         front of it.  The warm-start base decides the first two; the
-        cache's hits and misses depend on the task sets alone."""
+        cache's hits and misses depend on the task sets alone.  Most
+        variants run their battery once, on the whole baseline, so the
+        engine never sees the prefixes' task sets."""
         cache = AnalysisCache()
         generate_fleet_eagerly(FleetSpec(size=16, seed=11, num_variants=16,
                                          extra_components=10),
                                analysis_cache=cache)
         engine = cache.engine
         assert (engine.tasks_cold + engine.tasks_warm_started,
-                engine.tasks_reused, engine.tasks_batched) == (532, 360, 0)
-        assert (cache.hits, cache.misses) == (116, 218)
+                engine.tasks_reused, engine.tasks_batched) == (264, 61, 0)
+        assert (cache.hits, cache.misses) == (12, 56)
 
     def test_reference_integrates_per_vehicle(self, monkeypatch):
         spec = FleetSpec(size=12, seed=11, num_variants=3,
                          extra_components=2)
         with counting_integrations(monkeypatch) as counts:
             generate_fleet_integrating_each(spec, analysis_cache=AnalysisCache())
-        assert counts["baseline"] == baseline_contracts(spec) * 12 // 3
+        assert counts["request_change"] == baseline_contracts(spec) * 12 // 3
 
     def test_a_canary_halt_provisions_only_the_canary_variants(
             self, monkeypatch):
         """A diverged fleet (every vehicle its own variant) whose canary
-        halts integrates the canary variants' baselines and nothing else,
-        and leaves every other vehicle unprovisioned."""
+        halts admits the canary variants' baselines, each with one battery
+        run, and nothing else, and leaves every other vehicle
+        unprovisioned."""
         spec = FleetSpec(size=16, seed=201, num_variants=16,
                          extra_components=10)
         cache = AnalysisCache()
@@ -530,6 +568,7 @@ class TestProvisioningWork:
                               failure_injection_rate=1.0).run()
         assert result.halted_wave == 0
         assert counts["baseline"] == baseline_contracts(spec, {0, 1})
+        assert counts["battery"] == 2
         assert [vehicle.provisioned for vehicle in fleet] == \
             [True] * 2 + [False] * 14
 

@@ -11,18 +11,36 @@ The harness drives both controllers through randomized chains of
 add/update/remove requests over UUniFast-derived component sets — well over
 200 randomized cases — and fails on the first diverging verdict, viewpoint
 result or failed-viewpoint list.
+
+A second oracle covers :meth:`MultiChangeController.request_changes`, which
+admits a run of additions with one acceptance run when every test vouches
+for the final contract set.  It must leave exactly what the per-request loop
+``[mcc.request_change(r) for r in requests]`` leaves: every report field
+(request ids and refinement-step artefacts included), the model, the
+deployed configuration, the expectations and the execution domain's state.
+Hypothesis draws the additions onto empty and installed models, with every
+kind of rejection mixed in, and fixed cases cover the contract sets whose
+prefixes fail although the whole set passes.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from harness import (ColdTimingAcceptanceTest, build_platform, clone_request,
                      make_contract, random_chain)
 from repro.analysis.cache import AnalysisCache
+from repro.contracts.model import (Contract, RealTimeRequirement,
+                                   SafetyRequirement, SecurityRequirement)
 from repro.mcc.acceptance import (ResourceAcceptanceTest, SafetyAcceptanceTest,
-                                  SecurityAcceptanceTest)
+                                  SecurityAcceptanceTest, TimingAcceptanceTest,
+                                  default_acceptance_tests)
+from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
+from repro.platform.resources import NetworkResource, Platform, ProcessingResource
+from repro.platform.rte import RuntimeEnvironment
 from repro.sim.random import SeededRNG
 
 
@@ -112,3 +130,356 @@ class TestMccDifferential:
             assert not mcc.add_component(contract).accepted  # duplicate add
             assert not mcc.remove_component("ghost").accepted  # unknown removal
         assert fast.version == reference.version
+
+
+# -- request_changes: one acceptance run against the per-request loop ---------
+
+
+def report_fields(report):
+    return (report.request_id, report.accepted,
+            dict(report.acceptance_results), list(report.findings),
+            report.configuration_version,
+            [(step.name, step.description, step.artefacts)
+             for step in report.steps])
+
+
+def controller_state(mcc):
+    """Everything observable about an MCC and its execution domain."""
+    model, configuration, rte = mcc.model, mcc.deployed_configuration, mcc.rte
+    return {
+        "reports": [report_fields(report) for report in mcc.reports],
+        "model": (model.contracts(), list(model.mapping.items()),
+                  list(model.priorities.items()), model.version),
+        "configuration": None if configuration is None else (
+            configuration.version, configuration.contracts,
+            configuration.mapping, configuration.priorities,
+            configuration.sessions),
+        "expectations": list(mcc.expectations),
+        "rte": None if rte is None else (
+            rte.configuration is configuration, sorted(rte.snapshot().items()),
+            sorted(session.key for session in rte.registry.sessions()),
+            [(processor.name,
+              [(task.name, task.priority, task.period, task.wcet)
+               for task in processor.taskset],
+              processor.memory_allocated_kib)
+             for processor in rte.platform.processors()]),
+    }
+
+
+class Unvouched:
+    """An extra viewpoint without a ``monotone`` method (a cold timing
+    analysis)."""
+
+    viewpoint = "extra"
+
+    def run(self, contracts, mapping, priorities, platform):
+        return ColdTimingAcceptanceTest().run(contracts, mapping, priorities,
+                                              platform)
+
+
+class Vouching:
+    """Wraps a test and vouches for every contract set: what a wrong
+    ``monotone`` answer would do."""
+
+    def __init__(self, test):
+        self.test = test
+        self.viewpoint = test.viewpoint
+
+    def run(self, *args):
+        return self.test.run(*args)
+
+    def monotone(self, contracts):
+        return True
+
+
+def build_controller(platform, deploy, tests=None, cache=None):
+    return MultiChangeController(
+        platform, rte=RuntimeEnvironment(platform) if deploy else None,
+        acceptance_tests=tests, analysis_cache=cache)
+
+
+def add(contract):
+    return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
+                         component=contract.component, contract=contract)
+
+
+def run_both(make_platform, base, requests, deploy=False, extra=None,
+             wrap=None):
+    """Install ``base`` on two fresh controllers, one by one, then give one
+    ``requests`` through ``request_changes`` and the other through the
+    per-request loop, over the same request objects.
+
+    Returns both states, each with the reports the call returned, and the
+    number of ``request_change`` calls ``request_changes`` made (0 on the
+    one-pass).
+    """
+    installs = [add(contract) for contract in base]
+    controllers = []
+    for _ in range(2):
+        tests = None
+        if extra is not None or wrap is not None:
+            tests = default_acceptance_tests() + list(extra or [])
+            if wrap is not None:
+                tests = [wrap(test) for test in tests]
+        mcc = build_controller(make_platform(), deploy, tests,
+                               cache=AnalysisCache())
+        for request in installs:
+            mcc.request_change(request)
+        controllers.append(mcc)
+    fast, reference = controllers
+    calls = []
+    request_change = fast.request_change
+
+    def counting(request):
+        calls.append(request)
+        return request_change(request)
+
+    fast.request_change = counting
+    returned = fast.request_changes(requests)
+    expected = [reference.request_change(request) for request in requests]
+    for mcc, reports in ((fast, returned), (reference, expected)):
+        appended = mcc.reports[len(mcc.reports) - len(reports):]
+        assert [id(report) for report in appended] == \
+            [id(report) for report in reports]
+    return ({**controller_state(fast),
+             "returned": [report_fields(report) for report in returned]},
+            {**controller_state(reference),
+             "returned": [report_fields(report) for report in expected]},
+            len(calls))
+
+
+def invalid_contract(name, period, wcet):
+    """Provides and requires the same service: fails validation."""
+    contract = make_contract(name, period, wcet)
+    contract.add_required_service(f"service_{name}", optional=True)
+    return contract
+
+
+@st.composite
+def addition_runs(draw):
+    """A platform size, an installed base and a run of requests: additions
+    only, or additions with every kind of rejection mixed in."""
+    def contract(name):
+        period = draw(st.sampled_from([0.01, 0.02, 0.04, 0.05, 0.1, 0.2]))
+        utilization = draw(st.floats(min_value=0.02, max_value=0.6))
+        return make_contract(name, period, period * utilization)
+
+    processors = draw(st.integers(min_value=1, max_value=3))
+    base = [contract(f"b{index}")
+            for index in range(draw(st.integers(min_value=0, max_value=4)))]
+    kinds = st.sampled_from(["add"])
+    if draw(st.booleans()):
+        kinds = st.sampled_from(["add"] * 3 + [
+            "duplicate", "invalid", "unmappable", "update", "remove"])
+    requests = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(kinds)
+        names = [c.component for c in base] + \
+            [r.component for r in requests if r.kind is ChangeKind.ADD_COMPONENT]
+        if kind == "duplicate" and names:
+            name = draw(st.sampled_from(names))
+            requests.append(add(make_contract(name, 0.1, 0.001)))
+        elif kind == "invalid":
+            requests.append(add(invalid_contract(f"x{index}", 0.1, 0.001)))
+        elif kind == "unmappable":
+            requests.append(add(make_contract(f"u{index}", 0.1, 0.09)))
+        elif kind in ("update", "remove") and names:
+            name = draw(st.sampled_from(names))
+            requests.append(
+                ChangeRequest(kind=ChangeKind.UPDATE_COMPONENT, component=name,
+                              contract=make_contract(name, 0.1, 0.01))
+                if kind == "update" else
+                ChangeRequest(kind=ChangeKind.REMOVE_COMPONENT, component=name))
+        else:
+            requests.append(add(contract(f"a{index}")))
+    return processors, base, requests
+
+
+class TestRequestChangesDifferential:
+    """``request_changes`` leaves exactly what the per-request loop leaves."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=addition_runs(), deploy=st.booleans(),
+           extra=st.sampled_from([False, False, False, True]))
+    def test_random_runs(self, run, deploy, extra):
+        processors, base, requests = run
+        fast, reference, calls = run_both(
+            lambda: build_platform(processors), base, requests, deploy=deploy,
+            extra=[Unvouched()] if extra else None)
+        event("per-request" if calls else "one-pass")
+        assert fast == reference
+
+    def test_a_passing_run_takes_the_one_pass(self, monkeypatch):
+        """No per-request integration and one battery run for the run."""
+        requests = [add(make_contract(f"a{index}", 0.1, 0.01))
+                    for index in range(6)]
+        runs = []
+        original = TimingAcceptanceTest.run
+
+        def counting(test, *args):
+            runs.append(test)
+            return original(test, *args)
+
+        monkeypatch.setattr(TimingAcceptanceTest, "run", counting)
+        fast, reference, calls = run_both(
+            lambda: build_platform(2), [make_contract("b0", 0.05, 0.01)],
+            requests, deploy=True)
+        assert fast == reference and calls == 0
+        # Base: 1 run on each controller; then 1 one-pass run against 6.
+        assert len(runs) == 2 + 1 + 6
+        assert fast["model"][3] == 7
+        assert [entry[4] for entry in fast["reports"]] == list(range(1, 8))
+
+    #: case -> (the request added between a0 and a1, or appended, and the
+    #: refinement step the per-request loop rejects it at: ``None`` when
+    #: the change cannot even be applied, and no rejection at all for
+    #: requests and tests the one-pass cannot vouch for).
+    REJECTIONS = {
+        # hog preempts a0 (0.4 + 0.5 fits cpu0), so a0 misses its deadline.
+        "timing-overload": (add(make_contract("hog", 0.05, 0.025)),
+                            "acceptance-tests"),
+        "duplicate": (add(make_contract("a0", 0.1, 0.001)), None),
+        "invalid": (add(invalid_contract("bad", 0.1, 0.001)),
+                    "functional-architecture"),
+        "unmappable": (add(make_contract("huge", 0.1, 0.09)),
+                       "technical-architecture"),
+        "update": (ChangeRequest(kind=ChangeKind.UPDATE_COMPONENT,
+                                 component="a0",
+                                 contract=make_contract("a0", 0.07, 0.03)),
+                   "accepted"),
+        "remove": (ChangeRequest(kind=ChangeKind.REMOVE_COMPONENT,
+                                 component="a1"), "accepted"),
+        "extra-test": (None, "accepted"),
+    }
+
+    @pytest.mark.parametrize("case", list(REJECTIONS))
+    def test_each_rejection_falls_back(self, case):
+        """Every kind of rejection, or a request or test the one-pass cannot
+        vouch for, sends the whole run through the per-request loop."""
+        request, outcome = self.REJECTIONS[case]
+        requests = [add(make_contract("a0", 0.07, 0.028)),
+                    add(make_contract("a1", 0.05, 0.01))]
+        if outcome == "accepted":
+            if request is not None:
+                requests.append(request)
+        else:
+            requests.insert(1, request)
+        fast, reference, calls = run_both(
+            lambda: build_platform(1), [], requests, deploy=True,
+            extra=[Unvouched()] if case == "extra-test" else None)
+        assert fast == reference
+        assert calls == len(requests)
+        rejected = [entry for entry in reference["reports"] if not entry[1]]
+        if outcome == "accepted":
+            assert rejected == []
+        else:
+            (_, _, results, _, _, steps), = rejected
+            assert (steps[-1][0] if steps else None) == outcome
+            if outcome == "acceptance-tests":
+                assert [name for name, passed in results.items()
+                        if not passed] == ["timing"]
+
+
+# -- prefixes that fail although the whole set passes --------------------------
+
+
+def component(name, *, utilization=0.05, asil="B", level="MEDIUM",
+              external=False, fail_operational=False, group=None,
+              provides=(), requires=(), optional=False):
+    contract = Contract(component=name)
+    contract.add_requirement(RealTimeRequirement(period=0.1,
+                                                 wcet=0.1 * utilization))
+    contract.add_requirement(SafetyRequirement(
+        asil=asil, fail_operational=fail_operational, redundancy_group=group))
+    contract.add_requirement(SecurityRequirement(
+        level=level, external_interface=external))
+    for service in provides:
+        contract.add_provided_service(service)
+    for service in requires:
+        contract.add_required_service(service, optional=optional)
+    return contract
+
+
+def uneven_platform():
+    """A roomy cpu0 and a small cpu1."""
+    platform = Platform(name="uneven")
+    platform.add_processor(ProcessingResource("cpu0", capacity=0.9))
+    platform.add_processor(ProcessingResource("cpu1", capacity=0.2))
+    platform.add_network(NetworkResource("can0", bandwidth_bps=500_000.0))
+    return platform
+
+
+#: name -> (platform factory, contracts in order, the request the
+#: per-request loop rejects).
+PREFIX_CASES = {
+    # The fail-operational component has no peer until the second arrives.
+    "fail-operational-before-peer": (
+        lambda: build_platform(2),
+        [component("brake", fail_operational=True, group="brakes"),
+         component("brake_backup", group="brakes")],
+        "brake"),
+    # The second member cannot leave cpu0, so the pair is co-located until
+    # the third member lands on cpu1.
+    "co-located-until-third-member": (
+        uneven_platform,
+        [component("steer_a", utilization=0.1, group="steering"),
+         component("steer_b", utilization=0.3, group="steering"),
+         component("steer_c", utilization=0.1, group="steering")],
+        "steer_b"),
+    # The client's required service has no provider until the provider
+    # arrives; service completeness rejects it before any test runs.
+    "client-before-provider": (
+        lambda: build_platform(2),
+        [component("planner", requires=["objects"]),
+         component("perception", provides=["objects"])],
+        "planner"),
+    # The logger, under-protected one hop from the gateway, sits on the
+    # attack path to the asset until the firewall offers a path that
+    # avoids it.
+    "external-interface": (
+        lambda: build_platform(2),
+        [component("asset", level="LOW", provides=["a"], requires=["v"],
+                   optional=True),
+         component("gateway", asil="QM", level="HIGH", external=True,
+                   provides=["e"], requires=["v"], optional=True),
+         component("logger", asil="QM", level="LOW", requires=["a", "e"],
+                   optional=True),
+         component("firewall", level="MEDIUM", provides=["v"],
+                   requires=["a"], optional=True)],
+        "logger"),
+}
+
+
+class TestPrefixesThatFail:
+    """Sets whose whole passes every test while a prefix does not: the
+    one-pass must not admit them, and each needs its own "no"."""
+
+    @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+    def test_request_changes_matches_the_loop(self, case):
+        make_platform, contracts, rejected = PREFIX_CASES[case]
+        requests = [add(contract) for contract in contracts]
+        fast, reference, calls = run_both(make_platform, [], requests,
+                                          deploy=True)
+        assert fast == reference
+        assert calls == len(requests)
+        outcomes = {request.component: entry[1]
+                    for request, entry in zip(requests, reference["reports"])}
+        assert outcomes == {request.component: request.component != rejected
+                            for request in requests}
+
+    @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+    def test_a_test_vouching_wrongly_would_admit_the_prefix(self, case):
+        """With every test vouching for every set, the one-pass admits the
+        whole set -- except where service completeness rejects the prefix
+        first, which no test's answer can override."""
+        make_platform, contracts, _ = PREFIX_CASES[case]
+        requests = [add(contract) for contract in contracts]
+        vouched, reference, calls = run_both(make_platform, [], requests,
+                                             wrap=Vouching)
+        if case == "client-before-provider":
+            assert vouched == reference and calls == len(requests)
+        else:
+            assert calls == 0
+            assert all(entry[1] for entry in vouched["reports"])
+            assert vouched["reports"] != reference["reports"]
