@@ -1,15 +1,11 @@
-"""E10 (parallel): the sharded campaign engine at a 500-vehicle fleet.
+"""E10 (parallel): the batched campaign engine at a 500-vehicle fleet.
 
-Three claims of the sharded engine are regenerated and asserted:
+Three claims of the campaign engine are regenerated and asserted:
 
-* **Speedup with identical verdicts.**  The sharded engine (equivalence
-  dedupe, shared cache with persistent snapshot, worker pool sized to the
-  machine) must admit a 500-vehicle campaign at least 2x faster than the
-  sequential per-vehicle baseline, wave records byte-identical.  A forced
-  ``workers=4`` multiprocess run is verdict-checked as well on every
-  machine (it is only *timed into the assertion* where real cores back it —
-  on a single-core runner a process pool cannot beat in-process execution,
-  so the timed configuration sizes its pool to ``cpu_count``).
+* **Speedup with identical verdicts.**  Batched in-process admission
+  (equivalence dedupe, wave prefetch, shared cache with persistent
+  snapshot) must admit a 500-vehicle campaign at least 2x faster than the
+  sequential per-vehicle baseline, wave records byte-identical.
 * **Persistent warm-start.**  A re-run over the same fleet warm-starts
   from the previous run's on-disk snapshot: fewer busy-window derivations,
   identical records.
@@ -22,7 +18,6 @@ The measured quantities land in ``BENCH_e10_parallel_campaign.json``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from typing import Dict, Optional, Tuple
@@ -67,7 +62,7 @@ def _dimensions() -> Tuple[int, int]:
     return (60 if quick else 500), (4 if quick else 8)
 
 
-def _run(workers: int, batched: bool, cache_path: Optional[str] = None,
+def _run(batched: bool, cache_path: Optional[str] = None,
          failure_rate: float = 0.0, policy: Optional[WavePolicy] = None,
          checkpoint_path: Optional[str] = None
          ) -> Tuple[float, CampaignResult]:
@@ -78,7 +73,7 @@ def _run(workers: int, batched: bool, cache_path: Optional[str] = None,
     fleet = provisioned_fleet(spec, cache)
     campaign = Campaign(fleet, _factory(), policy=policy,
                         analysis_cache=cache, batch_admission=batched,
-                        workers=workers, cache_path=cache_path,
+                        cache_path=cache_path,
                         failure_injection_rate=failure_rate,
                         feedback_seed=SEED, checkpoint_path=checkpoint_path)
     started = time.perf_counter()
@@ -86,60 +81,37 @@ def _run(workers: int, batched: bool, cache_path: Optional[str] = None,
     return time.perf_counter() - started, result
 
 
-def _auto_workers() -> int:
-    """Pool size of the timed sharded configuration: match the machine.
-
-    Multiprocess sharding pays off when representative integrations can
-    run on real parallel cores; on a single-core runner the engine's wins
-    come from dedupe and the warm cache, and a pool would only add fork
-    and serialization overhead to the measurement.
-    """
-    return min(4, multiprocessing.cpu_count())
-
-
 @pytest.mark.benchmark(group="e10-parallel")
-def test_e10_sharded_engine_speedup_and_parity(benchmark, tmp_path):
-    """Sharded engine >= 2x over sequential admission, verdicts identical.
-
-    min-of-2 timing on both sides; the forced 4-worker multiprocess run is
-    verdict-checked against the same digest regardless of core count.
-    """
+def test_e10_batched_engine_speedup_and_parity(benchmark, tmp_path):
+    """Batched admission >= 2x over sequential admission, verdicts
+    identical; min-of-2 timing on both sides."""
     fleet_size, num_variants = _dimensions()
-    workers = _auto_workers()
 
     sequential_s = float("inf")
-    sharded_s = float("inf")
+    batched_s = float("inf")
     sequential_result: Optional[CampaignResult] = None
-    sharded_result: Optional[CampaignResult] = None
+    batched_result: Optional[CampaignResult] = None
     for repeat in range(2):
-        elapsed, sequential_result = _run(workers=1, batched=False)
+        elapsed, sequential_result = _run(batched=False)
         sequential_s = min(sequential_s, elapsed)
         cache_path = str(tmp_path / f"timed-{repeat}.pkl")
-        elapsed, sharded_result = _run(workers=workers, batched=True,
-                                       cache_path=cache_path)
-        sharded_s = min(sharded_s, elapsed)
-    multiprocess_s, multiprocess_result = _run(
-        workers=4, batched=True, cache_path=str(tmp_path / "mp.pkl"))
-    benchmark(lambda: _run(workers=workers, batched=True)[1])
+        elapsed, batched_result = _run(batched=True, cache_path=cache_path)
+        batched_s = min(batched_s, elapsed)
+    benchmark(lambda: _run(batched=True)[1])
 
-    assert _digest(sharded_result) == _digest(sequential_result)
-    assert _digest(multiprocess_result) == _digest(sequential_result)
-    assert sharded_result.admitted == fleet_size  # clean rollout, whole fleet
-    speedup = sequential_s / sharded_s if sharded_s > 0 else float("inf")
+    assert _digest(batched_result) == _digest(sequential_result)
+    assert batched_result.admitted == fleet_size  # clean rollout, whole fleet
+    speedup = sequential_s / batched_s if batched_s > 0 else float("inf")
     row = {
         "fleet_size": fleet_size,
         "num_variants": num_variants,
-        "cpu_count": multiprocessing.cpu_count(),
-        "workers_timed": workers,
         "sequential_s": sequential_s,
-        "sharded_s": sharded_s,
+        "batched_s": batched_s,
         "speedup": speedup,
-        "multiprocess_workers": 4,
-        "multiprocess_s": multiprocess_s,
-        "admitted": sharded_result.admitted,
-        "waves": len(sharded_result.waves),
+        "admitted": batched_result.admitted,
+        "waves": len(batched_result.waves),
     }
-    print_table("E10: sharded campaign engine vs sequential admission "
+    print_table("E10: batched campaign engine vs sequential admission "
                 "(target: >= 2x)", [row])
     write_bench_record("e10_parallel_campaign", row)
     assert speedup >= 2.0
@@ -150,9 +122,9 @@ def test_e10_persistent_cache_warm_start(benchmark, tmp_path):
     """A re-run over the same fleet warm-starts from the saved snapshot:
     strictly fewer analysis misses, identical campaign records."""
     cache_path = str(tmp_path / "warm.pkl")
-    cold_s, cold = _run(workers=1, batched=True, cache_path=cache_path)
-    warm_s, warm = _run(workers=1, batched=True, cache_path=cache_path)
-    benchmark(lambda: _run(workers=1, batched=True, cache_path=cache_path)[1])
+    cold_s, cold = _run(batched=True, cache_path=cache_path)
+    warm_s, warm = _run(batched=True, cache_path=cache_path)
+    benchmark(lambda: _run(batched=True, cache_path=cache_path)[1])
 
     assert _digest(warm) == _digest(cold)
     assert warm.cache_misses < cold.cache_misses
@@ -176,12 +148,12 @@ def test_e10_checkpoint_resume_roundtrip(benchmark, tmp_path):
                           max_failure_rate=1.0)
     checkpoint_path = str(tmp_path / "halted.ckpt")
 
-    halted_s, halted = _run(workers=1, batched=True, failure_rate=0.3,
+    halted_s, halted = _run(batched=True, failure_rate=0.3,
                             policy=strict, checkpoint_path=checkpoint_path)
     assert halted.halted and halted.halted_wave >= 1  # a mid-campaign halt
     assert os.path.exists(checkpoint_path)
 
-    _, reference = _run(workers=1, batched=True, failure_rate=0.3,
+    _, reference = _run(batched=True, failure_rate=0.3,
                         policy=tolerant)
 
     def resume() -> CampaignResult:

@@ -2,10 +2,9 @@
 
 The :class:`~repro.service.admission.AdmissionService` interleaves many
 tenants' campaigns over the re-entrant :class:`~repro.fleet.engine.
-CampaignEngine`, one wave per scheduling claim, with every tenant
-publishing to and absorbing from one shared append-only analysis-cache
-store.  This benchmark drives a concurrent multi-fleet workload through
-the service and records:
+CampaignEngine`, one wave per scheduling claim, every job with its own
+fleet and analysis cache.  This benchmark drives a concurrent multi-fleet
+workload through the service and records:
 
 * ``admissions_per_s`` — sustained admission throughput under concurrent
   load (absolute; charted by the trajectory panel, never regression-gated
@@ -13,7 +12,7 @@ the service and records:
 * the **tenancy-identity** check: every tenant's service-run campaign
   result is byte-identical (canonical digest: waves, verdicts, coverage —
   cache counters excluded) to an isolated direct ``Campaign.run()`` of
-  the same submission.  Sharing the store moves wall time only.
+  the same submission.
 * ``generation_s``, ``campaign_s`` and ``total_s`` — the measured service
   run split into the service's ``generate_fleet`` calls (inline on its
   event loop: the variant catalog and the core-stack check; vehicles
@@ -24,10 +23,9 @@ the service and records:
 from __future__ import annotations
 
 import asyncio
-import tempfile
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -54,11 +52,8 @@ def _requests(tenants: int, campaigns: int, fleet_size: int) -> List[SubmitCampa
 
 
 def _digest(result: CampaignResult):
-    """Canonical comparison key: everything deterministic about a result.
-
-    Cache hit/miss counters and shard telemetry legitimately differ when a
-    shared store pre-warms the analysis cache — the verdicts never do.
-    """
+    """Canonical comparison key: everything deterministic about a result
+    (cache hit/miss counters excluded)."""
     return (result.fleet_size, result.batched, result.admitted,
             result.rejected, result.deviating, result.refined,
             result.rolled_back, result.halted, result.halted_wave,
@@ -69,10 +64,10 @@ def _digest(result: CampaignResult):
 def _reference_result(request: SubmitCampaign) -> CampaignResult:
     """Isolated ``Campaign.run()`` of one submission — the tenancy oracle.
 
-    Mirrors the service's provisioning (``AdmissionService._provision``)
-    parameter for parameter, minus the shared store.
+    Mirrors the service's provisioning (``AdmissionService._start``)
+    parameter for parameter.
     """
-    cache = AnalysisCache(batch_kernel=request.batch_kernel)
+    cache = AnalysisCache()
     spec = FleetSpec(size=request.fleet_size, seed=request.seed,
                      heterogeneity=request.heterogeneity,
                      num_variants=request.num_variants,
@@ -96,8 +91,7 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
                         rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
-                        feedback_seed=request.seed, workers=request.workers,
-                        batch_kernel=request.batch_kernel)
+                        feedback_seed=request.seed)
     return campaign.run()
 
 
@@ -123,14 +117,12 @@ def _timing_provisioning() -> Iterator[List[float]]:
 
 
 def _drive(requests: List[SubmitCampaign],
-           store_dir: Optional[str],
            slots: int = 2) -> Tuple[float, Dict[str, CampaignResult]]:
     """Submit every request, wait all out; returns (wall_s, results)."""
 
     async def run() -> Tuple[float, Dict[str, CampaignResult]]:
         started = time.perf_counter()
-        async with AdmissionService(store_dir=store_dir,
-                                    slots=slots) as service:
+        async with AdmissionService(slots=slots) as service:
             receipts = [await service.submit(request) for request in requests]
             for receipt in receipts:
                 await service.wait(receipt.job_id)
@@ -143,40 +135,35 @@ def _drive(requests: List[SubmitCampaign],
 
 @pytest.mark.benchmark(group="e17-admission-service")
 def test_e17_multi_tenant_admission_throughput(benchmark):
-    """Concurrent multi-fleet load through one shared-store service."""
+    """Concurrent multi-fleet load through one service."""
     tenants, campaigns, fleet_size = _grid()
     requests = _requests(tenants, campaigns, fleet_size)
     assert tenants >= 2  # the record must pin >= 2 concurrent tenants
 
-    # min-of-N on the shared-store service wall, fresh store per repeat so
-    # every repeat measures the same cold-store protocol.
+    # min-of-N on the service wall; every repeat serves fresh fleets.
     repeats = 2 if quick_mode() else 3
-    shared_wall = float("inf")
+    wall = float("inf")
     generation_s = 0.0
-    shared_results: Dict[str, CampaignResult] = {}
+    results: Dict[str, CampaignResult] = {}
     for _ in range(repeats):
-        with tempfile.TemporaryDirectory(prefix="repro_e17_") as store_dir, \
-                _timing_provisioning() as provisioning:
-            wall, results = _drive(requests, store_dir)
-            if wall < shared_wall:
-                shared_wall, shared_results = wall, results
-                generation_s = provisioning[0]
-    isolated_wall, _ = _drive(requests, store_dir=None)
+        with _timing_provisioning() as provisioning:
+            elapsed, served = _drive(requests)
+        if elapsed < wall:
+            wall, results = elapsed, served
+            generation_s = provisioning[0]
 
     # Tenancy identity: per-tenant results byte-identical to isolated runs.
-    receipts_order = list(shared_results)
-    for job_id, request in zip(receipts_order, requests):
+    for job_id, request in zip(list(results), requests):
         assert job_id.startswith(request.tenant + "/")
-        assert _digest(shared_results[job_id]) == \
-            _digest(_reference_result(request))
+        assert _digest(results[job_id]) == _digest(_reference_result(request))
 
-    admitted = sum(result.admitted for result in shared_results.values())
-    waves = sum(len(result.waves) for result in shared_results.values())
-    store_hits = sum(result.cache_hits for result in shared_results.values())
-    assert all(result.completed for result in shared_results.values())
+    admitted = sum(result.admitted for result in results.values())
+    waves = sum(len(result.waves) for result in results.values())
+    cache_hits = sum(result.cache_hits for result in results.values())
+    assert all(result.completed for result in results.values())
     assert admitted == tenants * campaigns * fleet_size
 
-    benchmark(lambda: _drive(_requests(2, 1, 6), store_dir=None))
+    benchmark(lambda: _drive(_requests(2, 1, 6)))
 
     row = {
         "tenants": tenants,
@@ -185,18 +172,16 @@ def test_e17_multi_tenant_admission_throughput(benchmark):
         "jobs": len(requests),
         "waves": waves,
         "admitted": admitted,
-        "cache_hits": store_hits,
-        "shared_store_wall_s": shared_wall,
-        "isolated_wall_s": isolated_wall,
-        "admissions_per_s": admitted / shared_wall,
-        # The shared-store run above, split: generate_fleet inside the
-        # service, then everything else (waves with the provisioning they
-        # trigger, scheduling, streaming).
+        "cache_hits": cache_hits,
+        "admissions_per_s": admitted / wall,
+        # The timed run above, split: generate_fleet inside the service,
+        # then everything else (waves with the provisioning they trigger,
+        # scheduling, streaming).
         "generation_s": generation_s,
-        "campaign_s": shared_wall - generation_s,
-        "total_s": shared_wall,
+        "campaign_s": wall - generation_s,
+        "total_s": wall,
     }
     print_table("E17: multi-tenant admission service — sustained "
-                "admissions/sec, shared analysis-cache store", [row])
+                "admissions/sec", [row])
     write_bench_record("e17_admission_service", row)
     assert row["admissions_per_s"] > 0

@@ -21,16 +21,8 @@ as acceptance tests during the in-field integration process:
 * :mod:`repro.analysis.compositional` — multi-resource CPA: CAN
   response-time analysis, the system-level event-model propagation fixpoint
   and jitter-aware distributed cause-effect-chain latency bounds.
-* :mod:`repro.analysis.batch` — vectorized batch busy-window kernel: solves
-  whole congruence groups of task sets in lockstep (numpy or pure-Python),
-  bit-identical to the scalar engine.
 """
 
-from repro.analysis.batch import (
-    BatchResponseTimeAnalysis,
-    congruence_signature,
-    numpy_available,
-)
 from repro.analysis.cpa import (
     EventModel,
     ResponseTimeResult,
@@ -54,11 +46,6 @@ from repro.analysis.cache import (
     fingerprint_taskset,
     taskset_key,
 )
-from repro.analysis.cache_store import (
-    SegmentStore,
-    StoreCorruptionError,
-    is_segment_store,
-)
 from repro.analysis.incremental import (
     IncrementalResponseTimeAnalysis,
     InterferenceMemo,
@@ -74,9 +61,6 @@ from repro.analysis.compositional import (
 )
 
 __all__ = [
-    "BatchResponseTimeAnalysis",
-    "congruence_signature",
-    "numpy_available",
     "EventModel",
     "ResponseTimeResult",
     "ResponseTimeAnalysis",
@@ -95,9 +79,6 @@ __all__ = [
     "AnalysisCache",
     "CachedResponseTimeAnalysis",
     "SnapshotError",
-    "SegmentStore",
-    "StoreCorruptionError",
-    "is_segment_store",
     "fingerprint_taskset",
     "taskset_key",
     "IncrementalResponseTimeAnalysis",

@@ -40,7 +40,6 @@ import tempfile
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.cache_store import SegmentStore, is_segment_store
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.platform.tasks import TaskSet
@@ -107,21 +106,18 @@ class AnalysisCache:
 
     Because entries are content-addressed they are also *portable*:
     :meth:`save_snapshot` / :meth:`load_snapshot` persist them across
-    processes and runs (the sharded campaign engine warm-starts its workers
-    and its re-runs this way), and :meth:`export_entries` /
-    :meth:`merge_entries` move them between live caches.  Pickling a cache
-    object itself deliberately ships it *empty* (see :meth:`__getstate__`).
+    processes and runs (a campaign's ``cache_path`` warm-starts its re-runs
+    this way), and :meth:`export_entries` / :meth:`merge_entries` move them
+    between live caches.  Pickling a cache object itself deliberately ships
+    it *empty* (see :meth:`__getstate__`).
     """
 
     def __init__(self, max_entries: int = 4096,
-                 engine: Optional[IncrementalResponseTimeAnalysis] = None,
-                 batch_kernel: bool = False) -> None:
+                 engine: Optional[IncrementalResponseTimeAnalysis] = None) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.engine = engine if engine is not None else IncrementalResponseTimeAnalysis()
-        if batch_kernel:
-            self.engine.batch_kernel = True
         self._store: "OrderedDict[Tuple, Dict[str, ResponseTimeResult]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -130,14 +126,8 @@ class AnalysisCache:
         #: cache reports lookup/merge/snapshot events into (set by the
         #: campaign engine when tracing is on).  Pure observation — never
         #: consulted for any decision — and deliberately not pickled:
-        #: :meth:`__getstate__` ships capacity only, so a cache arriving in
-        #: a shard worker never drags a parent-process tracer along.
+        #: :meth:`__getstate__` ships capacity only.
         self.tracer = None
-
-    @property
-    def batch_kernel(self) -> bool:
-        """Whether cold miss batches go through the lockstep batch kernel."""
-        return self.engine.batch_kernel
 
     def __len__(self) -> int:
         return len(self._store)
@@ -258,32 +248,14 @@ class AnalysisCache:
 
     _SNAPSHOT_FORMAT = 1
 
-    def keys(self) -> List[Tuple]:
-        """The stored :func:`taskset_key` tuples in LRU order.
-
-        A cheap enumeration (no result copies) for callers that only need
-        to know *what* is cached — e.g. a shard worker snapshotting its
-        warm-start set before a wave so it can export the delta afterwards.
-        """
-        return list(self._store.keys())
-
-    def export_entries(self, exclude: Optional[Iterable[Tuple]] = None
-                       ) -> List[Tuple[Tuple, Dict[str, ResponseTimeResult]]]:
+    def export_entries(self) -> List[Tuple[Tuple, Dict[str, ResponseTimeResult]]]:
         """The stored entries as ``(taskset_key, results)`` pairs in LRU
-        order (least recently used first), minus the keys in ``exclude``.
-
-        Shard workers use the ``exclude`` filter to return only the analyses
-        they actually derived (everything beyond the warm-start snapshot
-        they were seeded with), keeping the fan-in payload proportional to
-        the new work instead of the whole store.
-        """
-        excluded = set(exclude) if exclude is not None else ()
-        return [(key, dict(results)) for key, results in self._store.items()
-                if key not in excluded]
+        order (least recently used first)."""
+        return [(key, dict(results)) for key, results in self._store.items()]
 
     def merge_entries(self, entries: Iterable[Tuple[Tuple, Dict[str, ResponseTimeResult]]]
                       ) -> int:
-        """Absorb externally computed entries (e.g. a shard worker's fan-in).
+        """Absorb externally computed entries (e.g. a loaded snapshot's).
 
         Already-present keys keep their stored results (content-addressing
         makes both sides identical anyway) but are refreshed to
@@ -329,8 +301,7 @@ class AnalysisCache:
 
     def load_snapshot(self, path: str, missing_ok: bool = False,
                       repair: bool = False) -> int:
-        """Merge a persisted snapshot — pickle file or segment store — into
-        this cache.
+        """Merge a persisted :meth:`save_snapshot` file into this cache.
 
         Loaded entries warm-start later lookups exactly like
         :meth:`merge_entries` (no hit/miss accounting, LRU bound respected).
@@ -341,26 +312,13 @@ class AnalysisCache:
         cold-start (0 entries, no error), but a snapshot that exists and
         fails to parse raises :class:`SnapshotError` — silently treating it
         as empty would throw persisted analyses away without a trace.
-        ``repair=True`` is the explicit escape hatch: damaged segments (or
-        the whole pickle snapshot) are skipped, a warning logs how much was
-        dropped, and the readable remainder still warm-starts the cache.
-
-        A directory at ``path`` is read as a
-        :class:`~repro.analysis.cache_store.SegmentStore` (the concurrent-
-        writer format of the sharded engine); anything else as a
-        :meth:`save_snapshot` pickle.
+        ``repair=True`` is the explicit escape hatch: a damaged snapshot is
+        skipped with a logged warning and the cache starts empty.
         """
         if not os.path.exists(path):
             if missing_ok:
                 return 0
             raise FileNotFoundError(f"no cache snapshot at {path!r}")
-        if os.path.isdir(path):
-            if not is_segment_store(path):
-                raise SnapshotError(f"{path!r} is a directory but not an "
-                                    "AnalysisCache segment store (no "
-                                    "manifest)")
-            store = SegmentStore(path)
-            return self.merge_entries(store.read_entries(repair=repair))
         try:
             with open(path, "rb") as stream:
                 payload = pickle.load(stream)
@@ -389,18 +347,16 @@ class AnalysisCache:
         """Pickle travel-light: capacity only, no entries, no engine state.
 
         A cache is pickled when it rides along inside a bigger object graph
-        (a fleet vehicle's acceptance tests crossing into a shard worker);
-        shipping the whole store with every such payload would dwarf the
-        actual work item.  Cross-process warm-starts are explicit instead —
-        :meth:`save_snapshot` / :meth:`load_snapshot`.  Verdicts never
-        depend on cache contents, so an empty arrival is always sound.
+        (a fleet vehicle's acceptance tests); shipping the whole store with
+        every such payload would dwarf the object it rides in.  Persistent
+        warm-starts are explicit instead — :meth:`save_snapshot` /
+        :meth:`load_snapshot`.  Verdicts never depend on cache contents, so
+        an empty arrival is always sound.
         """
-        return {"max_entries": self.max_entries,
-                "batch_kernel": self.engine.batch_kernel}
+        return {"max_entries": self.max_entries}
 
     def __setstate__(self, state: Dict[str, int]) -> None:
-        self.__init__(max_entries=state["max_entries"],
-                      batch_kernel=bool(state.get("batch_kernel", False)))
+        self.__init__(max_entries=state["max_entries"])
 
 
 #: Lazily created process-local cache shared by sweeps that do not manage

@@ -51,7 +51,6 @@ from collections import OrderedDict
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.batch import BatchResponseTimeAnalysis, congruence_signature
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.platform.tasks import Task, TaskSet
 
@@ -116,26 +115,15 @@ class IncrementalResponseTimeAnalysis:
         Number of recent task-set snapshots kept for delta matching.
     memo_limit:
         Entry bound of the shared interference memo (cleared when exceeded).
-    batch_kernel:
-        When ``True``, :meth:`analyze_many` routes cold congruence groups
-        through the lockstep
-        :class:`~repro.analysis.batch.BatchResponseTimeAnalysis` kernel and
-        keeps the delta machinery for warm singletons.  Off by default: the
-        single-set :meth:`analyse` path and its counters are unaffected.
     """
 
     def __init__(self, max_iterations: int = 10_000, history_limit: int = 32,
-                 memo_limit: int = 1 << 16, batch_kernel: bool = False) -> None:
+                 memo_limit: int = 1 << 16) -> None:
         if history_limit <= 0:
             raise ValueError("history_limit must be positive")
         self.max_iterations = max_iterations
         self.history_limit = history_limit
         self.memo_limit = memo_limit
-        self.batch_kernel = bool(batch_kernel)
-        self._batch = BatchResponseTimeAnalysis(max_iterations=max_iterations)
-        #: Congruence groups below this lane count go to the scalar path —
-        #: lockstep setup costs more than it saves on near-singletons.
-        self.min_batch_lanes = 2
         self._history: "OrderedDict[Tuple[float, frozenset], _Snapshot]" = OrderedDict()
         self._memo = InterferenceMemo()
         #: Observability counters for tests and benchmark tables.
@@ -145,15 +133,13 @@ class IncrementalResponseTimeAnalysis:
         self.divergences_reused = 0
         self.full_analyses = 0
         self.delta_analyses = 0
-        self.batch_groups = 0
-        self.tasks_batched = 0
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def tasks_analysed(self) -> int:
         """Tasks whose busy window was actually (re-)iterated."""
-        return self.tasks_warm_started + self.tasks_cold + self.tasks_batched
+        return self.tasks_warm_started + self.tasks_cold
 
     @property
     def reuse_rate(self) -> float:
@@ -172,8 +158,6 @@ class IncrementalResponseTimeAnalysis:
         self.divergences_reused = 0
         self.full_analyses = 0
         self.delta_analyses = 0
-        self.batch_groups = 0
-        self.tasks_batched = 0
 
     # -- delta machinery ---------------------------------------------------
 
@@ -366,56 +350,11 @@ class IncrementalResponseTimeAnalysis:
         The task sets share the engine's snapshot history and interference
         memo, so grids of single-task mutations (the E9/in-field acceptance
         sweeps) are answered mostly from reused results and warm-started
-        fixpoints.  With ``batch_kernel`` enabled, sets that have no usable
-        snapshot base are additionally grouped by
-        :func:`~repro.analysis.batch.congruence_signature` and solved in
-        lockstep by the vectorized kernel; warm sets keep the delta path.
-        Either way the verdicts are bit-identical and results are returned
-        in input order.
+        fixpoints.  Results are bit-identical to per-set :meth:`analyse`
+        calls and are returned in input order.
         """
-        ordered = list(tasksets)
-        if not self.batch_kernel or len(ordered) < self.min_batch_lanes:
-            return [self.analyse(taskset, speed_factor=speed_factor,
-                                 event_models=event_models) for taskset in ordered]
-        results: List[Optional[Dict[str, ResponseTimeResult]]] = [None] * len(ordered)
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        if self._history:
-            for position, taskset in enumerate(ordered):
-                params = self._params_of(taskset, event_models)
-                if not params or self._find_base(speed_factor, params) is not None:
-                    # Warm (or empty) sets: the delta machinery answers these
-                    # from reuse/warm starts, bit-identically.
-                    results[position] = self.analyse(taskset, speed_factor,
-                                                     event_models)
-                else:
-                    groups.setdefault(congruence_signature(taskset),
-                                      []).append(position)
-        else:
-            for position, taskset in enumerate(ordered):
-                groups.setdefault(congruence_signature(taskset),
-                                  []).append(position)
-        for signature, positions in groups.items():
-            if len(positions) < self.min_batch_lanes:
-                for position in positions:
-                    results[position] = self.analyse(ordered[position],
-                                                     speed_factor, event_models)
-                continue
-            solved = self._batch.analyse_group(
-                [ordered[position] for position in positions],
-                speed_factor=speed_factor, event_models=event_models,
-                signature=signature)
-            self.batch_groups += 1
-            for position, lane_results in zip(positions, solved):
-                results[position] = lane_results
-                self.tasks_batched += len(lane_results)
-            # Snapshot only as many trailing lanes as the history can hold:
-            # earlier entries would be evicted immediately anyway.
-            for position, lane_results in zip(positions[-self.history_limit:],
-                                              solved[-self.history_limit:]):
-                self._remember(speed_factor,
-                               self._params_of(ordered[position], event_models),
-                               lane_results)
-        return results  # type: ignore[return-value]
+        return [self.analyse(taskset, speed_factor=speed_factor,
+                             event_models=event_models) for taskset in tasksets]
 
     #: British-spelling alias, matching the rest of the code base.
     analyse_many = analyze_many

@@ -323,14 +323,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import tempfile
 
     from repro.service import AdmissionService, SubmitCampaign
 
-    async def drive(store_dir: Optional[str]) -> Dict[str, Any]:
+    async def drive() -> Dict[str, Any]:
         started = time.perf_counter()
-        async with AdmissionService(store_dir=store_dir,
-                                    slots=args.slots) as service:
+        async with AdmissionService(slots=args.slots) as service:
             receipts = []
             for tenant_index in range(args.tenants):
                 tenant = f"tenant-{tenant_index}"
@@ -355,13 +353,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     print(f"admission service: {args.tenants} tenant(s) x {args.campaigns} "
           f"campaign(s), fleets of {args.fleet_size}, {args.slots} slot(s)")
-    if args.store is not None:
-        summary = asyncio.run(drive(args.store))
-    elif args.no_store:
-        summary = asyncio.run(drive(None))
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro_store_") as store_dir:
-            summary = asyncio.run(drive(store_dir))
+    summary = asyncio.run(drive())
     print(f"\n{summary['jobs']} campaigns, {summary['waves']} waves, "
           f"{summary['admitted']} admissions in {summary['wall_s']:.2f} s "
           f"-> {summary['admissions_per_s']:.1f} admissions/s")
@@ -457,11 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="platform variants per fleet")
     serve_parser.add_argument("--slots", type=int, default=2,
                               help="scheduler slots (jobs advanced per round)")
-    serve_parser.add_argument("--store", default=None, metavar="DIR",
-                              help="shared analysis-cache store directory "
-                                   "(default: a temporary one)")
-    serve_parser.add_argument("--no-store", action="store_true",
-                              help="run tenants without a shared cache store")
 
     return parser
 

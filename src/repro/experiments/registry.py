@@ -447,30 +447,8 @@ SCENARIOS.register(Scenario(
                   coerce=bool),
         Parameter("deploy", False, "attach an execution-domain RTE per vehicle",
                   coerce=bool),
-        Parameter("workers", 1,
-                  "sharded-admission pool size (1 = in-process execution)",
-                  coerce=int),
         Parameter("cache_path", None,
                   "on-disk analysis-cache snapshot for cross-run warm-starts",
-                  coerce=lambda value: None if value is None else str(value)),
-        Parameter("batch_kernel", False,
-                  "solve cold admission batches with the vectorized lockstep "
-                  "busy-window kernel (bit-identical verdicts)",
-                  coerce=bool),
-        Parameter("shard_planner", "cost",
-                  "pooled-wave partition: 'cost' (congruence-co-located, "
-                  "cost-balanced chunks) or 'round_robin' (static fallback)"),
-        Parameter("steal", True,
-                  "completion-driven chunk dispatch (idle workers pull the "
-                  "next chunk) instead of a static shard per worker",
-                  coerce=bool),
-        Parameter("start_method", None,
-                  "multiprocessing start method of the shard pool "
-                  "(fork | spawn | forkserver | None = platform default)",
-                  coerce=lambda value: None if value is None else str(value)),
-        Parameter("cache_store", None,
-                  "append-only segment-store directory shared by parent and "
-                  "workers for mid-wave analysis publication",
                   coerce=lambda value: None if value is None else str(value)),
         Parameter("trace_path", None,
                   "write a structured JSONL event trace of the rollout to "
@@ -511,9 +489,6 @@ def _adversity_staging_parameters(update_utilization: float,
                   coerce=lambda value: tuple(float(f) for f in value)),
         Parameter("max_failure_rate", max_failure_rate,
                   "halt threshold on a wave's effective failure rate"),
-        Parameter("workers", 1,
-                  "sharded-admission pool size (1 = in-process execution)",
-                  coerce=int),
     ]
 
 
@@ -622,10 +597,6 @@ SCENARIOS.register(Scenario(
                   "component placement heuristic (first_fit | worst_fit | best_fit)",
                   coerce=MappingStrategy),
         Parameter("deploy", True, "deploy accepted configurations to the RTE"),
-        Parameter("batch_kernel", False,
-                  "run the campaign on a fresh analysis cache whose cold "
-                  "batches use the vectorized lockstep busy-window kernel",
-                  coerce=bool),
     ],
     seed_param="seed",
     extract=_extract_infield_update,

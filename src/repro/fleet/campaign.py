@@ -29,53 +29,18 @@ contracts — so batched and sequential admission produce identical wave
 verdicts; only the wall time differs (the differential harness, the fleet
 tests and the E10 benchmarks all assert this).
 
-Sharded parallel execution
---------------------------
-
-``workers > 1`` turns the wave core into a sharded engine: each wave's *new*
-representative integrations (one per equivalence group, deduped **pre-fork**)
-are partitioned into :class:`~repro.fleet.shard.ShardTask` slices and run on
-a ``multiprocessing`` pool; the returned
-:class:`~repro.fleet.shard.ShardVerdict` objects are fanned back out
-**post-join** across every group member via ``replay_change`` in the parent.
-Because integration is deterministic in exactly the shipped inputs, and
-because all adoption, deviation feedback (in wave order), halt checks and
-rollbacks stay in the parent, the parallel path produces byte-identical
-wave records, verdicts and per-vehicle rollout state to ``workers=1`` —
-everything except the informational ``cache_hits``/``cache_misses``
-counters, which describe the *parent process's* cache traffic and so
-legitimately vary with the worker layout.
-
-By default the pool is fed *work-stealing style*: the wave's representatives
-are partitioned into more chunks than workers by the cost-model planner
-(:func:`~repro.fleet.shard.plan_chunks` — congruence-structure co-location,
-chunk costs balanced on measured per-group integration times from prior
-waves, heavy chunks dispatched first) and pushed through
-``Pool.imap_unordered``, so an idle worker pulls the next chunk off the
-shared queue instead of waiting behind a straggler shard.  ``steal=False``
-restores the static one-shard-per-worker round-robin layout
-(:func:`~repro.fleet.shard.plan_shards`), which remains the measured
-baseline of the E13 benchmark and the deterministic fallback when costs are
-unknown.  Either way the layout moves wall time only — the differential
-harness pins byte-identical verdicts across layouts.
+Warm starts and checkpoints
+---------------------------
 
 ``cache_path`` adds a persistent on-disk
 :meth:`~repro.analysis.cache.AnalysisCache.save_snapshot` of the shared
-cache: loaded at run start, rewritten at run end (halts included), with
-fork-started workers inheriting the live cache copy-on-write and
-spawn-started workers reading the snapshot — so wave N+1 reuses wave N's
-analyses in memory, and an entirely new campaign run over the same fleet
-warm-starts from the previous run on disk.  ``cache_store`` is the
-concurrent-writer alternative: an append-only
-:class:`~repro.analysis.cache_store.SegmentStore` directory that every
-worker appends its newly derived analyses to *mid-wave* (lock-free, each
-writer owns its segment) and polls between chunks, so siblings reuse each
-other's busy-window fixpoints before the wave has even joined — not just at
-the next run's warm start.  ``checkpoint_path`` (or the
-in-memory :attr:`Campaign.last_checkpoint`) captures a halted campaign —
-aggregate result plus per-vehicle MCC snapshots at the halting wave's start
-— so a remediated campaign can :meth:`Campaign.run` with ``resume_from=``
-and continue where it stopped.
+cache: loaded at run start and rewritten at run end (halts included).  Wave
+N+1 reuses wave N's analyses through the live cache, and an entirely new
+campaign run over the same fleet warm-starts from the previous run on disk.
+``checkpoint_path`` (or the in-memory :attr:`Campaign.last_checkpoint`)
+captures a halted campaign — aggregate result plus per-vehicle MCC
+snapshots at the halting wave's start — so a remediated campaign can
+:meth:`Campaign.run` with ``resume_from=`` and continue where it stopped.
 
 Execution itself lives in :mod:`repro.fleet.engine`: this module holds the
 campaign *description* (fleet, policy, knobs, result/checkpoint types and
@@ -89,12 +54,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.cache_store import SegmentStore
 from repro.fleet.adversity import AdversityModel
 from repro.fleet.vehicle import FleetVehicle, VehicleState
 from repro.mcc.configuration import ChangeRequest
@@ -272,12 +237,6 @@ class CampaignResult:
     cache_hits: int = 0
     cache_misses: int = 0
     engine_reuse_rate: float = 0.0
-    #: Per-shard execution telemetry of the pooled waves (one dict per
-    #: executed shard: wave/shard indices, item count, worker pid, wall
-    #: time, cache hit/miss deltas, store publish/absorb counts).  Purely
-    #: informational — like the cache counters it varies with the worker
-    #: layout and is excluded from canonical records and byte-parity.
-    shard_telemetry: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def completed(self) -> bool:
@@ -321,18 +280,28 @@ class _CheckpointUnpickler(pickle.Unpickler):
     ``pickle.load`` on an untrusted file is arbitrary code execution — a
     crafted ``__reduce__`` payload runs *during* load, long before any
     ``isinstance`` check can reject it.  A checkpoint written by
-    :meth:`CampaignCheckpoint.save` only ever references this package's own
-    classes (campaign/vehicle/MCC/contract types — verified against real
-    checkpoints) plus a handful of safe builtins, so everything else is
+    :meth:`CampaignCheckpoint.save` only ever references classes this
+    package defines (campaign/vehicle/MCC/contract types — verified against
+    real checkpoints) plus a handful of safe builtins, so everything else is
     refused at the ``find_class`` seam — the only place a pickle can name a
     callable.
+
+    A name is admitted only when it is a plain attribute (no ``.``: a
+    protocol-4 pickle resolves dotted names, so ``os.mkdir`` would reach
+    ``os`` through any module that imports it) of an already imported
+    ``repro`` module and is a class defined in that very module.  Functions
+    and re-exported classes are refused, and nothing is imported.
     """
 
     def find_class(self, module: str, name: str):
-        if module == "repro" or module.startswith("repro."):
-            return super().find_class(module, name)
         if module == "builtins" and name in _SAFE_BUILTINS:
             return super().find_class(module, name)
+        if "." not in name and (module == "repro"
+                                or module.startswith("repro.")):
+            candidate = getattr(sys.modules.get(module), name, None)
+            if isinstance(candidate, type) \
+                    and candidate.__module__ == module:
+                return candidate
         raise pickle.UnpicklingError(
             f"checkpoint pickle references forbidden global {module}.{name}")
 
@@ -353,10 +322,9 @@ class CampaignCheckpoint:
     the wave cursor, ``result`` the running aggregate, ``vehicle_states``
     every fleet vehicle's portable MCC snapshot (``None`` for a vehicle at
     its variant's baseline, see :class:`~repro.fleet.vehicle.VehicleState`)
-    and rollout flags, and
-    ``cost_model`` the EWMA cost seeds (wall-time-only; the retry carry is
-    structurally empty wherever checkpoints are legal — they require
-    ``adversity=None``).  The checkpoint pickles cleanly —
+    and rollout flags (the retry carry is structurally empty wherever
+    checkpoints are legal — they require ``adversity=None``).  The
+    checkpoint pickles cleanly —
     :meth:`save`/:meth:`load` move it across processes and runs — and
     :meth:`Campaign.run` with ``resume_from=`` continues where it stopped.
     """
@@ -364,10 +332,6 @@ class CampaignCheckpoint:
     next_wave: int
     result: CampaignResult
     vehicle_states: List[VehicleState]
-    #: EWMA integration-cost seeds by value-based shard-group label
-    #: (absent in checkpoints pickled before the field existed; resume
-    #: treats those as a cold model).
-    cost_model: Dict[Hashable, float] = field(default_factory=dict)
 
     def save(self, path: str) -> None:
         """Pickle this checkpoint to ``path`` (atomic replace).
@@ -473,61 +437,16 @@ class Campaign:
         Seed of the simulated monitor feedback stream; per-vehicle draws are
         derived from it and the vehicle index, so feedback is identical for
         batched and sequential admission.
-    workers:
-        Size of the sharded execution pool.  ``1`` (the default) runs
-        everything in-process; ``> 1`` ships each wave's new representative
-        integrations to a ``multiprocessing`` pool (requires
-        ``batch_admission`` — sharding *is* the deduped admission path) and
-        produces byte-identical wave records, verdicts and vehicle state
-        (only the informational parent-side cache counters vary with the
-        worker layout).  When the campaign itself runs
-        inside a daemonic pool worker (which may not fork children, e.g.
-        under the parallel experiment runner), shard execution transparently
-        falls back to in-process — same verdicts, only wall time differs.
     cache_path:
         Optional on-disk snapshot of the shared analysis cache.  Loaded (if
         present) at run start and rewritten when the run ends — halt
         included — so whole re-runs and resumed campaigns warm-start from
         every previously derived analysis.  (Within a run, wave N+1
-        warm-starts from wave N through the live caches: the parent's, and
-        each worker's fork-inherited or snapshot-seeded copy.)  Requires an
+        warm-starts from wave N through the live cache.)  Requires an
         ``analysis_cache``.
     checkpoint_path:
         Where to write a :class:`CampaignCheckpoint` when the campaign
         halts (also kept in memory as :attr:`last_checkpoint`).
-    batch_kernel:
-        Route the shared cache's cold-miss batches through the vectorized
-        lockstep busy-window kernel
-        (:class:`~repro.analysis.batch.BatchResponseTimeAnalysis`).
-        Verdicts are bit-identical either way; only the wave-prefetch wall
-        time changes.  Requires an ``analysis_cache``.
-    shard_planner:
-        ``"cost"`` (the default) partitions pooled waves with the
-        cost-model planner (:func:`~repro.fleet.shard.plan_chunks`):
-        congruence-structure co-location, chunk costs balanced on measured
-        per-group integration times from prior waves.  ``"round_robin"``
-        uses the deterministic :func:`~repro.fleet.shard.plan_shards`
-        fallback.  Layout moves wall time only, never verdicts.
-    steal:
-        Dispatch shard tasks through ``Pool.imap_unordered`` so idle
-        workers pull the next chunk the moment they finish (work
-        stealing).  ``False`` restores the barrier-style ``Pool.map``
-        dispatch of one static shard per worker.
-    start_method:
-        ``multiprocessing`` start method of the shard pool (``"fork"``,
-        ``"spawn"``, ``"forkserver"`` or ``None`` for the platform
-        default).  Spawn-started workers cannot inherit the parent cache
-        copy-on-write; they warm-start from ``cache_path`` and/or
-        ``cache_store`` instead — verdicts are identical either way.
-    cache_store:
-        Directory of an append-only
-        :class:`~repro.analysis.cache_store.SegmentStore` shared by the
-        parent and every worker.  Workers publish their newly derived
-        analyses to it mid-wave and absorb their siblings' between chunks;
-        the parent seeds it with the provisioning analyses before the pool
-        starts and folds everything back at run end.  Mutually exclusive
-        with ``cache_path`` (one durable warm-start medium per campaign);
-        requires an ``analysis_cache``.
     adversity:
         Optional :class:`~repro.fleet.adversity.AdversityModel` perturbing
         the wave loop: lossy update delivery (undelivered vehicles carry
@@ -536,18 +455,18 @@ class Campaign:
         graded by an IDS (suspected senders' deviations are recorded but
         *discounted* from the halt decision) and perturbed admission inputs
         (e.g. thermally inflated WCETs).  All adversity decisions execute
-        in the parent in wave order from seeded streams, so perturbed
-        campaigns keep the byte-parity guarantee across worker layouts.
+        in wave order from seeded streams, so perturbed campaigns keep the
+        byte-parity guarantee of batched against sequential admission.
         Mutually exclusive with ``resume_from`` — a delivery-perturbed
         staging cannot be validated against the static wave plan.
     tracer:
         Optional :class:`~repro.observability.tracer.CampaignTracer`.  When
-        set, the wave loop, the shard executor, the adversity seams and the
-        shared analysis cache report structured events into it (flushed to
-        its JSONL path at run end); see ``docs/OBSERVABILITY.md`` for the
-        event taxonomy.  Tracing is strictly read-only: traced campaigns
-        produce field-for-field identical results to untraced ones at any
-        worker count, and ``tracer=None`` (the default) leaves every
+        set, the wave loop, the adversity seams and the shared analysis
+        cache report structured events into it (flushed to its JSONL path at
+        run end); see ``docs/OBSERVABILITY.md`` for the event taxonomy.
+        Tracing is strictly read-only: traced campaigns produce
+        field-for-field identical results to untraced ones, and
+        ``tracer=None`` (the default) leaves every
         instrumentation site a single attribute test — the zero-overhead
         path.
     """
@@ -559,43 +478,16 @@ class Campaign:
                  batch_admission: bool = True,
                  failure_injection_rate: float = 0.0,
                  feedback_seed: int = 0,
-                 workers: int = 1,
                  cache_path: Optional[str] = None,
                  checkpoint_path: Optional[str] = None,
-                 batch_kernel: bool = False,
-                 shard_planner: str = "cost",
-                 steal: bool = True,
-                 start_method: Optional[str] = None,
-                 cache_store: Optional[str] = None,
                  adversity: Optional[AdversityModel] = None,
                  tracer: Optional[CampaignTracer] = None) -> None:
         if not 0.0 <= failure_injection_rate <= 1.0:
             raise CampaignError("failure_injection_rate must be in [0, 1]")
         if batch_admission and analysis_cache is None:
             raise CampaignError("batched admission needs a shared analysis cache")
-        if workers < 1:
-            raise CampaignError("workers must be at least 1")
-        if workers > 1 and not batch_admission:
-            raise CampaignError("sharded execution (workers > 1) requires "
-                                "batched admission — sharding runs one "
-                                "integration per equivalence group")
         if cache_path is not None and analysis_cache is None:
             raise CampaignError("cache_path needs an analysis cache to snapshot")
-        if batch_kernel and analysis_cache is None:
-            raise CampaignError("batch_kernel needs a shared analysis cache")
-        if shard_planner not in ("cost", "round_robin"):
-            raise CampaignError("shard_planner must be 'cost' or "
-                                f"'round_robin', not {shard_planner!r}")
-        if start_method not in (None, "fork", "spawn", "forkserver"):
-            raise CampaignError(f"unknown start_method {start_method!r}")
-        if cache_store is not None and analysis_cache is None:
-            raise CampaignError("cache_store needs an analysis cache to share")
-        if cache_store is not None and cache_path is not None:
-            raise CampaignError("cache_path and cache_store are mutually "
-                                "exclusive — pick one warm-start medium")
-        if batch_kernel:
-            analysis_cache.engine.batch_kernel = True
-        self.batch_kernel = batch_kernel
         self.vehicles = list(vehicles)
         self.update_factory = update_factory
         self.policy = policy if policy is not None else WavePolicy()
@@ -603,29 +495,16 @@ class Campaign:
         self.batch_admission = batch_admission
         self.failure_injection_rate = failure_injection_rate
         self.feedback_seed = feedback_seed
-        self.workers = workers
         self.cache_path = cache_path
         self.checkpoint_path = checkpoint_path
-        self.shard_planner = shard_planner
-        self.steal = steal
-        self.start_method = start_method
-        self.cache_store = cache_store
         self.adversity = adversity
         self.tracer = tracer
         if tracer is not None and analysis_cache is not None:
             # The shared cache reports its lookup/merge events into the
-            # same trace (observation only; never pickled into workers).
+            # same trace (observation only).
             analysis_cache.tracer = tracer
         #: The checkpoint written at the most recent halt (None before).
         self.last_checkpoint: Optional[CampaignCheckpoint] = None
-        #: EWMA of measured integration seconds per shard-group label,
-        #: carried across waves and runs of this campaign object.  Seeds
-        #: the cost-model planner; wall-time-only by construction.
-        self._cost_model: Dict[Hashable, float] = {}
-        #: Parent-side handle on ``cache_store`` plus the keys known to be
-        #: durable there (so run-end publication ships only the delta).
-        self._parent_store: Optional[SegmentStore] = None
-        self._store_keys: set = set()
         #: One-shot latch of :meth:`run` (see its docstring).
         self._ran = False
 
@@ -641,8 +520,8 @@ class Campaign:
         the checkpointed waves plus everything executed now.
 
         ``run()`` is **one-shot**: a finished (or failed) run leaves
-        per-run state behind — :attr:`last_checkpoint`, EWMA cost seeds,
-        adopted vehicle models, cache-counter baselines — so re-entering
+        per-run state behind — :attr:`last_checkpoint`, adopted vehicle
+        models, cache-counter baselines — so re-entering
         the same instance would silently compute something other than a
         fresh campaign.  A second call raises :class:`CampaignError`;
         construct a new ``Campaign`` (passing ``resume_from=`` to continue
@@ -654,18 +533,12 @@ class Campaign:
             raise CampaignError(
                 "this Campaign instance already ran; run() is one-shot "
                 "because a run mutates per-run state (last_checkpoint, "
-                "cost-model seeds, vehicle models) — construct a fresh "
+                "vehicle models) — construct a fresh "
                 "Campaign, with resume_from= to continue a checkpoint")
         self._ran = True
         from repro.fleet.engine import CampaignEngine
         engine = CampaignEngine(self, resume_from=resume_from)
-        try:
-            while not engine.done:
-                engine.step()
-        except BaseException:
-            # The error path must never leak the worker pool; caches and
-            # the trace stay unflushed, exactly as before the engine split.
-            engine.close()
-            raise
+        while not engine.done:
+            engine.step()
         return engine.finalize()
 

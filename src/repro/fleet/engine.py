@@ -6,8 +6,8 @@ knobs; this module owns *how*, one wave at a time.  :class:`CampaignEngine`
 is an explicit state machine over :class:`CampaignState`: construct it, call
 :meth:`~CampaignEngine.step` once per wave (each call executes exactly one
 wave and returns its :class:`~repro.fleet.campaign.WaveRecord`), and call
-:meth:`~CampaignEngine.finalize` when :attr:`~CampaignEngine.done` to close
-the shard pool, persist the caches and obtain the aggregate
+:meth:`~CampaignEngine.finalize` when :attr:`~CampaignEngine.done` to persist
+the cache snapshot and obtain the aggregate
 :class:`~repro.fleet.campaign.CampaignResult`.
 :meth:`Campaign.run() <repro.fleet.campaign.Campaign.run>` is nothing but
 that loop — stepped and run-to-completion execution are byte-identical by
@@ -31,9 +31,9 @@ State taxonomy
 --------------
 
 :class:`CampaignState` carries exactly the between-wave execution state: the
-wave cursor, the straggler/retry carry, the stall guard, the running
-:class:`~repro.fleet.campaign.CampaignResult` and the EWMA cost model.  The
-per-vehicle rollout state lives where it always did — on the
+wave cursor, the straggler/retry carry, the stall guard and the running
+:class:`~repro.fleet.campaign.CampaignResult`.  The per-vehicle rollout
+state lives where it always did — on the
 :class:`~repro.fleet.vehicle.FleetVehicle` objects (MCC model, ``updated``/
 ``deviating``/``rolled_back`` flags) — and is captured into checkpoints as
 portable :class:`~repro.fleet.vehicle.VehicleState` snapshots; a vehicle at
@@ -51,15 +51,11 @@ but never changing a verdict.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache_store import SegmentStore
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
                                   CampaignResult, WaveRecord, plan_waves)
-from repro.fleet.shard import (ShardItem, ShardTask, execute_shard,
-                               initialize_worker, plan_chunks, plan_shards)
 from repro.fleet.vehicle import FleetVehicle, VehicleState
 from repro.mcc.configuration import ChangeRequest, IntegrationReport
 from repro.mcc.controller import MccSnapshot
@@ -75,9 +71,7 @@ def _copy_result(source: CampaignResult) -> CampaignResult:
     return replace(source,
                    waves=[replace(record,
                                   vehicle_ids=list(record.vehicle_ids))
-                          for record in source.waves],
-                   shard_telemetry=[dict(row)
-                                    for row in source.shard_telemetry])
+                          for record in source.waves])
 
 
 @dataclass
@@ -105,11 +99,6 @@ class CampaignState:
     ``result``
         The running aggregate; :meth:`CampaignEngine.finalize` stamps the
         cache counters onto it and returns it.
-    ``cost_model``
-        EWMA of measured integration seconds per shard-group label.  The
-        *same dict object* as :attr:`Campaign._cost_model`, so the model
-        persists on the campaign across engine lifetimes (and checkpoints
-        carry a value snapshot of it); wall-time-only by construction.
     ``hits_before`` / ``misses_before``
         Shared-cache counter baselines taken when engine construction
         starts, so ``result`` reports this run's cache traffic only: its
@@ -122,7 +111,6 @@ class CampaignState:
     stalled_waves: int = 0
     result: CampaignResult = field(
         default_factory=lambda: CampaignResult(fleet_size=0, batched=False))
-    cost_model: Dict[Hashable, float] = field(default_factory=dict)
     hits_before: int = 0
     misses_before: int = 0
 
@@ -132,24 +120,21 @@ class CampaignEngine:
 
     Construction performs the campaign prologue exactly as the monolithic
     ``run()`` did — begin trace, checkpoint restore, cache warm-start,
-    counter baselines, shard-pool fork — so a constructed engine is
-    positioned at the first wave boundary.  Then:
+    counter baselines — so a constructed engine is positioned at the first
+    wave boundary.  Then:
 
     * :meth:`step` executes exactly one wave (staging and provisioning the
-      staged vehicles, adversity delivery, dedupe, pooled or in-process
-      admission, feedback, halt decision, rollback) and returns its
-      :class:`WaveRecord`;
+      staged vehicles, adversity delivery, dedupe, admission, feedback,
+      halt decision, rollback) and returns its :class:`WaveRecord`;
     * :attr:`done` reports whether a next wave exists (the plan is
       exhausted with no carry, or the campaign halted);
-    * :meth:`finalize` runs the epilogue (pool join, snapshot/store
-      persistence, cache counters, end trace) and returns the result;
-    * :meth:`checkpoint` serializes the current wave boundary;
-    * :meth:`close` tears the shard pool down without finalizing — the
-      error/abandon path.
+    * :meth:`finalize` runs the epilogue (snapshot persistence, cache
+      counters, end trace) and returns the result;
+    * :meth:`checkpoint` serializes the current wave boundary.
 
     One engine executes one campaign run; it is not reusable after
     :meth:`finalize`.  The engine holds live references into its
-    :class:`Campaign` (vehicles, caches, cost model), so at most one engine
+    :class:`Campaign` (vehicles, caches), so at most one engine
     should drive a campaign at a time — :meth:`Campaign.run` enforces this
     with its one-shot guard.
     """
@@ -172,9 +157,8 @@ class CampaignEngine:
         if campaign.tracer is not None:
             campaign.tracer.emit(
                 "campaign.begin", fleet_size=len(campaign.vehicles),
-                waves_planned=len(self.plan), workers=campaign.workers,
+                waves_planned=len(self.plan),
                 batched=campaign.batch_admission,
-                planner=campaign.shard_planner, steal=campaign.steal,
                 adversity=type(campaign.adversity).__name__
                 if campaign.adversity is not None else None,
                 resumed=resume_from is not None)
@@ -193,20 +177,6 @@ class CampaignEngine:
                                                            missing_ok=True)
             if campaign.tracer is not None:
                 campaign.tracer.emit("cache.snapshot_load", entries=loaded)
-            if campaign.workers > 1:
-                # Refresh the snapshot so spawn-method workers (which cannot
-                # inherit the parent cache at fork) warm-start from the
-                # analyses derived so far; fork-method workers ignore the
-                # file.
-                campaign.analysis_cache.save_snapshot(campaign.cache_path)
-        if campaign.analysis_cache is not None and campaign.cache_store is not None:
-            # Warm-start from the shared store, then make this run's
-            # pre-pool entries (analyses of vehicles provisioned so far)
-            # durable so even spawn-started workers begin warm.
-            if campaign._parent_store is None:
-                campaign._parent_store = SegmentStore(campaign.cache_store)
-            self._absorb_store()
-            self._publish_store()
         #: request-equivalence key -> (report, mapping, priorities) of the
         #: vehicle that ran the full integration; kept across waves so later
         #: waves of unchanged same-variant vehicles replay wave 1's verdicts.
@@ -216,32 +186,10 @@ class CampaignEngine:
         #: them prevents garbage collection from recycling an id into a new
         #: contract mid-campaign, which could falsely match a stale key.
         self.pinned: List[object] = []
-        self.pool = None
         self._finalized = False
-        if campaign.workers > 1 and not multiprocessing.current_process().daemon:
-            # Workers inherit the parent's warm cache copy-on-write at fork
-            # (or load the snapshot once, under spawn) and keep it for the
-            # whole campaign — see initialize_worker.  Inside a *daemonic*
-            # worker (e.g. an experiment runner's pool) children are not
-            # allowed; shard execution then stays in-process, which changes
-            # wall time only — verdicts are worker-layout-independent.
-            import repro.fleet.shard as shard_module
-            context = multiprocessing.get_context(campaign.start_method)
-            worker_max_entries = campaign.analysis_cache.max_entries \
-                if campaign.analysis_cache is not None else 16384
-            worker_batch_kernel = campaign.analysis_cache.batch_kernel \
-                if campaign.analysis_cache is not None else False
-            shard_module._FORK_SEED = campaign.analysis_cache
-            try:
-                self.pool = context.Pool(
-                    processes=campaign.workers, initializer=initialize_worker,
-                    initargs=(campaign.cache_path, worker_max_entries,
-                              worker_batch_kernel, campaign.cache_store))
-            finally:
-                shard_module._FORK_SEED = None
         self.state = CampaignState(
             wave_index=start_wave, start_wave=start_wave, carry=[],
-            stalled_waves=0, result=result, cost_model=campaign._cost_model,
+            stalled_waves=0, result=result,
             hits_before=hits_before, misses_before=misses_before)
 
     # -- stepping ----------------------------------------------------------
@@ -258,10 +206,10 @@ class CampaignEngine:
 
         The wave runs to commit — staging (planned members plus delivery
         carry), provisioning every staged vehicle not yet provisioned,
-        adversity delivery, request construction, equivalence dedupe,
-        pooled or in-process admission, per-vehicle adoption, monitor
-        feedback, the halt decision and any rollback — so after ``step()``
-        returns the campaign sits at the next wave boundary.  Provisioning
+        adversity delivery, request construction, equivalence dedupe, the
+        wave prefetch, per-vehicle admission or replay, monitor feedback,
+        the halt decision and any rollback — so after ``step()`` returns
+        the campaign sits at the next wave boundary.  Provisioning
         runs before anything else, so a provisioning error (see
         :func:`~repro.fleet.vehicle.generate_fleet`) propagates with the
         campaign still at the boundary it started from.  On a halt the
@@ -354,12 +302,8 @@ class CampaignEngine:
                 if key not in self.precedents and key not in seen_new:
                     seen_new.add(key)
                     rep_positions.append(position)
-            if self.pool is not None:
-                self._admit_shards(wave, requests, keys, rep_positions,
-                                   wave_index, result)
-            else:
-                self._prefetch_wave([(wave[p], requests[p])
-                                     for p in rep_positions])
+            self._prefetch_wave([(wave[p], requests[p])
+                                 for p in rep_positions])
         admitted: List[Tuple[FleetVehicle, ChangeRequest, MccSnapshot]] = []
         pre_wave: Dict[str, MccSnapshot] = {}
         for vehicle, request, key in zip(wave, requests, keys):
@@ -441,32 +385,24 @@ class CampaignEngine:
     def finalize(self) -> CampaignResult:
         """Run the campaign epilogue and return the aggregate result.
 
-        Joins the shard pool, persists the ``cache_path`` snapshot and the
-        ``cache_store`` delta, stamps the cache counters onto the result
-        and closes the trace.  One-shot: a second call raises.  Callable
-        at any wave boundary — :meth:`Campaign.run` calls it when
-        :attr:`done`, the admission service also calls it when abandoning
-        a parked campaign.
+        Persists the ``cache_path`` snapshot, stamps the cache counters onto
+        the result and closes the trace.  One-shot: a second call raises.
+        Callable at any wave boundary — :meth:`Campaign.run` calls it when
+        :attr:`done`, the admission service also calls it when parking a
+        campaign.
         """
         if self._finalized:
             raise CampaignError("campaign engine already finalized")
         campaign = self.campaign
         result = self.state.result
-        self.close()
         if campaign.analysis_cache is not None and campaign.cache_path is not None:
-            # Persist everything this run derived (shard fan-ins included)
-            # so re-runs — and a resume after a halt — warm-start from it.
+            # Persist everything this run derived so re-runs — and a resume
+            # after a halt — warm-start from it.
             campaign.analysis_cache.save_snapshot(campaign.cache_path)
             if campaign.tracer is not None:
                 campaign.tracer.emit("cache.snapshot_save",
                                      path=campaign.cache_path,
                                      entries=len(campaign.analysis_cache))
-        if campaign.analysis_cache is not None and campaign._parent_store is not None:
-            # Workers made their own derivations durable mid-wave; absorb
-            # any last publications, then append what only the parent
-            # derived (prefetch path, in-process fallback waves).
-            self._absorb_store()
-            self._publish_store()
         if campaign.analysis_cache is not None:
             result.cache_hits = campaign.analysis_cache.hits \
                 - self.state.hits_before
@@ -482,18 +418,6 @@ class CampaignEngine:
             campaign.tracer.flush()
         self._finalized = True
         return result
-
-    def close(self) -> None:
-        """Tear the shard pool down (idempotent; no cache persistence).
-
-        The error/abandon path: a raising :meth:`step` leaves caches and
-        trace unflushed — exactly as an exception inside the monolithic
-        ``run()`` loop did — but the worker pool must never leak.
-        """
-        if self.pool is not None:
-            self.pool.close()
-            self.pool.join()
-            self.pool = None
 
     def checkpoint(self, path: Optional[str] = None) -> CampaignCheckpoint:
         """Serialize the current wave boundary as a resumable checkpoint.
@@ -521,8 +445,7 @@ class CampaignEngine:
         checkpoint = CampaignCheckpoint(
             next_wave=self.state.wave_index, result=prefix,
             vehicle_states=[vehicle.capture_state()
-                            for vehicle in campaign.vehicles],
-            cost_model=dict(self.state.cost_model))
+                            for vehicle in campaign.vehicles])
         if path is not None:
             checkpoint.save(path)
             if campaign.tracer is not None:
@@ -571,7 +494,7 @@ class CampaignEngine:
         alive — a recycled ``id`` could alias a stale key — so the engine
         pins every object that enters a stored precedent key for its
         lifetime (see :attr:`pinned`).  For the same reason keys never cross
-        a process boundary: shard workers receive wave positions, not keys.
+        a process boundary.
         """
         model = vehicle.mcc.model
         return (vehicle.variant.index,
@@ -580,120 +503,6 @@ class CampaignEngine:
                 tuple(sorted(model.mapping.items())),
                 tuple(sorted(model.priorities.items())),
                 request.kind, request.component, id(request.contract))
-
-    @staticmethod
-    def _group_label(vehicle: FleetVehicle, request: ChangeRequest) -> Tuple:
-        """Coarse congruence label of one representative integration.
-
-        Representatives of the same fleet variant receiving the same logical
-        request share platform shape, contract structure and therefore
-        congruence signature — their analyses dedupe against each other, so
-        the chunk planner co-locates them in one shard and the cost model
-        aggregates their measured integration times under one key.  Unlike
-        :meth:`_equivalence_key` this label is value-based (no object
-        identities), so it is stable across waves, runs and checkpoints.
-        """
-        return (vehicle.variant.index, request.kind, request.component)
-
-    def _estimate_costs(self, labels: Sequence[Tuple]) -> List[float]:
-        """Per-representative cost estimates from the prior-wave EWMA model.
-
-        Labels never measured yet (wave 1, or a variant first reaching a
-        later wave) are priced at the mean of the known costs — neutral
-        weight — or 1.0 on a completely cold model (uniform partition).
-        """
-        known = self.state.cost_model
-        fallback = (sum(known.values()) / len(known)) if known else 1.0
-        return [known.get(label, fallback) for label in labels]
-
-    def _record_cost(self, label: Tuple, elapsed_s: float) -> None:
-        """Fold one measured integration time into the EWMA cost model."""
-        previous = self.state.cost_model.get(label)
-        self.state.cost_model[label] = elapsed_s if previous is None \
-            else 0.5 * previous + 0.5 * elapsed_s
-
-    def _admit_shards(self, wave: Sequence[FleetVehicle],
-                      requests: Sequence[ChangeRequest],
-                      keys: Sequence[Tuple], rep_positions: Sequence[int],
-                      wave_index: int, result: CampaignResult) -> None:
-        """Run the wave's new representative integrations on the pool.
-
-        The representatives were deduped pre-fork (one wave position per new
-        equivalence key); their verdicts land in :attr:`precedents`
-        post-join so the parent's adoption loop replays every group member —
-        including the representative itself — without re-analysing anything.
-
-        Layout and dispatch follow the campaign's ``shard_planner`` and
-        ``steal`` knobs: cost-model chunks pulled completion-driven off the
-        pool's shared queue by default, static round-robin shards behind a
-        ``Pool.map`` barrier otherwise.  Fan-in order is nondeterministic
-        under stealing, but each verdict updates exactly one equivalence
-        key, so ``precedents`` — and every wave verdict derived from it —
-        is independent of arrival order; only the telemetry rows and the
-        cost model see the completion order.
-        """
-        campaign = self.campaign
-        labels = [self._group_label(wave[position], requests[position])
-                  for position in rep_positions]
-        if campaign.shard_planner == "cost":
-            shards = plan_chunks(len(rep_positions), campaign.workers,
-                                 costs=self._estimate_costs(labels),
-                                 groups=labels)
-        else:
-            shards = plan_shards(len(rep_positions), campaign.workers)
-        tasks = [ShardTask(shard_index=shard_index,
-                           items=[ShardItem(position=item,
-                                            vehicle=wave[rep_positions[item]],
-                                            request=requests[rep_positions[item]])
-                                  for item in shard],
-                           cache_path=campaign.cache_path,
-                           store_path=campaign.cache_store,
-                           trace=campaign.tracer is not None)
-                 for shard_index, shard in enumerate(shards)]
-        if campaign.tracer is not None:
-            campaign.tracer.emit("shard.plan", wave=wave_index,
-                                 planner=campaign.shard_planner,
-                                 steal=campaign.steal, shards=len(tasks),
-                                 representatives=len(rep_positions))
-        if campaign.steal:
-            # Completion-driven dispatch: the pool's shared task queue is
-            # the steal target — an idle worker takes the next chunk
-            # immediately, and results fan in as they finish.
-            completed = self.pool.imap_unordered(execute_shard, tasks,
-                                                 chunksize=1)
-        else:
-            completed = self.pool.map(execute_shard, tasks)
-        for shard_result in completed:
-            if campaign.analysis_cache is not None:
-                campaign.analysis_cache.merge_entries(shard_result.cache_entries)
-            for verdict in shard_result.verdicts:
-                position = rep_positions[verdict.position]
-                vehicle, request = wave[position], requests[position]
-                self.pinned.append(request.contract)
-                self.pinned.extend(vehicle.mcc.model.contracts())
-                self.precedents[keys[position]] = (verdict.report,
-                                                   verdict.mapping,
-                                                   verdict.priorities)
-                self._record_cost(labels[verdict.position], verdict.elapsed_s)
-            # Field set pinned by SHARD_TELEMETRY_SCHEMA (see
-            # repro.fleet.shard) — extend both together.
-            telemetry_row = {
-                "wave": wave_index,
-                "shard": shard_result.shard_index,
-                "items": len(shard_result.verdicts),
-                "worker_pid": shard_result.worker_pid,
-                "elapsed_s": shard_result.elapsed_s,
-                "cache_hits": shard_result.cache_hits,
-                "cache_misses": shard_result.cache_misses,
-                "published_entries": shard_result.published_entries,
-                "absorbed_entries": shard_result.absorbed_entries,
-            }
-            result.shard_telemetry.append(telemetry_row)
-            if campaign.tracer is not None:
-                campaign.tracer.ingest(shard_result.events, wave=wave_index)
-                campaign.tracer.emit("shard.execute",
-                                     **{key: value for key, value
-                                        in telemetry_row.items()})
 
     def _feedback(self, vehicle: FleetVehicle, request: ChangeRequest,
                   wave_index: int, record: WaveRecord) -> None:
@@ -781,11 +590,6 @@ class CampaignEngine:
         prefix.waves = prefix.waves[:-1]
         prefix.halted = False
         prefix.halted_wave = None
-        # Telemetry rows of the *executed* waves stay with the checkpoint (a
-        # resumed run merges them with its own); only the halting wave's
-        # rows are dropped — that wave re-runs on resume and reports afresh.
-        prefix.shard_telemetry = [row for row in prefix.shard_telemetry
-                                  if row["wave"] < halted_wave]
         for attribute in ("admitted", "rejected", "deviating", "refined",
                           "rolled_back", "undelivered", "retried",
                           "abandoned", "discounted"):
@@ -804,8 +608,7 @@ class CampaignEngine:
             else:
                 states.append(vehicle.capture_state())
         return CampaignCheckpoint(next_wave=halted_wave, result=prefix,
-                                  vehicle_states=states,
-                                  cost_model=dict(self.state.cost_model))
+                                  vehicle_states=states)
 
     def _restore_checkpoint(self, checkpoint: CampaignCheckpoint,
                             plan: Sequence[Tuple[str, List[FleetVehicle]]],
@@ -840,49 +643,10 @@ class CampaignEngine:
             vehicle.restore_state(states[vehicle.vehicle_id])
         seeded = _copy_result(checkpoint.result)
         result.waves = seeded.waves
-        # Executed waves' shard telemetry is carried over so a resumed
-        # campaign's telemetry covers the same waves an uninterrupted run's
-        # would; the resumed waves append their own rows.  Cache counters
-        # are deliberately not carried over: they describe one process's
-        # cache traffic and the resumed run reports its own.
-        result.shard_telemetry = seeded.shard_telemetry
+        # Cache counters are deliberately not carried over: they describe
+        # one process's cache traffic and the resumed run reports its own.
         for attribute in ("admitted", "rejected", "deviating", "refined",
                           "rolled_back", "undelivered", "retried",
                           "abandoned", "discounted"):
             setattr(result, attribute, getattr(seeded, attribute))
-        # The EWMA cost model is wall-time-only state; warm-starting it
-        # from the checkpoint lets a resumed campaign plan its first chunks
-        # on measured costs instead of uniform guesses.  ``getattr`` keeps
-        # checkpoints pickled before the field existed loadable.
-        campaign._cost_model.update(getattr(checkpoint, "cost_model", None)
-                                    or {})
         return checkpoint.next_wave
-
-    # -- segment-store plumbing --------------------------------------------
-
-    def _absorb_store(self) -> int:
-        """Merge everything newly durable in ``cache_store`` into the
-        parent cache; returns the number of new entries absorbed."""
-        campaign = self.campaign
-        assert campaign._parent_store is not None \
-            and campaign.analysis_cache is not None
-        entries = campaign._parent_store.read_new()
-        campaign._store_keys.update(key for key, _ in entries)
-        absorbed = campaign.analysis_cache.merge_entries(entries)
-        if campaign.tracer is not None:
-            campaign.tracer.emit("store.absorb", entries=absorbed)
-        return absorbed
-
-    def _publish_store(self) -> int:
-        """Append the parent cache's not-yet-durable entries to the store."""
-        campaign = self.campaign
-        assert campaign._parent_store is not None \
-            and campaign.analysis_cache is not None
-        fresh = campaign.analysis_cache.export_entries(
-            exclude=campaign._store_keys)
-        if fresh:
-            campaign._parent_store.append(fresh)
-            campaign._store_keys.update(key for key, _ in fresh)
-        if campaign.tracer is not None:
-            campaign.tracer.emit("store.publish", entries=len(fresh))
-        return len(fresh)

@@ -154,8 +154,8 @@ class FleetVehicle:
         self._mcc = mcc
 
     def __getstate__(self) -> Dict[str, Any]:
-        # A pickled vehicle (a shard item) is provisioned first and carries
-        # no provisioner: the provisioner holds the fleet's analysis cache.
+        # A pickled vehicle is provisioned first, so the copy stands alone,
+        # and carries no provisioner: it holds the fleet's analysis cache.
         self.provision()
         return {**self.__dict__, "_provisioner": None}
 

@@ -189,31 +189,6 @@ class MultiChangeController:
         return self.request_change(ChangeRequest(kind=ChangeKind.REMOVE_COMPONENT,
                                                  component=component))
 
-    def attach_analysis_cache(self, cache: "AnalysisCache") -> int:
-        """Rewire every cache-capable acceptance test to ``cache``.
-
-        Shard workers of the parallel campaign engine use this after
-        unpickling a vehicle: pickled caches deliberately travel empty (see
-        :meth:`repro.analysis.cache.AnalysisCache.__getstate__`), so the
-        worker builds one warm-started local cache and points the vehicle's
-        tests at it.  Covers tests holding a cache directly (``cache``
-        attribute, e.g. :class:`~repro.mcc.acceptance.TimingAcceptanceTest`)
-        and tests delegating to an analysis engine with a cache (e.g.
-        :class:`~repro.mcc.acceptance.DistributedTimingAcceptanceTest`).
-        Verdicts are cache-independent; only wall time changes.  Returns the
-        number of tests rewired.
-        """
-        rewired = 0
-        for test in self.process.acceptance_tests:
-            if hasattr(test, "cache"):
-                test.cache = cache
-                rewired += 1
-            analysis = getattr(test, "analysis", None)
-            if analysis is not None and hasattr(analysis, "cache"):
-                analysis.cache = cache
-                rewired += 1
-        return rewired
-
     # -- checkpointing --------------------------------------------------------------------
 
     def snapshot(self) -> "MccSnapshot":

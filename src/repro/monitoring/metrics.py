@@ -12,33 +12,10 @@ self-model reads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-
-def _import_numpy():
-    """Numpy, unless it is missing or ``REPRO_FORCE_PURE_BATCH`` disables it.
-
-    Mirrors :func:`repro.analysis.batch._import_numpy` so the CI pure-python
-    leg exercises the fallback summary statistics as well as the scalar
-    analysis kernel.
-    """
-    if os.environ.get("REPRO_FORCE_PURE_BATCH", "0") not in ("", "0"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised via the env-var gate
-        return None
-    return numpy
-
-
-_np = _import_numpy()
-
-
-def numpy_available() -> bool:
-    """Whether summary statistics use the numpy path in this process."""
-    return _np is not None
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -119,20 +96,11 @@ class MetricSeries:
             values = [v for t, v in zip(self._times, self._values) if t >= since]
         if not values:
             return MetricSummary.empty()
-        if _np is not None:
-            array = _np.asarray(values, dtype=float)
-            return MetricSummary(count=len(values), mean=float(array.mean()),
-                                 minimum=float(array.min()),
-                                 maximum=float(array.max()),
-                                 std=float(array.std()), last=float(values[-1]))
-        # Pure-python fallback: population statistics (ddof=0, numpy's
-        # default) so both paths agree to floating-point accumulation order.
-        count = len(values)
-        mean = math.fsum(values) / count
-        variance = math.fsum((v - mean) ** 2 for v in values) / count
-        return MetricSummary(count=count, mean=mean, minimum=min(values),
-                             maximum=max(values), std=math.sqrt(variance),
-                             last=values[-1])
+        array = np.asarray(values, dtype=float)
+        return MetricSummary(count=len(values), mean=float(array.mean()),
+                             minimum=float(array.min()),
+                             maximum=float(array.max()),
+                             std=float(array.std()), last=float(values[-1]))
 
     def rate(self, window_s: float) -> float:
         """Samples per second over the trailing ``window_s`` seconds."""

@@ -3,18 +3,16 @@
 The paper's self-aware architecture rests on aggregating "metrics from
 different layers ... to a consistent self-representation of the system"
 (Section V).  The campaign engine spans many layers by now — the staged
-wave loop, the sharded multiprocess executor, the adversity seams, the
-shared analysis cache and its on-disk segment store — and each emits its
-own flat counters.  This package is the read side that folds them back
-together:
+wave loop, the adversity seams and the shared analysis cache — and each
+emits its own flat counters.  This package is the read side that folds
+them back together:
 
 * :mod:`repro.observability.tracer` — :class:`CampaignTracer`, a
   zero-overhead-when-disabled structured event sink (JSONL spans with
-  monotonic timestamps and wave/shard/vehicle context) that the campaign
-  engine, the shard executor, the adversity seams and the analysis cache
-  all report into.
-* :mod:`repro.observability.metrics_bridge` — folds tracer events and the
-  engine's ``shard_telemetry`` rows into the seed's
+  monotonic timestamps and wave/vehicle context) that the campaign
+  engine, the adversity seams and the analysis cache all report into.
+* :mod:`repro.observability.metrics_bridge` — folds wave records and
+  tracer events into the seed's
   :class:`~repro.monitoring.metrics.MetricRegistry`, so campaign-level
   observability aggregates through the exact self-representation substrate
   the paper describes for the vehicle.
@@ -26,10 +24,8 @@ together:
 
 from repro.observability.tracer import (WALL_CLOCK_FIELDS, CampaignTracer,
                                         TraceError, load_trace)
-from repro.observability.metrics_bridge import (cache_efficiency,
-                                                campaign_metric_registry,
+from repro.observability.metrics_bridge import (campaign_metric_registry,
                                                 service_metric_registry,
-                                                shard_imbalance,
                                                 wave_latencies)
 from repro.observability.dashboard import (flatten_result_documents,
                                            render_dashboard)
@@ -38,12 +34,10 @@ __all__ = [
     "CampaignTracer",
     "TraceError",
     "WALL_CLOCK_FIELDS",
-    "cache_efficiency",
     "campaign_metric_registry",
     "flatten_result_documents",
     "load_trace",
     "render_dashboard",
     "service_metric_registry",
-    "shard_imbalance",
     "wave_latencies",
 ]

@@ -7,8 +7,8 @@ families into one self-contained HTML page:
   per-wave outcome stacks and rejection-reason breakdowns (including the
   distributed viewpoint's ``rejected_distributed_only`` exclusives);
 * **tracer files** (:func:`~repro.observability.tracer.load_trace`) —
-  per-wave cache-efficiency trends and admission latencies, via the same
-  folds as :mod:`repro.observability.metrics_bridge`;
+  per-wave admission latencies, via the same fold as
+  :mod:`repro.observability.metrics_bridge`, and the event volume;
 * **benchmark records** (``benchmarks/records/BENCH_*.json``) — the
   headline speedup trajectory from
   :func:`~repro.experiments.bench_history.bench_trajectory`.
@@ -31,8 +31,7 @@ import html
 import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.observability.metrics_bridge import (cache_efficiency,
-                                                wave_latencies)
+from repro.observability.metrics_bridge import wave_latencies
 
 #: Campaign run records beyond this many get the table, not a chart each.
 MAX_CAMPAIGN_CHARTS = 6
@@ -171,7 +170,7 @@ def _stacked_chart(rows: Sequence[Tuple[str, List[Tuple[str, float, str]]]],
 
 def _line_chart(categories: Sequence[str],
                 series: Sequence[Tuple[str, str, Dict[str, float]]],
-                fmt=None, y_top: Optional[float] = None) -> str:
+                fmt=None) -> str:
     """2px lines with 8px markers over shared x categories.
 
     ``series`` entries are (name, color, {category: value}).
@@ -181,9 +180,6 @@ def _line_chart(categories: Sequence[str],
     plot_h = height - 28
     values = [value for _, _, points in series for value in points.values()]
     top, ticks = _axis(max(values, default=1.0))
-    if y_top is not None:
-        top = y_top
-        ticks = [top * index / 4 for index in range(5)]
     parts = [f'<svg role="img" viewBox="0 0 {_WIDTH} {height}" '
              f'xmlns="http://www.w3.org/2000/svg">']
     for tick in ticks:
@@ -389,23 +385,6 @@ def _rejections_section(run_records: Sequence[Dict[str, Any]]) -> str:
 
 def _trace_sections(trace: Sequence[Dict[str, Any]]) -> str:
     parts: List[str] = []
-    telemetry = [event for event in trace
-                 if event.get("event") == "shard.execute"]
-    efficiency = cache_efficiency(telemetry)
-    if efficiency:
-        categories = [str(wave) for wave in sorted(efficiency)]
-        points = {str(wave): rate * 100.0
-                  for wave, rate in efficiency.items()}
-        chart = _line_chart(categories,
-                            [("cache hit rate", _SLOTS[0], points)],
-                            fmt=lambda v: f"{v:.0f}%", y_top=100.0)
-        parts.append(_figure(
-            "Cache efficiency by wave", chart,
-            caption="Shared analysis-cache hit rate over each wave's shard "
-                    "lookups (traced shard.execute events).",
-            table=_table(["wave", "hit rate"],
-                         [[wave, f"{rate:.1%}"] for wave, rate
-                          in sorted(efficiency.items())])))
     latencies = wave_latencies(trace)
     if latencies:
         categories = [str(wave) for wave in sorted(latencies)]

@@ -1,16 +1,16 @@
-"""Fold campaign traces and shard telemetry into the metric substrate.
+"""Fold campaign results and traces into the metric substrate.
 
 The seed's :class:`~repro.monitoring.metrics.MetricRegistry` is the paper's
 aggregation point: "metrics from different layers can be aggregated to a
 consistent self-representation of the system" (Section V).  This module is
 the campaign-side feeder — it turns the raw observability outputs
-(:class:`~repro.observability.tracer.CampaignTracer` events and the
-engine's ``shard_telemetry`` rows) into registry samples, so fleet-level
+(wave records and :class:`~repro.observability.tracer.CampaignTracer`
+events) into registry samples, so fleet-level
 rollout health reads through the exact same substrate as the in-vehicle
 monitors.
 
-The registry's sample *time* axis is the wave index: it is monotonic at
-any worker count, survives deterministic traces (which carry no wall
+The registry's sample *time* axis is the wave index: it is monotonic,
+survives deterministic traces (which carry no wall
 clock), and makes per-wave trends directly comparable across runs.
 
 This module never imports the campaign engine — it consumes plain dicts
@@ -20,14 +20,12 @@ and duck-typed result objects, which keeps it import-safe from within the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.monitoring.metrics import MetricRegistry
 
 #: Registry sources fed by :func:`campaign_metric_registry`.
 WAVE_SOURCE = "campaign.waves"
-SHARD_SOURCE = "campaign.shards"
-CACHE_SOURCE = "campaign.cache"
 ADMISSION_SOURCE = "campaign.admission"
 
 #: Registry source fed by :func:`service_metric_registry` — the admission
@@ -70,57 +68,6 @@ def wave_latencies(events: Iterable[Dict[str, Any]]) -> Dict[int, float]:
     return latencies
 
 
-def shard_imbalance(telemetry: Iterable[Dict[str, Any]]) -> Dict[int, float]:
-    """Per-wave steal-queue imbalance from ``shard_telemetry`` rows.
-
-    Imbalance is ``max / mean`` of per-shard wall time within a wave: 1.0
-    means every shard finished together (perfect stealing), 2.0 means the
-    slowest shard ran twice the average — pooled wall time is bounded by
-    the max, so this ratio is exactly the fraction of the wave's parallel
-    speedup lost to skew.  Falls back to per-shard *item counts* when wall
-    times are absent (rows round-tripped through a deterministic record).
-    Single-shard waves are reported as 1.0.
-    """
-    by_wave: Dict[int, List[Dict[str, Any]]] = {}
-    for row in telemetry:
-        wave = _wave_of(row)
-        if wave is not None:
-            by_wave.setdefault(wave, []).append(row)
-    imbalance: Dict[int, float] = {}
-    for wave, rows in sorted(by_wave.items()):
-        loads = [float(row["elapsed_s"]) for row in rows
-                 if "elapsed_s" in row]
-        if not loads:
-            loads = [float(row.get("items", 0)) for row in rows]
-        total = sum(loads)
-        if len(loads) <= 1 or total <= 0.0:
-            imbalance[wave] = 1.0
-        else:
-            imbalance[wave] = max(loads) / (total / len(loads))
-    return imbalance
-
-
-def cache_efficiency(telemetry: Iterable[Dict[str, Any]]) -> Dict[int, float]:
-    """Per-wave cache hit rate from ``shard_telemetry`` rows.
-
-    The rate is hits over lookups summed across the wave's shards; waves
-    whose shards performed no lookups are omitted rather than reported as
-    zero (no lookups is not a miss).
-    """
-    hits: Dict[int, int] = {}
-    lookups: Dict[int, int] = {}
-    for row in telemetry:
-        wave = _wave_of(row)
-        if wave is None:
-            continue
-        wave_hits = int(row.get("cache_hits", 0))
-        hits[wave] = hits.get(wave, 0) + wave_hits
-        lookups[wave] = (lookups.get(wave, 0) + wave_hits
-                         + int(row.get("cache_misses", 0)))
-    return {wave: hits[wave] / lookups[wave]
-            for wave in sorted(lookups) if lookups[wave] > 0}
-
-
 def campaign_metric_registry(
         result: Any, events: Optional[Iterable[Dict[str, Any]]] = None,
         registry: Optional[MetricRegistry] = None) -> MetricRegistry:
@@ -130,9 +77,9 @@ def campaign_metric_registry(
     ----------
     result:
         A :class:`~repro.fleet.campaign.CampaignResult` (or any object
-        with ``waves`` records and a ``shard_telemetry`` list; wave
-        records may be objects with ``to_dict`` or plain dicts, so
-        round-tripped canonical records fold identically).
+        with ``waves`` records; wave records may be objects with
+        ``to_dict`` or plain dicts, so round-tripped canonical records
+        fold identically).
     events:
         Optional tracer events (``tracer.events`` or
         :func:`~repro.observability.tracer.load_trace` output) — adds the
@@ -151,18 +98,6 @@ def campaign_metric_registry(
         for metric in WAVE_METRICS:
             if metric in row:
                 registry.sample(wave, WAVE_SOURCE, metric, float(row[metric]))
-    telemetry = list(getattr(result, "shard_telemetry", None) or [])
-    for wave, value in sorted(shard_imbalance(telemetry).items()):
-        registry.sample(float(wave), SHARD_SOURCE, "imbalance", value)
-    shards_per_wave: Dict[int, int] = {}
-    for row in telemetry:
-        wave = _wave_of(row)
-        if wave is not None:
-            shards_per_wave[wave] = shards_per_wave.get(wave, 0) + 1
-    for wave, count in sorted(shards_per_wave.items()):
-        registry.sample(float(wave), SHARD_SOURCE, "shards", float(count))
-    for wave, rate in sorted(cache_efficiency(telemetry).items()):
-        registry.sample(float(wave), CACHE_SOURCE, "hit_rate", rate)
     if events is not None:
         for wave, latency in sorted(wave_latencies(events).items()):
             registry.sample(float(wave), ADMISSION_SOURCE, "latency_s",
@@ -217,15 +152,11 @@ def service_metric_registry(
 
 __all__ = [
     "ADMISSION_SOURCE",
-    "CACHE_SOURCE",
     "SERVICE_METRICS",
     "SERVICE_SOURCE",
-    "SHARD_SOURCE",
     "WAVE_METRICS",
     "WAVE_SOURCE",
-    "cache_efficiency",
     "campaign_metric_registry",
     "service_metric_registry",
-    "shard_imbalance",
     "wave_latencies",
 ]

@@ -3,14 +3,12 @@
 :class:`CampaignTracer` is a structured event sink: every call to
 :meth:`~CampaignTracer.emit` appends one flat JSON-serializable event with a
 process-wide monotonic sequence number, an optional monotonic wall-clock
-offset, and whatever wave/shard/vehicle context the call site carries.  The
-campaign engine (:class:`~repro.fleet.campaign.Campaign`), the shard
-executor (:func:`~repro.fleet.shard.execute_shard`), the adversity seams and
-the analysis cache all report into one tracer, so a single JSONL file tells
-the whole story of a rollout — which wave staged whom, which deliveries
-dropped, which admissions replayed a precedent and which ran a full
-integration, where the cache hit and where the segment store carried an
-analysis across processes.
+offset, and whatever wave/vehicle context the call site carries.  The
+campaign engine (:class:`~repro.fleet.campaign.Campaign`), the adversity
+seams and the analysis cache all report into one tracer, so a single JSONL
+file tells the whole story of a rollout — which wave staged whom, which
+deliveries dropped, which admissions replayed a precedent and which ran a
+full integration, and where the cache hit.
 
 Design constraints, in order:
 
@@ -20,21 +18,13 @@ Design constraints, in order:
   untraced campaign executes exactly the pre-tracing code path.
 * **Read-only.**  The tracer observes; it never feeds back into any
   decision.  Traced and untraced campaigns produce field-for-field
-  identical :class:`~repro.fleet.campaign.CampaignResult` records at any
-  worker count (pinned by ``tests/test_observability.py``).
+  identical :class:`~repro.fleet.campaign.CampaignResult` records (pinned
+  by ``tests/test_observability.py``).
 * **Deterministic mode.**  ``deterministic=True`` suppresses every
-  wall-clock-derived field (:data:`WALL_CLOCK_FIELDS`: timestamps, elapsed
-  times, process ids), so a trace becomes a pure function of the campaign
-  parameters — two ``workers=1`` runs of the same campaign write
-  byte-identical trace files.  (Pooled traces remain complete but their
-  *shard* events arrive in completion order, which the pool scheduler
-  owns; only the campaign result is order-independent.)
-* **Cross-process events without cross-process writers.**  Shard workers
-  do not write trace files.  :func:`~repro.fleet.shard.execute_shard`
-  collects its per-item events into the returned
-  :class:`~repro.fleet.shard.ShardResult` and the campaign parent folds
-  them into the tracer post-join (:meth:`~CampaignTracer.ingest`), so the
-  JSONL file always has exactly one writer and needs no locking.
+  wall-clock-derived field (:data:`WALL_CLOCK_FIELDS`: timestamps and
+  process ids), so a trace becomes a pure function of the campaign
+  parameters — two runs of the same campaign write byte-identical trace
+  files.
 
 Events are buffered in memory and written on :meth:`flush`/:meth:`close`
 (the campaign flushes once per run); an enabled tracer therefore costs one
@@ -47,12 +37,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Event fields derived from wall clocks or process identity — everything a
-#: deterministic trace must not contain.  ``emit`` and ``ingest`` drop these
-#: in deterministic mode; the metrics bridge treats them as optional.
-WALL_CLOCK_FIELDS = frozenset({"t_s", "pid", "elapsed_s", "worker_pid"})
+#: deterministic trace must not contain.  ``emit`` drops these in
+#: deterministic mode; the metrics bridge treats them as optional.
+WALL_CLOCK_FIELDS = frozenset({"t_s", "pid"})
 
 
 class TraceError(ValueError):
@@ -93,13 +83,13 @@ class CampaignTracer:
     # -- emission ----------------------------------------------------------
 
     def emit(self, event: str, wave: Optional[int] = None,
-             shard: Optional[int] = None, vehicle: Optional[str] = None,
+             vehicle: Optional[str] = None,
              **fields: Any) -> Dict[str, Any]:
         """Record one event and return the stored record.
 
         ``event`` names the span (dotted taxonomy, e.g. ``"wave.end"`` —
-        see ``docs/OBSERVABILITY.md``); ``wave``/``shard``/``vehicle`` are
-        the standard context keys and further keyword fields travel
+        see ``docs/OBSERVABILITY.md``); ``wave``/``vehicle`` are the
+        standard context keys and further keyword fields travel
         verbatim.  Outside deterministic mode every event also carries
         ``t_s`` (monotonic seconds since the tracer was created) and
         ``pid``.
@@ -111,8 +101,6 @@ class CampaignTracer:
             record["pid"] = os.getpid()
         if wave is not None:
             record["wave"] = wave
-        if shard is not None:
-            record["shard"] = shard
         if vehicle is not None:
             record["vehicle"] = vehicle
         for key, value in fields.items():
@@ -121,27 +109,6 @@ class CampaignTracer:
             record[key] = value
         self._store(record)
         return record
-
-    def ingest(self, events: Iterable[Dict[str, Any]],
-               wave: Optional[int] = None) -> int:
-        """Fold worker-collected event dicts into this trace.
-
-        Shard workers return their per-item events inside the
-        :class:`~repro.fleet.shard.ShardResult`; the parent ingests them
-        post-join.  Each ingested event gets a fresh parent-side sequence
-        number (and timestamp, outside deterministic mode) — the worker's
-        own field values are preserved except for wall-clock fields in
-        deterministic mode.  Returns the number of events ingested.
-        """
-        count = 0
-        for source in events:
-            fields = {key: value for key, value in source.items()
-                      if key not in ("event", "seq")}
-            if wave is not None:
-                fields.setdefault("wave", wave)
-            self.emit(str(source.get("event", "event")), **fields)
-            count += 1
-        return count
 
     def _store(self, record: Dict[str, Any]) -> None:
         if self.keep_events:

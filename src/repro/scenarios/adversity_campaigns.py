@@ -17,8 +17,7 @@ these three scenarios re-run it through the adversity layer
   in hot waves and recover with the temperature.
 
 Each scenario is a pure function of its parameters (fresh seeded adversity
-state per run) and remains byte-identical between ``workers=1`` and pooled
-execution — the adversity hooks all run in the campaign parent.
+state per run): the adversity hooks run in wave order from seeded streams.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ def _run_adverse_campaign(adversity: AdversityModel, fleet_size: int,
                           extra_components: int, update_utilization: float,
                           canary_size: int, wave_fractions: tuple,
                           max_failure_rate: float,
-                          failure_injection_rate: float,
-                          workers: int) -> CampaignResult:
+                          failure_injection_rate: float) -> CampaignResult:
     """One staged campaign with an adversity model plugged into the loop."""
     spec = FleetSpec(size=fleet_size, seed=seed, heterogeneity=heterogeneity,
                      num_variants=num_variants,
@@ -68,8 +66,7 @@ def _run_adverse_campaign(adversity: AdversityModel, fleet_size: int,
     campaign = Campaign(vehicles, update_factory, policy=policy,
                         analysis_cache=cache, batch_admission=True,
                         failure_injection_rate=failure_injection_rate,
-                        feedback_seed=seed, workers=workers,
-                        adversity=adversity)
+                        feedback_seed=seed, adversity=adversity)
     return campaign.run()
 
 
@@ -113,8 +110,7 @@ def run_intrusion_campaign_scenario(fleet_size: int = 40, seed: int = 0,
                                     failure_injection_rate: float = 0.0,
                                     canary_size: int = 2,
                                     wave_fractions: tuple = (0.2, 0.5, 1.0),
-                                    max_failure_rate: float = 0.2,
-                                    workers: int = 1
+                                    max_failure_rate: float = 0.2
                                     ) -> IntrusionCampaignResult:
     """Run one staged campaign with compromised vehicles in the feedback loop.
 
@@ -138,7 +134,7 @@ def run_intrusion_campaign_scenario(fleet_size: int = 40, seed: int = 0,
         extra_components=extra_components,
         update_utilization=update_utilization, canary_size=canary_size,
         wave_fractions=wave_fractions, max_failure_rate=max_failure_rate,
-        failure_injection_rate=failure_injection_rate, workers=workers)
+        failure_injection_rate=failure_injection_rate)
     compromised = set(adversity.compromised_ids)
     suspected = set(adversity.ids.suspected_compromised())
     return IntrusionCampaignResult(
@@ -198,8 +194,7 @@ def run_lossy_ota_campaign_scenario(fleet_size: int = 40, seed: int = 0,
                                     failure_injection_rate: float = 0.0,
                                     canary_size: int = 2,
                                     wave_fractions: tuple = (0.2, 0.5, 1.0),
-                                    max_failure_rate: float = 0.3,
-                                    workers: int = 1
+                                    max_failure_rate: float = 0.3
                                     ) -> LossyOtaCampaignResult:
     """Run one staged campaign across a lossy OTA delivery network.
 
@@ -217,7 +212,7 @@ def run_lossy_ota_campaign_scenario(fleet_size: int = 40, seed: int = 0,
         extra_components=extra_components,
         update_utilization=update_utilization, canary_size=canary_size,
         wave_fractions=wave_fractions, max_failure_rate=max_failure_rate,
-        failure_injection_rate=failure_injection_rate, workers=workers)
+        failure_injection_rate=failure_injection_rate)
     return LossyOtaCampaignResult(
         fleet_size=outcome.fleet_size,
         drop_rate=drop_rate,
@@ -280,8 +275,8 @@ def run_thermal_campaign_scenario(fleet_size: int = 40, seed: int = 0,
                                   failure_injection_rate: float = 0.0,
                                   canary_size: int = 2,
                                   wave_fractions: tuple = (0.2, 0.5, 1.0),
-                                  max_failure_rate: float = 1.0,
-                                  workers: int = 1) -> ThermalCampaignResult:
+                                  max_failure_rate: float = 1.0
+                                  ) -> ThermalCampaignResult:
     """Run one staged campaign through a heat wave.
 
     The ambient temperature ramps to ``peak_ambient_c`` at wave
@@ -303,7 +298,7 @@ def run_thermal_campaign_scenario(fleet_size: int = 40, seed: int = 0,
         extra_components=extra_components,
         update_utilization=update_utilization, canary_size=canary_size,
         wave_fractions=wave_fractions, max_failure_rate=max_failure_rate,
-        failure_injection_rate=failure_injection_rate, workers=workers)
+        failure_injection_rate=failure_injection_rate)
     speed_by_wave = {wave: speed
                      for wave, _, _, speed in adversity.trace}
     hot = sum(record.rejected for record in outcome.waves

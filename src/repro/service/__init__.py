@@ -7,9 +7,9 @@ fleet evolves — and this package gives the repo that long-running shape:
 submissions from many tenants, drives each campaign's
 :class:`~repro.fleet.engine.CampaignEngine` one wave per scheduling claim,
 streams per-wave progress to subscribers, and exposes halt/resume/rollback
-as API calls over the campaign checkpoint machinery.  Tenants optionally
-share one append-only analysis-cache store — identical per-tenant results,
-warmer caches (see ``docs/SERVICE.md`` and the E17 benchmark).
+as API calls over the campaign checkpoint machinery.  Every tenant's result
+is identical to an isolated run of its submission (see ``docs/SERVICE.md``
+and the E17 benchmark).
 
 ``python -m repro.experiments serve`` runs a synthetic multi-tenant
 workload against the service from the command line.

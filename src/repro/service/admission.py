@@ -22,29 +22,22 @@ policy halt parks it with the halt-written
 :class:`~repro.service.schemas.RollbackRequest` returns every vehicle of the
 fleet to its at-baseline state and retires the job.
 
-Tenancy and sharing
--------------------
+Tenancy
+-------
 
 Every job owns its fleet and its :class:`~repro.analysis.cache.AnalysisCache`
-— verdict isolation is structural.  What tenants *share* is the optional
-``store_dir``: one append-only
-:class:`~repro.analysis.cache_store.SegmentStore` directory every campaign
-publishes its newly derived busy-window analyses to and absorbs its
-neighbours' from (safe concurrently — each writer owns its segment, and
-writer ids are per-instance).  Sharing moves wall time only: the cache is
-content-addressed and the analysis exact, so a tenant's campaign result is
-byte-identical to an isolated run of the same submission — the E17
-benchmark measures the throughput gain and asserts the identity.
+— verdict isolation is structural, so a tenant's campaign result is
+byte-identical to an isolated run of the same submission (the E17
+benchmark asserts the identity).
 
 Determinism
 -----------
 
 Steps execute inline on the event loop, one at a time — the service
 interleaves campaigns at wave granularity rather than running waves of
-different tenants in true parallel (a campaign's own ``workers`` knob
-provides real parallelism inside a wave through its shard pool).  Inline
-stepping keeps the service loop deterministic and lock-free; the scheduling
-order changes *when* a wave runs, never what it computes.
+different tenants in true parallel.  Inline stepping keeps the service loop
+deterministic and lock-free; the scheduling order changes *when* a wave
+runs, never what it computes.
 """
 
 from __future__ import annotations
@@ -102,10 +95,6 @@ class AdmissionService:
 
     Parameters
     ----------
-    store_dir:
-        Optional directory of the shared append-only analysis-cache store
-        every tenant's campaign publishes to and absorbs from.  ``None``
-        runs tenants fully isolated (identical results, colder caches).
     slots:
         Number of concurrent scheduler tasks claiming (tenant, job) pairs.
         Each claim executes exactly one wave; more slots means more jobs
@@ -117,10 +106,9 @@ class AdmissionService:
     checkpoint — a stopped service loses no work.
     """
 
-    def __init__(self, store_dir: Optional[str] = None, slots: int = 2) -> None:
+    def __init__(self, slots: int = 2) -> None:
         if slots < 1:
             raise ServiceError("slots must be at least 1")
-        self.store_dir = store_dir
         self.slots = slots
         self._jobs: Dict[str, _Job] = {}
         self._tenant_queues: Dict[str, Deque[str]] = {}
@@ -310,9 +298,7 @@ class AdmissionService:
             try:
                 self._advance(job)
             except Exception as error:
-                if job.engine is not None:
-                    job.engine.close()
-                    job.engine = None
+                job.engine = None
                 job.error = str(error)
                 job.state = JobState.FAILED
                 self._release(job)
@@ -394,7 +380,7 @@ class AdmissionService:
         job.halt_requested = False
         if job.engine is not None:
             job.checkpoint = job.engine.checkpoint()
-            job.engine.finalize()  # join the pool, publish the store delta
+            job.engine.finalize()
             job.engine = None
         job.state = JobState.HALTED
 
@@ -410,7 +396,7 @@ class AdmissionService:
         from repro.scenarios.fleet_campaign import build_update_contract
         request = job.request
         if job.fleet is None:
-            job.cache = AnalysisCache(batch_kernel=request.batch_kernel)
+            job.cache = AnalysisCache()
             job.fleet = generate_fleet(request.fleet_spec(),
                                        analysis_cache=job.cache)
 
@@ -437,8 +423,7 @@ class AdmissionService:
             job.fleet, update_factory, policy=policy,
             analysis_cache=job.cache,
             failure_injection_rate=request.failure_injection_rate,
-            feedback_seed=request.seed, workers=request.workers,
-            batch_kernel=request.batch_kernel, cache_store=self.store_dir)
+            feedback_seed=request.seed)
         job.engine = CampaignEngine(job.campaign,
                                     resume_from=job.checkpoint)
 

@@ -14,8 +14,8 @@ Every campaign knob of :class:`SubmitCampaign` mirrors the E10 scenario
 submitted campaign is a pure function of its parameters, so a tenant's
 result is byte-identical to an isolated direct
 :meth:`~repro.fleet.campaign.Campaign.run` over the same parameters — no
-matter how many other tenants share the service or its analysis-cache
-store (the E17 benchmark pins this).
+matter how many other tenants share the service (the E17 benchmark pins
+this).
 """
 
 from __future__ import annotations
@@ -87,8 +87,6 @@ class SubmitCampaign:
     max_failure_rate: float = 0.3
     rollback_on_halt: bool = True
     failure_injection_rate: float = 0.0
-    workers: int = 1
-    batch_kernel: bool = False
 
     def __post_init__(self) -> None:
         if not self.tenant or not isinstance(self.tenant, str):
@@ -101,8 +99,6 @@ class SubmitCampaign:
             raise ServiceError("update_utilization must be positive")
         if not 0.0 <= self.failure_injection_rate <= 1.0:
             raise ServiceError("failure_injection_rate must be in [0, 1]")
-        if self.workers < 1:
-            raise ServiceError("workers must be at least 1")
         # Staging-policy shape errors surface at submit time too, with the
         # campaign layer's own messages (WavePolicy validates in its
         # __post_init__); tuple-ify defensively so callers can pass lists.

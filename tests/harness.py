@@ -7,10 +7,10 @@ holds the pieces those suites share:
 
 * UUniFast task-set generators (``make_taskset``, ``rebuild``) and the
   field-by-field verdict comparator ``assert_equivalent`` used by the
-  incremental-CPA and batch-kernel suites;
+  incremental-CPA and batched-analysis suites;
 * the from-scratch oracles ``cold_results`` (plain busy-window analysis)
   and :class:`ColdTimingAcceptanceTest` (a stateless MCC timing viewpoint)
-  used by the MCC differential suite;
+  used by the batched-analysis and MCC differential suites;
 * randomized change-request chains over UUniFast component pools
   (``random_chain``, ``make_contract``, ``clone_request``,
   ``build_platform``);

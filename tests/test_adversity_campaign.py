@@ -4,9 +4,10 @@ Two differential harnesses pin the load-bearing guarantees of
 :mod:`repro.fleet.adversity`:
 
 * **Worker parity** — every adversity model draws its randomness from
-  ``SeededRNG`` streams keyed on campaign parameters and executes in the
-  parent in wave order, so a perturbed campaign must stay byte-identical
-  between ``workers=1`` and a pooled layout (hypothesis-seeded).
+  ``SeededRNG`` streams keyed on campaign parameters and executes in wave
+  order, so a perturbed campaign must reach byte-identical verdicts whether
+  a wave is admitted as one batch or vehicle by vehicle by the sequential
+  oracle (hypothesis-seeded).
 * **Sequential reference** — the halt decision under compromised/false
   deviation feedback is recomputed by an independent sequential replay
   (per-vehicle admission on a fresh fleet, per-vehicle feedback draws for
@@ -38,7 +39,8 @@ from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import build_update_contract
 from repro.sim.random import SeededRNG, derive_seed
 
-from test_parallel_campaign import campaign_digest, fleet_digest
+from test_parallel_campaign import (campaign_digest, fleet_digest,
+                                    verdict_digest)
 
 
 def make_factory(utilization=0.22):
@@ -57,9 +59,9 @@ def make_factory(utilization=0.22):
     return factory
 
 
-def run_adverse(size, seed, workers, adversity, *, policy=None,
+def run_adverse(size, seed, adversity, *, policy=None,
                 utilization=0.22, failure_rate=0.0, num_variants=3,
-                extra_components=2):
+                extra_components=2, batch_admission=True):
     """One campaign run under ``adversity`` (pass a FRESH model per run —
     adversity models are stateful)."""
     spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
@@ -67,7 +69,7 @@ def run_adverse(size, seed, workers, adversity, *, policy=None,
     cache = AnalysisCache()
     fleet = generate_fleet(spec, analysis_cache=cache)
     campaign = Campaign(fleet, make_factory(utilization), policy=policy,
-                        analysis_cache=cache, workers=workers,
+                        analysis_cache=cache, batch_admission=batch_admission,
                         failure_injection_rate=failure_rate,
                         feedback_seed=seed, adversity=adversity)
     return fleet, campaign, campaign.run()
@@ -78,15 +80,14 @@ class TestNoOpAdversity:
     to one without any adversity at all."""
 
     def test_base_model_matches_unperturbed_run(self):
-        fleet_none, _, plain = run_adverse(12, seed=7, workers=1,
-                                           adversity=None)
-        fleet_noop, _, noop = run_adverse(12, seed=7, workers=1,
+        fleet_none, _, plain = run_adverse(12, seed=7, adversity=None)
+        fleet_noop, _, noop = run_adverse(12, seed=7,
                                           adversity=AdversityModel())
         assert campaign_digest(noop) == campaign_digest(plain)
         assert fleet_digest(fleet_noop) == fleet_digest(fleet_none)
 
     def test_perturbation_fields_stay_zero_unperturbed(self):
-        _, _, result = run_adverse(10, seed=1, workers=1, adversity=None)
+        _, _, result = run_adverse(10, seed=1, adversity=None)
         assert (result.undelivered, result.retried, result.abandoned,
                 result.discounted) == (0, 0, 0, 0)
         for record in result.waves:
@@ -101,13 +102,13 @@ class TestNoOpAdversity:
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
-                            analysis_cache=cache, workers=1,
+                            analysis_cache=cache,
                             failure_injection_rate=1.0, feedback_seed=3,
                             checkpoint_path=checkpoint_path)
         halted = campaign.run()
         assert halted.halted and campaign.last_checkpoint is not None
         resumed_campaign = Campaign(fleet, make_factory(), policy=policy,
-                                    analysis_cache=cache, workers=1,
+                                    analysis_cache=cache,
                                     feedback_seed=3,
                                     adversity=LossyDeliveryAdversity(0.5))
         with pytest.raises(CampaignError, match="adversity"):
@@ -125,7 +126,7 @@ class TestNoOpAdversity:
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
-                            analysis_cache=cache, workers=1, feedback_seed=5,
+                            analysis_cache=cache, feedback_seed=5,
                             adversity=adversity,
                             checkpoint_path=checkpoint_path)
         result = campaign.run()
@@ -135,9 +136,10 @@ class TestNoOpAdversity:
 
 
 class TestWorkerParity:
-    """Acceptance criterion: byte-identical workers=1 vs pooled results for
-    every adversity model — digests include the undelivered/retried/
-    abandoned/discounted accounting via the wave ``to_dict`` rows."""
+    """Both admission paths — batched waves and the sequential per-vehicle
+    oracle — agree for every adversity model.  Digests include the
+    undelivered/retried/abandoned/discounted accounting via the wave
+    ``to_dict`` rows."""
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -145,15 +147,15 @@ class TestWorkerParity:
            drop_rate=st.sampled_from([0.2, 0.5]))
     def test_lossy_delivery_parity(self, seed, drop_rate):
         fleet_seq, _, sequential = run_adverse(
-            10, seed=seed, workers=1,
+            10, seed=seed, batch_admission=False,
             adversity=LossyDeliveryAdversity(drop_rate, max_retries=2,
                                              seed=seed))
-        fleet_par, _, parallel = run_adverse(
-            10, seed=seed, workers=4,
+        fleet_bat, _, batched = run_adverse(
+            10, seed=seed,
             adversity=LossyDeliveryAdversity(drop_rate, max_retries=2,
                                              seed=seed))
-        assert campaign_digest(parallel) == campaign_digest(sequential)
-        assert fleet_digest(fleet_par) == fleet_digest(fleet_seq)
+        assert verdict_digest(batched) == verdict_digest(sequential)
+        assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -168,13 +170,14 @@ class TestWorkerParity:
             return IntrusionAdversity(compromise_rate=0.3, mode=mode,
                                       discount_suspected=discount, seed=seed)
 
-        fleet_seq, _, sequential = run_adverse(10, seed=seed, workers=1,
+        fleet_seq, _, sequential = run_adverse(10, seed=seed,
                                                adversity=model(),
-                                               policy=policy)
-        fleet_par, _, parallel = run_adverse(10, seed=seed, workers=4,
-                                             adversity=model(), policy=policy)
-        assert campaign_digest(parallel) == campaign_digest(sequential)
-        assert fleet_digest(fleet_par) == fleet_digest(fleet_seq)
+                                               policy=policy,
+                                               batch_admission=False)
+        fleet_bat, _, batched = run_adverse(10, seed=seed, adversity=model(),
+                                            policy=policy)
+        assert verdict_digest(batched) == verdict_digest(sequential)
+        assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -188,15 +191,15 @@ class TestWorkerParity:
             return ThermalAdversity(peak_ambient_c=peak, peak_wave=1,
                                     wave_dt_s=240.0)
 
-        fleet_seq, _, sequential = run_adverse(10, seed=seed, workers=1,
+        fleet_seq, _, sequential = run_adverse(10, seed=seed,
                                                adversity=model(),
                                                policy=policy,
-                                               utilization=0.3)
-        fleet_par, _, parallel = run_adverse(10, seed=seed, workers=4,
-                                             adversity=model(), policy=policy,
-                                             utilization=0.3)
-        assert campaign_digest(parallel) == campaign_digest(sequential)
-        assert fleet_digest(fleet_par) == fleet_digest(fleet_seq)
+                                               utilization=0.3,
+                                               batch_admission=False)
+        fleet_bat, _, batched = run_adverse(10, seed=seed, adversity=model(),
+                                            policy=policy, utilization=0.3)
+        assert verdict_digest(batched) == verdict_digest(sequential)
+        assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
 
 
 class _ReferenceRateIds:
@@ -296,7 +299,7 @@ class TestIntrusionSequentialReference:
         adversity = IntrusionAdversity(compromise_rate=compromise_rate,
                                        mode=mode, discount_suspected=discount,
                                        seed=seed)
-        _, _, result = run_adverse(14, seed=seed, workers=1,
+        _, _, result = run_adverse(14, seed=seed,
                                    adversity=adversity, policy=policy,
                                    utilization=0.08)
         fresh = generate_fleet(FleetSpec(size=14, seed=seed, num_variants=3,
@@ -328,9 +331,9 @@ class TestIntrusionSequentialReference:
             return IntrusionAdversity(compromise_rate=0.5, seed=11,
                                       discount_suspected=discount)
 
-        _, _, undefended = run_adverse(14, seed=11, workers=1,
+        _, _, undefended = run_adverse(14, seed=11,
                                        adversity=model(False), policy=policy)
-        _, _, defended = run_adverse(14, seed=11, workers=1,
+        _, _, defended = run_adverse(14, seed=11,
                                      adversity=model(True), policy=policy)
         assert undefended.halted
         assert defended.completed and not defended.halted
@@ -338,8 +341,7 @@ class TestIntrusionSequentialReference:
 
     def test_suspects_are_exactly_the_compromised_reporters(self):
         adversity = IntrusionAdversity(compromise_rate=0.5, seed=11)
-        fleet, _, result = run_adverse(14, seed=11, workers=1,
-                                       adversity=adversity)
+        fleet, _, result = run_adverse(14, seed=11, adversity=adversity)
         suspects = set(adversity.ids.suspected_compromised())
         assert suspects
         assert suspects == set(adversity.compromised_ids)
@@ -353,7 +355,7 @@ class TestIntrusionSequentialReference:
                             max_failure_rate=0.2)
         adversity = IntrusionAdversity(compromise_rate=0.5,
                                        mode="under_report", seed=11)
-        _, _, result = run_adverse(14, seed=11, workers=1,
+        _, _, result = run_adverse(14, seed=11,
                                    adversity=adversity, policy=policy)
         assert result.deviating > 0
         assert result.discounted == 0
@@ -365,16 +367,14 @@ class TestLossyDelivery:
 
     def test_full_coverage_with_generous_retries(self):
         adversity = LossyDeliveryAdversity(0.5, max_retries=40, seed=3)
-        fleet, _, result = run_adverse(12, seed=3, workers=1,
-                                       adversity=adversity)
+        fleet, _, result = run_adverse(12, seed=3, adversity=adversity)
         assert result.abandoned == 0
         assert all(vehicle.updated for vehicle in fleet)
         assert result.admitted + result.rejected == len(fleet)
 
     def test_accounting_identities(self):
         adversity = LossyDeliveryAdversity(0.4, max_retries=2, seed=9)
-        fleet, _, result = run_adverse(12, seed=9, workers=1,
-                                       adversity=adversity)
+        fleet, _, result = run_adverse(12, seed=9, adversity=adversity)
         assert result.completed
         # Every drop is one undelivered event (the vehicle was staged but
         # not updated that wave) that either defers or abandons the vehicle.
@@ -388,7 +388,7 @@ class TestLossyDelivery:
 
     def test_straggler_waves_extend_the_plan(self):
         adversity = LossyDeliveryAdversity(0.6, max_retries=30, seed=4)
-        _, _, result = run_adverse(12, seed=4, workers=1, adversity=adversity)
+        _, _, result = run_adverse(12, seed=4, adversity=adversity)
         kinds = [record.kind for record in result.waves]
         planned = {"canary", "wave", "full"}
         assert set(kinds) - planned == {"straggler"}
@@ -398,8 +398,7 @@ class TestLossyDelivery:
 
     def test_zero_retries_abandons_on_first_drop(self):
         adversity = LossyDeliveryAdversity(0.5, max_retries=0, seed=7)
-        fleet, _, result = run_adverse(12, seed=7, workers=1,
-                                       adversity=adversity)
+        fleet, _, result = run_adverse(12, seed=7, adversity=adversity)
         assert result.retried == 0  # nothing is ever carried forward
         assert result.abandoned == adversity.drops  # every drop abandons
         assert result.undelivered == result.abandoned
@@ -412,7 +411,7 @@ class TestLossyDelivery:
                 return False
 
         with pytest.raises(CampaignError, match="stalled"):
-            run_adverse(6, seed=1, workers=1, adversity=BlackHole())
+            run_adverse(6, seed=1, adversity=BlackHole())
 
     def test_drop_rate_validation(self):
         with pytest.raises(ValueError):
@@ -471,7 +470,7 @@ class TestThermalAdversity:
                             max_failure_rate=1.0)
         adversity = ThermalAdversity(peak_ambient_c=90.0, peak_wave=2,
                                      wave_dt_s=240.0)
-        _, _, result = run_adverse(14, seed=2, workers=1, adversity=adversity,
+        _, _, result = run_adverse(14, seed=2, adversity=adversity,
                                    policy=policy, utilization=0.35,
                                    extra_components=6)
         assert result.completed

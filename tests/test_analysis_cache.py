@@ -297,16 +297,8 @@ class TestSnapshotPersistence:
         assert len(target) == 2
         assert (target.hits, target.misses) == (0, 1)  # merging is no lookup
 
-    def test_export_entries_excludes_keys(self):
-        cache = AnalysisCache()
-        cache.analyse(_taskset(wcet_high=0.001))
-        baseline = {key for key, _ in cache.export_entries()}
-        cache.analyse(_taskset(wcet_high=0.002))
-        fresh = cache.export_entries(exclude=baseline)
-        assert len(fresh) == 1
-
     def test_pickled_cache_travels_empty(self):
-        """Pickling a cache object (as a rider inside a shard payload)
+        """Pickling a cache object (as a rider inside a pickled vehicle)
         deliberately ships capacity only — warm-starts are explicit via
         snapshots, and verdicts never depend on cache contents."""
         import pickle
@@ -377,9 +369,10 @@ class TestMccIntegration:
 
 
 class TestBatchKernelOrderPreservation:
-    """Regression: `analyse_many` must return results in input order even
-    when cold misses are re-batched by congruence group inside the
-    batch-kernel engine (which solves groups out of input order)."""
+    """Regression: `analyse_many` must return results in input order when a
+    wave interleaves hits, misses and in-wave duplicates across several
+    task-set shapes (misses are solved as one engine batch, hits and
+    duplicates are filled in around it)."""
 
     @staticmethod
     def _grid():
@@ -387,7 +380,7 @@ class TestBatchKernelOrderPreservation:
         from repro.sim.random import SeededRNG
         rng = SeededRNG(31)
         sets = []
-        for seed in range(3):  # three congruence groups ...
+        for seed in range(3):  # three task-set shapes ...
             base = make_taskset(seed + 40, 5 + seed, 0.7).tasks()
             for _ in range(3):  # ... of three perturbed members each
                 sets.append(rebuild([t.scaled(rng.uniform(0.8, 1.25))
@@ -397,12 +390,11 @@ class TestBatchKernelOrderPreservation:
     def test_interleaved_hits_misses_and_duplicates(self):
         from harness import assert_equivalent, cold_results
         sets = self._grid()
-        cache = AnalysisCache(batch_kernel=True)
-        assert cache.batch_kernel
+        cache = AnalysisCache()
         # Warm three entries so the wave below interleaves hits with misses.
         cache.analyse_many([sets[0], sets[4], sets[8]])
         # Hit, miss, duplicate-miss, hit, miss — deliberately shuffled across
-        # congruence groups so the engine regroups them internally.
+        # the shapes.
         wave = [sets[4], sets[1], sets[5], sets[1], sets[0],
                 sets[7], sets[2], sets[8], sets[5], sets[6]]
         results = cache.analyse_many(wave)
@@ -417,17 +409,10 @@ class TestBatchKernelOrderPreservation:
     def test_batched_wave_equals_sequential_lookups(self):
         from harness import assert_equivalent
         sets = self._grid()
-        batched_cache = AnalysisCache(batch_kernel=True)
+        batched_cache = AnalysisCache()
         sequential_cache = AnalysisCache()
         batched = batched_cache.analyse_many(sets)
         sequential = [sequential_cache.analyse(taskset) for taskset in sets]
         for position in range(len(sets)):
             assert_equivalent(batched[position], sequential[position],
                               f"position={position}")
-
-    def test_pickle_roundtrip_keeps_batch_kernel(self):
-        import pickle
-        cache = AnalysisCache(batch_kernel=True)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.batch_kernel
-        assert not pickle.loads(pickle.dumps(AnalysisCache())).batch_kernel

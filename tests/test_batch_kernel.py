@@ -1,57 +1,49 @@
-"""Differential-oracle tests for the vectorized batch busy-window kernel.
+"""Differential-oracle tests for batched busy-window analysis.
 
-The contract of :class:`~repro.analysis.batch.BatchResponseTimeAnalysis` is
-*byte-identity*: for any grid of task sets, the lockstep kernel — numpy or
-pure-Python path — must produce field-for-field the results of a cold
-:class:`~repro.analysis.cpa.ResponseTimeAnalysis` per lane, and the
-``batch_kernel``-enabled incremental engine must stay verdict-identical to
-its scalar self.  The suites below drive randomized UUniFast grids
-(hypothesis plus seeded sweeps), adversarial fixpoint edge cases, and the
-engine/scenario wiring through the shared ``tests/harness.py`` oracle.
+A fleet wave's admission hands the whole wave to
+:meth:`~repro.analysis.cache.AnalysisCache.analyse_many`, which forwards its
+misses as one
+:meth:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis.analyze_many`
+batch.  The contract of both entry points is exactness: for any grid of task
+sets, every lane's ``wcrt``/``schedulable``/``converged`` verdicts equal a
+cold :class:`~repro.analysis.cpa.ResponseTimeAnalysis` of that lane, in
+input order.  The suites below drive randomized UUniFast grids (hypothesis
+plus seeded sweeps), adversarial fixpoint edge cases, the engine history a
+batch leaves behind, and the scenario wiring through the shared
+``tests/harness.py`` oracle.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harness import assert_equivalent, cold_results, make_taskset, rebuild
-from repro.analysis.batch import (BatchResponseTimeAnalysis,
-                                  congruence_signature, numpy_available)
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.platform.tasks import Task, TaskSet
 from repro.sim.random import SeededRNG
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-KERNEL_PATHS = ([False, True] if numpy_available() else [False])
-
-
-def kernel(use_numpy: bool) -> BatchResponseTimeAnalysis:
-    return BatchResponseTimeAnalysis(use_numpy=use_numpy)
+#: ``False`` analyses through the bare incremental engine, ``True`` through
+#: the memoising cache in front of it (the path a campaign wave takes).
+BATCH_PATHS = [False, True]
 
 
-def assert_byte_identical(batched, cold, context: str) -> None:
-    """Full-field equality: wcrt, schedulable, converged, busy_window,
-    iterations — plus the completions trace, which ``__eq__`` excludes."""
-    assert set(batched) == set(cold), context
-    for name in cold:
-        a, b = batched[name], cold[name]
-        assert a == b, (f"{context}: {name} {a.wcrt, a.schedulable, a.converged, a.busy_window, a.iterations} "
-                        f"!= {b.wcrt, b.schedulable, b.converged, b.busy_window, b.iterations}")
-        assert a.completions == b.completions, f"{context}: {name} completions"
+def batched(cached: bool):
+    """A fresh batched entry point: ``analyse_many(tasksets, ...)``."""
+    if cached:
+        return AnalysisCache().analyse_many
+    return IncrementalResponseTimeAnalysis().analyze_many
 
 
 def perturbed_grid(seed: int, n: int, utilization: float, variants: int,
                    low: float = 0.7, high: float = 1.35):
     """An acceptance-sweep grid: one base set plus WCET-perturbed variants
-    (same congruence group by construction)."""
+    (same task names and priorities by construction)."""
     base = make_taskset(seed, n, utilization).tasks()
     rng = SeededRNG(seed + 10_000)
     grid = [rebuild(base)]
@@ -60,108 +52,78 @@ def perturbed_grid(seed: int, n: int, utilization: float, variants: int,
     return grid
 
 
-class TestCongruenceSignature:
-    def test_dense_rank_of_priorities(self):
-        taskset = TaskSet([Task("a", period=1.0, wcet=0.1, priority=7),
-                           Task("b", period=1.0, wcet=0.1, priority=3),
-                           Task("c", period=1.0, wcet=0.1, priority=7),
-                           Task("d", period=1.0, wcet=0.1, priority=9)])
-        assert congruence_signature(taskset) == (1, 0, 1, 2)
-
-    def test_parameters_do_not_matter(self):
-        a = make_taskset(0, 6, 0.6)
-        b = rebuild([t.scaled(1.4) for t in a.tasks()])
-        assert congruence_signature(a) == congruence_signature(b)
-
-    def test_structure_does_matter(self):
-        a = TaskSet([Task("a", period=1.0, wcet=0.1, priority=0),
-                     Task("b", period=1.0, wcet=0.1, priority=1)])
-        b = TaskSet([Task("a", period=1.0, wcet=0.1, priority=1),
-                     Task("b", period=1.0, wcet=0.1, priority=0)])
-        assert congruence_signature(a) != congruence_signature(b)
-
-    def test_empty_taskset(self):
-        assert congruence_signature(TaskSet()) == ()
-
-
 class TestBatchEqualsColdOracle:
-    """The kernel is byte-identical to per-lane from-scratch analysis."""
+    """Every lane of a batch equals its own from-scratch analysis."""
 
-    @pytest.mark.parametrize("use_numpy", KERNEL_PATHS)
+    @pytest.mark.parametrize("cached", BATCH_PATHS)
     @pytest.mark.parametrize("utilization", [0.5, 0.75, 0.9, 1.05])
-    def test_perturbed_grids(self, use_numpy, utilization):
+    def test_perturbed_grids(self, cached, utilization):
         for seed in (0, 1, 2):
             grid = perturbed_grid(seed, 8, utilization, variants=12)
-            solved = kernel(use_numpy).analyse_many(grid)
+            solved = batched(cached)(grid)
             for lane, taskset in enumerate(grid):
-                assert_byte_identical(solved[lane], cold_results(taskset),
-                                      f"seed={seed} u={utilization} lane={lane}")
+                assert_equivalent(solved[lane], cold_results(taskset),
+                                  f"seed={seed} u={utilization} lane={lane}")
 
-    @pytest.mark.parametrize("use_numpy", KERNEL_PATHS)
-    def test_mixed_congruence_grid_preserves_input_order(self, use_numpy):
+    @pytest.mark.parametrize("cached", BATCH_PATHS)
+    def test_mixed_congruence_grid_preserves_input_order(self, cached):
+        """Grids of several task-set shapes, shuffled together, come back
+        lane for lane in input order."""
         grid = []
         for seed in range(3):
             grid.extend(perturbed_grid(seed, 5 + seed, 0.7, variants=4))
         rng = SeededRNG(99)
         rng.shuffle(grid)
-        solved = kernel(use_numpy).analyse_many(grid)
+        solved = batched(cached)(grid)
         assert len(solved) == len(grid)
         for lane, taskset in enumerate(grid):
             assert set(solved[lane]) == {t.name for t in taskset}
-            assert_byte_identical(solved[lane], cold_results(taskset),
-                                  f"mixed lane={lane}")
+            assert_equivalent(solved[lane], cold_results(taskset),
+                              f"mixed lane={lane}")
 
-    @pytest.mark.parametrize("use_numpy", KERNEL_PATHS)
-    def test_divergent_lanes(self, use_numpy):
-        """Over-utilized lanes diverge identically (verdict, busy window,
-        iteration count) without disturbing schedulable neighbours."""
+    @pytest.mark.parametrize("cached", BATCH_PATHS)
+    def test_divergent_lanes(self, cached):
+        """Over-utilized lanes diverge exactly as the cold analysis does
+        without disturbing schedulable neighbours."""
         grid = (perturbed_grid(4, 6, 1.3, variants=4)
                 + perturbed_grid(5, 6, 0.5, variants=4))
-        solved = kernel(use_numpy).analyse_many(grid)
+        solved = batched(cached)(grid)
         diverged = 0
         for lane, taskset in enumerate(grid):
             cold = cold_results(taskset)
-            assert_byte_identical(solved[lane], cold, f"divergent lane={lane}")
+            assert_equivalent(solved[lane], cold, f"divergent lane={lane}")
             diverged += sum(1 for r in cold.values() if not r.converged)
         assert diverged > 0, "the grid must actually exercise divergence"
 
-    @pytest.mark.parametrize("use_numpy", KERNEL_PATHS)
-    def test_speed_factors_and_event_models(self, use_numpy):
+    @pytest.mark.parametrize("cached", BATCH_PATHS)
+    def test_speed_factors_and_event_models(self, cached):
         grid = perturbed_grid(7, 7, 0.65, variants=6)
         for speed in (1.0, 0.8, 0.4):
-            solved = kernel(use_numpy).analyse_many(grid, speed_factor=speed)
+            solved = batched(cached)(grid, speed_factor=speed)
             for lane, taskset in enumerate(grid):
-                assert_byte_identical(
+                assert_equivalent(
                     solved[lane], cold_results(taskset, speed_factor=speed),
                     f"speed={speed} lane={lane}")
         models = {"t0": EventModel(period=grid[0].get("t0").period, jitter=0.002),
                   "t3": EventModel(period=grid[0].get("t3").period * 0.9,
                                    jitter=0.001)}
-        solved = kernel(use_numpy).analyse_many(grid, event_models=models)
+        solved = batched(cached)(grid, event_models=models)
         for lane, taskset in enumerate(grid):
-            assert_byte_identical(
+            assert_equivalent(
                 solved[lane], cold_results(taskset, event_models=models),
                 f"event models lane={lane}")
 
-    @pytest.mark.parametrize("use_numpy", KERNEL_PATHS)
-    def test_empty_and_degenerate_batches(self, use_numpy):
-        k = kernel(use_numpy)
-        assert k.analyse_many([]) == []
-        assert k.analyse_many([TaskSet()]) == [{}]
+    @pytest.mark.parametrize("cached", BATCH_PATHS)
+    def test_empty_and_degenerate_batches(self, cached):
+        assert batched(cached)([]) == []
+        assert batched(cached)([TaskSet()]) == [{}]
         single = make_taskset(3, 5, 0.6)
-        assert_byte_identical(k.analyse_many([single])[0], cold_results(single),
-                              "single lane")
-
-    def test_analyse_group_rejects_mixed_signatures(self):
-        a = make_taskset(0, 4, 0.5)
-        b = make_taskset(0, 5, 0.5)
-        with pytest.raises(ValueError):
-            BatchResponseTimeAnalysis().analyse_group([a, b])
+        assert_equivalent(batched(cached)([single])[0], cold_results(single),
+                          "single lane")
 
     def test_rejects_nonpositive_speed_factor(self):
         with pytest.raises(ValueError):
-            BatchResponseTimeAnalysis().analyse_many([make_taskset(0, 4, 0.5)],
-                                                     speed_factor=0.0)
+            batched(False)([make_taskset(0, 4, 0.5)], speed_factor=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -169,128 +131,47 @@ class TestBatchEqualsColdOracle:
            utilization=st.floats(min_value=0.3, max_value=1.2),
            variants=st.integers(min_value=2, max_value=8))
     def test_randomized_grids_hypothesis(self, seed, n, utilization, variants):
-        """Property: any UUniFast grid — batch == incremental == cold."""
+        """Property: any UUniFast grid — engine batch == cached batch == cold."""
         grid = perturbed_grid(seed, n, utilization, variants)
-        batched = BatchResponseTimeAnalysis().analyse_many(grid)
-        engine = IncrementalResponseTimeAnalysis(batch_kernel=True)
-        engine_results = engine.analyze_many(grid)
+        engine_results = batched(False)(grid)
+        cached_results = batched(True)(grid)
         for lane, taskset in enumerate(grid):
             cold = cold_results(taskset)
-            assert_byte_identical(batched[lane], cold, f"batch lane={lane}")
             assert_equivalent(engine_results[lane], cold, f"engine lane={lane}")
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
-class TestNumpyPurePathParity:
-    """The two kernel paths are interchangeable down to the last field."""
-
-    def test_paths_agree_on_mixed_grid(self):
-        grid = (perturbed_grid(11, 9, 0.8, variants=10)
-                + perturbed_grid(12, 6, 1.25, variants=5)
-                + [TaskSet(), make_taskset(13, 3, 0.4)])
-        vec = kernel(True).analyse_many(grid)
-        pure = kernel(False).analyse_many(grid)
-        for lane in range(len(grid)):
-            assert set(vec[lane]) == set(pure[lane])
-            for name in vec[lane]:
-                assert vec[lane][name] == pure[lane][name], f"lane={lane} {name}"
-                assert vec[lane][name].completions == pure[lane][name].completions
-
-    def test_paths_agree_under_iteration_caps(self):
-        grid = perturbed_grid(17, 8, 0.95, variants=8)
-        for cap in (1, 2, 3, 5):
-            vec = BatchResponseTimeAnalysis(max_iterations=cap,
-                                            use_numpy=True).analyse_many(grid)
-            pure = BatchResponseTimeAnalysis(max_iterations=cap,
-                                             use_numpy=False).analyse_many(grid)
-            for lane in range(len(grid)):
-                for name in vec[lane]:
-                    assert vec[lane][name] == pure[lane][name], f"cap={cap}"
-
-    def test_tail_handoff_and_blocking_do_not_change_results(self):
-        """Degenerate tuning knobs force the scalar tail continuation and
-        per-block solving on every lane; results must not move."""
-        grid = perturbed_grid(19, 8, 0.85, variants=12)
-        reference = kernel(True).analyse_many(grid)
-        tweaked = kernel(True)
-        tweaked.numpy_tail_lanes = 10_000      # hand off immediately
-        tweaked.numpy_block_columns = 8        # one-lane blocks
-        other = tweaked.analyse_many(grid)
-        for lane in range(len(grid)):
-            for name in reference[lane]:
-                assert reference[lane][name] == other[lane][name]
-                assert (reference[lane][name].completions
-                        == other[lane][name].completions)
-
-    def test_use_numpy_flag_and_vectorized_property(self):
-        assert kernel(True).vectorized
-        assert not kernel(False).vectorized
-
-
-class TestForcePureEnvironment:
-    def test_force_pure_batch_disables_numpy_path(self):
-        """REPRO_FORCE_PURE_BATCH=1 must route through the pure path and
-        still match the cold oracle (the CI matrix leg relies on this)."""
-        script = (
-            "from harness import cold_results, make_taskset\n"
-            "from repro.analysis.batch import BatchResponseTimeAnalysis, numpy_available\n"
-            "assert not numpy_available()\n"
-            "kernel = BatchResponseTimeAnalysis()\n"
-            "assert not kernel.vectorized\n"
-            "grid = [make_taskset(s, 6, 0.8) for s in range(3)]\n"
-            "for lane, solved in enumerate(kernel.analyse_many(grid)):\n"
-            "    cold = cold_results(grid[lane])\n"
-            "    assert all(solved[n] == cold[n] for n in cold)\n"
-            "print('pure-ok')\n")
-        env = dict(os.environ, REPRO_FORCE_PURE_BATCH="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [os.path.join(REPO_ROOT, "src"),
-                        os.path.join(REPO_ROOT, "tests")]))
-        completed = subprocess.run([sys.executable, "-c", script], env=env,
-                                   capture_output=True, text=True, timeout=120)
-        assert completed.returncode == 0, completed.stderr
-        assert "pure-ok" in completed.stdout
-
-    def test_use_numpy_true_raises_when_forced_pure(self):
-        script = (
-            "from repro.analysis.batch import BatchResponseTimeAnalysis\n"
-            "try:\n"
-            "    BatchResponseTimeAnalysis(use_numpy=True)\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n")
-        env = dict(os.environ, REPRO_FORCE_PURE_BATCH="1",
-                   PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-        completed = subprocess.run([sys.executable, "-c", script], env=env,
-                                   capture_output=True, text=True, timeout=120)
-        assert completed.returncode == 0, completed.stderr
-        assert "raised" in completed.stdout
+            assert_equivalent(cached_results[lane], cold, f"cache lane={lane}")
 
 
 class TestFixpointEdgeCases:
-    """Adversarial busy-window shapes, asserted identically against all
-    three engines (cold, incremental, batch) via the shared harness."""
+    """Adversarial busy-window shapes, batched and per-set incremental
+    analysis against the cold analysis via the shared harness."""
 
     def _check_all_engines(self, tasksets, context, max_iterations=10_000,
                            fresh_incremental=False):
         """``fresh_incremental`` gives each lane its own engine: a truncated
         (cap-starved) fixpoint depends on its starting iterate, so a warm
         history legitimately lands elsewhere than a cold run — only the
-        cold-history engine is bound to byte-identical truncation."""
+        cold-history engine is bound to identical truncation."""
         tasksets = list(tasksets)
-        batched = BatchResponseTimeAnalysis(
-            max_iterations=max_iterations).analyse_many(tasksets)
-        incremental = IncrementalResponseTimeAnalysis(
-            max_iterations=max_iterations)
+
+        def engine():
+            return IncrementalResponseTimeAnalysis(max_iterations=max_iterations)
+
+        if fresh_incremental:
+            batch = [engine().analyze_many([taskset])[0] for taskset in tasksets]
+        else:
+            batch = engine().analyze_many(tasksets)
+        incremental = engine()
+        solved = []
         for lane, taskset in enumerate(tasksets):
             cold = ResponseTimeAnalysis(
                 taskset, max_iterations=max_iterations).analyse()
-            assert_byte_identical(batched[lane], cold, f"{context} lane={lane}")
+            assert_equivalent(batch[lane], cold, f"{context} batch lane={lane}")
             if fresh_incremental:
-                incremental = IncrementalResponseTimeAnalysis(
-                    max_iterations=max_iterations)
+                incremental = engine()
             assert_equivalent(incremental.analyse(taskset), cold,
                               f"{context} incremental lane={lane}")
-        return batched
+            solved.append(cold)
+        return solved
 
     def test_vanishing_wcet_tasks(self):
         """WCETs at the validation floor (1e-12) neither divide away nor
@@ -307,7 +188,7 @@ class TestFixpointEdgeCases:
 
     def test_equal_priority_ties_do_not_interfere(self):
         """Tied priorities: strictly-higher only — the tie partner must not
-        appear in the interference sum (matches the scalar engine)."""
+        appear in the interference sum."""
         grid = []
         for seed in range(3):
             rng = SeededRNG(seed)
@@ -315,10 +196,7 @@ class TestFixpointEdgeCases:
             grid.append(TaskSet([
                 Task(f"t{i}", period=p, wcet=p * 0.12, priority=i // 2)
                 for i, p in enumerate(periods)]))
-        solved = self._check_all_engines(grid, "priority ties")
-        # Sanity: with 3 tied pairs the signature has only 3 distinct ranks.
-        assert congruence_signature(grid[0]) == (0, 0, 1, 1, 2, 2)
-        assert all(solved)
+        assert all(self._check_all_engines(grid, "priority ties"))
 
     def test_busy_window_exactly_touching_deadline(self):
         """WCRT == deadline is schedulable (<= deadline + eps); one epsilon
@@ -330,15 +208,15 @@ class TestFixpointEdgeCases:
         over = TaskSet([Task("hi", period=4.0, wcet=1.0, priority=0),
                         Task("lo", period=16.0, wcet=3.0 + 1e-6, deadline=4.0,
                              priority=1)])
-        batched = self._check_all_engines([exact, over], "deadline touch")
-        assert batched[0]["lo"].wcrt == 4.0
-        assert batched[0]["lo"].schedulable
-        assert not batched[1]["lo"].schedulable
+        solved = self._check_all_engines([exact, over], "deadline touch")
+        assert solved[0]["lo"].wcrt == 4.0
+        assert solved[0]["lo"].schedulable
+        assert not solved[1]["lo"].schedulable
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
     def test_iteration_cap_divergence(self, cap):
         """A starved iteration budget truncates the fixpoint identically:
-        same final iterate, same iteration count, same (non-)verdict."""
+        same final iterate, same (non-)verdict."""
         grids = [make_taskset(seed, 7, u) for seed in range(2)
                  for u in (0.9, 1.2)]
         self._check_all_engines(grids, f"cap={cap}", max_iterations=cap,
@@ -346,112 +224,91 @@ class TestFixpointEdgeCases:
 
 
 class TestEngineWiring:
-    """batch_kernel routing inside IncrementalResponseTimeAnalysis."""
-
-    def test_cold_batches_route_through_kernel(self):
-        grid = perturbed_grid(21, 7, 0.75, variants=8)
-        engine = IncrementalResponseTimeAnalysis(batch_kernel=True)
-        results = engine.analyze_many(grid)
-        assert engine.batch_groups == 1
-        assert engine.tasks_batched == sum(len(r) for r in results)
-        for lane, taskset in enumerate(grid):
-            assert_equivalent(results[lane], cold_results(taskset),
-                              f"wired lane={lane}")
-
-    def test_default_engine_never_batches(self):
-        engine = IncrementalResponseTimeAnalysis()
-        engine.analyze_many(perturbed_grid(22, 6, 0.7, variants=6))
-        assert engine.batch_groups == 0
-        assert engine.tasks_batched == 0
-
-    def test_sub_minimum_groups_stay_scalar(self):
-        """A grid of singleton congruence groups gains nothing from lockstep;
-        the engine must fall back to per-set analysis."""
-        grid = [make_taskset(seed, 4 + seed, 0.6) for seed in range(4)]
-        engine = IncrementalResponseTimeAnalysis(batch_kernel=True)
-        results = engine.analyze_many(grid)
-        assert engine.batch_groups == 0
-        for lane, taskset in enumerate(grid):
-            assert_equivalent(results[lane], cold_results(taskset),
-                              f"scalar fallback lane={lane}")
+    """The history and counters an ``analyze_many`` batch leaves in
+    :class:`IncrementalResponseTimeAnalysis`."""
 
     def test_warm_sets_use_incremental_path(self):
-        """Once history exists, repeated sets warm-start instead of
-        re-entering the kernel — and verdicts still match cold."""
+        """Once history exists, repeated sets are reused or warm-started —
+        and verdicts still match cold."""
         grid = perturbed_grid(23, 7, 0.7, variants=6)
-        engine = IncrementalResponseTimeAnalysis(batch_kernel=True)
+        engine = IncrementalResponseTimeAnalysis()
         engine.analyze_many(grid)
-        groups_after_cold = engine.batch_groups
         again = engine.analyze_many([rebuild(ts.tasks()) for ts in grid])
-        assert engine.batch_groups == groups_after_cold
         assert engine.tasks_warm_started + engine.tasks_reused > 0
         for lane, taskset in enumerate(grid):
             assert_equivalent(again[lane], cold_results(taskset),
                               f"warm lane={lane}")
 
     def test_batched_results_seed_warm_history(self):
-        """Kernel lanes are remembered: a follow-up perturbation of a batched
-        set must hit the delta machinery, not a cold full analysis."""
+        """Batched lanes are remembered: a follow-up perturbation of a
+        batched set must hit the delta machinery, not a cold full analysis."""
         grid = perturbed_grid(24, 6, 0.7, variants=5)
-        engine = IncrementalResponseTimeAnalysis(batch_kernel=True)
+        engine = IncrementalResponseTimeAnalysis()
         engine.analyze_many(grid)
         assert len(engine._history) > 0
         victim = grid[-1].tasks()
         mutated = rebuild([t.scaled(1.05) if i == 2 else t
                            for i, t in enumerate(victim)])
+        full_before = engine.full_analyses
         results = engine.analyse(mutated)
         assert engine.delta_analyses > 0
+        assert engine.full_analyses == full_before
         assert_equivalent(results, cold_results(mutated), "post-batch delta")
 
     def test_batch_and_scalar_engines_agree(self):
+        """One ``analyze_many`` batch equals per-set ``analyse`` calls in
+        the same order."""
         grid = (perturbed_grid(25, 8, 0.85, variants=7)
                 + perturbed_grid(26, 5, 1.1, variants=4))
-        scalar = IncrementalResponseTimeAnalysis().analyze_many(grid)
-        batched = IncrementalResponseTimeAnalysis(
-            batch_kernel=True).analyze_many(grid)
+        scalar_engine = IncrementalResponseTimeAnalysis()
+        scalar = [scalar_engine.analyse(taskset) for taskset in grid]
+        batch = IncrementalResponseTimeAnalysis().analyze_many(grid)
         for lane in range(len(grid)):
-            assert_equivalent(batched[lane], scalar[lane], f"lane={lane}")
+            assert_equivalent(batch[lane], scalar[lane], f"lane={lane}")
 
     def test_clear_resets_batch_counters(self):
-        engine = IncrementalResponseTimeAnalysis(batch_kernel=True)
+        engine = IncrementalResponseTimeAnalysis()
         engine.analyze_many(perturbed_grid(27, 6, 0.7, variants=4))
-        assert engine.tasks_batched > 0
+        assert engine.tasks_analysed > 0
+        assert engine.delta_analyses > 0
         engine.clear()
-        assert engine.batch_groups == 0
-        assert engine.tasks_batched == 0
         assert engine.tasks_analysed == 0
+        assert engine.tasks_reused == 0
+        assert (engine.full_analyses, engine.delta_analyses) == (0, 0)
+        assert len(engine._history) == 0
 
 
 class TestScenarioParity:
-    """The batch_kernel knob is verdict-invisible end to end."""
+    """Batching and memoising the analysis are verdict-invisible end to
+    end."""
 
     def test_fleet_campaign_records_identical(self):
+        """Batched admission against the sequential per-vehicle oracle:
+        every field but the admission mode and the cache/engine counters."""
         from repro.scenarios.fleet_campaign import run_fleet_campaign_scenario
-        base = run_fleet_campaign_scenario(fleet_size=14, seed=2,
-                                           num_variants=4, extra_components=6)
-        batched = run_fleet_campaign_scenario(fleet_size=14, seed=2,
-                                              num_variants=4,
-                                              extra_components=6,
-                                              batch_kernel=True)
-        assert batched == base
+        counters = {"batched", "cache_hits", "cache_misses",
+                    "engine_reuse_rate"}
 
-    def test_fleet_campaign_guard(self):
-        from repro.scenarios.fleet_campaign import run_fleet_campaign_scenario
-        with pytest.raises(ValueError):
-            run_fleet_campaign_scenario(fleet_size=6, batch_admission=False,
-                                        batch_kernel=True)
+        def verdicts(result):
+            return {name: value
+                    for name, value in dataclasses.asdict(result).items()
+                    if name not in counters}
+
+        batch = run_fleet_campaign_scenario(fleet_size=14, seed=2,
+                                            num_variants=4, extra_components=6)
+        sequential = run_fleet_campaign_scenario(fleet_size=14, seed=2,
+                                                 num_variants=4,
+                                                 extra_components=6,
+                                                 batch_admission=False)
+        assert batch.batched and not sequential.batched
+        assert verdicts(batch) == verdicts(sequential)
 
     def test_infield_update_records_identical(self):
         from repro.scenarios.infield_update import run_infield_update_scenario
         base = run_infield_update_scenario(num_requests=10, seed=4,
-                                           deploy=False)
-        batched = run_infield_update_scenario(num_requests=10, seed=4,
-                                              deploy=False, batch_kernel=True)
-        assert batched == base
-
-    def test_infield_update_guard(self):
-        from repro.scenarios.infield_update import run_infield_update_scenario
-        with pytest.raises(ValueError):
-            run_infield_update_scenario(num_requests=4,
-                                        use_analysis_cache=False,
-                                        batch_kernel=True)
+                                           deploy=False,
+                                           use_analysis_cache=False)
+        cached = run_infield_update_scenario(num_requests=10, seed=4,
+                                             deploy=False,
+                                             analysis_cache=AnalysisCache())
+        assert cached == base

@@ -4,9 +4,8 @@ The refactor's contract is byte-parity by construction:
 ``Campaign.run()`` is nothing but a loop over
 :meth:`~repro.fleet.engine.CampaignEngine.step`, so a stepped execution,
 a run-to-completion execution and a resumed-mid-campaign execution of the
-same submission must produce identical results — across worker counts,
-with and without an adversity model, with and without a deterministic
-tracer.  The hypothesis differentials here pin exactly that.
+same submission must produce identical results — with and without an
+adversity model, with and without a deterministic tracer.  The hypothesis differentials here pin exactly that.
 
 The satellite guarantees ride along:
 
@@ -17,7 +16,8 @@ The satellite guarantees ride along:
   reproduces the uninterrupted run byte-for-byte, including from a fresh
   process;
 * ``CampaignCheckpoint.load`` unpickles through a restricted allowlist —
-  a malicious reduce payload raises ``CampaignError`` without executing.
+  a malicious reduce payload, a dotted name or a non-class global raises
+  ``CampaignError`` without executing.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ from repro.observability.tracer import CampaignTracer
 from test_parallel_campaign import campaign_digest, fleet_digest, make_factory
 
 
-def build_campaign(size, seed, workers=1, *, policy=None, adversity=None,
+def build_campaign(size, seed, *, policy=None, adversity=None,
                    tracer=None, failure_rate=0.0, num_variants=3):
     spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
                      extra_components=2)
     cache = AnalysisCache()
     fleet = generate_fleet(spec, analysis_cache=cache)
     campaign = Campaign(fleet, make_factory(), policy=policy,
-                        analysis_cache=cache, workers=workers,
+                        analysis_cache=cache,
                         failure_injection_rate=failure_rate,
                         feedback_seed=seed, adversity=adversity,
                         tracer=tracer)
@@ -74,28 +74,25 @@ class TestSteppedRunParity:
 
     @given(size=st.integers(min_value=6, max_value=14),
            seed=st.integers(min_value=0, max_value=2**20),
-           workers=st.sampled_from([1, 2]),
            trace=st.booleans())
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_stepped_matches_run(self, size, seed, workers, trace):
+    def test_stepped_matches_run(self, size, seed, trace):
         run_tracer = CampaignTracer(deterministic=True) if trace else None
-        fleet_run, campaign_run = build_campaign(size, seed, workers,
+        fleet_run, campaign_run = build_campaign(size, seed,
                                                  tracer=run_tracer)
         reference = campaign_run.run()
 
         step_tracer = CampaignTracer(deterministic=True) if trace else None
-        fleet_step, campaign_step = build_campaign(size, seed, workers,
+        fleet_step, campaign_step = build_campaign(size, seed,
                                                    tracer=step_tracer)
         _, stepped = step_to_completion(campaign_step)
 
         assert campaign_digest(stepped) == campaign_digest(reference)
         assert fleet_digest(fleet_step) == fleet_digest(fleet_run)
-        if trace and workers == 1:
+        if trace:
             # Deterministic traces are a pure function of the computation:
             # the stepped engine must neither add nor reorder events.
-            # (Pooled layouts fan shard events in completion order, which
-            # is nondeterministic even between two run() calls.)
             assert step_tracer.events == run_tracer.events
 
     @given(seed=st.integers(min_value=0, max_value=2**20),
@@ -128,16 +125,6 @@ class TestSteppedRunParity:
             engine.finalize()
         with pytest.raises(CampaignError, match="already finalized"):
             engine.step()
-
-    def test_cost_model_is_shared_with_campaign(self):
-        # The pooled path is the one that measures integration costs.
-        _, campaign = build_campaign(10, seed=5, workers=2)
-        engine = CampaignEngine(campaign)
-        assert engine.state.cost_model is campaign._cost_model
-        while not engine.done:
-            engine.step()
-        engine.finalize()
-        assert campaign._cost_model  # measured costs persisted on campaign
 
 
 class TestDoubleRunGuard:
@@ -226,26 +213,6 @@ sys.stdout.write(repr(campaign_digest(resumed)))
                                    env=environment, check=True)
         assert completed.stdout == repr(campaign_digest(reference))
 
-    def test_checkpoint_carries_the_cost_model(self, tmp_path):
-        # workers=2: the pooled admission path feeds the EWMA cost model.
-        _, campaign = build_campaign(10, seed=21, workers=2)
-        engine = CampaignEngine(campaign)
-        engine.step()
-        engine.step()
-        assert engine.state.cost_model
-        checkpoint = engine.checkpoint()
-        assert checkpoint.cost_model == campaign._cost_model
-        assert checkpoint.cost_model is not campaign._cost_model
-        engine.finalize()
-
-        _, campaign_resumed = build_campaign(10, seed=21, workers=2)
-        resumed_engine = CampaignEngine(campaign_resumed,
-                                        resume_from=checkpoint)
-        assert resumed_engine.state.cost_model == checkpoint.cost_model
-        while not resumed_engine.done:
-            resumed_engine.step()
-        resumed_engine.finalize()
-
     def test_checkpoint_emits_trace_event_only_when_saved(self, tmp_path):
         tracer = CampaignTracer(deterministic=True)
         _, campaign = build_campaign(8, seed=2, tracer=tracer)
@@ -298,6 +265,22 @@ class _EvilPayload:
         return (os.system, (f"touch {self.marker}",))
 
 
+def _global_call_pickle(module: str, name: str, argument: str) -> bytes:
+    """A protocol-4 pickle calling ``module``'s ``name`` on ``argument``.
+
+    ``STACK_GLOBAL`` resolves a dotted ``name`` attribute by attribute, so
+    ``("repro.fleet.campaign", "os.mkdir")`` reaches ``os`` through the
+    campaign module's own import.
+    """
+    def text(value: str) -> bytes:
+        data = value.encode("utf-8")
+        return b"\x8c" + bytes([len(data)]) + data  # SHORT_BINUNICODE
+
+    # PROTO 4, STACK_GLOBAL, TUPLE1, REDUCE, STOP
+    return (b"\x80\x04" + text(module) + text(name) + b"\x93"
+            + text(argument) + b"\x85" + b"R" + b".")
+
+
 class TestRestrictedUnpickler:
     """CampaignCheckpoint.load never executes foreign pickle payloads."""
 
@@ -319,6 +302,20 @@ class TestRestrictedUnpickler:
         with pytest.raises(CampaignError,
                            match="not a loadable campaign checkpoint"):
             CampaignCheckpoint.load(foreign)
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.fleet.campaign", "os.mkdir"),  # dotted name via an import
+        ("repro.fleet.vehicle", "generate_fleet"),  # a function
+        ("repro.fleet", "Campaign"),  # a class its module only re-exports
+    ])
+    def test_only_classes_of_the_named_module_load(self, tmp_path, module,
+                                                   name):
+        target = tmp_path / "created"
+        crafted = tmp_path / "crafted.ckpt"
+        crafted.write_bytes(_global_call_pickle(module, name, str(target)))
+        with pytest.raises(CampaignError, match="forbidden global"):
+            CampaignCheckpoint.load(str(crafted))
+        assert not target.exists()  # nothing ran
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -342,5 +339,5 @@ class TestCampaignState:
     def test_default_state_is_inert(self):
         state = CampaignState()
         assert state.wave_index == 0 and state.start_wave == 0
-        assert state.carry == [] and state.cost_model == {}
+        assert state.carry == []
         assert state.result.fleet_size == 0

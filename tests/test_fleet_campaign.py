@@ -405,14 +405,6 @@ class TestCampaign:
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      failure_injection_rate=2.0)
         with pytest.raises(CampaignError):
-            Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
-                     workers=0)
-        with pytest.raises(CampaignError):
-            # Sharding runs one integration per equivalence group; it cannot
-            # reproduce the unbatched per-vehicle baseline.
-            Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
-                     batch_admission=False, workers=2)
-        with pytest.raises(CampaignError):
             # A cache snapshot path without a cache to snapshot is a typo.
             Campaign([], update_factory_for(), analysis_cache=None,
                      batch_admission=False, cache_path="cache.pkl")

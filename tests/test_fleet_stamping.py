@@ -14,8 +14,8 @@ vehicle's baseline through its own MCC.  They must be indistinguishable:
   verdict, viewpoint results, findings, configuration version and
   refinement steps; and after any campaign over them, the whole
   ``CampaignResult`` and every vehicle's state and rollout flags.  The
-  shared cache's hit and miss counters, the engine reuse rate and the
-  wall-clock shard telemetry are left out: stamped provisioning admits a
+  shared cache's hit and miss counters and the engine reuse rate are left
+  out: stamped provisioning admits a
   variant's baseline with one acceptance run, integrate-each with one run
   per contract, so the cache and its engine start the campaign warmed
   differently;
@@ -24,8 +24,7 @@ vehicle's baseline through its own MCC.  They must be indistinguishable:
   fleet's counters exactly instead.
 
 Both hold across ADD and UPDATE updates, halts with and without rollback,
-resumes from every wave boundary, pooled waves and the three adversity
-models.  The provisioning work is pinned exactly (one admission report
+resumes from every wave boundary and the three adversity models.  The provisioning work is pinned exactly (one admission report
 per baseline contract and one acceptance battery run per touched variant,
 whatever the fleet size; a halted campaign provisions only the variants it
 reached), a provisioning error
@@ -107,11 +106,11 @@ def fleet_state(fleet):
 
 
 def result_state(result, counters=True):
-    """Every ``CampaignResult`` field except the wall-clock shard telemetry
-    (and, with ``counters=False``, except :data:`COUNTERS`)."""
+    """Every ``CampaignResult`` field (with ``counters=False``, except
+    :data:`COUNTERS`)."""
     return [(field.name, getattr(result, field.name))
-            for field in fields(result) if field.name != "shard_telemetry"
-            and (counters or field.name not in COUNTERS)]
+            for field in fields(result)
+            if counters or field.name not in COUNTERS]
 
 
 def rte_state(vehicle):
@@ -197,7 +196,7 @@ failure_rates = st.sampled_from([0.0, 0.3, 1.0])
 
 
 def provision_and_run(provisioner, spec, update, policy, failure_rate, *,
-                      shared_cache=True, workers=1, adversity=None,
+                      shared_cache=True, adversity=None,
                       extra_acceptance_tests=None):
     """Provision with ``provisioner`` and run one campaign.
 
@@ -212,8 +211,7 @@ def provision_and_run(provisioner, spec, update, policy, failure_rate, *,
     campaign = Campaign(fleet, make_update(*update), policy=policy,
                         analysis_cache=cache, batch_admission=shared_cache,
                         failure_injection_rate=failure_rate,
-                        feedback_seed=spec.seed, workers=workers,
-                        adversity=adversity)
+                        feedback_seed=spec.seed, adversity=adversity)
     result = campaign.run()
     return provisioned, result, fleet_state(fleet)
 
@@ -249,14 +247,6 @@ class TestStampedMatchesReference:
         assert_matches_references(partial(
             provision_and_run, spec=spec, update=update, policy=policy,
             failure_rate=failure_rate, shared_cache=shared_cache))
-
-    @slow(5)
-    @given(spec=specs, update=updates, policy=policies,
-           failure_rate=failure_rates)
-    def test_pooled_waves(self, spec, update, policy, failure_rate):
-        assert_matches_references(partial(
-            provision_and_run, spec=spec, update=update, policy=policy,
-            failure_rate=failure_rate, workers=2))
 
     @slow(12)
     @given(spec=specs, update=updates, seed=st.integers(0, 2**16),
@@ -541,7 +531,7 @@ class TestProvisioningWork:
                                analysis_cache=cache)
         engine = cache.engine
         assert (engine.tasks_cold + engine.tasks_warm_started,
-                engine.tasks_reused, engine.tasks_batched) == (264, 61, 0)
+                engine.tasks_reused) == (264, 61)
         assert (cache.hits, cache.misses) == (12, 56)
 
     def test_reference_integrates_per_vehicle(self, monkeypatch):
@@ -601,8 +591,8 @@ class TestLazyProvisioning:
                    for state in engine.checkpoint().vehicle_states)
 
     def test_a_pickled_vehicle_is_provisioned_without_its_provisioner(self):
-        """Shard items pickle vehicles: the copy is usable on its own and
-        does not drag the fleet's provisioner along."""
+        """A pickled vehicle is usable on its own and does not drag the
+        fleet's provisioner along."""
         fleet = generate_fleet(self.SPEC, analysis_cache=AnalysisCache())
         pickled = pickle.dumps(fleet[5])
         assert fleet[5].provisioned and b"FleetProvisioner" not in pickled

@@ -32,6 +32,7 @@ class TestMetricSeries:
         assert summary.count == 10
         assert summary.mean == pytest.approx(4.5)
         assert summary.minimum == 0.0 and summary.maximum == 9.0
+        assert summary.std == pytest.approx(math.sqrt(8.25))  # population
         assert series.last == 9.0
 
     def test_window_eviction(self):

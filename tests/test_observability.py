@@ -1,17 +1,12 @@
-"""Campaign observability: tracer, engine instrumentation, metrics bridge,
-pinned telemetry schema, numpy-optional metric summaries and the dashboard.
+"""Campaign observability: tracer, engine instrumentation, metrics bridge
+and the dashboard.
 
 The load-bearing guarantees pinned here:
 
 * **Read-only tracing** — a traced campaign returns a field-for-field
-  identical :class:`CampaignResult` to an untraced one, and traced pooled
-  runs stay byte-identical (canonical records) to traced sequential runs
-  at any worker count (hypothesis-seeded differential).
+  identical :class:`CampaignResult` to an untraced one.
 * **Deterministic traces** — ``deterministic=True`` strips every
   wall-clock field and makes equal runs write byte-identical JSONL files.
-* **Pinned telemetry schema** — ``shard_telemetry`` rows carry exactly
-  :data:`SHARD_TELEMETRY_SCHEMA` (documented in docs/ARCHITECTURE.md);
-  drift fails here before it breaks external consumers.
 * **Offline dashboard** — ``report`` renders self-contained HTML with no
   scripts and no network references from any subset of inputs.
 """
@@ -22,21 +17,12 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-import repro.monitoring.metrics as metrics_module
-from repro.fleet.shard import SHARD_TELEMETRY_SCHEMA
-from repro.monitoring.metrics import MetricSeries
 from repro.observability import (WALL_CLOCK_FIELDS, CampaignTracer,
-                                 TraceError, cache_efficiency,
-                                 campaign_metric_registry,
+                                 TraceError, campaign_metric_registry,
                                  flatten_result_documents, load_trace,
-                                 render_dashboard, shard_imbalance,
-                                 wave_latencies)
-from repro.observability.metrics_bridge import (ADMISSION_SOURCE,
-                                                CACHE_SOURCE, SHARD_SOURCE,
-                                                WAVE_SOURCE)
+                                 render_dashboard, wave_latencies)
+from repro.observability.metrics_bridge import ADMISSION_SOURCE, WAVE_SOURCE
 from test_parallel_campaign import campaign_digest, fleet_digest, run_campaign
 
 
@@ -54,25 +40,10 @@ class TestTracerUnit:
 
     def test_deterministic_mode_strips_wall_clock_fields(self):
         tracer = CampaignTracer(deterministic=True)
-        record = tracer.emit("shard.execute", wave=1, shard=0,
-                             elapsed_s=0.5, worker_pid=4242, items=3)
+        record = tracer.emit("vehicle.admit", wave=1, vehicle="veh0003",
+                             accepted=True)
         assert set(record) & WALL_CLOCK_FIELDS == set()
-        assert record["items"] == 3
-
-    def test_ingest_renumbers_and_inherits_wave(self):
-        tracer = CampaignTracer(deterministic=True)
-        tracer.emit("wave.begin", wave=2)
-        count = tracer.ingest([
-            {"event": "shard.item", "seq": 99, "vehicle": "veh0003",
-             "elapsed_s": 0.1},
-            {"event": "shard.item", "wave": 7, "vehicle": "veh0004"},
-        ], wave=2)
-        assert count == 2
-        items = tracer.select("shard.item")
-        assert [e["seq"] for e in items] == [1, 2]
-        # Worker-supplied wave wins; the parent's only fills gaps.
-        assert [e["wave"] for e in items] == [2, 7]
-        assert all("elapsed_s" not in e for e in items)
+        assert record["accepted"] is True and record["vehicle"] == "veh0003"
 
     def test_flush_writes_jsonl_and_streams_appends(self, tmp_path):
         path = tmp_path / "deep" / "trace.jsonl"
@@ -117,11 +88,11 @@ class TestTracerUnit:
 class TestTracedCampaigns:
     def test_trace_covers_every_layer(self, tmp_path):
         tracer = CampaignTracer(path=str(tmp_path / "trace.jsonl"))
-        _, _, result = run_campaign(40, 2, 4, tracer=tracer)
+        _, _, result = run_campaign(40, 2, tracer=tracer)
         kinds = {event["event"] for event in tracer.events}
-        assert {"campaign.begin", "wave.begin", "shard.plan",
-                "shard.execute", "shard.item", "vehicle.admit",
-                "feedback.observe", "wave.end", "campaign.end"} <= kinds
+        assert {"campaign.begin", "wave.begin", "cache.analyse_many",
+                "cache.analyse", "vehicle.admit", "feedback.observe",
+                "wave.end", "campaign.end"} <= kinds
         # The campaign flushed at run end without an explicit close.
         file_events = load_trace(str(tmp_path / "trace.jsonl"))
         assert len(file_events) == len(tracer.events)
@@ -131,13 +102,13 @@ class TestTracedCampaigns:
         assert ends[0]["waves"] == len(result.waves)
 
     def test_tracer_none_leaves_result_unchanged_field_for_field(self):
-        fleet_a, _, traced = run_campaign(25, 7, 1, failure_rate=0.2,
+        fleet_a, _, traced = run_campaign(25, 7, failure_rate=0.2,
                                           tracer=CampaignTracer())
-        fleet_b, _, untraced = run_campaign(25, 7, 1, failure_rate=0.2)
+        fleet_b, _, untraced = run_campaign(25, 7, failure_rate=0.2)
         assert campaign_digest(traced) == campaign_digest(untraced)
         assert fleet_digest(fleet_a) == fleet_digest(fleet_b)
-        # Field-for-field, counters included: same worker layout, so even
-        # the non-canonical fields must agree.
+        # Field-for-field, counters included: the same admission path, so
+        # even the non-canonical fields must agree.
         assert traced.cache_hits == untraced.cache_hits
         assert traced.cache_misses == untraced.cache_misses
         assert traced.engine_reuse_rate == untraced.engine_reuse_rate
@@ -146,7 +117,7 @@ class TestTracedCampaigns:
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
             tracer = CampaignTracer(path=str(path), deterministic=True)
-            run_campaign(20, 3, 1, failure_rate=0.3, tracer=tracer)
+            run_campaign(20, 3, failure_rate=0.3, tracer=tracer)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         for event in load_trace(str(paths[0])):
             assert set(event) & WALL_CLOCK_FIELDS == set()
@@ -162,41 +133,6 @@ class TestTracedCampaigns:
         assert traced.admitted == untraced.admitted
         assert traced.completed == untraced.completed
 
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.data_too_large])
-    @given(size=st.integers(min_value=8, max_value=28),
-           seed=st.integers(min_value=0, max_value=2 ** 16),
-           failure_rate=st.sampled_from([0.0, 0.2, 0.5]))
-    def test_traced_pooled_equals_traced_sequential(self, size, seed,
-                                                    failure_rate):
-        fleet_1, _, result_1 = run_campaign(
-            size, seed, 1, failure_rate=failure_rate,
-            tracer=CampaignTracer(deterministic=True))
-        fleet_4, _, result_4 = run_campaign(
-            size, seed, 4, failure_rate=failure_rate,
-            tracer=CampaignTracer(deterministic=True))
-        assert campaign_digest(result_1) == campaign_digest(result_4)
-        assert fleet_digest(fleet_1) == fleet_digest(fleet_4)
-
-
-class TestShardTelemetrySchema:
-    def test_pooled_rows_match_pinned_schema_exactly(self):
-        _, _, result = run_campaign(40, 2, 4)
-        assert result.shard_telemetry
-        for row in result.shard_telemetry:
-            assert set(row) == set(SHARD_TELEMETRY_SCHEMA)
-            for key, expected_type in SHARD_TELEMETRY_SCHEMA.items():
-                assert isinstance(row[key], expected_type), (key, row[key])
-
-    def test_traced_shard_execute_events_carry_the_schema_fields(self):
-        tracer = CampaignTracer()
-        _, _, result = run_campaign(40, 2, 4, tracer=tracer)
-        executes = tracer.select("shard.execute")
-        assert len(executes) == len(result.shard_telemetry)
-        for event in executes:
-            assert set(SHARD_TELEMETRY_SCHEMA) <= set(event)
-
-
 class TestMetricsBridge:
     def test_wave_latencies_from_wall_clock_trace(self):
         events = [
@@ -209,40 +145,15 @@ class TestMetricsBridge:
         ]
         assert wave_latencies(events) == {0: 0.5, 1: 1.25}
 
-    def test_shard_imbalance_max_over_mean(self):
-        telemetry = [
-            {"wave": 0, "shard": 0, "elapsed_s": 1.0},
-            {"wave": 0, "shard": 1, "elapsed_s": 3.0},
-            {"wave": 1, "shard": 0, "elapsed_s": 2.0},
-        ]
-        imbalance = shard_imbalance(telemetry)
-        assert imbalance[0] == pytest.approx(1.5)
-        assert imbalance[1] == 1.0  # single shard: balanced by definition
-
-    def test_shard_imbalance_falls_back_to_item_counts(self):
-        telemetry = [{"wave": 0, "items": 1}, {"wave": 0, "items": 3}]
-        assert shard_imbalance(telemetry)[0] == pytest.approx(1.5)
-
-    def test_cache_efficiency_omits_lookupless_waves(self):
-        telemetry = [
-            {"wave": 0, "cache_hits": 3, "cache_misses": 1},
-            {"wave": 0, "cache_hits": 1, "cache_misses": 3},
-            {"wave": 1, "cache_hits": 0, "cache_misses": 0},
-        ]
-        assert cache_efficiency(telemetry) == {0: 0.5}
-
     def test_registry_folds_a_real_campaign(self):
         tracer = CampaignTracer()
-        _, _, result = run_campaign(40, 2, 4, tracer=tracer)
+        _, _, result = run_campaign(40, 2, tracer=tracer)
         registry = campaign_metric_registry(result, events=tracer.events)
         assert WAVE_SOURCE in registry.sources()
-        assert SHARD_SOURCE in registry.sources()
         assert ADMISSION_SOURCE in registry.sources()
         waves = registry.get(WAVE_SOURCE, "admitted")
         assert waves is not None
         assert sum(waves.values()) == result.admitted
-        imbalance = registry.get(SHARD_SOURCE, "imbalance")
-        assert imbalance is not None and min(imbalance.values()) >= 1.0
         latency = registry.get(ADMISSION_SOURCE, "latency_s")
         assert latency is not None and all(v >= 0.0 for v in latency.values())
 
@@ -250,43 +161,9 @@ class TestMetricsBridge:
         class Plain:
             waves = [{"index": 0, "kind": "canary", "size": 2, "admitted": 2,
                       "rejected": 0, "failure_rate": 0.0}]
-            shard_telemetry = [{"wave": 0, "shard": 0, "items": 2,
-                               "elapsed_s": 0.5, "cache_hits": 1,
-                               "cache_misses": 1}]
         registry = campaign_metric_registry(Plain())
         assert registry.last(WAVE_SOURCE, "admitted") == 2.0
-        assert registry.last(CACHE_SOURCE, "hit_rate") == 0.5
-
-
-class TestNumpyOptionalMetrics:
-    def test_pure_python_summary_matches_numpy(self, monkeypatch):
-        series = MetricSeries("test.series", window=64)
-        for index, value in enumerate([1.0, 2.5, -3.0, 4.25, 0.0]):
-            series.sample(float(index), value)
-        with_numpy = series.summary()
-        monkeypatch.setattr(metrics_module, "_np", None)
-        pure = series.summary()
-        assert pure.count == with_numpy.count
-        assert pure.mean == pytest.approx(with_numpy.mean)
-        assert pure.minimum == with_numpy.minimum
-        assert pure.maximum == with_numpy.maximum
-        assert pure.std == pytest.approx(with_numpy.std)  # population ddof=0
-        assert pure.last == with_numpy.last
-
-    def test_pure_python_empty_summary(self, monkeypatch):
-        monkeypatch.setattr(metrics_module, "_np", None)
-        summary = MetricSeries("test.empty").summary()
-        assert summary.count == 0 and summary.mean != summary.mean
-
-    def test_env_gate_disables_numpy(self):
-        env = dict(os.environ, REPRO_FORCE_PURE_BATCH="1")
-        import subprocess
-        import sys
-        code = ("import repro.monitoring.metrics as m; "
-                "print(m.numpy_available())")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert registry.last(WAVE_SOURCE, "failure_rate") == 0.0
 
 
 class TestDashboard:
@@ -319,8 +196,8 @@ class TestDashboard:
     def test_full_page_is_offline_and_self_contained(self):
         trace = [
             {"event": "wave.begin", "wave": 0, "t_s": 0.0},
-            {"event": "shard.execute", "wave": 0, "shard": 0, "items": 2,
-             "elapsed_s": 0.2, "cache_hits": 3, "cache_misses": 1},
+            {"event": "vehicle.admit", "wave": 0, "vehicle": "veh0000",
+             "accepted": True},
             {"event": "wave.end", "wave": 0, "t_s": 0.4},
         ]
         bench = [{"name": "e10", "mode": "full", "quick_mode": False,
@@ -334,8 +211,7 @@ class TestDashboard:
         assert "<script" not in page
         assert "http" not in page.replace("http://www.w3.org/2000/svg", "")
         for section in ["Admission funnel", "Wave outcomes",
-                        "Rejection reasons", "Cache efficiency",
-                        "Admission latency", "Trace event volume",
+                        "Rejection reasons", "Admission latency", "Trace event volume",
                         "Latest benchmark speedups"]:
             assert section in page, section
         # rejected_distributed_only surfaces as its own reason bar.

@@ -7,8 +7,8 @@ Four guarantees under test:
   the closing record carries ``final``) and blocking :meth:`wait`.
 * **Tenancy identity** — a tenant's service-run campaign result is
   byte-identical to an isolated direct ``Campaign.run()`` of the same
-  submission, shared analysis-cache store or not (the digest excludes
-  cache counters, which sharing legitimately warms).
+  submission, however many tenants share the service (the digest
+  excludes cache counters).
 * **Operator control** — halt parks at the next wave boundary with a
   resumable checkpoint, resume continues to the uninterrupted-run result,
   rollback restores the pre-campaign fleet; a policy halt surfaces as the
@@ -51,7 +51,7 @@ SUBMIT = SubmitCampaign(tenant="acme", fleet_size=8, seed=3)
 
 def reference_result(request: SubmitCampaign):
     """Isolated ``Campaign.run()`` of one submission — the tenancy oracle."""
-    cache = AnalysisCache(batch_kernel=request.batch_kernel)
+    cache = AnalysisCache()
     fleet = generate_fleet(
         FleetSpec(size=request.fleet_size, seed=request.seed,
                   heterogeneity=request.heterogeneity,
@@ -76,8 +76,7 @@ def reference_result(request: SubmitCampaign):
                         rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
-                        feedback_seed=request.seed, workers=request.workers,
-                        batch_kernel=request.batch_kernel)
+                        feedback_seed=request.seed)
     return campaign.run()
 
 
@@ -222,13 +221,13 @@ class TestReleasedState:
 
 
 class TestTenancyIdentity:
-    def test_shared_store_results_match_isolated_runs(self, tmp_path):
+    def test_results_match_isolated_runs(self):
         requests = [SubmitCampaign(tenant="acme", fleet_size=8, seed=3),
                     SubmitCampaign(tenant="acme", fleet_size=8, seed=4),
                     SubmitCampaign(tenant="zephyr", fleet_size=8, seed=3)]
 
         async def drive():
-            async with AdmissionService(store_dir=str(tmp_path)) as service:
+            async with AdmissionService() as service:
                 receipts = [await service.submit(request)
                             for request in requests]
                 for receipt in receipts:
@@ -373,8 +372,6 @@ class TestValidation:
             SubmitCampaign(tenant="")
         with pytest.raises(ServiceError, match="fleet_size"):
             SubmitCampaign(tenant="acme", fleet_size=0)
-        with pytest.raises(ServiceError, match="workers"):
-            SubmitCampaign(tenant="acme", workers=0)
         with pytest.raises(ServiceError, match="staging policy"):
             SubmitCampaign(tenant="acme", wave_fractions=(0.5, 0.1))
         with pytest.raises(ServiceError, match="job_id"):
@@ -453,7 +450,7 @@ class TestServeCli:
     def test_serve_command_reports_throughput(self, capsys):
         from repro.experiments.cli import main
         code = main(["serve", "--tenants", "2", "--campaigns", "1",
-                     "--fleet-size", "8", "--no-store"])
+                     "--fleet-size", "8"])
         out = capsys.readouterr().out
         assert code == 0
         assert "admissions/s" in out
