@@ -45,9 +45,8 @@ from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
 from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
                                  variant_contracts)
 from repro.mcc.acceptance import TimingAcceptanceTest
-from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
-from repro.scenarios.fleet_campaign import (build_update_contract,
+from repro.scenarios.fleet_campaign import (add_component_update,
                                             run_fleet_campaign_scenario)
 
 SCALE_VARIANTS = 8
@@ -58,21 +57,6 @@ SCALE_VARIANTS = 8
 #: rejects two apps on timing, so its failed one-pass run and one run for
 #: each of its 13 contracts replace its one run (7 + 1 + 13).
 BATTERY_RUNS = {4: 4, 8: 21}
-
-
-def _update_factory():
-    """ADD of one per-variant update contract (shared by the variant)."""
-    contracts: Dict[int, object] = {}
-
-    def factory(vehicle):
-        contract = contracts.get(vehicle.variant.index)
-        if contract is None:
-            contract = build_update_contract(vehicle.wcet_factor)
-            contracts[vehicle.variant.index] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
-    return factory
 
 
 @contextmanager
@@ -126,7 +110,7 @@ def _campaign_run(batched: bool, fleet_size: int, num_variants: int,
     started = time.perf_counter()
     fleet = provisioned_fleet(spec, cache)
     provisioned = time.perf_counter()
-    campaign = Campaign(fleet, _update_factory(), analysis_cache=cache,
+    campaign = Campaign(fleet, add_component_update(), analysis_cache=cache,
                         batch_admission=batched,
                         failure_injection_rate=failure_injection_rate)
     result = campaign.run()
@@ -258,7 +242,7 @@ def test_e10_wave_policy_shapes_the_rollout(benchmark):
                              num_variants=4 if quick else 8)
             cache = AnalysisCache()
             fleet = generate_fleet(spec, analysis_cache=cache)
-            result = Campaign(fleet, _update_factory(), policy=policy,
+            result = Campaign(fleet, add_component_update(), policy=policy,
                               analysis_cache=cache,
                               failure_injection_rate=1.0).run()
             rows.append({"policy": name, "exposed": result.admitted,
@@ -283,7 +267,8 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
     with _counting_provisioning() as provisioning:
         fleet = provisioned_fleet(spec, cache)
     provisioned = time.perf_counter()
-    result = Campaign(fleet, _update_factory(), analysis_cache=cache).run()
+    result = Campaign(fleet, add_component_update(),
+                      analysis_cache=cache).run()
     finished = time.perf_counter()
     return {
         "fleet_size": fleet_size,

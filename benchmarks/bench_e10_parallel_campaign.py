@@ -3,9 +3,9 @@
 Three claims of the campaign engine are regenerated and asserted:
 
 * **Speedup with identical verdicts.**  Batched in-process admission
-  (equivalence dedupe, wave prefetch, shared cache with persistent
-  snapshot) must admit a 500-vehicle campaign at least 2x faster than the
-  sequential per-vehicle baseline, wave records byte-identical.
+  (equivalence dedupe, shared cache with persistent snapshot) must admit
+  a 500-vehicle campaign at least 2x faster than the sequential
+  per-vehicle baseline, wave records byte-identical.
 * **Persistent warm-start.**  A re-run over the same fleet warm-starts
   from the previous run's on-disk snapshot: fewer busy-window derivations,
   identical records.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import pytest
 
@@ -30,24 +30,9 @@ from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint,
                                   CampaignResult, WavePolicy)
 from repro.fleet.vehicle import FleetSpec
-from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.scenarios.fleet_campaign import build_update_contract
+from repro.scenarios.fleet_campaign import add_component_update
 
 SEED = 1  # halts at wave >= 1 under the strict policy, at both bench sizes
-
-
-def _factory():
-    contracts: Dict[int, object] = {}
-
-    def factory(vehicle):
-        contract = contracts.get(vehicle.variant.index)
-        if contract is None:
-            contract = build_update_contract(vehicle.wcet_factor)
-            contracts[vehicle.variant.index] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
-    return factory
 
 
 def _digest(result: CampaignResult) -> Tuple:
@@ -71,7 +56,7 @@ def _run(batched: bool, cache_path: Optional[str] = None,
     spec = FleetSpec(size=fleet_size, seed=SEED, num_variants=num_variants)
     cache = AnalysisCache(max_entries=16384) if batched else None
     fleet = provisioned_fleet(spec, cache)
-    campaign = Campaign(fleet, _factory(), policy=policy,
+    campaign = Campaign(fleet, add_component_update(), policy=policy,
                         analysis_cache=cache, batch_admission=batched,
                         cache_path=cache_path,
                         failure_injection_rate=failure_rate,
@@ -161,7 +146,7 @@ def test_e10_checkpoint_resume_roundtrip(benchmark, tmp_path):
                          num_variants=num_variants)
         cache = AnalysisCache(max_entries=16384)
         fleet = provisioned_fleet(spec, cache)
-        campaign = Campaign(fleet, _factory(), policy=tolerant,
+        campaign = Campaign(fleet, add_component_update(), policy=tolerant,
                             analysis_cache=cache, failure_injection_rate=0.3,
                             feedback_seed=SEED)
         return campaign.run(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import pytest
 
@@ -32,9 +32,8 @@ from conftest import print_table, quick_mode, write_bench_record
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, CampaignResult
 from repro.fleet.vehicle import FleetSpec, generate_fleet
-from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.observability import CampaignTracer
-from repro.scenarios.fleet_campaign import build_update_contract
+from repro.scenarios.fleet_campaign import add_component_update
 
 # Overhead bound for the enabled tracer, as a fraction of untraced wall
 # time.  docs/OBSERVABILITY.md quotes this number.
@@ -47,17 +46,7 @@ def _run_campaign(fleet_size: int, num_variants: int,
     spec = FleetSpec(size=fleet_size, seed=0, num_variants=num_variants)
     cache = AnalysisCache()
     fleet = generate_fleet(spec, analysis_cache=cache)
-    contracts: Dict[int, object] = {}
-
-    def factory(vehicle):
-        contract = contracts.get(vehicle.variant.index)
-        if contract is None:
-            contract = build_update_contract(vehicle.wcet_factor)
-            contracts[vehicle.variant.index] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
-    campaign = Campaign(fleet, factory, analysis_cache=cache,
+    campaign = Campaign(fleet, add_component_update(), analysis_cache=cache,
                         batch_admission=True, tracer=tracer)
     return campaign.run()
 

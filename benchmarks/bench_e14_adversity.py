@@ -28,11 +28,10 @@ from repro.analysis.cache import AnalysisCache
 from repro.fleet.adversity import IntrusionAdversity
 from repro.fleet.campaign import Campaign, WavePolicy
 from repro.fleet.vehicle import FleetSpec
-from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.adversity_campaigns import (
     run_intrusion_campaign_scenario, run_lossy_ota_campaign_scenario,
     run_thermal_campaign_scenario)
-from repro.scenarios.fleet_campaign import build_update_contract
+from repro.scenarios.fleet_campaign import add_component_update
 
 SEED = 7
 
@@ -53,21 +52,11 @@ def _run_intrusion_admission(fleet_size: int, batch: bool):
                      extra_components=6)
     cache = AnalysisCache() if batch else None
     fleet = provisioned_fleet(spec, cache)
-    contracts = {}
-
-    def factory(vehicle):
-        contract = contracts.get(vehicle.variant.index)
-        if contract is None:
-            contract = build_update_contract(vehicle.wcet_factor,
-                                             utilization=0.18)
-            contracts[vehicle.variant.index] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
     policy = WavePolicy(canary_size=2, wave_fractions=(0.2, 0.5, 1.0),
                         max_failure_rate=0.2)
-    campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
-                        batch_admission=batch, feedback_seed=SEED,
+    campaign = Campaign(fleet, add_component_update(0.18), policy=policy,
+                        analysis_cache=cache, batch_admission=batch,
+                        feedback_seed=SEED,
                         adversity=IntrusionAdversity(compromise_rate=0.25,
                                                      seed=SEED))
     started = time.perf_counter()

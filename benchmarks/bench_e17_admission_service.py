@@ -32,9 +32,8 @@ import pytest
 from conftest import print_table, quick_mode, write_bench_record
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
-from repro.fleet.vehicle import FleetSpec, FleetVehicle, generate_fleet
-from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.scenarios.fleet_campaign import build_update_contract
+from repro.fleet.vehicle import FleetSpec, generate_fleet
+from repro.scenarios.fleet_campaign import add_component_update
 from repro.service import AdmissionService, SubmitCampaign, admission
 
 SEED = 11
@@ -73,23 +72,13 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
                      num_variants=request.num_variants,
                      extra_components=request.extra_components)
     fleet = generate_fleet(spec, analysis_cache=cache)
-    contracts = {}
-
-    def factory(vehicle: FleetVehicle) -> ChangeRequest:
-        contract = contracts.get(vehicle.variant.index)
-        if contract is None:
-            contract = build_update_contract(
-                vehicle.wcet_factor, utilization=request.update_utilization,
-                component=request.component)
-            contracts[vehicle.variant.index] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
     policy = WavePolicy(canary_size=request.canary_size,
                         wave_fractions=request.wave_fractions,
                         max_failure_rate=request.max_failure_rate,
                         rollback_on_halt=request.rollback_on_halt)
-    campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
+    campaign = Campaign(fleet, add_component_update(
+                            request.update_utilization, request.component),
+                        policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
                         feedback_seed=request.seed)
     return campaign.run()

@@ -108,8 +108,7 @@ class AnalysisCache:
     :meth:`save_snapshot` / :meth:`load_snapshot` persist them across
     processes and runs (a campaign's ``cache_path`` warm-starts its re-runs
     this way), and :meth:`export_entries` / :meth:`merge_entries` move them
-    between live caches.  Pickling a cache object itself deliberately ships
-    it *empty* (see :meth:`__getstate__`).
+    between live caches.
     """
 
     def __init__(self, max_entries: int = 4096,
@@ -123,10 +122,9 @@ class AnalysisCache:
         self.misses = 0
         self.evictions = 0
         #: Optional :class:`~repro.observability.tracer.CampaignTracer` this
-        #: cache reports lookup/merge/snapshot events into (set by the
-        #: campaign engine when tracing is on).  Pure observation — never
-        #: consulted for any decision — and deliberately not pickled:
-        #: :meth:`__getstate__` ships capacity only.
+        #: cache reports lookup/merge events into (set by a campaign engine
+        #: to its campaign's tracer while it runs).  Pure observation —
+        #: never consulted for any decision.
         self.tracer = None
 
     def __len__(self) -> int:
@@ -180,57 +178,9 @@ class AnalysisCache:
     def analyse_many(self, tasksets: Iterable[TaskSet], speed_factor: float = 1.0,
                      event_models: Optional[Dict[str, EventModel]] = None
                      ) -> List[Dict[str, ResponseTimeResult]]:
-        """Batched lookup of a whole admission wave, in input order.
-
-        Hits are answered from the store; all misses are forwarded to the
-        incremental engine as **one**
-        :meth:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis.analyze_many`
-        batch, so near-identical task sets within the batch (the fleet-wave
-        workload: per-vehicle perturbations of a shared baseline) reuse and
-        warm-start each other even on their first analysis.  Results are
-        identical to per-task-set :meth:`analyse` calls in the same order.
-        """
-        ordered = list(tasksets)
-        hits_before, misses_before = self.hits, self.misses
-        keys = [taskset_key(taskset, speed_factor, event_models)
-                for taskset in ordered]
-        results: List[Optional[Dict[str, ResponseTimeResult]]] = [None] * len(ordered)
-        misses: List[int] = []
-        seen_missing: Dict[Tuple, int] = {}
-        for position, key in enumerate(keys):
-            cached = self._store.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._store.move_to_end(key)
-                results[position] = dict(cached)
-            elif key in seen_missing:
-                # Duplicate within the batch: one engine analysis serves both.
-                self.hits += 1
-                misses_position = seen_missing[key]
-                results[position] = misses_position  # type: ignore[assignment]
-            else:
-                self.misses += 1
-                seen_missing[key] = position
-                misses.append(position)
-        if misses:
-            computed = self.engine.analyze_many([ordered[i] for i in misses],
-                                                speed_factor=speed_factor,
-                                                event_models=event_models)
-            for position, result in zip(misses, computed):
-                if len(self._store) >= self.max_entries:
-                    self._store.popitem(last=False)
-                    self.evictions += 1
-                self._store[keys[position]] = result
-                results[position] = dict(result)
-        # Resolve intra-batch duplicates recorded as back-references.
-        for position, value in enumerate(results):
-            if isinstance(value, int):
-                results[position] = dict(results[value])
-        if self.tracer is not None:
-            self.tracer.emit("cache.analyse_many", requested=len(ordered),
-                             hits=self.hits - hits_before,
-                             misses=self.misses - misses_before)
-        return results  # type: ignore[return-value]
+        """Per-task-set :meth:`analyse` calls, results in input order."""
+        return [self.analyse(taskset, speed_factor, event_models)
+                for taskset in tasksets]
 
     def schedulable(self, taskset: TaskSet, speed_factor: float = 1.0,
                     event_models: Optional[Dict[str, EventModel]] = None) -> bool:
@@ -342,21 +292,6 @@ class AnalysisCache:
                 return 0
             raise SnapshotError(f"{path!r} is not an AnalysisCache snapshot")
         return self.merge_entries(payload["entries"])
-
-    def __getstate__(self) -> Dict[str, int]:
-        """Pickle travel-light: capacity only, no entries, no engine state.
-
-        A cache is pickled when it rides along inside a bigger object graph
-        (a fleet vehicle's acceptance tests); shipping the whole store with
-        every such payload would dwarf the object it rides in.  Persistent
-        warm-starts are explicit instead — :meth:`save_snapshot` /
-        :meth:`load_snapshot`.  Verdicts never depend on cache contents, so
-        an empty arrival is always sound.
-        """
-        return {"max_entries": self.max_entries}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self.__init__(max_entries=state["max_entries"])
 
 
 #: Lazily created process-local cache shared by sweeps that do not manage

@@ -7,27 +7,18 @@ vehicle's own MCC, monitor feedback consumed between waves, and a policy that
 halts — and optionally rolls back — a wave whose rejection/deviation rate
 exceeds the tolerated threshold.
 
-Admission is *batched* along two axes:
-
-* **Analysis batching.**  Before a wave's vehicles integrate, the campaign
-  previews the distinct candidate task sets
-  (:meth:`~repro.mcc.integration.IntegrationProcess.preview_tasksets`) and
-  pushes them through the shared
-  :class:`~repro.analysis.cache.AnalysisCache` as one
-  :meth:`~repro.analysis.cache.AnalysisCache.analyse_many` batch, so the
-  incremental engine warm-starts near-identical vehicles off each other.
-* **Verdict dedupe.**  Vehicles whose model, platform shape and request are
-  *identical* (same variant, same adopted contract objects, same mapping
-  state) are one integration, not N: the first vehicle of each equivalence
-  group runs the full process, the rest replay its verdict and mapping
-  decision through
-  :meth:`~repro.mcc.controller.MultiChangeController.replay_change`.
-
-Both are exact — the cache is content-addressed, the engine bit-identical,
-and the equivalence grouping keys on object identity of the adopted
-contracts — so batched and sequential admission produce identical wave
-verdicts; only the wall time differs (the differential harness, the fleet
-tests and the E10 benchmarks all assert this).
+Batched admission is *verdict dedupe*: vehicles whose model, platform
+shape and request are *identical* (same variant, same adopted contract
+objects, same mapping state) are one integration, not N.  The first vehicle
+of each equivalence group runs the full process, the rest replay its
+verdict and mapping decision through
+:meth:`~repro.mcc.controller.MultiChangeController.replay_change`.  The
+grouping keys on object identity of the adopted contracts, so it is exact:
+batched and sequential admission produce identical wave verdicts, and only
+the wall time differs (the differential harness, the fleet tests and the
+E10 benchmarks all assert this).  Either way a shared
+:class:`~repro.analysis.cache.AnalysisCache` lets every integration reuse
+the analyses of the ones before it.
 
 Warm starts and checkpoints
 ---------------------------
@@ -424,12 +415,11 @@ class Campaign:
     policy:
         Staging/halting policy.
     analysis_cache:
-        The shared cache used for batched admission.  Required when
-        ``batch_admission`` is on; for the full effect the fleet should have
-        been generated with the same cache.
+        The cache the fleet was generated with, if any: the result reports
+        its traffic, and ``cache_path`` snapshots it.
     batch_admission:
-        Prefetch every wave's candidate task sets through
-        ``analysis_cache.analyse_many`` before the per-vehicle integrations.
+        Admit only the first vehicle of each group of identical admission
+        problems and replay its verdict on the others.
     failure_injection_rate:
         Probability that an updated vehicle's observed execution time exceeds
         its contracted budget (simulated field failure).
@@ -461,9 +451,10 @@ class Campaign:
         staging cannot be validated against the static wave plan.
     tracer:
         Optional :class:`~repro.observability.tracer.CampaignTracer`.  When
-        set, the wave loop, the adversity seams and the shared analysis
-        cache report structured events into it (flushed to its JSONL path at
-        run end); see ``docs/OBSERVABILITY.md`` for the event taxonomy.
+        set, the wave loop, the adversity seams and, while this campaign
+        runs, the shared analysis cache report structured events into it
+        (flushed to its JSONL path at run end); see
+        ``docs/OBSERVABILITY.md`` for the event taxonomy.
         Tracing is strictly read-only: traced campaigns produce
         field-for-field identical results to untraced ones, and
         ``tracer=None`` (the default) leaves every
@@ -484,8 +475,6 @@ class Campaign:
                  tracer: Optional[CampaignTracer] = None) -> None:
         if not 0.0 <= failure_injection_rate <= 1.0:
             raise CampaignError("failure_injection_rate must be in [0, 1]")
-        if batch_admission and analysis_cache is None:
-            raise CampaignError("batched admission needs a shared analysis cache")
         if cache_path is not None and analysis_cache is None:
             raise CampaignError("cache_path needs an analysis cache to snapshot")
         self.vehicles = list(vehicles)
@@ -499,10 +488,6 @@ class Campaign:
         self.checkpoint_path = checkpoint_path
         self.adversity = adversity
         self.tracer = tracer
-        if tracer is not None and analysis_cache is not None:
-            # The shared cache reports its lookup/merge events into the
-            # same trace (observation only).
-            analysis_cache.tracer = tracer
         #: The checkpoint written at the most recent halt (None before).
         self.last_checkpoint: Optional[CampaignCheckpoint] = None
         #: One-shot latch of :meth:`run` (see its docstring).

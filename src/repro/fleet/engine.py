@@ -143,6 +143,10 @@ class CampaignEngine:
                  resume_from: Optional[CampaignCheckpoint] = None) -> None:
         self.campaign = campaign
         cache = campaign.analysis_cache
+        if cache is not None:
+            # The shared cache reports into this campaign's trace, or into
+            # none, until finalize() detaches it.
+            cache.tracer = campaign.tracer
         # Counter baseline: the result reports this run's cache traffic
         # only -- its admissions and the provisioning of every vehicle it
         # touches first, a resume's restore included -- not the traffic of
@@ -206,8 +210,8 @@ class CampaignEngine:
 
         The wave runs to commit — staging (planned members plus delivery
         carry), provisioning every staged vehicle not yet provisioned,
-        adversity delivery, request construction, equivalence dedupe, the
-        wave prefetch, per-vehicle admission or replay, monitor feedback,
+        adversity delivery, request construction, per-vehicle admission or
+        replay of an equivalent vehicle's verdict, monitor feedback,
         the halt decision and any rollback — so after ``step()`` returns
         the campaign sits at the next wave boundary.  Provisioning
         runs before anything else, so a provisioning error (see
@@ -288,29 +292,16 @@ class CampaignEngine:
                 request = campaign.adversity.transform_request(
                     vehicle, request, wave_index)
             requests.append(request)
-        keys: List[Optional[Tuple]] = [None] * len(requests)
-        rep_positions: List[int] = []
-        if campaign.batch_admission:
-            # Keys are stable for the whole wave: a vehicle's model only
-            # changes when its own request is admitted, and adoption
-            # happens strictly after the dedupe pass.
-            seen_new = set()
-            for position, (vehicle, request) in enumerate(zip(wave,
-                                                              requests)):
-                key = self._equivalence_key(vehicle, request)
-                keys[position] = key
-                if key not in self.precedents and key not in seen_new:
-                    seen_new.add(key)
-                    rep_positions.append(position)
-            self._prefetch_wave([(wave[p], requests[p])
-                                 for p in rep_positions])
         admitted: List[Tuple[FleetVehicle, ChangeRequest, MccSnapshot]] = []
         pre_wave: Dict[str, MccSnapshot] = {}
-        for vehicle, request, key in zip(wave, requests, keys):
+        for vehicle, request in zip(wave, requests):
             snapshot = vehicle.mcc.snapshot()
             pre_wave[vehicle.vehicle_id] = snapshot
             replayed = False
             if campaign.batch_admission:
+                # Read before this vehicle's admission, the only thing
+                # that changes its key.
+                key = self._equivalence_key(vehicle, request)
                 precedent = self.precedents.get(key)
                 if precedent is None:
                     self.pinned.append(request.contract)
@@ -386,7 +377,8 @@ class CampaignEngine:
         """Run the campaign epilogue and return the aggregate result.
 
         Persists the ``cache_path`` snapshot, stamps the cache counters onto
-        the result and closes the trace.  One-shot: a second call raises.
+        the result, detaches the shared cache from the tracer and closes the
+        trace.  One-shot: a second call raises.
         Callable at any wave boundary — :meth:`Campaign.run` calls it when
         :attr:`done`, the admission service also calls it when parking a
         campaign.
@@ -409,6 +401,7 @@ class CampaignEngine:
             result.cache_misses = campaign.analysis_cache.misses \
                 - self.state.misses_before
             result.engine_reuse_rate = campaign.analysis_cache.engine.reuse_rate
+            campaign.analysis_cache.tracer = None
         if campaign.tracer is not None:
             campaign.tracer.emit("campaign.end", admitted=result.admitted,
                                  rejected=result.rejected,
@@ -454,30 +447,6 @@ class CampaignEngine:
         return checkpoint
 
     # -- wave internals ----------------------------------------------------
-
-    def _prefetch_wave(self,
-                       representatives: Sequence[Tuple[FleetVehicle,
-                                                       ChangeRequest]]) -> None:
-        """Warm the shared cache with the representatives' candidate analyses.
-
-        Only the vehicles that will actually run a full integration are
-        previewed (one per equivalence group); the batch goes through
-        ``analyse_many`` so representatives of *different* variants
-        warm-start off each other in the incremental engine.  The prefetch is
-        only a warm-up — a skipped preview costs cache misses, never a
-        different verdict.
-        """
-        cache = self.campaign.analysis_cache
-        assert cache is not None
-        tasksets = []
-        for vehicle, request in representatives:
-            preview = vehicle.mcc.process.preview_tasksets(vehicle.mcc.model,
-                                                           request)
-            if preview is None:
-                continue  # rejected before the acceptance phase; nothing to warm
-            tasksets.extend(taskset for _, taskset in sorted(preview.items()))
-        if tasksets:
-            cache.analyse_many(tasksets)
 
     @staticmethod
     def _equivalence_key(vehicle: FleetVehicle, request: ChangeRequest) -> Tuple:
@@ -615,24 +584,37 @@ class CampaignEngine:
                             result: CampaignResult) -> int:
         """Rewind the fleet and seed ``result`` from ``checkpoint``.
 
-        Validates that the resumed campaign stages the same fleet the same
-        way (the executed waves' vehicle ids must match the plan — policy
+        Validates that the checkpoint is consistent (one state per vehicle,
+        one record per executed wave, in order, ending at the cursor) and
+        that the resumed campaign stages the same fleet the same way (the
+        executed waves' vehicle ids must match the plan — policy
         remediation may change thresholds, not the staging of already
         executed waves).  Returns the wave index to continue from.
         """
         campaign = self.campaign
-        checkpointed = {state.vehicle_id for state in checkpoint.vehicle_states}
-        current = {vehicle.vehicle_id for vehicle in campaign.vehicles}
+        checkpointed = sorted(state.vehicle_id
+                              for state in checkpoint.vehicle_states)
+        current = sorted(vehicle.vehicle_id for vehicle in campaign.vehicles)
         if checkpointed != current:
             raise CampaignError(
-                f"checkpoint covers a {len(checkpointed)}-vehicle fleet, the "
+                f"checkpoint holds {len(checkpointed)} vehicle states, the "
                 f"resumed campaign stages {len(current)} vehicles; resume "
-                "needs the exact fleet the campaign halted on")
+                "needs one state for each vehicle of the exact fleet the "
+                "campaign halted on")
+        executed = checkpoint.result.waves
+        if checkpoint.next_wave != len(executed):
+            raise CampaignError(
+                f"checkpoint resumes at wave {checkpoint.next_wave} but "
+                f"records {len(executed)} executed waves")
         if checkpoint.next_wave > len(plan):
             raise CampaignError(
                 f"checkpoint expects wave {checkpoint.next_wave} but the "
                 f"resumed campaign plans only {len(plan)} waves")
-        for index, record in enumerate(checkpoint.result.waves):
+        for index, record in enumerate(executed):
+            if record.index != index:
+                raise CampaignError(
+                    f"checkpoint records wave {record.index} in position "
+                    f"{index}")
             planned = [vehicle.vehicle_id for vehicle in plan[index][1]]
             if planned != list(record.vehicle_ids):
                 raise CampaignError(

@@ -153,12 +153,6 @@ class FleetVehicle:
         self._platform = platform
         self._mcc = mcc
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # A pickled vehicle is provisioned first, so the copy stands alone,
-        # and carries no provisioner: it holds the fleet's analysis cache.
-        self.provision()
-        return {**self.__dict__, "_provisioner": None}
-
     @property
     def platform(self) -> Platform:
         """This vehicle's platform model, provisioned on first read."""

@@ -69,9 +69,9 @@ def tasksets_from_mapping(contracts: List[Contract], mapping: Dict[str, str],
     """Build per-processor task sets from a candidate configuration.
 
     This is exactly the derivation the timing acceptance test performs, so
-    callers that want to *prefetch* analyses (e.g. batched fleet-wave
-    admission) can compute the same task sets — and therefore the same cache
-    fingerprints — ahead of the acceptance run.
+    a caller gets the task sets — and therefore the cache keys — that the
+    acceptance run analyses (see
+    :meth:`~repro.mcc.integration.IntegrationProcess.preview_tasksets`).
     """
     tasksets: Dict[str, TaskSet] = {}
     for contract in contracts:

@@ -188,10 +188,7 @@ class IntegrationProcess:
         :meth:`integrate` on a scratch copy, without any acceptance test.
         Returns ``None`` when the request would be rejected before the
         acceptance phase (invalid change, contract problems, mapping
-        failure).  Batched admission uses this to warm a shared
-        :class:`~repro.analysis.cache.AnalysisCache` for a whole wave of
-        requests before the individual integrations run — the fingerprints
-        match because the derivation is identical.
+        failure).
         """
         candidate = model.candidate()
         try:

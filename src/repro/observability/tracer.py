@@ -21,10 +21,9 @@ Design constraints, in order:
   identical :class:`~repro.fleet.campaign.CampaignResult` records (pinned
   by ``tests/test_observability.py``).
 * **Deterministic mode.**  ``deterministic=True`` suppresses every
-  wall-clock-derived field (:data:`WALL_CLOCK_FIELDS`: timestamps and
-  process ids), so a trace becomes a pure function of the campaign
-  parameters — two runs of the same campaign write byte-identical trace
-  files.
+  wall-clock-derived field (:data:`WALL_CLOCK_FIELDS`: the timestamp), so
+  a trace becomes a pure function of the campaign parameters — two runs of
+  the same campaign write byte-identical trace files.
 
 Events are buffered in memory and written on :meth:`flush`/:meth:`close`
 (the campaign flushes once per run); an enabled tracer therefore costs one
@@ -39,10 +38,10 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
-#: Event fields derived from wall clocks or process identity — everything a
-#: deterministic trace must not contain.  ``emit`` drops these in
-#: deterministic mode; the metrics bridge treats them as optional.
-WALL_CLOCK_FIELDS = frozenset({"t_s", "pid"})
+#: Event fields derived from wall clocks — everything a deterministic trace
+#: must not contain.  ``emit`` omits these in deterministic mode; the
+#: metrics bridge treats them as optional.
+WALL_CLOCK_FIELDS = frozenset({"t_s"})
 
 
 class TraceError(ValueError):
@@ -91,22 +90,17 @@ class CampaignTracer:
         see ``docs/OBSERVABILITY.md``); ``wave``/``vehicle`` are the
         standard context keys and further keyword fields travel
         verbatim.  Outside deterministic mode every event also carries
-        ``t_s`` (monotonic seconds since the tracer was created) and
-        ``pid``.
+        ``t_s`` (monotonic seconds since the tracer was created).
         """
         record: Dict[str, Any] = {"seq": self._seq, "event": event}
         self._seq += 1
         if not self.deterministic:
             record["t_s"] = time.perf_counter() - self._origin
-            record["pid"] = os.getpid()
         if wave is not None:
             record["wave"] = wave
         if vehicle is not None:
             record["vehicle"] = vehicle
-        for key, value in fields.items():
-            if self.deterministic and key in WALL_CLOCK_FIELDS:
-                continue
-            record[key] = value
+        record.update(fields)
         self._store(record)
         return record
 

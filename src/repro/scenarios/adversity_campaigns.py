@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.cache import AnalysisCache
-from repro.contracts.model import Contract
 from repro.fleet.adversity import (AdversityModel, IntrusionAdversity,
                                    LossyDeliveryAdversity, ThermalAdversity)
 from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
-from repro.fleet.vehicle import FleetSpec, FleetVehicle, generate_fleet
-from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.scenarios.fleet_campaign import build_update_contract
+from repro.fleet.vehicle import FleetSpec, generate_fleet
+from repro.scenarios.fleet_campaign import add_component_update
 
 
 def _run_adverse_campaign(adversity: AdversityModel, fleet_size: int,
@@ -47,24 +45,12 @@ def _run_adverse_campaign(adversity: AdversityModel, fleet_size: int,
                      extra_components=extra_components)
     cache = AnalysisCache()
     vehicles = generate_fleet(spec, analysis_cache=cache)
-
-    update_contracts: Dict[int, Contract] = {}
-
-    def update_factory(vehicle: FleetVehicle) -> ChangeRequest:
-        variant = vehicle.variant.index
-        contract = update_contracts.get(variant)
-        if contract is None:
-            contract = build_update_contract(vehicle.wcet_factor,
-                                             utilization=update_utilization)
-            update_contracts[variant] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
     policy = WavePolicy(canary_size=canary_size,
                         wave_fractions=tuple(float(f) for f in wave_fractions),
                         max_failure_rate=max_failure_rate)
-    campaign = Campaign(vehicles, update_factory, policy=policy,
-                        analysis_cache=cache, batch_admission=True,
+    campaign = Campaign(vehicles, add_component_update(update_utilization),
+                        policy=policy, analysis_cache=cache,
+                        batch_admission=True,
                         failure_injection_rate=failure_injection_rate,
                         feedback_seed=seed, adversity=adversity)
     return campaign.run()

@@ -23,7 +23,8 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.cache import AnalysisCache
 from repro.contracts.language import ContractParser
 from repro.contracts.model import Contract
-from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
+from repro.fleet.campaign import (Campaign, CampaignResult, UpdateFactory,
+                                  WavePolicy)
 from repro.fleet.vehicle import FleetSpec, FleetVehicle, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 
@@ -72,6 +73,29 @@ def build_update_contract(wcet_factor: float, utilization: float = 0.22,
     })
 
 
+def add_component_update(utilization: float = 0.22,
+                         component: str = "nav_assist") -> UpdateFactory:
+    """An update factory that adds ``component`` to each vehicle.
+
+    Each variant's contract is built once, by :func:`build_update_contract`
+    for that variant's WCET factor, and handed to all its vehicles: batched
+    admission groups vehicles by contract identity.
+    """
+    contracts: Dict[int, Contract] = {}
+
+    def factory(vehicle: FleetVehicle) -> ChangeRequest:
+        contract = contracts.get(vehicle.variant.index)
+        if contract is None:
+            contract = build_update_contract(vehicle.wcet_factor,
+                                             utilization=utilization,
+                                             component=component)
+            contracts[vehicle.variant.index] = contract
+        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
+                             component=contract.component, contract=contract)
+
+    return factory
+
+
 def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
                                 heterogeneity: float = 0.15,
                                 num_variants: int = 8,
@@ -108,19 +132,6 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
                      deploy=deploy)
     cache = AnalysisCache() if batch_admission else None
     vehicles = generate_fleet(spec, analysis_cache=cache)
-
-    update_contracts: Dict[int, Contract] = {}
-
-    def update_factory(vehicle: FleetVehicle) -> ChangeRequest:
-        variant = vehicle.variant.index
-        contract = update_contracts.get(variant)
-        if contract is None:
-            contract = build_update_contract(vehicle.wcet_factor,
-                                             utilization=update_utilization)
-            update_contracts[variant] = contract
-        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                             component=contract.component, contract=contract)
-
     policy = WavePolicy(canary_size=canary_size,
                         wave_fractions=tuple(float(f) for f in wave_fractions),
                         max_failure_rate=max_failure_rate,
@@ -131,8 +142,9 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
         from repro.observability.tracer import CampaignTracer
         tracer = CampaignTracer(path=str(trace_path),
                                 deterministic=trace_deterministic)
-    campaign = Campaign(vehicles, update_factory, policy=policy,
-                        analysis_cache=cache, batch_admission=batch_admission,
+    campaign = Campaign(vehicles, add_component_update(update_utilization),
+                        policy=policy, analysis_cache=cache,
+                        batch_admission=batch_admission,
                         failure_injection_rate=failure_injection_rate,
                         feedback_seed=seed, cache_path=cache_path,
                         tracer=tracer)

@@ -48,12 +48,11 @@ from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Deque, Dict, List, Optional
 
 from repro.analysis.cache import AnalysisCache
-from repro.contracts.model import Contract
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint,
-                                  CampaignResult, WavePolicy, plan_waves)
+                                  CampaignResult, UpdateFactory, WavePolicy,
+                                  plan_waves)
 from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import FleetVehicle, VehicleState, generate_fleet
-from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.service.schemas import (CampaignStatus, HaltRequest, JobState,
                                    ResumeRequest, RollbackRequest,
                                    ServiceError, SubmitCampaign,
@@ -76,8 +75,9 @@ class _Job:
     engine: Optional[CampaignEngine] = None
     #: Resumable boundary state while parked (halt-written or operator-taken).
     checkpoint: Optional[CampaignCheckpoint] = None
-    #: Per-variant update contracts, stable across halt/resume cycles.
-    update_contracts: Dict[int, Contract] = field(default_factory=dict)
+    #: The job's update factory.  It builds its contracts once, so they
+    #: stay the same objects across halt/resume cycles.
+    update_factory: Optional[UpdateFactory] = None
     progress: List[WaveProgress] = field(default_factory=list)
     result: Optional[CampaignResult] = None
     error: Optional[str] = None
@@ -387,32 +387,21 @@ class AdmissionService:
     def _start(self, job: _Job) -> None:
         """Build (or rebuild, on resume) the job's campaign and engine.
 
-        The fleet and its analysis cache are generated once per job and
-        survive halts; its vehicles provision as the waves stage them.
+        The fleet, its analysis cache and the update factory are built once
+        per job and survive halts; its vehicles provision as the waves stage
+        them.
         Every start builds a fresh ``Campaign`` — ``run()``-state free by
         construction — and a fresh engine, resumed from the parked
         checkpoint when one exists.
         """
-        from repro.scenarios.fleet_campaign import build_update_contract
+        from repro.scenarios.fleet_campaign import add_component_update
         request = job.request
         if job.fleet is None:
             job.cache = AnalysisCache()
             job.fleet = generate_fleet(request.fleet_spec(),
                                        analysis_cache=job.cache)
-
-        def update_factory(vehicle: FleetVehicle) -> ChangeRequest:
-            variant = vehicle.variant.index
-            contract = job.update_contracts.get(variant)
-            if contract is None:
-                contract = build_update_contract(
-                    vehicle.wcet_factor,
-                    utilization=request.update_utilization,
-                    component=request.component)
-                job.update_contracts[variant] = contract
-            return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
-                                 component=contract.component,
-                                 contract=contract)
-
+            job.update_factory = add_component_update(
+                request.update_utilization, request.component)
         threshold = job.max_failure_rate \
             if job.max_failure_rate is not None else request.max_failure_rate
         policy = WavePolicy(canary_size=request.canary_size,
@@ -420,7 +409,7 @@ class AdmissionService:
                             max_failure_rate=threshold,
                             rollback_on_halt=request.rollback_on_halt)
         job.campaign = Campaign(
-            job.fleet, update_factory, policy=policy,
+            job.fleet, job.update_factory, policy=policy,
             analysis_cache=job.cache,
             failure_injection_rate=request.failure_injection_rate,
             feedback_seed=request.seed)

@@ -6,7 +6,7 @@ Two differential harnesses pin the load-bearing guarantees of
 * **Worker parity** — every adversity model draws its randomness from
   ``SeededRNG`` streams keyed on campaign parameters and executes in wave
   order, so a perturbed campaign must reach byte-identical verdicts whether
-  a wave is admitted as one batch or vehicle by vehicle by the sequential
+  a wave is admitted batched or vehicle by vehicle by the sequential
   oracle (hypothesis-seeded).
 * **Sequential reference** — the halt decision under compromised/false
   deviation feedback is recomputed by an independent sequential replay

@@ -124,14 +124,18 @@ class TestAnalyseMany:
         assert cache.evictions == 1  # one distinct new key, one eviction
 
     def test_duplicate_of_an_evicted_key_within_one_batch(self):
-        """Capacity smaller than the batch's distinct keys: back-references
-        still resolve to correct results after the first key was evicted."""
+        """Capacity smaller than the batch's distinct keys: a key evicted
+        within the batch is analysed again, exactly as per-set calls do."""
         cache = AnalysisCache(max_entries=1)
         grids = [_taskset(), _taskset(wcet_high=0.003), _taskset()]
         results = cache.analyse_many(grids)
         reference = AnalysisCache()
         assert results == [reference.analyse(taskset) for taskset in grids]
-        assert cache.evictions == 1
+        per_set = AnalysisCache(max_entries=1)
+        for taskset in grids:
+            per_set.analyse(taskset)
+        assert (cache.hits, cache.misses, cache.evictions) == \
+            (per_set.hits, per_set.misses, per_set.evictions) == (0, 3, 2)
 
 
 class TestAnalysisCache:
@@ -297,21 +301,6 @@ class TestSnapshotPersistence:
         assert len(target) == 2
         assert (target.hits, target.misses) == (0, 1)  # merging is no lookup
 
-    def test_pickled_cache_travels_empty(self):
-        """Pickling a cache object (as a rider inside a pickled vehicle)
-        deliberately ships capacity only — warm-starts are explicit via
-        snapshots, and verdicts never depend on cache contents."""
-        import pickle
-        cache = AnalysisCache(max_entries=7)
-        cache.analyse(_taskset())
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert len(clone) == 0
-        assert (clone.hits, clone.misses) == (0, 0)
-        # The clone still works as a cache afterwards.
-        clone.analyse(_taskset())
-        assert clone.misses == 1
-
 
 class TestCachedResponseTimeAnalysis:
     """The drop-in facade matches the plain analysis."""
@@ -371,8 +360,7 @@ class TestMccIntegration:
 class TestBatchKernelOrderPreservation:
     """Regression: `analyse_many` must return results in input order when a
     wave interleaves hits, misses and in-wave duplicates across several
-    task-set shapes (misses are solved as one engine batch, hits and
-    duplicates are filled in around it)."""
+    task-set shapes."""
 
     @staticmethod
     def _grid():
@@ -403,7 +391,7 @@ class TestBatchKernelOrderPreservation:
             assert set(results[position]) == {t.name for t in taskset}, position
             assert_equivalent(results[position], cold_results(taskset),
                               f"wave position={position}")
-        # Duplicates within the wave are answered by the batch, not re-analysed.
+        # Duplicates within the wave are answered by the store, not re-analysed.
         assert cache.hits >= 2
 
     def test_batched_wave_equals_sequential_lookups(self):

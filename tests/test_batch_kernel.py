@@ -1,10 +1,9 @@
 """Differential-oracle tests for batched busy-window analysis.
 
-A fleet wave's admission hands the whole wave to
-:meth:`~repro.analysis.cache.AnalysisCache.analyse_many`, which forwards its
-misses as one
-:meth:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis.analyze_many`
-batch.  The contract of both entry points is exactness: for any grid of task
+A sweep hands a whole grid of task sets to
+:meth:`~repro.analysis.cache.AnalysisCache.analyse_many` or to
+:meth:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis.analyze_many`.
+The contract of both entry points is exactness: for any grid of task
 sets, every lane's ``wcrt``/``schedulable``/``converged`` verdicts equal a
 cold :class:`~repro.analysis.cpa.ResponseTimeAnalysis` of that lane, in
 input order.  The suites below drive randomized UUniFast grids (hypothesis

@@ -399,9 +399,6 @@ class TestCampaign:
 
     def test_campaign_validation(self):
         with pytest.raises(CampaignError):
-            Campaign([], update_factory_for(), analysis_cache=None,
-                     batch_admission=True)
-        with pytest.raises(CampaignError):
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      failure_injection_rate=2.0)
         with pytest.raises(CampaignError):

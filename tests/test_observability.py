@@ -18,12 +18,14 @@ import os
 
 import pytest
 
+from repro.fleet.campaign import Campaign, WavePolicy
 from repro.observability import (WALL_CLOCK_FIELDS, CampaignTracer,
                                  TraceError, campaign_metric_registry,
                                  flatten_result_documents, load_trace,
                                  render_dashboard, wave_latencies)
 from repro.observability.metrics_bridge import ADMISSION_SOURCE, WAVE_SOURCE
-from test_parallel_campaign import campaign_digest, fleet_digest, run_campaign
+from test_parallel_campaign import (campaign_digest, fleet_digest,
+                                    make_factory, run_campaign)
 
 
 class TestTracerUnit:
@@ -34,7 +36,7 @@ class TestTracerUnit:
                              accepted=True)
         assert first["seq"] == 0 and second["seq"] == 1
         assert second["vehicle"] == "veh0001" and second["accepted"] is True
-        assert "t_s" in first and "pid" in first
+        assert "t_s" in first
         assert len(tracer) == 2
         assert [e["event"] for e in tracer.select("wave.begin")] == ["wave.begin"]
 
@@ -90,9 +92,9 @@ class TestTracedCampaigns:
         tracer = CampaignTracer(path=str(tmp_path / "trace.jsonl"))
         _, _, result = run_campaign(40, 2, tracer=tracer)
         kinds = {event["event"] for event in tracer.events}
-        assert {"campaign.begin", "wave.begin", "cache.analyse_many",
-                "cache.analyse", "vehicle.admit", "feedback.observe",
-                "wave.end", "campaign.end"} <= kinds
+        assert {"campaign.begin", "wave.begin", "cache.analyse",
+                "vehicle.admit", "feedback.observe", "wave.end",
+                "campaign.end"} <= kinds
         # The campaign flushed at run end without an explicit close.
         file_events = load_trace(str(tmp_path / "trace.jsonl"))
         assert len(file_events) == len(tracer.events)
@@ -100,6 +102,26 @@ class TestTracedCampaigns:
         assert len(ends) == 1
         assert ends[0]["admitted"] == result.admitted
         assert ends[0]["waves"] == len(result.waves)
+
+    def test_untraced_resume_on_a_shared_cache_stays_untraced(self):
+        """A traced campaign halts at its canary; an untraced resume on the
+        same fleet and cache adds no event to the first campaign's trace."""
+        tracer = CampaignTracer()
+        fleet, campaign, halted = run_campaign(
+            12, 1, failure_rate=1.0, tracer=tracer,
+            policy=WavePolicy(canary_size=2, max_failure_rate=0.0))
+        assert halted.halted_wave == 0
+        emitted = len(tracer)
+        cache = campaign.analysis_cache
+        resumed = Campaign(fleet, make_factory(),
+                           policy=WavePolicy(canary_size=2,
+                                             max_failure_rate=1.0),
+                           analysis_cache=cache, failure_injection_rate=1.0,
+                           feedback_seed=1).run(
+            resume_from=campaign.last_checkpoint)
+        assert resumed.completed and resumed.admitted == 12
+        assert len(tracer) == emitted
+        assert cache.tracer is None
 
     def test_tracer_none_leaves_result_unchanged_field_for_field(self):
         fleet_a, _, traced = run_campaign(25, 7, failure_rate=0.2,

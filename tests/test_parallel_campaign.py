@@ -1,12 +1,13 @@
 """Campaign admission paths and persistence: batched/sequential
 equivalence, on-disk cache warm-starts and checkpoint/resume.
 
-A wave is admitted as one batch (its vehicles' analyses run side by side)
-or, with ``batch_admission=False``, vehicle by vehicle by the sequential
-oracle; both must reach the same verdicts, waves and per-vehicle rollout
-state for any fleet, staging policy and failure injection — halts
-included.  A hypothesis-seeded differential harness pins that.  A warm start
-changes wall time, never a result; a halted campaign resumes — remediated —
+A wave is admitted batched (each group of identical vehicles integrates
+once, the rest replay its verdict) or, with ``batch_admission=False``,
+vehicle by vehicle by the sequential oracle; both must reach the same
+verdicts, waves and per-vehicle rollout state for any fleet, staging
+policy and failure injection — halts included.  A hypothesis-seeded
+differential harness pins that.  A warm start changes wall time, never a
+result; a halted campaign resumes — remediated —
 to the result of an uninterrupted run.  The module also holds the campaign
 helpers the other campaign suites share (``make_factory``,
 ``campaign_digest``, ``verdict_digest``, ``fleet_digest``,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
                                   CampaignResult, WavePolicy)
+from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import build_update_contract
@@ -72,10 +75,10 @@ def fleet_digest(fleet):
 
 def run_campaign(size, seed, *, failure_rate=0.0, policy=None,
                  cache_path=None, checkpoint_path=None, num_variants=4,
-                 **campaign_kwargs):
+                 shared_cache=True, **campaign_kwargs):
     spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
                      extra_components=2)
-    cache = AnalysisCache()
+    cache = AnalysisCache() if shared_cache else None
     fleet = generate_fleet(spec, analysis_cache=cache)
     campaign = Campaign(fleet, make_factory(), policy=policy,
                         analysis_cache=cache,
@@ -86,9 +89,8 @@ def run_campaign(size, seed, *, failure_rate=0.0, policy=None,
 
 
 class TestParallelSequentialEquivalence:
-    """A wave admitted in parallel as one batch vs the sequential
-    per-vehicle oracle: identical verdicts and rollout state, halt
-    included."""
+    """Batched admission vs the sequential per-vehicle oracle: identical
+    verdicts and rollout state, halt included."""
 
     def test_clean_rollout_equivalence(self):
         fleet_seq, _, sequential = run_campaign(12, seed=1,
@@ -120,10 +122,13 @@ class TestParallelSequentialEquivalence:
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=10_000),
            failure_rate=st.sampled_from([0.0, 0.3, 0.8]),
-           size=st.integers(min_value=4, max_value=14))
-    def test_differential_random_fleets(self, seed, failure_rate, size):
-        """Hypothesis-seeded fleets: batched admission may never diverge
-        from sequential admission, whatever the fleet or failure pattern."""
+           size=st.integers(min_value=4, max_value=14),
+           shared_cache=st.booleans())
+    def test_differential_random_fleets(self, seed, failure_rate, size,
+                                        shared_cache):
+        """Hypothesis-seeded fleets: batched admission, with or without a
+        shared cache, may never diverge from sequential admission, whatever
+        the fleet or failure pattern."""
         policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.25)
         fleet_seq, _, sequential = run_campaign(size, seed=seed,
@@ -132,7 +137,8 @@ class TestParallelSequentialEquivalence:
                                                 batch_admission=False)
         fleet_bat, _, batched = run_campaign(size, seed=seed,
                                              failure_rate=failure_rate,
-                                             policy=policy)
+                                             policy=policy,
+                                             shared_cache=shared_cache)
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
 
@@ -289,6 +295,41 @@ class TestCheckpointResume:
                               max_failure_rate=1.0)
         with pytest.raises(CampaignError):
             Campaign(fleet, make_factory(), policy=reshaped,
+                     analysis_cache=cache).run(resume_from=checkpoint)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda checkpoint: replace(checkpoint, next_wave=1),
+         "resumes at wave 1 but records 2"),
+        (lambda checkpoint: replace(checkpoint, next_wave=3),
+         "resumes at wave 3 but records 2"),
+        (lambda checkpoint: replace(checkpoint, result=replace(
+            checkpoint.result,
+            waves=[checkpoint.result.waves[0],
+                   replace(checkpoint.result.waves[1], index=2)])),
+         "records wave 2 in position 1"),
+        (lambda checkpoint: replace(
+            checkpoint,
+            vehicle_states=checkpoint.vehicle_states
+            + checkpoint.vehicle_states[:1]),
+         "holds 19 vehicle states"),
+    ], ids=["cursor-behind-records", "cursor-past-records",
+            "misnumbered-record", "repeated-vehicle"])
+    def test_resume_rejects_inconsistent_checkpoint(self, corrupt, message):
+        """A checkpoint taken after two of three waves, its cursor, wave
+        records or vehicle states then made to disagree."""
+        spec = FleetSpec(size=18, seed=1, num_variants=4, extra_components=2)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
+        engine = CampaignEngine(Campaign(fleet, make_factory(),
+                                         policy=self.POLICY_TOLERANT,
+                                         analysis_cache=cache))
+        engine.step()
+        engine.step()
+        checkpoint = corrupt(engine.checkpoint())
+        cache = AnalysisCache()
+        fresh_fleet = generate_fleet(spec, analysis_cache=cache)
+        with pytest.raises(CampaignError, match=message):
+            Campaign(fresh_fleet, make_factory(), policy=self.POLICY_TOLERANT,
                      analysis_cache=cache).run(resume_from=checkpoint)
 
     def test_checkpoint_file_validation(self, tmp_path):
