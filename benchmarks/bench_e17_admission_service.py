@@ -105,13 +105,13 @@ def _timing_provisioning() -> Iterator[List[float]]:
         admission.generate_fleet = provision
 
 
-def _drive(requests: List[SubmitCampaign],
-           slots: int = 2) -> Tuple[float, Dict[str, CampaignResult]]:
+def _drive(requests: List[SubmitCampaign]
+           ) -> Tuple[float, Dict[str, CampaignResult]]:
     """Submit every request, wait all out; returns (wall_s, results)."""
 
     async def run() -> Tuple[float, Dict[str, CampaignResult]]:
         started = time.perf_counter()
-        async with AdmissionService(slots=slots) as service:
+        async with AdmissionService() as service:
             receipts = [await service.submit(request) for request in requests]
             for receipt in receipts:
                 await service.wait(receipt.job_id)

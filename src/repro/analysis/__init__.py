@@ -15,9 +15,8 @@ as acceptance tests during the in-field integration process:
   analyses, so acceptance-test sweeps stop re-deriving identical busy-window
   fixpoints.
 * :mod:`repro.analysis.incremental` — delta-aware incremental WCRT engine:
-  priority-pruned reuse, warm-started fixpoints and shared interference
-  memoization for near-identical task sets (the dominant acceptance-sweep
-  workload).
+  priority-pruned reuse and warm-started fixpoints for near-identical task
+  sets (the dominant acceptance-sweep workload).
 * :mod:`repro.analysis.compositional` — multi-resource CPA: CAN
   response-time analysis, the system-level event-model propagation fixpoint
   and jitter-aware distributed cause-effect-chain latency bounds.
@@ -39,17 +38,8 @@ from repro.analysis.dependency import (
 )
 from repro.analysis.threat import ThreatModel, ThreatAssessment, AttackPath
 from repro.analysis.safety import SafetyAnalysis, SafetyFinding
-from repro.analysis.cache import (
-    AnalysisCache,
-    CachedResponseTimeAnalysis,
-    SnapshotError,
-    fingerprint_taskset,
-    taskset_key,
-)
-from repro.analysis.incremental import (
-    IncrementalResponseTimeAnalysis,
-    InterferenceMemo,
-)
+from repro.analysis.cache import AnalysisCache, SnapshotError, taskset_key
+from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.analysis.compositional import (
     CanResponseTimeAnalysis,
     CauseEffectChain,
@@ -77,12 +67,9 @@ __all__ = [
     "SafetyAnalysis",
     "SafetyFinding",
     "AnalysisCache",
-    "CachedResponseTimeAnalysis",
     "SnapshotError",
-    "fingerprint_taskset",
     "taskset_key",
     "IncrementalResponseTimeAnalysis",
-    "InterferenceMemo",
     "CanResponseTimeAnalysis",
     "CauseEffectChain",
     "EventLink",

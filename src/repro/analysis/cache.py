@@ -10,12 +10,9 @@ can be memoized on a *fingerprint* of exactly those inputs.
 
 :class:`AnalysisCache` stores whole task-set analyses keyed on
 :func:`taskset_key` (the exact parameter tuple — collision-free and cheap to
-build on the hot admission path; :func:`fingerprint_taskset` offers a hex
-digest of the same identity for logs and records) with true LRU eviction;
-:class:`CachedResponseTimeAnalysis` is a drop-in façade over
-:class:`~repro.analysis.cpa.ResponseTimeAnalysis` that consults a cache
-before iterating.  ``TimingAcceptanceTest`` accepts an optional cache so MCC
-sweeps transparently benefit.
+build on the hot admission path) with true LRU eviction.
+``TimingAcceptanceTest`` accepts an optional cache so MCC sweeps
+transparently benefit.
 
 Cache misses are computed by an
 :class:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis` engine:
@@ -32,15 +29,15 @@ analyses.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import pickle
+import sys
 import tempfile
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
+from repro.analysis.cpa import EventModel, ResponseTimeResult
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.platform.tasks import TaskSet
 
@@ -80,13 +77,48 @@ def taskset_key(taskset: TaskSet, speed_factor: float = 1.0,
     return (round(speed_factor, 12), parts)
 
 
-def fingerprint_taskset(taskset: TaskSet, speed_factor: float = 1.0,
-                        event_models: Optional[Dict[str, EventModel]] = None) -> str:
-    """Stable hex fingerprint of a task-set analysis input (see
-    :func:`taskset_key`); useful for logs, records and cross-process
-    comparison, where a compact string beats a nested tuple."""
-    text = repr(taskset_key(taskset, speed_factor, event_models)).encode("utf-8")
-    return hashlib.sha256(text).hexdigest()
+#: Builtins a pickle of this package may reference by name.  Most builtin
+#: containers (dict, list, tuple, str, numbers) are encoded as dedicated
+#: opcodes and never go through ``find_class``; these are the few that do
+#: and are harmless to construct.
+_SAFE_BUILTINS = frozenset({"bytearray", "complex", "frozenset", "range",
+                            "set", "slice"})
+
+
+class _RestrictedUnpickler(pickle.Unpickler):
+    """Allowlist unpickler behind every pickle this package loads.
+
+    Guards :meth:`AnalysisCache.load_snapshot` and
+    :meth:`CampaignCheckpoint.load
+    <repro.fleet.campaign.CampaignCheckpoint.load>`, which read files from
+    caller-supplied paths (a JSON experiment spec can set a campaign's
+    ``cache_path``).  ``pickle.load`` on an untrusted file is
+    arbitrary code execution — a crafted ``__reduce__`` payload runs
+    *during* load, long before any ``isinstance`` check can reject it.  A
+    snapshot or checkpoint this package writes only ever references classes
+    the package defines (analysis results, tasks, campaign/vehicle/MCC/
+    contract types — verified against real files) plus a handful of safe
+    builtins, so everything else is refused at the ``find_class`` seam — the
+    only place a pickle can name a callable.
+
+    A name is admitted only when it is a plain attribute (no ``.``: a
+    protocol-4 pickle resolves dotted names, so ``os.mkdir`` would reach
+    ``os`` through any module that imports it) of an already imported
+    ``repro`` module and is a class defined in that very module.  Functions
+    and re-exported classes are refused, and nothing is imported.
+    """
+
+    def find_class(self, module: str, name: str):
+        if module == "builtins" and name in _SAFE_BUILTINS:
+            return super().find_class(module, name)
+        if "." not in name and (module == "repro"
+                                or module.startswith("repro.")):
+            candidate = getattr(sys.modules.get(module), name, None)
+            if isinstance(candidate, type) \
+                    and candidate.__module__ == module:
+                return candidate
+        raise pickle.UnpicklingError(
+            f"pickle references forbidden global {module}.{name}")
 
 
 class AnalysisCache:
@@ -264,6 +296,12 @@ class AnalysisCache:
         as empty would throw persisted analyses away without a trace.
         ``repair=True`` is the explicit escape hatch: a damaged snapshot is
         skipped with a logged warning and the cache starts empty.
+
+        The file is unpickled through :class:`_RestrictedUnpickler`, so a
+        pickle naming anything but this package's classes and a few safe
+        builtins counts as corrupt, and nothing it names runs.  A payload
+        that is not the format :meth:`save_snapshot` writes, a list of
+        ``(key, results)`` entries, counts as foreign.
         """
         if not os.path.exists(path):
             if missing_ok:
@@ -271,7 +309,7 @@ class AnalysisCache:
             raise FileNotFoundError(f"no cache snapshot at {path!r}")
         try:
             with open(path, "rb") as stream:
-                payload = pickle.load(stream)
+                payload = _RestrictedUnpickler(stream).load()
         except Exception as exc:
             if repair:
                 logger.warning("cache snapshot %r is corrupt (%s: %s) — "
@@ -283,15 +321,30 @@ class AnalysisCache:
                 f"({type(exc).__name__}: {exc}); a missing snapshot would "
                 "be fine, a corrupt one is not — pass repair=True to "
                 "discard it deliberately") from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != self._SNAPSHOT_FORMAT:
+        if not self._is_snapshot(payload):
             if repair:
-                logger.warning("cache snapshot %r has a foreign format — "
-                               "repair skipped 1 snapshot, warm-starting "
-                               "empty", path)
+                logger.warning("cache snapshot %r has a foreign format or "
+                               "malformed entries — repair skipped 1 "
+                               "snapshot, warm-starting empty", path)
                 return 0
-            raise SnapshotError(f"{path!r} is not an AnalysisCache snapshot")
+            raise SnapshotError(
+                f"{path!r} is not an AnalysisCache snapshot (format "
+                f"{self._SNAPSHOT_FORMAT}, a list of (key, results) entries)")
         return self.merge_entries(payload["entries"])
+
+    @classmethod
+    def _is_snapshot(cls, payload: object) -> bool:
+        """Whether ``payload`` has the shape :meth:`save_snapshot` writes."""
+        if not isinstance(payload, dict) \
+                or payload.get("format") != cls._SNAPSHOT_FORMAT:
+            return False
+        entries = payload.get("entries")
+        return isinstance(entries, list) and all(
+            isinstance(entry, tuple) and len(entry) == 2
+            and isinstance(entry[0], tuple) and isinstance(entry[1], dict)
+            and all(isinstance(result, ResponseTimeResult)
+                    for result in entry[1].values())
+            for entry in entries)
 
 
 #: Lazily created process-local cache shared by sweeps that do not manage
@@ -313,37 +366,3 @@ def default_cache() -> AnalysisCache:
         _DEFAULT_CACHE = AnalysisCache()
     return _DEFAULT_CACHE
 
-
-class CachedResponseTimeAnalysis:
-    """Drop-in replacement for :class:`ResponseTimeAnalysis` backed by a cache.
-
-    Only the whole-task-set entry points (:meth:`analyse`,
-    :meth:`schedulable`, :meth:`utilization`) are offered — single-task
-    queries go through :meth:`analyse` so one fixpoint computation serves
-    every task of the set.
-    """
-
-    def __init__(self, taskset: TaskSet, cache: AnalysisCache,
-                 speed_factor: float = 1.0,
-                 event_models: Optional[Dict[str, EventModel]] = None) -> None:
-        self.taskset = taskset
-        self.cache = cache
-        self.speed_factor = speed_factor
-        self._event_models = dict(event_models or {})
-
-    def analyse(self) -> Dict[str, ResponseTimeResult]:
-        """Per-task WCRT results (memoized)."""
-        return self.cache.analyse(self.taskset, self.speed_factor, self._event_models)
-
-    def response_time(self, task_name: str) -> ResponseTimeResult:
-        """Memoized WCRT result of one task of the set."""
-        return self.analyse()[task_name]
-
-    def schedulable(self) -> bool:
-        """Whether every task meets its deadline (memoized)."""
-        return all(result.schedulable for result in self.analyse().values())
-
-    def utilization(self) -> float:
-        """Speed-adjusted utilization (cheap; computed directly)."""
-        return ResponseTimeAnalysis(self.taskset,
-                                    speed_factor=self.speed_factor).utilization()

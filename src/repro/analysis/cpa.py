@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.platform.tasks import Task, TaskSet
 
@@ -93,27 +93,17 @@ class ResponseTimeAnalysis:
         is how the analysis is re-run for throttled operating points.
     max_iterations:
         Safety bound on the fixed-point iteration.
-    interference_memo:
-        Optional shared mapping ``(hp_signature, window) -> interference``.
-        The interference term is a pure function of the higher-priority tasks'
-        event models/WCETs and the candidate window, so memoized values are
-        exact; sharing the mapping across the analyses of a sweep (see
-        :class:`repro.analysis.incremental.IncrementalResponseTimeAnalysis`)
-        lets task sets that share a priority-level prefix skip re-deriving
-        identical interference sums.
     """
 
     def __init__(self, taskset: TaskSet, speed_factor: float = 1.0,
                  event_models: Optional[Dict[str, EventModel]] = None,
-                 max_iterations: int = 10_000,
-                 interference_memo: Optional[MutableMapping] = None) -> None:
+                 max_iterations: int = 10_000) -> None:
         if speed_factor <= 0:
             raise ValueError("speed factor must be positive")
         self.taskset = taskset
         self.speed_factor = speed_factor
         self.max_iterations = max_iterations
         self._event_models = dict(event_models or {})
-        self._interference_memo = interference_memo
 
     def _wcet(self, task: Task) -> float:
         return task.wcet / self.speed_factor
@@ -163,15 +153,6 @@ class ResponseTimeAnalysis:
                 hp_params.append((override.period, override.jitter, t.wcet / speed))
             else:
                 hp_params.append((t.period, t.jitter, t.wcet / speed))
-        memo = self._interference_memo
-        hp_key = None
-        if memo is not None:
-            # Intern the higher-priority signature to a small integer when the
-            # memo supports it, so the per-iteration lookup hashes (int, float)
-            # instead of a nested float tuple.
-            signature = tuple(hp_params)
-            intern = getattr(memo, "intern", None)
-            hp_key = signature if intern is None else intern(signature)
         ceil = math.ceil
 
         busy_window_limit = max(deadline, task.period) * 64
@@ -188,17 +169,9 @@ class ResponseTimeAnalysis:
             if q <= len(warm) and warm[q - 1] > completion:
                 completion = warm[q - 1]
             for _ in range(self.max_iterations):
-                if memo is not None:
-                    interference = memo.get((hp_key, completion))
-                    if interference is None:
-                        interference = sum(
-                            int(ceil((completion + jitter) / period - _EPS)) * hp_wcet
-                            for period, jitter, hp_wcet in hp_params)
-                        memo[(hp_key, completion)] = interference
-                else:
-                    interference = sum(
-                        int(ceil((completion + jitter) / period - _EPS)) * hp_wcet
-                        for period, jitter, hp_wcet in hp_params)
+                interference = sum(
+                    int(ceil((completion + jitter) / period - _EPS)) * hp_wcet
+                    for period, jitter, hp_wcet in hp_params)
                 new_completion = q * wcet + interference
                 if abs(new_completion - completion) <= _EPS:
                     completion = new_completion

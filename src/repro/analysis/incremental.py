@@ -10,7 +10,7 @@ window from scratch on each of these near-identical inputs; the
 :class:`AnalysisCache` added in PR 1 only helps when a task set is *exactly*
 identical to a previously analysed one.
 
-:class:`IncrementalResponseTimeAnalysis` closes that gap with three exact
+:class:`IncrementalResponseTimeAnalysis` closes that gap with two exact
 (bit-identical) optimisations:
 
 1. **Priority-delta pruning.**  The busy window of a task depends only on
@@ -26,14 +26,6 @@ identical to a previously analysed one.
    monotone iteration then converges to the identical least fixpoint in a
    fraction of the steps; when the bound cannot be established the engine
    falls back to a cold start, so results never deviate.
-
-3. **Shared interference memoization.**  The interference term
-   ``sum(eta_plus(w) * wcet)`` is a pure function of the higher-priority
-   signature and the candidate window.  One :class:`InterferenceMemo` is
-   shared across all analyses of the engine (and across a whole
-   :meth:`analyze_many` batch), so tasks that share a priority-level prefix
-   — within one task set and across the task sets of a sweep grid — skip
-   re-deriving identical sums.
 
 The engine is stateful: each :meth:`analyse` call diffs the task set against
 a bounded history of recent snapshots (the base sharing the most identical
@@ -68,31 +60,6 @@ _MODEL_JITTER = 6
 _RECENT_CANDIDATES = 8
 
 
-class InterferenceMemo(dict):
-    """Memo of exact interference sums, keyed ``(signature_id, window)``.
-
-    The higher-priority signature (a tuple of ``(period, jitter, wcet)``
-    triples) is interned to a small integer so the hot-loop lookups hash an
-    ``(int, float)`` pair instead of a nested float tuple.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._signatures: Dict[tuple, int] = {}
-
-    def intern(self, signature: tuple) -> int:
-        """Map a higher-priority signature to a stable small integer."""
-        key = self._signatures.get(signature)
-        if key is None:
-            key = len(self._signatures)
-            self._signatures[signature] = key
-        return key
-
-    def clear(self) -> None:  # noqa: D102 - dict override
-        super().clear()
-        self._signatures.clear()
-
-
 class _Snapshot:
     """Per-task parameters and results of one previously analysed task set."""
 
@@ -113,19 +80,15 @@ class IncrementalResponseTimeAnalysis:
         Safety bound forwarded to the underlying fixpoint iteration.
     history_limit:
         Number of recent task-set snapshots kept for delta matching.
-    memo_limit:
-        Entry bound of the shared interference memo (cleared when exceeded).
     """
 
-    def __init__(self, max_iterations: int = 10_000, history_limit: int = 32,
-                 memo_limit: int = 1 << 16) -> None:
+    def __init__(self, max_iterations: int = 10_000,
+                 history_limit: int = 32) -> None:
         if history_limit <= 0:
             raise ValueError("history_limit must be positive")
         self.max_iterations = max_iterations
         self.history_limit = history_limit
-        self.memo_limit = memo_limit
         self._history: "OrderedDict[Tuple[float, frozenset], _Snapshot]" = OrderedDict()
-        self._memo = InterferenceMemo()
         #: Observability counters for tests and benchmark tables.
         self.tasks_reused = 0
         self.tasks_warm_started = 0
@@ -149,9 +112,8 @@ class IncrementalResponseTimeAnalysis:
         return reused / total if total else 0.0
 
     def clear(self) -> None:
-        """Drop all snapshots/memo entries and reset the counters."""
+        """Drop all snapshots and reset the counters."""
         self._history.clear()
-        self._memo.clear()
         self.tasks_reused = 0
         self.tasks_warm_started = 0
         self.tasks_cold = 0
@@ -220,8 +182,6 @@ class IncrementalResponseTimeAnalysis:
         self._history[key] = _Snapshot(dict(params), dict(results))
         while len(self._history) > self.history_limit:
             self._history.popitem(last=False)
-        if len(self._memo) > self.memo_limit:
-            self._memo.clear()
 
     @staticmethod
     def _demand_not_decreased(name: str, params: Dict[str, _TaskParams],
@@ -274,8 +234,7 @@ class IncrementalResponseTimeAnalysis:
             self.full_analyses += 1
             analysis = ResponseTimeAnalysis(taskset, speed_factor=speed_factor,
                                             event_models=event_models,
-                                            max_iterations=self.max_iterations,
-                                            interference_memo=self._memo)
+                                            max_iterations=self.max_iterations)
             for task in taskset:
                 results[task.name] = analysis.response_time(task)
                 self.tasks_cold += 1
@@ -332,8 +291,7 @@ class IncrementalResponseTimeAnalysis:
             if analysis is None:
                 analysis = ResponseTimeAnalysis(taskset, speed_factor=speed_factor,
                                                 event_models=event_models,
-                                                max_iterations=self.max_iterations,
-                                                interference_memo=self._memo)
+                                                max_iterations=self.max_iterations)
             results[name] = analysis.response_time(task, warm_start=warm)
             if warm is not None:
                 self.tasks_warm_started += 1
@@ -347,17 +305,14 @@ class IncrementalResponseTimeAnalysis:
                      ) -> List[Dict[str, ResponseTimeResult]]:
         """Batched analysis of a sweep grid.
 
-        The task sets share the engine's snapshot history and interference
-        memo, so grids of single-task mutations (the E9/in-field acceptance
-        sweeps) are answered mostly from reused results and warm-started
-        fixpoints.  Results are bit-identical to per-set :meth:`analyse`
-        calls and are returned in input order.
+        The task sets share the engine's snapshot history, so grids of
+        single-task mutations (the E9/in-field acceptance sweeps) are
+        answered mostly from reused results and warm-started fixpoints.
+        Results are bit-identical to per-set :meth:`analyse` calls and are
+        returned in input order.
         """
         return [self.analyse(taskset, speed_factor=speed_factor,
                              event_models=event_models) for taskset in tasksets]
-
-    #: British-spelling alias, matching the rest of the code base.
-    analyse_many = analyze_many
 
     def schedulable(self, taskset: TaskSet, speed_factor: float = 1.0,
                     event_models: Optional[Dict[str, EventModel]] = None) -> bool:

@@ -328,7 +328,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def drive() -> Dict[str, Any]:
         started = time.perf_counter()
-        async with AdmissionService(slots=args.slots) as service:
+        async with AdmissionService() as service:
             receipts = []
             for tenant_index in range(args.tenants):
                 tenant = f"tenant-{tenant_index}"
@@ -352,7 +352,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "admissions_per_s": admitted / wall if wall > 0 else 0.0}
 
     print(f"admission service: {args.tenants} tenant(s) x {args.campaigns} "
-          f"campaign(s), fleets of {args.fleet_size}, {args.slots} slot(s)")
+          f"campaign(s), fleets of {args.fleet_size}")
     summary = asyncio.run(drive())
     print(f"\n{summary['jobs']} campaigns, {summary['waves']} waves, "
           f"{summary['admitted']} admissions in {summary['wall_s']:.2f} s "
@@ -447,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="vehicles per submitted fleet")
     serve_parser.add_argument("--variants", type=int, default=4,
                               help="platform variants per fleet")
-    serve_parser.add_argument("--slots", type=int, default=2,
-                              help="scheduler slots (jobs advanced per round)")
 
     return parser
 

@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache import AnalysisCache
+from repro.analysis.cache import AnalysisCache, _RestrictedUnpickler
 from repro.fleet.adversity import AdversityModel
 from repro.fleet.vehicle import FleetVehicle, VehicleState
 from repro.mcc.configuration import ChangeRequest
@@ -257,46 +256,6 @@ class CampaignResult:
         return self.admitted / attempted if attempted else 0.0
 
 
-#: Builtins a checkpoint pickle may reference by name.  Most builtin
-#: containers (dict, list, tuple, str, numbers) are encoded as dedicated
-#: opcodes and never go through ``find_class``; these are the few that do
-#: and are harmless to construct.
-_SAFE_BUILTINS = frozenset({"bytearray", "complex", "frozenset", "range",
-                            "set", "slice"})
-
-
-class _CheckpointUnpickler(pickle.Unpickler):
-    """Allowlist unpickler behind :meth:`CampaignCheckpoint.load`.
-
-    ``pickle.load`` on an untrusted file is arbitrary code execution — a
-    crafted ``__reduce__`` payload runs *during* load, long before any
-    ``isinstance`` check can reject it.  A checkpoint written by
-    :meth:`CampaignCheckpoint.save` only ever references classes this
-    package defines (campaign/vehicle/MCC/contract types — verified against
-    real checkpoints) plus a handful of safe builtins, so everything else is
-    refused at the ``find_class`` seam — the only place a pickle can name a
-    callable.
-
-    A name is admitted only when it is a plain attribute (no ``.``: a
-    protocol-4 pickle resolves dotted names, so ``os.mkdir`` would reach
-    ``os`` through any module that imports it) of an already imported
-    ``repro`` module and is a class defined in that very module.  Functions
-    and re-exported classes are refused, and nothing is imported.
-    """
-
-    def find_class(self, module: str, name: str):
-        if module == "builtins" and name in _SAFE_BUILTINS:
-            return super().find_class(module, name)
-        if "." not in name and (module == "repro"
-                                or module.startswith("repro.")):
-            candidate = getattr(sys.modules.get(module), name, None)
-            if isinstance(candidate, type) \
-                    and candidate.__module__ == module:
-                return candidate
-        raise pickle.UnpicklingError(
-            f"checkpoint pickle references forbidden global {module}.{name}")
-
-
 @dataclass
 class CampaignCheckpoint:
     """A campaign frozen at a wave boundary, ready to resume.
@@ -348,14 +307,15 @@ class CampaignCheckpoint:
     def load(path: str) -> "CampaignCheckpoint":
         """Load a checkpoint previously written by :meth:`save`.
 
-        Unpickling goes through the restricted :class:`_CheckpointUnpickler`
-        — a corrupt, foreign or malicious pickle raises
+        Unpickling goes through the allowlist of
+        :class:`~repro.analysis.cache._RestrictedUnpickler` — a corrupt,
+        foreign or malicious pickle raises
         :class:`CampaignError` instead of executing whatever its reduce
         payloads name.
         """
         with open(path, "rb") as stream:
             try:
-                checkpoint = _CheckpointUnpickler(stream).load()
+                checkpoint = _RestrictedUnpickler(stream).load()
             except Exception as error:
                 raise CampaignError(
                     f"{path!r} is not a loadable campaign checkpoint: "

@@ -25,7 +25,7 @@ The split buys two things the monolithic ``run()`` could not offer:
 * **Interleavability.**  A driver can hold many engines and advance them
   step by step in any order — the fleet admission service
   (:mod:`repro.service`) runs one wave of one tenant's campaign per
-  scheduling slot, streaming each returned wave record to the submitter.
+  scheduling claim, streaming each returned wave record to the submitter.
 
 State taxonomy
 --------------
@@ -74,6 +74,15 @@ def _copy_result(source: CampaignResult) -> CampaignResult:
                           for record in source.waves])
 
 
+def _counter_sums(waves: Sequence[WaveRecord]) -> Dict[str, int]:
+    """The aggregate counters of a :class:`CampaignResult`, each the sum of
+    the same field over ``waves``."""
+    return {name: sum(getattr(record, name) for record in waves)
+            for name in ("admitted", "rejected", "deviating", "refined",
+                         "rolled_back", "undelivered", "retried",
+                         "abandoned", "discounted")}
+
+
 @dataclass
 class CampaignState:
     """Between-wave execution state of one campaign.
@@ -84,10 +93,9 @@ class CampaignState:
 
     ``wave_index``
         Cursor into the static wave plan; past the plan's end the campaign
-        is running adversity ``straggler`` waves (or is done).
-    ``start_wave``
-        First wave this engine executes (> 0 on a resumed campaign; the
-        checkpointed waves are seeded into ``result``, not re-run).
+        is running adversity ``straggler`` waves (or is done).  A resumed
+        campaign starts it at the checkpoint's cursor; the checkpointed
+        waves are seeded into ``result``, not re-run.
     ``carry``
         Vehicles whose update delivery failed, carried into the next wave
         as ``(vehicle, failed_attempts)`` pairs.  Structurally empty
@@ -106,7 +114,6 @@ class CampaignState:
     """
 
     wave_index: int = 0
-    start_wave: int = 0
     carry: List[Tuple[FleetVehicle, int]] = field(default_factory=list)
     stalled_waves: int = 0
     result: CampaignResult = field(
@@ -192,7 +199,7 @@ class CampaignEngine:
         self.pinned: List[object] = []
         self._finalized = False
         self.state = CampaignState(
-            wave_index=start_wave, start_wave=start_wave, carry=[],
+            wave_index=start_wave, carry=[],
             stalled_waves=0, result=result,
             hits_before=hits_before, misses_before=misses_before)
 
@@ -559,11 +566,8 @@ class CampaignEngine:
         prefix.waves = prefix.waves[:-1]
         prefix.halted = False
         prefix.halted_wave = None
-        for attribute in ("admitted", "rejected", "deviating", "refined",
-                          "rolled_back", "undelivered", "retried",
-                          "abandoned", "discounted"):
-            setattr(prefix, attribute,
-                    sum(getattr(record, attribute) for record in prefix.waves))
+        for attribute, total in _counter_sums(prefix.waves).items():
+            setattr(prefix, attribute, total)
         halting = {vehicle.vehicle_id for vehicle in wave}
         states = []
         for vehicle in self.campaign.vehicles:
@@ -585,11 +589,12 @@ class CampaignEngine:
         """Rewind the fleet and seed ``result`` from ``checkpoint``.
 
         Validates that the checkpoint is consistent (one state per vehicle,
-        one record per executed wave, in order, ending at the cursor) and
-        that the resumed campaign stages the same fleet the same way (the
-        executed waves' vehicle ids must match the plan — policy
-        remediation may change thresholds, not the staging of already
-        executed waves).  Returns the wave index to continue from.
+        one record per executed wave, in order, ending at the cursor, and
+        aggregate counts that are the sums of those records) and that the
+        resumed campaign stages the same fleet the same way (the executed
+        waves' vehicle ids must match the plan — policy remediation may
+        change thresholds, not the staging of already executed waves).
+        Returns the wave index to continue from.
         """
         campaign = self.campaign
         checkpointed = sorted(state.vehicle_id
@@ -620,15 +625,19 @@ class CampaignEngine:
                 raise CampaignError(
                     f"resumed staging diverges at wave {index}: checkpoint "
                     f"executed {record.vehicle_ids}, plan stages {planned}")
+        sums = _counter_sums(executed)
+        for attribute, total in sums.items():
+            count = getattr(checkpoint.result, attribute)
+            if count != total:
+                raise CampaignError(
+                    f"checkpoint counts {attribute}={count} but its wave "
+                    f"records sum to {total}")
         states = {state.vehicle_id: state for state in checkpoint.vehicle_states}
         for vehicle in campaign.vehicles:
             vehicle.restore_state(states[vehicle.vehicle_id])
-        seeded = _copy_result(checkpoint.result)
-        result.waves = seeded.waves
+        result.waves = _copy_result(checkpoint.result).waves
         # Cache counters are deliberately not carried over: they describe
         # one process's cache traffic and the resumed run reports its own.
-        for attribute in ("admitted", "rejected", "deviating", "refined",
-                          "rolled_back", "undelivered", "retried",
-                          "abandoned", "discounted"):
-            setattr(result, attribute, getattr(seeded, attribute))
+        for attribute, total in sums.items():
+            setattr(result, attribute, total)
         return checkpoint.next_wave

@@ -3,13 +3,15 @@
 :class:`AdmissionService` turns the re-entrant
 :class:`~repro.fleet.engine.CampaignEngine` into a long-running, multi-tenant
 admission frontend.  Tenants submit campaigns
-(:class:`~repro.service.schemas.SubmitCampaign`); a pool of scheduler slots
-drives every live engine **one** :meth:`~repro.fleet.engine.CampaignEngine.step`
-per claim, rotating round-robin across tenants (FIFO within a tenant), so a
-tenant with a 500-vehicle rollout cannot starve a tenant with a canary
-probe.  Each executed wave is published to the job's subscribers as a
+(:class:`~repro.service.schemas.SubmitCampaign`); one scheduler task claims
+one (tenant, job) pair per turn and drives its engine **one**
+:meth:`~repro.fleet.engine.CampaignEngine.step`, rotating round-robin across
+tenants (FIFO within a tenant), so a tenant with a 500-vehicle rollout
+cannot starve a tenant with a canary probe.  Each executed wave is
+published to the job's subscribers as a
 :class:`~repro.service.schemas.WaveProgress` through the async-iterator
-:meth:`AdmissionService.stream`.
+:meth:`AdmissionService.stream`; the scheduler yields after every claim, so
+subscribers see each wave before the next claim runs.
 
 Halt, resume and rollback are API calls over the existing checkpoint
 machinery: an operator :class:`~repro.service.schemas.HaltRequest` parks the
@@ -93,54 +95,45 @@ class _Job:
 class AdmissionService:
     """Long-running multi-tenant admission frontend over campaign engines.
 
-    Parameters
-    ----------
-    slots:
-        Number of concurrent scheduler tasks claiming (tenant, job) pairs.
-        Each claim executes exactly one wave; more slots means more jobs
-        advance per scheduling round.
-
-    Use as an async context manager (``async with AdmissionService(...)``)
-    or call :meth:`start`/:meth:`stop` explicitly.  :meth:`stop` parks
-    every still-running job at its current wave boundary with a resumable
+    One scheduler task executes exactly one wave per claim.  Use as an
+    async context manager (``async with AdmissionService()``) or call
+    :meth:`start`/:meth:`stop` explicitly.  :meth:`stop` parks every
+    still-running job at its current wave boundary with a resumable
     checkpoint — a stopped service loses no work.
     """
 
-    def __init__(self, slots: int = 2) -> None:
-        if slots < 1:
-            raise ServiceError("slots must be at least 1")
-        self.slots = slots
+    def __init__(self) -> None:
         self._jobs: Dict[str, _Job] = {}
         self._tenant_queues: Dict[str, Deque[str]] = {}
         self._tenant_order: List[str] = []
         self._rotation = 0
         self._counter = 0
-        self._workers: List[asyncio.Task] = []
+        self._scheduler: Optional[asyncio.Task] = None
         self._work = asyncio.Event()
         self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the scheduler slots (idempotent)."""
-        if self._workers:
+        """Spawn the scheduler task (idempotent)."""
+        if self._scheduler is not None:
             return
         self._stopping = False
-        self._workers = [asyncio.create_task(self._worker(), name=f"slot-{i}")
-                         for i in range(self.slots)]
+        self._scheduler = asyncio.create_task(self._schedule(),
+                                              name="admission-scheduler")
 
     async def stop(self) -> None:
         """Stop scheduling and park every running job at a wave boundary."""
         self._stopping = True
         self._work.set()
-        for worker in self._workers:
-            worker.cancel()
-        for worker in self._workers:
+        if self._scheduler is not None:
+            self._scheduler.cancel()
             try:
-                await worker
+                await self._scheduler
             except asyncio.CancelledError:
-                pass
-        self._workers = []
+                if not self._scheduler.cancelled():
+                    raise  # stop() itself was cancelled
+            self._scheduler = None
         for job in self._jobs.values():
             if job.state == JobState.RUNNING and job.engine is not None:
                 self._park(job)
@@ -288,7 +281,7 @@ class AdmissionService:
 
     # -- scheduling --------------------------------------------------------
 
-    async def _worker(self) -> None:
+    async def _schedule(self) -> None:
         while not self._stopping:
             job = self._claim()
             if job is None:
@@ -308,8 +301,8 @@ class AdmissionService:
                 self._tenant_queues[job.request.tenant].appendleft(job.job_id)
                 self._work.set()
             await job._notify()
-            # One wave per claim: yield so peers interleave at wave
-            # granularity even when this slot could keep running.
+            # One wave per claim: yield so the woken subscribers see this
+            # wave before the next claim runs.
             await asyncio.sleep(0)
 
     def _claim(self) -> Optional[_Job]:

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.cache import (
-    AnalysisCache,
-    CachedResponseTimeAnalysis,
-    fingerprint_taskset,
-    taskset_key,
-)
+from repro.analysis.cache import AnalysisCache, taskset_key
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
 from repro.mcc.acceptance import TimingAcceptanceTest
 from repro.platform.tasks import Task, TaskSet
@@ -24,27 +19,8 @@ def _taskset(wcet_high: float = 0.002) -> TaskSet:
     ])
 
 
-class TestFingerprint:
-    """Fingerprints depend on content, not identity or insertion order."""
-
-    def test_identical_content_same_fingerprint(self):
-        assert fingerprint_taskset(_taskset()) == fingerprint_taskset(_taskset())
-
-    def test_insertion_order_is_irrelevant(self):
-        forward = _taskset()
-        backward = TaskSet(list(reversed(forward.tasks())))
-        assert fingerprint_taskset(forward) == fingerprint_taskset(backward)
-
-    def test_parameter_changes_change_fingerprint(self):
-        base = fingerprint_taskset(_taskset())
-        assert fingerprint_taskset(_taskset(wcet_high=0.003)) != base
-        assert fingerprint_taskset(_taskset(), speed_factor=0.5) != base
-        assert fingerprint_taskset(
-            _taskset(), event_models={"t_high": EventModel(0.01, 0.001)}) != base
-
-
 class TestTasksetKey:
-    """The exact tuple key underlying the fingerprint."""
+    """The exact tuple key the cache stores analyses under."""
 
     def test_key_matches_for_equal_content(self):
         assert taskset_key(_taskset()) == taskset_key(_taskset())
@@ -300,23 +276,6 @@ class TestSnapshotPersistence:
         assert inserted == 1  # the shared key already existed
         assert len(target) == 2
         assert (target.hits, target.misses) == (0, 1)  # merging is no lookup
-
-
-class TestCachedResponseTimeAnalysis:
-    """The drop-in facade matches the plain analysis."""
-
-    def test_matches_plain_analysis(self):
-        cache = AnalysisCache()
-        cached = CachedResponseTimeAnalysis(_taskset(), cache)
-        plain = ResponseTimeAnalysis(_taskset())
-        assert cached.schedulable() == plain.schedulable()
-        assert cached.utilization() == pytest.approx(plain.utilization())
-        result = cached.response_time("t_mid")
-        assert result.wcrt == pytest.approx(plain.response_time(
-            plain.taskset.get("t_mid")).wcrt)
-        # Second facade over an equal task set hits the shared cache.
-        CachedResponseTimeAnalysis(_taskset(), cache).schedulable()
-        assert cache.hits > 0
 
 
 class TestMccIntegration:

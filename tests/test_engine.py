@@ -338,6 +338,6 @@ class TestRestrictedUnpickler:
 class TestCampaignState:
     def test_default_state_is_inert(self):
         state = CampaignState()
-        assert state.wave_index == 0 and state.start_wave == 0
+        assert state.wave_index == 0
         assert state.carry == []
         assert state.result.fleet_size == 0

@@ -177,7 +177,7 @@ class TestBatchedApi:
     def test_alias_and_schedulable(self):
         engine = IncrementalResponseTimeAnalysis()
         taskset = make_taskset(2, 6, 0.6)
-        assert engine.analyse_many([taskset])[0].keys() == {t.name for t in taskset}
+        assert engine.analyze_many([taskset])[0].keys() == {t.name for t in taskset}
         assert engine.schedulable(taskset) == ResponseTimeAnalysis(taskset).schedulable()
         overloaded = make_taskset(2, 6, 1.3)
         assert engine.schedulable(overloaded) == \
@@ -203,14 +203,14 @@ class TestEngineHousekeeping:
         with pytest.raises(ValueError):
             IncrementalResponseTimeAnalysis(history_limit=0)
 
-    def test_interference_memo_is_exact(self):
-        """Memoized interference values cannot change results across sets
-        that share priority-level prefixes."""
+    def test_revisiting_a_set_after_a_delta_is_exact(self):
+        """Analysing a set again after a one-task delta of it (a -> b -> a)
+        matches the cold analysis at every step."""
         engine = IncrementalResponseTimeAnalysis()
         a = make_taskset(13, 8, 0.7)
         tasks = a.tasks()
         b = rebuild(tasks[:-1] + [tasks[-1].scaled(1.3)])
-        for taskset in (a, b, a):  # revisit a after b populated the memo
+        for taskset in (a, b, a):
             assert_equivalent(engine.analyse(taskset),
                               ResponseTimeAnalysis(taskset).analyse(),
-                              "memo sharing")
+                              "revisit after a delta")

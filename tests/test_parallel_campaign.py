@@ -312,11 +312,16 @@ class TestCheckpointResume:
             vehicle_states=checkpoint.vehicle_states
             + checkpoint.vehicle_states[:1]),
          "holds 19 vehicle states"),
+        (lambda checkpoint: replace(checkpoint, result=replace(
+            checkpoint.result, admitted=checkpoint.result.admitted + 5,
+            rejected=7)),
+         r"counts admitted=\d+ but its wave records sum to \d+"),
     ], ids=["cursor-behind-records", "cursor-past-records",
-            "misnumbered-record", "repeated-vehicle"])
+            "misnumbered-record", "repeated-vehicle", "tampered-counts"])
     def test_resume_rejects_inconsistent_checkpoint(self, corrupt, message):
         """A checkpoint taken after two of three waves, its cursor, wave
-        records or vehicle states then made to disagree."""
+        records, vehicle states or aggregate counts then made to
+        disagree."""
         spec = FleetSpec(size=18, seed=1, num_variants=4, extra_components=2)
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)

@@ -119,7 +119,7 @@ class TestLifecycle:
 
     def test_round_robin_interleaves_tenants(self):
         async def drive():
-            async with AdmissionService(slots=1) as service:
+            async with AdmissionService() as service:
                 first = await service.submit(
                     SubmitCampaign(tenant="acme", fleet_size=8, seed=1))
                 second = await service.submit(
@@ -135,6 +135,27 @@ class TestLifecycle:
 
         order = asyncio.run(drive())
         assert {tenant for tenant, _ in order} == {"acme", "zephyr"}
+
+    def test_a_subscriber_sees_each_wave_before_the_next_claim(self):
+        """When job A's stream yields wave k, the scheduler has run no
+        claim since A's: job B, claimed alternately with A, has executed
+        at most k waves."""
+        async def drive():
+            async with AdmissionService() as service:
+                first = await service.submit(
+                    SubmitCampaign(tenant="acme", fleet_size=8, seed=1))
+                second = await service.submit(
+                    SubmitCampaign(tenant="zephyr", fleet_size=8, seed=2))
+                other = service._jobs[second.job_id]
+                seen = [(record.index, len(other.progress)) async for record
+                        in service.stream(first.job_id)]
+                await service.wait(second.job_id)
+                return seen
+
+        seen = asyncio.run(drive())
+        assert [index for index, _ in seen] == [0, 1, 2, 3]
+        for index, executed in seen:
+            assert executed <= index, seen
 
     def test_stop_parks_running_jobs_resumably(self):
         # Many shallow waves: stop() lands mid-campaign with certainty
@@ -428,10 +449,6 @@ class TestValidation:
                 await service.wait(receipt.job_id)
 
         asyncio.run(drive())
-
-    def test_slots_must_be_positive(self):
-        with pytest.raises(ServiceError, match="slots"):
-            AdmissionService(slots=0)
 
     def test_status_is_immutable_snapshot(self):
         async def drive():
