@@ -51,7 +51,8 @@ def _run(batched: bool, cache_path: Optional[str] = None,
          failure_rate: float = 0.0, policy: Optional[WavePolicy] = None,
          checkpoint_path: Optional[str] = None
          ) -> Tuple[float, CampaignResult]:
-    """Fresh fleet, one timed campaign run (admission only)."""
+    """Fresh fleet, one timed campaign run (admission only), plus saving
+    its halt checkpoint to ``checkpoint_path`` when one is given."""
     fleet_size, num_variants = _dimensions()
     spec = FleetSpec(size=fleet_size, seed=SEED, num_variants=num_variants)
     cache = AnalysisCache(max_entries=16384) if batched else None
@@ -60,9 +61,11 @@ def _run(batched: bool, cache_path: Optional[str] = None,
                         analysis_cache=cache, batch_admission=batched,
                         cache_path=cache_path,
                         failure_injection_rate=failure_rate,
-                        feedback_seed=SEED, checkpoint_path=checkpoint_path)
+                        feedback_seed=SEED)
     started = time.perf_counter()
     result = campaign.run()
+    if checkpoint_path is not None:
+        campaign.last_checkpoint.save(checkpoint_path)
     return time.perf_counter() - started, result
 
 

@@ -31,7 +31,7 @@ import pytest
 
 from conftest import print_table, quick_mode, write_bench_record
 from repro.analysis.cache import AnalysisCache
-from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
+from repro.fleet.campaign import Campaign, CampaignResult
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.scenarios.fleet_campaign import add_component_update
 from repro.service import AdmissionService, SubmitCampaign, admission
@@ -72,13 +72,9 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
                      num_variants=request.num_variants,
                      extra_components=request.extra_components)
     fleet = generate_fleet(spec, analysis_cache=cache)
-    policy = WavePolicy(canary_size=request.canary_size,
-                        wave_fractions=request.wave_fractions,
-                        max_failure_rate=request.max_failure_rate,
-                        rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, add_component_update(
                             request.update_utilization, request.component),
-                        policy=policy, analysis_cache=cache,
+                        policy=request.policy(), analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
                         feedback_seed=request.seed)
     return campaign.run()

@@ -121,6 +121,27 @@ class _RestrictedUnpickler(pickle.Unpickler):
             f"pickle references forbidden global {module}.{name}")
 
 
+def _atomic_pickle(payload: object, path: str) -> None:
+    """Pickle ``payload`` to ``path``, replacing it only once fully written.
+
+    The pickle lands in a temp file next to ``path`` that replaces it
+    atomically, so a crash mid-write never leaves a truncated file where a
+    valid earlier one used to be.  Writes every pickle this package loads
+    through :class:`_RestrictedUnpickler`.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
+
+
 class AnalysisCache:
     """Content-addressed store of task-set WCRT analyses.
 
@@ -267,18 +288,8 @@ class AnalysisCache:
         Returns the number of entries written.
         """
         entries = self.export_entries()
-        payload = {"format": self._SNAPSHOT_FORMAT, "entries": entries}
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        _atomic_pickle({"format": self._SNAPSHOT_FORMAT, "entries": entries},
+                       path)
         return len(entries)
 
     def load_snapshot(self, path: str, missing_ok: bool = False,

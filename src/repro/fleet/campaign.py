@@ -28,10 +28,13 @@ Warm starts and checkpoints
 cache: loaded at run start and rewritten at run end (halts included).  Wave
 N+1 reuses wave N's analyses through the live cache, and an entirely new
 campaign run over the same fleet warm-starts from the previous run on disk.
-``checkpoint_path`` (or the in-memory :attr:`Campaign.last_checkpoint`)
-captures a halted campaign — aggregate result plus per-vehicle MCC
-snapshots at the halting wave's start — so a remediated campaign can
+:meth:`CampaignEngine.checkpoint
+<repro.fleet.engine.CampaignEngine.checkpoint>` freezes a campaign at a
+wave boundary — its wave records plus per-vehicle MCC snapshots — and a
+policy halt freezes it at the start of the halting wave (also kept as
+:attr:`Campaign.last_checkpoint`), so a remediated campaign can
 :meth:`Campaign.run` with ``resume_from=`` and continue where it stopped.
+Whoever holds a checkpoint saves it (:meth:`CampaignCheckpoint.save`).
 
 Execution itself lives in :mod:`repro.fleet.engine`: this module holds the
 campaign *description* (fleet, policy, knobs, result/checkpoint types and
@@ -43,17 +46,18 @@ at a time.
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache import AnalysisCache, _RestrictedUnpickler
+from repro.analysis.cache import (AnalysisCache, _atomic_pickle,
+                                  _RestrictedUnpickler)
 from repro.fleet.adversity import AdversityModel
 from repro.fleet.vehicle import FleetVehicle, VehicleState
-from repro.mcc.configuration import ChangeRequest
+from repro.mcc.configuration import ChangeRequest, SystemModel
+from repro.mcc.controller import MccSnapshot
+from repro.monitoring.deviation import ExpectedBehaviour
 from repro.observability.tracer import CampaignTracer
+from repro.platform.rte import RteConfiguration
 
 #: Builds the per-vehicle change request of the campaign's update.
 UpdateFactory = Callable[[FleetVehicle], ChangeRequest]
@@ -192,29 +196,19 @@ class WaveRecord:
                 "failure_rate": self.failure_rate}
 
 
+def _summed(name: str, doc: str) -> property:
+    """A read-only count: the sum of field ``name`` over the wave records."""
+    return property(lambda result: sum(getattr(record, name)
+                                       for record in result.waves), doc=doc)
+
+
 @dataclass
 class CampaignResult:
-    """Aggregate outcome of one campaign run."""
+    """Aggregate outcome of one campaign run, stored in its wave records."""
 
     fleet_size: int
     batched: bool
     waves: List[WaveRecord] = field(default_factory=list)
-    admitted: int = 0
-    rejected: int = 0
-    deviating: int = 0
-    refined: int = 0
-    rolled_back: int = 0
-    #: Adversity accounting (all zero on an unperturbed campaign):
-    #: ``undelivered`` counts deferred delivery *events* (a vehicle dropped
-    #: twice before succeeding contributes two), ``retried`` counts
-    #: carried-member wave slots, ``abandoned`` counts vehicles whose retry
-    #: budget was exhausted (permanently not updated) and ``discounted``
-    #: counts deviation reports excluded from halt decisions because the
-    #: IDS suspected their sender.
-    undelivered: int = 0
-    retried: int = 0
-    abandoned: int = 0
-    discounted: int = 0
     halted: bool = False
     halted_wave: Optional[int] = None
     #: The shared analysis cache's hits and misses during this run: its
@@ -227,6 +221,17 @@ class CampaignResult:
     cache_hits: int = 0
     cache_misses: int = 0
     engine_reuse_rate: float = 0.0
+
+    admitted = _summed("admitted", "Admissions that accepted the update.")
+    rejected = _summed("rejected", "Admissions that rejected the update.")
+    deviating = _summed("deviating", "Updated vehicles that deviated.")
+    refined = _summed("refined", "WCETs refined from deviating feedback.")
+    rolled_back = _summed("rolled_back", "Admissions a halt rolled back.")
+    # Adversity accounting (see WaveRecord), zero on unperturbed campaigns:
+    undelivered = _summed("undelivered", "Deferred delivery events.")
+    retried = _summed("retried", "Wave slots of carried vehicles.")
+    abandoned = _summed("abandoned", "Vehicles out of delivery retries.")
+    discounted = _summed("discounted", "Deviations of IDS suspects.")
 
     @property
     def completed(self) -> bool:
@@ -260,21 +265,19 @@ class CampaignResult:
 class CampaignCheckpoint:
     """A campaign frozen at a wave boundary, ready to resume.
 
-    Two producers write these: a policy **halt** freezes the campaign at
-    the start of its halting wave (``result`` aggregates the waves executed
-    *before* it; halting-wave members are stored at their pre-wave state
+    :meth:`CampaignEngine.checkpoint
+    <repro.fleet.engine.CampaignEngine.checkpoint>` is its one producer.
+    Between waves every executed wave is committed and nothing is in
+    flight; after a policy **halt** the boundary is the start of the
+    halting wave, whose members are stored at their pre-wave state
     regardless of the rollback policy, so the remediated wave re-runs from
-    scratch), and :meth:`CampaignEngine.checkpoint
-    <repro.fleet.engine.CampaignEngine.checkpoint>` serializes **any** wave
-    boundary of a stepped campaign (all executed waves committed, nothing
-    in flight — no rewind needed).  Either way the checkpoint is the
-    serialized :class:`~repro.fleet.engine.CampaignState`: ``next_wave`` is
-    the wave cursor, ``result`` the running aggregate, ``vehicle_states``
-    every fleet vehicle's portable MCC snapshot (``None`` for a vehicle at
-    its variant's baseline, see :class:`~repro.fleet.vehicle.VehicleState`)
-    and rollout flags (the retry carry is structurally empty wherever
-    checkpoints are legal — they require ``adversity=None``).  The
-    checkpoint pickles cleanly —
+    scratch.  ``next_wave`` is the wave cursor, ``result`` holds the wave
+    records executed before it (its counts are their sums), and
+    ``vehicle_states`` every fleet vehicle's portable MCC snapshot
+    (``None`` for a vehicle at its variant's baseline, see
+    :class:`~repro.fleet.vehicle.VehicleState`) and rollout flags (the
+    retry carry is structurally empty wherever checkpoints are legal —
+    they require ``adversity=None``).  The checkpoint pickles cleanly —
     :meth:`save`/:meth:`load` move it across processes and runs — and
     :meth:`Campaign.run` with ``resume_from=`` continues where it stopped.
     """
@@ -284,24 +287,9 @@ class CampaignCheckpoint:
     vehicle_states: List[VehicleState]
 
     def save(self, path: str) -> None:
-        """Pickle this checkpoint to ``path`` (atomic replace).
-
-        The checkpoint is the recovery artifact of a halted campaign, so a
-        crash mid-write must never leave a truncated file where a valid
-        earlier checkpoint used to be: the pickle lands in a temp file that
-        replaces ``path`` only once fully written.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                pickle.dump(self, stream, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        """Pickle this checkpoint to ``path``, atomically: a crash mid-write
+        never truncates the recovery artifact of a halted campaign."""
+        _atomic_pickle(self, path)
 
     @staticmethod
     def load(path: str) -> "CampaignCheckpoint":
@@ -311,7 +299,9 @@ class CampaignCheckpoint:
         :class:`~repro.analysis.cache._RestrictedUnpickler` — a corrupt,
         foreign or malicious pickle raises
         :class:`CampaignError` instead of executing whatever its reduce
-        payloads name.
+        payloads name.  The allowlist admits any class of this package in
+        any position, so every field a resume reads is type-checked too; a
+        mistyped one raises :class:`CampaignError` naming it.
         """
         with open(path, "rb") as stream:
             try:
@@ -322,7 +312,44 @@ class CampaignCheckpoint:
                     f"{error}") from error
         if not isinstance(checkpoint, CampaignCheckpoint):
             raise CampaignError(f"{path!r} is not a campaign checkpoint")
+        for name, value, kind in _resumed_fields(checkpoint):
+            if not isinstance(value, kind) \
+                    or (kind is int and isinstance(value, bool)):
+                raise CampaignError(f"{path!r} is not a campaign checkpoint: "
+                                    f"malformed {name}")
         return checkpoint
+
+
+def _resumed_fields(checkpoint: CampaignCheckpoint) -> Iterator[Tuple]:
+    """``(name, value, type)`` of every field a resume reads from a loaded
+    ``checkpoint``, each object before its fields, so a reader stopping at
+    the first mistyped one never reads into it.  A missing field reads as
+    ``...``, which no type admits."""
+    yield "next_wave", getattr(checkpoint, "next_wave", ...), int
+    yield "result", getattr(checkpoint, "result", ...), CampaignResult
+    yield "result.waves", getattr(checkpoint.result, "waves", ...), list
+    for position, record in enumerate(checkpoint.result.waves):
+        name = f"result.waves[{position}]"
+        yield name, record, WaveRecord
+        for spec in fields(WaveRecord):
+            yield (f"{name}.{spec.name}", getattr(record, spec.name, ...),
+                   {"kind": str, "vehicle_ids": list}.get(spec.name, int))
+    yield "vehicle_states", getattr(checkpoint, "vehicle_states", ...), list
+    for position, state in enumerate(checkpoint.vehicle_states):
+        name = f"vehicle_states[{position}]"
+        yield name, state, VehicleState
+        for spec in fields(VehicleState):
+            yield (f"{name}.{spec.name}", getattr(state, spec.name, ...),
+                   {"vehicle_id": str, "snapshot": (MccSnapshot, type(None))
+                    }.get(spec.name, bool))
+        for spec in fields(MccSnapshot) if state.snapshot is not None else ():
+            yield (f"{name}.snapshot.{spec.name}",
+                   getattr(state.snapshot, spec.name, ...),
+                   {"model": SystemModel, "expectations": tuple}.get(
+                       spec.name, (RteConfiguration, type(None))))
+        for expectation in getattr(state.snapshot, "expectations", ()):
+            yield f"{name}.snapshot.expectations", expectation, \
+                ExpectedBehaviour
 
 
 def plan_waves(vehicles: Sequence[FleetVehicle],
@@ -394,9 +421,6 @@ class Campaign:
         every previously derived analysis.  (Within a run, wave N+1
         warm-starts from wave N through the live cache.)  Requires an
         ``analysis_cache``.
-    checkpoint_path:
-        Where to write a :class:`CampaignCheckpoint` when the campaign
-        halts (also kept in memory as :attr:`last_checkpoint`).
     adversity:
         Optional :class:`~repro.fleet.adversity.AdversityModel` perturbing
         the wave loop: lossy update delivery (undelivered vehicles carry
@@ -430,7 +454,6 @@ class Campaign:
                  failure_injection_rate: float = 0.0,
                  feedback_seed: int = 0,
                  cache_path: Optional[str] = None,
-                 checkpoint_path: Optional[str] = None,
                  adversity: Optional[AdversityModel] = None,
                  tracer: Optional[CampaignTracer] = None) -> None:
         if not 0.0 <= failure_injection_rate <= 1.0:
@@ -445,10 +468,10 @@ class Campaign:
         self.failure_injection_rate = failure_injection_rate
         self.feedback_seed = feedback_seed
         self.cache_path = cache_path
-        self.checkpoint_path = checkpoint_path
         self.adversity = adversity
         self.tracer = tracer
-        #: The checkpoint written at the most recent halt (None before).
+        #: The checkpoint of the last policy halt (None before, or under
+        #: adversity).
         self.last_checkpoint: Optional[CampaignCheckpoint] = None
         #: One-shot latch of :meth:`run` (see its docstring).
         self._ran = False

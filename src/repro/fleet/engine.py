@@ -18,10 +18,11 @@ The split buys two things the monolithic ``run()`` could not offer:
 * **Interruptibility.**  Between any two :meth:`~CampaignEngine.step` calls
   the campaign sits at a *wave boundary*: every executed wave is fully
   committed (admission, feedback, halt decision, rollback), no wave is in
-  flight.  :meth:`~CampaignEngine.checkpoint` serializes that boundary as a
-  :class:`~repro.fleet.campaign.CampaignCheckpoint` — the same artifact a
-  policy halt writes — so a campaign can be parked and resumed at *any*
-  boundary, not only where the halt policy tripped.
+  flight.  :meth:`~CampaignEngine.checkpoint`, the one producer of
+  :class:`~repro.fleet.campaign.CampaignCheckpoint`, serializes that
+  boundary (after a policy halt, the boundary before the halting wave), so
+  a campaign can be parked and resumed at *any* boundary, not only where
+  the halt policy tripped.
 * **Interleavability.**  A driver can hold many engines and advance them
   step by step in any order — the fleet admission service
   (:mod:`repro.service`) runs one wave of one tenant's campaign per
@@ -66,21 +67,10 @@ from repro.sim.random import SeededRNG, derive_seed
 __all__ = ["CampaignState", "CampaignEngine"]
 
 
-def _copy_result(source: CampaignResult) -> CampaignResult:
-    """An independent copy of a result (fresh wave records/lists)."""
-    return replace(source,
-                   waves=[replace(record,
-                                  vehicle_ids=list(record.vehicle_ids))
-                          for record in source.waves])
-
-
-def _counter_sums(waves: Sequence[WaveRecord]) -> Dict[str, int]:
-    """The aggregate counters of a :class:`CampaignResult`, each the sum of
-    the same field over ``waves``."""
-    return {name: sum(getattr(record, name) for record in waves)
-            for name in ("admitted", "rejected", "deviating", "refined",
-                         "rolled_back", "undelivered", "retried",
-                         "abandoned", "discounted")}
+def _copy_waves(records: Sequence[WaveRecord]) -> List[WaveRecord]:
+    """Independent copies of wave records (fresh vehicle-id lists)."""
+    return [replace(record, vehicle_ids=list(record.vehicle_ids))
+            for record in records]
 
 
 @dataclass
@@ -350,15 +340,6 @@ class CampaignEngine:
             campaign.tracer.emit("wave.end", wave=wave_index, halt=halt,
                                  **record.to_dict())
         result.waves.append(record)
-        result.admitted += record.admitted
-        result.rejected += record.rejected
-        result.deviating += record.deviating
-        result.refined += record.refined
-        result.rolled_back += record.rolled_back
-        result.undelivered += record.undelivered
-        result.retried += record.retried
-        result.abandoned += record.abandoned
-        result.discounted += record.discounted
         if halt:
             result.halted = True
             result.halted_wave = wave_index
@@ -368,14 +349,7 @@ class CampaignEngine:
                     effective_failures=record.effective_failures,
                     delivered=record.delivered)
             if campaign.adversity is None:
-                campaign.last_checkpoint = self._build_checkpoint(
-                    wave_index, result, wave, pre_wave)
-                if campaign.checkpoint_path is not None:
-                    campaign.last_checkpoint.save(campaign.checkpoint_path)
-                    if campaign.tracer is not None:
-                        campaign.tracer.emit("checkpoint.save",
-                                             wave=wave_index,
-                                             path=campaign.checkpoint_path)
+                campaign.last_checkpoint = self._boundary(pre_wave)
         else:
             state.wave_index += 1
         return record
@@ -419,18 +393,15 @@ class CampaignEngine:
         self._finalized = True
         return result
 
-    def checkpoint(self, path: Optional[str] = None) -> CampaignCheckpoint:
-        """Serialize the current wave boundary as a resumable checkpoint.
+    def checkpoint(self) -> CampaignCheckpoint:
+        """The current wave boundary as a resumable checkpoint.
 
-        Unlike the halt-written checkpoint (which rewinds the halting
-        wave's members so that wave re-runs on resume), a boundary
-        checkpoint needs no rewind: every executed wave is committed, the
-        next wave has not started, so the vehicles' live state *is* the
-        checkpoint state and ``next_wave`` is simply the cursor.  Requires
-        ``adversity=None`` (a perturbed staging cannot be validated against
-        the static plan — same restriction resume itself has) and a
-        non-halted campaign (a policy halt already built
-        :attr:`Campaign.last_checkpoint`, which rewinds properly).
+        Between waves the vehicles' live state *is* the checkpoint state.
+        After a policy halt this returns the checkpoint the halt froze (also
+        :attr:`Campaign.last_checkpoint`): the boundary before the halting
+        wave, whose members it rewinds so that wave re-runs on resume.
+        Requires ``adversity=None``, as resume does (a perturbed staging
+        cannot be validated against the static plan).
         """
         campaign = self.campaign
         if campaign.adversity is not None:
@@ -438,20 +409,8 @@ class CampaignEngine:
                 "wave-boundary checkpoints require adversity=None: carried "
                 "and straggler staging cannot be validated on resume")
         if self.state.result.halted:
-            raise CampaignError(
-                "campaign halted — resume from Campaign.last_checkpoint, "
-                "which rewinds the halting wave's members")
-        prefix = _copy_result(self.state.result)
-        checkpoint = CampaignCheckpoint(
-            next_wave=self.state.wave_index, result=prefix,
-            vehicle_states=[vehicle.capture_state()
-                            for vehicle in campaign.vehicles])
-        if path is not None:
-            checkpoint.save(path)
-            if campaign.tracer is not None:
-                campaign.tracer.emit("checkpoint.save",
-                                     wave=self.state.wave_index, path=path)
-        return checkpoint
+            return campaign.last_checkpoint
+        return self._boundary({})
 
     # -- wave internals ----------------------------------------------------
 
@@ -551,37 +510,33 @@ class CampaignEngine:
 
     # -- checkpoint/resume -------------------------------------------------
 
-    def _build_checkpoint(self, halted_wave: int, result: CampaignResult,
-                          wave: Sequence[FleetVehicle],
-                          pre_wave: Dict[str, MccSnapshot]
-                          ) -> CampaignCheckpoint:
-        """Freeze the campaign at the start of its halting wave.
+    def _boundary(self, rewound: Dict[str, MccSnapshot]
+                  ) -> CampaignCheckpoint:
+        """The boundary before wave ``state.wave_index``, with the vehicles
+        ``rewound`` names stored at their pre-wave snapshots and clean flags.
 
-        The checkpointed result excludes the halting wave's record (the
-        wave re-runs on resume); halting-wave members are stored at their
-        pre-wave snapshot with clean flags even when ``rollback_on_halt`` is
-        off, so a resume always re-admits the remediated wave from scratch.
+        A policy halt rewinds its halting wave's members even when
+        ``rollback_on_halt`` is off, so a resume re-admits the remediated
+        wave from scratch.
         """
-        prefix = _copy_result(result)
-        prefix.waves = prefix.waves[:-1]
-        prefix.halted = False
-        prefix.halted_wave = None
-        for attribute, total in _counter_sums(prefix.waves).items():
-            setattr(prefix, attribute, total)
-        halting = {vehicle.vehicle_id for vehicle in wave}
+        cursor = self.state.wave_index
+        result = self.state.result
         states = []
         for vehicle in self.campaign.vehicles:
-            if vehicle.vehicle_id in halting:
-                snapshot = vehicle.checkpoint_snapshot(
-                    pre_wave[vehicle.vehicle_id])
-                states.append(VehicleState(vehicle_id=vehicle.vehicle_id,
-                                           snapshot=snapshot,
-                                           updated=False, deviating=False,
-                                           rolled_back=False))
-            else:
+            snapshot = rewound.get(vehicle.vehicle_id)
+            if snapshot is None:
                 states.append(vehicle.capture_state())
-        return CampaignCheckpoint(next_wave=halted_wave, result=prefix,
-                                  vehicle_states=states)
+            else:
+                states.append(VehicleState(
+                    vehicle_id=vehicle.vehicle_id,
+                    snapshot=vehicle.checkpoint_snapshot(snapshot),
+                    updated=False, deviating=False, rolled_back=False))
+        return CampaignCheckpoint(
+            next_wave=cursor,
+            result=CampaignResult(fleet_size=result.fleet_size,
+                                  batched=result.batched,
+                                  waves=_copy_waves(result.waves[:cursor])),
+            vehicle_states=states)
 
     def _restore_checkpoint(self, checkpoint: CampaignCheckpoint,
                             plan: Sequence[Tuple[str, List[FleetVehicle]]],
@@ -589,12 +544,11 @@ class CampaignEngine:
         """Rewind the fleet and seed ``result`` from ``checkpoint``.
 
         Validates that the checkpoint is consistent (one state per vehicle,
-        one record per executed wave, in order, ending at the cursor, and
-        aggregate counts that are the sums of those records) and that the
-        resumed campaign stages the same fleet the same way (the executed
-        waves' vehicle ids must match the plan — policy remediation may
-        change thresholds, not the staging of already executed waves).
-        Returns the wave index to continue from.
+        one record per executed wave, in order, ending at the cursor) and
+        that the resumed campaign stages the same fleet the same way (the
+        executed waves' vehicle ids must match the plan — policy
+        remediation may change thresholds, not the staging of already
+        executed waves).  Returns the wave index to continue from.
         """
         campaign = self.campaign
         checkpointed = sorted(state.vehicle_id
@@ -625,19 +579,10 @@ class CampaignEngine:
                 raise CampaignError(
                     f"resumed staging diverges at wave {index}: checkpoint "
                     f"executed {record.vehicle_ids}, plan stages {planned}")
-        sums = _counter_sums(executed)
-        for attribute, total in sums.items():
-            count = getattr(checkpoint.result, attribute)
-            if count != total:
-                raise CampaignError(
-                    f"checkpoint counts {attribute}={count} but its wave "
-                    f"records sum to {total}")
         states = {state.vehicle_id: state for state in checkpoint.vehicle_states}
         for vehicle in campaign.vehicles:
             vehicle.restore_state(states[vehicle.vehicle_id])
-        result.waves = _copy_result(checkpoint.result).waves
         # Cache counters are deliberately not carried over: they describe
         # one process's cache traffic and the resumed run reports its own.
-        for attribute, total in sums.items():
-            setattr(result, attribute, total)
+        result.waves = _copy_waves(executed)
         return checkpoint.next_wave

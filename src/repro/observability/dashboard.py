@@ -7,8 +7,8 @@ families into one self-contained HTML page:
   per-wave outcome stacks and rejection-reason breakdowns (including the
   distributed viewpoint's ``rejected_distributed_only`` exclusives);
 * **tracer files** (:func:`~repro.observability.tracer.load_trace`) —
-  per-wave admission latencies, via the same fold as
-  :mod:`repro.observability.metrics_bridge`, and the event volume;
+  per-wave admission latencies (:func:`wave_latencies`) and the event
+  volume;
 * **benchmark records** (``benchmarks/records/BENCH_*.json``) — the
   headline speedup trajectory from
   :func:`~repro.experiments.bench_history.bench_trajectory`.
@@ -21,8 +21,8 @@ numbers survive printing, forced-colors mode and screen readers.  Colors
 are CSS custom properties with light and dark values (the validated
 reference palette), so the page follows ``prefers-color-scheme``.
 
-Like the metrics bridge, this module never imports the campaign engine —
-it consumes the plain dicts the record files already contain.
+This module never imports the campaign engine — it consumes the plain
+dicts the record files already contain.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from __future__ import annotations
 import html
 import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.observability.metrics_bridge import wave_latencies
 
 #: Campaign run records beyond this many get the table, not a chart each.
 MAX_CAMPAIGN_CHARTS = 6
@@ -49,6 +47,28 @@ _ROUND = 4
 # Fixed categorical slot order (reference palette); never cycled.
 _SLOTS = ("var(--series-1)", "var(--series-2)", "var(--series-3)",
           "var(--series-4)")
+
+
+def wave_latencies(events: Iterable[Dict[str, Any]]) -> Dict[int, float]:
+    """Per-wave admission latency (seconds) from tracer events.
+
+    Primary source is the parent-side wall clock: ``t_s`` of each wave's
+    ``wave.begin``/``wave.end`` pair.  A deterministic trace carries no
+    wall clock at all, so such traces yield an empty mapping — latency is
+    exactly the kind of field determinism trades away.
+    """
+    begins: Dict[int, float] = {}
+    latencies: Dict[int, float] = {}
+    for event in events:
+        wave = event.get("wave")
+        if not isinstance(wave, (int, float)) or "t_s" not in event:
+            continue
+        wave = int(wave)
+        if event.get("event") == "wave.begin":
+            begins[wave] = float(event["t_s"])
+        elif event.get("event") == "wave.end" and wave in begins:
+            latencies[wave] = float(event["t_s"]) - begins[wave]
+    return latencies
 
 
 def _esc(value: Any) -> str:
@@ -609,4 +629,4 @@ def render_dashboard(run_records: Optional[Sequence[Dict[str, Any]]] = None,
 
 
 __all__ = ["MAX_CAMPAIGN_CHARTS", "MAX_TRAJECTORY_SERIES",
-           "flatten_result_documents", "render_dashboard"]
+           "flatten_result_documents", "render_dashboard", "wave_latencies"]

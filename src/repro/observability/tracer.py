@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 #: Event fields derived from wall clocks — everything a deterministic trace
 #: must not contain.  ``emit`` omits these in deterministic mode; the
-#: metrics bridge treats them as optional.
+#: dashboard treats them as optional.
 WALL_CLOCK_FIELDS = frozenset({"t_s"})
 
 
@@ -62,7 +62,7 @@ class CampaignTracer:
         trace is a pure function of the traced computation.
     keep_events:
         Retain emitted events on :attr:`events` after a flush.  Defaults to
-        ``True`` so in-process consumers (the metrics bridge, tests) can
+        ``True`` so in-process consumers (the dashboard, tests) can
         read the trace without re-parsing the file; long-running services
         streaming to disk can turn it off to bound memory.
     """

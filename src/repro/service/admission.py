@@ -15,10 +15,9 @@ subscribers see each wave before the next claim runs.
 
 Halt, resume and rollback are API calls over the existing checkpoint
 machinery: an operator :class:`~repro.service.schemas.HaltRequest` parks the
-job at its **next wave boundary** with a
-:meth:`~repro.fleet.engine.CampaignEngine.checkpoint`-serialized state (a
-policy halt parks it with the halt-written
-:attr:`~repro.fleet.campaign.Campaign.last_checkpoint`);
+job at its **next wave boundary**, and a policy halt at the boundary before
+its halting wave, both with the engine's
+:meth:`~repro.fleet.engine.CampaignEngine.checkpoint`;
 :class:`~repro.service.schemas.ResumeRequest` builds a fresh engine with
 ``resume_from=`` (optionally remediating the halt threshold), and
 :class:`~repro.service.schemas.RollbackRequest` returns every vehicle of the
@@ -51,8 +50,7 @@ from typing import AsyncIterator, Deque, Dict, List, Optional
 
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint,
-                                  CampaignResult, UpdateFactory, WavePolicy,
-                                  plan_waves)
+                                  CampaignResult, UpdateFactory, plan_waves)
 from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import FleetVehicle, VehicleState, generate_fleet
 from repro.service.schemas import (CampaignStatus, HaltRequest, JobState,
@@ -73,9 +71,8 @@ class _Job:
     state: str = JobState.QUEUED
     fleet: Optional[List[FleetVehicle]] = None
     cache: Optional[AnalysisCache] = None
-    campaign: Optional[Campaign] = None
     engine: Optional[CampaignEngine] = None
-    #: Resumable boundary state while parked (halt-written or operator-taken).
+    #: Resumable boundary state while parked (policy or operator halt).
     checkpoint: Optional[CampaignCheckpoint] = None
     #: The job's update factory.  It builds its contracts once, so they
     #: stay the same objects across halt/resume cycles.
@@ -165,11 +162,8 @@ class AdmissionService:
             self._tenant_order.append(request.tenant)
         self._tenant_queues[request.tenant].append(job_id)
         self._work.set()
-        policy = WavePolicy(canary_size=request.canary_size,
-                            wave_fractions=request.wave_fractions,
-                            max_failure_rate=request.max_failure_rate,
-                            rollback_on_halt=request.rollback_on_halt)
-        waves_planned = len(plan_waves(list(range(request.fleet_size)), policy))
+        waves_planned = len(plan_waves(list(range(request.fleet_size)),
+                                       request.policy()))
         return SubmitReceipt(job_id=job_id, tenant=request.tenant,
                              state=job.state, fleet_size=request.fleet_size,
                              waves_planned=waves_planned)
@@ -343,12 +337,13 @@ class AdmissionService:
             failure_rate=record.failure_rate, halted=running.halted,
             final=done))
         if done:
+            if running.halted:
+                # Policy halt: the checkpoint rewinds the halting wave, so
+                # a resume re-admits it remediated.
+                job.checkpoint = job.engine.checkpoint()
             job.result = job.engine.finalize()
             job.engine = None
             if job.result.halted:
-                # Policy halt: the halt-written checkpoint rewinds the
-                # halting wave, so a resume re-admits it remediated.
-                job.checkpoint = job.campaign.last_checkpoint
                 job.state = JobState.HALTED
             else:
                 job.state = JobState.COMPLETED
@@ -359,12 +354,12 @@ class AdmissionService:
         """Drop what only a resume or a rollback reads.
 
         A COMPLETED or FAILED job can do neither, and the service keeps
-        every finished job, so its fleet, cache, campaign and vehicle
-        states would otherwise stay in memory for the service's lifetime.
+        every finished job, so its fleet, cache and vehicle states would
+        otherwise stay in memory for the service's lifetime.
         A job that failed after a resume keeps reporting the aggregate of
         its parked checkpoint in :meth:`status`, so only that survives.
         """
-        job.fleet = job.cache = job.campaign = None
+        job.fleet = job.cache = None
         if job.checkpoint is not None:
             job.checkpoint = replace(job.checkpoint, vehicle_states=[])
 
@@ -395,19 +390,15 @@ class AdmissionService:
                                        analysis_cache=job.cache)
             job.update_factory = add_component_update(
                 request.update_utilization, request.component)
-        threshold = job.max_failure_rate \
-            if job.max_failure_rate is not None else request.max_failure_rate
-        policy = WavePolicy(canary_size=request.canary_size,
-                            wave_fractions=request.wave_fractions,
-                            max_failure_rate=threshold,
-                            rollback_on_halt=request.rollback_on_halt)
-        job.campaign = Campaign(
+        policy = request.policy()
+        if job.max_failure_rate is not None:
+            policy = replace(policy, max_failure_rate=job.max_failure_rate)
+        campaign = Campaign(
             job.fleet, job.update_factory, policy=policy,
             analysis_cache=job.cache,
             failure_injection_rate=request.failure_injection_rate,
             feedback_seed=request.seed)
-        job.engine = CampaignEngine(job.campaign,
-                                    resume_from=job.checkpoint)
+        job.engine = CampaignEngine(campaign, resume_from=job.checkpoint)
 
     # -- plumbing ----------------------------------------------------------
 

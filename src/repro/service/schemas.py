@@ -20,10 +20,12 @@ this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:
+    from repro.fleet.campaign import WavePolicy
     from repro.fleet.vehicle import FleetSpec
 
 __all__ = [
@@ -41,6 +43,30 @@ __all__ = [
 
 class ServiceError(ValueError):
     """Raised for malformed service requests or invalid job transitions."""
+
+
+def _check_integer(name: str, value: object) -> None:
+    """Raise :class:`ServiceError` unless ``value`` is an ``int`` (a
+    ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"{name} must be an integer")
+
+
+def _check_finite(name: str, value: object) -> None:
+    """Raise :class:`ServiceError` unless ``value`` is an ``int`` or
+    ``float`` (a ``bool`` is not) that is finite as a float."""
+    try:
+        finite = not isinstance(value, bool) \
+            and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ServiceError(f"{name} must be a finite number")
+
+
+def _check_job_id(job_id: object) -> None:
+    if not isinstance(job_id, str) or not job_id:
+        raise ServiceError("job_id must be a non-empty string")
 
 
 class JobState:
@@ -89,10 +115,26 @@ class SubmitCampaign:
     failure_injection_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.tenant or not isinstance(self.tenant, str):
-            raise ServiceError("tenant must be a non-empty string")
+        for name in ("tenant", "component"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ServiceError(f"{name} must be a non-empty string")
+        for name in ("fleet_size", "seed", "num_variants",
+                     "extra_components", "canary_size"):
+            _check_integer(name, getattr(self, name))
+        for name in ("heterogeneity", "update_utilization",
+                     "max_failure_rate", "failure_injection_rate"):
+            _check_finite(name, getattr(self, name))
+        if not isinstance(self.rollback_on_halt, bool):
+            raise ServiceError("rollback_on_halt must be a bool")
+        if not isinstance(self.wave_fractions, (list, tuple)):
+            raise ServiceError("wave_fractions must be a list or tuple")
+        for fraction in self.wave_fractions:
+            _check_finite("each of wave_fractions", fraction)
         if self.fleet_size < 1:
             raise ServiceError("fleet_size must be at least 1")
+        if self.seed < 0:
+            raise ServiceError("seed must be non-negative")
         if self.num_variants < 1:
             raise ServiceError("num_variants must be at least 1")
         if self.update_utilization <= 0.0:
@@ -104,12 +146,9 @@ class SubmitCampaign:
         # __post_init__); tuple-ify defensively so callers can pass lists.
         object.__setattr__(self, "wave_fractions",
                            tuple(float(f) for f in self.wave_fractions))
-        from repro.fleet.campaign import CampaignError, WavePolicy
+        from repro.fleet.campaign import CampaignError
         try:
-            WavePolicy(canary_size=self.canary_size,
-                       wave_fractions=self.wave_fractions,
-                       max_failure_rate=self.max_failure_rate,
-                       rollback_on_halt=self.rollback_on_halt)
+            self.policy()
         except CampaignError as error:
             raise ServiceError(f"invalid staging policy: {error}") from error
         # Fleet-shape errors (heterogeneity, extra_components) likewise
@@ -119,6 +158,15 @@ class SubmitCampaign:
             self.fleet_spec()
         except ValueError as error:
             raise ServiceError(f"invalid fleet: {error}") from error
+
+    def policy(self) -> "WavePolicy":
+        """The :class:`~repro.fleet.campaign.WavePolicy` this submission
+        stages and halts by."""
+        from repro.fleet.campaign import WavePolicy
+        return WavePolicy(canary_size=self.canary_size,
+                          wave_fractions=self.wave_fractions,
+                          max_failure_rate=self.max_failure_rate,
+                          rollback_on_halt=self.rollback_on_halt)
 
     def fleet_spec(self) -> "FleetSpec":
         """The :class:`~repro.fleet.vehicle.FleetSpec` this submission
@@ -190,8 +238,9 @@ class HaltRequest:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ServiceError("job_id must be a non-empty string")
+        _check_job_id(self.job_id)
+        if not isinstance(self.reason, str):
+            raise ServiceError("reason must be a string")
 
 
 @dataclass(frozen=True)
@@ -208,11 +257,11 @@ class ResumeRequest:
     max_failure_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ServiceError("job_id must be a non-empty string")
-        if self.max_failure_rate is not None \
-                and not 0.0 <= self.max_failure_rate <= 1.0:
-            raise ServiceError("max_failure_rate must be in [0, 1]")
+        _check_job_id(self.job_id)
+        if self.max_failure_rate is not None:
+            _check_finite("max_failure_rate", self.max_failure_rate)
+            if not 0.0 <= self.max_failure_rate <= 1.0:
+                raise ServiceError("max_failure_rate must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -222,5 +271,4 @@ class RollbackRequest:
     job_id: str
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ServiceError("job_id must be a non-empty string")
+        _check_job_id(self.job_id)

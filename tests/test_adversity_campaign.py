@@ -22,8 +22,6 @@ model, and the resume/adversity exclusion.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +32,7 @@ from repro.fleet.adversity import (MONITOR_PEER, AdversityModel,
                                    ThermalAdversity)
 from repro.fleet.campaign import (Campaign, CampaignError, WavePolicy,
                                   plan_waves)
+from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import build_update_contract
@@ -94,17 +93,15 @@ class TestNoOpAdversity:
             assert record.delivered == record.size
             assert record.effective_failures == record.failures
 
-    def test_resume_and_adversity_are_mutually_exclusive(self, tmp_path):
+    def test_resume_and_adversity_are_mutually_exclusive(self):
         policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.0)
-        checkpoint_path = str(tmp_path / "halt.ckpt")
         spec = FleetSpec(size=8, seed=3, num_variants=2, extra_components=2)
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
                             analysis_cache=cache,
-                            failure_injection_rate=1.0, feedback_seed=3,
-                            checkpoint_path=checkpoint_path)
+                            failure_injection_rate=1.0, feedback_seed=3)
         halted = campaign.run()
         assert halted.halted and campaign.last_checkpoint is not None
         resumed_campaign = Campaign(fleet, make_factory(), policy=policy,
@@ -114,10 +111,10 @@ class TestNoOpAdversity:
         with pytest.raises(CampaignError, match="adversity"):
             resumed_campaign.run(resume_from=campaign.last_checkpoint)
 
-    def test_halt_under_adversity_writes_no_checkpoint(self, tmp_path):
+    def test_halt_under_adversity_writes_no_checkpoint(self):
         """Adverse campaigns cannot be checkpoint-resumed (the adversity
-        state is not snapshotted), so a halt must not leave a checkpoint."""
-        checkpoint_path = str(tmp_path / "adverse.ckpt")
+        state is not snapshotted), so a halt must not leave a checkpoint
+        and the halted engine refuses to take one."""
         policy = WavePolicy(canary_size=2, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.0)
         adversity = IntrusionAdversity(compromise_rate=1.0,
@@ -127,12 +124,15 @@ class TestNoOpAdversity:
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
                             analysis_cache=cache, feedback_seed=5,
-                            adversity=adversity,
-                            checkpoint_path=checkpoint_path)
-        result = campaign.run()
-        assert result.halted
+                            adversity=adversity)
+        engine = CampaignEngine(campaign)
+        while not engine.done:
+            engine.step()
+        assert engine.state.result.halted
         assert campaign.last_checkpoint is None
-        assert not os.path.exists(checkpoint_path)
+        with pytest.raises(CampaignError, match="adversity"):
+            engine.checkpoint()
+        engine.finalize()
 
 
 class TestWorkerParity:

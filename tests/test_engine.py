@@ -14,18 +14,20 @@ The satellite guarantees ride along:
 * :meth:`CampaignEngine.checkpoint` serializes *any* wave boundary (not
   only where the halt policy tripped) and a resume from boundary ``k``
   reproduces the uninterrupted run byte-for-byte, including from a fresh
-  process;
+  process; after a policy halt it returns the halt's own checkpoint;
 * ``CampaignCheckpoint.load`` unpickles through a restricted allowlist —
   a malicious reduce payload, a dotted name or a non-class global raises
-  ``CampaignError`` without executing.
+  ``CampaignError`` without executing, and so does a mistyped field.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,7 +38,7 @@ from repro.fleet.adversity import LossyDeliveryAdversity
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
                                   WavePolicy)
 from repro.fleet.engine import CampaignEngine, CampaignState
-from repro.fleet.vehicle import FleetSpec, generate_fleet
+from repro.fleet.vehicle import FleetSpec, FleetVehicle, generate_fleet
 from repro.observability.tracer import CampaignTracer
 
 from test_parallel_campaign import campaign_digest, fleet_digest, make_factory
@@ -164,7 +166,8 @@ class TestBoundaryCheckpoint:
             for _ in range(boundary):
                 engine.step()
             path = str(directory / f"wave{boundary}_{seed}.ckpt")
-            checkpoint = engine.checkpoint(path)
+            checkpoint = engine.checkpoint()
+            checkpoint.save(path)
             assert checkpoint.next_wave == boundary
             assert len(checkpoint.result.waves) == boundary
             engine.finalize()
@@ -185,7 +188,7 @@ class TestBoundaryCheckpoint:
         engine = CampaignEngine(campaign)
         engine.step()
         path = str(tmp_path / "boundary.ckpt")
-        engine.checkpoint(path)
+        engine.checkpoint().save(path)
         engine.finalize()
 
         script = f"""
@@ -213,22 +216,6 @@ sys.stdout.write(repr(campaign_digest(resumed)))
                                    env=environment, check=True)
         assert completed.stdout == repr(campaign_digest(reference))
 
-    def test_checkpoint_emits_trace_event_only_when_saved(self, tmp_path):
-        tracer = CampaignTracer(deterministic=True)
-        _, campaign = build_campaign(8, seed=2, tracer=tracer)
-        engine = CampaignEngine(campaign)
-        engine.step()
-        engine.checkpoint()  # in-memory: no event
-        assert not [event for event in tracer.events
-                    if event["event"] == "checkpoint.save"]
-        engine.checkpoint(str(tmp_path / "boundary.ckpt"))
-        saves = [event for event in tracer.events
-                 if event["event"] == "checkpoint.save"]
-        assert len(saves) == 1 and saves[0]["wave"] == 1
-        while not engine.done:
-            engine.step()
-        engine.finalize()
-
     def test_checkpoint_requires_no_adversity(self):
         _, campaign = build_campaign(
             8, seed=4, adversity=LossyDeliveryAdversity(0.3, seed=4))
@@ -240,19 +227,45 @@ sys.stdout.write(repr(campaign_digest(resumed)))
             engine.step()
         engine.finalize()
 
-    def test_checkpoint_after_halt_points_at_last_checkpoint(self):
+    def test_checkpoint_after_halt_is_the_halt_checkpoint(self,
+                                                          monkeypatch):
+        """After a policy halt, checkpoint() returns the boundary before the
+        halting wave, equal to Campaign.last_checkpoint field for field,
+        without capturing a vehicle again, and resumes like it."""
         policy = WavePolicy(canary_size=2, wave_fractions=(0.5, 1.0),
-                            max_failure_rate=0.0)
-        _, campaign = build_campaign(8, seed=6, policy=policy,
-                                     failure_rate=1.0)
+                            max_failure_rate=0.1)
+        _, campaign = build_campaign(8, seed=4, policy=policy,
+                                     failure_rate=0.4)
         engine = CampaignEngine(campaign)
+        engine.step()
         record = engine.step()
         assert engine.done and engine.state.result.halted
-        assert record.index == 0
-        with pytest.raises(CampaignError, match="last_checkpoint"):
-            engine.checkpoint()
-        assert campaign.last_checkpoint is not None
+        assert record.index == 1
+        captures = []
+        original = FleetVehicle.capture_state
+
+        def counted(vehicle):
+            captures.append(vehicle.vehicle_id)
+            return original(vehicle)
+
+        monkeypatch.setattr(FleetVehicle, "capture_state", counted)
+        checkpoint = engine.checkpoint()
+        assert captures == []
+        assert checkpoint == campaign.last_checkpoint
+        assert checkpoint.next_wave == 1
+        assert [record.index for record in checkpoint.result.waves] == [0]
         engine.finalize()
+
+        def remediated_run(resume_from):
+            _, fresh = build_campaign(
+                8, seed=4, failure_rate=0.4,
+                policy=replace(policy, max_failure_rate=1.0))
+            return fresh.run(resume_from=resume_from)
+
+        resumed = remediated_run(checkpoint)
+        assert resumed.completed
+        assert campaign_digest(resumed) == \
+            campaign_digest(remediated_run(None))
 
 
 class _EvilPayload:
@@ -321,12 +334,55 @@ class TestRestrictedUnpickler:
         with pytest.raises(FileNotFoundError):
             CampaignCheckpoint.load(str(tmp_path / "absent.ckpt"))
 
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda checkpoint: replace(checkpoint, vehicle_states=None),
+         "vehicle_states"),
+        (lambda checkpoint: replace(checkpoint, result=replace(
+            checkpoint.result, waves=None)), "result.waves"),
+        (lambda checkpoint: replace(checkpoint, result=replace(
+            checkpoint.result, waves=[replace(checkpoint.result.waves[0],
+                                              vehicle_ids=None)])),
+         "result.waves[0].vehicle_ids"),
+        (lambda checkpoint: replace(checkpoint, result=None), "result"),
+        (lambda checkpoint: replace(
+            checkpoint, vehicle_states=[checkpoint.result]
+            + checkpoint.vehicle_states[1:]), "vehicle_states[0]"),
+        (lambda checkpoint: replace(checkpoint, result=replace(
+            checkpoint.result, waves=checkpoint.vehicle_states[:1])),
+         "result.waves[0]"),
+        (lambda checkpoint: replace(
+            checkpoint, vehicle_states=[replace(
+                checkpoint.vehicle_states[0], snapshot=replace(
+                    checkpoint.vehicle_states[0].snapshot, model="x"))]
+            + checkpoint.vehicle_states[1:]),
+         "vehicle_states[0].snapshot.model"),
+    ], ids=["states-none", "waves-none", "vehicle-ids-none", "result-none",
+            "result-as-state", "state-as-record", "snapshot-model-str"])
+    def test_malformed_contents_raise_naming_the_field(self, tmp_path,
+                                                       corrupt, field):
+        """A checkpoint after the canary of a 12-vehicle, 3-variant fleet,
+        one field then given the wrong type; each used to load and then
+        fail the resume with a raw TypeError or AttributeError, or (the
+        snapshot model) resume to a vehicle whose MCC model is a string."""
+        _, campaign = build_campaign(12, seed=1)
+        engine = CampaignEngine(campaign)
+        engine.step()
+        checkpoint = engine.checkpoint()
+        engine.finalize()
+        assert checkpoint.vehicle_states[0].snapshot is not None
+        path = str(tmp_path / "malformed.ckpt")
+        corrupt(checkpoint).save(path)
+        with pytest.raises(CampaignError,
+                           match=rf"malformed {re.escape(field)}$"):
+            CampaignCheckpoint.load(path)
+
     def test_real_checkpoint_round_trips(self, tmp_path):
         _, campaign = build_campaign(8, seed=17)
         engine = CampaignEngine(campaign)
         engine.step()
         path = str(tmp_path / "real.ckpt")
-        original = engine.checkpoint(path)
+        original = engine.checkpoint()
+        original.save(path)
         engine.finalize()
         loaded = CampaignCheckpoint.load(path)
         assert isinstance(loaded, CampaignCheckpoint)

@@ -286,7 +286,7 @@ class TestStampedMatchesReference:
             boundaries = 0
             while True:
                 path = str(directory / f"{provisioner.__name__}-{boundaries}.ckpt")
-                engine.checkpoint(path)
+                engine.checkpoint().save(path)
                 fleet_resumed, campaign_resumed = fresh(provisioner)
                 result = campaign_resumed.run(
                     resume_from=CampaignCheckpoint.load(path))
@@ -641,14 +641,14 @@ class TestLazyProvisioning:
         halt_path = str(tmp_path / "halt.ckpt")
         halting = self.campaign(generate_fleet(self.SPEC, analysis_cache=cache),
                                 cache, max_failure_rate=0.0)
-        halting.checkpoint_path = halt_path
         engine = CampaignEngine(halting)
         paths = []
         while not engine.done:
             paths.append(str(tmp_path / f"{len(paths)}.ckpt"))
-            engine.checkpoint(paths[-1])
+            engine.checkpoint().save(paths[-1])
             engine.step()
         assert engine.state.result.halted and len(paths) > 1
+        engine.checkpoint().save(halt_path)
         for path in paths + [halt_path]:
             assert integrations(partial(resumed, path)) <= ceiling, path
 

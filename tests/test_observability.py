@@ -1,4 +1,4 @@
-"""Campaign observability: tracer, engine instrumentation, metrics bridge
+"""Campaign observability: tracer, engine instrumentation, wave latencies
 and the dashboard.
 
 The load-bearing guarantees pinned here:
@@ -20,10 +20,8 @@ import pytest
 
 from repro.fleet.campaign import Campaign, WavePolicy
 from repro.observability import (WALL_CLOCK_FIELDS, CampaignTracer,
-                                 TraceError, campaign_metric_registry,
-                                 flatten_result_documents, load_trace,
-                                 render_dashboard, wave_latencies)
-from repro.observability.metrics_bridge import ADMISSION_SOURCE, WAVE_SOURCE
+                                 TraceError, flatten_result_documents,
+                                 load_trace, render_dashboard, wave_latencies)
 from test_parallel_campaign import (campaign_digest, fleet_digest,
                                     make_factory, run_campaign)
 
@@ -166,26 +164,6 @@ class TestMetricsBridge:
             {"event": "wave.end", "wave": 2},
         ]
         assert wave_latencies(events) == {0: 0.5, 1: 1.25}
-
-    def test_registry_folds_a_real_campaign(self):
-        tracer = CampaignTracer()
-        _, _, result = run_campaign(40, 2, tracer=tracer)
-        registry = campaign_metric_registry(result, events=tracer.events)
-        assert WAVE_SOURCE in registry.sources()
-        assert ADMISSION_SOURCE in registry.sources()
-        waves = registry.get(WAVE_SOURCE, "admitted")
-        assert waves is not None
-        assert sum(waves.values()) == result.admitted
-        latency = registry.get(ADMISSION_SOURCE, "latency_s")
-        assert latency is not None and all(v >= 0.0 for v in latency.values())
-
-    def test_registry_accepts_round_tripped_wave_dicts(self):
-        class Plain:
-            waves = [{"index": 0, "kind": "canary", "size": 2, "admitted": 2,
-                      "rejected": 0, "failure_rate": 0.0}]
-        registry = campaign_metric_registry(Plain())
-        assert registry.last(WAVE_SOURCE, "admitted") == 2.0
-        assert registry.last(WAVE_SOURCE, "failure_rate") == 0.0
 
 
 class TestDashboard:

@@ -27,17 +27,19 @@ No pytest-asyncio in the toolchain: each test drives the service through
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
+import math
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, WavePolicy
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.observability.metrics_bridge import (SERVICE_SOURCE,
-                                                service_metric_registry)
 from repro.scenarios.fleet_campaign import build_update_contract
 from repro.service import admission
 from repro.service import (AdmissionService, CampaignStatus, HaltRequest,
@@ -261,22 +263,6 @@ class TestTenancyIdentity:
             assert campaign_digest(result) == \
                 campaign_digest(reference_result(request))
 
-    def test_progress_folds_into_metric_registry(self):
-        async def drive():
-            async with AdmissionService() as service:
-                receipt = await service.submit(SUBMIT)
-                await service.wait(receipt.job_id)
-                return receipt.job_id, \
-                    [record async for record in service.stream(receipt.job_id)]
-
-        job_id, progress = asyncio.run(drive())
-        registry = service_metric_registry(progress)
-        fleet_series = registry.get(SERVICE_SOURCE, "admitted")
-        job_series = registry.get(f"service.job/{job_id}", "admitted")
-        assert fleet_series is not None and job_series is not None
-        assert len(fleet_series) == len(job_series) == len(progress)
-        assert sum(job_series.values()) == SUBMIT.fleet_size
-
 
 class TestOperatorControl:
     def test_halt_resume_reaches_uninterrupted_result(self):
@@ -387,12 +373,72 @@ class TestOperatorControl:
             [True] * 2 + [False] * 6
 
 
+#: Any value a caller might pass where a request field is expected.
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)),
+             max_size=3),
+    st.tuples(st.floats(min_value=0.0, max_value=1.0)))
+
+
+def well_typed(request: SubmitCampaign) -> bool:
+    """Every field of an accepted submission has its declared type."""
+    def integer(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    def finite(value):
+        return (integer(value) or isinstance(value, float)) \
+            and math.isfinite(value)
+
+    return (all(isinstance(value, str) and value
+                for value in (request.tenant, request.component))
+            and all(integer(getattr(request, name)) for name in (
+                "fleet_size", "seed", "num_variants", "extra_components",
+                "canary_size"))
+            and all(finite(getattr(request, name)) for name in (
+                "heterogeneity", "update_utilization", "max_failure_rate",
+                "failure_injection_rate"))
+            and isinstance(request.rollback_on_halt, bool)
+            and isinstance(request.wave_fractions, tuple)
+            and all(finite(value) for value in request.wave_fractions))
+
+
 class TestValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(knobs=st.dictionaries(
+               st.sampled_from([spec.name for spec
+                                in dataclasses.fields(SubmitCampaign)]),
+               ANY_VALUE, min_size=1),
+           job_id=st.one_of(st.text(max_size=3), ANY_VALUE),
+           other=ANY_VALUE)
+    def test_malformed_requests_raise_only_service_errors(self, knobs,
+                                                          job_id, other):
+        """Arbitrary values in every request field: construction either
+        raises ServiceError or yields a well-typed request."""
+        try:
+            request = SubmitCampaign(**{"tenant": "acme", **knobs})
+        except ServiceError:
+            pass
+        else:
+            assert well_typed(request), request
+            assert request.policy() and request.fleet_spec()
+        for build in (lambda: ResumeRequest(job_id=job_id,
+                                            max_failure_rate=other),
+                      lambda: HaltRequest(job_id=job_id, reason=other),
+                      lambda: RollbackRequest(job_id=job_id)):
+            try:
+                build()
+            except ServiceError:
+                pass
+
     def test_submit_schema_validates_at_construction(self):
         with pytest.raises(ServiceError, match="tenant"):
             SubmitCampaign(tenant="")
         with pytest.raises(ServiceError, match="fleet_size"):
             SubmitCampaign(tenant="acme", fleet_size=0)
+        # A negative seed used to pass and fail the job in provisioning.
+        with pytest.raises(ServiceError, match="seed must be non-negative"):
+            SubmitCampaign(tenant="acme", seed=-1)
         with pytest.raises(ServiceError, match="staging policy"):
             SubmitCampaign(tenant="acme", wave_fractions=(0.5, 0.1))
         with pytest.raises(ServiceError, match="job_id"):

@@ -16,8 +16,9 @@ Test-side wrappers count, over each run: ``request_change``,
 that took the one-pass and those that fell back to per-request integration;
 acceptance runs per viewpoint; analysis-cache hits, misses and
 ``analyse_many`` lanes; the incremental engines' cold and warm-started
-fixpoints and reused tasks; deviations raised; vehicles provisioned; and
-service resumes.
+fixpoints and reused tasks; deviations raised; vehicles provisioned;
+vehicle states captured into and restored from checkpoints; and service
+resumes.
 Every count must equal ``tests/work_counts.json``.  A change that moves a
 count regenerates that file in the same commit and explains each move::
 
@@ -37,7 +38,8 @@ from repro.analysis.cache import AnalysisCache
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.contracts.language import ContractParser, ContractSerializer
 from repro.fleet.campaign import Campaign
-from repro.fleet.vehicle import FleetProvisioner, FleetSpec, generate_fleet
+from repro.fleet.vehicle import (FleetProvisioner, FleetSpec, FleetVehicle,
+                                 generate_fleet)
 from repro.mcc import acceptance
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
@@ -55,7 +57,7 @@ KEYS = ("request_change", "replay_change", "map", "one_pass",
         "acceptance.security", "acceptance.resources", "cache.hits",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
         "engine.warm", "engine.reused", "deviations", "vehicles_provisioned",
-        "service.resumes")
+        "capture_state", "restore_state", "service.resumes")
 
 VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
                    acceptance.SafetyAcceptanceTest,
@@ -129,6 +131,8 @@ def counting() -> Iterator[Counter]:
     patch(IncrementalResponseTimeAnalysis, "__init__", registered(engines))
     patch(DeviationDetector, "observe", observe)
     patch(FleetProvisioner, "provision", counted("vehicles_provisioned"))
+    patch(FleetVehicle, "capture_state", counted("capture_state"))
+    patch(FleetVehicle, "restore_state", counted("restore_state"))
     patch(AdmissionService, "resume", counted("service.resumes"))
     try:
         yield counts
