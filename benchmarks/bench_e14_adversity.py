@@ -14,20 +14,28 @@ Three records cover the adversity layer (PR 8):
   and straggler waves recover full coverage within the retry budget.
 * **E16 thermal.**  The heat-wave rollout: DVFS throttling inflates WCETs,
   verdicts flip in hot waves only and recover with the temperature.
+
+Each record also carries ``resume_identical``: the campaign, checkpointed
+at its middle wave boundary, saved, loaded and resumed on a regenerated
+fleet under a fresh adversity model, reaches the uninterrupted run's
+result and fleet state.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import pytest
 
 from conftest import (print_table, provisioned_fleet, quick_mode,
                       write_bench_record)
 from repro.analysis.cache import AnalysisCache
-from repro.fleet.adversity import IntrusionAdversity
-from repro.fleet.campaign import Campaign, WavePolicy
-from repro.fleet.vehicle import FleetSpec
+from repro.fleet.adversity import (AdversityModel, IntrusionAdversity,
+                                   LossyDeliveryAdversity, ThermalAdversity)
+from repro.fleet.campaign import Campaign, CampaignCheckpoint, WavePolicy
+from repro.fleet.engine import CampaignEngine
+from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.scenarios.adversity_campaigns import (
     run_intrusion_campaign_scenario, run_lossy_ota_campaign_scenario,
     run_thermal_campaign_scenario)
@@ -38,6 +46,49 @@ SEED = 7
 
 def _fleet_size() -> int:
     return 16 if quick_mode() else 36
+
+
+def _resume_identical(path: str, adversity: Callable[[], AdversityModel],
+                      fleet_size: int, max_failure_rate: float,
+                      update_utilization: float = 0.18) -> bool:
+    """Whether a checkpoint of the scenario's campaign resumes exactly.
+
+    The campaign is the scenario's own (seed, fleet shape and staging of
+    :mod:`repro.scenarios.adversity_campaigns`), under a fresh
+    ``adversity()`` model each run.  It is checkpointed at the middle wave
+    boundary of its uninterrupted run, saved to ``path`` and loaded, and
+    resumed on a regenerated fleet; the resumed result and fleet state are
+    compared with the uninterrupted run's.
+    """
+    def campaign():
+        spec = FleetSpec(size=fleet_size, seed=SEED, heterogeneity=0.1,
+                         num_variants=6, extra_components=6)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
+        policy = WavePolicy(canary_size=2, wave_fractions=(0.2, 0.5, 1.0),
+                            max_failure_rate=max_failure_rate)
+        return fleet, Campaign(fleet, add_component_update(update_utilization),
+                               policy=policy, analysis_cache=cache,
+                               feedback_seed=SEED, adversity=adversity())
+
+    def state(fleet, result):
+        return ([record.to_dict() for record in result.waves],
+                result.halted_wave,
+                [(vehicle.vehicle_id, vehicle.updated, vehicle.deviating,
+                  vehicle.rolled_back, vehicle.mcc.version)
+                 for vehicle in fleet if vehicle.provisioned])
+
+    fleet, uninterrupted = campaign()
+    reference = state(fleet, uninterrupted.run())
+    _, stepped = campaign()
+    engine = CampaignEngine(stepped)
+    for _ in range(len(reference[0]) // 2):
+        engine.step()
+    engine.checkpoint().save(path)
+    engine.finalize()
+    fleet, resumed = campaign()
+    result = resumed.run(resume_from=CampaignCheckpoint.load(path))
+    return state(fleet, result) == reference
 
 
 def _run_intrusion_admission(fleet_size: int, batch: bool):
@@ -65,7 +116,7 @@ def _run_intrusion_admission(fleet_size: int, batch: bool):
 
 
 @pytest.mark.benchmark(group="e14-adversity")
-def test_e14_intrusion_campaign_defense(benchmark):
+def test_e14_intrusion_campaign_defense(benchmark, tmp_path):
     """Defended vs undefended forged-report campaigns, plus the batched-
     admission speedup under adversity (the regression-gated headline)."""
     fleet_size = _fleet_size()
@@ -107,17 +158,22 @@ def test_e14_intrusion_campaign_defense(benchmark):
         "sequential_admission_s": sequential_s,
         "batched_admission_s": batched_s,
         "speedup": speedup,
+        "resume_identical": _resume_identical(
+            str(tmp_path / "e14.ckpt"),
+            lambda: IntrusionAdversity(compromise_rate=0.25, seed=SEED),
+            fleet_size, max_failure_rate=0.2),
     }
     print_table("E14: forged deviation reports — IDS discount on vs off, "
                 "batched-admission speedup under adversity", [row])
     write_bench_record("e14_intrusion_adversity", row)
+    assert row["resume_identical"]
     # The quick-mode fleet is less than half the size, so per-variant
     # dedupe has less to amortize — the smoke floor is correspondingly lower.
     assert speedup >= (1.2 if quick_mode() else 1.5)
 
 
 @pytest.mark.benchmark(group="e14-adversity")
-def test_e15_lossy_ota_delivery(benchmark):
+def test_e15_lossy_ota_delivery(benchmark, tmp_path):
     """Retry/straggler recovery over a lossy OTA network."""
     fleet_size = _fleet_size()
     result = run_lossy_ota_campaign_scenario(fleet_size=fleet_size,
@@ -139,14 +195,20 @@ def test_e15_lossy_ota_delivery(benchmark):
         "abandoned": result.abandoned,
         "straggler_waves": result.straggler_waves,
         "update_coverage": result.update_coverage,
+        "resume_identical": _resume_identical(
+            str(tmp_path / "e15.ckpt"),
+            lambda: LossyDeliveryAdversity(drop_rate=0.3, max_retries=6,
+                                           seed=SEED),
+            fleet_size, max_failure_rate=0.3),
     }
     print_table("E15: lossy OTA rollout — drops recovered by retry and "
                 "straggler waves", [row])
     write_bench_record("e15_lossy_ota", row)
+    assert row["resume_identical"]
 
 
 @pytest.mark.benchmark(group="e14-adversity")
-def test_e16_thermal_campaign(benchmark):
+def test_e16_thermal_campaign(benchmark, tmp_path):
     """Verdict flips are confined to DVFS-throttled waves."""
     fleet_size = _fleet_size()
     result = run_thermal_campaign_scenario(fleet_size=fleet_size, seed=SEED,
@@ -170,7 +232,12 @@ def test_e16_thermal_campaign(benchmark):
         "admitted": result.admitted,
         "rejected": result.rejected,
         "update_coverage": result.update_coverage,
+        "resume_identical": _resume_identical(
+            str(tmp_path / "e16.ckpt"),
+            lambda: ThermalAdversity(peak_ambient_c=90.0, wave_dt_s=240.0),
+            fleet_size, max_failure_rate=1.0, update_utilization=0.35),
     }
     print_table("E16: heat-wave rollout — DVFS-inflated WCET admission "
                 "(hot waves reject, cool waves admit)", [row])
     write_bench_record("e16_thermal_campaign", row)
+    assert row["resume_identical"]

@@ -86,20 +86,16 @@ _SAFE_BUILTINS = frozenset({"bytearray", "complex", "frozenset", "range",
 
 
 class _RestrictedUnpickler(pickle.Unpickler):
-    """Allowlist unpickler behind every pickle this package loads.
+    """Allowlist unpickler behind :meth:`AnalysisCache.load_snapshot`.
 
-    Guards :meth:`AnalysisCache.load_snapshot` and
-    :meth:`CampaignCheckpoint.load
-    <repro.fleet.campaign.CampaignCheckpoint.load>`, which read files from
-    caller-supplied paths (a JSON experiment spec can set a campaign's
-    ``cache_path``).  ``pickle.load`` on an untrusted file is
-    arbitrary code execution — a crafted ``__reduce__`` payload runs
-    *during* load, long before any ``isinstance`` check can reject it.  A
-    snapshot or checkpoint this package writes only ever references classes
-    the package defines (analysis results, tasks, campaign/vehicle/MCC/
-    contract types — verified against real files) plus a handful of safe
-    builtins, so everything else is refused at the ``find_class`` seam — the
-    only place a pickle can name a callable.
+    The snapshot is read from a caller-supplied path (a JSON experiment
+    spec can set a campaign's ``cache_path``).  ``pickle.load`` on an
+    untrusted file is arbitrary code execution — a crafted ``__reduce__``
+    payload runs *during* load, long before any ``isinstance`` check can
+    reject it.  A snapshot this package writes only ever references classes
+    the package defines (analysis results and their tasks) plus a handful
+    of safe builtins, so everything else is refused at the ``find_class``
+    seam — the only place a pickle can name a callable.
 
     A name is admitted only when it is a plain attribute (no ``.``: a
     protocol-4 pickle resolves dotted names, so ``os.mkdir`` would reach
@@ -121,20 +117,20 @@ class _RestrictedUnpickler(pickle.Unpickler):
             f"pickle references forbidden global {module}.{name}")
 
 
-def _atomic_pickle(payload: object, path: str) -> None:
-    """Pickle ``payload`` to ``path``, replacing it only once fully written.
+def _atomic_write(data: bytes, path: str) -> None:
+    """Write ``data`` to ``path``, replacing it only once fully written.
 
-    The pickle lands in a temp file next to ``path`` that replaces it
+    The bytes land in a temp file next to ``path`` that replaces it
     atomically, so a crash mid-write never leaves a truncated file where a
-    valid earlier one used to be.  Writes every pickle this package loads
-    through :class:`_RestrictedUnpickler`.
+    valid earlier one used to be.  Writes the cache snapshot and every
+    campaign checkpoint.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(handle, "wb") as stream:
-            pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
+            stream.write(data)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -288,8 +284,9 @@ class AnalysisCache:
         Returns the number of entries written.
         """
         entries = self.export_entries()
-        _atomic_pickle({"format": self._SNAPSHOT_FORMAT, "entries": entries},
-                       path)
+        _atomic_write(pickle.dumps({"format": self._SNAPSHOT_FORMAT,
+                                    "entries": entries},
+                                   protocol=pickle.HIGHEST_PROTOCOL), path)
         return len(entries)
 
     def load_snapshot(self, path: str, missing_ok: bool = False,

@@ -247,12 +247,6 @@ class Contract:
         if not self.component:
             raise ContractViolation("contract needs a component name")
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Re-resolve on unpickling: a pickle written before the viewpoint
-        # attributes existed carries only the requirement list.
-        self.__dict__.update(state)
-        _set_requirements(self, self.requirements)
-
     # -- accessors --------------------------------------------------------
 
     def requirement(self, viewpoint: str) -> Optional[Requirement]:

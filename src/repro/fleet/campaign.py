@@ -30,11 +30,12 @@ N+1 reuses wave N's analyses through the live cache, and an entirely new
 campaign run over the same fleet warm-starts from the previous run on disk.
 :meth:`CampaignEngine.checkpoint
 <repro.fleet.engine.CampaignEngine.checkpoint>` freezes a campaign at a
-wave boundary — its wave records plus per-vehicle MCC snapshots — and a
-policy halt freezes it at the start of the halting wave (also kept as
+wave boundary as the log of its committed waves, and a policy halt freezes
+it at the start of the halting wave (also kept as
 :attr:`Campaign.last_checkpoint`), so a remediated campaign can
-:meth:`Campaign.run` with ``resume_from=`` and continue where it stopped.
-Whoever holds a checkpoint saves it (:meth:`CampaignCheckpoint.save`).
+:meth:`Campaign.run` with ``resume_from=`` and continue where it stopped,
+by replaying the log (see :mod:`repro.fleet.engine`).  Whoever holds a
+checkpoint saves it (:meth:`CampaignCheckpoint.save`).
 
 Execution itself lives in :mod:`repro.fleet.engine`: this module holds the
 campaign *description* (fleet, policy, knobs, result/checkpoint types and
@@ -46,18 +47,15 @@ at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import json
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache import (AnalysisCache, _atomic_pickle,
-                                  _RestrictedUnpickler)
+from repro.analysis.cache import AnalysisCache, _atomic_write
 from repro.fleet.adversity import AdversityModel
-from repro.fleet.vehicle import FleetVehicle, VehicleState
-from repro.mcc.configuration import ChangeRequest, SystemModel
-from repro.mcc.controller import MccSnapshot
-from repro.monitoring.deviation import ExpectedBehaviour
+from repro.fleet.vehicle import FleetVehicle
+from repro.mcc.configuration import ChangeRequest
 from repro.observability.tracer import CampaignTracer
-from repro.platform.rte import RteConfiguration
 
 #: Builds the per-vehicle change request of the campaign's update.
 UpdateFactory = Callable[[FleetVehicle], ChangeRequest]
@@ -69,6 +67,9 @@ UpdateFactory = Callable[[FleetVehicle], ChangeRequest]
 #: exactly-at-threshold wave tolerated for any fleet far below a billion
 #: vehicles.
 _HALT_SLACK = 1e-9
+
+#: Version of the :class:`CampaignCheckpoint` document.
+_CHECKPOINT_FORMAT = 1
 
 
 class CampaignError(ValueError):
@@ -263,97 +264,99 @@ class CampaignResult:
 
 @dataclass
 class CampaignCheckpoint:
-    """A campaign frozen at a wave boundary, ready to resume.
+    """A campaign frozen at a wave boundary, ready to resume: its wave log.
 
     :meth:`CampaignEngine.checkpoint
     <repro.fleet.engine.CampaignEngine.checkpoint>` is its one producer.
-    Between waves every executed wave is committed and nothing is in
-    flight; after a policy **halt** the boundary is the start of the
-    halting wave, whose members are stored at their pre-wave state
-    regardless of the rollback policy, so the remediated wave re-runs from
-    scratch.  ``next_wave`` is the wave cursor, ``result`` holds the wave
-    records executed before it (its counts are their sums), and
-    ``vehicle_states`` every fleet vehicle's portable MCC snapshot
-    (``None`` for a vehicle at its variant's baseline, see
-    :class:`~repro.fleet.vehicle.VehicleState`) and rollout flags (the
-    retry carry is structurally empty wherever checkpoints are legal —
-    they require ``adversity=None``).  The checkpoint pickles cleanly —
-    :meth:`save`/:meth:`load` move it across processes and runs — and
-    :meth:`Campaign.run` with ``resume_from=`` continues where it stopped.
+    ``fleet_size`` is the size of the fleet the campaign ran on and
+    ``waves`` the records of every wave it committed, in order, so the
+    wave cursor is their number (:attr:`next_wave`).  After a policy
+    **halt** the boundary is the start of the halting wave, whose record is
+    left out, so the remediated wave re-runs from scratch.
+
+    Nothing per vehicle is stored: :meth:`Campaign.run` with
+    ``resume_from=`` rewinds the fleet to its baseline and replays the
+    logged waves, and a replayed wave that commits another record raises
+    :class:`CampaignError` naming it.  :meth:`save`/:meth:`load` move the
+    log across processes as a versioned JSON document
+    (``docs/SERVICE.md`` lists its fields).
     """
 
-    next_wave: int
-    result: CampaignResult
-    vehicle_states: List[VehicleState]
+    fleet_size: int
+    waves: List[WaveRecord]
+
+    @property
+    def next_wave(self) -> int:
+        """The wave cursor: the number of committed waves."""
+        return len(self.waves)
+
+    def to_bytes(self) -> bytes:
+        """This checkpoint as its compact JSON document."""
+        return json.dumps({"format": _CHECKPOINT_FORMAT,
+                           "fleet_size": self.fleet_size,
+                           "waves": [asdict(record) for record in self.waves]},
+                          separators=(",", ":")).encode()
 
     def save(self, path: str) -> None:
-        """Pickle this checkpoint to ``path``, atomically: a crash mid-write
+        """Write this checkpoint to ``path``, atomically: a crash mid-write
         never truncates the recovery artifact of a halted campaign."""
-        _atomic_pickle(self, path)
+        _atomic_write(self.to_bytes(), path)
 
     @staticmethod
     def load(path: str) -> "CampaignCheckpoint":
         """Load a checkpoint previously written by :meth:`save`.
 
-        Unpickling goes through the allowlist of
-        :class:`~repro.analysis.cache._RestrictedUnpickler` — a corrupt,
-        foreign or malicious pickle raises
-        :class:`CampaignError` instead of executing whatever its reduce
-        payloads name.  The allowlist admits any class of this package in
-        any position, so every field a resume reads is type-checked too; a
-        mistyped one raises :class:`CampaignError` naming it.
+        A file that is not JSON (whatever its format) raises
+        :class:`CampaignError` without anything in it being run, and so
+        does any malformed field, named in the message.
         """
         with open(path, "rb") as stream:
-            try:
-                checkpoint = _RestrictedUnpickler(stream).load()
-            except Exception as error:
-                raise CampaignError(
-                    f"{path!r} is not a loadable campaign checkpoint: "
-                    f"{error}") from error
-        if not isinstance(checkpoint, CampaignCheckpoint):
-            raise CampaignError(f"{path!r} is not a campaign checkpoint")
-        for name, value, kind in _resumed_fields(checkpoint):
-            if not isinstance(value, kind) \
-                    or (kind is int and isinstance(value, bool)):
-                raise CampaignError(f"{path!r} is not a campaign checkpoint: "
-                                    f"malformed {name}")
-        return checkpoint
+            data = stream.read()
+        try:
+            return _decoded(json.loads(data))
+        except CampaignError as error:
+            raise CampaignError(f"{path!r} is not a campaign checkpoint: "
+                                f"{error}") from None
+        except (ValueError, RecursionError) as error:
+            raise CampaignError(f"{path!r} is not a loadable campaign "
+                                f"checkpoint: {error}") from error
 
 
-def _resumed_fields(checkpoint: CampaignCheckpoint) -> Iterator[Tuple]:
-    """``(name, value, type)`` of every field a resume reads from a loaded
-    ``checkpoint``, each object before its fields, so a reader stopping at
-    the first mistyped one never reads into it.  A missing field reads as
-    ``...``, which no type admits."""
-    yield "next_wave", getattr(checkpoint, "next_wave", ...), int
-    yield "result", getattr(checkpoint, "result", ...), CampaignResult
-    yield "result.waves", getattr(checkpoint.result, "waves", ...), list
-    for position, record in enumerate(checkpoint.result.waves):
-        name = f"result.waves[{position}]"
-        yield name, record, WaveRecord
-        for spec in fields(WaveRecord):
-            yield (f"{name}.{spec.name}", getattr(record, spec.name, ...),
-                   {"kind": str, "vehicle_ids": list}.get(spec.name, int))
-    yield "vehicle_states", getattr(checkpoint, "vehicle_states", ...), list
-    for position, state in enumerate(checkpoint.vehicle_states):
-        name = f"vehicle_states[{position}]"
-        yield name, state, VehicleState
-        for spec in fields(VehicleState):
-            yield (f"{name}.{spec.name}", getattr(state, spec.name, ...),
-                   {"vehicle_id": str, "snapshot": (MccSnapshot, type(None))
-                    }.get(spec.name, bool))
-        for spec in fields(MccSnapshot) if state.snapshot is not None else ():
-            yield (f"{name}.snapshot.{spec.name}",
-                   getattr(state.snapshot, spec.name, ...),
-                   {"model": SystemModel, "expectations": tuple}.get(
-                       spec.name, (RteConfiguration, type(None))))
-        for expectation in getattr(state.snapshot, "expectations", ()):
-            yield f"{name}.snapshot.expectations", expectation, \
-                ExpectedBehaviour
+def _checked(value: object, kind: type, name: str):
+    """``value`` if it is a ``kind`` (an ``int`` is never a ``bool``), else
+    a :class:`CampaignError` naming the malformed field ``name``."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise CampaignError(f"malformed {name}")
+
+
+def _decoded(document: object) -> CampaignCheckpoint:
+    """The checkpoint a parsed JSON document describes; every field that
+    is missing, unknown or of the wrong type raises, naming it."""
+    keys = set(_checked(document, dict, "document"))
+    if not keys <= {"format", "fleet_size", "waves"}:
+        raise CampaignError("malformed document")
+    if _checked(document.get("format"), int, "format") != _CHECKPOINT_FORMAT:
+        raise CampaignError("malformed format")
+    fleet_size = _checked(document.get("fleet_size"), int, "fleet_size")
+    kinds = {spec.name: {"kind": str, "vehicle_ids": list}.get(spec.name, int)
+             for spec in fields(WaveRecord)}
+    waves = []
+    records = _checked(document.get("waves"), list, "waves")
+    for position, record in enumerate(records):
+        name = f"waves[{position}]"
+        if not set(_checked(record, dict, name)) <= set(kinds):
+            raise CampaignError(f"malformed {name}")
+        for key, kind in kinds.items():
+            _checked(record.get(key), kind, f"{name}.{key}")
+        for vehicle_id in record["vehicle_ids"]:
+            _checked(vehicle_id, str, f"{name}.vehicle_ids")
+        waves.append(WaveRecord(**record))
+    return CampaignCheckpoint(fleet_size=fleet_size, waves=waves)
 
 
 def plan_waves(vehicles: Sequence[FleetVehicle],
-               policy: WavePolicy) -> List[Tuple[str, List[FleetVehicle]]]:
+               policy: WavePolicy) -> List[Tuple[str, Sequence[FleetVehicle]]]:
     """Deterministic wave partition of a fleet: canary, staged, full.
 
     Every returned wave is non-empty; an empty fleet yields no waves (the
@@ -361,17 +364,18 @@ def plan_waves(vehicles: Sequence[FleetVehicle],
     exactly one (canary when enabled).  The last wave always covers the
     remaining fleet even when ``wave_fractions`` stops short of 1.0, and a
     canary at least as large as the fleet simply is the whole rollout.
+    Each wave is a slice of ``vehicles``, which is never copied whole, so
+    a ``range`` plans a fleet's waves without building it.
     """
-    ordered = list(vehicles)
-    if not ordered:
+    if not vehicles:
         return []
-    waves: List[Tuple[str, List[FleetVehicle]]] = []
+    waves: List[Tuple[str, Sequence[FleetVehicle]]] = []
     cursor = 0
     if policy.canary_size > 0:
-        canary = ordered[:policy.canary_size]
+        canary = vehicles[:policy.canary_size]
         waves.append(("canary", canary))
         cursor = len(canary)
-    remainder = ordered[cursor:]
+    remainder = vehicles[cursor:]
     released = 0
     fractions = list(policy.wave_fractions)
     if not fractions or fractions[-1] < 1.0:
@@ -430,9 +434,9 @@ class Campaign:
         *discounted* from the halt decision) and perturbed admission inputs
         (e.g. thermally inflated WCETs).  All adversity decisions execute
         in wave order from seeded streams, so perturbed campaigns keep the
-        byte-parity guarantee of batched against sequential admission.
-        Mutually exclusive with ``resume_from`` — a delivery-perturbed
-        staging cannot be validated against the static wave plan.
+        byte-parity guarantee of batched against sequential admission,
+        and a checkpointed campaign resumes under a fresh model of the
+        same parameters, which its replay brings to the same state.
     tracer:
         Optional :class:`~repro.observability.tracer.CampaignTracer`.  When
         set, the wave loop, the adversity seams and, while this campaign
@@ -470,8 +474,8 @@ class Campaign:
         self.cache_path = cache_path
         self.adversity = adversity
         self.tracer = tracer
-        #: The checkpoint of the last policy halt (None before, or under
-        #: adversity).
+        #: The checkpoint of the last policy halt (None before, or when
+        #: the vehicles were not at their baseline as the run started).
         self.last_checkpoint: Optional[CampaignCheckpoint] = None
         #: One-shot latch of :meth:`run` (see its docstring).
         self._ran = False
@@ -482,8 +486,8 @@ class Campaign:
             ) -> CampaignResult:
         """Execute the campaign and return its aggregate result.
 
-        With ``resume_from`` the fleet is first rewound to the checkpoint
-        (halting-wave members to their pre-wave state) and execution
+        With ``resume_from`` every vehicle is first rewound to its
+        baseline and the checkpointed waves are replayed, then execution
         continues at the checkpointed wave; the returned result aggregates
         the checkpointed waves plus everything executed now.
 

@@ -19,40 +19,49 @@ The split buys two things the monolithic ``run()`` could not offer:
   the campaign sits at a *wave boundary*: every executed wave is fully
   committed (admission, feedback, halt decision, rollback), no wave is in
   flight.  :meth:`~CampaignEngine.checkpoint`, the one producer of
-  :class:`~repro.fleet.campaign.CampaignCheckpoint`, serializes that
-  boundary (after a policy halt, the boundary before the halting wave), so
-  a campaign can be parked and resumed at *any* boundary, not only where
-  the halt policy tripped.
+  :class:`~repro.fleet.campaign.CampaignCheckpoint`, logs that boundary
+  as the records of the committed waves (after a policy halt, the boundary
+  before the halting wave), so a campaign can be parked and resumed at
+  *any* boundary, not only where the halt policy tripped, with or without
+  an adversity model.
 * **Interleavability.**  A driver can hold many engines and advance them
   step by step in any order — the fleet admission service
   (:mod:`repro.service`) runs one wave of one tenant's campaign per
   scheduling claim, streaming each returned wave record to the submitter.
 
-State taxonomy
---------------
+State and resume
+----------------
 
 :class:`CampaignState` carries exactly the between-wave execution state: the
 wave cursor, the straggler/retry carry, the stall guard and the running
 :class:`~repro.fleet.campaign.CampaignResult`.  The per-vehicle rollout
-state lives where it always did — on the
-:class:`~repro.fleet.vehicle.FleetVehicle` objects (MCC model, ``updated``/
-``deviating``/``rolled_back`` flags) — and is captured into checkpoints as
-portable :class:`~repro.fleet.vehicle.VehicleState` snapshots; a vehicle at
-its variant's baseline (never provisioned, or adopting the baseline model)
-is captured without a snapshot and restored to its own fleet's baseline
-objects.  The simulated feedback RNG needs no stream state at all: every
-draw is derived fresh from ``(feedback_seed, vehicle.index)``, so it is
-position- not history-dependent.  Two engine-local caches are deliberately
-*not* part of the state: the ``precedents`` verdict table and its ``pinned``
-object list key on object identity
-(:meth:`CampaignEngine._equivalence_key`), which cannot cross a process
-boundary — a resumed engine rebuilds them, trading replays for re-analyses
-but never changing a verdict.
+state lives on the :class:`~repro.fleet.vehicle.FleetVehicle` objects (MCC
+model, ``updated``/``deviating``/``rolled_back`` flags), the adversity
+state on the adversity model, and the verdict table of batched admission
+(``precedents``, keyed on object identity, see
+:meth:`CampaignEngine._equivalence_key`) on the engine.  None of it goes
+into a checkpoint, because all of it is a deterministic function of the
+fleet's baseline and the waves run since: admission follows from the
+contracts, platform models and requests, the feedback draws derive from
+``(feedback_seed, vehicle.index)`` and every adversity decision from its
+model's seeded streams.
+
+So a checkpoint is the log of the committed waves, and a resume is a
+replay: the engine rewinds every vehicle to its baseline
+(:meth:`~repro.fleet.vehicle.FleetVehicle.restore_state`), re-runs each
+logged wave through the ordinary wave code, without a halt decision and
+without trace events, checks that it commits the logged record, and then
+continues at the cursor.  The replay rebuilds the carry, the adversity
+state (from a fresh model of the same parameters) and the verdict table
+exactly, so the resumed run makes the uninterrupted run's admission calls.
+One rule keeps the replay exact: it starts from the fleet's baseline, so
+:meth:`CampaignEngine.checkpoint` refuses a campaign whose vehicles were
+not at their baseline when its engine was built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
@@ -62,6 +71,7 @@ from repro.mcc.configuration import ChangeRequest, IntegrationReport
 from repro.mcc.controller import MccSnapshot
 from repro.monitoring.deviation import DeviationDetector
 from repro.monitoring.metrics import MetricRegistry
+from repro.observability.tracer import CampaignTracer
 from repro.sim.random import SeededRNG, derive_seed
 
 __all__ = ["CampaignState", "CampaignEngine"]
@@ -84,13 +94,13 @@ class CampaignState:
     ``wave_index``
         Cursor into the static wave plan; past the plan's end the campaign
         is running adversity ``straggler`` waves (or is done).  A resumed
-        campaign starts it at the checkpoint's cursor; the checkpointed
-        waves are seeded into ``result``, not re-run.
+        campaign reaches the checkpoint's cursor by replaying the
+        checkpointed waves.
     ``carry``
         Vehicles whose update delivery failed, carried into the next wave
         as ``(vehicle, failed_attempts)`` pairs.  Structurally empty
-        without an adversity model — which is exactly why wave-boundary
-        checkpoints (which exclude adversity) need not serialize it.
+        without an adversity model; a resume rebuilds it by replaying the
+        waves that deferred them, so no checkpoint stores it.
     ``stalled_waves``
         Consecutive straggler waves without a delivery or an abandonment;
         the stall guard halts a pathological adversity model at 1000.
@@ -116,9 +126,9 @@ class CampaignEngine:
     """Executes one campaign wave-by-wave; the stepper behind ``run()``.
 
     Construction performs the campaign prologue exactly as the monolithic
-    ``run()`` did — begin trace, checkpoint restore, cache warm-start,
-    counter baselines — so a constructed engine is positioned at the first
-    wave boundary.  Then:
+    ``run()`` did — begin trace, cache warm-start, counter baselines — and
+    a resume's silent replay of its checkpointed waves, so a constructed
+    engine is positioned at a wave boundary.  Then:
 
     * :meth:`step` executes exactly one wave (staging and provisioning the
       staged vehicles, adversity delivery, dedupe, admission, feedback,
@@ -127,7 +137,7 @@ class CampaignEngine:
       exhausted with no carry, or the campaign halted);
     * :meth:`finalize` runs the epilogue (snapshot persistence, cache
       counters, end trace) and returns the result;
-    * :meth:`checkpoint` serializes the current wave boundary.
+    * :meth:`checkpoint` logs the current wave boundary.
 
     One engine executes one campaign run; it is not reusable after
     :meth:`finalize`.  The engine holds live references into its
@@ -140,44 +150,14 @@ class CampaignEngine:
                  resume_from: Optional[CampaignCheckpoint] = None) -> None:
         self.campaign = campaign
         cache = campaign.analysis_cache
-        if cache is not None:
-            # The shared cache reports into this campaign's trace, or into
-            # none, until finalize() detaches it.
-            cache.tracer = campaign.tracer
         # Counter baseline: the result reports this run's cache traffic
         # only -- its admissions and the provisioning of every vehicle it
-        # touches first, a resume's restore included -- not the traffic of
+        # touches first, a resume's replay included -- not the traffic of
         # whatever used the shared cache before (a halted run, a fleet
         # touched outside the campaign).
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
-        result = CampaignResult(fleet_size=len(campaign.vehicles),
-                                batched=campaign.batch_admission)
         self.plan = plan_waves(campaign.vehicles, campaign.policy)
-        start_wave = 0
-        if campaign.tracer is not None:
-            campaign.tracer.emit(
-                "campaign.begin", fleet_size=len(campaign.vehicles),
-                waves_planned=len(self.plan),
-                batched=campaign.batch_admission,
-                adversity=type(campaign.adversity).__name__
-                if campaign.adversity is not None else None,
-                resumed=resume_from is not None)
-        if resume_from is not None:
-            if campaign.adversity is not None:
-                raise CampaignError(
-                    "resume_from cannot be combined with an adversity "
-                    "model: delivery-perturbed staging (carried and "
-                    "straggler waves) cannot be validated against the "
-                    "static wave plan a checkpoint records")
-            start_wave = self._restore_checkpoint(resume_from, self.plan,
-                                                  result)
-        if campaign.analysis_cache is not None and campaign.cache_path is not None:
-            # Warm-start this run from the previous run's snapshot.
-            loaded = campaign.analysis_cache.load_snapshot(campaign.cache_path,
-                                                           missing_ok=True)
-            if campaign.tracer is not None:
-                campaign.tracer.emit("cache.snapshot_load", entries=loaded)
         #: request-equivalence key -> (report, mapping, priorities) of the
         #: vehicle that ran the full integration; kept across waves so later
         #: waves of unchanged same-variant vehicles replay wave 1's verdicts.
@@ -189,9 +169,37 @@ class CampaignEngine:
         self.pinned: List[object] = []
         self._finalized = False
         self.state = CampaignState(
-            wave_index=start_wave, carry=[],
-            stalled_waves=0, result=result,
+            result=CampaignResult(fleet_size=len(campaign.vehicles),
+                                  batched=campaign.batch_admission),
             hits_before=hits_before, misses_before=misses_before)
+        #: Whether the run starts from the fleet's baseline, where the
+        #: replay of its checkpoints starts (a resume rewinds it there).
+        self._from_baseline = resume_from is not None or all(
+            vehicle.at_baseline for vehicle in campaign.vehicles)
+        #: Where the wave code reports; replayed waves report nowhere.
+        self.tracer: Optional[CampaignTracer] = None
+        if resume_from is not None:
+            if cache is not None:
+                cache.tracer = None
+            self._replay(resume_from)
+        self.tracer = campaign.tracer
+        if cache is not None:
+            # The shared cache reports into this campaign's trace, or into
+            # none, until finalize() detaches it.
+            cache.tracer = campaign.tracer
+        if self.tracer is not None:
+            self.tracer.emit(
+                "campaign.begin", fleet_size=len(campaign.vehicles),
+                waves_planned=len(self.plan),
+                batched=campaign.batch_admission,
+                adversity=type(campaign.adversity).__name__
+                if campaign.adversity is not None else None,
+                resumed=resume_from is not None)
+        if cache is not None and campaign.cache_path is not None:
+            # Warm-start this run from the previous run's snapshot.
+            loaded = cache.load_snapshot(campaign.cache_path, missing_ok=True)
+            if self.tracer is not None:
+                self.tracer.emit("cache.snapshot_load", entries=loaded)
 
     # -- stepping ----------------------------------------------------------
 
@@ -225,106 +233,7 @@ class CampaignEngine:
         campaign = self.campaign
         state = self.state
         result = state.result
-        wave_index = state.wave_index
-        if wave_index < len(self.plan):
-            kind, planned = self.plan[wave_index]
-        else:
-            kind, planned = "straggler", []
-        staged = [vehicle for vehicle, _ in state.carry] + list(planned)
-        # Provision the staged vehicles before the wave mutates anything, so
-        # a provisioning error leaves the campaign at this wave boundary.
-        for vehicle in staged:
-            vehicle.provision()
-        attempts = {vehicle.vehicle_id: tries
-                    for vehicle, tries in state.carry}
-        record = WaveRecord(index=wave_index, kind=kind,
-                            vehicle_ids=[v.vehicle_id for v in staged])
-        record.retried = len(state.carry)
-        state.carry = []
-        if campaign.tracer is not None:
-            campaign.tracer.emit("wave.begin", wave=wave_index, kind=kind,
-                                 staged=len(staged), retried=record.retried)
-        wave: List[FleetVehicle] = staged
-        if campaign.adversity is not None:
-            if campaign.tracer is not None:
-                campaign.tracer.emit("adversity.begin_wave",
-                                     wave=wave_index, staged=len(staged))
-            campaign.adversity.begin_wave(wave_index, staged)
-            wave = []
-            for vehicle in staged:
-                attempt = attempts.get(vehicle.vehicle_id, 0)
-                if campaign.adversity.deliver(vehicle, wave_index, attempt):
-                    wave.append(vehicle)
-                    delivery = "delivered"
-                elif campaign.adversity.abandon(vehicle, attempt + 1):
-                    record.abandoned += 1
-                    delivery = "abandoned"
-                else:
-                    state.carry.append((vehicle, attempt + 1))
-                    delivery = "deferred"
-                if campaign.tracer is not None:
-                    campaign.tracer.emit("adversity.deliver",
-                                         wave=wave_index,
-                                         vehicle=vehicle.vehicle_id,
-                                         attempt=attempt,
-                                         outcome=delivery)
-            record.undelivered = record.size - len(wave)
-            # A custom model that neither delivers nor abandons would loop
-            # forever on straggler waves; attempts grow strictly each
-            # round, so any sane retry budget terminates — guard against
-            # the insane ones.
-            if kind == "straggler" and not wave and record.abandoned == 0:
-                state.stalled_waves += 1
-                if state.stalled_waves > 1000:
-                    raise CampaignError(
-                        "adversity model stalled the campaign: "
-                        "1000 consecutive straggler waves without "
-                        "a delivery or an abandonment")
-            else:
-                state.stalled_waves = 0
-        requests = []
-        for vehicle in wave:
-            request = campaign.update_factory(vehicle)
-            if campaign.adversity is not None:
-                request = campaign.adversity.transform_request(
-                    vehicle, request, wave_index)
-            requests.append(request)
-        admitted: List[Tuple[FleetVehicle, ChangeRequest, MccSnapshot]] = []
-        pre_wave: Dict[str, MccSnapshot] = {}
-        for vehicle, request in zip(wave, requests):
-            snapshot = vehicle.mcc.snapshot()
-            pre_wave[vehicle.vehicle_id] = snapshot
-            replayed = False
-            if campaign.batch_admission:
-                # Read before this vehicle's admission, the only thing
-                # that changes its key.
-                key = self._equivalence_key(vehicle, request)
-                precedent = self.precedents.get(key)
-                if precedent is None:
-                    self.pinned.append(request.contract)
-                    self.pinned.extend(vehicle.mcc.model.contracts())
-                    report = vehicle.mcc.request_change(request)
-                    self.precedents[key] = (report,
-                                            dict(vehicle.mcc.model.mapping),
-                                            dict(vehicle.mcc.model.priorities))
-                else:
-                    replayed = True
-                    report = vehicle.mcc.replay_change(request, *precedent)
-            else:
-                report = vehicle.mcc.request_change(request)
-            if campaign.tracer is not None:
-                campaign.tracer.emit("vehicle.admit", wave=wave_index,
-                                     vehicle=vehicle.vehicle_id,
-                                     accepted=report.accepted,
-                                     replayed=replayed)
-            if report.accepted:
-                vehicle.updated = True
-                record.admitted += 1
-                admitted.append((vehicle, request, snapshot))
-            else:
-                record.rejected += 1
-        for vehicle, request, _ in admitted:
-            self._feedback(vehicle, request, wave_index, record)
+        record, admitted = self._wave()
         # The halt decision judges the vehicles that actually ran the
         # update (delivered, not staged) and ignores failures the feedback
         # grader attributed to suspected-compromised senders; on an
@@ -336,20 +245,20 @@ class CampaignEngine:
             self._rollback_wave([(vehicle, snapshot)
                                  for vehicle, _, snapshot in admitted],
                                 record)
-        if campaign.tracer is not None:
-            campaign.tracer.emit("wave.end", wave=wave_index, halt=halt,
-                                 **record.to_dict())
+        if self.tracer is not None:
+            self.tracer.emit("wave.end", wave=record.index, halt=halt,
+                             **record.to_dict())
         result.waves.append(record)
         if halt:
             result.halted = True
-            result.halted_wave = wave_index
-            if campaign.tracer is not None:
-                campaign.tracer.emit(
-                    "campaign.halt", wave=wave_index,
+            result.halted_wave = record.index
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "campaign.halt", wave=record.index,
                     effective_failures=record.effective_failures,
                     delivered=record.delivered)
-            if campaign.adversity is None:
-                campaign.last_checkpoint = self._boundary(pre_wave)
+            if self._from_baseline:
+                campaign.last_checkpoint = self.checkpoint()
         else:
             state.wave_index += 1
         return record
@@ -372,10 +281,10 @@ class CampaignEngine:
             # Persist everything this run derived so re-runs — and a resume
             # after a halt — warm-start from it.
             campaign.analysis_cache.save_snapshot(campaign.cache_path)
-            if campaign.tracer is not None:
-                campaign.tracer.emit("cache.snapshot_save",
-                                     path=campaign.cache_path,
-                                     entries=len(campaign.analysis_cache))
+            if self.tracer is not None:
+                self.tracer.emit("cache.snapshot_save",
+                                 path=campaign.cache_path,
+                                 entries=len(campaign.analysis_cache))
         if campaign.analysis_cache is not None:
             result.cache_hits = campaign.analysis_cache.hits \
                 - self.state.hits_before
@@ -383,36 +292,147 @@ class CampaignEngine:
                 - self.state.misses_before
             result.engine_reuse_rate = campaign.analysis_cache.engine.reuse_rate
             campaign.analysis_cache.tracer = None
-        if campaign.tracer is not None:
-            campaign.tracer.emit("campaign.end", admitted=result.admitted,
-                                 rejected=result.rejected,
-                                 deviating=result.deviating,
-                                 halted=result.halted,
-                                 waves=len(result.waves))
-            campaign.tracer.flush()
+        if self.tracer is not None:
+            self.tracer.emit("campaign.end", admitted=result.admitted,
+                             rejected=result.rejected,
+                             deviating=result.deviating,
+                             halted=result.halted,
+                             waves=len(result.waves))
+            self.tracer.flush()
         self._finalized = True
         return result
 
     def checkpoint(self) -> CampaignCheckpoint:
-        """The current wave boundary as a resumable checkpoint.
+        """The current wave boundary as a resumable checkpoint: the log of
+        the waves before the cursor.
 
-        Between waves the vehicles' live state *is* the checkpoint state.
-        After a policy halt this returns the checkpoint the halt froze (also
-        :attr:`Campaign.last_checkpoint`): the boundary before the halting
-        wave, whose members it rewinds so that wave re-runs on resume.
-        Requires ``adversity=None``, as resume does (a perturbed staging
-        cannot be validated against the static plan).
+        A policy halt leaves the cursor on the halting wave, so after one
+        this is the boundary before that wave (equal to
+        :attr:`Campaign.last_checkpoint`), and the wave re-runs on resume.
+        A resume replays the log from the fleet's baseline, so a campaign
+        whose vehicles were not at their baseline when this engine was
+        built raises :class:`CampaignError`.
         """
-        campaign = self.campaign
-        if campaign.adversity is not None:
+        if not self._from_baseline:
             raise CampaignError(
-                "wave-boundary checkpoints require adversity=None: carried "
-                "and straggler staging cannot be validated on resume")
-        if self.state.result.halted:
-            return campaign.last_checkpoint
-        return self._boundary({})
+                "checkpoints replay from the fleet's baseline, and this "
+                "campaign started with vehicles away from theirs")
+        result = self.state.result
+        return CampaignCheckpoint(
+            fleet_size=result.fleet_size,
+            waves=_copy_waves(result.waves[:self.state.wave_index]))
 
     # -- wave internals ----------------------------------------------------
+
+    def _wave(self) -> Tuple[WaveRecord, List[Tuple[FleetVehicle,
+                                                    ChangeRequest,
+                                                    MccSnapshot]]]:
+        """Run wave ``state.wave_index`` up to its halt decision.
+
+        Stages, provisions, delivers, admits and grades feedback; returns
+        the wave's record and its admitted vehicles with their requests and
+        pre-wave snapshots.  Leaves the cursor, the result and the halt to
+        the caller: :meth:`step`, or the replay of a resume.
+        """
+        campaign = self.campaign
+        state = self.state
+        tracer = self.tracer
+        wave_index = state.wave_index
+        if wave_index < len(self.plan):
+            kind, planned = self.plan[wave_index]
+        else:
+            kind, planned = "straggler", []
+        staged = [vehicle for vehicle, _ in state.carry] + list(planned)
+        # Provision the staged vehicles before the wave mutates anything, so
+        # a provisioning error leaves the campaign at this wave boundary.
+        for vehicle in staged:
+            vehicle.provision()
+        attempts = {vehicle.vehicle_id: tries
+                    for vehicle, tries in state.carry}
+        record = WaveRecord(index=wave_index, kind=kind,
+                            vehicle_ids=[v.vehicle_id for v in staged])
+        record.retried = len(state.carry)
+        state.carry = []
+        if tracer is not None:
+            tracer.emit("wave.begin", wave=wave_index, kind=kind,
+                        staged=len(staged), retried=record.retried)
+        wave: List[FleetVehicle] = staged
+        if campaign.adversity is not None:
+            if tracer is not None:
+                tracer.emit("adversity.begin_wave",
+                            wave=wave_index, staged=len(staged))
+            campaign.adversity.begin_wave(wave_index, staged)
+            wave = []
+            for vehicle in staged:
+                attempt = attempts.get(vehicle.vehicle_id, 0)
+                if campaign.adversity.deliver(vehicle, wave_index, attempt):
+                    wave.append(vehicle)
+                    delivery = "delivered"
+                elif campaign.adversity.abandon(vehicle, attempt + 1):
+                    record.abandoned += 1
+                    delivery = "abandoned"
+                else:
+                    state.carry.append((vehicle, attempt + 1))
+                    delivery = "deferred"
+                if tracer is not None:
+                    tracer.emit("adversity.deliver", wave=wave_index,
+                                vehicle=vehicle.vehicle_id, attempt=attempt,
+                                outcome=delivery)
+            record.undelivered = record.size - len(wave)
+            # A custom model that neither delivers nor abandons would loop
+            # forever on straggler waves; attempts grow strictly each
+            # round, so any sane retry budget terminates — guard against
+            # the insane ones.
+            if kind == "straggler" and not wave and record.abandoned == 0:
+                state.stalled_waves += 1
+                if state.stalled_waves > 1000:
+                    raise CampaignError(
+                        "adversity model stalled the campaign: "
+                        "1000 consecutive straggler waves without "
+                        "a delivery or an abandonment")
+            else:
+                state.stalled_waves = 0
+        requests = []
+        for vehicle in wave:
+            request = campaign.update_factory(vehicle)
+            if campaign.adversity is not None:
+                request = campaign.adversity.transform_request(
+                    vehicle, request, wave_index)
+            requests.append(request)
+        admitted: List[Tuple[FleetVehicle, ChangeRequest, MccSnapshot]] = []
+        for vehicle, request in zip(wave, requests):
+            snapshot = vehicle.mcc.snapshot()
+            replayed = False
+            if campaign.batch_admission:
+                # Read before this vehicle's admission, the only thing
+                # that changes its key.
+                key = self._equivalence_key(vehicle, request)
+                precedent = self.precedents.get(key)
+                if precedent is None:
+                    self.pinned.append(request.contract)
+                    self.pinned.extend(vehicle.mcc.model.contracts())
+                    report = vehicle.mcc.request_change(request)
+                    self.precedents[key] = (report,
+                                            dict(vehicle.mcc.model.mapping),
+                                            dict(vehicle.mcc.model.priorities))
+                else:
+                    replayed = True
+                    report = vehicle.mcc.replay_change(request, *precedent)
+            else:
+                report = vehicle.mcc.request_change(request)
+            if tracer is not None:
+                tracer.emit("vehicle.admit", wave=wave_index,
+                            vehicle=vehicle.vehicle_id,
+                            accepted=report.accepted, replayed=replayed)
+            if report.accepted:
+                vehicle.updated = True
+                record.admitted += 1
+                admitted.append((vehicle, request, snapshot))
+            else:
+                record.rejected += 1
+        for vehicle, request, _ in admitted:
+            self._feedback(vehicle, request, wave_index, record)
+        return record, admitted
 
     @staticmethod
     def _equivalence_key(vehicle: FleetVehicle, request: ChangeRequest) -> Tuple:
@@ -452,6 +472,7 @@ class CampaignEngine:
         (``record.discounted``).
         """
         campaign = self.campaign
+        tracer = self.tracer
         contract = vehicle.mcc.model.contract(request.component)
         timing = contract.timing
         if timing is None:  # pragma: no cover - campaign updates carry timing
@@ -476,10 +497,10 @@ class CampaignEngine:
         source = f"{request.component}.task"
         anomalies = detector.observe(float(wave_index), source,
                                      "execution_time", observed)
-        if campaign.tracer is not None:
-            campaign.tracer.emit("feedback.observe", wave=wave_index,
-                                 vehicle=vehicle.vehicle_id, observed=observed,
-                                 deviating=bool(anomalies))
+        if tracer is not None:
+            tracer.emit("feedback.observe", wave=wave_index,
+                        vehicle=vehicle.vehicle_id, observed=observed,
+                        deviating=bool(anomalies))
         if not anomalies:
             return
         vehicle.deviating = True
@@ -487,9 +508,9 @@ class CampaignEngine:
         if campaign.adversity is not None and campaign.adversity.grade_feedback(
                 vehicle, wave_index, len(anomalies)):
             record.discounted += 1
-            if campaign.tracer is not None:
-                campaign.tracer.emit("feedback.discount", wave=wave_index,
-                                     vehicle=vehicle.vehicle_id)
+            if tracer is not None:
+                tracer.emit("feedback.discount", wave=wave_index,
+                            vehicle=vehicle.vehicle_id)
             return  # a discounted (suspect) report must not refine the model
         if campaign.policy.refine_on_deviation:
             refinements = vehicle.mcc.incorporate_observed_wcets(
@@ -503,86 +524,42 @@ class CampaignEngine:
             vehicle.updated = False
             vehicle.rolled_back = True
             record.rolled_back += 1
-            if self.campaign.tracer is not None:
-                self.campaign.tracer.emit("vehicle.rollback",
-                                          wave=record.index,
-                                          vehicle=vehicle.vehicle_id)
+            if self.tracer is not None:
+                self.tracer.emit("vehicle.rollback", wave=record.index,
+                                 vehicle=vehicle.vehicle_id)
 
     # -- checkpoint/resume -------------------------------------------------
 
-    def _boundary(self, rewound: Dict[str, MccSnapshot]
-                  ) -> CampaignCheckpoint:
-        """The boundary before wave ``state.wave_index``, with the vehicles
-        ``rewound`` names stored at their pre-wave snapshots and clean flags.
+    def _replay(self, checkpoint: CampaignCheckpoint) -> None:
+        """Rewind the fleet to its baseline and replay ``checkpoint``'s waves.
 
-        A policy halt rewinds its halting wave's members even when
-        ``rollback_on_halt`` is off, so a resume re-admits the remediated
-        wave from scratch.
-        """
-        cursor = self.state.wave_index
-        result = self.state.result
-        states = []
-        for vehicle in self.campaign.vehicles:
-            snapshot = rewound.get(vehicle.vehicle_id)
-            if snapshot is None:
-                states.append(vehicle.capture_state())
-            else:
-                states.append(VehicleState(
-                    vehicle_id=vehicle.vehicle_id,
-                    snapshot=vehicle.checkpoint_snapshot(snapshot),
-                    updated=False, deviating=False, rolled_back=False))
-        return CampaignCheckpoint(
-            next_wave=cursor,
-            result=CampaignResult(fleet_size=result.fleet_size,
-                                  batched=result.batched,
-                                  waves=_copy_waves(result.waves[:cursor])),
-            vehicle_states=states)
-
-    def _restore_checkpoint(self, checkpoint: CampaignCheckpoint,
-                            plan: Sequence[Tuple[str, List[FleetVehicle]]],
-                            result: CampaignResult) -> int:
-        """Rewind the fleet and seed ``result`` from ``checkpoint``.
-
-        Validates that the checkpoint is consistent (one state per vehicle,
-        one record per executed wave, in order, ending at the cursor) and
-        that the resumed campaign stages the same fleet the same way (the
-        executed waves' vehicle ids must match the plan — policy
-        remediation may change thresholds, not the staging of already
-        executed waves).  Returns the wave index to continue from.
+        Each logged wave re-runs through the ordinary wave code, silently
+        and without a halt decision, and must commit exactly its logged
+        record; the first that does not raises :class:`CampaignError`
+        naming it.  That covers the fleet, the staging and the log itself:
+        another fleet size, a dropped, extra or edited record all diverge.
         """
         campaign = self.campaign
-        checkpointed = sorted(state.vehicle_id
-                              for state in checkpoint.vehicle_states)
-        current = sorted(vehicle.vehicle_id for vehicle in campaign.vehicles)
-        if checkpointed != current:
+        if checkpoint.fleet_size != len(campaign.vehicles):
             raise CampaignError(
-                f"checkpoint holds {len(checkpointed)} vehicle states, the "
-                f"resumed campaign stages {len(current)} vehicles; resume "
-                "needs one state for each vehicle of the exact fleet the "
-                "campaign halted on")
-        executed = checkpoint.result.waves
-        if checkpoint.next_wave != len(executed):
-            raise CampaignError(
-                f"checkpoint resumes at wave {checkpoint.next_wave} but "
-                f"records {len(executed)} executed waves")
-        if checkpoint.next_wave > len(plan):
-            raise CampaignError(
-                f"checkpoint expects wave {checkpoint.next_wave} but the "
-                f"resumed campaign plans only {len(plan)} waves")
-        for index, record in enumerate(executed):
-            if record.index != index:
-                raise CampaignError(
-                    f"checkpoint records wave {record.index} in position "
-                    f"{index}")
-            planned = [vehicle.vehicle_id for vehicle in plan[index][1]]
-            if planned != list(record.vehicle_ids):
-                raise CampaignError(
-                    f"resumed staging diverges at wave {index}: checkpoint "
-                    f"executed {record.vehicle_ids}, plan stages {planned}")
-        states = {state.vehicle_id: state for state in checkpoint.vehicle_states}
+                f"checkpoint diverges at wave 0: it logs a fleet of "
+                f"{checkpoint.fleet_size} vehicles, the resumed campaign "
+                f"stages {len(campaign.vehicles)}")
         for vehicle in campaign.vehicles:
-            vehicle.restore_state(states[vehicle.vehicle_id])
-        # Cache counters are deliberately not carried over: they describe
-        # one process's cache traffic and the resumed run reports its own.
-        result.waves = _copy_waves(executed)
-        return checkpoint.next_wave
+            vehicle.restore_state(VehicleState(vehicle.vehicle_id))
+        for logged in checkpoint.waves:
+            index = self.state.wave_index
+            if self.done:
+                raise CampaignError(
+                    f"checkpoint diverges at wave {index}: the resumed "
+                    "campaign has no such wave")
+            record, _ = self._wave()
+            differing = [spec.name for spec in fields(WaveRecord)
+                         if getattr(record, spec.name)
+                         != getattr(logged, spec.name)]
+            if differing:
+                raise CampaignError(
+                    f"checkpoint diverges at wave {index}: its replay "
+                    f"differs in {', '.join(differing)}")
+            self.state.result.waves.append(record)
+            self.state.wave_index += 1

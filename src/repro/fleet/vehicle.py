@@ -103,28 +103,27 @@ class VehicleVariant:
 
 @dataclass(frozen=True)
 class VehicleState:
-    """Checkpointable state of one fleet vehicle.
+    """Rollout state of one fleet vehicle.
 
     Bundles the vehicle's adopted MCC snapshot (model, deployed
-    configuration, expectations — all portable, see
+    configuration, expectations, see
     :meth:`~repro.mcc.controller.MultiChangeController.snapshot`) with the
-    campaign's rollout flags.  Campaign checkpoints pickle a list of these
-    so a halted campaign can be resumed in a fresh process over a
-    regenerated fleet.
+    campaign's rollout flags.
 
     ``snapshot`` is ``None`` when the vehicle is *at baseline*: never
-    touched, or adopting its variant's baseline model.  Restoring such a
-    state leaves an untouched vehicle untouched and rolls a touched one
-    back to its own fleet's baseline objects, so a resumed campaign's
-    vehicles share baseline identities with the vehicles it provisions
-    later, exactly as an uninterrupted run's do.
+    touched, or adopting its baseline model.  ``VehicleState(vehicle_id)``
+    is therefore the state at baseline with clean flags, the state every
+    campaign replay starts from.  Restoring it leaves an untouched vehicle
+    untouched and rolls a touched one back to its own baseline objects, so
+    a resumed campaign's vehicles share baseline identities with the
+    vehicles it provisions later, exactly as an uninterrupted run's do.
     """
 
     vehicle_id: str
-    snapshot: Optional[MccSnapshot]
-    updated: bool
-    deviating: bool
-    rolled_back: bool
+    snapshot: Optional[MccSnapshot] = None
+    updated: bool = False
+    deviating: bool = False
+    rolled_back: bool = False
 
 
 class FleetVehicle:
@@ -132,7 +131,10 @@ class FleetVehicle:
 
     Construct it either with its ``platform`` and ``mcc``, or with the
     ``provisioner`` of a generated fleet, which builds both the first time
-    anything reads either of them (see :func:`generate_fleet`).
+    anything reads either of them (see :func:`generate_fleet`).  Its
+    *baseline*, the MCC state :meth:`restore_state` rewinds to, is the
+    state of the ``mcc`` it was built with, or else its variant's
+    baseline.
     """
 
     def __init__(self, index: int, variant: VehicleVariant,
@@ -152,6 +154,7 @@ class FleetVehicle:
         self._provisioner = provisioner
         self._platform = platform
         self._mcc = mcc
+        self._baseline = mcc.snapshot() if mcc is not None else None
 
     @property
     def platform(self) -> Platform:
@@ -183,25 +186,25 @@ class FleetVehicle:
         """
         if self._mcc is None:
             self._platform, self._mcc = self._provisioner.provision(self)
+            self._baseline = self._provisioner.baseline(self.variant)
 
     @property
     def wcet_factor(self) -> float:
         return self.variant.wcet_factor
 
-    def checkpoint_snapshot(self, snapshot: MccSnapshot) -> Optional[MccSnapshot]:
-        """``snapshot`` as a :class:`VehicleState` stores it: ``None`` when it
-        adopts this vehicle's variant baseline model."""
-        provisioner = self._provisioner
-        if provisioner is not None and \
-                snapshot.model is provisioner.baseline(self.variant).model:
-            return None
-        return snapshot
+    @property
+    def at_baseline(self) -> bool:
+        """Whether this vehicle holds its baseline model with clean rollout
+        flags: ``capture_state() == VehicleState(vehicle_id)``, without
+        building either state."""
+        return not (self.updated or self.deviating or self.rolled_back) \
+            and (self._mcc is None or self._mcc.model is self._baseline.model)
 
     def capture_state(self) -> VehicleState:
-        """This vehicle's current :class:`VehicleState` (for checkpoints)."""
+        """This vehicle's current :class:`VehicleState`."""
         snapshot = None
-        if self.provisioned:
-            snapshot = self.checkpoint_snapshot(self.mcc.snapshot())
+        if self.provisioned and self._mcc.model is not self._baseline.model:
+            snapshot = self._mcc.snapshot()
         return VehicleState(vehicle_id=self.vehicle_id,
                             snapshot=snapshot,
                             updated=self.updated,
@@ -216,11 +219,7 @@ class FleetVehicle:
         if state.snapshot is not None:
             self.mcc.rollback(state.snapshot)
         elif self.provisioned:
-            if self._provisioner is None:
-                raise ValueError(f"{self.vehicle_id} was not generated by "
-                                 "generate_fleet and has no baseline to "
-                                 "restore")
-            self.mcc.rollback(self._provisioner.baseline(self.variant))
+            self._mcc.rollback(self._baseline)
         self.updated = state.updated
         self.deviating = state.deviating
         self.rolled_back = state.rolled_back
@@ -454,8 +453,8 @@ def generate_fleet(spec: FleetSpec,
 
     Every returned vehicle has its id, index and variant at once.  Its
     platform and MCC are built the first time anything reads either of them
-    (a campaign wave staging it, an update factory, a checkpoint restore,
-    or :meth:`FleetVehicle.provision`).  The first touched vehicle of each
+    (a campaign wave staging it, an update factory, or
+    :meth:`FleetVehicle.provision`).  The first touched vehicle of each
     variant parses the variant's baseline contracts and admits them, as one
     ADD request each, through
     :meth:`MultiChangeController.request_changes`: the contracts are

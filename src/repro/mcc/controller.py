@@ -199,11 +199,10 @@ class MultiChangeController:
         snapshot is a cheap bundle of references plus a copied expectation
         list.  Used by staged rollout engines to undo a bad wave.
 
-        Snapshots are *portable*: they reference only model-domain state
-        (contracts, mapping, configuration, expectations — no platform,
-        process or cache handles), so a pickled snapshot restored in another
-        process or a later run rolls a controller back to byte-equivalent
-        behaviour.  Campaign checkpoints rely on exactly this.
+        Snapshots reference only model-domain state (contracts, mapping,
+        configuration, expectations — no platform, process or cache
+        handles), so a vehicle's baseline snapshot can roll its MCC back
+        at any later time.
         """
         return MccSnapshot(model=self.model,
                            deployed_configuration=self.deployed_configuration,

@@ -17,9 +17,11 @@ Halt, resume and rollback are API calls over the existing checkpoint
 machinery: an operator :class:`~repro.service.schemas.HaltRequest` parks the
 job at its **next wave boundary**, and a policy halt at the boundary before
 its halting wave, both with the engine's
-:meth:`~repro.fleet.engine.CampaignEngine.checkpoint`;
+:meth:`~repro.fleet.engine.CampaignEngine.checkpoint` (the log of the
+committed waves);
 :class:`~repro.service.schemas.ResumeRequest` builds a fresh engine with
-``resume_from=`` (optionally remediating the halt threshold), and
+``resume_from=`` (optionally remediating the halt threshold), which rewinds
+the job's fleet to its baseline and replays the logged waves, and
 :class:`~repro.service.schemas.RollbackRequest` returns every vehicle of the
 fleet to its at-baseline state and retires the job.
 
@@ -149,9 +151,18 @@ class AdmissionService:
     # -- API ---------------------------------------------------------------
 
     async def submit(self, request: SubmitCampaign) -> SubmitReceipt:
-        """Accept one campaign; returns its receipt with the job id."""
+        """Accept one campaign; returns its receipt with the job id.
+
+        A submission that fails registers nothing.
+        """
         if self._stopping:
             raise ServiceError("service is stopping; not accepting jobs")
+        try:
+            waves_planned = len(plan_waves(range(request.fleet_size),
+                                           request.policy()))
+        except OverflowError:
+            raise ServiceError(f"fleet_size {request.fleet_size} is too "
+                               "large to plan") from None
         self._counter += 1
         job_id = f"{request.tenant}/{self._counter}"
         job = _Job(job_id=job_id, request=request,
@@ -162,8 +173,6 @@ class AdmissionService:
             self._tenant_order.append(request.tenant)
         self._tenant_queues[request.tenant].append(job_id)
         self._work.set()
-        waves_planned = len(plan_waves(list(range(request.fleet_size)),
-                                       request.policy()))
         return SubmitReceipt(job_id=job_id, tenant=request.tenant,
                              state=job.state, fleet_size=request.fleet_size,
                              waves_planned=waves_planned)
@@ -266,9 +275,7 @@ class AdmissionService:
             raise ServiceError(f"job {request.job_id!r} is {job.state}, "
                                "only halted jobs roll back")
         for vehicle in job.fleet or ():
-            vehicle.restore_state(VehicleState(
-                vehicle_id=vehicle.vehicle_id, snapshot=None, updated=False,
-                deviating=False, rolled_back=False))
+            vehicle.restore_state(VehicleState(vehicle.vehicle_id))
         job.state = JobState.ROLLED_BACK
         await job._notify()
         return self.status(job.job_id)
@@ -354,14 +361,12 @@ class AdmissionService:
         """Drop what only a resume or a rollback reads.
 
         A COMPLETED or FAILED job can do neither, and the service keeps
-        every finished job, so its fleet, cache and vehicle states would
-        otherwise stay in memory for the service's lifetime.
-        A job that failed after a resume keeps reporting the aggregate of
-        its parked checkpoint in :meth:`status`, so only that survives.
+        every finished job, so its fleet and cache would otherwise stay in
+        memory for the service's lifetime.  A job that failed after a
+        resume keeps reporting the aggregate of its parked checkpoint, a
+        short wave log, in :meth:`status`.
         """
         job.fleet = job.cache = None
-        if job.checkpoint is not None:
-            job.checkpoint = replace(job.checkpoint, vehicle_states=[])
 
     def _park(self, job: _Job) -> None:
         """Operator halt: boundary checkpoint, engine teardown, HALTED."""
@@ -403,7 +408,7 @@ class AdmissionService:
     # -- plumbing ----------------------------------------------------------
 
     def _get(self, job_id: str) -> _Job:
-        job = self._jobs.get(job_id)
+        job = self._jobs.get(job_id) if isinstance(job_id, str) else None
         if job is None:
             raise ServiceError(f"unknown job {job_id!r}")
         return job
@@ -414,5 +419,6 @@ class AdmissionService:
         if job.engine is not None:
             return job.engine.state.result
         if job.checkpoint is not None:
-            return job.checkpoint.result
+            return CampaignResult(fleet_size=job.checkpoint.fleet_size,
+                                  batched=True, waves=job.checkpoint.waves)
         return None

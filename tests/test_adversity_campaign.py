@@ -14,13 +14,20 @@ Two differential harnesses pin the load-bearing guarantees of
   the admitted vehicles, two-sided band check, a hand-rolled
   sliding-window rate counter standing in for the IDS) and compared wave by
   wave against what the campaign engine actually did.
+* **Exact resume** — a policy halt under every model leaves a checkpoint
+  that, saved and loaded, resumes remediated under a fresh model, on a
+  regenerated fleet and on the halted one alike, to the uninterrupted
+  remediated run (hypothesis-seeded).
 
 Deterministic tests cover the carry/straggler/abandon delivery accounting,
 thermal WCET inflation and its caching, the no-op identity of the base
-model, and the resume/adversity exclusion.
+model, and a resume under another model diverging at its first replayed
+wave.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -30,8 +37,8 @@ from repro.analysis.cache import AnalysisCache
 from repro.fleet.adversity import (MONITOR_PEER, AdversityModel,
                                    IntrusionAdversity, LossyDeliveryAdversity,
                                    ThermalAdversity)
-from repro.fleet.campaign import (Campaign, CampaignError, WavePolicy,
-                                  plan_waves)
+from repro.fleet.campaign import (Campaign, CampaignCheckpoint,
+                                  CampaignError, WavePolicy, plan_waves)
 from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
@@ -60,18 +67,21 @@ def make_factory(utilization=0.22):
 
 def run_adverse(size, seed, adversity, *, policy=None,
                 utilization=0.22, failure_rate=0.0, num_variants=3,
-                extra_components=2, batch_admission=True):
+                extra_components=2, batch_admission=True, fleet=None,
+                cache=None, resume_from=None):
     """One campaign run under ``adversity`` (pass a FRESH model per run —
-    adversity models are stateful)."""
-    spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
-                     extra_components=extra_components)
-    cache = AnalysisCache()
-    fleet = generate_fleet(spec, analysis_cache=cache)
+    adversity models are stateful), over a fresh fleet or over ``fleet``
+    and ``cache``."""
+    if fleet is None:
+        spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
+                         extra_components=extra_components)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
     campaign = Campaign(fleet, make_factory(utilization), policy=policy,
                         analysis_cache=cache, batch_admission=batch_admission,
                         failure_injection_rate=failure_rate,
                         feedback_seed=seed, adversity=adversity)
-    return fleet, campaign, campaign.run()
+    return fleet, campaign, campaign.run(resume_from=resume_from)
 
 
 class TestNoOpAdversity:
@@ -93,7 +103,10 @@ class TestNoOpAdversity:
             assert record.delivered == record.size
             assert record.effective_failures == record.failures
 
-    def test_resume_and_adversity_are_mutually_exclusive(self):
+    def test_resume_under_another_adversity_model_diverges(self):
+        """A checkpoint replays only under the model it was taken with: a
+        lossy model defers the replayed canary's vehicle, which raises
+        naming that wave."""
         policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.0)
         spec = FleetSpec(size=8, seed=3, num_variants=2, extra_components=2)
@@ -101,38 +114,107 @@ class TestNoOpAdversity:
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
                             analysis_cache=cache,
-                            failure_injection_rate=1.0, feedback_seed=3)
+                            failure_injection_rate=0.2, feedback_seed=3)
         halted = campaign.run()
-        assert halted.halted and campaign.last_checkpoint is not None
+        assert halted.halted_wave == 1
+        assert campaign.last_checkpoint.next_wave == 1
         resumed_campaign = Campaign(fleet, make_factory(), policy=policy,
                                     analysis_cache=cache,
+                                    failure_injection_rate=0.2,
                                     feedback_seed=3,
-                                    adversity=LossyDeliveryAdversity(0.5))
-        with pytest.raises(CampaignError, match="adversity"):
+                                    adversity=LossyDeliveryAdversity(0.99))
+        with pytest.raises(CampaignError,
+                           match="diverges at wave 0: its replay differs "
+                                 "in admitted, undelivered$"):
             resumed_campaign.run(resume_from=campaign.last_checkpoint)
 
-    def test_halt_under_adversity_writes_no_checkpoint(self):
-        """Adverse campaigns cannot be checkpoint-resumed (the adversity
-        state is not snapshotted), so a halt must not leave a checkpoint
-        and the halted engine refuses to take one."""
+    def test_halt_under_adversity_writes_a_checkpoint(self):
+        """The halted engine's checkpoint is the halt's, and it resumes
+        remediated, under a fresh model, to the uninterrupted remediated
+        run."""
         policy = WavePolicy(canary_size=2, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.0)
-        adversity = IntrusionAdversity(compromise_rate=1.0,
-                                       discount_suspected=False, seed=5)
+
+        def adversity():
+            return IntrusionAdversity(compromise_rate=1.0,
+                                      discount_suspected=False, seed=5)
+
         spec = FleetSpec(size=8, seed=5, num_variants=2, extra_components=2)
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
                             analysis_cache=cache, feedback_seed=5,
-                            adversity=adversity)
+                            adversity=adversity())
         engine = CampaignEngine(campaign)
         while not engine.done:
             engine.step()
         assert engine.state.result.halted
-        assert campaign.last_checkpoint is None
-        with pytest.raises(CampaignError, match="adversity"):
-            engine.checkpoint()
+        assert engine.checkpoint() == campaign.last_checkpoint
+        assert campaign.last_checkpoint.next_wave == \
+            engine.state.result.halted_wave
         engine.finalize()
+        tolerant = WavePolicy(canary_size=2, wave_fractions=(0.5, 1.0),
+                              max_failure_rate=1.0)
+        fleet_ref, _, reference = run_adverse(8, 5, adversity(),
+                                              policy=tolerant, num_variants=2)
+        _, _, resumed = run_adverse(8, 5, adversity(), policy=tolerant,
+                                    fleet=fleet, cache=cache,
+                                    resume_from=campaign.last_checkpoint)
+        assert resumed.completed
+        assert campaign_digest(resumed) == campaign_digest(reference)
+        assert fleet_digest(fleet) == fleet_digest(fleet_ref)
+
+
+#: A fresh model of each kind, from a seed (models are stateful).
+MODELS = {
+    "lossy": lambda seed: LossyDeliveryAdversity(0.4, max_retries=2,
+                                                 seed=seed),
+    "intrusion": lambda seed: IntrusionAdversity(compromise_rate=0.3,
+                                                 seed=seed),
+    "thermal": lambda seed: ThermalAdversity(peak_ambient_c=95.0,
+                                             peak_wave=1, wave_dt_s=240.0),
+}
+
+
+class TestCheckpointResume:
+    """A policy halt under any model resumes exactly."""
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           model=st.sampled_from(sorted(MODELS)))
+    # Halts at waves 3 (after straggling deliveries), 3 and 1.
+    @example(seed=2, model="lossy")
+    @example(seed=1, model="intrusion")
+    @example(seed=1, model="thermal")
+    def test_policy_halt_resumes_remediated(self, seed, model, tmp_path_factory):
+        """The halt checkpoint, saved and loaded, resumes under a tolerant
+        policy and a fresh model to the uninterrupted tolerant run, on a
+        regenerated fleet and on the halted one."""
+        strict = WavePolicy(canary_size=2, wave_fractions=(0.3, 0.6, 1.0),
+                            max_failure_rate=0.2)
+        tolerant = replace(strict, max_failure_rate=1.0)
+
+        def run(policy, **where):
+            return run_adverse(12, seed, MODELS[model](seed), policy=policy,
+                               failure_rate=0.25, **where)
+
+        fleet, campaign, halted = run(strict)
+        fleet_ref, _, reference = run(tolerant)
+        expected = (campaign_digest(reference), fleet_digest(fleet_ref))
+        if not halted.halted:
+            assert campaign_digest(halted) == expected[0]
+            return
+        path = str(tmp_path_factory.mktemp("halt") / "halt.ckpt")
+        campaign.last_checkpoint.save(path)
+        loaded = CampaignCheckpoint.load(path)
+        assert loaded.next_wave == halted.halted_wave
+        fleet_resumed, _, resumed = run(tolerant, resume_from=loaded)
+        assert (campaign_digest(resumed), fleet_digest(fleet_resumed)) == \
+            expected
+        _, _, resumed = run(tolerant, fleet=fleet,
+                            cache=campaign.analysis_cache, resume_from=loaded)
+        assert (campaign_digest(resumed), fleet_digest(fleet)) == expected
 
 
 class TestWorkerParity:

@@ -19,10 +19,6 @@ from repro.contracts.model import (
     SecurityRequirement,
 )
 from repro.contracts.viewpoints import STANDARD_VIEWPOINTS, Viewpoint, ViewpointRegistry
-from repro.fleet.campaign import CampaignCheckpoint, CampaignResult
-from repro.fleet.vehicle import VehicleState
-from repro.mcc.configuration import SystemModel
-from repro.mcc.controller import MccSnapshot
 
 
 class TestAsilLevel:
@@ -190,23 +186,6 @@ class TestResolvedViewpoints:
         assert_resolved_like_the_scan(parsed)
         for viewpoint in _RESOLVED:
             assert getattr(parsed, viewpoint) == getattr(original, viewpoint)
-
-    @settings(max_examples=15, deadline=None)
-    @given(requirements=st.lists(_requirements, max_size=7))
-    def test_checkpoint_unpickler(self, requirements, tmp_path_factory):
-        contract = Contract("comp", requirements=list(requirements))
-        snapshot = MccSnapshot(model=SystemModel(contracts=[contract]),
-                               deployed_configuration=None, expectations=())
-        checkpoint = CampaignCheckpoint(
-            next_wave=0, result=CampaignResult(fleet_size=1, batched=False),
-            vehicle_states=[VehicleState("veh0000", snapshot, False, False,
-                                         False)])
-        path = str(tmp_path_factory.mktemp("checkpoint") / "c.ckpt")
-        checkpoint.save(path)
-        loaded = CampaignCheckpoint.load(path)
-        restored = loaded.vehicle_states[0].snapshot.model.contract("comp")
-        assert restored == contract
-        assert_resolved_like_the_scan(restored)
 
     def test_asil_follows_an_in_place_change(self):
         contract = Contract("comp", requirements=[SafetyRequirement(asil="A")])

@@ -35,7 +35,6 @@ reaches its siblings.
 
 from __future__ import annotations
 
-import pickle
 import re
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -313,11 +312,7 @@ class TestStampedMatchesReference:
             return runs
 
         # Cache counters are left out of every comparison here, as in
-        # assert_matches_references.  Integrate-each vehicles also have no
-        # provisioner, so their checkpoints hold explicit baseline
-        # snapshots, and restoring those from a file splits the resumed
-        # run's identity-keyed equivalence groups (more re-analyses, the
-        # same verdicts).
+        # assert_matches_references.
         lazy, eager, reference = (resumed_runs(provisioner)
                                   for provisioner in PROVISIONERS)
         assert lazy == eager == reference
@@ -574,44 +569,60 @@ class TestLazyProvisioning:
                         feedback_seed=3)
 
     def test_a_fresh_boundary_checkpoint_holds_only_at_baseline_states(self):
+        """The checkpoint of a fresh engine logs no wave, so a resume from
+        it starts every vehicle at its baseline; touching vehicles outside
+        the campaign leaves them there and the log unchanged."""
         cache = AnalysisCache()
         fleet = generate_fleet(self.SPEC, analysis_cache=cache)
         engine = CampaignEngine(self.campaign(fleet, cache,
                                               max_failure_rate=1.0))
         checkpoint = engine.checkpoint()
-        assert [state.snapshot for state in checkpoint.vehicle_states] == \
-            [None] * len(fleet)
+        assert checkpoint.to_bytes() == \
+            b'{"format":1,"fleet_size":12,"waves":[]}'
         assert not any(vehicle.provisioned for vehicle in fleet)
-        # Provisioned vehicles adopting their baseline stay snapshot-free:
-        # vehicle 4 integrates variant 1's baseline, vehicle 1 is stamped.
+        # Provisioned vehicles adopting their baseline stay at it: vehicle
+        # 4 integrates variant 1's baseline, vehicle 1 is stamped.
         fleet[0].provision()
         fleet[4].provision()
         assert fleet[1].mcc.model is fleet[4].mcc.model
-        assert all(state.snapshot is None
-                   for state in engine.checkpoint().vehicle_states)
+        assert engine.checkpoint() == checkpoint
+        assert all(vehicle.at_baseline
+                   and vehicle.capture_state() == VehicleState(vehicle.vehicle_id)
+                   for vehicle in fleet)
 
-    def test_only_a_generated_vehicle_restores_an_at_baseline_state(self):
-        """An at-baseline state names no snapshot; a vehicle built with its
-        own platform and MCC has no fleet baseline to roll back to."""
-        state = VehicleState(vehicle_id="veh0000", snapshot=None,
-                             updated=False, deviating=False, rolled_back=False)
-        with pytest.raises(ValueError, match="no baseline"):
-            generate_fleet_integrating_each(self.SPEC)[0].restore_state(state)
+    def test_a_built_vehicle_restores_its_starting_state(self):
+        """A vehicle built with its own platform and MCC takes the state it
+        was built with as its baseline, and rewinds to it."""
+        vehicle = generate_fleet_integrating_each(self.SPEC)[0]
+        model = vehicle.mcc.model
+        assert vehicle.at_baseline
+        assert vehicle.capture_state() == VehicleState(vehicle.vehicle_id)
+        assert vehicle.mcc.add_component(
+            build_update_contract(vehicle.wcet_factor)).accepted
+        assert not vehicle.at_baseline
+        assert vehicle.capture_state().snapshot.model is vehicle.mcc.model
+        vehicle.restore_state(VehicleState(vehicle.vehicle_id,
+                                           rolled_back=True))
+        assert vehicle.mcc.model is model and not vehicle.at_baseline
+        vehicle.restore_state(VehicleState(vehicle.vehicle_id))
+        assert vehicle.at_baseline
+        assert vehicle.capture_state() == VehicleState(vehicle.vehicle_id)
 
     def test_a_canary_halted_checkpoint_is_small(self):
-        """Only the waves a campaign reached can carry a snapshot; at most
-        a tenth of an integrate-each fleet's checkpoint, which stores one
-        for every vehicle."""
+        """A canary halt logs no wave: its document holds the fleet size
+        only, whatever the fleet's provisioning, in under 100 bytes (a
+        per-vehicle snapshot pickle took 1,980)."""
         spec = FleetSpec(size=48, seed=9, num_variants=8, extra_components=10)
-        sizes = []
+        documents = []
         for provisioner in (generate_fleet, generate_fleet_integrating_each):
             cache = AnalysisCache()
             campaign = Campaign(provisioner(spec, analysis_cache=cache),
                                 add_update(), analysis_cache=cache,
                                 failure_injection_rate=1.0)
             assert campaign.run().halted_wave == 0
-            sizes.append(len(pickle.dumps(campaign.last_checkpoint)))
-        assert sizes[0] * 10 <= sizes[1]
+            documents.append(campaign.last_checkpoint.to_bytes())
+        assert documents[0] == documents[1]
+        assert len(documents[0]) <= 100
 
     def test_resuming_from_a_file_does_no_more_integrations(
             self, monkeypatch, tmp_path):

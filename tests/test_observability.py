@@ -18,7 +18,10 @@ import os
 
 import pytest
 
+from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, WavePolicy
+from repro.fleet.engine import CampaignEngine
+from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.observability import (WALL_CLOCK_FIELDS, CampaignTracer,
                                  TraceError, flatten_result_documents,
                                  load_trace, render_dashboard, wave_latencies)
@@ -120,6 +123,38 @@ class TestTracedCampaigns:
         assert resumed.completed and resumed.admitted == 12
         assert len(tracer) == emitted
         assert cache.tracer is None
+
+    def test_a_resume_traces_only_the_waves_after_its_replay(self):
+        """A traced resume from wave 2 replays waves 0 and 1 silently: its
+        trace is the uninterrupted trace's from wave 2 on, between its own
+        campaign.begin and campaign.end."""
+        def traced(resume_from=None):
+            tracer = CampaignTracer(deterministic=True)
+            spec = FleetSpec(size=12, seed=3, num_variants=3,
+                             extra_components=2)
+            cache = AnalysisCache()
+            campaign = Campaign(generate_fleet(spec, analysis_cache=cache),
+                                make_factory(), analysis_cache=cache,
+                                failure_injection_rate=0.2, feedback_seed=3,
+                                tracer=tracer)
+            engine = CampaignEngine(campaign, resume_from=resume_from)
+            checkpoints = []
+            while not engine.done:
+                checkpoints.append(engine.checkpoint())
+                engine.step()
+            engine.finalize()
+            return tracer.events, checkpoints
+
+        def body(events):
+            return [{key: value for key, value in event.items()
+                     if key != "seq"} for event in events[1:-1]]
+
+        uninterrupted, checkpoints = traced()
+        resumed, _ = traced(checkpoints[2])
+        assert resumed[0]["event"] == "campaign.begin" and resumed[0]["resumed"]
+        first = next(position for position, event in enumerate(uninterrupted)
+                     if event.get("wave") == 2)
+        assert body(resumed) == body([None] + uninterrupted[first:])
 
     def test_tracer_none_leaves_result_unchanged_field_for_field(self):
         fleet_a, _, traced = run_campaign(25, 7, failure_rate=0.2,

@@ -231,8 +231,8 @@ class TestCheckpointResume:
         assert campaign_digest(resumed) == campaign_digest(reference)
 
     def test_resume_on_regenerated_fleet(self, tmp_path):
-        """The checkpoint restores vehicles of a *freshly generated* fleet —
-        the cross-process story (pickled MCC snapshots are portable)."""
+        """The checkpoint replays onto a *freshly generated* fleet — the
+        cross-process story (a fleet is a function of its spec)."""
         _, halted, checkpoint_path = self._halting_setup(tmp_path)
         _, _, reference = run_campaign(18, seed=1, failure_rate=0.4,
                                        policy=self.POLICY_TOLERANT)
@@ -265,14 +265,13 @@ class TestCheckpointResume:
         _, halted, checkpoint_path = self._halting_setup(tmp_path)
         checkpoint = CampaignCheckpoint.load(checkpoint_path)
         assert checkpoint.next_wave == halted.halted_wave
-        assert len(checkpoint.result.waves) == halted.halted_wave
-        assert not checkpoint.result.halted
-        # Halting-wave members are stored pre-wave: clean flags.
+        assert checkpoint.waves == halted.waves[:halted.halted_wave]
+        assert checkpoint.fleet_size == halted.fleet_size
+        # Halting-wave members are in no logged wave, so a resume leaves
+        # them at their baseline until the wave re-runs.
         halting_ids = set(halted.waves[-1].vehicle_ids)
-        for state in checkpoint.vehicle_states:
-            if state.vehicle_id in halting_ids:
-                assert not (state.updated or state.deviating
-                            or state.rolled_back)
+        assert all(halting_ids.isdisjoint(record.vehicle_ids)
+                   for record in checkpoint.waves)
 
     def test_resume_rejects_diverging_fleet(self, tmp_path):
         _, _, checkpoint_path = self._halting_setup(tmp_path)
@@ -280,7 +279,8 @@ class TestCheckpointResume:
         spec = FleetSpec(size=5, seed=1, num_variants=4, extra_components=2)
         cache = AnalysisCache()
         wrong_fleet = generate_fleet(spec, analysis_cache=cache)
-        with pytest.raises(CampaignError):
+        with pytest.raises(CampaignError,
+                           match="diverges at wave 0: it logs a fleet of 18"):
             Campaign(wrong_fleet, make_factory(), policy=self.POLICY_TOLERANT,
                      analysis_cache=cache).run(resume_from=checkpoint)
 
@@ -292,42 +292,46 @@ class TestCheckpointResume:
         fleet = generate_fleet(spec, analysis_cache=cache)
         reshaped = WavePolicy(canary_size=5, wave_fractions=(1.0,),
                               max_failure_rate=1.0)
-        with pytest.raises(CampaignError):
+        with pytest.raises(CampaignError, match="diverges at wave 0"):
             Campaign(fleet, make_factory(), policy=reshaped,
                      analysis_cache=cache).run(resume_from=checkpoint)
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda checkpoint: replace(checkpoint, next_wave=1),
-         "resumes at wave 1 but records 2"),
-        (lambda checkpoint: replace(checkpoint, next_wave=3),
-         "resumes at wave 3 but records 2"),
-        (lambda checkpoint: replace(checkpoint, result=replace(
-            checkpoint.result,
-            waves=[checkpoint.result.waves[0],
-                   replace(checkpoint.result.waves[1], index=2)])),
-         "records wave 2 in position 1"),
-        (lambda checkpoint: replace(
-            checkpoint,
-            vehicle_states=checkpoint.vehicle_states
-            + checkpoint.vehicle_states[:1]),
-         "holds 19 vehicle states"),
-    ], ids=["cursor-behind-records", "cursor-past-records",
-            "misnumbered-record", "repeated-vehicle"])
+        (lambda waves: waves[:1] + waves[2:],
+         "wave 1: its replay differs in index, kind, vehicle_ids"),
+        (lambda waves: waves + [replace(waves[2], index=3)],
+         "wave 3: the resumed campaign has no such wave"),
+        (lambda waves: [waves[0], replace(waves[1], index=2), waves[2]],
+         "wave 1: its replay differs in index$"),
+        (lambda waves: [waves[0], replace(
+            waves[1], vehicle_ids=waves[1].vehicle_ids
+            + waves[1].vehicle_ids[:1]), waves[2]],
+         "wave 1: its replay differs in vehicle_ids$"),
+        (lambda waves: [replace(waves[0], admitted=waves[0].admitted - 1)]
+         + waves[1:], "wave 0: its replay differs in admitted$"),
+        (lambda waves: waves[:2] + [replace(
+            waves[2], vehicle_ids=["veh9999"] + waves[2].vehicle_ids[1:])],
+         "wave 2: its replay differs in vehicle_ids$"),
+    ], ids=["dropped-record", "cursor-past-plan", "misnumbered-record",
+            "repeated-vehicle", "changed-count", "changed-vehicle-id"])
     def test_resume_rejects_inconsistent_checkpoint(self, corrupt, message):
-        """A checkpoint taken after two of three waves, its cursor, wave
-        records or vehicle states then made to disagree."""
+        """The checkpoint of a completed three-wave campaign, its wave
+        records then edited: the replay names the first diverging wave."""
         spec = FleetSpec(size=18, seed=1, num_variants=4, extra_components=2)
         cache = AnalysisCache()
         fleet = generate_fleet(spec, analysis_cache=cache)
         engine = CampaignEngine(Campaign(fleet, make_factory(),
                                          policy=self.POLICY_TOLERANT,
                                          analysis_cache=cache))
-        engine.step()
-        engine.step()
-        checkpoint = corrupt(engine.checkpoint())
+        while not engine.done:
+            engine.step()
+        checkpoint = engine.checkpoint()
+        assert checkpoint.next_wave == 3
+        checkpoint = replace(checkpoint, waves=corrupt(checkpoint.waves))
         cache = AnalysisCache()
         fresh_fleet = generate_fleet(spec, analysis_cache=cache)
-        with pytest.raises(CampaignError, match=message):
+        with pytest.raises(CampaignError,
+                           match="checkpoint diverges at " + message):
             Campaign(fresh_fleet, make_factory(), policy=self.POLICY_TOLERANT,
                      analysis_cache=cache).run(resume_from=checkpoint)
 

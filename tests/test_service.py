@@ -14,8 +14,9 @@ Four guarantees under test:
   rollback restores the pre-campaign fleet; a policy halt surfaces as the
   same HALTED state with the halt-written checkpoint and an optionally
   remediated threshold on resume.
-* **Validation** — malformed requests and invalid transitions raise
-  :class:`ServiceError` at the API surface, never inside the scheduler.
+* **Validation** — malformed requests, unknown or malformed job ids and
+  invalid transitions raise :class:`ServiceError` at the API surface,
+  never inside the scheduler, and a failed submission registers nothing.
 
 A completed job releases its fleet while the service keeps running; a
 halted one keeps it for resume and rollback.
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
-from repro.fleet.campaign import Campaign, WavePolicy
+from repro.fleet.campaign import Campaign, CampaignError, WavePolicy
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import build_update_contract
@@ -430,6 +431,77 @@ class TestValidation:
                 build()
             except ServiceError:
                 pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(knobs=st.dictionaries(
+               st.sampled_from([spec.name for spec
+                                in dataclasses.fields(SubmitCampaign)]),
+               ANY_VALUE),
+           fleet_size=st.one_of(st.integers(min_value=1, max_value=10**400),
+                                st.sampled_from([2**63 - 1, 2**63])),
+           job_id=st.one_of(st.text(max_size=6), st.just("acme/1"),
+                            ANY_VALUE),
+           other=ANY_VALUE)
+    def test_service_calls_raise_only_typed_errors(self, knobs, fleet_size,
+                                                   job_id, other):
+        """Any schema-valid submission, then every call with an unknown or
+        malformed job id, on a service whose scheduler never runs: only
+        ServiceError or CampaignError escapes, and a failed submission
+        leaves the job table as it was."""
+        try:
+            request = SubmitCampaign(
+                **{"tenant": "acme", "fleet_size": fleet_size, **knobs})
+        except ServiceError:
+            request = None
+
+        async def drive():
+            service = AdmissionService()
+            if request is not None:
+                try:
+                    await service.submit(request)
+                except (ServiceError, CampaignError):
+                    assert (service._jobs, service._tenant_queues) == ({}, {})
+            calls = [lambda: service.status(job_id),
+                     lambda: service.result(job_id),
+                     lambda: service.resume(ResumeRequest(
+                         job_id=job_id, max_failure_rate=other)),
+                     lambda: service.rollback(RollbackRequest(job_id=job_id))]
+            if not (isinstance(job_id, str) and job_id in service._jobs):
+                # A queued job's halt waits for a scheduler.
+                calls.append(lambda: service.halt(
+                    HaltRequest(job_id=job_id, reason=other)))
+            for call in calls:
+                try:
+                    outcome = call()
+                    if asyncio.iscoroutine(outcome):
+                        await outcome
+                except (ServiceError, CampaignError):
+                    pass
+
+        asyncio.run(drive())
+
+    def test_an_unplannable_fleet_size_registers_nothing(self):
+        """Regression: a fleet size beyond a sequence's length used to
+        raise a raw OverflowError from submit() after queueing the job."""
+        async def drive():
+            service = AdmissionService()
+            with pytest.raises(ServiceError, match="fleet_size"):
+                await service.submit(SubmitCampaign(tenant="t",
+                                                    fleet_size=10**400))
+            assert (service._jobs, service._tenant_queues) == ({}, {})
+            receipt = await service.submit(SubmitCampaign(tenant="t"))
+            return receipt
+
+        assert asyncio.run(drive()).job_id == "t/1"
+
+    def test_submit_plans_without_building_the_fleet(self):
+        """The receipt's plan slices a range: a 3x10^6-vehicle submission
+        builds no list of that length."""
+        waves = admission.plan_waves(range(3 * 10**6),
+                                     SubmitCampaign(tenant="t").policy())
+        assert [(kind, type(wave), len(wave)) for kind, wave in waves] == [
+            ("canary", range, 2), ("wave", range, 300_000),
+            ("wave", range, 599_999), ("full", range, 2_099_999)]
 
     def test_submit_schema_validates_at_construction(self):
         with pytest.raises(ServiceError, match="tenant"):

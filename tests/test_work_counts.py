@@ -17,8 +17,8 @@ that took the one-pass and those that fell back to per-request integration;
 acceptance runs per viewpoint; analysis-cache hits, misses and
 ``analyse_many`` lanes; the incremental engines' cold and warm-started
 fixpoints and reused tasks; deviations raised; vehicles provisioned;
-vehicle states captured into and restored from checkpoints; and service
-resumes.
+vehicle states captured and restored (every resume rewinds its fleet);
+the JSON document bytes of every checkpoint taken; and service resumes.
 Every count must equal ``tests/work_counts.json``.  A change that moves a
 count regenerates that file in the same commit and explains each move::
 
@@ -38,6 +38,7 @@ from repro.analysis.cache import AnalysisCache
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.contracts.language import ContractParser, ContractSerializer
 from repro.fleet.campaign import Campaign
+from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import (FleetProvisioner, FleetSpec, FleetVehicle,
                                  generate_fleet)
 from repro.mcc import acceptance
@@ -57,7 +58,8 @@ KEYS = ("request_change", "replay_change", "map", "one_pass",
         "acceptance.security", "acceptance.resources", "cache.hits",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
         "engine.warm", "engine.reused", "deviations", "vehicles_provisioned",
-        "capture_state", "restore_state", "service.resumes")
+        "capture_state", "restore_state", "checkpoint_bytes",
+        "service.resumes")
 
 VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
                    acceptance.SafetyAcceptanceTest,
@@ -113,6 +115,13 @@ def counting() -> Iterator[Counter]:
             return original(self, tasksets, *args, **kwargs)
         return wrapper
 
+    def checkpoint(original):
+        def wrapper(engine):
+            taken = original(engine)
+            counts["checkpoint_bytes"] += len(taken.to_bytes())
+            return taken
+        return wrapper
+
     def observe(original):
         def wrapper(*args, **kwargs):
             anomalies = original(*args, **kwargs)
@@ -133,6 +142,7 @@ def counting() -> Iterator[Counter]:
     patch(FleetProvisioner, "provision", counted("vehicles_provisioned"))
     patch(FleetVehicle, "capture_state", counted("capture_state"))
     patch(FleetVehicle, "restore_state", counted("restore_state"))
+    patch(CampaignEngine, "checkpoint", checkpoint)
     patch(AdmissionService, "resume", counted("service.resumes"))
     try:
         yield counts
