@@ -19,7 +19,10 @@ out across a heterogeneous fleet in staged waves.  The series reports
 * a scale case, 10^5 vehicles in 8 variants (10^4 in quick mode), run in a
   fresh process so its peak RSS is its own
   (``BENCH_e10_fleet_scale.json``); it asserts work counters and coverage,
-  never wall time.
+  never wall time.  Its campaign integrates once per variant and every
+  other vehicle replays: ``campaign_integrations`` and
+  ``campaign_replays`` count the ``request_change`` and ``replay_change``
+  calls inside ``Campaign.run()``.
 
 Run as a script (``python benchmarks/bench_e10_fleet_campaign.py --scale
 N``) it prints the scale case's payload for an ``N``-vehicle fleet as JSON.
@@ -90,6 +93,28 @@ def _counting_provisioning() -> Iterator[Dict[str, int]]:
     finally:
         MultiChangeController.request_changes = request_changes
         TimingAcceptanceTest.run = timing_run
+
+
+@contextmanager
+def _counting_admissions() -> Iterator[Dict[str, int]]:
+    """The ``request_change`` and ``replay_change`` calls inside the
+    block."""
+    counts = {"request_change": 0, "replay_change": 0}
+    originals = {name: getattr(MultiChangeController, name) for name in counts}
+
+    def counting(name):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return originals[name](self, *args)
+        return wrapper
+
+    for name in counts:
+        setattr(MultiChangeController, name, counting(name))
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(MultiChangeController, name, original)
 
 
 def _baseline_contracts(spec: FleetSpec) -> int:
@@ -267,8 +292,9 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
     with _counting_provisioning() as provisioning:
         fleet = provisioned_fleet(spec, cache)
     provisioned = time.perf_counter()
-    result = Campaign(fleet, add_component_update(),
-                      analysis_cache=cache).run()
+    with _counting_admissions() as admissions:
+        result = Campaign(fleet, add_component_update(),
+                          analysis_cache=cache).run()
     finished = time.perf_counter()
     return {
         "fleet_size": fleet_size,
@@ -281,6 +307,8 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
         "provision_integrations": provisioning["reports"],
         "provision_battery_runs": provisioning["battery_runs"],
         "baseline_contracts": _baseline_contracts(spec),
+        "campaign_integrations": admissions["request_change"],
+        "campaign_replays": admissions["replay_change"],
         "admitted": result.admitted,
         "waves": len(result.waves),
         "update_coverage": result.update_coverage,
@@ -291,7 +319,8 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
 def test_e10_fleet_scale(benchmark):
     """Provisioning stays one admission report per baseline contract per
     variant, and its battery runs stay per variant, at 10^5 vehicles; the
-    clean rollout covers the whole fleet."""
+    campaign integrates once per variant and replays on every other
+    vehicle; the clean rollout covers the whole fleet."""
     fleet_size = 10_000 if quick_mode() else 100_000
 
     def measure():
@@ -307,6 +336,8 @@ def test_e10_fleet_scale(benchmark):
     write_bench_record("e10_fleet_scale", row)
     assert row["provision_integrations"] == row["baseline_contracts"]
     assert row["provision_battery_runs"] == BATTERY_RUNS[SCALE_VARIANTS]
+    assert row["campaign_integrations"] == SCALE_VARIANTS
+    assert row["campaign_replays"] == fleet_size - SCALE_VARIANTS
     assert row["admitted"] == fleet_size
     assert row["update_coverage"] == 1.0
 

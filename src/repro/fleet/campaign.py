@@ -9,12 +9,14 @@ exceeds the tolerated threshold.
 
 Batched admission is *verdict dedupe*: vehicles whose model, platform
 shape and request are *identical* (same variant, same adopted contract
-objects, same mapping state) are one integration, not N.  The first vehicle
-of each equivalence group runs the full process, the rest replay its
-verdict and mapping decision through
-:meth:`~repro.mcc.controller.MultiChangeController.replay_change`.  The
-grouping keys on object identity of the adopted contracts, so it is exact:
-batched and sequential admission produce identical wave verdicts, and only
+objects, mapping state and version) are one integration, not N.  The first
+vehicle of each equivalence group runs the full process; the rest replay
+its verdict through
+:meth:`~repro.mcc.controller.MultiChangeController.replay_change` and, on
+an acceptance, adopt its resulting ``MccSnapshot`` read-only, as stamped
+vehicles adopt their variant's baseline.  The grouping keys on object
+identity of the adopted contracts, so it is exact: batched and sequential
+admission produce identical wave verdicts and vehicle states, and only
 the wall time differs (the differential harness, the fleet tests and the
 E10 benchmarks all assert this).  Either way a shared
 :class:`~repro.analysis.cache.AnalysisCache` lets every integration reuse
@@ -410,7 +412,7 @@ class Campaign:
         its traffic, and ``cache_path`` snapshots it.
     batch_admission:
         Admit only the first vehicle of each group of identical admission
-        problems and replay its verdict on the others.
+        problems; the others take its verdict and adopt its resulting state.
     failure_injection_rate:
         Probability that an updated vehicle's observed execution time exceeds
         its contracted budget (simulated field failure).

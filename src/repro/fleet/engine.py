@@ -158,11 +158,10 @@ class CampaignEngine:
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         self.plan = plan_waves(campaign.vehicles, campaign.policy)
-        #: request-equivalence key -> (report, mapping, priorities) of the
-        #: vehicle that ran the full integration; kept across waves so later
-        #: waves of unchanged same-variant vehicles replay wave 1's verdicts.
-        self.precedents: Dict[Tuple, Tuple[IntegrationReport, Dict[str, str],
-                                           Dict[str, int]]] = {}
+        #: request-equivalence key -> (report, ``mcc.snapshot()`` after it)
+        #: of the vehicle that ran the full integration; kept across waves,
+        #: so later waves of unchanged same-variant vehicles adopt wave 1's.
+        self.precedents: Dict[Tuple, Tuple[IntegrationReport, MccSnapshot]] = {}
         #: Objects whose id() is baked into a stored precedent key.  Holding
         #: them prevents garbage collection from recycling an id into a new
         #: contract mid-campaign, which could falsely match a stale key.
@@ -216,7 +215,7 @@ class CampaignEngine:
         The wave runs to commit — staging (planned members plus delivery
         carry), provisioning every staged vehicle not yet provisioned,
         adversity delivery, request construction, per-vehicle admission or
-        replay of an equivalent vehicle's verdict, monitor feedback,
+        adoption of an equivalent vehicle's result, monitor feedback,
         the halt decision and any rollback — so after ``step()`` returns
         the campaign sits at the next wave boundary.  Provisioning
         runs before anything else, so a provisioning error (see
@@ -412,9 +411,7 @@ class CampaignEngine:
                     self.pinned.append(request.contract)
                     self.pinned.extend(vehicle.mcc.model.contracts())
                     report = vehicle.mcc.request_change(request)
-                    self.precedents[key] = (report,
-                                            dict(vehicle.mcc.model.mapping),
-                                            dict(vehicle.mcc.model.priorities))
+                    self.precedents[key] = (report, vehicle.mcc.snapshot())
                 else:
                     replayed = True
                     report = vehicle.mcc.replay_change(request, *precedent)
@@ -439,11 +436,13 @@ class CampaignEngine:
         """Identity of one admission problem, exact within this process.
 
         Two vehicles with the same platform shape (same variant), the same
-        adopted contract *objects*, the same mapping/priority state and the
-        same request contract object pose the identical integration problem.
-        Diverged vehicles (refined WCETs build fresh contract objects,
-        rollbacks restore the previous model) fall out of the group
-        automatically because their object identities differ.
+        adopted contract *objects*, mapping/priority state and version, and
+        the same request contract object pose the identical integration
+        problem, so the later one adopts the earlier one's result.  Diverged
+        vehicles (refined WCETs build fresh contract objects, rollbacks
+        restore the previous model) fall out of the group because their
+        object identities differ, and one that re-reached the group's state
+        (an addition and its removal) because its version does.
 
         Identity-based keys are only sound while the referenced objects stay
         alive — a recycled ``id`` could alias a stale key — so the engine
@@ -456,7 +455,7 @@ class CampaignEngine:
                 tuple(sorted((contract.component, id(contract))
                              for contract in model.contracts())),
                 tuple(sorted(model.mapping.items())),
-                tuple(sorted(model.priorities.items())),
+                tuple(sorted(model.priorities.items())), model.version,
                 request.kind, request.component, id(request.contract))
 
     def _feedback(self, vehicle: FleetVehicle, request: ChangeRequest,

@@ -124,42 +124,28 @@ class MultiChangeController:
         return reports
 
     def replay_change(self, request: ChangeRequest, precedent: IntegrationReport,
-                      mapping: Dict[str, str],
-                      priorities: Dict[str, int]) -> IntegrationReport:
-        """Adopt or reject ``request`` by replaying a precedent integration.
+                      adopted: MccSnapshot) -> IntegrationReport:
+        """Decide ``request`` as an equivalent integration did, deriving nothing.
 
-        Fleet-scale admission dedupe: when another controller with an
-        *identical* model, platform shape and request already ran the full
-        integration, its verdict and mapping decision apply verbatim —
-        integration is deterministic in exactly those inputs.  The caller
-        (e.g. :class:`repro.fleet.campaign.Campaign`) is responsible for that
-        equivalence; this method re-applies the change and the decided
-        mapping without re-running the analyses, then adopts/deploys as
-        :meth:`request_change` would.
-
-        The returned report carries this request's id with the precedent's
-        verdict, per-viewpoint results and findings (copied, never aliased).
+        Fleet-scale admission dedupe.  The caller guarantees that
+        ``precedent`` reports a full integration on an identical variant,
+        model state (version included) and request, and that ``adopted`` is
+        that controller's :meth:`snapshot` right after it.  An accepted
+        verdict adopts ``adopted`` through :meth:`rollback`, by reference
+        and read-only, as a stamped fleet vehicle adopts its baseline; a
+        rejection adopts nothing.  The report carries this request's id,
+        the precedent's verdict, per-viewpoint results, findings and
+        configuration version (copied, never aliased) and a ``replay`` step.
         """
-        candidate = self.model.candidate()
-        try:
-            candidate.apply_change(request)
-        except (ValueError, KeyError) as exc:
-            report = IntegrationReport(request_id=request.request_id, accepted=False)
-            report.findings.append(str(exc))
-            self.reports.append(report)
-            return report
-
         report = IntegrationReport(request_id=request.request_id,
                                    accepted=precedent.accepted,
                                    acceptance_results=dict(precedent.acceptance_results),
-                                   findings=list(precedent.findings))
+                                   findings=list(precedent.findings),
+                                   configuration_version=precedent.configuration_version)
         report.add_step("replay", "verdict replayed from an equivalent integration",
                         precedent_request_id=precedent.request_id)
         if report.accepted:
-            candidate.mapping = dict(mapping)
-            candidate.priorities = dict(priorities)
-            report.configuration_version = self._adopt(candidate,
-                                                       self.model.version + 1)
+            self.rollback(adopted)
         self.reports.append(report)
         return report
 

@@ -11,20 +11,21 @@ suggestions (updated nominal values learned from observations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitoring.anomaly import Anomaly, AnomalySeverity, AnomalyType
 from repro.monitoring.metrics import MetricRegistry
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpectedBehaviour:
     """Model assumption for one (source, metric) pair.
 
     ``nominal`` is the value the model domain assumed (e.g. the contracted
     WCET, the calibrated sensor quality); ``tolerance`` is the accepted
-    relative deviation before the detector raises an anomaly.
+    relative deviation before the detector raises an anomaly.  Frozen,
+    because fleet vehicles that adopt one MCC state share its expectations.
     """
 
     source: str
@@ -161,11 +162,12 @@ class DeviationDetector:
         return suggestions
 
     def apply_refinements(self, suggestions: Dict[Tuple[str, str], float]) -> int:
-        """Adopt suggested nominal values; returns how many expectations changed."""
+        """Adopt suggested nominal values into this detector's own table;
+        returns how many expectations changed."""
         changed = 0
         for key, nominal in suggestions.items():
             expectation = self._expectations.get(key)
             if expectation is not None and expectation.nominal != nominal:
-                expectation.nominal = nominal
+                self._expectations[key] = replace(expectation, nominal=nominal)
                 changed += 1
         return changed

@@ -30,7 +30,7 @@ whatever the fleet size; a halted campaign provisions only the variants it
 reached), a provisioning error
 leaves the campaign at a wave boundary, and the sharing is pinned to be
 invisible: a change adopted, rejected or rolled back on one vehicle never
-reaches its siblings.
+reaches the siblings it was stamped with or whose admission it replayed.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.mcc.acceptance import (AcceptanceResult, DistributedChainSpec,
                                   TimingAcceptanceTest)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
+from repro.monitoring.metrics import MetricRegistry
 from repro.scenarios.fleet_campaign import build_update_contract
 
 #: Lazy provisioning, then the eager references it is compared against.
@@ -694,7 +695,8 @@ class TestLazyProvisioning:
 
 
 class TestSiblingIsolation:
-    """Stamped siblings share read-only state; no change leaks across."""
+    """Stamped and replayed siblings share read-only state; no change
+    leaks across."""
 
     SPEC = FleetSpec(size=6, seed=3, num_variants=2, extra_components=3)
 
@@ -753,6 +755,99 @@ class TestSiblingIsolation:
         assert vehicle.mcc.model is before[0]["model"]
         assert len(vehicle.mcc.reports) == len(before[0]["reports"]) + 3
         assert [self.observed(v) for v in siblings] == before
+
+    @pytest.mark.parametrize("changed", [0, 2])
+    def test_replayed_siblings_adopt_and_stay_apart(self, changed):
+        """A batched campaign replays each group's admission: every later
+        vehicle adopts its representative's model, configuration and
+        expectation objects, and a change on one member reaches no other."""
+        fleet = generate_fleet(self.SPEC)
+        result = Campaign(fleet, add_update(), feedback_seed=3).run()
+        assert result.admitted == len(fleet) and result.deviating == 0
+        group = [v for v in fleet if v.variant.index == 0]
+        representative, replayed = group[0], group[1:]
+        assert [step.name for step in representative.mcc.reports[-1].steps] \
+            != ["replay"]
+        for vehicle in replayed:
+            mcc, adopted = vehicle.mcc, representative.mcc
+            assert [step.name for step in mcc.reports[-1].steps] == ["replay"]
+            assert mcc.model is adopted.model
+            assert mcc.deployed_configuration is adopted.deployed_configuration
+            assert len(mcc.expectations) == len(adopted.expectations)
+            assert all(mine is theirs for mine, theirs
+                       in zip(mcc.expectations, adopted.expectations))
+            assert mcc.expectations is not adopted.expectations
+
+        vehicle = fleet[changed]
+        others = [v for v in group if v is not vehicle]
+        before = [self.observed(v) for v in others]
+        snapshot = vehicle.mcc.snapshot()
+        assert vehicle.mcc.add_component(build_update_contract(
+            vehicle.wcet_factor, utilization=0.05, component="extra")).accepted
+        assert not vehicle.mcc.add_component(build_update_contract(
+            vehicle.wcet_factor, utilization=5.0, component="hog")).accepted
+        wcet = vehicle.mcc.model.contract("nav_assist").timing.wcet
+        assert len(vehicle.mcc.incorporate_observed_wcets(
+            {"nav_assist.task": 1.05 * wcet})) == 1
+        assert vehicle.mcc.model.contract("nav_assist").timing.wcet > wcet
+        assert [self.observed(v) for v in others] == before
+
+        vehicle.mcc.rollback(snapshot)
+        assert vehicle.mcc.model is representative.mcc.model
+        assert [self.observed(v) for v in others] == before
+
+    def test_a_detector_refinement_stays_in_its_detector(self):
+        """Refining a detector's nominal values leaves the expectation
+        objects it was loaded with alone: the vehicle's own, its stamped
+        siblings' and its variant's baseline."""
+        fleet = generate_fleet(FleetSpec(size=4, seed=0, num_variants=2,
+                                         extra_components=2))
+        first = fleet[0]
+        key = ("perception.task", "execution_time")
+        wcet = first.mcc.model.contract("perception").timing.wcet
+        before = self.observed(first)
+        detector = first.mcc.configure_deviation_detector(MetricRegistry())
+        assert detector.apply_refinements({key: 0.5}) == 1
+        assert detector.expectation(*key).nominal == 0.5
+        assert self.observed(first) == before
+        # Vehicle 2 is stamped from the variant's baseline only now, and
+        # vehicle 0 rewinds to that baseline.
+        first.restore_state(VehicleState(first.vehicle_id))
+        for vehicle in (first, fleet[2]):
+            nominals = {(expectation.source, expectation.metric):
+                        expectation.nominal
+                        for expectation in vehicle.mcc.expectations}
+            assert nominals[key] == wcet != 0.5
+
+    def test_a_vehicle_at_another_version_integrates_itself(self):
+        """A vehicle that reached its group's contracts, mapping and
+        priorities by an addition and its removal holds another version,
+        so batched admission must not hand it the group's adopted state:
+        every vehicle ends where sequential admission leaves it, version
+        included.  Reports compare by verdict, because a replayed report
+        records one ``replay`` step instead of the refinement steps."""
+        def run(batch_admission):
+            fleet = generate_fleet(self.SPEC)
+            vehicle = fleet[2]
+            baseline = vehicle.mcc.model
+            assert vehicle.mcc.add_component(build_update_contract(
+                vehicle.wcet_factor, utilization=0.05,
+                component="extra")).accepted
+            assert vehicle.mcc.remove_component("extra").accepted
+            model = vehicle.mcc.model
+            assert all(mine is theirs for mine, theirs
+                       in zip(model.contracts(), baseline.contracts()))
+            assert (model.mapping, model.priorities) == \
+                (baseline.mapping, baseline.priorities)
+            assert model.version == baseline.version + 2
+            Campaign(fleet, add_update(), batch_admission=batch_admission,
+                     feedback_seed=3).run()
+            return [vehicle_state(v)[:-1]
+                    + ([(report.accepted, report.configuration_version)
+                        for report in v.mcc.reports],)
+                    for v in fleet]
+
+        assert run(True) == run(False)
 
     def test_deploy_keeps_platforms_apart(self):
         spec = replace(self.SPEC, deploy=True)

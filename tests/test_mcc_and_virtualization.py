@@ -17,8 +17,7 @@ from repro.mcc.acceptance import (
     TimingAcceptanceTest,
     default_acceptance_tests,
 )
-from repro.mcc.configuration import (ChangeKind, ChangeRequest,
-                                     IntegrationReport, SystemModel)
+from repro.mcc.configuration import ChangeKind, ChangeRequest, SystemModel
 from repro.mcc.controller import MultiChangeController
 from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
 from repro.platform.resources import Platform, ProcessingResource, ResourceError
@@ -295,28 +294,47 @@ class TestMccCheckpointing:
         replayed = follower.replay_change(
             ChangeRequest(kind=ChangeKind.ADD_COMPONENT, component="extra",
                           contract=update),
-            precedent, leader.model.mapping, leader.model.priorities)
+            precedent, leader.snapshot())
         assert replayed.accepted
         assert follower.version == leader.version
+        assert follower.model is leader.model
         assert follower.model.mapping == leader.model.mapping
         assert follower.model.priorities == leader.model.priorities
         assert follower.deployed_configuration.version == \
             leader.deployed_configuration.version
+        assert replayed.configuration_version == precedent.configuration_version
 
-    def test_replay_of_invalid_change_rejects_locally(self, dual_core_platform,
-                                                      acc_contracts, parser):
-        mcc = MultiChangeController(dual_core_platform)
-        for contract in acc_contracts:
-            mcc.add_component(contract)
-        duplicate = parser.parse({"component": "tracker",
-                                  "provides": ["object_list"]})
-        precedent = IntegrationReport(request_id=0, accepted=True)
-        report = mcc.replay_change(
-            ChangeRequest(kind=ChangeKind.ADD_COMPONENT, component="tracker",
-                          contract=duplicate),
-            precedent, {}, {})
-        assert not report.accepted  # duplicate add fails before the replay
-        assert report.findings
+    def test_replay_of_a_rejection_adopts_nothing(self, parser, acc_contracts):
+        def fresh_mcc():
+            platform = Platform(name="twin")
+            platform.add_processor(ProcessingResource("cpu0", capacity=0.9))
+            platform.add_processor(ProcessingResource("cpu1", capacity=0.9))
+            mcc = MultiChangeController(platform)
+            for contract in acc_contracts:
+                mcc.add_component(contract)
+            return mcc
+
+        leader, follower = fresh_mcc(), fresh_mcc()
+        before = follower.snapshot()
+        orphan = parser.parse({"component": "orphan",
+                               "timing": {"period": 0.05, "wcet": 0.002},
+                               "requires": [{"service": "no_such_service"}]})
+        precedent = leader.request_change(ChangeRequest(
+            kind=ChangeKind.ADD_COMPONENT, component="orphan", contract=orphan))
+        assert not precedent.accepted and precedent.findings
+        replayed = follower.replay_change(
+            ChangeRequest(kind=ChangeKind.ADD_COMPONENT, component="orphan",
+                          contract=orphan),
+            precedent, leader.snapshot())
+        assert not replayed.accepted
+        assert replayed.configuration_version is None
+        assert replayed.findings == precedent.findings
+        assert replayed.findings is not precedent.findings
+        assert [step.name for step in replayed.steps] == ["replay"]
+        assert follower.reports[-1] is replayed
+        assert follower.model is before.model
+        assert follower.deployed_configuration is before.deployed_configuration
+        assert follower.expectations == list(before.expectations)
 
 
 class TestPreviewTasksets:

@@ -14,7 +14,9 @@ shape on the default paths:
 Test-side wrappers count, over each run: ``request_change``,
 ``replay_change`` and ``MappingEngine.map`` calls; ``request_changes`` runs
 that took the one-pass and those that fell back to per-request integration;
-acceptance runs per viewpoint; analysis-cache hits, misses and
+acceptance runs per viewpoint; configurations synthesized
+(``IntegrationProcess.synthesize_configuration``, one per adoption that
+derives its own state, none for a replay); analysis-cache hits, misses and
 ``analyse_many`` lanes; the incremental engines' cold and warm-started
 fixpoints and reused tasks; deviations raised; vehicles provisioned;
 vehicle states captured and restored (every resume rewinds its fleet);
@@ -44,6 +46,7 @@ from repro.fleet.vehicle import (FleetProvisioner, FleetSpec, FleetVehicle,
 from repro.mcc import acceptance
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
+from repro.mcc.integration import IntegrationProcess
 from repro.mcc.mapping import MappingEngine
 from repro.monitoring.deviation import DeviationDetector
 from repro.scenarios.fleet_campaign import build_update_contract
@@ -59,7 +62,7 @@ KEYS = ("request_change", "replay_change", "map", "one_pass",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
         "engine.warm", "engine.reused", "deviations", "vehicles_provisioned",
         "capture_state", "restore_state", "checkpoint_bytes",
-        "service.resumes")
+        "service.resumes", "synthesize")
 
 VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
                    acceptance.SafetyAcceptanceTest,
@@ -133,6 +136,7 @@ def counting() -> Iterator[Counter]:
     patch(MultiChangeController, "replay_change", counted("replay_change"))
     patch(MultiChangeController, "request_changes", request_changes)
     patch(MappingEngine, "map", counted("map"))
+    patch(IntegrationProcess, "synthesize_configuration", counted("synthesize"))
     for test in VIEWPOINT_TESTS:
         patch(test, "run", counted(f"acceptance.{test.viewpoint}"))
     patch(AnalysisCache, "__init__", registered(caches))
