@@ -114,11 +114,10 @@ class AdversityModel:
         """
         return honest
 
-    def grade_feedback(self, vehicle: FleetVehicle, wave_index: int,
-                       anomaly_count: int) -> bool:
+    def grade_feedback(self, vehicle: FleetVehicle, wave_index: int) -> bool:
         """Grade one vehicle's deviation report; ``True`` discounts it.
 
-        Called only when the report raised anomalies.  A discounted report
+        Called only for a deviating report.  A discounted report
         still marks the vehicle deviating (the record keeps the evidence)
         but is excluded from the halt-policy failure count.
         """
@@ -235,8 +234,7 @@ class IntrusionAdversity(AdversityModel):
             else self.under_factor
         return nominal * factor
 
-    def grade_feedback(self, vehicle: FleetVehicle, wave_index: int,
-                       anomaly_count: int) -> bool:
+    def grade_feedback(self, vehicle: FleetVehicle, wave_index: int) -> bool:
         sender = vehicle.vehicle_id
         if self.ids.rule_for(sender) is None:
             self.ids.add_rule(IdsRule(sender=sender,

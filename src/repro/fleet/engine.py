@@ -68,9 +68,7 @@ from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
                                   CampaignResult, WaveRecord, plan_waves)
 from repro.fleet.vehicle import FleetVehicle, VehicleState
 from repro.mcc.configuration import ChangeRequest, IntegrationReport
-from repro.mcc.controller import MccSnapshot
-from repro.monitoring.deviation import DeviationDetector
-from repro.monitoring.metrics import MetricRegistry
+from repro.mcc.controller import MccSnapshot, derive_expectation
 from repro.observability.tracer import CampaignTracer
 from repro.sim.random import SeededRNG, derive_seed
 
@@ -176,12 +174,7 @@ class CampaignEngine:
         self._from_baseline = resume_from is not None or all(
             vehicle.at_baseline for vehicle in campaign.vehicles)
         #: Where the wave code reports; replayed waves report nowhere.
-        self.tracer: Optional[CampaignTracer] = None
-        if resume_from is not None:
-            if cache is not None:
-                cache.tracer = None
-            self._replay(resume_from)
-        self.tracer = campaign.tracer
+        self.tracer: Optional[CampaignTracer] = campaign.tracer
         if cache is not None:
             # The shared cache reports into this campaign's trace, or into
             # none, until finalize() detaches it.
@@ -195,10 +188,13 @@ class CampaignEngine:
                 if campaign.adversity is not None else None,
                 resumed=resume_from is not None)
         if cache is not None and campaign.cache_path is not None:
-            # Warm-start this run from the previous run's snapshot.
+            # Warm-start this run, a resume's replay included, from the
+            # previous run's snapshot.
             loaded = cache.load_snapshot(campaign.cache_path, missing_ok=True)
             if self.tracer is not None:
                 self.tracer.emit("cache.snapshot_load", entries=loaded)
+        if resume_from is not None:
+            self._replay(resume_from)
 
     # -- stepping ----------------------------------------------------------
 
@@ -462,50 +458,49 @@ class CampaignEngine:
                   wave_index: int, record: WaveRecord) -> None:
         """Simulate one updated vehicle's monitor feedback and grade it.
 
-        With an adversity model the honest observation passes through
+        The one observation is graded directly against the updated
+        component's expectation, derived from its adopted contract (see
+        :func:`~repro.mcc.controller.derive_expectation`), whose nominal is
+        the contracted WCET the observation scales.  With an adversity
+        model the honest observation passes through
         :meth:`~repro.fleet.adversity.AdversityModel.observe` (compromised
-        vehicles forge it), the detector may grade against two-sided bands,
-        and a raised deviation is additionally graded by the model — a
-        report attributed to a suspected-compromised sender is recorded
-        (``record.deviating``) but discounted from the halt decision
-        (``record.discounted``).
+        vehicles forge it), the band may be two-sided, and a deviating
+        report is additionally graded by the model — a report attributed
+        to a suspected-compromised sender is recorded (``record.deviating``)
+        but discounted from the halt decision (``record.discounted``).
         """
         campaign = self.campaign
+        adversity = campaign.adversity
         tracer = self.tracer
-        contract = vehicle.mcc.model.contract(request.component)
-        timing = contract.timing
-        if timing is None:  # pragma: no cover - campaign updates carry timing
+        expectation = derive_expectation(
+            vehicle.mcc.model.contract(request.component))
+        if expectation is None:  # pragma: no cover - campaign updates carry timing
             return
         rng = SeededRNG(derive_seed(campaign.feedback_seed, vehicle.index))
         injected = rng.uniform() < campaign.failure_injection_rate
         nominal_range = (0.55, 0.95)
-        two_sided = False
-        if campaign.adversity is not None:
-            two_sided = campaign.adversity.two_sided_feedback
-            if campaign.adversity.nominal_factor_range is not None:
-                nominal_range = campaign.adversity.nominal_factor_range
+        if adversity is not None:
+            if adversity.two_sided_feedback:
+                expectation = replace(expectation, two_sided=True)
+            if adversity.nominal_factor_range is not None:
+                nominal_range = adversity.nominal_factor_range
         factor = rng.uniform(1.25, 1.75) if injected \
             else rng.uniform(*nominal_range)
-        observed = timing.wcet * factor
-        if campaign.adversity is not None:
-            observed = campaign.adversity.observe(vehicle, wave_index,
-                                                  timing.wcet, observed)
-        registry = MetricRegistry()
-        detector: DeviationDetector = vehicle.mcc.configure_deviation_detector(
-            registry, two_sided=two_sided)
-        source = f"{request.component}.task"
-        anomalies = detector.observe(float(wave_index), source,
-                                     "execution_time", observed)
+        wcet = expectation.nominal
+        observed = wcet * factor
+        if adversity is not None:
+            observed = adversity.observe(vehicle, wave_index, wcet, observed)
+        deviating = expectation.violated_by(observed)
         if tracer is not None:
             tracer.emit("feedback.observe", wave=wave_index,
                         vehicle=vehicle.vehicle_id, observed=observed,
-                        deviating=bool(anomalies))
-        if not anomalies:
+                        deviating=deviating)
+        if not deviating:
             return
         vehicle.deviating = True
         record.deviating += 1
-        if campaign.adversity is not None and campaign.adversity.grade_feedback(
-                vehicle, wave_index, len(anomalies)):
+        if adversity is not None and adversity.grade_feedback(
+                vehicle, wave_index):
             record.discounted += 1
             if tracer is not None:
                 tracer.emit("feedback.discount", wave=wave_index,
@@ -513,7 +508,7 @@ class CampaignEngine:
             return  # a discounted (suspect) report must not refine the model
         if campaign.policy.refine_on_deviation:
             refinements = vehicle.mcc.incorporate_observed_wcets(
-                {source: observed})
+                {expectation.source: observed})
             record.refined += len(refinements)
 
     def _rollback_wave(self, admitted: List[Tuple[FleetVehicle, MccSnapshot]],
@@ -533,12 +528,17 @@ class CampaignEngine:
         """Rewind the fleet to its baseline and replay ``checkpoint``'s waves.
 
         Each logged wave re-runs through the ordinary wave code, silently
-        and without a halt decision, and must commit exactly its logged
+        (neither the engine nor the shared cache traces until the replay
+        ends) and without a halt decision, and must commit exactly its logged
         record; the first that does not raises :class:`CampaignError`
         naming it.  That covers the fleet, the staging and the log itself:
         another fleet size, a dropped, extra or edited record all diverge.
         """
         campaign = self.campaign
+        tracer, cache = self.tracer, campaign.analysis_cache
+        self.tracer = None
+        if cache is not None:
+            cache.tracer = None
         if checkpoint.fleet_size != len(campaign.vehicles):
             raise CampaignError(
                 f"checkpoint diverges at wave 0: it logs a fleet of "
@@ -562,3 +562,6 @@ class CampaignEngine:
                     f"differs in {', '.join(differing)}")
             self.state.result.waves.append(record)
             self.state.wave_index += 1
+        self.tracer = tracer
+        if cache is not None:
+            cache.tracer = tracer

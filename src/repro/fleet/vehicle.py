@@ -29,12 +29,13 @@ RTE, acceptance battery and MCC, then adopts the first vehicle's
 :class:`~repro.mcc.controller.MccSnapshot` through
 :meth:`~repro.mcc.controller.MultiChangeController.rollback`.  Stamped
 siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
-:class:`~repro.platform.rte.RteConfiguration`, expectations and baseline
+:class:`~repro.platform.rte.RteConfiguration` and baseline
 :class:`~repro.mcc.configuration.IntegrationReport` objects; all of them are
 read-only (adoption swaps references, it never mutates an adopted object),
-so a later change on one vehicle never reaches its siblings.  A staged
-campaign touches a vehicle when its wave is staged, so a canary verdict
-waits only for the canary's variants, and a halted campaign never
+so a later change on one vehicle never reaches its siblings.  Each MCC
+derives its expectations from the model it adopted, so none are shared.
+A staged campaign touches a vehicle when its wave is staged, so a canary
+verdict waits only for the canary's variants, and a halted campaign never
 provisions the waves it did not reach.
 """
 
@@ -105,8 +106,8 @@ class VehicleVariant:
 class VehicleState:
     """Rollout state of one fleet vehicle.
 
-    Bundles the vehicle's adopted MCC snapshot (model, deployed
-    configuration, expectations, see
+    Bundles the vehicle's adopted MCC snapshot (model and deployed
+    configuration, see
     :meth:`~repro.mcc.controller.MultiChangeController.snapshot`) with the
     campaign's rollout flags.
 

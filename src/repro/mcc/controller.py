@@ -9,7 +9,7 @@ monitors to refine its models or trigger self-reconfiguration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cache import AnalysisCache
@@ -18,24 +18,31 @@ from repro.mcc.acceptance import AcceptanceTest
 from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport, SystemModel
 from repro.mcc.integration import IntegrationProcess
 from repro.mcc.mapping import MappingStrategy
-from repro.monitoring.deviation import DeviationDetector, ExpectedBehaviour
-from repro.monitoring.metrics import MetricRegistry
+from repro.monitoring.deviation import ExpectedBehaviour
 from repro.platform.resources import Platform
 from repro.platform.rte import RteConfiguration, RuntimeEnvironment
+
+
+def derive_expectation(contract: Contract) -> Optional[ExpectedBehaviour]:
+    """The execution-time expectation the model domain derives from one
+    contract: its contracted WCET within a 10% band, or ``None`` for a
+    contract without a timing requirement."""
+    timing = contract.timing
+    if timing is None:
+        return None
+    return ExpectedBehaviour(source=f"{contract.component}.task",
+                             metric="execution_time", nominal=timing.wcet,
+                             tolerance=0.1, layer="platform")
 
 
 @dataclass(frozen=True)
 class MccSnapshot:
     """An adopted MCC state that :meth:`MultiChangeController.rollback` can
-    restore: the system model, the configuration deployed for it and the
-    expectations derived from its contracts."""
+    restore: the system model and the configuration deployed for it.  The
+    expectations follow from the model, so a snapshot holds none."""
 
     model: SystemModel
     deployed_configuration: Optional[RteConfiguration]
-    expectations: Tuple[ExpectedBehaviour, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "expectations", tuple(self.expectations))
 
 
 class MultiChangeController:
@@ -68,9 +75,6 @@ class MultiChangeController:
                                           analysis_cache=analysis_cache)
         self.reports: List[IntegrationReport] = []
         self.deployed_configuration: Optional[RteConfiguration] = None
-        #: Model-domain expectations derived from the contracts (fed to the
-        #: deviation detector of the execution domain).
-        self.expectations: List[ExpectedBehaviour] = []
 
     # -- change handling -----------------------------------------------------------------
 
@@ -100,8 +104,8 @@ class MultiChangeController:
         """Process a sequence of change requests in order.
 
         Returns what ``[self.request_change(r) for r in requests]`` returns
-        and leaves the same model, configuration, expectations and report
-        history behind, request ids and refinement steps included.  When
+        and leaves the same model, configuration and report history behind,
+        request ids and refinement steps included.  When
         every request is an addition and every acceptance test vouches for
         the final contract set (see
         :class:`~repro.mcc.acceptance.AcceptanceTest`), the additions are
@@ -156,7 +160,6 @@ class MultiChangeController:
         self.model = candidate
         configuration = self.process.synthesize_configuration(candidate, version)
         self.deployed_configuration = configuration
-        self._refresh_expectations()
         if self.rte is not None:
             self.rte.deploy(configuration)
         return configuration.version
@@ -178,34 +181,31 @@ class MultiChangeController:
     # -- checkpointing --------------------------------------------------------------------
 
     def snapshot(self) -> "MccSnapshot":
-        """Capture the adopted state (model, configuration, expectations).
+        """Capture the adopted state (model, configuration).
 
         Adoption never mutates a previously adopted :class:`SystemModel`
         (integration operates on candidates and swaps the reference), so the
-        snapshot is a cheap bundle of references plus a copied expectation
-        list.  Used by staged rollout engines to undo a bad wave.
+        snapshot is a bundle of two references.  Used by staged rollout
+        engines to undo a bad wave.
 
         Snapshots reference only model-domain state (contracts, mapping,
-        configuration, expectations — no platform, process or cache
-        handles), so a vehicle's baseline snapshot can roll its MCC back
-        at any later time.
+        configuration — no platform, process or cache handles), so a
+        vehicle's baseline snapshot can roll its MCC back at any later time.
         """
         return MccSnapshot(model=self.model,
-                           deployed_configuration=self.deployed_configuration,
-                           expectations=list(self.expectations))
+                           deployed_configuration=self.deployed_configuration)
 
     def rollback(self, snapshot: "MccSnapshot") -> None:
         """Restore a previously captured snapshot and redeploy it.
 
         The integration report history is kept (it is an append-only audit
-        log); only the adopted model, the deployed configuration and the
-        derived expectations are rewound.  When an execution domain is
-        attached and the snapshot carried a configuration, that configuration
-        is deployed again.
+        log); only the adopted model and the deployed configuration are
+        rewound, and the :attr:`expectations` follow the model.  When an
+        execution domain is attached and the snapshot carried a
+        configuration, that configuration is deployed again.
         """
         self.model = snapshot.model
         self.deployed_configuration = snapshot.deployed_configuration
-        self.expectations = list(snapshot.expectations)
         if self.rte is not None and snapshot.deployed_configuration is not None:
             self.rte.deploy(snapshot.deployed_configuration)
 
@@ -228,33 +228,12 @@ class MultiChangeController:
 
     # -- feedback from the execution domain -------------------------------------------------
 
-    def _refresh_expectations(self) -> None:
-        """Derive model expectations (execution-time budgets) from contracts."""
-        self.expectations = []
-        for contract in self.model.contracts():
-            timing = contract.timing
-            if timing is None:
-                continue
-            self.expectations.append(ExpectedBehaviour(
-                source=f"{contract.component}.task", metric="execution_time",
-                nominal=timing.wcet, tolerance=0.1, layer="platform"))
-
-    def configure_deviation_detector(self, registry: MetricRegistry,
-                                     two_sided: bool = False) -> DeviationDetector:
-        """Build a deviation detector loaded with the current expectations.
-
-        With ``two_sided=True`` every expectation is converted to a two-sided
-        tolerance band (without mutating the stored expectations): a value
-        collapsing *below* the band is then flagged too, which closes the
-        under-reporting channel a compromised vehicle would otherwise use to
-        hide failures behind an implausibly small execution time.
-        """
-        detector = DeviationDetector(registry)
-        for expectation in self.expectations:
-            if two_sided and not expectation.two_sided:
-                expectation = replace(expectation, two_sided=True)
-            detector.expect(expectation)
-        return detector
+    @property
+    def expectations(self) -> Tuple[ExpectedBehaviour, ...]:
+        """The expectations of the adopted model, one per timed contract
+        (see :func:`derive_expectation`), derived on each read."""
+        derived = (derive_expectation(c) for c in self.model.contracts())
+        return tuple(e for e in derived if e is not None)
 
     def incorporate_observed_wcets(self, observed: Dict[str, float],
                                    margin: float = 1.2) -> List[IntegrationReport]:

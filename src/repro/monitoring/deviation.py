@@ -24,8 +24,9 @@ class ExpectedBehaviour:
 
     ``nominal`` is the value the model domain assumed (e.g. the contracted
     WCET, the calibrated sensor quality); ``tolerance`` is the accepted
-    relative deviation before the detector raises an anomaly.  Frozen,
-    because fleet vehicles that adopt one MCC state share its expectations.
+    relative deviation before the detector raises an anomaly.  Frozen, so
+    a detector's refinement replaces its own entry and never rewrites an
+    expectation another holder reads.
     """
 
     source: str
@@ -122,9 +123,7 @@ class DeviationDetector:
         windowed statistics and refinement suggestions keep working) and the
         matching expectation — if any — is checked immediately.  Returns the
         raised anomalies (empty when the value is in band or no expectation
-        covers the pair).  Fleet campaigns use this to grade per-vehicle
-        monitor feedback between rollout waves without re-checking every
-        expectation of the vehicle.
+        covers the pair).
         """
         self.registry.sample(time, source, metric, value)
         expectation = self._expectations.get((source, metric))

@@ -19,6 +19,8 @@ The satellite guarantees ride along:
   process, with exactly the uninterrupted run's admission calls; after a
   policy halt it returns the boundary the halt logged, and it refuses a
   campaign that did not start at its fleet's baseline;
+* a resume loads its ``cache_path`` snapshot before it replays, so the
+  replay warm-starts from the analyses the halted run saved;
 * ``CampaignCheckpoint.load`` reads JSON only — a pickle payload raises
   ``CampaignError`` without executing, and so does a malformed field,
   named in the message; the cache snapshot's allowlist unpickler refuses
@@ -358,6 +360,34 @@ sys.stdout.write(repr(campaign_digest(resumed)))
         assert resumed.completed
         assert campaign_digest(resumed) == \
             campaign_digest(remediated_run(None))
+
+    def test_a_resume_replays_warm_from_its_cache_path(self, tmp_path):
+        """A resumed campaign loads its ``cache_path`` snapshot before it
+        replays the logged waves, so on a fresh fleet and cache the replay
+        finds every analysis the halted run saved; the trace still opens
+        with campaign.begin, cache.merge and cache.snapshot_load, and the
+        replay adds nothing to it."""
+        path = str(tmp_path / "analyses.pkl")
+
+        def build(tracer=None):
+            cache = AnalysisCache()
+            fleet = generate_fleet(FleetSpec(size=40, seed=1, num_variants=8),
+                                   analysis_cache=cache)
+            return Campaign(fleet, make_factory(),
+                            policy=WavePolicy(max_failure_rate=0.1),
+                            analysis_cache=cache, failure_injection_rate=0.3,
+                            feedback_seed=1, cache_path=path, tracer=tracer)
+
+        halted = build()
+        assert halted.run().halted
+        assert halted.last_checkpoint.next_wave == 1
+        tracer = CampaignTracer(deterministic=True)
+        resumed = build(tracer)
+        engine = CampaignEngine(resumed, resume_from=halted.last_checkpoint)
+        assert resumed.analysis_cache.misses == 0
+        assert [event["event"] for event in tracer.events] == \
+            ["campaign.begin", "cache.merge", "cache.snapshot_load"]
+        engine.finalize()
 
 
 class _EvilPayload:

@@ -240,9 +240,6 @@ class TestMultiChangeController:
             mcc.add_component(contract)
         sources = {e.source for e in mcc.expectations}
         assert "tracker.task" in sources
-        from repro.monitoring.metrics import MetricRegistry
-        detector = mcc.configure_deviation_detector(MetricRegistry())
-        assert len(detector.expectations()) == len(mcc.expectations)
 
 
 class TestMccCheckpointing:
@@ -316,6 +313,7 @@ class TestMccCheckpointing:
 
         leader, follower = fresh_mcc(), fresh_mcc()
         before = follower.snapshot()
+        expectations = follower.expectations
         orphan = parser.parse({"component": "orphan",
                                "timing": {"period": 0.05, "wcet": 0.002},
                                "requires": [{"service": "no_such_service"}]})
@@ -334,7 +332,58 @@ class TestMccCheckpointing:
         assert follower.reports[-1] is replayed
         assert follower.model is before.model
         assert follower.deployed_configuration is before.deployed_configuration
-        assert follower.expectations == list(before.expectations)
+        assert follower.expectations == expectations
+
+    def test_expectations_follow_the_adopted_model(self, parser, acc_contracts):
+        """Every adoption path moves the expectations with the model: after
+        an accepted update, a refinement, a replayed adoption and a
+        rollback, each nominal is its contract's current WCET."""
+        def fresh_mcc():
+            platform = Platform(name="twin")
+            platform.add_processor(ProcessingResource("cpu0", capacity=0.9))
+            platform.add_processor(ProcessingResource("cpu1", capacity=0.9))
+            mcc = MultiChangeController(platform)
+            for contract in acc_contracts:
+                mcc.add_component(contract)
+            return mcc
+
+        def nominals(mcc):
+            return {expectation.source: expectation.nominal
+                    for expectation in mcc.expectations}
+
+        def follows(mcc):
+            return nominals(mcc) == {
+                f"{contract.component}.task": contract.timing.wcet
+                for contract in mcc.model.contracts()}
+
+        leader, follower = fresh_mcc(), fresh_mcc()
+        baseline = follower.snapshot()
+        original = nominals(follower)
+        assert follows(follower) and original["tracker.task"] == 0.01
+
+        update = parser.parse({"component": "tracker",
+                               "timing": {"period": 0.05, "wcet": 0.012},
+                               "safety": {"asil": "B"},
+                               "security": {"level": "MEDIUM"},
+                               "provides": ["object_list"]})
+        request = ChangeRequest(kind=ChangeKind.UPDATE_COMPONENT,
+                                component="tracker", contract=update)
+        precedent = leader.request_change(request)
+        assert precedent.accepted
+        assert follows(leader) and nominals(leader)["tracker.task"] == 0.012
+        updated = leader.snapshot()
+
+        refined = leader.incorporate_observed_wcets({"tracker.task": 0.015})
+        assert len(refined) == 1 and refined[0].accepted
+        assert follows(leader)
+        assert nominals(leader)["tracker.task"] == pytest.approx(0.018)
+
+        replayed = follower.replay_change(request, precedent, updated)
+        assert replayed.accepted and follower.model is updated.model
+        assert follows(follower) and nominals(follower)["tracker.task"] == 0.012
+
+        follower.rollback(baseline)
+        assert follows(follower) and nominals(follower) == original
 
 
 class TestPreviewTasksets:

@@ -18,7 +18,9 @@ acceptance runs per viewpoint; configurations synthesized
 (``IntegrationProcess.synthesize_configuration``, one per adoption that
 derives its own state, none for a replay); analysis-cache hits, misses and
 ``analyse_many`` lanes; the incremental engines' cold and warm-started
-fixpoints and reused tasks; deviations raised; vehicles provisioned;
+fixpoints and reused tasks; deviations raised (observations that
+``ExpectedBehaviour.violated_by`` flags); ``ExpectedBehaviour`` objects
+constructed; vehicles provisioned;
 vehicle states captured and restored (every resume rewinds its fleet);
 the JSON document bytes of every checkpoint taken; and service resumes.
 Every count must equal ``tests/work_counts.json``.  A change that moves a
@@ -48,7 +50,7 @@ from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
 from repro.mcc.integration import IntegrationProcess
 from repro.mcc.mapping import MappingEngine
-from repro.monitoring.deviation import DeviationDetector
+from repro.monitoring.deviation import ExpectedBehaviour
 from repro.scenarios.fleet_campaign import build_update_contract
 from repro.service import (AdmissionService, JobState, ResumeRequest,
                            SubmitCampaign)
@@ -60,9 +62,9 @@ KEYS = ("request_change", "replay_change", "map", "one_pass",
         "per_request_fallback", "acceptance.timing", "acceptance.safety",
         "acceptance.security", "acceptance.resources", "cache.hits",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
-        "engine.warm", "engine.reused", "deviations", "vehicles_provisioned",
-        "capture_state", "restore_state", "checkpoint_bytes",
-        "service.resumes", "synthesize")
+        "engine.warm", "engine.reused", "deviations", "expectations",
+        "vehicles_provisioned", "capture_state", "restore_state",
+        "checkpoint_bytes", "service.resumes", "synthesize")
 
 VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
                    acceptance.SafetyAcceptanceTest,
@@ -125,11 +127,11 @@ def counting() -> Iterator[Counter]:
             return taken
         return wrapper
 
-    def observe(original):
+    def violated_by(original):
         def wrapper(*args, **kwargs):
-            anomalies = original(*args, **kwargs)
-            counts["deviations"] += bool(anomalies)
-            return anomalies
+            violated = original(*args, **kwargs)
+            counts["deviations"] += violated
+            return violated
         return wrapper
 
     patch(MultiChangeController, "request_change", counted("request_change"))
@@ -142,7 +144,8 @@ def counting() -> Iterator[Counter]:
     patch(AnalysisCache, "__init__", registered(caches))
     patch(AnalysisCache, "analyse_many", analyse_many)
     patch(IncrementalResponseTimeAnalysis, "__init__", registered(engines))
-    patch(DeviationDetector, "observe", observe)
+    patch(ExpectedBehaviour, "violated_by", violated_by)
+    patch(ExpectedBehaviour, "__init__", counted("expectations"))
     patch(FleetProvisioner, "provision", counted("vehicles_provisioned"))
     patch(FleetVehicle, "capture_state", counted("capture_state"))
     patch(FleetVehicle, "restore_state", counted("restore_state"))
