@@ -9,8 +9,10 @@ out across a heterogeneous fleet in staged waves.  The series reports
   clear 1.5x (the quantity lands in ``BENCH_e10_fleet_campaign.json``,
   next to the batched run's provisioning, campaign and total seconds and
   the exact provisioning work: one admission report per baseline contract
-  per variant, and one acceptance battery run per variant whose baseline
-  passes whole).  Vehicles provision on first touch, so every run touches its
+  per variant, one acceptance battery run per variant whose baseline
+  passes whole, and its ``MappingEngine.map`` calls: one per variant whose
+  baseline passes whole, because the later prefixes extend one carried
+  mapping state, plus one per contract integrated on its own).  Vehicles provision on first touch, so every run touches its
   whole fleet inside the provisioning timer: the campaign timer then
   covers admission alone, on both sides of the comparison;
 * the staged-rollout safety net: failure injection drives the wave failure
@@ -49,6 +51,7 @@ from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
                                  variant_contracts)
 from repro.mcc.acceptance import TimingAcceptanceTest
 from repro.mcc.controller import MultiChangeController
+from repro.mcc.mapping import MappingEngine
 from repro.scenarios.fleet_campaign import (add_component_update,
                                             run_fleet_campaign_scenario)
 
@@ -61,17 +64,27 @@ SCALE_VARIANTS = 8
 #: each of its 13 contracts replace its one run (7 + 1 + 13).
 BATTERY_RUNS = {4: 4, 8: 21}
 
+#: ``MappingEngine.map`` calls provisioning seed 0's variants, by variant
+#: count.  A variant's one-pass maps its first prefix and places each later
+#: contract in the mapping state it carries; an integration of one contract
+#: maps once.  So each of the 4 quick-mode variants maps once, and of the 8
+#: full-mode and scale variants, variant 5 adds one map per contract for
+#: its 13 per-contract integrations (8 + 13).
+MAP_CALLS = {4: 4, 8: 21}
+
 
 @contextmanager
 def _counting_provisioning() -> Iterator[Dict[str, int]]:
     """Provisioning's work inside the block: the admission reports
     ``MultiChangeController.request_changes`` returns (provisioning is its
-    only caller) and the acceptance battery runs inside it (timing is each
-    default battery's first test, so its runs count the batteries)."""
-    counts = {"reports": 0, "battery_runs": 0}
+    only caller), the acceptance battery runs inside it (timing is each
+    default battery's first test, so its runs count the batteries) and the
+    ``MappingEngine.map`` calls."""
+    counts = {"reports": 0, "battery_runs": 0, "map_calls": 0}
     inside = [0]
     request_changes = MultiChangeController.request_changes
     timing_run = TimingAcceptanceTest.run
+    engine_map = MappingEngine.map
 
     def counting_requests(self, requests):
         inside[0] += 1
@@ -86,13 +99,19 @@ def _counting_provisioning() -> Iterator[Dict[str, int]]:
         counts["battery_runs"] += bool(inside[0])
         return timing_run(self, *args)
 
+    def counting_map(self, *args, **kwargs):
+        counts["map_calls"] += 1
+        return engine_map(self, *args, **kwargs)
+
     MultiChangeController.request_changes = counting_requests
     TimingAcceptanceTest.run = counting_timing
+    MappingEngine.map = counting_map
     try:
         yield counts
     finally:
         MultiChangeController.request_changes = request_changes
         TimingAcceptanceTest.run = timing_run
+        MappingEngine.map = engine_map
 
 
 @contextmanager
@@ -200,6 +219,7 @@ def test_e10_batched_vs_sequential_admission(benchmark):
         "total_s": generation_s + batched_s,
         "provision_integrations": provisioning["reports"],
         "provision_battery_runs": provisioning["battery_runs"],
+        "provision_map_calls": provisioning["map_calls"],
         "baseline_contracts": _baseline_contracts(spec),
     }
     print_table("E10: batched vs sequential fleet admission (target: >= 1.5x)",
@@ -208,6 +228,7 @@ def test_e10_batched_vs_sequential_admission(benchmark):
     assert speedup >= 1.5
     assert row["provision_integrations"] == row["baseline_contracts"]
     assert row["provision_battery_runs"] == BATTERY_RUNS[num_variants]
+    assert row["provision_map_calls"] == MAP_CALLS[num_variants]
 
 
 @pytest.mark.benchmark(group="e10-fleet")
@@ -306,6 +327,7 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "provision_integrations": provisioning["reports"],
         "provision_battery_runs": provisioning["battery_runs"],
+        "provision_map_calls": provisioning["map_calls"],
         "baseline_contracts": _baseline_contracts(spec),
         "campaign_integrations": admissions["request_change"],
         "campaign_replays": admissions["replay_change"],
@@ -318,9 +340,9 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
 @pytest.mark.benchmark(group="e10-fleet")
 def test_e10_fleet_scale(benchmark):
     """Provisioning stays one admission report per baseline contract per
-    variant, and its battery runs stay per variant, at 10^5 vehicles; the
-    campaign integrates once per variant and replays on every other
-    vehicle; the clean rollout covers the whole fleet."""
+    variant, and its battery runs and mappings stay per variant, at 10^5
+    vehicles; the campaign integrates once per variant and replays on every
+    other vehicle; the clean rollout covers the whole fleet."""
     fleet_size = 10_000 if quick_mode() else 100_000
 
     def measure():
@@ -336,6 +358,7 @@ def test_e10_fleet_scale(benchmark):
     write_bench_record("e10_fleet_scale", row)
     assert row["provision_integrations"] == row["baseline_contracts"]
     assert row["provision_battery_runs"] == BATTERY_RUNS[SCALE_VARIANTS]
+    assert row["provision_map_calls"] == MAP_CALLS[SCALE_VARIANTS]
     assert row["campaign_integrations"] == SCALE_VARIANTS
     assert row["campaign_replays"] == fleet_size - SCALE_VARIANTS
     assert row["admitted"] == fleet_size

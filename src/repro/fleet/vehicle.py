@@ -50,7 +50,8 @@ from repro.contracts.model import Contract
 from repro.mcc.acceptance import AcceptanceTest, default_acceptance_tests
 from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport
 from repro.mcc.controller import MccSnapshot, MultiChangeController
-from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
+from repro.mcc.mapping import (MappingEngine, MappingError, MappingState,
+                               MappingStrategy)
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
 from repro.platform.rte import RuntimeEnvironment
 from repro.sim.random import SeededRNG
@@ -417,11 +418,11 @@ def _check_core_stack(variant: VehicleVariant, spec: FleetSpec) -> None:
     platform cannot host its core stack.
 
     Integration maps the core contracts first, one at a time, each keeping
-    the placements before it, so running the mapping engine over them the
-    same way decides every mapping rejection of a core component -- the
-    only kind of core rejection seen in sweeps over the generated fleet
-    shapes.  Rejections that only the acceptance tests can decide still
-    raise when the variant's first vehicle is touched.
+    the placements before it, so carrying one mapping state through them,
+    placing one contract at a time, decides every mapping rejection of a
+    core component -- the only kind of core rejection seen in sweeps over
+    the generated fleet shapes.  Rejections that only the acceptance tests
+    can decide still raise when the variant's first vehicle is touched.
     """
     documents = [_scaled(document, variant) for document in _BASELINE_DOCUMENTS]
     # Every processor of the variant has the same capacity and the core
@@ -432,13 +433,12 @@ def _check_core_stack(variant: VehicleVariant, spec: FleetSpec) -> None:
     if sum(document["timing"]["wcet"] / document["timing"]["period"]
            for document in documents) <= variant.capacity - 1e-9:
         return
-    engine = MappingEngine(build_vehicle_platform(variant, name="core-check"),
-                           strategy=spec.mapping_strategy)
-    core = ContractParser().parse_many(documents)
-    placement: Dict[str, str] = {}
-    for count in range(1, len(core) + 1):
+    state = MappingState(MappingEngine(
+        build_vehicle_platform(variant, name="core-check"),
+        strategy=spec.mapping_strategy))
+    for position, contract in enumerate(ContractParser().parse_many(documents)):
         try:
-            placement = engine.map(core[:count], existing=placement).placement
+            state.place(contract, position)
         except MappingError as error:
             raise RuntimeError(f"vehicle {variant.index} rejected its "
                                f"baseline: {error}") from None

@@ -109,8 +109,9 @@ class MultiChangeController:
         every request is an addition and every acceptance test vouches for
         the final contract set (see
         :class:`~repro.mcc.acceptance.AcceptanceTest`), the additions are
-        validated and mapped prefix by prefix and tested once, on the final
-        candidate.  If that run passes, the final model is adopted and
+        validated once, mapped prefix by prefix (each prefix after the first
+        places only its new component in one carried mapping state) and
+        tested once, on the final candidate.  If that run passes, the final model is adopted and
         deployed once, so the execution domain sees one deployment instead
         of one per request.  Otherwise, or if any prefix is rejected, every
         request runs through :meth:`request_change` in turn.  A test

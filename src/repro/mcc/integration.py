@@ -18,12 +18,15 @@ The refinement steps implemented here:
 A run of additions can share step 3: the process refines every prefix of
 the run and tests only the final candidate, when every acceptance test
 vouches that a pass there implies a pass on each prefix (see
-:meth:`~repro.mcc.controller.MultiChangeController.request_changes`).
+:meth:`~repro.mcc.controller.MultiChangeController.request_changes`).  It
+carries one :class:`~repro.mcc.mapping.MappingState` through the run, so
+each prefix after the first checks the services and places the component
+of its own addition only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cache import AnalysisCache
 from repro.contracts.model import Contract
@@ -31,7 +34,8 @@ from repro.mcc.acceptance import (AcceptanceTest, default_acceptance_tests,
                                   tasksets_from_mapping)
 from repro.mcc.configuration import (ChangeKind, ChangeRequest, IntegrationReport,
                                     SystemModel)
-from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
+from repro.mcc.mapping import (MappingDecision, MappingEngine, MappingError,
+                               MappingState, MappingStrategy)
 from repro.platform.resources import Platform
 from repro.platform.rte import RteConfiguration
 from repro.platform.tasks import TaskSet
@@ -85,15 +89,22 @@ class IntegrationProcess:
                              ) -> Optional[Tuple[SystemModel, List[IntegrationReport]]]:
         """Integrate a run of additions with one acceptance run.
 
-        Applies the requests to one candidate of ``model`` in order and runs
-        steps 1-3 of :meth:`integrate` on every prefix, then runs the
-        acceptance tests once, on the final candidate.  Returns that
-        candidate and one report per request, each holding exactly what
-        :meth:`integrate` records for it in turn; the caller sets the
-        configuration versions.  That is exact because every test vouches,
-        through its ``monotone`` method, that a pass on the final contract
-        set implies a pass on each prefix: placements are kept from one
-        prefix to the next, and priorities keep their relative order.
+        Applies the requests to one candidate of ``model`` in order and
+        records steps 1-3 of :meth:`integrate` for every prefix, then runs
+        the acceptance tests once, on the final candidate.  The first prefix
+        is refined as :meth:`integrate` refines it.  Each later prefix adds
+        one contract to a prefix that passed, and the engine keeps every
+        earlier placement, so the prefix checks only its new contract's
+        required services and places only that contract, in the one
+        :class:`MappingState` carried through the run; its steps record
+        exactly what a full refinement of the prefix would.  Returns the
+        final candidate and one report per request, each holding exactly
+        what :meth:`integrate` records for it in turn; the caller sets the
+        configuration versions.  One acceptance run is exact because every
+        test vouches, through its ``monotone`` method, that a pass on the
+        final contract set implies a pass on each prefix: placements are
+        kept from one prefix to the next, and priorities keep their
+        relative order.
 
         Returns ``None``, having adopted nothing, when per-request
         integration must decide instead: there are no requests, a request
@@ -115,18 +126,37 @@ class IntegrationProcess:
             return None
         candidate = model.candidate()
         reports: List[IntegrationReport] = []
-        for request in requests:
+        state: Optional[MappingState] = None
+        provided: Set[str] = set()
+        for position, request in enumerate(requests, start=len(model)):
             try:
                 candidate.apply_change(request)
             except (ValueError, KeyError):
                 return None
-            contracts = candidate.contracts()
             report = IntegrationReport(request_id=request.request_id)
-            if not self._refine(candidate, contracts, [], report):
-                return None
             reports.append(report)
+            if state is None:
+                contracts = candidate.contracts()
+                if not self._refine(candidate, contracts, [], report):
+                    return None
+                state = MappingState(self.mapping_engine)
+                for index, contract in enumerate(contracts):
+                    state.keep(contract, candidate.mapping[contract.component], index)
+                    provided.update(provision.service for provision in contract.provides)
+                continue
+            contract = request.contract
+            provided.update(provision.service for provision in contract.provides)
+            if any(not requirement.optional and requirement.service not in provided
+                   for requirement in contract.requires):
+                return None
+            try:
+                state.place(contract, position)
+            except MappingError:
+                return None
+            self._record_services(report, [])
+            self._record_mapping(candidate, state.decision(), report)
         for test in self.acceptance_tests:
-            if not test.run(contracts, candidate.mapping, candidate.priorities,
+            if not test.run(final, candidate.mapping, candidate.priorities,
                             self.platform).passed:
                 return None
         results = {test.viewpoint: True for test in self.acceptance_tests}
@@ -148,12 +178,7 @@ class IntegrationProcess:
         # completeness.
         problems = problems + [f"missing provider for {entry}"
                                for entry in candidate.missing_services()]
-        report.add_step("functional-architecture",
-                        "validate contracts and service completeness",
-                        problems=list(problems))
-        if problems:
-            report.findings.extend(problems)
-            report.accepted = False
+        if not self._record_services(report, problems):
             return False
 
         # Step 2: technical architecture — map components to the platform.
@@ -165,19 +190,38 @@ class IntegrationProcess:
             report.findings.append(str(exc))
             report.accepted = False
             return False
+        self._record_mapping(candidate, decision, report)
+        return True
+
+    @staticmethod
+    def _record_services(report: IntegrationReport, problems: List[str]) -> bool:
+        """Record step 1 with its ``problems``; ``False`` (the report
+        rejected, with the problems as findings) when there are any."""
+        report.add_step("functional-architecture",
+                        "validate contracts and service completeness",
+                        problems=list(problems))
+        if problems:
+            report.findings.extend(problems)
+            report.accepted = False
+            return False
+        return True
+
+    @staticmethod
+    def _record_mapping(candidate: SystemModel, decision: MappingDecision,
+                        report: IntegrationReport) -> None:
+        """Give ``candidate`` the mapping and priorities of ``decision`` and
+        record steps 2 and 3."""
         candidate.mapping = decision.placement
         candidate.priorities = decision.priorities
         report.add_step("technical-architecture",
                         "map components to processing resources",
                         placement=dict(decision.placement),
                         utilization=dict(decision.utilization))
-
         # Step 3: implementation model — priorities were assigned during
         # mapping; record them explicitly as their own refinement step.
         report.add_step("implementation-model",
                         "assign scheduling priorities (deadline monotonic per resource)",
                         priorities=dict(decision.priorities))
-        return True
 
     def preview_tasksets(self, model: SystemModel,
                          request: ChangeRequest) -> Optional[Dict[str, TaskSet]]:

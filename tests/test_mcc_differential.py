@@ -18,9 +18,9 @@ for the final contract set.  It must leave exactly what the per-request loop
 ``[mcc.request_change(r) for r in requests]`` leaves: every report field
 (request ids and refinement-step artefacts included), the model, the
 deployed configuration, the expectations and the execution domain's state.
-Hypothesis draws the additions onto empty and installed models, with every
-kind of rejection mixed in, and fixed cases cover the contract sets whose
-prefixes fail although the whole set passes.
+Hypothesis draws the additions onto empty and installed models, under every
+mapping strategy, with every kind of rejection mixed in, and fixed cases
+cover the contract sets whose prefixes fail although the whole set passes.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.mcc.acceptance import (ResourceAcceptanceTest, SafetyAcceptanceTest,
                                   default_acceptance_tests)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
+from repro.mcc.mapping import MappingStrategy
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
 from repro.platform.rte import RuntimeEnvironment
 from repro.sim.random import SeededRNG
@@ -136,10 +137,12 @@ class TestMccDifferential:
 
 
 def report_fields(report):
+    # The artefacts are compared by repr, which keeps the key order that
+    # dict equality ignores (placements, utilizations and priorities).
     return (report.request_id, report.accepted,
             dict(report.acceptance_results), list(report.findings),
             report.configuration_version,
-            [(step.name, step.description, step.artefacts)
+            [(step.name, step.description, repr(step.artefacts))
              for step in report.steps])
 
 
@@ -192,10 +195,12 @@ class Vouching:
         return True
 
 
-def build_controller(platform, deploy, tests=None, cache=None):
+def build_controller(platform, deploy, tests=None, cache=None,
+                     strategy=MappingStrategy.FIRST_FIT):
     return MultiChangeController(
         platform, rte=RuntimeEnvironment(platform) if deploy else None,
-        acceptance_tests=tests, analysis_cache=cache)
+        acceptance_tests=tests, mapping_strategy=strategy,
+        analysis_cache=cache)
 
 
 def add(contract):
@@ -204,10 +209,10 @@ def add(contract):
 
 
 def run_both(make_platform, base, requests, deploy=False, extra=None,
-             wrap=None):
-    """Install ``base`` on two fresh controllers, one by one, then give one
-    ``requests`` through ``request_changes`` and the other through the
-    per-request loop, over the same request objects.
+             wrap=None, strategy=MappingStrategy.FIRST_FIT):
+    """Install ``base`` on two fresh controllers mapping with ``strategy``,
+    one by one, then give one ``requests`` through ``request_changes`` and
+    the other through the per-request loop, over the same request objects.
 
     Returns both states, each with the reports the call returned, and the
     number of ``request_change`` calls ``request_changes`` made (0 on the
@@ -222,7 +227,7 @@ def run_both(make_platform, base, requests, deploy=False, extra=None,
             if wrap is not None:
                 tests = [wrap(test) for test in tests]
         mcc = build_controller(make_platform(), deploy, tests,
-                               cache=AnalysisCache())
+                               cache=AnalysisCache(), strategy=strategy)
         for request in installs:
             mcc.request_change(request)
         controllers.append(mcc)
@@ -257,14 +262,16 @@ def invalid_contract(name, period, wcet):
 
 @st.composite
 def addition_runs(draw):
-    """A platform size, an installed base and a run of requests: additions
-    only, or additions with every kind of rejection mixed in."""
+    """A platform size, a mapping strategy, an installed base and a run of
+    requests: additions only, or additions with every kind of rejection
+    mixed in."""
     def contract(name):
         period = draw(st.sampled_from([0.01, 0.02, 0.04, 0.05, 0.1, 0.2]))
         utilization = draw(st.floats(min_value=0.02, max_value=0.6))
         return make_contract(name, period, period * utilization)
 
     processors = draw(st.integers(min_value=1, max_value=3))
+    strategy = draw(st.sampled_from(list(MappingStrategy)))
     base = [contract(f"b{index}")
             for index in range(draw(st.integers(min_value=0, max_value=4)))]
     kinds = st.sampled_from(["add"])
@@ -292,7 +299,7 @@ def addition_runs(draw):
                 ChangeRequest(kind=ChangeKind.REMOVE_COMPONENT, component=name))
         else:
             requests.append(add(contract(f"a{index}")))
-    return processors, base, requests
+    return processors, strategy, base, requests
 
 
 class TestRequestChangesDifferential:
@@ -303,10 +310,10 @@ class TestRequestChangesDifferential:
     @given(run=addition_runs(), deploy=st.booleans(),
            extra=st.sampled_from([False, False, False, True]))
     def test_random_runs(self, run, deploy, extra):
-        processors, base, requests = run
+        processors, strategy, base, requests = run
         fast, reference, calls = run_both(
             lambda: build_platform(processors), base, requests, deploy=deploy,
-            extra=[Unvouched()] if extra else None)
+            extra=[Unvouched()] if extra else None, strategy=strategy)
         event("per-request" if calls else "one-pass")
         assert fast == reference
 
@@ -330,6 +337,22 @@ class TestRequestChangesDifferential:
         assert len(runs) == 2 + 1 + 6
         assert fast["model"][3] == 7
         assert [entry[4] for entry in fast["reports"]] == list(range(1, 8))
+
+    def test_a_later_addition_opening_a_processor_comes_last(self):
+        """Priorities list processors by their first timed contract, so the
+        processor the run's second addition opens comes after the one the
+        installed base's last contract opened."""
+        base = [make_contract(name, 0.1, wcet) for name, wcet in
+                [("b0", 0.05), ("b1", 0.03), ("b2", 0.005), ("b3", 0.05)]]
+        requests = [add(make_contract("a0", 0.1, 0.03)),
+                    add(make_contract("a1", 0.1, 0.05))]
+        fast, reference, calls = run_both(lambda: build_platform(3), base,
+                                          requests)
+        assert fast == reference and calls == 0
+        processors = dict(fast["model"][1])
+        assert [processors[task[:-len(".task")]]
+                for task, _ in fast["model"][2]] == \
+            ["cpu0"] * 3 + ["cpu1"] * 2 + ["cpu2"]
 
     #: case -> (the request added between a0 and a1, or appended, and the
     #: refinement step the per-request loop rejects it at: ``None`` when
@@ -434,6 +457,13 @@ PREFIX_CASES = {
         [component("planner", requires=["objects"]),
          component("perception", provides=["objects"])],
         "planner"),
+    # The same, with the client arriving after the run's first addition.
+    "client-before-provider-mid-run": (
+        lambda: build_platform(2),
+        [component("sensor", provides=["raw"]),
+         component("planner", requires=["objects"]),
+         component("perception", provides=["objects"], requires=["raw"])],
+        "planner"),
     # The logger, under-protected one hop from the gateway, sits on the
     # attack path to the asset until the firewall offers a path that
     # avoids it.
@@ -477,7 +507,7 @@ class TestPrefixesThatFail:
         requests = [add(contract) for contract in contracts]
         vouched, reference, calls = run_both(make_platform, [], requests,
                                              wrap=Vouching)
-        if case == "client-before-provider":
+        if case.startswith("client-before-provider"):
             assert vouched == reference and calls == len(requests)
         else:
             assert calls == 0

@@ -3,16 +3,22 @@
 Exercises first-fit/worst-fit/best-fit on exact-fit, overload and
 tie-breaking platforms, plus the redundancy-separation, keep-existing and
 priority-assignment rules — and pins mapping determinism across repeated
-runs and rebuilt engines.
+runs and rebuilt engines.  Two differentials close it: ``map`` against a
+reference that re-derives everything per call, and one
+:class:`MappingState` carried through a run of additions against ``map``
+on every prefix.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.contracts.model import (Contract, RealTimeRequirement,
                                    SafetyRequirement)
-from repro.mcc.mapping import MappingEngine, MappingError, MappingStrategy
+from repro.mcc.mapping import (MappingEngine, MappingError, MappingState,
+                               MappingStrategy)
 from repro.platform.resources import Platform, ProcessingResource
 
 
@@ -214,3 +220,156 @@ class TestPriorityAssignment:
         decision = MappingEngine(platform).map(contracts)
         assert decision.placement["a"] != decision.placement["b"]
         assert decision.priorities == {"a.task": 0, "b.task": 0}
+
+
+# -- differentials -------------------------------------------------------------
+
+
+def reference_map(engine, contracts, existing):
+    """``MappingEngine.map`` re-deriving everything on each call: kept
+    placements summed in contract order, the rest placed heaviest first,
+    then every hosted contract sorted per processor."""
+    existing = existing if engine.keep_existing else {}
+    utilization = {p.name: 0.0 for p in engine.platform.processors()}
+    placement, used = {}, {}
+    group_of = {c.component: c.safety.redundancy_group for c in contracts
+                if c.safety and c.safety.redundancy_group}
+
+    def load(contract):
+        return contract.timing.utilization if contract.timing else 0.0
+
+    def fits(contract, excluded):
+        fitting = [(p.capacity - utilization[p.name], p)
+                   for p in engine.platform.processors()
+                   if p.name not in excluded
+                   and load(contract) <= p.capacity - utilization[p.name] + 1e-12]
+        if not fitting:
+            return None
+        if engine.strategy is MappingStrategy.FIRST_FIT:
+            return fitting[0][1].name
+        pick = max if engine.strategy is MappingStrategy.WORST_FIT else min
+        return pick(fitting, key=lambda item: (item[0], item[1].name))[1].name
+
+    def note(contract, processor):
+        placement[contract.component] = processor
+        utilization[processor] += load(contract)
+        if contract.component in group_of:
+            used.setdefault(group_of[contract.component], set()).add(processor)
+
+    for contract in contracts:
+        if existing.get(contract.component) in utilization:
+            note(contract, existing[contract.component])
+    for contract in sorted((c for c in contracts if c.component not in placement),
+                           key=load, reverse=True):
+        excluded = used.get(group_of.get(contract.component), set())
+        processor = fits(contract, excluded)
+        if processor is None and excluded:
+            processor = fits(contract, set())
+        if processor is None:
+            raise MappingError(f"no processor can host {contract.component!r}")
+        note(contract, processor)
+    hosted = {}
+    for contract in contracts:
+        if contract.timing is not None:
+            hosted.setdefault(placement[contract.component], []).append(contract)
+    priorities = {}
+    for members in hosted.values():
+        members.sort(key=lambda c: (c.timing.deadline, -int(c.asil), c.component))
+        priorities.update((f"{c.component}.task", rank)
+                          for rank, c in enumerate(members))
+    return placement, utilization, priorities
+
+
+def ordered(placement, utilization, priorities):
+    """The three artefacts as ordered item lists, utilizations bit for bit."""
+    return (list(placement.items()),
+            [(name, value.hex()) for name, value in utilization.items()],
+            list(priorities.items()))
+
+
+@st.composite
+def mapping_runs(draw):
+    """An engine over 1-3 processors of unequal capacity and a run of
+    distinct contracts: timed and untimed, with deadline and ASIL ties,
+    redundancy groups and loads that force the group fallback and
+    ``MappingError``."""
+    platform = Platform(name="run")
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        platform.add_processor(ProcessingResource(
+            f"cpu{index}", capacity=draw(st.sampled_from([0.3, 0.5, 0.7, 1.0]))))
+    engine = MappingEngine(platform,
+                           strategy=draw(st.sampled_from(list(MappingStrategy))))
+    contracts = []
+    for index in range(draw(st.integers(min_value=1, max_value=10))):
+        result = Contract(component=f"c{draw(st.integers(0, 99)):02d}_{index}")
+        if draw(st.integers(0, 4)):
+            period = draw(st.sampled_from([0.01, 0.02, 0.05]))
+            utilization = draw(st.sampled_from([0.05, 0.1, 0.15, 0.25, 0.4]))
+            result.add_requirement(RealTimeRequirement(
+                period=period, wcet=utilization * period,
+                deadline=draw(st.sampled_from([None, 0.5 * period]))))
+        asil = draw(st.sampled_from(["QM", "B", "D"]))
+        group = draw(st.sampled_from([None, None, "g0", "g1"]))
+        if asil != "QM" or group is not None:
+            result.add_requirement(SafetyRequirement(asil=asil,
+                                                     redundancy_group=group))
+        contracts.append(result)
+    return engine, contracts
+
+
+class TestMappingDifferentials:
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=mapping_runs(), data=st.data())
+    def test_map_matches_the_rederiving_reference(self, run, data):
+        """Placements kept anywhere in the list (as after an update), stale
+        ones, and engines that keep none."""
+        engine, contracts = run
+        engine.keep_existing = data.draw(st.booleans())
+        names = [p.name for p in engine.platform.processors()] + ["gone"]
+        existing = {c.component: data.draw(st.sampled_from(names))
+                    for c in contracts if data.draw(st.booleans())}
+        try:
+            expected = ordered(*reference_map(engine, contracts, existing))
+        except MappingError:
+            with pytest.raises(MappingError):
+                engine.map(contracts, existing=existing)
+            return
+        decision = engine.map(contracts, existing=existing)
+        assert ordered(decision.placement, decision.utilization,
+                       decision.priorities) == expected
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=mapping_runs(), data=st.data())
+    def test_a_carried_state_matches_map_on_every_prefix(self, run, data):
+        """One state through a run of additions, seeded as the one-pass
+        seeds it (an installed base mapped whole, then kept), gives exactly
+        ``map(prefix, existing=previous placement)`` on every prefix and
+        fails on the same prefix."""
+        engine, contracts = run
+        installed = data.draw(st.integers(min_value=0, max_value=len(contracts)))
+        try:
+            placement = engine.map(contracts[:installed]).placement
+        except MappingError:
+            event("installed base unmappable")
+            return
+        state = MappingState(engine)
+        for position, contract in enumerate(contracts[:installed]):
+            state.keep(contract, placement[contract.component], position)
+        for count in range(installed + 1, len(contracts) + 1):
+            try:
+                expected = engine.map(contracts[:count], existing=placement)
+            except MappingError:
+                with pytest.raises(MappingError):
+                    state.place(contracts[count - 1], count - 1)
+                event("MappingError")
+                return
+            state.place(contracts[count - 1], count - 1)
+            got = state.decision()
+            assert ordered(got.placement, got.utilization, got.priorities) == \
+                ordered(expected.placement, expected.utilization,
+                        expected.priorities), count
+            placement = expected.placement
+        event("whole run mapped")

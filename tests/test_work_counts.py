@@ -12,7 +12,9 @@ shape on the default paths:
   that halts at its canary and is resumed.
 
 Test-side wrappers count, over each run: ``request_change``,
-``replay_change`` and ``MappingEngine.map`` calls; ``request_changes`` runs
+``replay_change`` and ``MappingEngine.map`` calls; placement decisions
+(``MappingEngine._choose_processor`` calls, a redundancy group's fallback
+to a shared processor included); ``request_changes`` runs
 that took the one-pass and those that fell back to per-request integration;
 acceptance runs per viewpoint; configurations synthesized
 (``IntegrationProcess.synthesize_configuration``, one per adoption that
@@ -58,7 +60,7 @@ from repro.service import (AdmissionService, JobState, ResumeRequest,
 GOLDEN = Path(__file__).with_name("work_counts.json")
 
 #: Every count, recorded even when it is zero.
-KEYS = ("request_change", "replay_change", "map", "one_pass",
+KEYS = ("request_change", "replay_change", "map", "placements", "one_pass",
         "per_request_fallback", "acceptance.timing", "acceptance.safety",
         "acceptance.security", "acceptance.resources", "cache.hits",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
@@ -138,6 +140,7 @@ def counting() -> Iterator[Counter]:
     patch(MultiChangeController, "replay_change", counted("replay_change"))
     patch(MultiChangeController, "request_changes", request_changes)
     patch(MappingEngine, "map", counted("map"))
+    patch(MappingEngine, "_choose_processor", counted("placements"))
     patch(IntegrationProcess, "synthesize_configuration", counted("synthesize"))
     for test in VIEWPOINT_TESTS:
         patch(test, "run", counted(f"acceptance.{test.viewpoint}"))
