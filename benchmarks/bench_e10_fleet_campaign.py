@@ -10,11 +10,14 @@ out across a heterogeneous fleet in staged waves.  The series reports
   next to the batched run's provisioning, campaign and total seconds and
   the exact provisioning work: one admission report per baseline contract
   per variant, one acceptance battery run per variant whose baseline
-  passes whole, and its ``MappingEngine.map`` calls: one per variant whose
+  passes whole, its ``MappingEngine.map`` calls (one per variant whose
   baseline passes whole, because the later prefixes extend one carried
-  mapping state, plus one per contract integrated on its own).  Vehicles provision on first touch, so every run touches its
-  whole fleet inside the provisioning timer: the campaign timer then
-  covers admission alone, on both sides of the comparison;
+  mapping state, plus one per contract integrated on its own), and the
+  platform models and acceptance batteries it builds: one of each per
+  variant, never per vehicle).  Vehicles provision on first touch, so
+  every run touches its whole fleet inside the provisioning timer: the
+  campaign timer then covers admission alone, on both sides of the
+  comparison;
 * the staged-rollout safety net: failure injection drives the wave failure
   rate over the policy threshold, the campaign halts at the canary or an
   early wave and rolls the wave back, bounding the blast radius;
@@ -52,6 +55,7 @@ from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
 from repro.mcc.acceptance import TimingAcceptanceTest
 from repro.mcc.controller import MultiChangeController
 from repro.mcc.mapping import MappingEngine
+from repro.platform.resources import Platform
 from repro.scenarios.fleet_campaign import (add_component_update,
                                             run_fleet_campaign_scenario)
 
@@ -78,13 +82,17 @@ def _counting_provisioning() -> Iterator[Dict[str, int]]:
     """Provisioning's work inside the block: the admission reports
     ``MultiChangeController.request_changes`` returns (provisioning is its
     only caller), the acceptance battery runs inside it (timing is each
-    default battery's first test, so its runs count the batteries) and the
-    ``MappingEngine.map`` calls."""
-    counts = {"reports": 0, "battery_runs": 0, "map_calls": 0}
+    default battery's first test, so its runs count the batteries), the
+    ``MappingEngine.map`` calls, the ``Platform`` models built and the
+    default batteries built (one ``TimingAcceptanceTest`` each)."""
+    counts = {"reports": 0, "battery_runs": 0, "map_calls": 0,
+              "platforms": 0, "batteries": 0}
     inside = [0]
     request_changes = MultiChangeController.request_changes
     timing_run = TimingAcceptanceTest.run
     engine_map = MappingEngine.map
+    platform_init = Platform.__init__
+    timing_init = TimingAcceptanceTest.__init__
 
     def counting_requests(self, requests):
         inside[0] += 1
@@ -103,15 +111,27 @@ def _counting_provisioning() -> Iterator[Dict[str, int]]:
         counts["map_calls"] += 1
         return engine_map(self, *args, **kwargs)
 
+    def counting_platform(self, *args, **kwargs):
+        counts["platforms"] += 1
+        platform_init(self, *args, **kwargs)
+
+    def counting_battery(self, *args, **kwargs):
+        counts["batteries"] += 1
+        timing_init(self, *args, **kwargs)
+
     MultiChangeController.request_changes = counting_requests
     TimingAcceptanceTest.run = counting_timing
     MappingEngine.map = counting_map
+    Platform.__init__ = counting_platform
+    TimingAcceptanceTest.__init__ = counting_battery
     try:
         yield counts
     finally:
         MultiChangeController.request_changes = request_changes
         TimingAcceptanceTest.run = timing_run
         MappingEngine.map = engine_map
+        Platform.__init__ = platform_init
+        TimingAcceptanceTest.__init__ = timing_init
 
 
 @contextmanager
@@ -220,6 +240,8 @@ def test_e10_batched_vs_sequential_admission(benchmark):
         "provision_integrations": provisioning["reports"],
         "provision_battery_runs": provisioning["battery_runs"],
         "provision_map_calls": provisioning["map_calls"],
+        "provision_platforms": provisioning["platforms"],
+        "provision_batteries": provisioning["batteries"],
         "baseline_contracts": _baseline_contracts(spec),
     }
     print_table("E10: batched vs sequential fleet admission (target: >= 1.5x)",
@@ -229,6 +251,8 @@ def test_e10_batched_vs_sequential_admission(benchmark):
     assert row["provision_integrations"] == row["baseline_contracts"]
     assert row["provision_battery_runs"] == BATTERY_RUNS[num_variants]
     assert row["provision_map_calls"] == MAP_CALLS[num_variants]
+    assert row["provision_platforms"] == num_variants
+    assert row["provision_batteries"] == num_variants
 
 
 @pytest.mark.benchmark(group="e10-fleet")
@@ -328,6 +352,8 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
         "provision_integrations": provisioning["reports"],
         "provision_battery_runs": provisioning["battery_runs"],
         "provision_map_calls": provisioning["map_calls"],
+        "provision_platforms": provisioning["platforms"],
+        "provision_batteries": provisioning["batteries"],
         "baseline_contracts": _baseline_contracts(spec),
         "campaign_integrations": admissions["request_change"],
         "campaign_replays": admissions["replay_change"],
@@ -340,9 +366,10 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
 @pytest.mark.benchmark(group="e10-fleet")
 def test_e10_fleet_scale(benchmark):
     """Provisioning stays one admission report per baseline contract per
-    variant, and its battery runs and mappings stay per variant, at 10^5
-    vehicles; the campaign integrates once per variant and replays on every
-    other vehicle; the clean rollout covers the whole fleet."""
+    variant, and its battery runs, mappings, platform models and batteries
+    stay per variant, at 10^5 vehicles; the campaign integrates once per
+    variant and replays on every other vehicle; the clean rollout covers
+    the whole fleet."""
     fleet_size = 10_000 if quick_mode() else 100_000
 
     def measure():
@@ -359,6 +386,8 @@ def test_e10_fleet_scale(benchmark):
     assert row["provision_integrations"] == row["baseline_contracts"]
     assert row["provision_battery_runs"] == BATTERY_RUNS[SCALE_VARIANTS]
     assert row["provision_map_calls"] == MAP_CALLS[SCALE_VARIANTS]
+    assert row["provision_platforms"] == SCALE_VARIANTS
+    assert row["provision_batteries"] == SCALE_VARIANTS
     assert row["campaign_integrations"] == SCALE_VARIANTS
     assert row["campaign_replays"] == fleet_size - SCALE_VARIANTS
     assert row["admitted"] == fleet_size

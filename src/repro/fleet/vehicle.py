@@ -4,10 +4,14 @@ A production fleet is not a million copies of the reference vehicle: vehicles
 cluster into *variants* (hardware generations, trim levels, regional builds)
 that differ in processor count and capacity, CAN topology, measured WCETs and
 the set of baseline components.  :func:`generate_fleet` instantiates such a
-fleet deterministically from a single seed — every vehicle carries its own
-:class:`~repro.platform.resources.Platform` model and its own
+fleet deterministically from a single seed.  Every vehicle carries its own
 :class:`~repro.mcc.controller.MultiChangeController`, exactly as the paper's
-in-field update process runs per vehicle.
+in-field update process runs per vehicle.  The MCC admits a change by
+analysing a *model* of the platform, and every vehicle of a variant has the
+same model, so the vehicles of a variant share one
+:class:`~repro.platform.resources.Platform` model and one acceptance
+battery; only a vehicle that deploys (``FleetSpec.deploy``) has a platform
+of its own, which its runtime environment writes tasks and memory into.
 
 The variant structure is what makes fleet-scale admission batchable: vehicles
 of the same variant produce identical candidate task sets for the same
@@ -24,8 +28,8 @@ variant's contracts and admits them in one
 :meth:`~repro.mcc.controller.MultiChangeController.request_changes` call
 (one acceptance run on the whole baseline when every test vouches for it,
 else one integration per contract, with the same reports either way), and
-every later vehicle of that variant is *stamped*: it gets its own platform,
-RTE, acceptance battery and MCC, then adopts the first vehicle's
+every later vehicle of that variant is *stamped*: it gets its own MCC over
+the variant's platform and battery, then adopts the first vehicle's
 :class:`~repro.mcc.controller.MccSnapshot` through
 :meth:`~repro.mcc.controller.MultiChangeController.rollback`.  Stamped
 siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
@@ -129,23 +133,20 @@ class VehicleState:
 
 
 class FleetVehicle:
-    """One simulated vehicle: platform model plus its own MCC.
+    """One simulated vehicle: its own MCC over a platform model.
 
-    Construct it either with its ``platform`` and ``mcc``, or with the
-    ``provisioner`` of a generated fleet, which builds both the first time
-    anything reads either of them (see :func:`generate_fleet`).  Its
-    *baseline*, the MCC state :meth:`restore_state` rewinds to, is the
-    state of the ``mcc`` it was built with, or else its variant's
-    baseline.
+    Construct it either with its ``mcc``, or with the ``provisioner`` of a
+    generated fleet, which builds the MCC the first time anything reads it
+    (see :func:`generate_fleet`).  Its *baseline*, the MCC state
+    :meth:`restore_state` rewinds to, is the state of the ``mcc`` it was
+    built with, or else its variant's baseline.
     """
 
     def __init__(self, index: int, variant: VehicleVariant,
-                 platform: Optional[Platform] = None,
                  mcc: Optional[MultiChangeController] = None, *,
                  provisioner: Optional["FleetProvisioner"] = None) -> None:
-        if (platform is None or mcc is None) == (provisioner is None):
-            raise ValueError("a fleet vehicle needs its platform and MCC, "
-                             "or a provisioner, but not both")
+        if (mcc is None) == (provisioner is None):
+            raise ValueError("pass exactly one of mcc and provisioner")
         self.index = index
         self.vehicle_id = f"veh{index:04d}"
         self.variant = variant
@@ -154,16 +155,15 @@ class FleetVehicle:
         self.deviating = False
         self.rolled_back = False
         self._provisioner = provisioner
-        self._platform = platform
         self._mcc = mcc
         self._baseline = mcc.snapshot() if mcc is not None else None
 
     @property
     def platform(self) -> Platform:
-        """This vehicle's platform model, provisioned on first read."""
-        if self._mcc is None:
-            self.provision()
-        return self._platform
+        """The platform model this vehicle's MCC integrates against,
+        provisioned on first read: its variant's, or under ``spec.deploy``
+        its own."""
+        return self.mcc.platform
 
     @property
     def mcc(self) -> MultiChangeController:
@@ -176,18 +176,18 @@ class FleetVehicle:
 
     @property
     def provisioned(self) -> bool:
-        """Whether this vehicle's platform and MCC exist yet."""
+        """Whether this vehicle's MCC exists yet."""
         return self._mcc is not None
 
     def provision(self) -> None:
-        """Build this vehicle's platform and MCC now, unless they exist.
+        """Build this vehicle's MCC now, unless it exists.
 
         Raises the fleet's :class:`RuntimeError` when this vehicle is the
         first touched vehicle of its variant and rejects a core component
         of the variant's baseline; the vehicle then stays unprovisioned.
         """
         if self._mcc is None:
-            self._platform, self._mcc = self._provisioner.provision(self)
+            self._mcc = self._provisioner.provision(self)
             self._baseline = self._provisioner.baseline(self.variant)
 
     @property
@@ -336,7 +336,7 @@ def generate_variants(spec: FleetSpec) -> List[VehicleVariant]:
 
 
 def build_vehicle_platform(variant: VehicleVariant, name: str) -> Platform:
-    """A fresh platform model for one vehicle of the given variant."""
+    """A fresh platform model of the given variant."""
     platform = Platform(name=name)
     for index in range(variant.num_processors):
         platform.add_processor(ProcessingResource(f"cpu{index}",
@@ -353,20 +353,25 @@ class FleetProvisioner:
     """Builds a generated fleet's vehicles the first time each is touched.
 
     One per :func:`generate_fleet` call.  It holds what provisioning reads
-    -- the spec, the shared analysis cache and the
-    ``extra_acceptance_tests`` factory -- plus the baseline each variant's
-    first touched vehicle admitted, which every later vehicle of the
-    variant adopts.
+    -- the spec, each variant's platform model, the shared analysis cache
+    and the ``extra_acceptance_tests`` factory -- plus, per touched
+    variant, the acceptance battery every vehicle of the variant
+    integrates with and the baseline its first touched vehicle admitted,
+    which every later vehicle of the variant adopts.
     """
 
-    def __init__(self, spec: FleetSpec,
+    def __init__(self, spec: FleetSpec, platforms: List[Platform],
                  analysis_cache: Optional[AnalysisCache] = None,
                  extra_acceptance_tests: Optional[
                      Callable[[VehicleVariant, Platform],
                               List[AcceptanceTest]]] = None) -> None:
         self.spec = spec
+        #: Variant index -> the variant's platform model.
+        self.platforms = platforms
         self.analysis_cache = analysis_cache
         self.extra_acceptance_tests = extra_acceptance_tests
+        #: Variant index -> the variant's acceptance battery.
+        self._batteries: Dict[int, List[AcceptanceTest]] = {}
         #: Variant index -> (adopted baseline, baseline reports) of the
         #: variant's first touched vehicle.
         self._baselines: Dict[int, Tuple[MccSnapshot,
@@ -376,22 +381,25 @@ class FleetProvisioner:
         """The adopted baseline of ``variant`` (provisioned already)."""
         return self._baselines[variant.index][0]
 
-    def provision(self, vehicle: FleetVehicle
-                  ) -> Tuple[Platform, MultiChangeController]:
-        """``vehicle``'s own platform and MCC, its baseline deployed."""
+    def provision(self, vehicle: FleetVehicle) -> MultiChangeController:
+        """``vehicle``'s own MCC over its variant's platform model and
+        acceptance battery, its baseline deployed.  Under ``spec.deploy``
+        the MCC gets a platform of its own instead, shared only with its
+        RTE, which writes the deployed tasks and memory into it."""
         spec, variant = self.spec, vehicle.variant
-        platform = build_vehicle_platform(variant,
-                                          name=f"{vehicle.vehicle_id}-platform")
+        platform = self.platforms[variant.index]
+        battery = self._batteries.get(variant.index)
+        if battery is None:
+            battery = default_acceptance_tests(cache=self.analysis_cache)
+            if self.extra_acceptance_tests is not None:
+                battery += self.extra_acceptance_tests(variant, platform)
+            self._batteries[variant.index] = battery
+        if spec.deploy:
+            platform = build_vehicle_platform(variant, vehicle.vehicle_id)
         rte = RuntimeEnvironment(platform) if spec.deploy else None
-        acceptance_tests = None
-        if self.extra_acceptance_tests is not None:
-            acceptance_tests = (
-                default_acceptance_tests(cache=self.analysis_cache)
-                + list(self.extra_acceptance_tests(variant, platform)))
         mcc = MultiChangeController(platform, rte=rte,
-                                    acceptance_tests=acceptance_tests,
-                                    mapping_strategy=spec.mapping_strategy,
-                                    analysis_cache=self.analysis_cache)
+                                    acceptance_tests=battery,
+                                    mapping_strategy=spec.mapping_strategy)
         baseline = self._baselines.get(variant.index)
         if baseline is None:
             requests = [ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
@@ -410,20 +418,22 @@ class FleetProvisioner:
             snapshot, reports = baseline
             mcc.rollback(snapshot)
             mcc.reports = list(reports)
-        return platform, mcc
+        return mcc
 
 
-def _check_core_stack(variant: VehicleVariant, spec: FleetSpec) -> None:
-    """Raise provisioning's core :class:`RuntimeError` if the variant's
-    platform cannot host its core stack.
+def _variant_platform(variant: VehicleVariant, spec: FleetSpec) -> Platform:
+    """The platform model every vehicle of ``variant`` integrates against.
 
-    Integration maps the core contracts first, one at a time, each keeping
-    the placements before it, so carrying one mapping state through them,
-    placing one contract at a time, decides every mapping rejection of a
-    core component -- the only kind of core rejection seen in sweeps over
-    the generated fleet shapes.  Rejections that only the acceptance tests
-    can decide still raise when the variant's first vehicle is touched.
+    Raises provisioning's core :class:`RuntimeError` if it cannot host the
+    variant's core stack.  Integration maps the core contracts first, one
+    at a time, each keeping the placements before it, so carrying one
+    mapping state through them, placing one contract at a time, decides
+    every mapping rejection of a core component -- the only kind of core
+    rejection seen in sweeps over the generated fleet shapes.  Rejections
+    that only the acceptance tests can decide still raise when the
+    variant's first vehicle is touched.
     """
+    platform = build_vehicle_platform(variant, f"variant{variant.index}-platform")
     documents = [_scaled(document, variant) for document in _BASELINE_DOCUMENTS]
     # Every processor of the variant has the same capacity and the core
     # contracts form no redundancy group, so a core stack that fits on one
@@ -432,16 +442,16 @@ def _check_core_stack(variant: VehicleVariant, spec: FleetSpec) -> None:
     # dwarfs the rounding of the engine's own utilization sums.
     if sum(document["timing"]["wcet"] / document["timing"]["period"]
            for document in documents) <= variant.capacity - 1e-9:
-        return
-    state = MappingState(MappingEngine(
-        build_vehicle_platform(variant, name="core-check"),
-        strategy=spec.mapping_strategy))
+        return platform
+    state = MappingState(MappingEngine(platform,
+                                       strategy=spec.mapping_strategy))
     for position, contract in enumerate(ContractParser().parse_many(documents)):
         try:
             state.place(contract, position)
         except MappingError as error:
             raise RuntimeError(f"vehicle {variant.index} rejected its "
                                f"baseline: {error}") from None
+    return platform
 
 
 def generate_fleet(spec: FleetSpec,
@@ -452,8 +462,8 @@ def generate_fleet(spec: FleetSpec,
                    ) -> List[FleetVehicle]:
     """Instantiate a fleet whose vehicles provision on first touch.
 
-    Every returned vehicle has its id, index and variant at once.  Its
-    platform and MCC are built the first time anything reads either of them
+    Every returned vehicle has its id, index and variant at once.  Its MCC
+    is built the first time anything reads it or the vehicle's platform
     (a campaign wave staging it, an update factory, or
     :meth:`FleetVehicle.provision`).  The first touched vehicle of each
     variant parses the variant's baseline contracts and admits them, as one
@@ -465,45 +475,51 @@ def generate_fleet(spec: FleetSpec,
     Either way the vehicle records one report per contract, exactly as
     per-contract integration would.  A rejected core component raises
     :class:`RuntimeError` naming that vehicle, which stays unprovisioned.
-    Every later vehicle of the variant is stamped from it:
-    it gets its own platform, RTE (``spec.deploy``), acceptance battery and
-    MCC, adopts the first vehicle's baseline snapshot (deploying it on its
-    own platform) and holds the first vehicle's baseline reports in its own
-    ``reports`` list.  The stamped state is shared and read-only; see the
-    module docstring.  Stamping is exact because integration is a pure
-    function of the contracts, the platform shape and the acceptance
-    battery, all of which depend on the variant alone, so the order in
-    which vehicles are touched changes no vehicle's state.  Touching the
-    whole fleet admits the baseline contract count summed over the
-    distinct variants, whatever the fleet size.
+    Every later vehicle of the variant is stamped from it: it gets its own
+    MCC over the variant's platform model and acceptance battery (and,
+    under ``spec.deploy``, its own platform and RTE), adopts the first
+    vehicle's baseline snapshot and holds the first vehicle's baseline
+    reports in its own ``reports`` list.  The stamped state is shared and
+    read-only; see the module docstring.  Stamping is exact because
+    integration is a pure function of the contracts, the platform shape
+    and the acceptance battery, all of which depend on the variant alone,
+    so the order in which vehicles are touched changes no vehicle's state.
+    Touching the whole fleet admits the baseline contract count summed
+    over the distinct variants, whatever the fleet size.
 
-    Before it builds any vehicle, ``generate_fleet`` maps every variant's
-    core stack onto the variant's platform, in variant order, and raises
-    the same :class:`RuntimeError`, naming the variant's first vehicle,
-    when a core component cannot be placed.
+    Before it builds any vehicle, ``generate_fleet`` builds every variant's
+    platform model, maps the variant's core stack onto it, in variant
+    order, and raises the same :class:`RuntimeError`, naming the variant's
+    first vehicle, when a core component cannot be placed.  Integration
+    and the acceptance tests only read a platform model, so every vehicle
+    of the variant integrates against that one model; only a deploying
+    vehicle's RTE writes to a platform, which is why it has its own.
 
     Pass a shared :class:`AnalysisCache` to let all vehicles' timing
     acceptance tests share one content-addressed store plus one incremental
-    engine (the batched-admission mode); without it every vehicle admits in
-    isolation (the sequential baseline).  Either way the fleet is a pure
-    function of ``spec`` — verdicts cannot depend on the cache, nor on
-    when each vehicle is touched.  The cache and its engine see the same
-    misses as if every touched vehicle had admitted its own baseline;
-    only the sibling hits are gone.
+    engine (the batched-admission mode); without it every timing analysis
+    runs cold and every vehicle admits in isolation (the sequential
+    baseline).  Either way the fleet is a pure function of ``spec`` —
+    verdicts cannot depend on the cache, nor on when each vehicle is
+    touched.  The cache and its engine see the same misses as if every
+    touched vehicle had admitted its own baseline; only the sibling hits
+    are gone.
 
-    ``extra_acceptance_tests`` optionally extends every vehicle's default
-    viewpoint battery: the factory is called once per vehicle with its
-    variant and platform and returns additional tests (e.g. a
+    ``extra_acceptance_tests`` optionally extends the default viewpoint
+    battery: the factory is called once per touched variant, with the
+    variant and its platform model, and returns additional tests (e.g. a
     :class:`~repro.mcc.acceptance.DistributedTimingAcceptanceTest` checking
     cross-ECU end-to-end deadlines during campaign admission).  The tests
     it returns must depend only on the variant (the platform's shape, never
-    its name or identity): a stamped vehicle inherits the first vehicle's
-    baseline verdicts without running its own battery.
+    its name or identity): every vehicle of the variant runs the same
+    tests, and a stamped vehicle inherits the first vehicle's baseline
+    verdicts without running them.
     """
     variants = generate_variants(spec)
-    for variant in variants[:spec.size]:
-        _check_core_stack(variant, spec)
-    provisioner = FleetProvisioner(spec, analysis_cache, extra_acceptance_tests)
+    platforms = [_variant_platform(variant, spec)
+                 for variant in variants[:spec.size]]
+    provisioner = FleetProvisioner(spec, platforms, analysis_cache,
+                                   extra_acceptance_tests)
     return [FleetVehicle(index, variants[index % len(variants)],
                          provisioner=provisioner)
             for index in range(spec.size)]

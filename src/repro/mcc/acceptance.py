@@ -21,7 +21,6 @@ from repro.analysis.compositional import (CanAnalysisError, CauseEffectChain,
                                           SystemConfigurationError)
 from repro.analysis.compositional import SystemModel as AnalysisSystemModel
 from repro.analysis.cpa import ResponseTimeAnalysis
-from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.analysis.safety import SafetyAnalysis
 from repro.analysis.threat import ThreatModel
 from repro.contracts.model import Contract
@@ -97,9 +96,8 @@ class TimingAcceptanceTest:
     processor busy-window analyses are memoized on the task-set fingerprint:
     in a change campaign only the processor whose task set actually changed
     is re-analysed, the others are answered from the cache.  Without a
-    cache, a private :class:`IncrementalResponseTimeAnalysis` engine still
-    carries busy-window state across change requests, so the changed
-    processor itself is only re-analysed below the priority of its delta.
+    cache, every run analyses every processor cold.  The test holds no
+    state apart from the cache, so one instance can serve many MCCs.
     """
 
     viewpoint = "timing"
@@ -108,7 +106,6 @@ class TimingAcceptanceTest:
                  cache: Optional[AnalysisCache] = None) -> None:
         self.speed_factor = speed_factor
         self.cache = cache
-        self._engine = IncrementalResponseTimeAnalysis() if cache is None else None
 
     def monotone(self, contracts: List[Contract]) -> bool:
         """Always: deadline-monotonic order is a total order that does not
@@ -128,7 +125,7 @@ class TimingAcceptanceTest:
             if self.cache is not None:
                 results = self.cache.analyse(taskset, speed_factor=self.speed_factor)
             else:
-                results = self._engine.analyse(taskset, speed_factor=self.speed_factor)
+                results = analysis.analyse()
             for task_name, result in results.items():
                 if result.wcrt is not None:
                     metrics[f"{task_name}.wcrt"] = result.wcrt

@@ -277,6 +277,7 @@ class AdmissionService:
         for vehicle in job.fleet or ():
             vehicle.restore_state(VehicleState(vehicle.vehicle_id))
         job.state = JobState.ROLLED_BACK
+        self._release(job)
         await job._notify()
         return self.status(job.job_id)
 
@@ -360,11 +361,11 @@ class AdmissionService:
     def _release(job: _Job) -> None:
         """Drop what only a resume or a rollback reads.
 
-        A COMPLETED or FAILED job can do neither, and the service keeps
-        every finished job, so its fleet and cache would otherwise stay in
-        memory for the service's lifetime.  A job that failed after a
-        resume keeps reporting the aggregate of its parked checkpoint, a
-        short wave log, in :meth:`status`.
+        A COMPLETED, FAILED or ROLLED_BACK job can do neither, and the
+        service keeps every finished job, so its fleet and cache would
+        otherwise stay in memory for the service's lifetime.  A job that
+        failed after a resume keeps reporting the aggregate of its parked
+        checkpoint, a short wave log, in :meth:`status`.
         """
         job.fleet = job.cache = None
 

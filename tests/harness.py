@@ -214,9 +214,11 @@ def generate_fleet_integrating_each(
     instead of adopting the first same-variant vehicle's baseline.  So it
     is also the reference for the one acceptance run with which
     :meth:`MultiChangeController.request_changes` admits that vehicle's
-    baseline.  Its vehicles are built with their platform and MCC, so they
-    have no provisioner and checkpoint every state with an explicit
-    snapshot.
+    baseline.  Every vehicle also builds its own platform model and
+    acceptance battery, where :func:`generate_fleet` shares one of each per
+    variant, so it is the reference that shows the sharing changes nothing.
+    Its vehicles are built with their MCC, so they have no provisioner and
+    checkpoint every state with an explicit snapshot.
     """
     variants = generate_variants(spec)
     contracts_by_variant = {variant.index: variant_contracts(variant, spec)
@@ -239,7 +241,7 @@ def generate_fleet_integrating_each(
             if not report.accepted and contract.component in _CORE_COMPONENTS:
                 raise RuntimeError(
                     f"vehicle {index} rejected its baseline: {report.summary()}")
-        vehicles.append(FleetVehicle(index, variant, platform, mcc))
+        vehicles.append(FleetVehicle(index, variant, mcc))
     return vehicles
 
 

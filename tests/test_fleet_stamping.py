@@ -31,6 +31,9 @@ reached), a provisioning error
 leaves the campaign at a wave boundary, and the sharing is pinned to be
 invisible: a change adopted, rejected or rolled back on one vehicle never
 reaches the siblings it was stamped with or whose admission it replayed.
+The vehicles of a variant share one platform model and one acceptance
+battery, which no campaign writes to; only a deploying vehicle has a
+platform of its own.
 """
 
 from __future__ import annotations
@@ -46,12 +49,14 @@ from hypothesis import strategies as st
 
 from harness import generate_fleet_eagerly, generate_fleet_integrating_each
 from repro.analysis.cache import AnalysisCache
+from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.contracts.language import ContractParser, ContractSerializer
 from repro.fleet.adversity import (IntrusionAdversity, LossyDeliveryAdversity,
                                    ThermalAdversity)
 from repro.fleet.campaign import Campaign, CampaignCheckpoint, WavePolicy
 from repro.fleet.engine import CampaignEngine
-from repro.fleet.vehicle import (FleetSpec, VehicleState, generate_fleet,
+from repro.fleet.vehicle import (FleetSpec, VehicleState,
+                                 build_vehicle_platform, generate_fleet,
                                  generate_variants, variant_contracts)
 from repro.mcc.acceptance import (AcceptanceResult, DistributedChainSpec,
                                   DistributedTimingAcceptanceTest, MessageSpec,
@@ -123,6 +128,24 @@ def rte_state(vehicle):
                for task in processor.taskset],
               processor.memory_allocated_kib)
              for processor in vehicle.platform.processors()])
+
+
+def platform_state(platform):
+    """What a platform model holds: its processors' capacities, hosted
+    tasks and memory allocations, and its networks' bandwidth
+    allocations."""
+    return (platform.name,
+            [(processor.name, processor.capacity, processor.memory_kib,
+              processor.condition.speed_factor,
+              [(task.name, task.priority, task.period, task.wcet)
+               for task in processor.taskset],
+              processor.memory_allocated_kib)
+             for processor in platform.processors()],
+            [(network.name, network.kind, network.bandwidth_bps,
+              network.allocations())
+             for network in platform.networks()],
+            [(memory.name, memory.partitions())
+             for memory in platform.memories()])
 
 
 # -- updates ------------------------------------------------------------------
@@ -560,6 +583,78 @@ class TestProvisioningWork:
             [True] * 2 + [False] * 14
 
 
+class TestSharedPerVariant:
+    """One platform model and one acceptance battery per variant."""
+
+    def test_a_campaign_leaves_every_variant_platform_as_built(self):
+        """Without ``deploy`` nothing writes to a platform model: a
+        campaign with failure injection, refinements and a halting
+        rollback leaves every variant's platform equal to a fresh build."""
+        spec = FleetSpec(size=24, seed=3, num_variants=3, extra_components=3)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
+        result = Campaign(fleet, add_update(0.3),
+                          policy=WavePolicy(max_failure_rate=0.34,
+                                            refine_on_deviation=True),
+                          analysis_cache=cache, failure_injection_rate=0.2,
+                          feedback_seed=3).run()
+        assert result.halted and result.rolled_back == 15
+        assert [record.refined for record in result.waves] == [0, 0, 1, 7]
+        assert all(vehicle.provisioned for vehicle in fleet)
+        platforms = {vehicle.variant.index: vehicle.platform
+                     for vehicle in fleet}
+        assert len(set(map(id, platforms.values()))) == 3
+        for vehicle in fleet:
+            assert vehicle.platform is platforms[vehicle.variant.index]
+        for variant in generate_variants(spec):
+            platform = platforms[variant.index]
+            assert platform_state(platform) == platform_state(
+                build_vehicle_platform(variant, platform.name))
+
+    def test_extra_tests_are_built_once_per_touched_variant(self):
+        """The ``extra_acceptance_tests`` factory runs when a variant is
+        first touched, with the variant's platform model, and every
+        vehicle of the variant shares the battery it extends."""
+        calls = []
+
+        def factory(variant, platform):
+            calls.append((variant, platform))
+            return [RejectComponent("absent")]
+
+        spec = FleetSpec(size=12, seed=11, num_variants=3,
+                         extra_components=2)
+        fleet = generate_fleet(spec, extra_acceptance_tests=factory)
+        assert calls == []
+        assert Campaign(fleet, add_update(), feedback_seed=11).run().completed
+        assert [variant.index for variant, _ in calls] == [0, 1, 2]
+        for variant, platform in calls:
+            vehicles = [v for v in fleet if v.variant == variant]
+            battery = vehicles[0].mcc.process.acceptance_tests
+            assert battery[-1].viewpoint == "policy"
+            for vehicle in vehicles:
+                assert vehicle.platform is platform
+                assert vehicle.mcc.process.acceptance_tests is battery
+
+    def test_a_cache_less_campaign_builds_no_incremental_engine(
+            self, monkeypatch):
+        """Without a cache the timing test analyses cold, so sequential
+        admission builds no incremental engine."""
+        built = []
+        init = IncrementalResponseTimeAnalysis.__init__
+
+        def counting(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalResponseTimeAnalysis, "__init__",
+                            counting)
+        fleet = generate_fleet(FleetSpec(size=16, seed=0, num_variants=4))
+        result = Campaign(fleet, add_update(), batch_admission=False,
+                          feedback_seed=0).run()
+        assert result.completed and result.admitted == 16
+        assert built == []
+
+
 class TestLazyProvisioning:
     """What laziness changes: checkpoints, resumes and provisioning errors."""
 
@@ -727,7 +822,13 @@ class TestSiblingIsolation:
                    in zip(sibling.mcc.reports, first.mcc.reports))
         assert sibling.mcc.reports is not first.mcc.reports
         assert sibling.mcc.expectations is not first.mcc.expectations
-        assert sibling.platform is not first.platform
+        # One platform model and one acceptance battery per variant.
+        other = fleet[1]
+        assert other.variant != first.variant
+        assert sibling.platform is first.platform is not other.platform
+        assert sibling.mcc.process.acceptance_tests \
+            is first.mcc.process.acceptance_tests \
+            is not other.mcc.process.acceptance_tests
         assert sibling.mcc.process is not first.mcc.process
 
     @pytest.mark.parametrize("changed", [0, 2])

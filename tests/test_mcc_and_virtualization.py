@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.cpa import ResponseTimeAnalysis
+from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.can.controller import AcceptanceFilter
 from repro.can.bus import CanBus
 from repro.can.virtualization import VirtualizedCanController
@@ -16,6 +18,7 @@ from repro.mcc.acceptance import (
     SecurityAcceptanceTest,
     TimingAcceptanceTest,
     default_acceptance_tests,
+    tasksets_from_mapping,
 )
 from repro.mcc.configuration import ChangeKind, ChangeRequest, SystemModel
 from repro.mcc.controller import MultiChangeController
@@ -154,6 +157,69 @@ class TestAcceptanceTests:
         result = ResourceAcceptanceTest().run(contracts, {"memory_hog": "cpu0"}, {},
                                               dual_core_platform)
         assert not result.passed
+
+    def test_timing_without_cache_analyses_cold(self, monkeypatch,
+                                                dual_core_platform,
+                                                acc_contracts, parser):
+        """Every run equals a cold analysis of each processor, whatever ran
+        before, and builds no incremental engine."""
+        built = []
+        init = IncrementalResponseTimeAnalysis.__init__
+
+        def counting(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalResponseTimeAnalysis, "__init__",
+                            counting)
+        test = TimingAcceptanceTest()
+        mapping = {"tracker": "cpu0", "actuator": "cpu0", "controller": "cpu1"}
+        priorities = {"actuator.task": 0, "tracker.task": 1,
+                      "controller.task": 0}
+        for wcet in (0.01, 0.03, 0.01, 0.048):
+            contracts = [parser.parse({
+                "component": "tracker",
+                "timing": {"period": 0.05, "wcet": wcet}})] + acc_contracts[1:]
+            expected = {}
+            for processor, taskset in sorted(tasksets_from_mapping(
+                    contracts, mapping, priorities).items()):
+                analysis = ResponseTimeAnalysis(taskset)
+                expected[f"{processor}.utilization"] = analysis.utilization()
+                expected.update((f"{name}.wcrt", response.wcrt)
+                                for name, response in analysis.analyse().items()
+                                if response.wcrt is not None)
+            result = test.run(contracts, mapping, priorities,
+                              dual_core_platform)
+            assert result.metrics == expected
+            assert result.passed == (wcet < 0.04)
+        assert built == []
+
+    def test_one_battery_serves_many_controllers(self, dual_core_platform,
+                                                 acc_contracts, parser):
+        """Two MCCs sharing one default battery, their requests interleaved,
+        decide exactly what each decides with a battery of its own."""
+        hog = parser.parse({"component": "hog",
+                            "timing": {"period": 0.01, "wcet": 0.0095},
+                            "provides": ["hog_svc"]})
+        requests = [[ChangeRequest(ChangeKind.ADD_COMPONENT, c.component, c)
+                     for c in acc_contracts + [hog]],
+                    [ChangeRequest(ChangeKind.ADD_COMPONENT, c.component, c)
+                     for c in [hog] + acc_contracts]]
+
+        def decisions(batteries):
+            controllers = [MultiChangeController(dual_core_platform,
+                                                 acceptance_tests=battery)
+                           for battery in batteries]
+            for pair in zip(*requests):
+                for mcc, request in zip(controllers, pair):
+                    mcc.request_change(request)
+            return [[(report.accepted, report.acceptance_results,
+                      report.findings, report.configuration_version)
+                     for report in mcc.reports] for mcc in controllers]
+
+        shared = default_acceptance_tests()
+        assert decisions([shared, shared]) == \
+            decisions([default_acceptance_tests(), default_acceptance_tests()])
 
     def test_default_battery_covers_mandatory_viewpoints(self):
         viewpoints = {t.viewpoint for t in default_acceptance_tests()}

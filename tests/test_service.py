@@ -243,6 +243,37 @@ class TestReleasedState:
         status, kept = asyncio.run(drive())
         assert status.state == JobState.HALTED and kept
 
+    def test_a_rolled_back_job_releases_its_fleet_and_cache(self,
+                                                            monkeypatch):
+        """Rollback is terminal: after rewinding the fleet, the job drops
+        it and its cache, and still answers ``status`` and ``result``."""
+        vehicles = self.tracked_fleets(monkeypatch)
+        request = SubmitCampaign(tenant="acme", fleet_size=8, seed=3,
+                                 failure_injection_rate=1.0,
+                                 max_failure_rate=0.0)
+
+        async def drive():
+            async with AdmissionService() as service:
+                receipt = await service.submit(request)
+                halted = await service.wait(receipt.job_id)
+                job = service._jobs[receipt.job_id]
+                held = job.cache is not None and len(job.cache) > 0
+                rolled = await service.rollback(
+                    RollbackRequest(job_id=receipt.job_id))
+                gc.collect()
+                released = all(vehicle() is None for vehicle in vehicles)
+                return (halted, held, rolled, released, job.fleet, job.cache,
+                        service.status(receipt.job_id),
+                        service.result(receipt.job_id))
+
+        halted, held, rolled, released, fleet, cache, status, result = \
+            asyncio.run(drive())
+        assert halted.state == JobState.HALTED and held
+        assert len(vehicles) == request.fleet_size and released
+        assert fleet is None and cache is None
+        assert rolled == status and status.state == JobState.ROLLED_BACK
+        assert result.halted_wave == 0
+
 
 class TestTenancyIdentity:
     def test_results_match_isolated_runs(self):
@@ -317,12 +348,12 @@ class TestOperatorControl:
             async with AdmissionService() as service:
                 receipt = await service.submit(request)
                 await service.wait(receipt.job_id)
+                fleet = service._jobs[receipt.job_id].fleet
                 rolled = await service.rollback(
                     RollbackRequest(job_id=receipt.job_id))
                 assert rolled.state == JobState.ROLLED_BACK
-                job = service._jobs[receipt.job_id]
                 assert all(not vehicle.updated and not vehicle.rolled_back
-                           for vehicle in job.fleet)
+                           for vehicle in fleet)
                 with pytest.raises(ServiceError, match="only halted"):
                     await service.resume(ResumeRequest(job_id=receipt.job_id))
                 return rolled

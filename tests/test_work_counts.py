@@ -22,7 +22,9 @@ derives its own state, none for a replay); analysis-cache hits, misses and
 ``analyse_many`` lanes; the incremental engines' cold and warm-started
 fixpoints and reused tasks; deviations raised (observations that
 ``ExpectedBehaviour.violated_by`` flags); ``ExpectedBehaviour`` objects
-constructed; vehicles provisioned;
+constructed; vehicles provisioned; platform models built (``Platform``
+constructions) and default acceptance batteries built
+(``TimingAcceptanceTest`` constructions, one per battery);
 vehicle states captured and restored (every resume rewinds its fleet);
 the JSON document bytes of every checkpoint taken; and service resumes.
 Every count must equal ``tests/work_counts.json``.  A change that moves a
@@ -53,6 +55,7 @@ from repro.mcc.controller import MultiChangeController
 from repro.mcc.integration import IntegrationProcess
 from repro.mcc.mapping import MappingEngine
 from repro.monitoring.deviation import ExpectedBehaviour
+from repro.platform.resources import Platform
 from repro.scenarios.fleet_campaign import build_update_contract
 from repro.service import (AdmissionService, JobState, ResumeRequest,
                            SubmitCampaign)
@@ -66,7 +69,8 @@ KEYS = ("request_change", "replay_change", "map", "placements", "one_pass",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
         "engine.warm", "engine.reused", "deviations", "expectations",
         "vehicles_provisioned", "capture_state", "restore_state",
-        "checkpoint_bytes", "service.resumes", "synthesize")
+        "checkpoint_bytes", "service.resumes", "synthesize", "platforms",
+        "batteries")
 
 VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
                    acceptance.SafetyAcceptanceTest,
@@ -150,6 +154,8 @@ def counting() -> Iterator[Counter]:
     patch(ExpectedBehaviour, "violated_by", violated_by)
     patch(ExpectedBehaviour, "__init__", counted("expectations"))
     patch(FleetProvisioner, "provision", counted("vehicles_provisioned"))
+    patch(Platform, "__init__", counted("platforms"))
+    patch(acceptance.TimingAcceptanceTest, "__init__", counted("batteries"))
     patch(FleetVehicle, "capture_state", counted("capture_state"))
     patch(FleetVehicle, "restore_state", counted("restore_state"))
     patch(CampaignEngine, "checkpoint", checkpoint)
