@@ -27,7 +27,9 @@ out across a heterogeneous fleet in staged waves.  The series reports
   never wall time.  Its campaign integrates once per variant and every
   other vehicle replays: ``campaign_integrations`` and
   ``campaign_replays`` count the ``request_change`` and ``replay_change``
-  calls inside ``Campaign.run()``.
+  calls inside ``Campaign.run()``, and ``campaign_reports`` the
+  ``IntegrationReport`` objects it builds, one per integration, because a
+  replayed vehicle shares its precedent's report.
 
 Run as a script (``python benchmarks/bench_e10_fleet_campaign.py --scale
 N``) it prints the scale case's payload for an ``N``-vehicle fleet as JSON.
@@ -53,6 +55,7 @@ from repro.fleet.campaign import Campaign, CampaignResult, WavePolicy
 from repro.fleet.vehicle import (FleetSpec, generate_fleet, generate_variants,
                                  variant_contracts)
 from repro.mcc.acceptance import TimingAcceptanceTest
+from repro.mcc.configuration import IntegrationReport
 from repro.mcc.controller import MultiChangeController
 from repro.mcc.mapping import MappingEngine
 from repro.platform.resources import Platform
@@ -136,10 +139,12 @@ def _counting_provisioning() -> Iterator[Dict[str, int]]:
 
 @contextmanager
 def _counting_admissions() -> Iterator[Dict[str, int]]:
-    """The ``request_change`` and ``replay_change`` calls inside the
-    block."""
-    counts = {"request_change": 0, "replay_change": 0}
-    originals = {name: getattr(MultiChangeController, name) for name in counts}
+    """The ``request_change`` and ``replay_change`` calls and the
+    ``IntegrationReport`` constructions inside the block."""
+    counts = {"request_change": 0, "replay_change": 0, "reports": 0}
+    originals = {name: getattr(MultiChangeController, name)
+                 for name in ("request_change", "replay_change")}
+    report_init = IntegrationReport.__init__
 
     def counting(name):
         def wrapper(self, *args):
@@ -147,13 +152,19 @@ def _counting_admissions() -> Iterator[Dict[str, int]]:
             return originals[name](self, *args)
         return wrapper
 
-    for name in counts:
+    def counting_report(self, *args, **kwargs):
+        counts["reports"] += 1
+        report_init(self, *args, **kwargs)
+
+    for name in originals:
         setattr(MultiChangeController, name, counting(name))
+    IntegrationReport.__init__ = counting_report
     try:
         yield counts
     finally:
         for name, original in originals.items():
             setattr(MultiChangeController, name, original)
+        IntegrationReport.__init__ = report_init
 
 
 def _baseline_contracts(spec: FleetSpec) -> int:
@@ -357,6 +368,7 @@ def _scale_payload(fleet_size: int) -> Dict[str, object]:
         "baseline_contracts": _baseline_contracts(spec),
         "campaign_integrations": admissions["request_change"],
         "campaign_replays": admissions["replay_change"],
+        "campaign_reports": admissions["reports"],
         "admitted": result.admitted,
         "waves": len(result.waves),
         "update_coverage": result.update_coverage,
@@ -368,8 +380,8 @@ def test_e10_fleet_scale(benchmark):
     """Provisioning stays one admission report per baseline contract per
     variant, and its battery runs, mappings, platform models and batteries
     stay per variant, at 10^5 vehicles; the campaign integrates once per
-    variant and replays on every other vehicle; the clean rollout covers
-    the whole fleet."""
+    variant, replays on every other vehicle and builds one report per
+    integration; the clean rollout covers the whole fleet."""
     fleet_size = 10_000 if quick_mode() else 100_000
 
     def measure():
@@ -390,6 +402,8 @@ def test_e10_fleet_scale(benchmark):
     assert row["provision_batteries"] == SCALE_VARIANTS
     assert row["campaign_integrations"] == SCALE_VARIANTS
     assert row["campaign_replays"] == fleet_size - SCALE_VARIANTS
+    # One report per integration; a replay shares its precedent's.
+    assert row["campaign_reports"] == row["campaign_integrations"]
     assert row["admitted"] == fleet_size
     assert row["update_coverage"] == 1.0
 

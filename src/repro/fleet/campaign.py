@@ -8,17 +8,18 @@ halts — and optionally rolls back — a wave whose rejection/deviation rate
 exceeds the tolerated threshold.
 
 Batched admission is *verdict dedupe*: vehicles whose model, platform
-shape and request are *identical* (same variant, same adopted contract
-objects, mapping state and version) are one integration, not N.  The first
-vehicle of each equivalence group runs the full process; the rest replay
-its verdict through
-:meth:`~repro.mcc.controller.MultiChangeController.replay_change` and, on
-an acceptance, adopt its resulting ``MccSnapshot`` read-only, as stamped
-vehicles adopt their variant's baseline.  The grouping keys on object
-identity of the adopted contracts, so it is exact: batched and sequential
-admission produce identical wave verdicts and vehicle states, and only
-the wall time differs (the differential harness, the fleet tests and the
-E10 benchmarks all assert this).  Either way a shared
+shape and request are *identical* (same variant, same adopted
+:class:`~repro.mcc.configuration.SystemModel` object, same request
+contract object) are one integration, not N.  The first vehicle of each
+equivalence group runs the full process; the rest replay its decision
+through :meth:`~repro.mcc.controller.MultiChangeController.replay_change`:
+each appends the first vehicle's report to its own history and, on an
+acceptance, adopts its resulting ``MccSnapshot``, both read-only, as
+stamped vehicles adopt their variant's baseline.  An adopted model is
+never mutated, so the grouping is exact: batched and sequential admission
+produce identical wave verdicts, vehicle states and reports (request ids
+aside), and only the wall time differs (the differential harness, the
+fleet tests and the E10 benchmarks all assert this).  Either way a shared
 :class:`~repro.analysis.cache.AnalysisCache` lets every integration reuse
 the analyses of the ones before it.
 

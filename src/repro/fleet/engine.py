@@ -38,13 +38,13 @@ wave cursor, the straggler/retry carry, the stall guard and the running
 state lives on the :class:`~repro.fleet.vehicle.FleetVehicle` objects (MCC
 model, ``updated``/``deviating``/``rolled_back`` flags), the adversity
 state on the adversity model, and the verdict table of batched admission
-(``precedents``, keyed on object identity, see
-:meth:`CampaignEngine._equivalence_key`) on the engine.  None of it goes
-into a checkpoint, because all of it is a deterministic function of the
-fleet's baseline and the waves run since: admission follows from the
-contracts, platform models and requests, the feedback draws derive from
-``(feedback_seed, vehicle.index)`` and every adversity decision from its
-model's seeded streams.
+(``precedents``, keyed on each vehicle's adopted model object and its
+request, see :meth:`CampaignEngine._equivalence_key`) on the engine.
+None of it goes into a checkpoint, because all of it is a deterministic
+function of the fleet's baseline and the waves run since: admission
+follows from the contracts, platform models and requests, the feedback
+draws derive from ``(feedback_seed, vehicle.index)`` and every adversity
+decision from its model's seeded streams.
 
 So a checkpoint is the log of the committed waves, and a resume is a
 replay: the engine rewinds every vehicle to its baseline
@@ -158,11 +158,13 @@ class CampaignEngine:
         self.plan = plan_waves(campaign.vehicles, campaign.policy)
         #: request-equivalence key -> (report, ``mcc.snapshot()`` after it)
         #: of the vehicle that ran the full integration; kept across waves,
-        #: so later waves of unchanged same-variant vehicles adopt wave 1's.
+        #: so later waves of unchanged same-variant vehicles adopt wave 1's
+        #: model and its report.
         self.precedents: Dict[Tuple, Tuple[IntegrationReport, MccSnapshot]] = {}
-        #: Objects whose id() is baked into a stored precedent key.  Holding
-        #: them prevents garbage collection from recycling an id into a new
-        #: contract mid-campaign, which could falsely match a stale key.
+        #: Request contracts whose id() is baked into a stored precedent
+        #: key.  Holding them prevents garbage collection from recycling an
+        #: id into a new contract mid-campaign, which could falsely match a
+        #: stale key.  The key holds the adopted model itself.
         self.pinned: List[object] = []
         self._finalized = False
         self.state = CampaignState(
@@ -405,12 +407,11 @@ class CampaignEngine:
                 precedent = self.precedents.get(key)
                 if precedent is None:
                     self.pinned.append(request.contract)
-                    self.pinned.extend(vehicle.mcc.model.contracts())
                     report = vehicle.mcc.request_change(request)
                     self.precedents[key] = (report, vehicle.mcc.snapshot())
                 else:
                     replayed = True
-                    report = vehicle.mcc.replay_change(request, *precedent)
+                    report = vehicle.mcc.replay_change(*precedent)
             else:
                 report = vehicle.mcc.request_change(request)
             if tracer is not None:
@@ -431,27 +432,27 @@ class CampaignEngine:
     def _equivalence_key(vehicle: FleetVehicle, request: ChangeRequest) -> Tuple:
         """Identity of one admission problem, exact within this process.
 
-        Two vehicles with the same platform shape (same variant), the same
-        adopted contract *objects*, mapping/priority state and version, and
-        the same request contract object pose the identical integration
-        problem, so the later one adopts the earlier one's result.  Diverged
-        vehicles (refined WCETs build fresh contract objects, rollbacks
-        restore the previous model) fall out of the group because their
-        object identities differ, and one that re-reached the group's state
-        (an addition and its removal) because its version does.
+        Two vehicles of the same variant (same platform model) that hold the
+        same adopted :class:`~repro.mcc.configuration.SystemModel` *object*
+        and receive the same request contract object pose the identical
+        integration problem, so the later one adopts the earlier one's
+        decision.  An adopted model is never mutated (adoption swaps
+        references), so one model object fixes the contracts, mapping,
+        priorities and version.  Vehicles of one state share that object:
+        stamping and replay adopt it by reference, a rollback restores a
+        captured one and a resume rewinds to the baseline one.  A vehicle
+        that diverged (a refinement, an addition and its removal) holds a
+        model of its own and integrates on its own, and so does one whose
+        model merely equals another's, as under sequential admission.
 
-        Identity-based keys are only sound while the referenced objects stay
-        alive — a recycled ``id`` could alias a stale key — so the engine
-        pins every object that enters a stored precedent key for its
-        lifetime (see :attr:`pinned`).  For the same reason keys never cross
-        a process boundary.
+        The key holds the model itself, which keeps it and its contracts
+        alive.  The request contract enters by ``id`` only, and a recycled
+        ``id`` could alias a stale key, so the engine pins every request
+        contract that enters a stored precedent key for its lifetime (see
+        :attr:`pinned`).  For the same reason keys never cross a process
+        boundary.
         """
-        model = vehicle.mcc.model
-        return (vehicle.variant.index,
-                tuple(sorted((contract.component, id(contract))
-                             for contract in model.contracts())),
-                tuple(sorted(model.mapping.items())),
-                tuple(sorted(model.priorities.items())), model.version,
+        return (vehicle.variant.index, vehicle.mcc.model,
                 request.kind, request.component, id(request.contract))
 
     def _feedback(self, vehicle: FleetVehicle, request: ChangeRequest,

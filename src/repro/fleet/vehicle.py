@@ -36,8 +36,12 @@ siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
 :class:`~repro.platform.rte.RteConfiguration` and baseline
 :class:`~repro.mcc.configuration.IntegrationReport` objects; all of them are
 read-only (adoption swaps references, it never mutates an adopted object),
-so a later change on one vehicle never reaches its siblings.  Each MCC
-derives its expectations from the model it adopted, so none are shared.
+so a later change on one vehicle never reaches its siblings.  A batched
+campaign shares the same way: a replayed vehicle adopts its group's model
+and configuration and appends its group's report (see
+:meth:`~repro.mcc.controller.MultiChangeController.replay_change`).  Each
+MCC derives its expectations from the model it adopted, so none are
+shared.
 A staged campaign touches a vehicle when its wave is staged, so a canary
 verdict waits only for the canary's variants, and a halted campaign never
 provisions the waves it did not reach.

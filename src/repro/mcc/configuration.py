@@ -63,7 +63,15 @@ class RefinementStep:
 
 @dataclass
 class IntegrationReport:
-    """The result of one integration attempt."""
+    """The result of one integration attempt.
+
+    A report is read-only once it is in a controller's history: the MCC
+    fills it in before
+    :meth:`~repro.mcc.controller.MultiChangeController.request_change` or
+    ``request_changes`` returns it and never mutates it afterwards, so
+    stamped and replayed fleet vehicles hold the very report object of the
+    integration they adopted instead of a copy.
+    """
 
     request_id: int
     accepted: bool = False

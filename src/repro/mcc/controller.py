@@ -128,31 +128,24 @@ class MultiChangeController:
         self.reports.extend(reports)
         return reports
 
-    def replay_change(self, request: ChangeRequest, precedent: IntegrationReport,
+    def replay_change(self, precedent: IntegrationReport,
                       adopted: MccSnapshot) -> IntegrationReport:
-        """Decide ``request`` as an equivalent integration did, deriving nothing.
+        """Take an equivalent integration's decision, deriving nothing.
 
         Fleet-scale admission dedupe.  The caller guarantees that
-        ``precedent`` reports a full integration on an identical variant,
-        model state (version included) and request, and that ``adopted`` is
-        that controller's :meth:`snapshot` right after it.  An accepted
-        verdict adopts ``adopted`` through :meth:`rollback`, by reference
-        and read-only, as a stamped fleet vehicle adopts its baseline; a
-        rejection adopts nothing.  The report carries this request's id,
-        the precedent's verdict, per-viewpoint results, findings and
-        configuration version (copied, never aliased) and a ``replay`` step.
+        ``precedent`` reports a full integration of the same request on the
+        same variant and the same adopted model object, and that
+        ``adopted`` is that controller's :meth:`snapshot` right after it.
+        An accepted verdict adopts ``adopted`` through :meth:`rollback`, by
+        reference and read-only, as a stamped fleet vehicle adopts its
+        baseline; a rejection adopts nothing.  Either way ``precedent``
+        itself joins the report history, shared and read-only, as a stamped
+        vehicle's baseline reports do, and is returned.
         """
-        report = IntegrationReport(request_id=request.request_id,
-                                   accepted=precedent.accepted,
-                                   acceptance_results=dict(precedent.acceptance_results),
-                                   findings=list(precedent.findings),
-                                   configuration_version=precedent.configuration_version)
-        report.add_step("replay", "verdict replayed from an equivalent integration",
-                        precedent_request_id=precedent.request_id)
-        if report.accepted:
+        if precedent.accepted:
             self.rollback(adopted)
-        self.reports.append(report)
-        return report
+        self.reports.append(precedent)
+        return precedent
 
     def _adopt(self, candidate: SystemModel, version: int) -> int:
         """Adopt an accepted candidate as ``version`` and deploy it; returns

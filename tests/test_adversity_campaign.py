@@ -46,7 +46,7 @@ from repro.scenarios.fleet_campaign import build_update_contract
 from repro.sim.random import SeededRNG, derive_seed
 
 from test_parallel_campaign import (campaign_digest, fleet_digest,
-                                    verdict_digest)
+                                    report_digest, verdict_digest)
 
 
 def make_factory(utilization=0.22):
@@ -219,9 +219,9 @@ class TestCheckpointResume:
 
 class TestWorkerParity:
     """Both admission paths — batched waves and the sequential per-vehicle
-    oracle — agree for every adversity model.  Digests include the
-    undelivered/retried/abandoned/discounted accounting via the wave
-    ``to_dict`` rows."""
+    oracle — agree for every adversity model, report by report.  Digests
+    include the undelivered/retried/abandoned/discounted accounting via the
+    wave ``to_dict`` rows."""
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -238,6 +238,7 @@ class TestWorkerParity:
                                              seed=seed))
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -260,6 +261,7 @@ class TestWorkerParity:
                                             policy=policy)
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -282,6 +284,7 @@ class TestWorkerParity:
                                             policy=policy, utilization=0.3)
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
 
 class _ReferenceRateIds:

@@ -354,18 +354,14 @@ class TestMccCheckpointing:
                                 component="extra", contract=update)
         precedent = leader.request_change(request)
         assert precedent.accepted
-        replayed = follower.replay_change(
-            ChangeRequest(kind=ChangeKind.ADD_COMPONENT, component="extra",
-                          contract=update),
-            precedent, leader.snapshot())
-        assert replayed.accepted
+        replayed = follower.replay_change(precedent, leader.snapshot())
+        assert replayed is precedent and follower.reports[-1] is precedent
         assert follower.version == leader.version
         assert follower.model is leader.model
         assert follower.model.mapping == leader.model.mapping
         assert follower.model.priorities == leader.model.priorities
         assert follower.deployed_configuration.version == \
             leader.deployed_configuration.version
-        assert replayed.configuration_version == precedent.configuration_version
 
     def test_replay_of_a_rejection_adopts_nothing(self, parser, acc_contracts):
         def fresh_mcc():
@@ -386,16 +382,9 @@ class TestMccCheckpointing:
         precedent = leader.request_change(ChangeRequest(
             kind=ChangeKind.ADD_COMPONENT, component="orphan", contract=orphan))
         assert not precedent.accepted and precedent.findings
-        replayed = follower.replay_change(
-            ChangeRequest(kind=ChangeKind.ADD_COMPONENT, component="orphan",
-                          contract=orphan),
-            precedent, leader.snapshot())
-        assert not replayed.accepted
-        assert replayed.configuration_version is None
-        assert replayed.findings == precedent.findings
-        assert replayed.findings is not precedent.findings
-        assert [step.name for step in replayed.steps] == ["replay"]
-        assert follower.reports[-1] is replayed
+        replayed = follower.replay_change(precedent, leader.snapshot())
+        assert replayed is precedent
+        assert follower.reports[-1] is precedent
         assert follower.model is before.model
         assert follower.deployed_configuration is before.deployed_configuration
         assert follower.expectations == expectations
@@ -444,8 +433,8 @@ class TestMccCheckpointing:
         assert follows(leader)
         assert nominals(leader)["tracker.task"] == pytest.approx(0.018)
 
-        replayed = follower.replay_change(request, precedent, updated)
-        assert replayed.accepted and follower.model is updated.model
+        replayed = follower.replay_change(precedent, updated)
+        assert replayed is precedent and follower.model is updated.model
         assert follows(follower) and nominals(follower)["tracker.task"] == 0.012
 
         follower.rollback(baseline)

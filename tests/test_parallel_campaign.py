@@ -11,7 +11,7 @@ result; a halted campaign resumes — remediated —
 to the result of an uninterrupted run.  The module also holds the campaign
 helpers the other campaign suites share (``make_factory``,
 ``campaign_digest``, ``verdict_digest``, ``fleet_digest``,
-``run_campaign``).
+``report_digest``, ``run_campaign``).
 """
 
 from __future__ import annotations
@@ -73,6 +73,23 @@ def fleet_digest(fleet):
             for vehicle in fleet]
 
 
+def report_digest(fleet):
+    """Per-vehicle priorities and every report's verdict, viewpoint
+    results, findings, configuration version and refinement steps with
+    their artefacts.  Request ids are left out: they come from a
+    process-wide counter, and a replayed vehicle holds its representative's
+    report.  Kept apart from :func:`fleet_digest`, because a resumed
+    vehicle's append-only history also holds its pre-halt reports."""
+    return [(vehicle.vehicle_id,
+             sorted(vehicle.mcc.model.priorities.items()),
+             [(report.accepted, report.acceptance_results, report.findings,
+               report.configuration_version,
+               [(step.name, step.description, step.artefacts)
+                for step in report.steps])
+              for report in vehicle.mcc.reports])
+            for vehicle in fleet]
+
+
 def run_campaign(size, seed, *, failure_rate=0.0, policy=None,
                  cache_path=None, num_variants=4, shared_cache=True,
                  **campaign_kwargs):
@@ -90,7 +107,7 @@ def run_campaign(size, seed, *, failure_rate=0.0, policy=None,
 
 class TestParallelSequentialEquivalence:
     """Batched admission vs the sequential per-vehicle oracle: identical
-    verdicts and rollout state, halt included."""
+    verdicts, rollout state and reports, halt included."""
 
     def test_clean_rollout_equivalence(self):
         fleet_seq, _, sequential = run_campaign(12, seed=1,
@@ -99,6 +116,7 @@ class TestParallelSequentialEquivalence:
         assert batched.batched and not sequential.batched
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
     def test_mid_campaign_halt_equivalence(self):
         """A failure-injected campaign that halts mid-rollout: identical
@@ -114,6 +132,7 @@ class TestParallelSequentialEquivalence:
         assert sequential.halted and sequential.halted_wave >= 1
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
         rollback_seq = [v.vehicle_id for v in fleet_seq if v.rolled_back]
         rollback_bat = [v.vehicle_id for v in fleet_bat if v.rolled_back]
         assert rollback_bat == rollback_seq
@@ -141,6 +160,7 @@ class TestParallelSequentialEquivalence:
                                              shared_cache=shared_cache)
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -173,6 +193,7 @@ class TestParallelSequentialEquivalence:
                                              cache_path=cache_path)
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
 
 class TestPersistentCache:

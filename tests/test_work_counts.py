@@ -24,7 +24,9 @@ fixpoints and reused tasks; deviations raised (observations that
 ``ExpectedBehaviour.violated_by`` flags); ``ExpectedBehaviour`` objects
 constructed; vehicles provisioned; platform models built (``Platform``
 constructions) and default acceptance batteries built
-(``TimingAcceptanceTest`` constructions, one per battery);
+(``TimingAcceptanceTest`` constructions, one per battery); integration
+reports built (``IntegrationReport`` constructions: one per integrated
+request, none for a replay, which shares its precedent's report);
 vehicle states captured and restored (every resume rewinds its fleet);
 the JSON document bytes of every checkpoint taken; and service resumes.
 Every count must equal ``tests/work_counts.json``.  A change that moves a
@@ -50,7 +52,7 @@ from repro.fleet.engine import CampaignEngine
 from repro.fleet.vehicle import (FleetProvisioner, FleetSpec, FleetVehicle,
                                  generate_fleet)
 from repro.mcc import acceptance
-from repro.mcc.configuration import ChangeKind, ChangeRequest
+from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport
 from repro.mcc.controller import MultiChangeController
 from repro.mcc.integration import IntegrationProcess
 from repro.mcc.mapping import MappingEngine
@@ -70,7 +72,7 @@ KEYS = ("request_change", "replay_change", "map", "placements", "one_pass",
         "engine.warm", "engine.reused", "deviations", "expectations",
         "vehicles_provisioned", "capture_state", "restore_state",
         "checkpoint_bytes", "service.resumes", "synthesize", "platforms",
-        "batteries")
+        "batteries", "reports")
 
 VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
                    acceptance.SafetyAcceptanceTest,
@@ -156,6 +158,7 @@ def counting() -> Iterator[Counter]:
     patch(FleetProvisioner, "provision", counted("vehicles_provisioned"))
     patch(Platform, "__init__", counted("platforms"))
     patch(acceptance.TimingAcceptanceTest, "__init__", counted("batteries"))
+    patch(IntegrationReport, "__init__", counted("reports"))
     patch(FleetVehicle, "capture_state", counted("capture_state"))
     patch(FleetVehicle, "restore_state", counted("restore_state"))
     patch(CampaignEngine, "checkpoint", checkpoint)
