@@ -23,11 +23,12 @@ It also makes provisioning cheap, and lets it wait until a vehicle is
 needed.  A generated vehicle starts with its id, index and variant only;
 its platform and MCC are built the first time anything reads either of
 them.  Every vehicle of a variant reaches the identical MCC state after its
-baseline integrations, so the first touched vehicle of a variant parses the
-variant's contracts and admits them in one
+baseline integrations, so the first touched vehicle of a variant builds the
+variant's contracts from its drawn numbers and admits them in one
 :meth:`~repro.mcc.controller.MultiChangeController.request_changes` call
-(one acceptance run on the whole baseline when every test vouches for it,
-else one integration per contract, with the same reports either way), and
+(one acceptance run on the whole baseline when every test vouches for it
+and it passes; an app the build rejects splits the run, and only that app
+is integrated on its own, with the same reports either way), and
 every later vehicle of that variant is *stamped*: it gets its own MCC over
 the variant's platform and battery, then adopts the first vehicle's
 :class:`~repro.mcc.controller.MccSnapshot` through
@@ -50,11 +51,13 @@ provisions the waves it did not reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.cache import AnalysisCache
-from repro.contracts.language import ContractParser
-from repro.contracts.model import Contract
+from repro.contracts.model import (AsilLevel, Contract, RealTimeRequirement,
+                                   SafetyRequirement, SecurityLevel,
+                                   SecurityRequirement, ServiceProvision,
+                                   ServiceRequirement)
 from repro.mcc.acceptance import AcceptanceTest, default_acceptance_tests
 from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport
 from repro.mcc.controller import MccSnapshot, MultiChangeController
@@ -62,7 +65,7 @@ from repro.mcc.mapping import (MappingEngine, MappingError, MappingState,
                                MappingStrategy)
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
 from repro.platform.rte import RuntimeEnvironment
-from repro.sim.random import SeededRNG
+from repro.sim.random import SeededRNG, child_seed
 
 
 @dataclass(frozen=True)
@@ -236,27 +239,56 @@ class FleetVehicle:
                 f"version={version})")
 
 
-_BASELINE_DOCUMENTS: List[Dict[str, Any]] = [
-    {"component": "perception", "timing": {"period": 0.05, "wcet": 0.010},
-     "safety": {"asil": "B"}, "security": {"level": "MEDIUM"},
-     "provides": ["object_list"]},
-    {"component": "planner", "timing": {"period": 0.1, "wcet": 0.020},
-     "safety": {"asil": "B"}, "security": {"level": "MEDIUM"},
-     "requires": [{"service": "object_list"}], "provides": ["trajectory"]},
-    {"component": "actuation", "timing": {"period": 0.01, "wcet": 0.002},
-     "safety": {"asil": "B"}, "security": {"level": "MEDIUM"},
-     "requires": [{"service": "trajectory"}], "provides": ["actuator_commands"]},
-]
+class _Component(NamedTuple):
+    """A baseline component of a variant, before its WCET is scaled to the
+    variant's build."""
+
+    name: str
+    period: float
+    wcet: float
+    asil: AsilLevel
+    requires: Tuple[str, ...] = ()
+    provides: Tuple[str, ...] = ()
+
+    def contract(self, wcet_factor: float) -> Contract:
+        """This component's contract on a build that scales WCETs by
+        ``wcet_factor``: an implicit-deadline timing requirement, its ASIL,
+        the ``MEDIUM`` security level and its services."""
+        return Contract(
+            component=self.name,
+            requirements=[
+                RealTimeRequirement(period=self.period,
+                                    wcet=self.scaled_wcet(wcet_factor)),
+                SafetyRequirement(asil=self.asil),
+                SecurityRequirement(level=SecurityLevel.MEDIUM)],
+            requires=[ServiceRequirement(service) for service in self.requires],
+            provides=[ServiceProvision(service) for service in self.provides])
+
+    def scaled_wcet(self, wcet_factor: float) -> float:
+        """The WCET on a build that scales WCETs by ``wcet_factor``."""
+        # A variant never ships a baseline that is unschedulable by
+        # construction, so the scaled WCET stays below the implicit deadline.
+        return min(self.wcet * wcet_factor, 0.9 * self.period)
+
+
+_CORE_STACK: Tuple[_Component, ...] = (
+    _Component("perception", 0.05, 0.010, AsilLevel.B,
+               provides=("object_list",)),
+    _Component("planner", 0.1, 0.020, AsilLevel.B,
+               requires=("object_list",), provides=("trajectory",)),
+    _Component("actuation", 0.01, 0.002, AsilLevel.B,
+               requires=("trajectory",), provides=("actuator_commands",)),
+)
 
 #: Components every vehicle must ship; rejecting one of these at fleet
 #: generation time is a bug, rejecting an optional app is a variant trait.
-_CORE_COMPONENTS = frozenset(document["component"] for document in _BASELINE_DOCUMENTS)
+_CORE_COMPONENTS = frozenset(component.name for component in _CORE_STACK)
 
-_TELEMATICS_DOCUMENT: Dict[str, Any] = {
-    "component": "telematics", "timing": {"period": 0.2, "wcet": 0.012},
-    "safety": {"asil": "A"}, "security": {"level": "MEDIUM"},
-    "provides": ["telemetry"],
-}
+_TELEMATICS = _Component("telematics", 0.2, 0.012, AsilLevel.A,
+                         provides=("telemetry",))
+
+#: The ASILs an installed app is drawn from.
+_APP_ASILS = (AsilLevel.QM, AsilLevel.A, AsilLevel.B)
 
 
 def variant_contracts(variant: VehicleVariant, spec: FleetSpec) -> List[Contract]:
@@ -266,64 +298,49 @@ def variant_contracts(variant: VehicleVariant, spec: FleetSpec) -> List[Contract
     the variants that ship it), every variant carries
     ``spec.extra_components`` installed applications with variant-specific
     periods and budgets — production ECUs host tens of components, and that
-    installed base is what makes fleet admission analysis-heavy.
+    installed base is what makes fleet admission analysis-heavy.  The
+    contracts are built from the drawn numbers directly, without a contract
+    document.
     """
-    parser = ContractParser()
-    documents = list(_BASELINE_DOCUMENTS)
+    components = list(_CORE_STACK)
     if variant.has_telematics:
-        documents = documents + [_TELEMATICS_DOCUMENT]
-    rng = SeededRNG(spec.seed).spawn(2_000 + variant.index)
-    extras: List[Dict[str, Any]] = []
+        components.append(_TELEMATICS)
+    rng = SeededRNG(child_seed(spec.seed, 2_000 + variant.index))
+    extras: List[_Component] = []
     for index in range(spec.extra_components):
         # Continuous (non-harmonic) periods: realistic mixed workloads whose
         # busy windows genuinely iterate, unlike neat harmonic period sets.
         period = rng.uniform(0.02, 0.2)
-        extras.append({
-            "component": f"app{index:02d}",
-            "timing": {"period": period, "wcet": period * rng.uniform(0.05, 0.11)},
-            "safety": {"asil": rng.choice(["QM", "A", "B"])},
-            "security": {"level": "MEDIUM"},
-            "provides": [f"service_app{index:02d}"],
-        })
+        wcet = period * rng.uniform(0.05, 0.11)
+        extras.append(_Component(f"app{index:02d}", period, wcet,
+                                 rng.choice(_APP_ASILS),
+                                 provides=(f"service_app{index:02d}",)))
     # Budget the installed base so every variant's baseline is admissible by
     # construction and headroom for one more update remains: the extras'
     # utilization is scaled into what the platform can host beyond the core
     # stack.
-    def util(document: Dict[str, Any]) -> float:
-        timing = document["timing"]
-        return timing["wcet"] * variant.wcet_factor / timing["period"]
-
+    factor = variant.wcet_factor
     budget = 0.8 * variant.num_processors * variant.capacity
-    core_util = sum(util(document) for document in documents)
-    extra_util = sum(util(document) for document in extras)
+    core_util = sum(component.wcet * factor / component.period
+                    for component in components)
+    extra_util = sum(component.wcet * factor / component.period
+                     for component in extras)
     headroom = max(0.0, budget - core_util)
     if extra_util > headroom and extra_util > 0.0:
         shrink = headroom / extra_util
-        for document in extras:
-            document["timing"]["wcet"] *= shrink
+        extras = [component._replace(wcet=component.wcet * shrink)
+                  for component in extras]
         # When the core stack leaves no headroom, the extras shrink to a
         # zero budget: such a build does not install them.
-        extras = [document for document in extras
-                  if document["timing"]["wcet"] > 0.0]
-    return parser.parse_many(_scaled(document, variant)
-                             for document in documents + extras)
-
-
-def _scaled(document: Dict[str, Any], variant: VehicleVariant) -> Dict[str, Any]:
-    """``document`` with its WCET scaled to the variant's build."""
-    timing = dict(document["timing"])
-    # A variant never ships a baseline that is unschedulable by
-    # construction, so the scaled WCET stays below the implicit deadline.
-    timing["wcet"] = min(timing["wcet"] * variant.wcet_factor,
-                         0.9 * timing["period"])
-    return {**document, "timing": timing}
+        extras = [component for component in extras if component.wcet > 0.0]
+    return [component.contract(factor) for component in components + extras]
 
 
 def generate_variants(spec: FleetSpec) -> List[VehicleVariant]:
     """The deterministic variant catalog of a fleet spec."""
     variants: List[VehicleVariant] = []
     for index in range(min(spec.num_variants, max(spec.size, 1))):
-        rng = SeededRNG(spec.seed).spawn(1_000 + index)
+        rng = SeededRNG(child_seed(spec.seed, 1_000 + index))
         spread = spec.heterogeneity
         factor = 1.0 + spread * (2.0 * rng.uniform() - 1.0)
         capacity = min(1.0, max(0.05,
@@ -438,20 +455,20 @@ def _variant_platform(variant: VehicleVariant, spec: FleetSpec) -> Platform:
     variant's first vehicle is touched.
     """
     platform = build_vehicle_platform(variant, f"variant{variant.index}-platform")
-    documents = [_scaled(document, variant) for document in _BASELINE_DOCUMENTS]
+    factor = variant.wcet_factor
     # Every processor of the variant has the same capacity and the core
     # contracts form no redundancy group, so a core stack that fits on one
     # processor fits whatever the strategy places first: no contract can
     # then find less room than the stack minus itself leaves.  The margin
     # dwarfs the rounding of the engine's own utilization sums.
-    if sum(document["timing"]["wcet"] / document["timing"]["period"]
-           for document in documents) <= variant.capacity - 1e-9:
+    if sum(component.scaled_wcet(factor) / component.period
+           for component in _CORE_STACK) <= variant.capacity - 1e-9:
         return platform
     state = MappingState(MappingEngine(platform,
                                        strategy=spec.mapping_strategy))
-    for position, contract in enumerate(ContractParser().parse_many(documents)):
+    for position, component in enumerate(_CORE_STACK):
         try:
-            state.place(contract, position)
+            state.place(component.contract(factor), position)
         except MappingError as error:
             raise RuntimeError(f"vehicle {variant.index} rejected its "
                                f"baseline: {error}") from None
@@ -470,15 +487,18 @@ def generate_fleet(spec: FleetSpec,
     is built the first time anything reads it or the vehicle's platform
     (a campaign wave staging it, an update factory, or
     :meth:`FleetVehicle.provision`).  The first touched vehicle of each
-    variant parses the variant's baseline contracts and admits them, as one
-    ADD request each, through
-    :meth:`MultiChangeController.request_changes`: the contracts are
-    validated and mapped one prefix at a time, and the acceptance battery
-    runs once, on the whole baseline, unless a test cannot vouch for it or
-    the run fails, in which case every contract is integrated in turn.
-    Either way the vehicle records one report per contract, exactly as
-    per-contract integration would.  A rejected core component raises
-    :class:`RuntimeError` naming that vehicle, which stays unprovisioned.
+    variant builds the variant's baseline contracts (see
+    :func:`variant_contracts`) and admits them, as one ADD request each,
+    through :meth:`MultiChangeController.request_changes`: the contracts
+    are validated and mapped one prefix at a time, and the acceptance
+    battery runs once, on the whole baseline, unless a test cannot vouch
+    for it, in which case every contract is integrated in turn.  When the
+    baseline fails, a bisection finds the longest passing prefix, the app
+    after it is integrated on its own, and the apps after that are admitted
+    as a new run.  Either way the vehicle records one report per contract,
+    exactly as per-contract integration would.  A rejected core component
+    raises :class:`RuntimeError` naming that vehicle, which stays
+    unprovisioned.
     Every later vehicle of the variant is stamped from it: it gets its own
     MCC over the variant's platform model and acceptance battery (and,
     under ``spec.deploy``, its own platform and RTE), adopts the first

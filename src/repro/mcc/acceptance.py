@@ -45,12 +45,13 @@ class AcceptanceTest(Protocol):
     """Interface of an MCC acceptance test.
 
     A test may also define ``monotone(contracts) -> bool``.  Answering
-    ``True`` promises that a pass on ``contracts`` implies a pass on every
-    configuration that drops later-added components and keeps the remaining
-    placements and relative priorities.
+    ``True`` promises that a pass on ``contracts``, or on any prefix of it,
+    implies a pass on every configuration that drops later-added components
+    and keeps the remaining placements and relative priorities.
     :meth:`~repro.mcc.controller.MultiChangeController.request_changes`
     relies on that promise to admit a run of additions with one acceptance
-    run on the final candidate.  A test without the method, like
+    run on the final candidate, and to bisect a failing run for its longest
+    passing prefix.  A test without the method, like
     :class:`DistributedTimingAcceptanceTest`, keeps every addition on the
     per-request path.
     """

@@ -105,27 +105,47 @@ class MultiChangeController:
 
         Returns what ``[self.request_change(r) for r in requests]`` returns
         and leaves the same model, configuration and report history behind,
-        request ids and refinement steps included.  When
-        every request is an addition and every acceptance test vouches for
-        the final contract set (see
-        :class:`~repro.mcc.acceptance.AcceptanceTest`), the additions are
-        validated once, mapped prefix by prefix (each prefix after the first
-        places only its new component in one carried mapping state) and
-        tested once, on the final candidate.  If that run passes, the final model is adopted and
-        deployed once, so the execution domain sees one deployment instead
-        of one per request.  Otherwise, or if any prefix is rejected, every
-        request runs through :meth:`request_change` in turn.  A test
-        without a ``monotone`` method keeps every call on that path.
+        request ids and refinement steps included.  When every request is
+        an addition and every acceptance test vouches for the final
+        contract set (see :class:`~repro.mcc.acceptance.AcceptanceTest`),
+        the additions are validated once, mapped prefix by prefix (each
+        prefix after the first places only its new component in one carried
+        mapping state) up to the first prefix rejected before the
+        acceptance tests, and tested on the last such prefix; if it fails,
+        a bisection finds the longest prefix that passes (see
+        :meth:`~repro.mcc.integration.IntegrationProcess._integrate_additions`).
+        That prefix is adopted and deployed once, so the execution domain
+        sees one deployment instead of one per request.  The request after
+        it, the first one the per-request loop rejects, runs through
+        :meth:`request_change`, which builds its report, and the requests
+        after that are a new run, whose final contract set the tests must
+        vouch for again.  A run that passes whole costs one battery run.
+        With ``r`` rejections in a run of ``n`` additions it costs about
+        ``r * (ceil(log2(n)) + 2)``: per rejection the last prefix, the
+        bisection and the rejected request's own run.  Integrating every
+        request on its own costs ``n``, so a run in which nearly every
+        request is rejected costs more battery runs than that.  A run with
+        a request that is not an addition, or a test without a ``monotone``
+        method or that does not vouch, sends every remaining request
+        through :meth:`request_change` in turn.
         """
-        outcome = self.process._integrate_additions(self.model, requests)
-        if outcome is None:
-            return [self.request_change(request) for request in requests]
-        candidate, reports = outcome
-        base = self.model.version
-        for offset, report in enumerate(reports, start=1):
-            report.configuration_version = base + offset
-        self._adopt(candidate, base + len(reports))
-        self.reports.extend(reports)
+        reports: List[IntegrationReport] = []
+        while len(reports) < len(requests):
+            rest = requests[len(reports):]
+            outcome = self.process._integrate_additions(self.model, rest)
+            if outcome is None:
+                reports.extend(self.request_change(request) for request in rest)
+                break
+            candidate, admitted = outcome
+            if admitted:
+                base = self.model.version
+                for offset, report in enumerate(admitted, start=1):
+                    report.configuration_version = base + offset
+                self._adopt(candidate, base + len(admitted))
+                self.reports.extend(admitted)
+                reports.extend(admitted)
+            if len(admitted) < len(rest):
+                reports.append(self.request_change(rest[len(admitted)]))
         return reports
 
     def replay_change(self, precedent: IntegrationReport,

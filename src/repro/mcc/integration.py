@@ -16,12 +16,13 @@ The refinement steps implemented here:
    is produced for the execution domain.
 
 A run of additions can share step 3: the process refines every prefix of
-the run and tests only the final candidate, when every acceptance test
-vouches that a pass there implies a pass on each prefix (see
-:meth:`~repro.mcc.controller.MultiChangeController.request_changes`).  It
-carries one :class:`~repro.mcc.mapping.MappingState` through the run, so
-each prefix after the first checks the services and places the component
-of its own addition only.
+the run and tests only the last one, when every acceptance test vouches
+that a pass on a contract set implies a pass on each of its prefixes (see
+:meth:`~repro.mcc.controller.MultiChangeController.request_changes`); when
+that test fails, it bisects over the refined prefixes for the longest one
+that passes.  It carries one :class:`~repro.mcc.mapping.MappingState`
+through the run, so each prefix after the first checks the services and
+places the component of its own addition only.
 """
 
 from __future__ import annotations
@@ -87,30 +88,46 @@ class IntegrationProcess:
 
     def _integrate_additions(self, model: SystemModel, requests: List[ChangeRequest]
                              ) -> Optional[Tuple[SystemModel, List[IntegrationReport]]]:
-        """Integrate a run of additions with one acceptance run.
+        """Integrate the longest passing prefix of a run of additions.
 
         Applies the requests to one candidate of ``model`` in order and
-        records steps 1-3 of :meth:`integrate` for every prefix, then runs
-        the acceptance tests once, on the final candidate.  The first prefix
-        is refined as :meth:`integrate` refines it.  Each later prefix adds
-        one contract to a prefix that passed, and the engine keeps every
-        earlier placement, so the prefix checks only its new contract's
-        required services and places only that contract, in the one
-        :class:`MappingState` carried through the run; its steps record
-        exactly what a full refinement of the prefix would.  Returns the
-        final candidate and one report per request, each holding exactly
-        what :meth:`integrate` records for it in turn; the caller sets the
-        configuration versions.  One acceptance run is exact because every
-        test vouches, through its ``monotone`` method, that a pass on the
-        final contract set implies a pass on each prefix: placements are
-        kept from one prefix to the next, and priorities keep their
-        relative order.
+        records steps 1-3 of :meth:`integrate` for every prefix, up to the
+        first prefix those steps reject (a duplicate, an invalid contract,
+        a missing provider or a :class:`MappingError`) or to the end of the
+        run.  The first prefix is refined as :meth:`integrate` refines it.
+        Each later prefix adds one contract to a prefix that passed, and
+        the engine keeps every earlier placement, so the prefix checks only
+        its new contract's required services and places only that
+        contract, in the one :class:`MappingState` carried through the run;
+        its steps record exactly what a full refinement of the prefix
+        would.
 
-        Returns ``None``, having adopted nothing, when per-request
-        integration must decide instead: there are no requests, a request
-        is not an addition, a test has no ``monotone`` method or answers
-        ``False``, a prefix is rejected before the acceptance tests, or the
-        final candidate fails one.
+        The acceptance tests then run on the last refined prefix.  If it
+        fails one, they bisect over the refined prefixes, each tested with
+        the placement and priorities recorded for it, for the longest
+        prefix that passes.  Both are exact because every test vouches,
+        through its ``monotone`` method, that a pass on a contract set
+        implies a pass on each of its prefixes: placements are kept from
+        one prefix to the next, and priorities keep their relative order.
+        So "prefix k passes" is a step function of k, one run on the last
+        refined prefix decides a run that passes whole, and
+        ``ceil(log2(n))`` more runs find the step among ``n`` refined
+        prefixes.
+
+        Returns a candidate holding the longest passing prefix and one
+        report per request of it, each holding exactly what
+        :meth:`integrate` records for that request in turn; the caller sets
+        the configuration versions.  When the prefix is shorter than the
+        run, the next request is the first one per-request integration
+        rejects, and everything after it is a new run: skipping the
+        rejected request changes every later prefix.  With no passing
+        request the candidate is not to be adopted and the list is empty.
+
+        Returns ``None``, having refined nothing, when per-request
+        integration must decide the whole run instead: there are no
+        requests, a request is not an addition, or a test has no
+        ``monotone`` method or does not vouch for the run's final contract
+        set.
         """
         if not requests or any(request.kind is not ChangeKind.ADD_COMPONENT
                                for request in requests):
@@ -121,51 +138,80 @@ class IntegrationProcess:
             if monotone is None or not monotone(final):
                 return None
         # A contract's own problems do not depend on the others, so each
-        # contract is validated once, not once per prefix holding it.
-        if any(contract.validate() for contract in final):
-            return None
+        # contract is validated once, not once per prefix holding it, and
+        # the run is refined up to the first invalid one.
+        installed = len(model)
+        first_invalid = next((index for index, contract in enumerate(final)
+                              if contract.validate()), len(final))
         candidate = model.candidate()
         reports: List[IntegrationReport] = []
+        decisions: List[Tuple[Dict[str, str], Dict[str, int]]] = []
         state: Optional[MappingState] = None
         provided: Set[str] = set()
-        for position, request in enumerate(requests, start=len(model)):
+        for position, request in enumerate(
+                requests[:max(0, first_invalid - installed)], start=installed):
             try:
                 candidate.apply_change(request)
             except (ValueError, KeyError):
-                return None
-            report = IntegrationReport(request_id=request.request_id)
-            reports.append(report)
+                break
             if state is None:
+                report = IntegrationReport(request_id=request.request_id)
                 contracts = candidate.contracts()
                 if not self._refine(candidate, contracts, [], report):
-                    return None
+                    break
                 state = MappingState(self.mapping_engine)
                 for index, contract in enumerate(contracts):
                     state.keep(contract, candidate.mapping[contract.component], index)
                     provided.update(provision.service for provision in contract.provides)
-                continue
-            contract = request.contract
-            provided.update(provision.service for provision in contract.provides)
-            if any(not requirement.optional and requirement.service not in provided
-                   for requirement in contract.requires):
-                return None
-            try:
-                state.place(contract, position)
-            except MappingError:
-                return None
-            self._record_services(report, [])
-            self._record_mapping(candidate, state.decision(), report)
-        for test in self.acceptance_tests:
-            if not test.run(final, candidate.mapping, candidate.priorities,
-                            self.platform).passed:
-                return None
+            else:
+                contract = request.contract
+                provided.update(provision.service for provision in contract.provides)
+                if any(not requirement.optional and requirement.service not in provided
+                       for requirement in contract.requires):
+                    break
+                try:
+                    state.place(contract, position)
+                except MappingError:
+                    break
+                report = IntegrationReport(request_id=request.request_id)
+                self._record_services(report, [])
+                self._record_mapping(candidate, state.decision(), report)
+            reports.append(report)
+            decisions.append((candidate.mapping, candidate.priorities))
+        passing = len(reports)
+        if passing and not self._passes(final[:installed + passing],
+                                        decisions[passing - 1]):
+            # Prefix ``low`` passes (the empty one is the adopted model) and
+            # prefix ``high`` fails.
+            low, high = 0, passing
+            while high - low > 1:
+                middle = (low + high) // 2
+                if self._passes(final[:installed + middle], decisions[middle - 1]):
+                    low = middle
+                else:
+                    high = middle
+            passing = low
+        if passing and len(candidate) != installed + passing:
+            mapping, priorities = decisions[passing - 1]
+            candidate = SystemModel(contracts=final[:installed + passing],
+                                    mapping=mapping, priorities=priorities,
+                                    version=model.version)
         results = {test.viewpoint: True for test in self.acceptance_tests}
-        for report in reports:
+        for report in reports[:passing]:
             report.acceptance_results = dict(results)
             report.add_step("acceptance-tests", "run viewpoint analyses",
                             results=dict(results))
             report.accepted = True
-        return candidate, reports
+        return candidate, reports[:passing]
+
+    def _passes(self, contracts: List[Contract],
+                decision: Tuple[Dict[str, str], Dict[str, int]]) -> bool:
+        """Whether ``contracts``, mapped and prioritised as ``decision``
+        records, pass every acceptance test; stops at the first that
+        fails."""
+        mapping, priorities = decision
+        return all(test.run(contracts, mapping, priorities, self.platform).passed
+                   for test in self.acceptance_tests)
 
     def _refine(self, candidate: SystemModel, contracts: List[Contract],
                 problems: List[str], report: IntegrationReport) -> bool:

@@ -26,8 +26,7 @@ class SeededRNG:
     def spawn(self, offset: int) -> "SeededRNG":
         """Derive an independent child generator; useful to decouple streams
         (e.g. sensor noise vs attack timing) while keeping determinism."""
-        base = 0 if self.seed is None else self.seed
-        return SeededRNG(base * 1_000_003 + offset)
+        return SeededRNG(child_seed(self.seed, offset))
 
     # -- basic draws ------------------------------------------------------
 
@@ -91,6 +90,16 @@ class SeededRNG:
             raise ValueError("need 0 < low < high")
         lo, hi = np.log(low), np.log(high)
         return [float(np.exp(self._rng.uniform(lo, hi))) for _ in range(n)]
+
+
+def child_seed(seed: Optional[int], offset: int) -> int:
+    """The seed of ``SeededRNG(seed).spawn(offset)``.
+
+    ``SeededRNG(child_seed(seed, offset))`` draws the child's stream without
+    seeding the parent generator first.
+    """
+    base = 0 if seed is None else seed
+    return base * 1_000_003 + offset
 
 
 def derive_seed(base: int, *components: object) -> int:

@@ -19,7 +19,12 @@ holds the pieces those suites share:
 * the fleet provisioning references used by the fleet stamping suite:
   ``generate_fleet_eagerly`` (every vehicle provisioned before the fleet is
   returned) and ``generate_fleet_integrating_each`` (every vehicle
-  integrates its own baseline, one contract at a time).
+  integrates its own baseline, one contract at a time);
+* the fleet generation references used by the fleet generation suite:
+  ``reference_variants``, ``reference_variant_contracts`` and
+  ``reference_core_placement``, which draw each variant through a spawned
+  child of a seeded parent generator and write every baseline contract as
+  a document that :class:`~repro.contracts.language.ContractParser` parses.
 
 Everything here is deterministic given the caller's seeds — extracting it
 changed no seed and no behaviour, only the import site.
@@ -27,7 +32,7 @@ changed no seed and no behaviour, only the import site.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -37,6 +42,7 @@ from repro.analysis.compositional import FrameSpec
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
 from repro.can.frame import CanFrame
+from repro.contracts.language import ContractParser
 from repro.contracts.model import (Contract, RealTimeRequirement,
                                    SafetyRequirement, SecurityRequirement)
 from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
@@ -47,6 +53,7 @@ from repro.mcc.acceptance import (AcceptanceResult, AcceptanceTest,
                                   default_acceptance_tests, tasksets_from_mapping)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
+from repro.mcc.mapping import MappingEngine, MappingError, MappingState
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
 from repro.platform.rte import RuntimeEnvironment
 from repro.platform.tasks import Task, TaskSet
@@ -121,10 +128,11 @@ class ColdTimingAcceptanceTest:
                                 findings=findings, metrics=metrics)
 
 
-def build_platform(num_processors: int) -> Platform:
+def build_platform(num_processors: int, capacity: float = 0.9) -> Platform:
     platform = Platform(name="diff-platform")
     for index in range(num_processors):
-        platform.add_processor(ProcessingResource(f"cpu{index}", capacity=0.9))
+        platform.add_processor(ProcessingResource(f"cpu{index}",
+                                                  capacity=capacity))
     platform.add_network(NetworkResource("can0", bandwidth_bps=500_000.0))
     return platform
 
@@ -243,6 +251,119 @@ def generate_fleet_integrating_each(
                     f"vehicle {index} rejected its baseline: {report.summary()}")
         vehicles.append(FleetVehicle(index, variant, mcc))
     return vehicles
+
+
+# ---------------------------------------------------------------------------
+# Fleet generation references: spawned generators, contracts written as
+# documents and parsed back
+# ---------------------------------------------------------------------------
+
+BASELINE_DOCUMENTS: List[Dict[str, Any]] = [
+    {"component": "perception", "timing": {"period": 0.05, "wcet": 0.010},
+     "safety": {"asil": "B"}, "security": {"level": "MEDIUM"},
+     "provides": ["object_list"]},
+    {"component": "planner", "timing": {"period": 0.1, "wcet": 0.020},
+     "safety": {"asil": "B"}, "security": {"level": "MEDIUM"},
+     "requires": [{"service": "object_list"}], "provides": ["trajectory"]},
+    {"component": "actuation", "timing": {"period": 0.01, "wcet": 0.002},
+     "safety": {"asil": "B"}, "security": {"level": "MEDIUM"},
+     "requires": [{"service": "trajectory"}], "provides": ["actuator_commands"]},
+]
+
+TELEMATICS_DOCUMENT: Dict[str, Any] = {
+    "component": "telematics", "timing": {"period": 0.2, "wcet": 0.012},
+    "safety": {"asil": "A"}, "security": {"level": "MEDIUM"},
+    "provides": ["telemetry"],
+}
+
+
+def reference_variants(spec: FleetSpec) -> List[VehicleVariant]:
+    """:func:`repro.fleet.vehicle.generate_variants`, each variant drawn
+    from ``SeededRNG(spec.seed).spawn(1_000 + index)``."""
+    variants: List[VehicleVariant] = []
+    for index in range(min(spec.num_variants, max(spec.size, 1))):
+        rng = SeededRNG(spec.seed).spawn(1_000 + index)
+        spread = spec.heterogeneity
+        factor = 1.0 + spread * (2.0 * rng.uniform() - 1.0)
+        capacity = min(1.0, max(0.05,
+                                spec.base_capacity * (1.0 + 0.5 * spread
+                                                      * (2.0 * rng.uniform() - 1.0))))
+        variants.append(VehicleVariant(
+            index=index,
+            wcet_factor=factor,
+            num_processors=rng.integer(spec.min_processors, spec.max_processors),
+            capacity=capacity,
+            can_bandwidth_bps=rng.choice([250_000.0, 500_000.0, 1_000_000.0]),
+            has_telematics=rng.bernoulli(0.5)))
+    return variants
+
+
+def reference_variant_contracts(variant: VehicleVariant,
+                                spec: FleetSpec) -> List[Contract]:
+    """:func:`repro.fleet.vehicle.variant_contracts`, the extras drawn from
+    ``SeededRNG(spec.seed).spawn(2_000 + variant.index)`` and every
+    contract written as a document and parsed."""
+    documents = list(BASELINE_DOCUMENTS)
+    if variant.has_telematics:
+        documents = documents + [TELEMATICS_DOCUMENT]
+    rng = SeededRNG(spec.seed).spawn(2_000 + variant.index)
+    extras: List[Dict[str, Any]] = []
+    for index in range(spec.extra_components):
+        period = rng.uniform(0.02, 0.2)
+        extras.append({
+            "component": f"app{index:02d}",
+            "timing": {"period": period, "wcet": period * rng.uniform(0.05, 0.11)},
+            "safety": {"asil": rng.choice(["QM", "A", "B"])},
+            "security": {"level": "MEDIUM"},
+            "provides": [f"service_app{index:02d}"],
+        })
+
+    def util(document: Dict[str, Any]) -> float:
+        timing = document["timing"]
+        return timing["wcet"] * variant.wcet_factor / timing["period"]
+
+    budget = 0.8 * variant.num_processors * variant.capacity
+    core_util = sum(util(document) for document in documents)
+    extra_util = sum(util(document) for document in extras)
+    headroom = max(0.0, budget - core_util)
+    if extra_util > headroom and extra_util > 0.0:
+        shrink = headroom / extra_util
+        for document in extras:
+            document["timing"]["wcet"] *= shrink
+        extras = [document for document in extras
+                  if document["timing"]["wcet"] > 0.0]
+    return ContractParser().parse_many(_scaled_document(document, variant)
+                                       for document in documents + extras)
+
+
+def _scaled_document(document: Dict[str, Any],
+                     variant: VehicleVariant) -> Dict[str, Any]:
+    """``document`` with its WCET scaled to the variant's build."""
+    timing = dict(document["timing"])
+    timing["wcet"] = min(timing["wcet"] * variant.wcet_factor,
+                         0.9 * timing["period"])
+    return {**document, "timing": timing}
+
+
+def reference_core_placement(variant: VehicleVariant,
+                             spec: FleetSpec) -> Optional[str]:
+    """The core-stack check of ``repro.fleet.vehicle._variant_platform`` on
+    parsed documents: ``None`` when the variant's platform hosts its core
+    stack, else the message of the :class:`RuntimeError` it raises."""
+    platform = build_vehicle_platform(variant, f"variant{variant.index}-platform")
+    documents = [_scaled_document(document, variant)
+                 for document in BASELINE_DOCUMENTS]
+    if sum(document["timing"]["wcet"] / document["timing"]["period"]
+           for document in documents) <= variant.capacity - 1e-9:
+        return None
+    state = MappingState(MappingEngine(platform,
+                                       strategy=spec.mapping_strategy))
+    for position, contract in enumerate(ContractParser().parse_many(documents)):
+        try:
+            state.place(contract, position)
+        except MappingError as error:
+            return f"vehicle {variant.index} rejected its baseline: {error}"
+    return None
 
 
 # ---------------------------------------------------------------------------

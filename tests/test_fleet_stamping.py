@@ -446,7 +446,7 @@ class TestFixedCases:
         (FleetSpec(size=24, seed=5, num_variants=2, extra_components=10),
          ("add", 0.22), WavePolicy(), 0.0, (2, 6, 0.044444)),
         (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
-         ("rebudget", 1.05), WavePolicy(), 0.0, (19, 65, 0.175127)),
+         ("rebudget", 1.05), WavePolicy(), 0.0, (17, 58, 0.156757)),
         (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
          ("rebudget", 1.05), WavePolicy(max_failure_rate=0.0), 1.0,
          (1, 7, 0.195652)),
@@ -518,9 +518,11 @@ class TestProvisioningWork:
     @pytest.mark.parametrize("size", [1, 5, 8, 40, 200])
     def test_integrations_equal_baseline_contracts(self, monkeypatch, size):
         """A completed campaign touches every vehicle.  Variant 6 rejects
-        app03 on timing, so its one acceptance run fails and its 9
-        contracts are integrated one by one: 1 + 9 battery runs where every
-        other variant makes 1."""
+        app05, the last of its 9 contracts, on timing, so its acceptance run
+        on the whole baseline fails; the bisection tests prefixes 4, 6, 7
+        and 8 and adopts the 8 contracts before app05, and app05 gets its
+        own run through ``request_change``: 1 + 4 + 1 battery runs where
+        every other variant makes 1."""
         spec = FleetSpec(size=size, seed=11, num_variants=8,
                          extra_components=6)
         cache = AnalysisCache()
@@ -533,24 +535,29 @@ class TestProvisioningWork:
         assert all(vehicle.provisioned for vehicle in fleet)
         assert counts["baseline"] == baseline_contracts(spec)
         touched = min(size, spec.num_variants)
-        assert counts["battery"] == touched + (9 if touched > 6 else 0)
+        assert counts["battery"] == touched + (5 if touched > 6 else 0)
 
     def test_fixpoints_of_a_diverged_fleet(self):
         """Exact work counters of provisioning 16 distinct variants in index
         order: the busy-window fixpoints (cold plus warm) the shared engine
         iterates, the task results it reuses, and the cache traffic in
         front of it.  The warm-start base decides the first two; the
-        cache's hits and misses depend on the task sets alone.  Most
+        cache's hits and misses depend on the task sets alone.  Fourteen
         variants run their battery once, on the whole baseline, so the
-        engine never sees the prefixes' task sets."""
+        engine never sees their prefixes' task sets.  Variant 10 rejects
+        app04 and makes 7 runs (the whole run, 4 bisection runs, app04's
+        own run and the new run of the 5 apps after it); variant 6 rejects
+        its last 5 apps, each of its 4 new runs is rejected again, and it
+        makes 18.  Their runs share many task sets: the rejected app's own
+        run repeats the prefix the bisection has just failed."""
         cache = AnalysisCache()
         generate_fleet_eagerly(FleetSpec(size=16, seed=11, num_variants=16,
                                          extra_components=10),
                                analysis_cache=cache)
         engine = cache.engine
         assert (engine.tasks_cold + engine.tasks_warm_started,
-                engine.tasks_reused) == (264, 61)
-        assert (cache.hits, cache.misses) == (12, 56)
+                engine.tasks_reused) == (258, 43)
+        assert (cache.hits, cache.misses) == (24, 48)
 
     def test_reference_integrates_per_vehicle(self, monkeypatch):
         spec = FleetSpec(size=12, seed=11, num_variants=3,

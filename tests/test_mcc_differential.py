@@ -14,13 +14,18 @@ result or failed-viewpoint list.
 
 A second oracle covers :meth:`MultiChangeController.request_changes`, which
 admits a run of additions with one acceptance run when every test vouches
-for the final contract set.  It must leave exactly what the per-request loop
+for the final contract set, and splits a run at each request the
+per-request loop rejects: it adopts the longest passing prefix, sends the
+rejected request through ``request_change`` and starts a new run on the
+rest.  It must leave exactly what the per-request loop
 ``[mcc.request_change(r) for r in requests]`` leaves: every report field
 (request ids and refinement-step artefacts included), the model, the
 deployed configuration, the expectations and the execution domain's state.
 Hypothesis draws the additions onto empty and installed models, under every
-mapping strategy, with every kind of rejection mixed in, and fixed cases
-cover the contract sets whose prefixes fail although the whole set passes.
+mapping strategy, with every kind of rejection mixed in and additions
+following each rejection.  Fixed cases pin the ``request_change`` calls and
+battery runs of split runs, and cover the contract sets whose prefixes fail
+although the whole set passes.
 """
 
 from __future__ import annotations
@@ -215,8 +220,9 @@ def run_both(make_platform, base, requests, deploy=False, extra=None,
     the other through the per-request loop, over the same request objects.
 
     Returns both states, each with the reports the call returned, and the
-    number of ``request_change`` calls ``request_changes`` made (0 on the
-    one-pass).
+    work ``request_changes`` did: its ``request_change`` calls (0 when the
+    run passes whole) and its battery runs (the runs of its controller's
+    first test, inside ``request_change`` calls included).
     """
     installs = [add(contract) for contract in base]
     controllers = []
@@ -232,15 +238,23 @@ def run_both(make_platform, base, requests, deploy=False, extra=None,
             mcc.request_change(request)
         controllers.append(mcc)
     fast, reference = controllers
-    calls = []
+    calls, runs = [], []
     request_change = fast.request_change
+    first = fast.process.acceptance_tests[0]
+    first_run = first.run
 
     def counting(request):
         calls.append(request)
         return request_change(request)
 
+    def counting_run(*args):
+        runs.append(args)
+        return first_run(*args)
+
     fast.request_change = counting
+    first.run = counting_run
     returned = fast.request_changes(requests)
+    del first.run
     expected = [reference.request_change(request) for request in requests]
     for mcc, reports in ((fast, returned), (reference, expected)):
         appended = mcc.reports[len(mcc.reports) - len(reports):]
@@ -250,7 +264,7 @@ def run_both(make_platform, base, requests, deploy=False, extra=None,
              "returned": [report_fields(report) for report in returned]},
             {**controller_state(reference),
              "returned": [report_fields(report) for report in expected]},
-            len(calls))
+            (len(calls), len(runs)))
 
 
 def invalid_contract(name, period, wcet):
@@ -260,27 +274,42 @@ def invalid_contract(name, period, wcet):
     return contract
 
 
+def client_contract(name, service):
+    """Requires ``service``: fails service completeness while nothing
+    provides it."""
+    contract = make_contract(name, 0.1, 0.001)
+    contract.add_required_service(service)
+    return contract
+
+
 @st.composite
 def addition_runs(draw):
-    """A platform size, a mapping strategy, an installed base and a run of
-    requests: additions only, or additions with every kind of rejection
-    mixed in."""
+    """A platform size and capacity, a mapping strategy, an installed base
+    and a run of requests: additions only, or additions with every kind of
+    rejection mixed in, each followed by up to three additions, which the
+    run after a split may admit in one pass."""
     def contract(name):
-        period = draw(st.sampled_from([0.01, 0.02, 0.04, 0.05, 0.1, 0.2]))
+        period = draw(st.sampled_from([0.01, 0.02, 0.03, 0.04, 0.05, 0.07,
+                                       0.1, 0.2]))
         utilization = draw(st.floats(min_value=0.02, max_value=0.6))
         return make_contract(name, period, period * utilization)
 
     processors = draw(st.integers(min_value=1, max_value=3))
+    # At full capacity the mapping admits loads that deadline-monotonic
+    # scheduling cannot meet, so the timing viewpoint rejects requests.
+    capacity = draw(st.sampled_from([0.9, 1.0]))
     strategy = draw(st.sampled_from(list(MappingStrategy)))
     base = [contract(f"b{index}")
             for index in range(draw(st.integers(min_value=0, max_value=4)))]
     kinds = st.sampled_from(["add"])
     if draw(st.booleans()):
         kinds = st.sampled_from(["add"] * 3 + [
-            "duplicate", "invalid", "unmappable", "update", "remove"])
+            "hog", "duplicate", "invalid", "unmappable", "orphan", "client",
+            "update", "remove"])
     requests = []
-    for index in range(draw(st.integers(min_value=1, max_value=8))):
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
         kind = draw(kinds)
+        index = len(requests)
         names = [c.component for c in base] + \
             [r.component for r in requests if r.kind is ChangeKind.ADD_COMPONENT]
         if kind == "duplicate" and names:
@@ -290,6 +319,20 @@ def addition_runs(draw):
             requests.append(add(invalid_contract(f"x{index}", 0.1, 0.001)))
         elif kind == "unmappable":
             requests.append(add(make_contract(f"u{index}", 0.1, 0.09)))
+        elif kind == "hog":
+            # A heavy task: beside another heavy task whose period its own
+            # does not divide, one of them can miss its deadline although
+            # the processor has room.
+            period = draw(st.sampled_from([0.02, 0.03, 0.05, 0.07]))
+            utilization = draw(st.floats(min_value=0.35, max_value=0.5))
+            requests.append(add(make_contract(f"h{index}", period,
+                                              period * utilization)))
+        elif kind in ("orphan", "client"):
+            # Requires a service that nothing provides, or the one the
+            # addition right after it provides.
+            requests.append(add(client_contract(
+                f"c{index}", "service_none" if kind == "orphan"
+                else f"service_a{index + 1}")))
         elif kind in ("update", "remove") and names:
             name = draw(st.sampled_from(names))
             requests.append(
@@ -299,7 +342,10 @@ def addition_runs(draw):
                 ChangeRequest(kind=ChangeKind.REMOVE_COMPONENT, component=name))
         else:
             requests.append(add(contract(f"a{index}")))
-    return processors, strategy, base, requests
+            continue
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            requests.append(add(contract(f"a{len(requests)}")))
+    return processors, capacity, strategy, base, requests
 
 
 class TestRequestChangesDifferential:
@@ -310,11 +356,16 @@ class TestRequestChangesDifferential:
     @given(run=addition_runs(), deploy=st.booleans(),
            extra=st.sampled_from([False, False, False, True]))
     def test_random_runs(self, run, deploy, extra):
-        processors, strategy, base, requests = run
-        fast, reference, calls = run_both(
-            lambda: build_platform(processors), base, requests, deploy=deploy,
-            extra=[Unvouched()] if extra else None, strategy=strategy)
-        event("per-request" if calls else "one-pass")
+        processors, capacity, strategy, base, requests = run
+        fast, reference, (calls, _) = run_both(
+            lambda: build_platform(processors, capacity), base, requests,
+            deploy=deploy, extra=[Unvouched()] if extra else None,
+            strategy=strategy)
+        event("whole" if calls == 0 else
+              "per-request" if calls == len(requests) else "split")
+        if any(steps and steps[-1][0] == "acceptance-tests" and not accepted
+               for _, accepted, _, _, _, steps in reference["returned"]):
+            event("a viewpoint rejects a request")
         assert fast == reference
 
     def test_a_passing_run_takes_the_one_pass(self, monkeypatch):
@@ -329,7 +380,7 @@ class TestRequestChangesDifferential:
             return original(test, *args)
 
         monkeypatch.setattr(TimingAcceptanceTest, "run", counting)
-        fast, reference, calls = run_both(
+        fast, reference, (calls, _) = run_both(
             lambda: build_platform(2), [make_contract("b0", 0.05, 0.01)],
             requests, deploy=True)
         assert fast == reference and calls == 0
@@ -346,8 +397,8 @@ class TestRequestChangesDifferential:
                 [("b0", 0.05), ("b1", 0.03), ("b2", 0.005), ("b3", 0.05)]]
         requests = [add(make_contract("a0", 0.1, 0.03)),
                     add(make_contract("a1", 0.1, 0.05))]
-        fast, reference, calls = run_both(lambda: build_platform(3), base,
-                                          requests)
+        fast, reference, (calls, _) = run_both(lambda: build_platform(3),
+                                               base, requests)
         assert fast == reference and calls == 0
         processors = dict(fast["model"][1])
         assert [processors[task[:-len(".task")]]
@@ -376,10 +427,25 @@ class TestRequestChangesDifferential:
         "extra-test": (None, "accepted"),
     }
 
+    #: case -> the ``request_change`` calls and battery runs of
+    #: ``request_changes``.  A rejection splits ``[a0, X, a1]``: ``[a0]`` is
+    #: adopted, X alone runs through ``request_change`` and ``[a1]`` passes
+    #: as a new run.  On the one processor a0, hog and a1 do not all fit, so
+    #: the timing case refines ``[a0, hog]`` only; its battery fails there
+    #: and one bisection run passes ``[a0]``, then hog's own run and
+    #: ``[a1]``'s: 2 + 1 + 1.  Every other rejection ends the refined run at
+    #: ``[a0]``, which passes, and is decided before acceptance: 1 + 0 + 1.
+    #: An update, a removal or a test without ``monotone`` sends every
+    #: request through ``request_change``, one battery run each.
+    WORK = {"timing-overload": (1, 4), "duplicate": (1, 2), "invalid": (1, 2),
+            "unmappable": (1, 2), "update": (3, 3), "remove": (3, 3),
+            "extra-test": (2, 2)}
+
     @pytest.mark.parametrize("case", list(REJECTIONS))
     def test_each_rejection_falls_back(self, case):
-        """Every kind of rejection, or a request or test the one-pass cannot
-        vouch for, sends the whole run through the per-request loop."""
+        """Every kind of rejection splits the run, and only the rejected
+        request goes through the per-request loop; a request or test the
+        one-pass cannot vouch for sends the whole run through it."""
         request, outcome = self.REJECTIONS[case]
         requests = [add(make_contract("a0", 0.07, 0.028)),
                     add(make_contract("a1", 0.05, 0.01))]
@@ -388,11 +454,11 @@ class TestRequestChangesDifferential:
                 requests.append(request)
         else:
             requests.insert(1, request)
-        fast, reference, calls = run_both(
+        fast, reference, work = run_both(
             lambda: build_platform(1), [], requests, deploy=True,
             extra=[Unvouched()] if case == "extra-test" else None)
         assert fast == reference
-        assert calls == len(requests)
+        assert work == self.WORK[case]
         rejected = [entry for entry in reference["reports"] if not entry[1]]
         if outcome == "accepted":
             assert rejected == []
@@ -402,6 +468,102 @@ class TestRequestChangesDifferential:
             if outcome == "acceptance-tests":
                 assert [name for name, passed in results.items()
                         if not passed] == ["timing"]
+
+
+# -- runs that split -----------------------------------------------------------
+
+
+def contracts(*specs):
+    return [make_contract(name, period, wcet) for name, period, wcet in specs]
+
+
+#: name -> (installed base, run, the components the per-request loop
+#: rejects, and the ``request_change`` calls and battery runs of
+#: ``request_changes``), all on one processor of capacity 0.9.  hog
+#: (0.05 s, 0.5) preempts a0 (0.07 s, 0.4) past its deadline.
+SPLIT_CASES = {
+    # a1 does not fit beside a0 and hog, so the refined run is [a0, hog]:
+    # its battery fails and one bisection run passes [a0] (2); hog's own
+    # run (1).  The same again for [a1, hog2, a2], where hog2 (0.05 s, 0.4)
+    # preempts a1 (0.1 s) past its deadline and a2 does not fit beside
+    # them (2 + 1), and [a2] passes as a third run (1).
+    "two-timing-rejections": (
+        [], contracts(("a0", 0.07, 0.028), ("hog", 0.05, 0.025),
+                      ("a1", 0.1, 0.01), ("hog2", 0.05, 0.02),
+                      ("a2", 0.2, 0.02)),
+        ["hog", "hog2"], (2, 7)),
+    # The refined run is [hog] (a1 does not fit beside it): it fails, and
+    # the empty prefix needs no run (1); hog's own run (1).  The new run
+    # [a1, a2, huge] cannot place huge, so [a1, a2] is tested and passes
+    # (1); huge is rejected at mapping (0).
+    "first-and-last-prefix": (
+        contracts(("a0", 0.07, 0.028)),
+        contracts(("hog", 0.05, 0.025), ("a1", 0.1, 0.01), ("a2", 0.2, 0.02),
+                  ("huge", 0.1, 0.09)),
+        ["hog", "huge"], (2, 3)),
+    # As in the first case for [a0, hog] (2 + 1).  The new run starts with
+    # hog_b (0.05 s, 0.48), which preempts a0 past its deadline as well; a1
+    # does not fit beside it, so the refined run is [hog_b], which fails
+    # (1), then hog_b's own run (1) and [a1]'s (1).
+    "continuation-rejected-again": (
+        [], contracts(("a0", 0.07, 0.028), ("hog", 0.05, 0.025),
+                      ("hog_b", 0.05, 0.024), ("a1", 0.1, 0.01)),
+        ["hog", "hog_b"], (2, 6)),
+    # All eight additions fit, and hog preempts a5 past its deadline: the
+    # whole run fails (1) and the bisection tests prefixes 4, 6 and 7
+    # (ceil(log2(8)) = 3) and keeps the six before hog; hog's own run (1)
+    # and [a6]'s (1).
+    "late-timing-rejection": (
+        [], contracts(*[(f"a{index}", 0.07, 0.0056) for index in range(6)],
+                      ("hog", 0.05, 0.02), ("a6", 0.2, 0.002)),
+        ["hog"], (1, 6)),
+}
+
+#: kind -> a request the refinement rejects before the acceptance tests.
+REFINEMENT_REJECTIONS = {
+    "duplicate": make_contract("a0", 0.1, 0.001),
+    "invalid": invalid_contract("bad", 0.1, 0.001),
+    "unmappable": make_contract("huge", 0.1, 0.09),
+    "missing-provider": client_contract("orphan", "service_none"),
+}
+
+
+class TestSplitRuns:
+    """A rejected request splits the run: the prefix before it is adopted,
+    it alone runs through ``request_change`` and a new run takes the rest."""
+
+    @pytest.mark.parametrize("case", list(SPLIT_CASES))
+    def test_split_matches_the_loop(self, case):
+        base, run, rejected, work = SPLIT_CASES[case]
+        requests = [add(contract) for contract in run]
+        fast, reference, done = run_both(lambda: build_platform(1), base,
+                                         requests, deploy=True)
+        assert fast == reference
+        assert [request.component for request, entry
+                in zip(requests, reference["returned"])
+                if not entry[1]] == rejected
+        assert done == work
+
+    @pytest.mark.parametrize("kind", list(REFINEMENT_REJECTIONS))
+    def test_a_refinement_rejection_mid_run(self, kind):
+        """The run is refined up to the rejected request, and [a0, a1]
+        passes one battery run; the refinement rejects the request itself
+        in ``request_change`` before any test runs, and the three additions
+        after it pass as one new run: 1 + 0 + 1."""
+        requests = [add(contract) for contract in contracts(
+            ("a0", 0.1, 0.01), ("a1", 0.1, 0.01))]
+        requests.append(add(REFINEMENT_REJECTIONS[kind]))
+        requests += [add(contract) for contract in contracts(
+            ("a2", 0.1, 0.01), ("a3", 0.1, 0.01), ("a4", 0.1, 0.01))]
+        fast, reference, work = run_both(lambda: build_platform(1), [],
+                                         requests, deploy=True)
+        assert fast == reference
+        assert [entry[1] for entry in reference["returned"]] == \
+            [True, True, False, True, True, True]
+        assert work == (1, 2)
+        # Two adoptions, each keeping the per-request versions.
+        assert [entry[4] for entry in fast["returned"]] == \
+            [1, 2, None, 3, 4, 5]
 
 
 # -- prefixes that fail although the whole set passes --------------------------
@@ -481,6 +643,16 @@ PREFIX_CASES = {
 }
 
 
+#: case -> the ``request_change`` calls and battery runs of a run whose
+#: client comes before its provider.  Service completeness ends the refined
+#: run before the client, and only the client goes through
+#: ``request_change``, which rejects it before acceptance; the provider
+#: then passes as a new run.  That is one battery run, plus one for
+#: ``[sensor]`` when the client comes mid-run.
+CLIENT_SPLITS = {"client-before-provider": (1, 1),
+                 "client-before-provider-mid-run": (1, 2)}
+
+
 class TestPrefixesThatFail:
     """Sets whose whole passes every test while a prefix does not: the
     one-pass must not admit them, and each needs its own "no"."""
@@ -489,10 +661,13 @@ class TestPrefixesThatFail:
     def test_request_changes_matches_the_loop(self, case):
         make_platform, contracts, rejected = PREFIX_CASES[case]
         requests = [add(contract) for contract in contracts]
-        fast, reference, calls = run_both(make_platform, [], requests,
-                                          deploy=True)
+        fast, reference, work = run_both(make_platform, [], requests,
+                                         deploy=True)
         assert fast == reference
-        assert calls == len(requests)
+        # A redundancy group or an external interface keeps the tests from
+        # vouching, so every request runs through request_change, each to
+        # its own battery run.
+        assert work == CLIENT_SPLITS.get(case, (len(requests), len(requests)))
         outcomes = {request.component: entry[1]
                     for request, entry in zip(requests, reference["reports"])}
         assert outcomes == {request.component: request.component != rejected
@@ -505,11 +680,11 @@ class TestPrefixesThatFail:
         first, which no test's answer can override."""
         make_platform, contracts, _ = PREFIX_CASES[case]
         requests = [add(contract) for contract in contracts]
-        vouched, reference, calls = run_both(make_platform, [], requests,
-                                             wrap=Vouching)
-        if case.startswith("client-before-provider"):
-            assert vouched == reference and calls == len(requests)
+        vouched, reference, work = run_both(make_platform, [], requests,
+                                            wrap=Vouching)
+        if case in CLIENT_SPLITS:
+            assert vouched == reference and work == CLIENT_SPLITS[case]
         else:
-            assert calls == 0
+            assert work == (0, 1)
             assert all(entry[1] for entry in vouched["reports"])
             assert vouched["reports"] != reference["reports"]

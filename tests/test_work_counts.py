@@ -7,15 +7,18 @@ shape on the default paths:
 * ``clustered_add`` -- an ADD rollout on a fleet of two variants;
 * ``diverged_rebudget`` -- a planner re-budget on a fleet where every
   vehicle is its own variant (one of them rejects a baseline app, so its
-  baseline takes the per-request path);
+  baseline run splits there);
 * ``service_round`` -- one admission-service round: a clean job, and a job
   that halts at its canary and is resumed.
 
 Test-side wrappers count, over each run: ``request_change``,
 ``replay_change`` and ``MappingEngine.map`` calls; placement decisions
 (``MappingEngine._choose_processor`` calls, a redundancy group's fallback
-to a shared processor included); ``request_changes`` runs
-that took the one-pass and those that fell back to per-request integration;
+to a shared processor included); ``request_changes`` calls that admitted
+their requests whole, as one run (``whole_runs``), and those that sent at
+least one request through ``request_change`` (``split_runs``: a rejected
+request splits the run there, and a run the tests cannot vouch for sends
+every request);
 acceptance runs per viewpoint; configurations synthesized
 (``IntegrationProcess.synthesize_configuration``, one per adoption that
 derives its own state, none for a replay); analysis-cache hits, misses and
@@ -65,8 +68,8 @@ from repro.service import (AdmissionService, JobState, ResumeRequest,
 GOLDEN = Path(__file__).with_name("work_counts.json")
 
 #: Every count, recorded even when it is zero.
-KEYS = ("request_change", "replay_change", "map", "placements", "one_pass",
-        "per_request_fallback", "acceptance.timing", "acceptance.safety",
+KEYS = ("request_change", "replay_change", "map", "placements", "whole_runs",
+        "split_runs", "acceptance.timing", "acceptance.safety",
         "acceptance.security", "acceptance.resources", "cache.hits",
         "cache.misses", "cache.analyse_many_lanes", "engine.cold",
         "engine.warm", "engine.reused", "deviations", "expectations",
@@ -116,8 +119,8 @@ def counting() -> Iterator[Counter]:
         def wrapper(self, requests):
             before = counts["request_change"]
             reports = original(self, requests)
-            fell_back = counts["request_change"] > before
-            counts["per_request_fallback" if fell_back else "one_pass"] += 1
+            split = counts["request_change"] > before
+            counts["split_runs" if split else "whole_runs"] += 1
             return reports
         return wrapper
 
