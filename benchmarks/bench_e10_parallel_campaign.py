@@ -1,14 +1,11 @@
 """E10 (parallel): the batched campaign engine at a 500-vehicle fleet.
 
-Three claims of the campaign engine are regenerated and asserted:
+Two claims of the campaign engine are regenerated and asserted:
 
 * **Speedup with identical verdicts.**  Batched in-process admission
-  (equivalence dedupe, shared cache with persistent snapshot) must admit
-  a 500-vehicle campaign at least 2x faster than the sequential
+  (equivalence dedupe, one shared analysis cache) must admit a
+  500-vehicle campaign at least 2x faster than the sequential
   per-vehicle baseline, wave records byte-identical.
-* **Persistent warm-start.**  A re-run over the same fleet warm-starts
-  from the previous run's on-disk snapshot: fewer busy-window derivations,
-  identical records.
 * **Checkpoint/resume.**  A campaign halted mid-rollout by its wave policy
   resumes — after the policy is remediated — from the written checkpoint to
   the exact final result of an uninterrupted campaign.
@@ -47,8 +44,8 @@ def _dimensions() -> Tuple[int, int]:
     return (60 if quick else 500), (4 if quick else 8)
 
 
-def _run(batched: bool, cache_path: Optional[str] = None,
-         failure_rate: float = 0.0, policy: Optional[WavePolicy] = None,
+def _run(batched: bool, failure_rate: float = 0.0,
+         policy: Optional[WavePolicy] = None,
          checkpoint_path: Optional[str] = None
          ) -> Tuple[float, CampaignResult]:
     """Fresh fleet, one timed campaign run (admission only), plus saving
@@ -59,7 +56,6 @@ def _run(batched: bool, cache_path: Optional[str] = None,
     fleet = provisioned_fleet(spec, cache)
     campaign = Campaign(fleet, add_component_update(), policy=policy,
                         analysis_cache=cache, batch_admission=batched,
-                        cache_path=cache_path,
                         failure_injection_rate=failure_rate,
                         feedback_seed=SEED)
     started = time.perf_counter()
@@ -70,7 +66,7 @@ def _run(batched: bool, cache_path: Optional[str] = None,
 
 
 @pytest.mark.benchmark(group="e10-parallel")
-def test_e10_batched_engine_speedup_and_parity(benchmark, tmp_path):
+def test_e10_batched_engine_speedup_and_parity(benchmark):
     """Batched admission >= 2x over sequential admission, verdicts
     identical; min-of-2 timing on both sides."""
     fleet_size, num_variants = _dimensions()
@@ -79,11 +75,10 @@ def test_e10_batched_engine_speedup_and_parity(benchmark, tmp_path):
     batched_s = float("inf")
     sequential_result: Optional[CampaignResult] = None
     batched_result: Optional[CampaignResult] = None
-    for repeat in range(2):
+    for _ in range(2):
         elapsed, sequential_result = _run(batched=False)
         sequential_s = min(sequential_s, elapsed)
-        cache_path = str(tmp_path / f"timed-{repeat}.pkl")
-        elapsed, batched_result = _run(batched=True, cache_path=cache_path)
+        elapsed, batched_result = _run(batched=True)
         batched_s = min(batched_s, elapsed)
     benchmark(lambda: _run(batched=True)[1])
 
@@ -103,26 +98,6 @@ def test_e10_batched_engine_speedup_and_parity(benchmark, tmp_path):
                 "(target: >= 2x)", [row])
     write_bench_record("e10_parallel_campaign", row)
     assert speedup >= 2.0
-
-
-@pytest.mark.benchmark(group="e10-parallel")
-def test_e10_persistent_cache_warm_start(benchmark, tmp_path):
-    """A re-run over the same fleet warm-starts from the saved snapshot:
-    strictly fewer analysis misses, identical campaign records."""
-    cache_path = str(tmp_path / "warm.pkl")
-    cold_s, cold = _run(batched=True, cache_path=cache_path)
-    warm_s, warm = _run(batched=True, cache_path=cache_path)
-    benchmark(lambda: _run(batched=True, cache_path=cache_path)[1])
-
-    assert _digest(warm) == _digest(cold)
-    assert warm.cache_misses < cold.cache_misses
-    assert warm.cache_hits > 0
-    rows = [{"run": "cold", "wall_s": cold_s, "cache_hits": cold.cache_hits,
-             "cache_misses": cold.cache_misses},
-            {"run": "warm", "wall_s": warm_s, "cache_hits": warm.cache_hits,
-             "cache_misses": warm.cache_misses}]
-    print_table("E10: persistent snapshot warm-start (identical records)",
-                rows)
 
 
 @pytest.mark.benchmark(group="e10-parallel")

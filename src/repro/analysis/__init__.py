@@ -38,7 +38,7 @@ from repro.analysis.dependency import (
 )
 from repro.analysis.threat import ThreatModel, ThreatAssessment, AttackPath
 from repro.analysis.safety import SafetyAnalysis, SafetyFinding
-from repro.analysis.cache import AnalysisCache, SnapshotError, taskset_key
+from repro.analysis.cache import AnalysisCache, taskset_key
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.analysis.compositional import (
     CanResponseTimeAnalysis,
@@ -67,7 +67,6 @@ __all__ = [
     "SafetyAnalysis",
     "SafetyFinding",
     "AnalysisCache",
-    "SnapshotError",
     "taskset_key",
     "IncrementalResponseTimeAnalysis",
     "CanResponseTimeAnalysis",

@@ -447,9 +447,6 @@ SCENARIOS.register(Scenario(
                   coerce=bool),
         Parameter("deploy", False, "attach an execution-domain RTE per vehicle",
                   coerce=bool),
-        Parameter("cache_path", None,
-                  "on-disk analysis-cache snapshot for cross-run warm-starts",
-                  coerce=lambda value: None if value is None else str(value)),
         Parameter("trace_path", None,
                   "write a structured JSONL event trace of the rollout to "
                   "this path (read-only observation; verdicts unchanged)",

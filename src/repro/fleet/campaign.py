@@ -26,11 +26,10 @@ the analyses of the ones before it.
 Warm starts and checkpoints
 ---------------------------
 
-``cache_path`` adds a persistent on-disk
-:meth:`~repro.analysis.cache.AnalysisCache.save_snapshot` of the shared
-cache: loaded at run start and rewritten at run end (halts included).  Wave
-N+1 reuses wave N's analyses through the live cache, and an entirely new
-campaign run over the same fleet warm-starts from the previous run on disk.
+Wave N+1 reuses wave N's analyses through the live cache, and a new
+campaign handed the same :class:`~repro.analysis.cache.AnalysisCache`
+warm-starts from every analysis of the runs before it, in this process;
+no analysis is written to disk.
 :meth:`CampaignEngine.checkpoint
 <repro.fleet.engine.CampaignEngine.checkpoint>` freezes a campaign at a
 wave boundary as the log of its committed waves, and a policy halt freezes
@@ -51,10 +50,12 @@ at a time.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache import AnalysisCache, _atomic_write
+from repro.analysis.cache import AnalysisCache
 from repro.fleet.adversity import AdversityModel
 from repro.fleet.vehicle import FleetVehicle
 from repro.mcc.configuration import ChangeRequest
@@ -77,6 +78,26 @@ _CHECKPOINT_FORMAT = 1
 
 class CampaignError(ValueError):
     """Raised for invalid campaign or wave-policy configuration."""
+
+
+def _atomic_write(data: bytes, path: str) -> None:
+    """Write ``data`` to ``path``, replacing it only once fully written.
+
+    The bytes land in a temp file next to ``path`` that replaces it
+    atomically, so a crash mid-write never leaves a truncated file where a
+    valid earlier one used to be.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            stream.write(data)
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
 
 
 @dataclass(frozen=True)
@@ -410,7 +431,8 @@ class Campaign:
         Staging/halting policy.
     analysis_cache:
         The cache the fleet was generated with, if any: the result reports
-        its traffic, and ``cache_path`` snapshots it.
+        its traffic.  Handing a later campaign the same cache warm-starts
+        it from every analysis derived here.
     batch_admission:
         Admit only the first vehicle of each group of identical admission
         problems; the others take its verdict and adopt its resulting state.
@@ -421,13 +443,6 @@ class Campaign:
         Seed of the simulated monitor feedback stream; per-vehicle draws are
         derived from it and the vehicle index, so feedback is identical for
         batched and sequential admission.
-    cache_path:
-        Optional on-disk snapshot of the shared analysis cache.  Loaded (if
-        present) at run start and rewritten when the run ends — halt
-        included — so whole re-runs and resumed campaigns warm-start from
-        every previously derived analysis.  (Within a run, wave N+1
-        warm-starts from wave N through the live cache.)  Requires an
-        ``analysis_cache``.
     adversity:
         Optional :class:`~repro.fleet.adversity.AdversityModel` perturbing
         the wave loop: lossy update delivery (undelivered vehicles carry
@@ -460,13 +475,10 @@ class Campaign:
                  batch_admission: bool = True,
                  failure_injection_rate: float = 0.0,
                  feedback_seed: int = 0,
-                 cache_path: Optional[str] = None,
                  adversity: Optional[AdversityModel] = None,
                  tracer: Optional[CampaignTracer] = None) -> None:
         if not 0.0 <= failure_injection_rate <= 1.0:
             raise CampaignError("failure_injection_rate must be in [0, 1]")
-        if cache_path is not None and analysis_cache is None:
-            raise CampaignError("cache_path needs an analysis cache to snapshot")
         self.vehicles = list(vehicles)
         self.update_factory = update_factory
         self.policy = policy if policy is not None else WavePolicy()
@@ -474,7 +486,6 @@ class Campaign:
         self.batch_admission = batch_admission
         self.failure_injection_rate = failure_injection_rate
         self.feedback_seed = feedback_seed
-        self.cache_path = cache_path
         self.adversity = adversity
         self.tracer = tracer
         #: The checkpoint of the last policy halt (None before, or when

@@ -6,9 +6,8 @@ knobs; this module owns *how*, one wave at a time.  :class:`CampaignEngine`
 is an explicit state machine over :class:`CampaignState`: construct it, call
 :meth:`~CampaignEngine.step` once per wave (each call executes exactly one
 wave and returns its :class:`~repro.fleet.campaign.WaveRecord`), and call
-:meth:`~CampaignEngine.finalize` when :attr:`~CampaignEngine.done` to persist
-the cache snapshot and obtain the aggregate
-:class:`~repro.fleet.campaign.CampaignResult`.
+:meth:`~CampaignEngine.finalize` when :attr:`~CampaignEngine.done` to obtain
+the aggregate :class:`~repro.fleet.campaign.CampaignResult`.
 :meth:`Campaign.run() <repro.fleet.campaign.Campaign.run>` is nothing but
 that loop — stepped and run-to-completion execution are byte-identical by
 construction, and the differential tests pin it.
@@ -124,17 +123,17 @@ class CampaignEngine:
     """Executes one campaign wave-by-wave; the stepper behind ``run()``.
 
     Construction performs the campaign prologue exactly as the monolithic
-    ``run()`` did — begin trace, cache warm-start, counter baselines — and
-    a resume's silent replay of its checkpointed waves, so a constructed
-    engine is positioned at a wave boundary.  Then:
+    ``run()`` did — begin trace, counter baselines — and a resume's silent
+    replay of its checkpointed waves, so a constructed engine is positioned
+    at a wave boundary.  Then:
 
     * :meth:`step` executes exactly one wave (staging and provisioning the
       staged vehicles, adversity delivery, dedupe, admission, feedback,
       halt decision, rollback) and returns its :class:`WaveRecord`;
     * :attr:`done` reports whether a next wave exists (the plan is
       exhausted with no carry, or the campaign halted);
-    * :meth:`finalize` runs the epilogue (snapshot persistence, cache
-      counters, end trace) and returns the result;
+    * :meth:`finalize` runs the epilogue (cache counters, end trace) and
+      returns the result;
     * :meth:`checkpoint` logs the current wave boundary.
 
     One engine executes one campaign run; it is not reusable after
@@ -189,12 +188,6 @@ class CampaignEngine:
                 adversity=type(campaign.adversity).__name__
                 if campaign.adversity is not None else None,
                 resumed=resume_from is not None)
-        if cache is not None and campaign.cache_path is not None:
-            # Warm-start this run, a resume's replay included, from the
-            # previous run's snapshot.
-            loaded = cache.load_snapshot(campaign.cache_path, missing_ok=True)
-            if self.tracer is not None:
-                self.tracer.emit("cache.snapshot_load", entries=loaded)
         if resume_from is not None:
             self._replay(resume_from)
 
@@ -263,9 +256,8 @@ class CampaignEngine:
     def finalize(self) -> CampaignResult:
         """Run the campaign epilogue and return the aggregate result.
 
-        Persists the ``cache_path`` snapshot, stamps the cache counters onto
-        the result, detaches the shared cache from the tracer and closes the
-        trace.  One-shot: a second call raises.
+        Stamps the cache counters onto the result, detaches the shared cache
+        from the tracer and closes the trace.  One-shot: a second call raises.
         Callable at any wave boundary — :meth:`Campaign.run` calls it when
         :attr:`done`, the admission service also calls it when parking a
         campaign.
@@ -274,14 +266,6 @@ class CampaignEngine:
             raise CampaignError("campaign engine already finalized")
         campaign = self.campaign
         result = self.state.result
-        if campaign.analysis_cache is not None and campaign.cache_path is not None:
-            # Persist everything this run derived so re-runs — and a resume
-            # after a halt — warm-start from it.
-            campaign.analysis_cache.save_snapshot(campaign.cache_path)
-            if self.tracer is not None:
-                self.tracer.emit("cache.snapshot_save",
-                                 path=campaign.cache_path,
-                                 entries=len(campaign.analysis_cache))
         if campaign.analysis_cache is not None:
             result.cache_hits = campaign.analysis_cache.hits \
                 - self.state.hits_before

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cache import AnalysisCache
 from repro.contracts.model import Contract, RealTimeRequirement
 from repro.mcc.acceptance import AcceptanceTest
 from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport, SystemModel
@@ -56,23 +55,20 @@ class MultiChangeController:
         Optional execution-domain runtime; if given, accepted configurations
         are deployed immediately.
     acceptance_tests:
-        Override the default battery of viewpoint acceptance tests.
-    analysis_cache:
-        Optional :class:`~repro.analysis.cache.AnalysisCache` that memoizes
-        the timing viewpoint across change requests (ignored when explicit
-        ``acceptance_tests`` are given).
+        Override the default battery of viewpoint acceptance tests.  To
+        memoize the timing viewpoint across change requests, pass
+        ``default_acceptance_tests(cache=...)`` with an
+        :class:`~repro.analysis.cache.AnalysisCache`.
     """
 
     def __init__(self, platform: Platform, rte: Optional[RuntimeEnvironment] = None,
                  acceptance_tests: Optional[List[AcceptanceTest]] = None,
-                 mapping_strategy: MappingStrategy = MappingStrategy.FIRST_FIT,
-                 analysis_cache: Optional["AnalysisCache"] = None) -> None:
+                 mapping_strategy: MappingStrategy = MappingStrategy.FIRST_FIT) -> None:
         self.platform = platform
         self.rte = rte
         self.model = SystemModel()
         self.process = IntegrationProcess(platform, acceptance_tests=acceptance_tests,
-                                          mapping_strategy=mapping_strategy,
-                                          analysis_cache=analysis_cache)
+                                          mapping_strategy=mapping_strategy)
         self.reports: List[IntegrationReport] = []
         self.deployed_configuration: Optional[RteConfiguration] = None
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.cache import AnalysisCache
 from repro.contracts.model import Contract
 from repro.mcc.acceptance import (AcceptanceTest, default_acceptance_tests,
                                   tasksets_from_mapping)
@@ -51,11 +50,10 @@ class IntegrationProcess:
 
     def __init__(self, platform: Platform,
                  acceptance_tests: Optional[List[AcceptanceTest]] = None,
-                 mapping_strategy: MappingStrategy = MappingStrategy.FIRST_FIT,
-                 analysis_cache: Optional[AnalysisCache] = None) -> None:
+                 mapping_strategy: MappingStrategy = MappingStrategy.FIRST_FIT) -> None:
         self.platform = platform
         self.acceptance_tests = (acceptance_tests if acceptance_tests is not None
-                                 else default_acceptance_tests(cache=analysis_cache))
+                                 else default_acceptance_tests())
         self.mapping_engine = MappingEngine(platform, strategy=mapping_strategy)
 
     def integrate(self, candidate: SystemModel, request: ChangeRequest) -> IntegrationReport:

@@ -62,18 +62,16 @@ class MappingEngine:
         The target platform (processor capacities are respected).
     strategy:
         Placement heuristic.
-    keep_existing:
-        If True (default), components that already have a mapping in the
-        candidate model keep it (minimal-change integration, as expected for
-        in-field updates); only unmapped components are placed.
+
+    Components that already have a placement on this platform keep it
+    (minimal-change integration, as expected for in-field updates); only
+    unmapped components are placed.
     """
 
     def __init__(self, platform: Platform,
-                 strategy: MappingStrategy = MappingStrategy.FIRST_FIT,
-                 keep_existing: bool = True) -> None:
+                 strategy: MappingStrategy = MappingStrategy.FIRST_FIT) -> None:
         self.platform = platform
         self.strategy = strategy
-        self.keep_existing = keep_existing
 
     # -- placement ------------------------------------------------------------------------
 
@@ -81,15 +79,14 @@ class MappingEngine:
             existing: Optional[Dict[str, str]] = None) -> MappingDecision:
         """Place all components and assign deadline-monotonic priorities.
 
-        Components with an ``existing`` placement on this platform keep it
-        (when the engine keeps placements), in contract order; the others
-        are placed heaviest first.  Components must be unique, as a
-        :class:`~repro.mcc.configuration.SystemModel`'s are.  Raises
-        :class:`MappingError` if some component cannot be placed within the
-        capacity bounds.
+        Components with an ``existing`` placement on this platform keep it,
+        in contract order; the others are placed heaviest first.  Components
+        must be unique, as a :class:`~repro.mcc.configuration.SystemModel`'s
+        are.  Raises :class:`MappingError` if some component cannot be
+        placed within the capacity bounds.
         """
         state = MappingState(self)
-        kept = (existing or {}) if self.keep_existing else {}
+        kept = existing or {}
         unplaced: List[Tuple[int, Contract]] = []
         for position, contract in enumerate(contracts):
             processor = kept.get(contract.component)

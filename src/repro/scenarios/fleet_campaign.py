@@ -109,7 +109,6 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
                                 failure_injection_rate: float = 0.0,
                                 batch_admission: bool = True,
                                 deploy: bool = False,
-                                cache_path: Optional[str] = None,
                                 trace_path: Optional[str] = None,
                                 trace_deterministic: bool = False
                                 ) -> FleetCampaignResult:
@@ -117,9 +116,7 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
 
     The fleet, the per-variant update contracts and the simulated monitor
     feedback are all derived from ``seed``, so the result is a pure function
-    of the parameters — batched and sequential admission included;
-    ``cache_path`` warm-starts the analysis cache from a previous run's
-    persisted snapshot without changing any verdict.
+    of the parameters, batched and sequential admission included.
 
     ``trace_path`` attaches a :class:`~repro.observability.CampaignTracer`
     writing a structured JSONL event trace of the whole rollout
@@ -146,8 +143,7 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
                         policy=policy, analysis_cache=cache,
                         batch_admission=batch_admission,
                         failure_injection_rate=failure_injection_rate,
-                        feedback_seed=seed, cache_path=cache_path,
-                        tracer=tracer)
+                        feedback_seed=seed, tracer=tracer)
     outcome: CampaignResult = campaign.run()
     return FleetCampaignResult(
         fleet_size=outcome.fleet_size,

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 from repro.analysis.cache import AnalysisCache, default_cache
 from repro.contracts.language import ContractParser
 from repro.contracts.model import Contract
+from repro.mcc.acceptance import default_acceptance_tests
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.mcc.controller import MultiChangeController
 from repro.mcc.mapping import MappingStrategy
@@ -135,8 +136,9 @@ def run_infield_update_scenario(num_requests: int = 30, seed: int = 0,
         analysis_cache = default_cache()
     platform = build_baseline_platform(num_processors=num_processors)
     rte = RuntimeEnvironment(platform) if deploy else None
-    mcc = MultiChangeController(platform, rte=rte, mapping_strategy=mapping_strategy,
-                                analysis_cache=analysis_cache)
+    mcc = MultiChangeController(
+        platform, rte=rte, mapping_strategy=mapping_strategy,
+        acceptance_tests=default_acceptance_tests(cache=analysis_cache))
     for contract in baseline_contracts():
         report = mcc.add_component(contract)
         if not report.accepted:  # pragma: no cover - baseline accepted by construction

@@ -236,14 +236,12 @@ def generate_fleet_integrating_each(
         variant = variants[index % len(variants)]
         platform = build_vehicle_platform(variant, name=f"veh{index:04d}-platform")
         rte = RuntimeEnvironment(platform) if spec.deploy else None
-        acceptance_tests = None
+        acceptance_tests = default_acceptance_tests(cache=analysis_cache)
         if extra_acceptance_tests is not None:
-            acceptance_tests = (default_acceptance_tests(cache=analysis_cache)
-                                + list(extra_acceptance_tests(variant, platform)))
+            acceptance_tests += extra_acceptance_tests(variant, platform)
         mcc = MultiChangeController(platform, rte=rte,
                                     acceptance_tests=acceptance_tests,
-                                    mapping_strategy=spec.mapping_strategy,
-                                    analysis_cache=analysis_cache)
+                                    mapping_strategy=spec.mapping_strategy)
         for contract in contracts_by_variant[variant.index]:
             report = mcc.add_component(contract)
             if not report.accepted and contract.component in _CORE_COMPONENTS:

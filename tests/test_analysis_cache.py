@@ -221,63 +221,6 @@ class TestAnalysisCache:
             AnalysisCache(max_entries=0)
 
 
-class TestSnapshotPersistence:
-    """On-disk snapshots and cross-cache entry movement."""
-
-    def test_snapshot_roundtrip(self, tmp_path):
-        cache = AnalysisCache()
-        expected = {w: cache.analyse(_taskset(wcet_high=w))
-                    for w in (0.001, 0.002, 0.003)}
-        path = str(tmp_path / "cache.pkl")
-        assert cache.save_snapshot(path) == 3
-        warm = AnalysisCache()
-        assert warm.load_snapshot(path) == 3
-        for w, results in expected.items():
-            assert warm.analyse(_taskset(wcet_high=w)) == results
-        # Every lookup was answered from the snapshot: no engine traffic.
-        assert (warm.hits, warm.misses) == (3, 0)
-        assert warm.engine.tasks_analysed == 0
-
-    def test_load_merges_and_respects_capacity(self, tmp_path):
-        cache = AnalysisCache()
-        for w in (0.001, 0.002, 0.003):
-            cache.analyse(_taskset(wcet_high=w))
-        path = str(tmp_path / "cache.pkl")
-        cache.save_snapshot(path)
-        small = AnalysisCache(max_entries=2)
-        loaded = small.load_snapshot(path)
-        assert loaded == 3
-        assert len(small) == 2  # LRU bound holds under loading too
-        assert small.evictions == 1
-        # Loading is not a lookup.
-        assert (small.hits, small.misses) == (0, 0)
-
-    def test_load_missing_snapshot(self, tmp_path):
-        cache = AnalysisCache()
-        missing = str(tmp_path / "absent.pkl")
-        assert cache.load_snapshot(missing, missing_ok=True) == 0
-        with pytest.raises(FileNotFoundError):
-            cache.load_snapshot(missing)
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "bogus.pkl"
-        import pickle
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ValueError):
-            AnalysisCache().load_snapshot(str(path))
-
-    def test_merge_entries_refreshes_and_counts_inserts(self):
-        source = AnalysisCache()
-        source.analyse(_taskset(wcet_high=0.001))
-        source.analyse(_taskset(wcet_high=0.002))
-        target = AnalysisCache()
-        target.analyse(_taskset(wcet_high=0.001))
-        inserted = target.merge_entries(source.export_entries())
-        assert inserted == 1  # the shared key already existed
-        assert len(target) == 2
-        assert (target.hits, target.misses) == (0, 1)  # merging is no lookup
-
-
 class TestMccIntegration:
     """The cache plugs into the timing acceptance test and the E1 scenario."""
 

@@ -19,12 +19,9 @@ The satellite guarantees ride along:
   process, with exactly the uninterrupted run's admission calls; after a
   policy halt it returns the boundary the halt logged, and it refuses a
   campaign that did not start at its fleet's baseline;
-* a resume loads its ``cache_path`` snapshot before it replays, so the
-  replay warm-starts from the analyses the halted run saved;
 * ``CampaignCheckpoint.load`` reads JSON only — a pickle payload raises
   ``CampaignError`` without executing, and so does a malformed field,
-  named in the message; the cache snapshot's allowlist unpickler refuses
-  a dotted name or a non-class global without executing it.
+  named in the message.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache import AnalysisCache, SnapshotError
+from repro.analysis.cache import AnalysisCache
 from repro.fleet.adversity import (IntrusionAdversity, LossyDeliveryAdversity,
                                    ThermalAdversity)
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
@@ -361,34 +358,6 @@ sys.stdout.write(repr(campaign_digest(resumed)))
         assert campaign_digest(resumed) == \
             campaign_digest(remediated_run(None))
 
-    def test_a_resume_replays_warm_from_its_cache_path(self, tmp_path):
-        """A resumed campaign loads its ``cache_path`` snapshot before it
-        replays the logged waves, so on a fresh fleet and cache the replay
-        finds every analysis the halted run saved; the trace still opens
-        with campaign.begin, cache.merge and cache.snapshot_load, and the
-        replay adds nothing to it."""
-        path = str(tmp_path / "analyses.pkl")
-
-        def build(tracer=None):
-            cache = AnalysisCache()
-            fleet = generate_fleet(FleetSpec(size=40, seed=1, num_variants=8),
-                                   analysis_cache=cache)
-            return Campaign(fleet, make_factory(),
-                            policy=WavePolicy(max_failure_rate=0.1),
-                            analysis_cache=cache, failure_injection_rate=0.3,
-                            feedback_seed=1, cache_path=path, tracer=tracer)
-
-        halted = build()
-        assert halted.run().halted
-        assert halted.last_checkpoint.next_wave == 1
-        tracer = CampaignTracer(deterministic=True)
-        resumed = build(tracer)
-        engine = CampaignEngine(resumed, resume_from=halted.last_checkpoint)
-        assert resumed.analysis_cache.misses == 0
-        assert [event["event"] for event in tracer.events] == \
-            ["campaign.begin", "cache.merge", "cache.snapshot_load"]
-        engine.finalize()
-
 
 class _EvilPayload:
     """Pickles to a reduce payload that would execute on a naive load."""
@@ -398,22 +367,6 @@ class _EvilPayload:
 
     def __reduce__(self):
         return (os.system, (f"touch {self.marker}",))
-
-
-def _global_call_pickle(module: str, name: str, argument: str) -> bytes:
-    """A protocol-4 pickle calling ``module``'s ``name`` on ``argument``.
-
-    ``STACK_GLOBAL`` resolves a dotted ``name`` attribute by attribute, so
-    ``("repro.fleet.campaign", "os.mkdir")`` reaches ``os`` through the
-    campaign module's own import.
-    """
-    def text(value: str) -> bytes:
-        data = value.encode("utf-8")
-        return b"\x8c" + bytes([len(data)]) + data  # SHORT_BINUNICODE
-
-    # PROTO 4, STACK_GLOBAL, TUPLE1, REDUCE, STOP
-    return (b"\x80\x04" + text(module) + text(name) + b"\x93"
-            + text(argument) + b"\x85" + b"R" + b".")
 
 
 def _canary_document():
@@ -436,8 +389,7 @@ def _corrupted(corrupt):
 
 
 class TestRestrictedUnpickler:
-    """CampaignCheckpoint.load never executes foreign pickle payloads, and
-    the cache snapshot's allowlist unpickler refuses foreign globals."""
+    """CampaignCheckpoint.load never executes foreign pickle payloads."""
 
     def test_reduce_payload_is_rejected_not_executed(self, tmp_path):
         marker = str(tmp_path / "owned")
@@ -457,20 +409,6 @@ class TestRestrictedUnpickler:
         with pytest.raises(CampaignError,
                            match="not a loadable campaign checkpoint"):
             CampaignCheckpoint.load(foreign)
-
-    @pytest.mark.parametrize("module, name", [
-        ("repro.fleet.campaign", "os.mkdir"),  # dotted name via an import
-        ("repro.fleet.vehicle", "generate_fleet"),  # a function
-        ("repro.fleet", "Campaign"),  # a class its module only re-exports
-    ])
-    def test_only_classes_of_the_named_module_load(self, tmp_path, module,
-                                                   name):
-        target = tmp_path / "created"
-        crafted = tmp_path / "crafted.pkl"
-        crafted.write_bytes(_global_call_pickle(module, name, str(target)))
-        with pytest.raises(SnapshotError, match="forbidden global"):
-            AnalysisCache().load_snapshot(str(crafted))
-        assert not target.exists()  # nothing ran
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -104,6 +104,11 @@ class TestSpec:
         with pytest.raises(SpecError, match="unknown parameters"):
             ExperimentSpec(name="s", scenario="thermal",
                            grid={"bogus": [1]}).validate()
+        with pytest.raises(SpecError, match="unknown parameters"):
+            # The on-disk analysis-cache snapshot is gone; a spec that
+            # still names its path fails instead of running cold.
+            ExperimentSpec(name="s", scenario="fleet_update_campaign",
+                           grid={"cache_path": ["analyses.pkl"]}).validate()
         with pytest.raises(SpecError, match="seeds"):
             ExperimentSpec(name="s", scenario="thermal", seeds=[]).validate()
         with pytest.raises(SpecError, match="invalid experiment name"):

@@ -401,10 +401,6 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      failure_injection_rate=2.0)
-        with pytest.raises(CampaignError):
-            # A cache snapshot path without a cache to snapshot is a typo.
-            Campaign([], update_factory_for(), analysis_cache=None,
-                     batch_admission=False, cache_path="cache.pkl")
 
 
 class TestFleetScenario:

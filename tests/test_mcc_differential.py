@@ -56,8 +56,9 @@ def assert_chain_equivalent(seed: int, pool_size: int, length: int,
     verdicts."""
     rng = SeededRNG(seed)
     chain = random_chain(rng, pool_size, length)
-    fast = MultiChangeController(build_platform(num_processors),
-                                 analysis_cache=AnalysisCache())
+    fast = MultiChangeController(
+        build_platform(num_processors),
+        acceptance_tests=default_acceptance_tests(cache=AnalysisCache()))
     reference = MultiChangeController(
         build_platform(num_processors),
         acceptance_tests=[ColdTimingAcceptanceTest(), SafetyAcceptanceTest(),
@@ -109,7 +110,9 @@ class TestMccDifferential:
         for seed in (5, 6):
             rng = SeededRNG(seed)
             chain = random_chain(rng, pool_size=6, length=12)
-            fast = MultiChangeController(build_platform(2), analysis_cache=cache)
+            fast = MultiChangeController(
+                build_platform(2),
+                acceptance_tests=default_acceptance_tests(cache=cache))
             reference = MultiChangeController(
                 build_platform(2),
                 acceptance_tests=[ColdTimingAcceptanceTest(),
@@ -124,8 +127,9 @@ class TestMccDifferential:
 
     def test_duplicate_add_and_missing_remove_agree(self):
         """Pre-acceptance rejections (model-level errors) also agree."""
-        fast = MultiChangeController(build_platform(2),
-                                     analysis_cache=AnalysisCache())
+        fast = MultiChangeController(
+            build_platform(2),
+            acceptance_tests=default_acceptance_tests(cache=AnalysisCache()))
         reference = MultiChangeController(
             build_platform(2),
             acceptance_tests=[ColdTimingAcceptanceTest(), SafetyAcceptanceTest(),
@@ -202,10 +206,11 @@ class Vouching:
 
 def build_controller(platform, deploy, tests=None, cache=None,
                      strategy=MappingStrategy.FIRST_FIT):
+    if tests is None:
+        tests = default_acceptance_tests(cache=cache)
     return MultiChangeController(
         platform, rte=RuntimeEnvironment(platform) if deploy else None,
-        acceptance_tests=tests, mapping_strategy=strategy,
-        analysis_cache=cache)
+        acceptance_tests=tests, mapping_strategy=strategy)
 
 
 def add(contract):

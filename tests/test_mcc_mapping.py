@@ -169,12 +169,6 @@ class TestExistingAndRedundancy:
                                                existing={"a": "gone-cpu"})
         assert decision.placement["a"] == "cpu0"
 
-    def test_keep_existing_disabled_repacks(self):
-        platform = platform_with([0.9, 0.9])
-        engine = MappingEngine(platform, keep_existing=False)
-        decision = engine.map([contract("a", 0.3)], existing={"a": "cpu1"})
-        assert decision.placement["a"] == "cpu0"  # first fit ignores history
-
     def test_redundancy_group_members_separated(self):
         platform = platform_with([0.9, 0.9])
         contracts = [contract("brake_a", 0.2, asil="D", redundancy_group="brakes"),
@@ -229,7 +223,6 @@ def reference_map(engine, contracts, existing):
     """``MappingEngine.map`` re-deriving everything on each call: kept
     placements summed in contract order, the rest placed heaviest first,
     then every hosted contract sorted per processor."""
-    existing = existing if engine.keep_existing else {}
     utilization = {p.name: 0.0 for p in engine.platform.processors()}
     placement, used = {}, {}
     group_of = {c.component: c.safety.redundancy_group for c in contracts
@@ -324,9 +317,8 @@ class TestMappingDifferentials:
     @given(run=mapping_runs(), data=st.data())
     def test_map_matches_the_rederiving_reference(self, run, data):
         """Placements kept anywhere in the list (as after an update), stale
-        ones, and engines that keep none."""
+        ones, and none at all."""
         engine, contracts = run
-        engine.keep_existing = data.draw(st.booleans())
         names = [p.name for p in engine.platform.processors()] + ["gone"]
         existing = {c.component: data.draw(st.sampled_from(names))
                     for c in contracts if data.draw(st.booleans())}

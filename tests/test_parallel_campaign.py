@@ -1,13 +1,12 @@
-"""Campaign admission paths and persistence: batched/sequential
-equivalence, on-disk cache warm-starts and checkpoint/resume.
+"""Campaign admission paths and checkpoints: batched/sequential
+equivalence and checkpoint/resume.
 
 A wave is admitted batched (each group of identical vehicles integrates
 once, the rest replay its verdict) or, with ``batch_admission=False``,
 vehicle by vehicle by the sequential oracle; both must reach the same
 verdicts, waves and per-vehicle rollout state for any fleet, staging
 policy and failure injection — halts included.  A hypothesis-seeded
-differential harness pins that.  A warm start changes wall time, never a
-result; a halted campaign resumes — remediated —
+differential harness pins that.  A halted campaign resumes — remediated —
 to the result of an uninterrupted run.  The module also holds the campaign
 helpers the other campaign suites share (``make_factory``,
 ``campaign_digest``, ``verdict_digest``, ``fleet_digest``,
@@ -91,7 +90,7 @@ def report_digest(fleet):
 
 
 def run_campaign(size, seed, *, failure_rate=0.0, policy=None,
-                 cache_path=None, num_variants=4, shared_cache=True,
+                 num_variants=4, shared_cache=True,
                  **campaign_kwargs):
     spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
                      extra_components=2)
@@ -100,8 +99,7 @@ def run_campaign(size, seed, *, failure_rate=0.0, policy=None,
     campaign = Campaign(fleet, make_factory(), policy=policy,
                         analysis_cache=cache,
                         failure_injection_rate=failure_rate,
-                        feedback_seed=seed, cache_path=cache_path,
-                        **campaign_kwargs)
+                        feedback_seed=seed, **campaign_kwargs)
     return fleet, campaign, campaign.run()
 
 
@@ -163,18 +161,16 @@ class TestParallelSequentialEquivalence:
         assert report_digest(fleet_bat) == report_digest(fleet_seq)
 
     @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.function_scoped_fixture])
+              suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=10_000),
            failure_rate=st.sampled_from([0.0, 0.4]),
            canary_size=st.integers(min_value=0, max_value=3),
            wave_fractions=st.sampled_from([(1.0,), (0.5, 1.0),
-                                           (0.2, 0.6, 1.0)]),
-           warm=st.booleans())
-    def test_differential_random_schedules(self, tmp_path, seed, failure_rate,
-                                           canary_size, wave_fractions, warm):
-        """Random staging schedules, cold or warm-started from a snapshot,
-        may never change a verdict relative to sequential admission."""
+                                           (0.2, 0.6, 1.0)]))
+    def test_differential_random_schedules(self, seed, failure_rate,
+                                           canary_size, wave_fractions):
+        """Random staging schedules may never change a verdict relative to
+        sequential admission."""
         policy = WavePolicy(canary_size=canary_size,
                             wave_fractions=wave_fractions,
                             max_failure_rate=0.25)
@@ -182,43 +178,12 @@ class TestParallelSequentialEquivalence:
                                                 failure_rate=failure_rate,
                                                 policy=policy,
                                                 batch_admission=False)
-        cache_path = None
-        if warm:
-            cache_path = str(tmp_path / f"snap-{seed}.pkl")
-            run_campaign(10, seed=seed, failure_rate=failure_rate,
-                         policy=policy, cache_path=cache_path)
         fleet_bat, _, batched = run_campaign(10, seed=seed,
                                              failure_rate=failure_rate,
-                                             policy=policy,
-                                             cache_path=cache_path)
+                                             policy=policy)
         assert verdict_digest(batched) == verdict_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
         assert report_digest(fleet_bat) == report_digest(fleet_seq)
-
-
-class TestPersistentCache:
-    """On-disk snapshots: warm-starts change wall time, never results."""
-
-    def test_rerun_warm_starts_from_snapshot(self, tmp_path):
-        cache_path = os.path.join(tmp_path, "analyses.pkl")
-        _, _, first = run_campaign(10, seed=4, cache_path=cache_path)
-        assert os.path.exists(cache_path)
-        assert first.cache_misses > 0
-        _, _, second = run_campaign(10, seed=4, cache_path=cache_path)
-        assert campaign_digest(second) == campaign_digest(first)
-        # The repeat run's wave analyses are answered from the snapshot.
-        assert second.cache_misses < first.cache_misses
-        assert second.cache_hits > 0
-
-    def test_snapshot_roundtrip_under_parallel_run(self, tmp_path):
-        """A snapshot written by a batched run loads, and the batched run
-        agrees with the sequential oracle."""
-        cache_path = os.path.join(tmp_path, "analyses.pkl")
-        _, _, batched = run_campaign(10, seed=4, cache_path=cache_path)
-        _, _, sequential = run_campaign(10, seed=4, batch_admission=False)
-        assert verdict_digest(batched) == verdict_digest(sequential)
-        restored = AnalysisCache()
-        assert restored.load_snapshot(cache_path) > 0
 
 
 class TestCheckpointResume:
