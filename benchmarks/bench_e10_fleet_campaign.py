@@ -3,8 +3,8 @@
 Regenerates the production-scale admission story: one logical update rolled
 out across a heterogeneous fleet in staged waves.  The series reports
 
-* batched admission (shared analysis cache + incremental engine + verdict
-  dedupe across equivalent vehicles) versus per-vehicle sequential
+* batched admission (shared analysis cache + verdict dedupe across
+  equivalent vehicles) versus per-vehicle sequential
   admission — verdict parity is asserted and the measured speedup must
   clear 1.5x (the quantity lands in ``BENCH_e10_fleet_campaign.json``,
   next to the batched run's provisioning, campaign and total seconds and
@@ -257,7 +257,6 @@ def test_e10_batched_vs_sequential_admission(benchmark):
         "waves": len(batched_result.waves),
         "cache_hits": batched_result.cache_hits,
         "cache_misses": batched_result.cache_misses,
-        "engine_reuse_rate": batched_result.engine_reuse_rate,
         # The batched run end to end: provisioning, then the campaign
         # (each min-of-3; total_s is their sum).
         "generation_s": generation_s,

@@ -6,9 +6,10 @@ same near-identical-input pattern the incremental CPA engine (E9) and the
 fleet batching (E10) exploit on single processors.  This benchmark measures
 it end-to-end: a sensor -> CAN -> control -> CAN -> actuator system over two
 ECUs is re-analysed across an update sweep, once cold (every step re-derives
-every busy window from scratch) and once through one shared
-:class:`~repro.analysis.cache.AnalysisCache`-backed
-:class:`~repro.analysis.compositional.SystemAnalysis`.
+every busy window from scratch) and once through one
+:class:`~repro.analysis.compositional.SystemAnalysis` backed by a shared
+:class:`~repro.analysis.cache.AnalysisCache`, whose misses the analysis's
+own incremental engine answers.
 
 The cached/incremental path must produce identical verdicts and clear a
 2x speedup; both land in ``BENCH_e11_distributed_e2e.json``.
@@ -132,7 +133,7 @@ def test_e11_incremental_system_analysis_speedup(benchmark):
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,
         "cache_hit_rate": cache.hit_rate,
-        "engine_reuse_rate": cache.engine.reuse_rate,
+        "engine_reuse_rate": analysis.engine.reuse_rate,
         "fixpoint_iterations_last": warm_results[-1].iterations,
         "chain_latency_last_s": warm_results[-1].chain_latency(CHAIN),
     }

@@ -13,10 +13,12 @@ as acceptance tests during the in-field integration process:
   redundancy and fail-operational coverage.
 * :mod:`repro.analysis.cache` — fingerprint-keyed memoization of WCRT
   analyses, so acceptance-test sweeps stop re-deriving identical busy-window
-  fixpoints.
+  fixpoints; a miss runs a cold analysis unless the caller hands it an
+  analyser.
 * :mod:`repro.analysis.incremental` — delta-aware incremental WCRT engine:
-  priority-pruned reuse and warm-started fixpoints for near-identical task
-  sets (the dominant acceptance-sweep workload).
+  priority-pruned reuse and warm-started fixpoints for sweeps that
+  re-analyse near-identical task sets many times over, such as the
+  system-level event-model fixpoint, whose cache misses it answers.
 * :mod:`repro.analysis.compositional` — multi-resource CPA: CAN
   response-time analysis, the system-level event-model propagation fixpoint
   and jitter-aware distributed cause-effect-chain latency bounds.

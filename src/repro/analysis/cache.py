@@ -14,12 +14,12 @@ build on the hot admission path) with true LRU eviction.
 ``TimingAcceptanceTest`` accepts an optional cache so MCC sweeps
 transparently benefit.
 
-Cache misses are computed by an
-:class:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis` engine:
-a miss on a task set that *almost* matches a recently analysed one (the
-dominant change-campaign workload) is answered by delta re-analysis —
-unchanged higher-priority tasks are reused and re-analysed fixpoints are
-warm-started — instead of a from-scratch busy-window derivation.
+A miss runs a cold :class:`~repro.analysis.cpa.ResponseTimeAnalysis`, unless
+the caller hands :meth:`AnalysisCache.analyse` an analyser of its own:
+:class:`~repro.analysis.compositional.SystemAnalysis` hands it the
+:class:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis` it owns,
+because its event-model fixpoint re-analyses near-identical task sets many
+times over.
 
 Entries never leave the process that derived them.  Reuse across runs is
 sharing: one process-local default cache (:func:`default_cache`) serves the
@@ -32,10 +32,9 @@ of the run before.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.cpa import EventModel, ResponseTimeResult
-from repro.analysis.incremental import IncrementalResponseTimeAnalysis
+from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.platform.tasks import TaskSet
 
 
@@ -44,8 +43,9 @@ def taskset_key(taskset: TaskSet, speed_factor: float = 1.0,
     """Exact, hashable identity of everything the WCRT analysis depends on.
 
     Two task sets with identical (name, period, wcet, deadline, priority,
-    jitter) tuples, the same speed factor and the same event-model overrides
-    produce the same key regardless of insertion order.  The key is the
+    jitter) tuples, the same speed factor (compared exactly, not rounded)
+    and the same event-model overrides produce the same key regardless of
+    insertion order.  The key is the
     parameter tuple itself — dictionary lookups compare it by value, so
     collisions are impossible and no serialization/digest cost is paid on
     the hot admission path.
@@ -58,7 +58,7 @@ def taskset_key(taskset: TaskSet, speed_factor: float = 1.0,
           else (task.period, task.jitter)))
         for task in taskset
         for override in (overrides.get(task.name),)))
-    return (round(speed_factor, 12), parts)
+    return (speed_factor, parts)
 
 
 class AnalysisCache:
@@ -72,20 +72,18 @@ class AnalysisCache:
     than a FIFO window no longer thrash.  ``hits``/``misses``/``evictions``
     counters make cache behaviour observable for tests and benchmark tables.
 
-    Misses are delegated to an incremental engine (shared across all
-    entries), so even the *first* analysis of a mutated task set reuses the
-    unchanged part of its predecessor.
+    A miss runs a cold analysis, or the analyser its caller hands
+    :meth:`analyse`; the cache itself keeps no analysis state besides its
+    entries.
 
     Entries live in this process only.  A re-run warm-starts by being
     handed the same cache: content addressing makes the reuse exact.
     """
 
-    def __init__(self, max_entries: int = 4096,
-                 engine: Optional[IncrementalResponseTimeAnalysis] = None) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.engine = engine if engine is not None else IncrementalResponseTimeAnalysis()
         self._store: "OrderedDict[Tuple, Dict[str, ResponseTimeResult]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -106,16 +104,15 @@ class AnalysisCache:
         return self.hits / total if total else 0.0
 
     def clear(self) -> None:
-        """Drop all entries (including the engine's delta history) and reset
-        the counters."""
+        """Drop all entries and reset the counters."""
         self._store.clear()
-        self.engine.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def analyse(self, taskset: TaskSet, speed_factor: float = 1.0,
-                event_models: Optional[Dict[str, EventModel]] = None
+                event_models: Optional[Dict[str, EventModel]] = None,
+                analyser: Any = None
                 ) -> Dict[str, ResponseTimeResult]:
         """Analyse ``taskset``, reusing a memoized result when available.
 
@@ -123,7 +120,12 @@ class AnalysisCache:
         that :meth:`ResponseTimeAnalysis.analyse` produces.  Callers get a
         fresh dict per call (so adding/removing entries cannot poison later
         hits); the :class:`ResponseTimeResult` values themselves are shared
-        and must be treated as read-only.
+        and must be treated as read-only.  A miss runs
+        ``analyser.analyse(taskset, speed_factor=..., event_models=...)``
+        when the caller hands one (an exact analyser, such as an
+        :class:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis`,
+        so the entry is the same either way), else a cold
+        :class:`~repro.analysis.cpa.ResponseTimeAnalysis`.
         """
         key = taskset_key(taskset, speed_factor, event_models)
         cached = self._store.get(key)
@@ -136,8 +138,12 @@ class AnalysisCache:
         self.misses += 1
         if self.tracer is not None:
             self.tracer.emit("cache.analyse", hit=False, tasks=len(taskset))
-        results = self.engine.analyse(taskset, speed_factor=speed_factor,
-                                      event_models=event_models)
+        if analyser is not None:
+            results = analyser.analyse(taskset, speed_factor=speed_factor,
+                                       event_models=event_models)
+        else:
+            results = ResponseTimeAnalysis(taskset, speed_factor,
+                                           event_models).analyse()
         if len(self._store) >= self.max_entries:
             self._store.popitem(last=False)
             self.evictions += 1

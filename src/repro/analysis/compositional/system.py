@@ -312,13 +312,15 @@ class SystemAnalysis:
         Optional shared :class:`AnalysisCache`.  Processor analyses go
         through it (content-addressed on task set + event models), so the
         fixpoint's repeated re-analyses — and re-analyses across the steps
-        of an update sweep — are answered from the store or by the cache's
-        incremental engine.
+        of an update sweep — are answered from the store; its misses run
+        this analysis's incremental engine, if it has one.
     incremental:
-        Without a cache: ``True`` (default) analyses processors through a
-        private :class:`IncrementalResponseTimeAnalysis` and memoizes bus
-        segments, ``False`` re-derives everything from scratch on every
-        iteration (the cold reference mode the benchmarks compare against).
+        ``True`` (default) analyses processors through a private
+        :class:`IncrementalResponseTimeAnalysis` (:attr:`engine`, which
+        answers the cache's misses when there is a cache) and memoizes bus
+        segments.  ``False`` without a cache re-derives everything from
+        scratch on every iteration (the cold reference mode the benchmarks
+        compare against); ``False`` with a cache answers its misses cold.
     max_iterations:
         Fixpoint iteration cap; hitting it reports divergence.
     jitter_limit:
@@ -347,9 +349,8 @@ class SystemAnalysis:
         self.max_iterations = max_iterations
         self.jitter_tolerance = jitter_tolerance
         self.jitter_limit = jitter_limit
-        self.engine: Optional[IncrementalResponseTimeAnalysis] = None
-        if cache is None and incremental:
-            self.engine = IncrementalResponseTimeAnalysis()
+        self.engine: Optional[IncrementalResponseTimeAnalysis] = (
+            IncrementalResponseTimeAnalysis() if incremental else None)
         self._bus_memo: Optional[Dict] = {} if (cache is not None or incremental) else None
 
     # -- per-resource analysis --------------------------------------------
@@ -360,7 +361,8 @@ class SystemAnalysis:
         if self.cache is not None:
             return self.cache.analyse(processor.taskset,
                                       speed_factor=processor.speed_factor,
-                                      event_models=overrides)
+                                      event_models=overrides,
+                                      analyser=self.engine)
         if self.engine is not None:
             return self.engine.analyse(processor.taskset,
                                        speed_factor=processor.speed_factor,

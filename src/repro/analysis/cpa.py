@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.platform.tasks import Task, TaskSet
 
@@ -33,9 +33,10 @@ class EventModel:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
+        # Negated comparisons, so that NaN is rejected too.
+        if not self.period > 0:
             raise ValueError("event-model period must be positive")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError("event-model jitter must be non-negative")
 
     def eta_plus(self, dt: float) -> int:
@@ -80,6 +81,70 @@ class ResponseTimeResult:
         return self.task.deadline - self.wcrt
 
 
+#: One activation source of a busy window: the event-model period and jitter
+#: and the speed-scaled WCET of a task.
+_Row = Tuple[float, float, float]
+
+
+def _busy_window(task: Task, own: _Row, interferers: Sequence[_Row],
+                 max_iterations: int,
+                 warm: Sequence[float] = ()) -> ResponseTimeResult:
+    """The multiple-activation busy-window fixpoint of ``task``.
+
+    ``own`` is the task's own row and ``interferers`` the rows of its
+    strictly higher-priority tasks, in task-set order: the interference is
+    the builtin ``sum`` over them in that order, so every caller derives
+    the same bits (Python 3.12's ``sum`` of floats is compensated, a
+    running ``+=`` is not).  ``warm[q - 1]``, when larger than the q-th
+    job's own demand, seeds that job's iteration (see
+    :meth:`ResponseTimeAnalysis.response_time`).
+    """
+    period, jitter, wcet = own
+    deadline = task.deadline if task.deadline is not None else task.period
+    busy_window_limit = max(deadline, task.period) * 64
+    ceil = math.ceil
+    worst_response = 0.0
+    iterations = 0
+    completions: List[float] = []
+    q = 1
+    while True:
+        # Fixed-point iteration for the completion time of the q-th job.
+        demand = q * wcet
+        completion = demand
+        if q <= len(warm) and warm[q - 1] > completion:
+            completion = warm[q - 1]
+        for _ in range(max_iterations):
+            new_completion = demand + sum([
+                ceil((completion + hp_jitter) / hp_period - _EPS) * hp_wcet
+                for hp_period, hp_jitter, hp_wcet in interferers])
+            if abs(new_completion - completion) <= _EPS:
+                completion = new_completion
+                break
+            completion = new_completion
+            iterations += 1
+            if completion > busy_window_limit:
+                return ResponseTimeResult(task=task, wcrt=None, converged=False,
+                                          schedulable=False,
+                                          busy_window=completion,
+                                          iterations=iterations)
+        # delta_min(q) of the periodic-with-jitter model, inlined.
+        release = max(0.0, (q - 1) * period - jitter) if q > 1 else 0.0
+        worst_response = max(worst_response, completion - release + jitter)
+        completions.append(completion)
+        # Stop once the busy window closes before the next activation.
+        if completion <= max(0.0, q * period - jitter) + _EPS:
+            break
+        q += 1
+        if q * wcet > busy_window_limit:
+            return ResponseTimeResult(task=task, wcrt=None, converged=False,
+                                      schedulable=False, busy_window=completion,
+                                      iterations=iterations)
+    return ResponseTimeResult(task=task, wcrt=worst_response, converged=True,
+                              schedulable=worst_response <= deadline + _EPS,
+                              busy_window=completion, iterations=iterations,
+                              completions=tuple(completions))
+
+
 class ResponseTimeAnalysis:
     """Busy-window WCRT analysis for static-priority preemptive scheduling.
 
@@ -98,18 +163,19 @@ class ResponseTimeAnalysis:
     def __init__(self, taskset: TaskSet, speed_factor: float = 1.0,
                  event_models: Optional[Dict[str, EventModel]] = None,
                  max_iterations: int = 10_000) -> None:
-        if speed_factor <= 0:
+        if not speed_factor > 0:  # also rejects NaN
             raise ValueError("speed factor must be positive")
         self.taskset = taskset
         self.speed_factor = speed_factor
         self.max_iterations = max_iterations
         self._event_models = dict(event_models or {})
 
-    def _wcet(self, task: Task) -> float:
-        return task.wcet / self.speed_factor
-
-    def _event_model(self, task: Task) -> EventModel:
-        return self._event_models.get(task.name, EventModel.from_task(task))
+    def _row(self, task: Task) -> _Row:
+        """``task``'s event-model period and jitter and scaled WCET."""
+        override = self._event_models.get(task.name)
+        if override is not None:
+            return override.period, override.jitter, task.wcet / self.speed_factor
+        return task.period, task.jitter, task.wcet / self.speed_factor
 
     # -- single-task analysis --------------------------------------------------
 
@@ -131,84 +197,29 @@ class ResponseTimeAnalysis:
         """
         if task.name not in self.taskset:
             raise ValueError(f"task {task.name!r} is not part of the analysed task set")
-        higher = self.taskset.higher_priority_than(task)
-        overrides = self._event_models
-        own_override = overrides.get(task.name)
-        own_period = own_override.period if own_override is not None else task.period
-        own_jitter = own_override.jitter if own_override is not None else task.jitter
-        speed = self.speed_factor
-        wcet = task.wcet / speed
-        deadline = task.deadline if task.deadline is not None else task.period
-
-        # Hot path: the fixpoint below evaluates the interference sum once
-        # per iteration.  Pre-resolve each higher-priority task's event-model
-        # period/jitter and speed-scaled WCET so the loop touches plain
-        # floats instead of constructing EventModel objects per term (the
-        # dominant cost of the original formulation).  Summation order
-        # matches ``higher``.
-        hp_params = []
-        for t in higher:
-            override = overrides.get(t.name)
-            if override is not None:
-                hp_params.append((override.period, override.jitter, t.wcet / speed))
-            else:
-                hp_params.append((t.period, t.jitter, t.wcet / speed))
-        ceil = math.ceil
-
-        busy_window_limit = max(deadline, task.period) * 64
-        warm = warm_start or ()
-
-        worst_response: float = 0.0
-        iterations_total = 0
-        q = 1
-        busy_window = 0.0
-        completions: List[float] = []
-        while True:
-            # Fixed-point iteration for the completion time of the q-th job.
-            completion = q * wcet
-            if q <= len(warm) and warm[q - 1] > completion:
-                completion = warm[q - 1]
-            for _ in range(self.max_iterations):
-                interference = sum(
-                    int(ceil((completion + jitter) / period - _EPS)) * hp_wcet
-                    for period, jitter, hp_wcet in hp_params)
-                new_completion = q * wcet + interference
-                if abs(new_completion - completion) <= _EPS:
-                    completion = new_completion
-                    break
-                completion = new_completion
-                iterations_total += 1
-                if completion > busy_window_limit:
-                    return ResponseTimeResult(task=task, wcrt=None, converged=False,
-                                              schedulable=False,
-                                              busy_window=completion,
-                                              iterations=iterations_total)
-            # delta_min(q) of the periodic-with-jitter model, inlined.
-            release = max(0.0, (q - 1) * own_period - own_jitter) if q > 1 else 0.0
-            response = completion - release + own_jitter
-            worst_response = max(worst_response, response)
-            busy_window = completion
-            completions.append(completion)
-            # Stop once the busy window closes before the next activation.
-            if completion <= max(0.0, q * own_period - own_jitter) + _EPS:
-                break
-            q += 1
-            if q * wcet > busy_window_limit:
-                return ResponseTimeResult(task=task, wcrt=None, converged=False,
-                                          schedulable=False, busy_window=busy_window,
-                                          iterations=iterations_total)
-
-        schedulable = worst_response <= deadline + _EPS
-        return ResponseTimeResult(task=task, wcrt=worst_response, converged=True,
-                                  schedulable=schedulable, busy_window=busy_window,
-                                  iterations=iterations_total,
-                                  completions=tuple(completions))
+        interferers = [self._row(other)
+                       for other in self.taskset.higher_priority_than(task)]
+        return _busy_window(task, self._row(task), interferers,
+                            self.max_iterations, warm_start or ())
 
     # -- whole task set -----------------------------------------------------------
 
+    def _results(self) -> Iterator[ResponseTimeResult]:
+        """Each task's result, in task-set order.
+
+        Every task's row is resolved once per task set, and each task's
+        interferer rows are taken from that table in task-set order.
+        """
+        table = [(task, task.priority, self._row(task)) for task in self.taskset]
+        max_iterations = self.max_iterations
+        for task, priority, own in table:
+            interferers = [row for _, other_priority, row in table
+                           if other_priority < priority]
+            yield _busy_window(task, own, interferers, max_iterations)
+
     def analyse(self) -> Dict[str, ResponseTimeResult]:
         """Analyse every task; returns a mapping task name -> result."""
-        return {task.name: self.response_time(task) for task in self.taskset}
+        return {result.task.name: result for result in self._results()}
 
     def schedulable(self) -> bool:
         """Whether every task meets its deadline.
@@ -218,10 +229,10 @@ class ResponseTimeAnalysis:
         sweeps over overloaded candidates skip the remaining (typically
         divergent, and therefore most expensive) busy windows.
         """
-        return all(self.response_time(task).schedulable for task in self.taskset)
+        return all(result.schedulable for result in self._results())
 
     def utilization(self) -> float:
-        return sum(self._wcet(t) / t.period for t in self.taskset)
+        return sum(t.wcet / self.speed_factor / t.period for t in self.taskset)
 
 
 @dataclass

@@ -229,19 +229,18 @@ class IncrementalResponseTimeAnalysis:
         """
         params = self._params_of(taskset, event_models)
         base = self._find_base(speed_factor, params)
-        results: Dict[str, ResponseTimeResult] = {}
         if base is None:
             self.full_analyses += 1
-            analysis = ResponseTimeAnalysis(taskset, speed_factor=speed_factor,
-                                            event_models=event_models,
-                                            max_iterations=self.max_iterations)
-            for task in taskset:
-                results[task.name] = analysis.response_time(task)
-                self.tasks_cold += 1
-            self._remember(speed_factor, params, results)
-            return results
+            full = ResponseTimeAnalysis(taskset, speed_factor=speed_factor,
+                                        event_models=event_models,
+                                        max_iterations=self.max_iterations
+                                        ).analyse()
+            self.tasks_cold += len(full)
+            self._remember(speed_factor, params, full)
+            return full
 
         self.delta_analyses += 1
+        results: Dict[str, ResponseTimeResult] = {}
         base_params = base.params
         base_results = base.results
 

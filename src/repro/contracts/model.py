@@ -95,18 +95,19 @@ class RealTimeRequirement(Requirement):
 
     def __post_init__(self) -> None:
         self.viewpoint = "timing"
-        if self.period <= 0:
+        # Negated comparisons, so that NaN is rejected too.
+        if not self.period > 0:
             raise ContractViolation(f"period must be positive, got {self.period}")
-        if self.wcet <= 0:
+        if not self.wcet > 0:
             raise ContractViolation(f"wcet must be positive, got {self.wcet}")
         if self.deadline is None:
             self.deadline = self.period
-        if self.deadline <= 0:
+        if not self.deadline > 0:
             raise ContractViolation(f"deadline must be positive, got {self.deadline}")
         if self.wcet > self.deadline:
             raise ContractViolation(
                 f"wcet {self.wcet} exceeds deadline {self.deadline}: unschedulable by construction")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ContractViolation("jitter must be non-negative")
 
     @property
@@ -299,9 +300,15 @@ class Contract:
                 f"component {self.component} both provides and requires {sorted(overlap)}")
         if len(provided) != len(self.provides):
             problems.append(f"component {self.component} provides a service twice")
-        seen_viewpoints = [r.viewpoint for r in self.requirements]
-        for vp in set(seen_viewpoints):
-            if seen_viewpoints.count(vp) > 1 and vp in {"timing", "safety", "security", "resources"}:
+        # One counting pass into a dict, which keeps first-appearance
+        # order, so the problems come out in the same order in every
+        # process (iterating a set of strings depends on the hash seed).
+        counts: Dict[str, int] = {}
+        for requirement in self.requirements:
+            vp = requirement.viewpoint
+            counts[vp] = counts.get(vp, 0) + 1
+        for vp, count in counts.items():
+            if count > 1 and vp in {"timing", "safety", "security", "resources"}:
                 problems.append(
                     f"component {self.component} has multiple {vp} requirements")
         return problems

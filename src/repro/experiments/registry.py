@@ -443,7 +443,7 @@ SCENARIOS.register(Scenario(
         Parameter("failure_injection_rate", 0.0,
                   "probability of an injected post-deployment failure per vehicle"),
         Parameter("batch_admission", True,
-                  "admit waves through the shared cache + incremental engine",
+                  "admit waves through the shared cache + verdict dedupe",
                   coerce=bool),
         Parameter("deploy", False, "attach an execution-domain RTE per vehicle",
                   coerce=bool),

@@ -9,10 +9,10 @@ two halves of that workload:
   fleet (variant-clustered platforms, scaled WCETs, differing CAN topologies
   and baseline component sets), each vehicle with its own MCC.
 * :mod:`repro.fleet.campaign` — the staged rollout description: canary and
-  percentage waves, batched admission through a shared analysis cache and
-  the incremental CPA engine, per-vehicle monitor/deviation feedback between
-  waves, and halt/rollback when a wave's failure rate crosses the policy
-  threshold.
+  percentage waves, batched admission through a shared analysis cache
+  (whose misses run a cold busy-window analysis), per-vehicle
+  monitor/deviation feedback between waves, and halt/rollback when a wave's
+  failure rate crosses the policy threshold.
 * :mod:`repro.fleet.engine` — the re-entrant wave stepper executing a
   campaign one wave at a time (``Campaign.run()`` is a thin loop over it;
   the admission service interleaves many engines), with wave-boundary

@@ -21,7 +21,8 @@ produce identical wave verdicts, vehicle states and reports (request ids
 aside), and only the wall time differs (the differential harness, the
 fleet tests and the E10 benchmarks all assert this).  Either way a shared
 :class:`~repro.analysis.cache.AnalysisCache` lets every integration reuse
-the analyses of the ones before it.
+the analyses of the ones before it; a task set the cache has not seen is
+analysed cold.
 
 Warm starts and checkpoints
 ---------------------------
@@ -239,13 +240,11 @@ class CampaignResult:
     #: The shared analysis cache's hits and misses during this run: its
     #: admissions plus the provisioning of every vehicle the run touched
     #: first (vehicles provision on first touch, see
-    #: :func:`~repro.fleet.vehicle.generate_fleet`).  Like
-    #: ``engine_reuse_rate`` (the shared incremental engine's lifetime
-    #: reuse rate) they are informational and vary with the order in which
-    #: vehicles were touched; verdicts never do.
+    #: :func:`~repro.fleet.vehicle.generate_fleet`).  They are
+    #: informational and vary with the order in which vehicles were
+    #: touched; verdicts never do.
     cache_hits: int = 0
     cache_misses: int = 0
-    engine_reuse_rate: float = 0.0
 
     admitted = _summed("admitted", "Admissions that accepted the update.")
     rejected = _summed("rejected", "Admissions that rejected the update.")

@@ -271,7 +271,6 @@ class CampaignEngine:
                 - self.state.hits_before
             result.cache_misses = campaign.analysis_cache.misses \
                 - self.state.misses_before
-            result.engine_reuse_rate = campaign.analysis_cache.engine.reuse_rate
             campaign.analysis_cache.tracer = None
         if self.tracer is not None:
             self.tracer.emit("campaign.end", admitted=result.admitted,

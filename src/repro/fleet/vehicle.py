@@ -16,8 +16,8 @@ of its own, which its runtime environment writes tasks and memory into.
 The variant structure is what makes fleet-scale admission batchable: vehicles
 of the same variant produce identical candidate task sets for the same
 update, so a shared :class:`~repro.analysis.cache.AnalysisCache` answers one
-variant's admission analysis once per wave, and the incremental engine
-warm-starts the remaining variants off each other.
+variant's admission analysis once per wave; a miss, the first analysis of a
+task set, runs cold.
 
 It also makes provisioning cheap, and lets it wait until a vehicle is
 needed.  A generated vehicle starts with its id, index and variant only;
@@ -520,14 +520,13 @@ def generate_fleet(spec: FleetSpec,
     vehicle's RTE writes to a platform, which is why it has its own.
 
     Pass a shared :class:`AnalysisCache` to let all vehicles' timing
-    acceptance tests share one content-addressed store plus one incremental
-    engine (the batched-admission mode); without it every timing analysis
-    runs cold and every vehicle admits in isolation (the sequential
-    baseline).  Either way the fleet is a pure function of ``spec`` —
-    verdicts cannot depend on the cache, nor on when each vehicle is
-    touched.  The cache and its engine see the same misses as if every
-    touched vehicle had admitted its own baseline; only the sibling hits
-    are gone.
+    acceptance tests share one content-addressed store (the
+    batched-admission mode); without it every timing analysis runs cold
+    and every vehicle admits in isolation (the sequential baseline).
+    Either way the fleet is a pure function of ``spec`` — verdicts cannot
+    depend on the cache, nor on when each vehicle is touched.  The cache
+    sees the same misses as if every touched vehicle had admitted its own
+    baseline; only the sibling hits are gone.
 
     ``extra_acceptance_tests`` optionally extends the default viewpoint
     battery: the factory is called once per touched variant, with the

@@ -66,15 +66,16 @@ class Task:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
+        # Negated comparisons, so that NaN is rejected too.
+        if not self.period > 0:
             raise TaskError(f"task {self.name}: period must be positive")
-        if self.wcet <= 0:
+        if not self.wcet > 0:
             raise TaskError(f"task {self.name}: wcet must be positive")
         if self.deadline is None:
             self.deadline = self.period
-        if self.deadline <= 0:
+        if not self.deadline > 0:
             raise TaskError(f"task {self.name}: deadline must be positive")
-        if self.jitter < 0 or self.offset < 0:
+        if not (self.jitter >= 0 and self.offset >= 0):
             raise TaskError(f"task {self.name}: jitter and offset must be non-negative")
 
     @property

@@ -7,12 +7,11 @@ a whole fleet.  This scenario generates a variant-clustered fleet
 (:mod:`repro.fleet.campaign`) — canary first, then percentage waves, then the
 full fleet — and reports admission, deviation-feedback and rollback metrics.
 
-Admission is batched by default: one shared analysis cache plus the
-incremental CPA engine serve every vehicle's timing acceptance test, so a
-wave of same-variant vehicles is analysed once instead of per vehicle.
-Verdicts are independent of the batching mode (the cache is
-content-addressed and the engine exact); ``batch_admission=False`` exists as
-the measured baseline.
+Admission is batched by default: one shared analysis cache serves every
+vehicle's timing acceptance test, so a wave of same-variant vehicles is
+analysed once instead of per vehicle.  Verdicts are independent of the
+batching mode (the cache is content-addressed and its misses run the same
+cold analysis); ``batch_admission=False`` exists as the measured baseline.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ class FleetCampaignResult:
     acceptance_rate: float
     cache_hits: int
     cache_misses: int
-    engine_reuse_rate: float
     waves: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -161,5 +159,4 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
         acceptance_rate=outcome.acceptance_rate,
         cache_hits=outcome.cache_hits,
         cache_misses=outcome.cache_misses,
-        engine_reuse_rate=outcome.engine_reuse_rate,
         waves=[record.to_dict() for record in outcome.waves])

@@ -8,6 +8,12 @@ holds the pieces those suites share:
 * UUniFast task-set generators (``make_taskset``, ``rebuild``) and the
   field-by-field verdict comparator ``assert_equivalent`` used by the
   incremental-CPA and batched-analysis suites;
+* the reference busy-window fixpoint ``reference_response_time`` (and
+  ``reference_analyse`` over a whole task set), a self-contained copy that
+  resolves every higher-priority task's event model and WCET per analysed
+  task and shares no code with ``ResponseTimeAnalysis``, and the
+  ``timing_workloads`` hypothesis strategy the CPA differential suite
+  draws from;
 * the from-scratch oracles ``cold_results`` (plain busy-window analysis)
   and :class:`ColdTimingAcceptanceTest` (a stateless MCC timing viewpoint)
   used by the batched-analysis and MCC differential suites;
@@ -32,12 +38,14 @@ changed no seed and no behaviour, only the import site.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
+from repro.analysis.cpa import (_EPS, EventModel, ResponseTimeAnalysis,
+                                ResponseTimeResult)
 from repro.analysis.compositional import FrameSpec
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
@@ -90,6 +98,123 @@ def cold_results(taskset: TaskSet, speed_factor: float = 1.0,
     """The cold reference: one from-scratch busy-window analysis."""
     return ResponseTimeAnalysis(taskset, speed_factor=speed_factor,
                                 event_models=event_models).analyse()
+
+
+def reference_response_time(taskset: TaskSet, task: Task,
+                            speed_factor: float = 1.0,
+                            event_models: Optional[Dict[str, EventModel]] = None,
+                            warm_start: Optional[Sequence[float]] = None,
+                            max_iterations: int = 10_000) -> ResponseTimeResult:
+    """The reference multiple-activation busy-window fixpoint of ``task``.
+
+    Resolves each higher-priority task's event-model period and jitter and
+    its speed-scaled WCET for this one task, and sums the interference with
+    the builtin ``sum`` in task-set order.
+    """
+    higher = taskset.higher_priority_than(task)
+    overrides = event_models or {}
+    own_override = overrides.get(task.name)
+    own_period = own_override.period if own_override is not None else task.period
+    own_jitter = own_override.jitter if own_override is not None else task.jitter
+    wcet = task.wcet / speed_factor
+    deadline = task.deadline if task.deadline is not None else task.period
+    hp_params = []
+    for t in higher:
+        override = overrides.get(t.name)
+        if override is not None:
+            hp_params.append((override.period, override.jitter,
+                              t.wcet / speed_factor))
+        else:
+            hp_params.append((t.period, t.jitter, t.wcet / speed_factor))
+    busy_window_limit = max(deadline, task.period) * 64
+    warm = warm_start or ()
+
+    worst_response: float = 0.0
+    iterations_total = 0
+    q = 1
+    busy_window = 0.0
+    completions: List[float] = []
+    while True:
+        completion = q * wcet
+        if q <= len(warm) and warm[q - 1] > completion:
+            completion = warm[q - 1]
+        for _ in range(max_iterations):
+            interference = sum(
+                int(math.ceil((completion + jitter) / period - _EPS)) * hp_wcet
+                for period, jitter, hp_wcet in hp_params)
+            new_completion = q * wcet + interference
+            if abs(new_completion - completion) <= _EPS:
+                completion = new_completion
+                break
+            completion = new_completion
+            iterations_total += 1
+            if completion > busy_window_limit:
+                return ResponseTimeResult(task=task, wcrt=None, converged=False,
+                                          schedulable=False,
+                                          busy_window=completion,
+                                          iterations=iterations_total)
+        release = max(0.0, (q - 1) * own_period - own_jitter) if q > 1 else 0.0
+        response = completion - release + own_jitter
+        worst_response = max(worst_response, response)
+        busy_window = completion
+        completions.append(completion)
+        if completion <= max(0.0, q * own_period - own_jitter) + _EPS:
+            break
+        q += 1
+        if q * wcet > busy_window_limit:
+            return ResponseTimeResult(task=task, wcrt=None, converged=False,
+                                      schedulable=False, busy_window=busy_window,
+                                      iterations=iterations_total)
+
+    schedulable = worst_response <= deadline + _EPS
+    return ResponseTimeResult(task=task, wcrt=worst_response, converged=True,
+                              schedulable=schedulable, busy_window=busy_window,
+                              iterations=iterations_total,
+                              completions=tuple(completions))
+
+
+def reference_analyse(taskset: TaskSet, speed_factor: float = 1.0,
+                      event_models: Optional[Dict[str, EventModel]] = None
+                      ) -> Dict[str, ResponseTimeResult]:
+    """:func:`reference_response_time` of every task, in task-set order."""
+    return {task.name: reference_response_time(taskset, task, speed_factor,
+                                                event_models)
+            for task in taskset}
+
+
+def result_fields(result: ResponseTimeResult) -> Tuple:
+    """Every field of a result, ``completions`` (excluded from ``==``)
+    included."""
+    return (result.task, result.wcrt, result.converged, result.schedulable,
+            result.busy_window, result.iterations, result.completions)
+
+
+@st.composite
+def timing_workloads(draw, max_tasks: int = 10):
+    """``(taskset, speed_factor, event_models)``: 1..``max_tasks`` tasks
+    with priority ties, deadlines unequal to periods, release jitter,
+    event-model overrides on some tasks and a speed factor, overload
+    included."""
+    n = draw(st.integers(1, max_tasks))
+    fraction = st.floats(0.0, 1.0)
+    tasks = []
+    overrides: Dict[str, EventModel] = {}
+    for index in range(n):
+        period = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05, 0.1))) \
+            * draw(st.floats(0.5, 2.0))
+        wcet = period * draw(st.floats(0.02, 0.4))
+        deadline = draw(st.none() | st.floats(0.3, 2.0).map(
+            lambda factor, period=period: period * factor))
+        jitter = draw(st.just(0.0) | fraction.map(
+            lambda share, period=period: period * share / 2))
+        name = f"t{index}"
+        tasks.append(Task(name, period=period, wcet=wcet, deadline=deadline,
+                          priority=draw(st.integers(0, n)), jitter=jitter))
+        if draw(st.booleans()) and draw(st.booleans()):
+            overrides[name] = EventModel(period * draw(st.floats(0.8, 1.25)),
+                                         period * draw(fraction))
+    speed_factor = draw(st.just(1.0) | st.floats(0.4, 2.0))
+    return TaskSet(tasks), speed_factor, overrides
 
 
 def assert_equivalent(candidate, reference, context: str) -> None:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from harness import cold_results
 from repro.analysis.cache import AnalysisCache, taskset_key
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
+from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.mcc.acceptance import TimingAcceptanceTest
 from repro.platform.tasks import Task, TaskSet
 from repro.scenarios.infield_update import run_infield_update_scenario
@@ -17,6 +19,29 @@ def _taskset(wcet_high: float = 0.002) -> TaskSet:
         Task("t_mid", period=0.02, wcet=0.005, priority=1),
         Task("t_low", period=0.05, wcet=0.010, priority=2),
     ])
+
+
+def _variant(wcet_low: float) -> TaskSet:
+    return TaskSet([
+        Task("t_high", period=0.01, wcet=0.002, priority=0),
+        Task("t_mid", period=0.02, wcet=0.005, priority=1),
+        Task("t_low", period=0.05, wcet=wcet_low, priority=2),
+    ])
+
+
+@pytest.fixture
+def analysed(monkeypatch):
+    """``(task set, speed factor)`` of every cold analysis run in the
+    test."""
+    calls = []
+    analyse = ResponseTimeAnalysis.analyse
+
+    def counting(analysis):
+        calls.append((analysis.taskset, analysis.speed_factor))
+        return analyse(analysis)
+
+    monkeypatch.setattr(ResponseTimeAnalysis, "analyse", counting)
+    return calls
 
 
 class TestTasksetKey:
@@ -31,6 +56,7 @@ class TestTasksetKey:
         base = taskset_key(_taskset())
         assert taskset_key(_taskset(wcet_high=0.003)) != base
         assert taskset_key(_taskset(), speed_factor=0.5) != base
+        assert taskset_key(_taskset(), speed_factor=1.0 + 3e-13) != base
         assert taskset_key(
             _taskset(), event_models={"t_high": EventModel(0.01, 0.001)}) != base
 
@@ -70,9 +96,9 @@ class TestAnalyseMany:
         assert len(cache) == 2
         assert cache.evictions == 2
 
-    def test_duplicates_do_not_inflate_misses_or_engine_work(self):
-        """A batch with duplicate keys runs the engine once per distinct
-        key: misses count distinct keys only, duplicates are hits."""
+    def test_duplicates_do_not_inflate_misses_or_engine_work(self, analysed):
+        """A batch with duplicate keys runs one analysis per distinct key:
+        misses count distinct keys only, duplicates are hits."""
         cache = AnalysisCache()
         grids = [_taskset(), _taskset(wcet_high=0.003), _taskset(),
                  _taskset(wcet_high=0.003), _taskset()]
@@ -80,13 +106,14 @@ class TestAnalyseMany:
         assert (cache.hits, cache.misses) == (3, 2)
         assert results[0] == results[2] == results[4]
         assert results[1] == results[3]
-        # Counters and engine work match the per-set analyse() sequence:
-        # the duplicates trigger no extra engine traffic at all.
+        # Counters and analyses match the per-set analyse() sequence: the
+        # duplicates trigger no extra analysis at all.
+        assert analysed == [(grids[0], 1.0), (grids[1], 1.0)]
         reference = AnalysisCache()
         for taskset in grids:
             reference.analyse(taskset)
         assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
-        assert cache.engine.tasks_analysed <= reference.engine.tasks_analysed
+        assert analysed[2:] == analysed[:2]
 
     def test_duplicates_do_not_inflate_evictions(self):
         """Duplicate keys insert one store entry, so a tight capacity sees
@@ -196,25 +223,49 @@ class TestAnalysisCache:
         cache.analyse(_taskset())
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        assert cache.engine.tasks_analysed == 0
+        assert cache.analyse(_taskset()) == cold_results(_taskset())
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
 
-    def test_misses_run_through_incremental_engine(self):
-        """A miss on a near-identical task set is a delta re-analysis, not a
-        from-scratch derivation: the unchanged higher-priority tasks are
-        answered from the engine's previous snapshot."""
-        def variant(wcet_low: float) -> TaskSet:
-            return TaskSet([
-                Task("t_high", period=0.01, wcet=0.002, priority=0),
-                Task("t_mid", period=0.02, wcet=0.005, priority=1),
-                Task("t_low", period=0.05, wcet=wcet_low, priority=2),
-            ])
-
+    def test_misses_run_cold_without_an_analyser(self, analysed):
+        """The cache keeps no analysis state: a miss on a near-identical
+        task set is a cold analysis of the whole set."""
         cache = AnalysisCache()
-        cache.analyse(variant(0.010))
-        cache.analyse(variant(0.012))  # same names, lowest-priority task changed
+        first, second = _variant(0.010), _variant(0.012)
+        cache.analyse(first)
+        cache.analyse(second, speed_factor=0.9)
+        cache.analyse(_variant(0.012), speed_factor=0.9)
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert analysed == [(first, 1.0), (second, 0.9)]
+        assert not hasattr(cache, "engine")
+
+    def test_misses_run_through_the_callers_analyser(self):
+        """A caller that hands an incremental engine gets delta
+        re-analyses on its misses: the unchanged higher-priority tasks are
+        answered from the engine's previous snapshot.  A hit does not
+        reach the engine."""
+        engine = IncrementalResponseTimeAnalysis()
+        cache = AnalysisCache()
+        cache.analyse(_variant(0.010), analyser=engine)
+        # Same names, lowest-priority task changed.
+        results = cache.analyse(_variant(0.012), analyser=engine)
         assert cache.misses == 2
-        assert cache.engine.delta_analyses == 1
-        assert cache.engine.tasks_reused == 2  # t_high and t_mid untouched
+        assert engine.delta_analyses == 1
+        assert engine.tasks_reused == 2  # t_high and t_mid untouched
+        assert results == cold_results(_variant(0.012))
+        cache.analyse(_variant(0.012), analyser=engine)
+        cache.analyse(_variant(0.012))
+        assert (cache.hits, engine.delta_analyses) == (2, 1)
+
+    def test_speed_factors_key_exactly(self):
+        """Speed factors 3e-13 apart are different analyses, so they are
+        different entries."""
+        cache = AnalysisCache()
+        nominal = cache.analyse(_taskset(), 1.0)
+        nudged = cache.analyse(_taskset(), 1.0 + 3e-13)
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert nominal == cold_results(_taskset(), 1.0)
+        assert nudged == cold_results(_taskset(), 1.0 + 3e-13)
+        assert nudged["t_low"].wcrt != nominal["t_low"].wcrt
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

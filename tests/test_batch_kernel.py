@@ -283,10 +283,9 @@ class TestScenarioParity:
 
     def test_fleet_campaign_records_identical(self):
         """Batched admission against the sequential per-vehicle oracle:
-        every field but the admission mode and the cache/engine counters."""
+        every field but the admission mode and the cache counters."""
         from repro.scenarios.fleet_campaign import run_fleet_campaign_scenario
-        counters = {"batched", "cache_hits", "cache_misses",
-                    "engine_reuse_rate"}
+        counters = {"batched", "cache_hits", "cache_misses"}
 
         def verdicts(result):
             return {name: value

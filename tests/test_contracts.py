@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +67,14 @@ class TestRealTimeRequirement:
         with pytest.raises(ContractViolation):
             RealTimeRequirement(period=0.01, wcet=0.002, jitter=-0.1)
 
+    @pytest.mark.parametrize("field", ["period", "wcet", "deadline", "jitter"])
+    def test_nan_parameters_rejected(self, field):
+        """NaN fails every ``<=``/``<`` test, so each check is negated."""
+        parameters = dict(period=0.01, wcet=0.002, deadline=0.01, jitter=0.0)
+        parameters[field] = float("nan")
+        with pytest.raises(ContractViolation):
+            RealTimeRequirement(**parameters)
+
     def test_wcet_beyond_deadline_rejected(self):
         with pytest.raises(ContractViolation):
             RealTimeRequirement(period=0.01, wcet=0.008, deadline=0.005)
@@ -110,6 +122,32 @@ class TestContract:
         contract.add_requirement(SafetyRequirement(asil="A"))
         contract.add_requirement(SafetyRequirement(asil="B"))
         assert any("multiple safety" in problem for problem in contract.validate())
+
+    def test_validate_reports_duplicates_in_first_appearance_order(self):
+        """The order does not depend on the hash seed: two processes with
+        different seeds report the same problems in the same order."""
+        script = (
+            "from repro.contracts.model import (Contract, RealTimeRequirement,"
+            " ResourceRequirement, SafetyRequirement, SecurityRequirement)\n"
+            "contract = Contract('comp')\n"
+            "for _ in range(2):\n"
+            "    for requirement in (ResourceRequirement(), SecurityRequirement(),"
+            " RealTimeRequirement(period=0.01, wcet=0.001),"
+            " SafetyRequirement()):\n"
+            "        contract.add_requirement(requirement)\n"
+            "print(contract.validate())\n")
+        outputs = set()
+        for seed in ("0", "1"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed,
+                               PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.add(subprocess.run([sys.executable, "-c", script],
+                                       env=environment, check=True,
+                                       capture_output=True,
+                                       text=True).stdout)
+        expected = [f"component comp has multiple {viewpoint} requirements"
+                    for viewpoint in ("resources", "security", "timing",
+                                      "safety")]
+        assert outputs == {f"{expected}\n"}
 
     def test_validate_accepts_well_formed_contract(self, acc_contracts):
         for contract in acc_contracts:
@@ -241,6 +279,12 @@ class TestContractParser:
     def test_invalid_requirement_values_rejected(self, parser):
         with pytest.raises(ContractSyntaxError):
             parser.parse({"component": "x", "timing": {"period": -1, "wcet": 0.1}})
+
+    def test_nan_wcet_rejected(self, parser):
+        """JSON's ``NaN`` literal parses to a float NaN."""
+        with pytest.raises(ContractSyntaxError, match="wcet"):
+            parser.parse('{"component": "x", '
+                         '"timing": {"period": 0.01, "wcet": NaN}}')
 
     def test_non_dict_requirement_rejected(self, parser):
         with pytest.raises(ContractSyntaxError):

@@ -48,6 +48,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harness import generate_fleet_eagerly, generate_fleet_integrating_each
+from repro.analysis import cpa
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.contracts.language import ContractParser, ContractSerializer
@@ -73,7 +74,7 @@ PROVISIONERS = (generate_fleet, generate_fleet_eagerly,
 
 #: ``CampaignResult`` fields that depend on how and when vehicles are
 #: provisioned.
-COUNTERS = frozenset({"cache_hits", "cache_misses", "engine_reuse_rate"})
+COUNTERS = frozenset({"cache_hits", "cache_misses"})
 
 
 # -- comparable state ---------------------------------------------------------
@@ -444,22 +445,41 @@ class TestFixedCases:
 
     @pytest.mark.parametrize("spec, update, policy, failure_rate, counters", [
         (FleetSpec(size=24, seed=5, num_variants=2, extra_components=10),
-         ("add", 0.22), WavePolicy(), 0.0, (2, 6, 0.044444)),
+         ("add", 0.22), WavePolicy(), 0.0, (2, 6, 45)),
         (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
-         ("rebudget", 1.05), WavePolicy(), 0.0, (17, 58, 0.156757)),
+         ("rebudget", 1.05), WavePolicy(), 0.0, (17, 58, 370)),
         (FleetSpec(size=16, seed=5, num_variants=16, extra_components=10),
          ("rebudget", 1.05), WavePolicy(max_failure_rate=0.0), 1.0,
-         (1, 7, 0.195652)),
+         (1, 7, 252)),
     ])
-    def test_cache_counters_of_a_lazy_fleet(self, spec, update, policy,
-                                            failure_rate, counters):
+    def test_cache_counters_of_a_lazy_fleet(self, monkeypatch, spec, update,
+                                            policy, failure_rate, counters):
         """The counters the lazy differential leaves out, pinned exactly: a
         lazy campaign's result counts the provisioning it did itself (the
-        last case halts at the canary and provisions two variants)."""
-        _, result, _ = provision_and_run(generate_fleet, spec, update, policy,
-                                         failure_rate)
+        last case halts at the canary and provisions two variants).  The
+        busy windows, one per task of each cache miss, are counted over
+        fleet generation and the campaign."""
+        with counting_busy_windows(monkeypatch) as busy_windows:
+            _, result, _ = provision_and_run(generate_fleet, spec, update,
+                                             policy, failure_rate)
         assert (result.cache_hits, result.cache_misses,
-                round(result.engine_reuse_rate, 6)) == counters
+                busy_windows[0]) == counters
+
+
+@contextmanager
+def counting_busy_windows(monkeypatch):
+    """Busy-window fixpoints computed inside the block, one per analysed
+    task (``repro.analysis.cpa._busy_window`` calls)."""
+    counted = [0]
+    busy_window = cpa._busy_window
+
+    def counting(*args, **kwargs):
+        counted[0] += 1
+        return busy_window(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cpa, "_busy_window", counting)
+        yield counted
 
 
 @contextmanager
@@ -537,26 +557,25 @@ class TestProvisioningWork:
         touched = min(size, spec.num_variants)
         assert counts["battery"] == touched + (5 if touched > 6 else 0)
 
-    def test_fixpoints_of_a_diverged_fleet(self):
+    def test_fixpoints_of_a_diverged_fleet(self, monkeypatch):
         """Exact work counters of provisioning 16 distinct variants in index
-        order: the busy-window fixpoints (cold plus warm) the shared engine
-        iterates, the task results it reuses, and the cache traffic in
-        front of it.  The warm-start base decides the first two; the
-        cache's hits and misses depend on the task sets alone.  Fourteen
-        variants run their battery once, on the whole baseline, so the
-        engine never sees their prefixes' task sets.  Variant 10 rejects
-        app04 and makes 7 runs (the whole run, 4 bisection runs, app04's
-        own run and the new run of the 5 apps after it); variant 6 rejects
-        its last 5 apps, each of its 4 new runs is rejected again, and it
-        makes 18.  Their runs share many task sets: the rejected app's own
-        run repeats the prefix the bisection has just failed."""
+        order: the busy-window fixpoints the cache's cold misses compute,
+        one per task of each missed task set, and the cache traffic.  Both
+        depend on the task sets alone.  Fourteen variants run their
+        battery once, on the whole baseline, so the cache never sees their
+        prefixes' task sets.  Variant 10 rejects app04 and makes 7 runs
+        (the whole run, 4 bisection runs, app04's own run and the new run
+        of the 5 apps after it); variant 6 rejects its last 5 apps, each of
+        its 4 new runs is rejected again, and it makes 18.  Their runs
+        share many task sets: the rejected app's own run repeats the
+        prefix the bisection has just failed."""
         cache = AnalysisCache()
-        generate_fleet_eagerly(FleetSpec(size=16, seed=11, num_variants=16,
-                                         extra_components=10),
-                               analysis_cache=cache)
-        engine = cache.engine
-        assert (engine.tasks_cold + engine.tasks_warm_started,
-                engine.tasks_reused) == (258, 43)
+        with counting_busy_windows(monkeypatch) as busy_windows:
+            generate_fleet_eagerly(FleetSpec(size=16, seed=11,
+                                             num_variants=16,
+                                             extra_components=10),
+                                   analysis_cache=cache)
+        assert busy_windows[0] == 301
         assert (cache.hits, cache.misses) == (24, 48)
 
     def test_reference_integrates_per_vehicle(self, monkeypatch):
@@ -657,6 +676,28 @@ class TestSharedPerVariant:
         result = Campaign(fleet, add_update(), batch_admission=False,
                           feedback_seed=0).run()
         assert result.completed and result.admitted == 16
+        assert built == []
+
+    def test_a_cached_campaign_builds_no_incremental_engine(
+            self, monkeypatch):
+        """The shared cache answers its misses cold, so batched
+        provisioning and admission build no incremental engine either."""
+        built = []
+        init = IncrementalResponseTimeAnalysis.__init__
+
+        def counting(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalResponseTimeAnalysis, "__init__",
+                            counting)
+        cache = AnalysisCache()
+        fleet = generate_fleet(FleetSpec(size=16, seed=0, num_variants=4),
+                               analysis_cache=cache)
+        result = Campaign(fleet, add_update(), analysis_cache=cache,
+                          feedback_seed=0).run()
+        assert result.completed and result.admitted == 16
+        assert cache.misses > 0
         assert built == []
 
 

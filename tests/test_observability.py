@@ -166,7 +166,6 @@ class TestTracedCampaigns:
         # even the non-canonical fields must agree.
         assert traced.cache_hits == untraced.cache_hits
         assert traced.cache_misses == untraced.cache_misses
-        assert traced.engine_reuse_rate == untraced.engine_reuse_rate
 
     def test_deterministic_trace_is_byte_identical_across_runs(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -32,6 +32,16 @@ class TestTask:
         with pytest.raises(TaskError):
             Task("t", period=0.01, wcet=0.001, jitter=-1)
 
+    @pytest.mark.parametrize("field", ["period", "wcet", "deadline", "jitter",
+                                       "offset"])
+    def test_nan_parameters_rejected(self, field):
+        """NaN fails every ``<=``/``<`` test, so each check is negated."""
+        parameters = dict(period=0.01, wcet=0.001, deadline=0.01, jitter=0.0,
+                          offset=0.0)
+        parameters[field] = float("nan")
+        with pytest.raises(TaskError):
+            Task("t", **parameters)
+
     def test_from_requirement(self):
         requirement = RealTimeRequirement(period=0.05, wcet=0.01, jitter=0.001)
         task = Task.from_requirement("comp.task", requirement, priority=3, component="comp")

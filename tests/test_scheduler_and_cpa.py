@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.cpa import EndToEndPath, EventModel, ResponseTimeAnalysis, end_to_end_latency
 from repro.platform.scheduler import FixedPriorityScheduler, ResourceScheduler
 from repro.platform.resources import ProcessingResource
-from repro.platform.tasks import Task, TaskSet
+from repro.platform.tasks import Task, TaskError, TaskSet
 from repro.sim.random import SeededRNG
 from repro.sim.trace import TraceRecorder
 
@@ -37,6 +37,12 @@ class TestEventModel:
             EventModel(period=0.0)
         with pytest.raises(ValueError):
             EventModel(period=1.0, jitter=-1.0)
+
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ValueError, match="period"):
+            EventModel(period=float("nan"))
+        with pytest.raises(ValueError, match="jitter"):
+            EventModel(period=1.0, jitter=float("nan"))
 
 
 class TestResponseTimeAnalysis:
@@ -74,6 +80,26 @@ class TestResponseTimeAnalysis:
         wcrt_jitter = ResponseTimeAnalysis(with_jitter).response_time(
             with_jitter.get("lp")).wcrt
         assert wcrt_jitter >= wcrt_base
+
+    @pytest.mark.parametrize("speed_factor", [0.0, -0.5, float("nan")])
+    def test_invalid_speed_factor_rejected(self, simple_taskset, speed_factor):
+        with pytest.raises(ValueError, match="speed factor"):
+            ResponseTimeAnalysis(simple_taskset, speed_factor=speed_factor)
+
+    def test_nan_inputs_that_used_to_hang_are_rejected(self):
+        """A NaN WCET, speed factor or deadline made the busy window's
+        stopping tests all false, so these never returned."""
+        with pytest.raises(TaskError):
+            ResponseTimeAnalysis(TaskSet([
+                Task("a", period=0.1, wcet=float("nan"))])).analyse()
+        with pytest.raises(ValueError):
+            ResponseTimeAnalysis(TaskSet([Task("a", period=0.1, wcet=0.01)]),
+                                 speed_factor=float("nan")).analyse()
+        with pytest.raises(TaskError):
+            ResponseTimeAnalysis(TaskSet([
+                Task("a", period=0.01, wcet=0.006, priority=0),
+                Task("b", period=0.01, wcet=0.006, priority=1,
+                     deadline=float("nan"))])).analyse()
 
     def test_unknown_task_rejected(self, simple_taskset):
         analysis = ResponseTimeAnalysis(simple_taskset)

@@ -22,10 +22,10 @@ every request);
 acceptance runs per viewpoint; configurations synthesized
 (``IntegrationProcess.synthesize_configuration``, one per adoption that
 derives its own state, none for a replay); analysis-cache hits, misses and
-``analyse_many`` lanes; the incremental engines' cold and warm-started
-fixpoints and reused tasks; deviations raised (observations that
-``ExpectedBehaviour.violated_by`` flags); ``ExpectedBehaviour`` objects
-constructed; vehicles provisioned; platform models built (``Platform``
+``analyse_many`` lanes; busy windows (the task fixpoints the analyses
+compute, one per task of every analysed task set); deviations raised
+(observations that ``ExpectedBehaviour.violated_by`` flags);
+``ExpectedBehaviour`` objects constructed; vehicles provisioned; platform models built (``Platform``
 constructions) and default acceptance batteries built
 (``TimingAcceptanceTest`` constructions, one per battery); integration
 reports built (``IntegrationReport`` constructions: one per integrated
@@ -47,8 +47,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator
 
+from repro.analysis import cpa
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.contracts.language import ContractParser, ContractSerializer
 from repro.fleet.campaign import Campaign
 from repro.fleet.engine import CampaignEngine
@@ -71,8 +71,8 @@ GOLDEN = Path(__file__).with_name("work_counts.json")
 KEYS = ("request_change", "replay_change", "map", "placements", "whole_runs",
         "split_runs", "acceptance.timing", "acceptance.safety",
         "acceptance.security", "acceptance.resources", "cache.hits",
-        "cache.misses", "cache.analyse_many_lanes", "engine.cold",
-        "engine.warm", "engine.reused", "deviations", "expectations",
+        "cache.misses", "cache.analyse_many_lanes", "busy_windows",
+        "deviations", "expectations",
         "vehicles_provisioned", "capture_state", "restore_state",
         "checkpoint_bytes", "service.resumes", "synthesize", "platforms",
         "batteries", "reports")
@@ -87,11 +87,11 @@ VIEWPOINT_TESTS = (acceptance.TimingAcceptanceTest,
 def counting() -> Iterator[Counter]:
     """Count the work done inside the block (see the module docstring).
 
-    The cache and engine counters are summed over every cache and engine
-    created inside the block when it ends.
+    The cache counters are summed over every cache created inside the
+    block when it ends.
     """
     counts: Counter = Counter(dict.fromkeys(KEYS, 0))
-    caches, engines = [], []
+    caches = []
     patches = []
 
     def patch(owner, name, make):
@@ -155,7 +155,7 @@ def counting() -> Iterator[Counter]:
         patch(test, "run", counted(f"acceptance.{test.viewpoint}"))
     patch(AnalysisCache, "__init__", registered(caches))
     patch(AnalysisCache, "analyse_many", analyse_many)
-    patch(IncrementalResponseTimeAnalysis, "__init__", registered(engines))
+    patch(cpa, "_busy_window", counted("busy_windows"))
     patch(ExpectedBehaviour, "violated_by", violated_by)
     patch(ExpectedBehaviour, "__init__", counted("expectations"))
     patch(FleetProvisioner, "provision", counted("vehicles_provisioned"))
@@ -174,9 +174,6 @@ def counting() -> Iterator[Counter]:
             setattr(owner, name, original)
     counts["cache.hits"] = sum(cache.hits for cache in caches)
     counts["cache.misses"] = sum(cache.misses for cache in caches)
-    counts["engine.cold"] = sum(engine.tasks_cold for engine in engines)
-    counts["engine.warm"] = sum(engine.tasks_warm_started for engine in engines)
-    counts["engine.reused"] = sum(engine.tasks_reused for engine in engines)
 
 
 # -- the three shapes ----------------------------------------------------------
