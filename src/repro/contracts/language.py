@@ -32,23 +32,48 @@ _REQUIREMENT_KEYS = {"timing", "safety", "security", "resources"}
 
 
 class ContractParser:
-    """Parse contract documents.
+    """Parse contract documents: dictionaries, or their JSON text, with the
+    fields below.  Each viewpoint object (``timing``, ``safety``,
+    ``security``, ``resources``) may be left out, and a string in
+    ``requires`` or ``provides`` is short for ``{"service": <string>}``.
 
-    A contract document is a dictionary of the form::
-
-        {
-          "component": "acc_controller",
-          "timing":   {"period": 0.01, "wcet": 0.002, "deadline": 0.01},
-          "safety":   {"asil": "C", "fail_operational": true},
-          "security": {"level": "MEDIUM", "allowed_peers": ["object_tracker"]},
-          "resources": {"memory_kib": 512, "can_bandwidth_bps": 20000},
-          "requires": [{"service": "object_list", "max_latency": 0.02}],
-          "provides": [{"service": "acc_setpoints"}],
-          "metadata": {"skill": "acc_driving"}
-        }
+    ===================================  ==========================  ==========
+    field                                type                        default
+    ===================================  ==========================  ==========
+    ``component``                        non-empty str               required
+    ``timing.period``                    number > 0 (s)              required
+    ``timing.wcet``                      number > 0, <= deadline     required
+    ``timing.deadline``                  number > 0 or null          ``period``
+    ``timing.jitter``                    number >= 0                 0.0
+    ``safety.asil``                      ``QM``, ``A``-``D`` or 0-4  ``QM``
+    ``safety.fail_operational``          bool                        false
+    ``safety.redundancy_group``          str or null                 null
+    ``security.level``                   ``NONE``-``HIGH`` or 0-3    ``NONE``
+    ``security.allowed_peers``           list of str                 []
+    ``security.external_interface``      bool                        false
+    ``resources.memory_kib``             number >= 0                 0.0
+    ``resources.can_bandwidth_bps``      number >= 0                 0.0
+    ``resources.requires_vm_isolation``  bool                        false
+    ``requires``                         list of str or objects      []
+    ``requires[].service``               str                         required
+    ``requires[].max_latency``           number or null (s)          null
+    ``requires[].optional``              bool                        false
+    ``provides``                         list of str or objects      []
+    ``provides[].service``               str                         required
+    ``provides[].max_clients``           int or null                 null
+    ``metadata``                         dict                        {}
+    ===================================  ==========================  ==========
     """
 
     def parse(self, document: Union[str, Dict[str, Any]]) -> Contract:
+        """Args: ``document`` (dict | str), a contract document or its JSON.
+
+        Returns: ``Contract(component, requirements=(...), requires=(...),
+        provides=(...), metadata={...})``, requirements in document order.
+        Raises :class:`ContractSyntaxError` for invalid JSON, a missing,
+        unknown or malformed field or a value its requirement rejects, and
+        ``ContractViolation`` for an empty component name.
+        """
         if isinstance(document, str):
             try:
                 document = json.loads(document)
@@ -59,16 +84,20 @@ class ContractParser:
         if "component" not in document:
             raise ContractSyntaxError("contract document is missing the 'component' field")
 
+        for key, kind in (("requires", list), ("provides", list), ("metadata", dict)):
+            if not isinstance(document.get(key, kind()), kind):
+                raise ContractSyntaxError(f"{key} must be a {kind.__name__}, "
+                                          f"got {type(document[key]).__name__}")
         requirements = [self._parse_requirement(key, document[key])
                         for key in document if key in _REQUIREMENT_KEYS]
-        contract = Contract(component=str(document["component"]),
-                            requirements=requirements,
-                            metadata=dict(document.get("metadata", {})))
-
-        for entry in document.get("requires", []):
-            contract.requires.append(self._parse_service_requirement(entry))
-        for entry in document.get("provides", []):
-            contract.provides.append(self._parse_service_provision(entry))
+        contract = Contract(
+            component=str(document["component"]),
+            requirements=requirements,
+            requires=[self._parse_service_requirement(entry)
+                      for entry in document.get("requires", [])],
+            provides=[self._parse_service_provision(entry)
+                      for entry in document.get("provides", [])],
+            metadata=document.get("metadata", {}))
 
         unknown = set(document) - _REQUIREMENT_KEYS - {
             "component", "requires", "provides", "metadata"}
@@ -123,7 +152,7 @@ class ContractParser:
             raise ContractSyntaxError(f"invalid required-service entry: {entry!r}")
         return ServiceRequirement(
             service=str(entry["service"]),
-            max_latency=float(entry["max_latency"]) if entry.get("max_latency") is not None else None,
+            max_latency=_optional(entry, "max_latency", float),
             optional=bool(entry.get("optional", False)),
         )
 
@@ -134,8 +163,17 @@ class ContractParser:
             raise ContractSyntaxError(f"invalid provided-service entry: {entry!r}")
         return ServiceProvision(
             service=str(entry["service"]),
-            max_clients=int(entry["max_clients"]) if entry.get("max_clients") is not None else None,
+            max_clients=_optional(entry, "max_clients", int),
         )
+
+
+def _optional(entry: Dict[str, Any], key: str, kind: type) -> Any:
+    """``entry[key]`` converted by ``kind``; ``None`` when absent or null."""
+    value = entry.get(key)
+    try:
+        return None if value is None else kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ContractSyntaxError(f"invalid {key} {value!r}: {exc}") from exc
 
 
 class ContractSerializer:

@@ -5,13 +5,18 @@ requirements of every viewpoint (safety level, real-time constraints,
 security level, resource budgets) together with the services the component
 requires from and provides to others.  The MCC consumes these contracts
 during the integration process.
+
+Every type here is a frozen dataclass.  Those that fleets build by the
+hundred write their fields through the instance dict in their own
+``__init__``, twice as fast as a generated one's ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 class AsilLevel(enum.IntEnum):
@@ -29,6 +34,8 @@ class AsilLevel(enum.IntEnum):
             return value
         if isinstance(value, int):
             return cls(value)
+        if not isinstance(value, str):
+            raise ValueError(f"invalid ASIL level: {value!r}")
         name = value.strip().upper().replace("ASIL-", "").replace("ASIL_", "").replace("ASIL", "").strip()
         if not name:
             raise ValueError(f"invalid ASIL level: {value!r}")
@@ -52,6 +59,8 @@ class SecurityLevel(enum.IntEnum):
             return value
         if isinstance(value, int):
             return cls(value)
+        if not isinstance(value, str):
+            raise ValueError(f"invalid security level: {value!r}")
         try:
             return cls[value.strip().upper()]
         except KeyError as exc:
@@ -62,9 +71,9 @@ class ContractViolation(ValueError):
     """Raised when a contract is internally inconsistent or violated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Requirement:
-    """Base class for viewpoint-specific requirements."""
+    """Base class for viewpoint requirements; a subclass redeclares ``viewpoint``."""
 
     viewpoint: str = field(init=False, default="generic")
 
@@ -72,7 +81,7 @@ class Requirement:
         return {"viewpoint": self.viewpoint}
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class RealTimeRequirement(Requirement):
     """Timing requirement of a component's task.
 
@@ -88,27 +97,28 @@ class RealTimeRequirement(Requirement):
         Maximum release jitter contributed by the component's inputs.
     """
 
-    period: float = 0.0
-    wcet: float = 0.0
-    deadline: Optional[float] = None
-    jitter: float = 0.0
+    viewpoint: str = field(init=False, default="timing")
+    period: float
+    wcet: float
+    deadline: float
+    jitter: float
 
-    def __post_init__(self) -> None:
-        self.viewpoint = "timing"
+    def __init__(self, period: float = 0.0, wcet: float = 0.0,
+                 deadline: Optional[float] = None, jitter: float = 0.0) -> None:
+        deadline = period if deadline is None else deadline
         # Negated comparisons, so that NaN is rejected too.
-        if not self.period > 0:
-            raise ContractViolation(f"period must be positive, got {self.period}")
-        if not self.wcet > 0:
-            raise ContractViolation(f"wcet must be positive, got {self.wcet}")
-        if self.deadline is None:
-            self.deadline = self.period
-        if not self.deadline > 0:
-            raise ContractViolation(f"deadline must be positive, got {self.deadline}")
-        if self.wcet > self.deadline:
+        if not period > 0:
+            raise ContractViolation(f"period must be positive, got {period}")
+        if not wcet > 0:
+            raise ContractViolation(f"wcet must be positive, got {wcet}")
+        if not deadline > 0:
+            raise ContractViolation(f"deadline must be positive, got {deadline}")
+        if wcet > deadline:
             raise ContractViolation(
-                f"wcet {self.wcet} exceeds deadline {self.deadline}: unschedulable by construction")
-        if not self.jitter >= 0:
+                f"wcet {wcet} exceeds deadline {deadline}: unschedulable by construction")
+        if not jitter >= 0:
             raise ContractViolation("jitter must be non-negative")
+        self.__dict__.update(period=period, wcet=wcet, deadline=deadline, jitter=jitter)
 
     @property
     def utilization(self) -> float:
@@ -124,17 +134,19 @@ class RealTimeRequirement(Requirement):
         }
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class SafetyRequirement(Requirement):
     """Safety requirement: required ASIL and redundancy expectations."""
 
-    asil: AsilLevel = AsilLevel.QM
-    fail_operational: bool = False
-    redundancy_group: Optional[str] = None
+    viewpoint: str = field(init=False, default="safety")
+    asil: AsilLevel
+    fail_operational: bool
+    redundancy_group: Optional[str]
 
-    def __post_init__(self) -> None:
-        self.viewpoint = "safety"
-        self.asil = AsilLevel.parse(self.asil)
+    def __init__(self, asil: "AsilLevel | str | int" = AsilLevel.QM,
+                 fail_operational: bool = False, redundancy_group: Optional[str] = None) -> None:
+        self.__dict__.update(asil=AsilLevel.parse(asil), fail_operational=fail_operational,
+                             redundancy_group=redundancy_group)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -145,17 +157,19 @@ class SafetyRequirement(Requirement):
         }
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class SecurityRequirement(Requirement):
     """Security requirement: minimum protection level and allowed peers."""
 
-    level: SecurityLevel = SecurityLevel.NONE
-    allowed_peers: List[str] = field(default_factory=list)
-    external_interface: bool = False
+    viewpoint: str = field(init=False, default="security")
+    level: SecurityLevel
+    allowed_peers: Tuple[str, ...]
+    external_interface: bool
 
-    def __post_init__(self) -> None:
-        self.viewpoint = "security"
-        self.level = SecurityLevel.parse(self.level)
+    def __init__(self, level: "SecurityLevel | str | int" = SecurityLevel.NONE,
+                 allowed_peers: Iterable[str] = (), external_interface: bool = False) -> None:
+        self.__dict__.update(level=SecurityLevel.parse(level), allowed_peers=tuple(allowed_peers),
+                             external_interface=external_interface)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -166,17 +180,18 @@ class SecurityRequirement(Requirement):
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceRequirement(Requirement):
     """Resource budgets (memory, CAN bandwidth share) requested by a component."""
 
+    viewpoint: str = field(init=False, default="resources")
     memory_kib: float = 0.0
     can_bandwidth_bps: float = 0.0
     requires_vm_isolation: bool = False
 
     def __post_init__(self) -> None:
-        self.viewpoint = "resources"
-        if self.memory_kib < 0 or self.can_bandwidth_bps < 0:
+        # Negated, so that NaN is rejected too: NaN demand passes every check.
+        if not (self.memory_kib >= 0 and self.can_bandwidth_bps >= 0):
             raise ContractViolation("resource budgets must be non-negative")
 
     def to_dict(self) -> Dict[str, Any]:
@@ -188,31 +203,45 @@ class ResourceRequirement(Requirement):
         }
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class ServiceRequirement:
     """A service this component requires from some provider (micro-server)."""
 
     service: str
-    max_latency: Optional[float] = None
-    optional: bool = False
+    max_latency: Optional[float]
+    optional: bool
+
+    def __init__(self, service: str, max_latency: Optional[float] = None,
+                 optional: bool = False) -> None:
+        self.__dict__.update(service=service, max_latency=max_latency, optional=optional)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"service": self.service, "max_latency": self.max_latency,
                 "optional": self.optional}
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class ServiceProvision:
     """A service this component provides to others."""
 
     service: str
-    max_clients: Optional[int] = None
+    max_clients: Optional[int]
+
+    def __init__(self, service: str, max_clients: Optional[int] = None) -> None:
+        self.__dict__.update(service=service, max_clients=max_clients)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"service": self.service, "max_clients": self.max_clients}
 
 
-@dataclass
+#: The requirement type each resolved viewpoint attribute of a
+#: :class:`Contract` holds.
+_RESOLVED_TYPES = {"timing": RealTimeRequirement, "safety": SafetyRequirement,
+                   "security": SecurityRequirement,
+                   "resources": ResourceRequirement}
+
+
+@dataclass(frozen=True, init=False)
 class Contract:
     """The full contract of one component.
 
@@ -220,21 +249,20 @@ class Contract:
     and its service interface.  ``metadata`` carries free-form annotations
     (e.g. the functional skill the component implements).
 
-    ``timing``, ``safety``, ``security`` and ``resources`` hold the first
-    requirement of their viewpoint (``None`` when there is none or it has
-    another type).  The MCC reads them on every integration, so they are
-    resolved whenever the requirement list changes -- at construction, in
-    :meth:`add_requirement` and when ``requirements`` is reassigned -- not
-    searched on each read.  Appending to ``requirements`` in place would
-    leave them stale; use :meth:`add_requirement` or assign a new list.
-    ``asil`` reads the resolved safety requirement on every access.
+    A contract is frozen, with tuple sequences and a read-only copy of the
+    metadata, so models, configurations and fleet vehicles share it, and a
+    changed contract is a new one (``dataclasses.replace``).  ``timing``,
+    ``safety``, ``security`` and ``resources`` hold the first requirement
+    of their viewpoint (``None`` when there is none or it has another
+    type), resolved at construction, as the MCC reads them on every
+    integration.
     """
 
     component: str
-    requirements: List[Requirement] = field(default_factory=list)
-    requires: List[ServiceRequirement] = field(default_factory=list)
-    provides: List[ServiceProvision] = field(default_factory=list)
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    requirements: Tuple[Requirement, ...]
+    requires: Tuple[ServiceRequirement, ...]
+    provides: Tuple[ServiceProvision, ...]
+    metadata: Mapping[str, Any]
     timing: Optional[RealTimeRequirement] = field(init=False, repr=False,
                                                   compare=False)
     safety: Optional[SafetyRequirement] = field(init=False, repr=False,
@@ -244,9 +272,23 @@ class Contract:
     resources: Optional[ResourceRequirement] = field(init=False, repr=False,
                                                      compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.component:
+    def __init__(self, component: str, requirements: Iterable[Requirement] = (),
+                 requires: Iterable[ServiceRequirement] = (),
+                 provides: Iterable[ServiceProvision] = (),
+                 metadata: Mapping[str, Any] = MappingProxyType({})) -> None:
+        if not component:
             raise ContractViolation("contract needs a component name")
+        requirements = tuple(requirements)
+        state = self.__dict__
+        state.update(component=component, requirements=requirements,
+                     requires=tuple(requires), provides=tuple(provides),
+                     metadata=MappingProxyType(dict(metadata)), timing=None,
+                     safety=None, security=None, resources=None)
+        # Backwards, so the first requirement of a viewpoint is written last.
+        for req in reversed(requirements):
+            kind = _RESOLVED_TYPES.get(req.viewpoint)
+            if kind is not None:
+                state[req.viewpoint] = req if isinstance(req, kind) else None
 
     # -- accessors --------------------------------------------------------
 
@@ -256,9 +298,6 @@ class Contract:
             if req.viewpoint == viewpoint:
                 return req
         return None
-
-    def requirements_for(self, viewpoint: str) -> List[Requirement]:
-        return [req for req in self.requirements if req.viewpoint == viewpoint]
 
     @property
     def asil(self) -> AsilLevel:
@@ -271,23 +310,7 @@ class Contract:
     def required_services(self) -> List[str]:
         return [r.service for r in self.requires]
 
-    # -- mutation ---------------------------------------------------------
-
-    def add_requirement(self, requirement: Requirement) -> "Contract":
-        self.requirements.append(requirement)
-        _set_requirements(self, self.requirements)
-        return self
-
-    def add_required_service(self, service: str, max_latency: Optional[float] = None,
-                             optional: bool = False) -> "Contract":
-        self.requires.append(ServiceRequirement(service, max_latency, optional))
-        return self
-
-    def add_provided_service(self, service: str, max_clients: Optional[int] = None) -> "Contract":
-        self.provides.append(ServiceProvision(service, max_clients))
-        return self
-
-    # -- validation / serialization ---------------------------------------
+    # -- validation -------------------------------------------------------
 
     def validate(self) -> List[str]:
         """Return a list of internal consistency problems (empty if sound)."""
@@ -312,38 +335,3 @@ class Contract:
                 problems.append(
                     f"component {self.component} has multiple {vp} requirements")
         return problems
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "component": self.component,
-            "requirements": [r.to_dict() for r in self.requirements],
-            "requires": [r.to_dict() for r in self.requires],
-            "provides": [p.to_dict() for p in self.provides],
-            "metadata": dict(self.metadata),
-        }
-
-
-#: The requirement type each resolved viewpoint attribute of a
-#: :class:`Contract` holds.
-_RESOLVED_TYPES = {"timing": RealTimeRequirement, "safety": SafetyRequirement,
-                   "security": SecurityRequirement,
-                   "resources": ResourceRequirement}
-
-
-def _set_requirements(contract: Contract, requirements: List[Requirement]) -> None:
-    """Store ``requirements`` on ``contract`` and resolve its viewpoints."""
-    state = contract.__dict__
-    state["requirements"] = requirements
-    state["timing"] = state["safety"] = state["security"] = \
-        state["resources"] = None
-    # Backwards, so the first requirement of a viewpoint is written last.
-    for req in reversed(requirements):
-        kind = _RESOLVED_TYPES.get(req.viewpoint)
-        if kind is not None:
-            state[req.viewpoint] = req if isinstance(req, kind) else None
-
-
-Contract.requirements = property(  # type: ignore[assignment]
-    lambda contract: contract.__dict__["requirements"], _set_requirements,
-    doc="The viewpoint requirements; assigning a list re-resolves the "
-        "viewpoint attributes.")

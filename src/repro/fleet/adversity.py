@@ -324,9 +324,7 @@ class ThermalAdversity(AdversityModel):
         if cached is not None:
             return cached
         timing = contract.timing
-        deadline = timing.deadline if timing.deadline is not None \
-            else timing.period
-        wcet = min(timing.wcet / speed, 0.99 * deadline)
+        wcet = min(timing.wcet / speed, 0.99 * timing.deadline)
         inflated_timing = replace(timing, wcet=wcet)
         inflated = replace(contract,
                            requirements=[inflated_timing if req is timing

@@ -14,9 +14,9 @@ contract object) are one integration, not N.  The first vehicle of each
 equivalence group runs the full process; the rest replay its decision
 through :meth:`~repro.mcc.controller.MultiChangeController.replay_change`:
 each appends the first vehicle's report to its own history and, on an
-acceptance, adopts its resulting ``MccSnapshot``, both read-only, as
+acceptance, adopts its resulting ``MccSnapshot`` by reference, as
 stamped vehicles adopt their variant's baseline.  An adopted model is
-never mutated, so the grouping is exact: batched and sequential admission
+frozen, so the grouping is exact: batched and sequential admission
 produce identical wave verdicts, vehicle states and reports (request ids
 aside), and only the wall time differs (the differential harness, the
 fleet tests and the E10 benchmarks all assert this).  Either way a shared

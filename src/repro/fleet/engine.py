@@ -419,14 +419,14 @@ class CampaignEngine:
         same adopted :class:`~repro.mcc.configuration.SystemModel` *object*
         and receive the same request contract object pose the identical
         integration problem, so the later one adopts the earlier one's
-        decision.  An adopted model is never mutated (adoption swaps
-        references), so one model object fixes the contracts, mapping,
-        priorities and version.  Vehicles of one state share that object:
-        stamping and replay adopt it by reference, a rollback restores a
-        captured one and a resume rewinds to the baseline one.  A vehicle
-        that diverged (a refinement, an addition and its removal) holds a
-        model of its own and integrates on its own, and so does one whose
-        model merely equals another's, as under sequential admission.
+        decision.  A model is frozen, so one model object fixes the
+        contracts, mapping, priorities and version.  Vehicles of one state
+        share that object: stamping and replay adopt it by reference, a
+        rollback restores a captured one and a resume rewinds to the
+        baseline one.  A vehicle that diverged (a refinement, an addition
+        and its removal) holds a model of its own and integrates on its
+        own, and so does one whose model merely equals another's, as under
+        sequential admission.
 
         The key holds the model itself, which keeps it and its contracts
         alive.  The request contract enters by ``id`` only, and a recycled

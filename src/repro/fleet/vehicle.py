@@ -35,11 +35,12 @@ the variant's platform and battery, then adopts the first vehicle's
 :meth:`~repro.mcc.controller.MultiChangeController.rollback`.  Stamped
 siblings share the adopted :class:`~repro.mcc.configuration.SystemModel`,
 :class:`~repro.platform.rte.RteConfiguration` and baseline
-:class:`~repro.mcc.configuration.IntegrationReport` objects; all of them are
-read-only (adoption swaps references, it never mutates an adopted object),
-so a later change on one vehicle never reaches its siblings.  A batched
-campaign shares the same way: a replayed vehicle adopts its group's model
-and configuration and appends its group's report (see
+:class:`~repro.mcc.configuration.IntegrationReport` objects: the model and
+configuration are frozen, no report changes once a history holds it, and
+adoption swaps references, so a change on one vehicle never reaches its
+siblings.  A batched campaign shares the same way: a replayed vehicle
+adopts its group's model and configuration and appends its group's report
+(see
 :meth:`~repro.mcc.controller.MultiChangeController.replay_change`).  Each
 MCC derives its expectations from the model it adopted, so none are
 shared.

@@ -1,11 +1,11 @@
 """System model, change requests and integration reports.
 
-The MCC maintains a :class:`SystemModel` — the model-domain representation of
-the currently deployed configuration (contracts plus mapping decisions) — and
-processes :class:`ChangeRequest` objects describing in-field changes
-(addition, update or removal of components).  Every integration attempt
-produces an :class:`IntegrationReport` recording the refinement steps and the
-verdicts of the acceptance tests, whether or not the change was accepted.
+The MCC adopts frozen :class:`SystemModel` values — the model-domain
+representation of the deployed configuration (contracts plus mapping
+decisions) — one per accepted :class:`ChangeRequest` (addition, update or
+removal of a component).  Every integration attempt produces an
+:class:`IntegrationReport` recording the refinement steps and the verdicts
+of the acceptance tests, whether or not the change was accepted.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.contracts.model import Contract
 
@@ -28,12 +29,13 @@ class ChangeKind(enum.Enum):
     REMOVE_COMPONENT = "remove_component"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChangeRequest:
     """One requested change to the deployed system.
 
     ``contract`` is required for additions and updates and ignored for
-    removals; ``component`` names the affected component.
+    removals; ``component`` names the affected component.  Frozen, as a
+    campaign hands one request to many vehicles.
     """
 
     kind: ChangeKind
@@ -100,45 +102,37 @@ class IntegrationReport:
         return "; ".join(parts)
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class SystemModel:
     """Model-domain view of the deployed system: contracts plus mapping.
 
-    The MCC never mutates the deployed model directly; integration operates
-    on a :meth:`candidate` copy and the controller swaps models only after
-    acceptance.
+    Frozen, with read-only copies of ``mapping`` (component -> processor)
+    and ``priorities`` (``<component>.task`` -> priority); :meth:`changed`
+    derives a request's candidate.  Equality and hashing are by identity,
+    so one shared object (snapshots, stamped and replayed fleet vehicles,
+    admission dedupe) fixes the contracts, mapping, priorities and version.
     """
 
-    def __init__(self, contracts: Optional[List[Contract]] = None,
-                 mapping: Optional[Dict[str, str]] = None,
-                 priorities: Optional[Dict[str, int]] = None,
+    _contracts: Dict[str, Contract]
+    mapping: Mapping[str, str]
+    priorities: Mapping[str, int]
+    version: int
+
+    def __init__(self, contracts: Optional[Iterable[Contract]] = None,
+                 mapping: Optional[Mapping[str, str]] = None,
+                 priorities: Optional[Mapping[str, int]] = None,
                  version: int = 0) -> None:
-        self._contracts: Dict[str, Contract] = {}
-        for contract in contracts or []:
-            self.add_contract(contract)
-        self.mapping: Dict[str, str] = dict(mapping or {})
-        self.priorities: Dict[str, int] = dict(priorities or {})
-        self.version = version
+        by_component: Dict[str, Contract] = {}
+        for contract in contracts or ():
+            if contract.component in by_component:
+                raise ValueError(f"duplicate contract for {contract.component!r}")
+            by_component[contract.component] = contract
+        self.__dict__.update(  # frozen fields, written once
+            _contracts=by_component, version=version,
+            mapping=MappingProxyType(dict(mapping or {})),
+            priorities=MappingProxyType(dict(priorities or {})))
 
     # -- contracts ------------------------------------------------------------------
-
-    def add_contract(self, contract: Contract) -> None:
-        if contract.component in self._contracts:
-            raise ValueError(f"duplicate contract for {contract.component!r}")
-        self._contracts[contract.component] = contract
-
-    def replace_contract(self, contract: Contract) -> None:
-        if contract.component not in self._contracts:
-            raise KeyError(f"no contract for {contract.component!r}")
-        self._contracts[contract.component] = contract
-
-    def remove_contract(self, component: str) -> Contract:
-        try:
-            contract = self._contracts.pop(component)
-        except KeyError as exc:
-            raise KeyError(f"no contract for {component!r}") from exc
-        self.mapping.pop(component, None)
-        self.priorities.pop(component, None)
-        return contract
 
     def contract(self, component: str) -> Contract:
         try:
@@ -158,50 +152,42 @@ class SystemModel:
     def __len__(self) -> int:
         return len(self._contracts)
 
-    # -- candidate handling --------------------------------------------------------------
+    # -- candidates -----------------------------------------------------------------
 
-    def candidate(self) -> "SystemModel":
-        """A deep-enough copy for what-if integration (contracts are shared,
-        mapping/priorities copied)."""
-        return SystemModel(contracts=self.contracts(), mapping=dict(self.mapping),
-                           priorities=dict(self.priorities), version=self.version)
-
-    def apply_change(self, request: ChangeRequest) -> None:
-        """Apply a change request to this model (used on candidates only)."""
-        if request.kind == ChangeKind.ADD_COMPONENT:
-            assert request.contract is not None
-            self.add_contract(request.contract)
-        elif request.kind == ChangeKind.UPDATE_COMPONENT:
-            assert request.contract is not None
-            self.replace_contract(request.contract)
-            # A changed contract invalidates the old mapping decision for it.
-            self.mapping.pop(request.component, None)
-            self.priorities.pop(request.component, None)
-        elif request.kind == ChangeKind.REMOVE_COMPONENT:
-            self.remove_contract(request.component)
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown change kind {request.kind}")
+    def changed(self, request: ChangeRequest) -> "SystemModel":
+        """The candidate for ``request``: this model's version, its
+        contracts with the request's added, exchanged in place or removed,
+        and its placements and priorities but the changed component's.
+        Raises ``ValueError`` for a duplicate addition and ``KeyError`` for
+        an update or removal of an absent component."""
+        component, kind = request.component, request.kind
+        contracts = dict(self._contracts)
+        if kind is ChangeKind.ADD_COMPONENT:
+            if component in contracts:
+                raise ValueError(f"duplicate contract for {component!r}")
+            contracts[component] = request.contract
+        elif component not in contracts:
+            raise KeyError(f"no contract for {component!r}")
+        elif kind is ChangeKind.UPDATE_COMPONENT:
+            contracts[component] = request.contract
+        else:
+            del contracts[component]
+        # copy() is dict.copy; dict() of a read-only proxy is far slower.
+        mapping, priorities = self.mapping.copy(), self.priorities.copy()
+        mapping.pop(component, None)
+        priorities.pop(f"{component}.task", None)
+        return SystemModel(contracts.values(), mapping, priorities, self.version)
 
     # -- provisioning helpers --------------------------------------------------------------
 
     def unmapped_components(self) -> List[str]:
         return [c for c in self._contracts if c not in self.mapping]
 
-    def service_providers(self) -> Dict[str, List[str]]:
-        providers: Dict[str, List[str]] = {}
-        for contract in self._contracts.values():
-            for provision in contract.provides:
-                providers.setdefault(provision.service, []).append(contract.component)
-        return providers
-
     def missing_services(self) -> List[str]:
         """Required, non-optional services without any provider."""
-        providers = self.service_providers()
-        missing: List[str] = []
-        for contract in self._contracts.values():
-            for requirement in contract.requires:
-                if requirement.optional:
-                    continue
-                if requirement.service not in providers:
-                    missing.append(f"{contract.component}:{requirement.service}")
-        return sorted(missing)
+        contracts = self._contracts.values()
+        provided = {provision.service for contract in contracts
+                    for provision in contract.provides}
+        return sorted(f"{contract.component}:{requirement.service}"
+                      for contract in contracts for requirement in contract.requires
+                      if not requirement.optional and requirement.service not in provided)

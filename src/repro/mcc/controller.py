@@ -9,10 +9,10 @@ monitors to refine its models or trigger self-reconfiguration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.contracts.model import Contract, RealTimeRequirement
+from repro.contracts.model import Contract
 from repro.mcc.acceptance import AcceptanceTest
 from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport, SystemModel
 from repro.mcc.integration import IntegrationProcess
@@ -77,22 +77,21 @@ class MultiChangeController:
     def request_change(self, request: ChangeRequest) -> IntegrationReport:
         """Process one change request end-to-end.
 
-        The change is applied to a candidate model, integrated, and — only if
-        every acceptance test passes — adopted and deployed.
+        The change yields a candidate model, which is integrated, and —
+        only if every acceptance test passes — the model the integration
+        built from it is adopted and deployed.
         """
-        candidate = self.model.candidate()
         try:
-            candidate.apply_change(request)
+            candidate = self.model.changed(request)
         except (ValueError, KeyError) as exc:
             report = IntegrationReport(request_id=request.request_id, accepted=False)
             report.findings.append(str(exc))
             self.reports.append(report)
             return report
 
-        report = self.process.integrate(candidate, request)
-        if report.accepted:
-            report.configuration_version = self._adopt(candidate,
-                                                       self.model.version + 1)
+        report, adopted = self.process.integrate(candidate, request)
+        if adopted is not None:
+            report.configuration_version = self._adopt(adopted)
         self.reports.append(report)
         return report
 
@@ -132,12 +131,12 @@ class MultiChangeController:
             if outcome is None:
                 reports.extend(self.request_change(request) for request in rest)
                 break
-            candidate, admitted = outcome
+            adopted, admitted = outcome
             if admitted:
                 base = self.model.version
                 for offset, report in enumerate(admitted, start=1):
                     report.configuration_version = base + offset
-                self._adopt(candidate, base + len(admitted))
+                self._adopt(adopted)
                 self.reports.extend(admitted)
                 reports.extend(admitted)
             if len(admitted) < len(rest):
@@ -152,10 +151,10 @@ class MultiChangeController:
         ``precedent`` reports a full integration of the same request on the
         same variant and the same adopted model object, and that
         ``adopted`` is that controller's :meth:`snapshot` right after it.
-        An accepted verdict adopts ``adopted`` through :meth:`rollback`, by
-        reference and read-only, as a stamped fleet vehicle adopts its
-        baseline; a rejection adopts nothing.  Either way ``precedent``
-        itself joins the report history, shared and read-only, as a stamped
+        An accepted verdict adopts ``adopted`` through :meth:`rollback`,
+        by reference, as a stamped fleet vehicle adopts its baseline; a
+        rejection adopts nothing.  Either way ``precedent`` itself joins the
+        report history, shared and read-only by rule, as a stamped
         vehicle's baseline reports do, and is returned.
         """
         if precedent.accepted:
@@ -163,12 +162,11 @@ class MultiChangeController:
         self.reports.append(precedent)
         return precedent
 
-    def _adopt(self, candidate: SystemModel, version: int) -> int:
-        """Adopt an accepted candidate as ``version`` and deploy it; returns
-        the deployed configuration's version."""
-        candidate.version = version
-        self.model = candidate
-        configuration = self.process.synthesize_configuration(candidate, version)
+    def _adopt(self, model: SystemModel) -> int:
+        """Adopt an accepted model, built with its version, and deploy it;
+        returns the deployed configuration's version."""
+        self.model = model
+        configuration = self.process.synthesize_configuration(model, model.version)
         self.deployed_configuration = configuration
         if self.rte is not None:
             self.rte.deploy(configuration)
@@ -193,10 +191,10 @@ class MultiChangeController:
     def snapshot(self) -> "MccSnapshot":
         """Capture the adopted state (model, configuration).
 
-        Adoption never mutates a previously adopted :class:`SystemModel`
-        (integration operates on candidates and swaps the reference), so the
-        snapshot is a bundle of two references.  Used by staged rollout
-        engines to undo a bad wave.
+        A :class:`SystemModel` and an :class:`RteConfiguration` cannot
+        change after construction, and adoption swaps the controller's
+        references, so the snapshot is a bundle of two references.  Used by
+        staged rollout engines to undo a bad wave.
 
         Snapshots reference only model-domain state (contracts, mapping,
         configuration — no platform, process or cache handles), so a
@@ -265,15 +263,9 @@ class MultiChangeController:
             timing = contract.timing
             if timing is None or observed_wcet <= timing.wcet:
                 continue
-            new_wcet = min(observed_wcet * margin, timing.deadline or timing.period)
-            updated = Contract(component=contract.component,
-                               requirements=[r for r in contract.requirements
-                                             if r.viewpoint != "timing"],
-                               requires=list(contract.requires),
-                               provides=list(contract.provides),
-                               metadata=dict(contract.metadata))
-            updated.add_requirement(RealTimeRequirement(
-                period=timing.period, wcet=new_wcet, deadline=timing.deadline,
-                jitter=timing.jitter))
+            new_wcet = min(observed_wcet * margin, timing.deadline)
+            updated = replace(contract, requirements=(
+                *(r for r in contract.requirements if r.viewpoint != "timing"),
+                replace(timing, wcet=new_wcet)))
             reports.append(self.update_component(updated))
         return reports

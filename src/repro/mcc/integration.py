@@ -56,24 +56,26 @@ class IntegrationProcess:
                                  else default_acceptance_tests())
         self.mapping_engine = MappingEngine(platform, strategy=mapping_strategy)
 
-    def integrate(self, candidate: SystemModel, request: ChangeRequest) -> IntegrationReport:
-        """Run the full refinement on a candidate model.
+    def integrate(self, candidate: SystemModel, request: ChangeRequest
+                  ) -> Tuple[IntegrationReport, Optional[SystemModel]]:
+        """Run the full refinement on the candidate ``request`` yields.
 
-        The candidate is mutated (mapping/priorities are filled in) but the
-        caller decides whether to adopt it based on ``report.accepted``.
-        """
+        Returns the report and, if every test passes, the model to adopt
+        (the candidate's contracts with the decided mapping and priorities,
+        one version on), else ``None``; the caller decides on adoption."""
         report = IntegrationReport(request_id=request.request_id)
         contracts = candidate.contracts()
         problems = [problem for contract in contracts
                     for problem in contract.validate()]
-        if not self._refine(candidate, contracts, problems, report):
-            return report
+        decision = self._refine(candidate, contracts, problems, report)
+        if decision is None:
+            return report, None
 
         # Step 4: acceptance tests for every viewpoint.
         all_passed = True
         for test in self.acceptance_tests:
-            result = test.run(contracts, candidate.mapping,
-                              candidate.priorities, self.platform)
+            result = test.run(contracts, decision.placement,
+                              decision.priorities, self.platform)
             report.acceptance_results[test.viewpoint] = result.passed
             report.findings.extend(f"[{test.viewpoint}] {finding}" for finding in result.findings
                                    if not result.passed)
@@ -82,23 +84,23 @@ class IntegrationProcess:
                         results=dict(report.acceptance_results))
 
         report.accepted = all_passed
-        return report
+        return report, (SystemModel(contracts, decision.placement, decision.priorities,
+                                    candidate.version + 1) if all_passed else None)
 
     def _integrate_additions(self, model: SystemModel, requests: List[ChangeRequest]
                              ) -> Optional[Tuple[SystemModel, List[IntegrationReport]]]:
         """Integrate the longest passing prefix of a run of additions.
 
-        Applies the requests to one candidate of ``model`` in order and
-        records steps 1-3 of :meth:`integrate` for every prefix, up to the
-        first prefix those steps reject (a duplicate, an invalid contract,
-        a missing provider or a :class:`MappingError`) or to the end of the
-        run.  The first prefix is refined as :meth:`integrate` refines it.
-        Each later prefix adds one contract to a prefix that passed, and
-        the engine keeps every earlier placement, so the prefix checks only
-        its new contract's required services and places only that
-        contract, in the one :class:`MappingState` carried through the run;
-        its steps record exactly what a full refinement of the prefix
-        would.
+        Records steps 1-3 of :meth:`integrate` for every prefix of the run
+        applied to ``model``, in order, up to the first prefix those steps
+        reject (a duplicate, an invalid contract, a missing provider or a
+        :class:`MappingError`) or to the end of the run.  The first prefix
+        is refined as :meth:`integrate` refines it.  Each later prefix adds
+        one contract to a prefix that passed, and the engine keeps every
+        earlier placement, so the prefix checks only its new contract's
+        name and required services and places only that contract, in the
+        one :class:`MappingState` carried through the run; its steps record
+        exactly what a full refinement of the prefix would.
 
         The acceptance tests then run on the last refined prefix.  If it
         fails one, they bisect over the refined prefixes, each tested with
@@ -112,14 +114,15 @@ class IntegrationProcess:
         ``ceil(log2(n))`` more runs find the step among ``n`` refined
         prefixes.
 
-        Returns a candidate holding the longest passing prefix and one
-        report per request of it, each holding exactly what
+        Returns the model to adopt, built once for the longest passing
+        prefix (its version ``model.version`` plus the prefix length), and
+        one report per request of it, each holding exactly what
         :meth:`integrate` records for that request in turn; the caller sets
         the configuration versions.  When the prefix is shorter than the
         run, the next request is the first one per-request integration
         rejects, and everything after it is a new run: skipping the
         rejected request changes every later prefix.  With no passing
-        request the candidate is not to be adopted and the list is empty.
+        request the model is ``model`` itself and the list is empty.
 
         Returns ``None``, having refined nothing, when per-request
         integration must decide the whole run instead: there are no
@@ -141,28 +144,30 @@ class IntegrationProcess:
         installed = len(model)
         first_invalid = next((index for index, contract in enumerate(final)
                               if contract.validate()), len(final))
-        candidate = model.candidate()
         reports: List[IntegrationReport] = []
-        decisions: List[Tuple[Dict[str, str], Dict[str, int]]] = []
+        decisions: List[MappingDecision] = []
         state: Optional[MappingState] = None
         provided: Set[str] = set()
         for position, request in enumerate(
                 requests[:max(0, first_invalid - installed)], start=installed):
-            try:
-                candidate.apply_change(request)
-            except (ValueError, KeyError):
-                break
             if state is None:
+                try:
+                    candidate = model.changed(request)
+                except ValueError:
+                    break
                 report = IntegrationReport(request_id=request.request_id)
                 contracts = candidate.contracts()
-                if not self._refine(candidate, contracts, [], report):
+                decision = self._refine(candidate, contracts, [], report)
+                if decision is None:
                     break
                 state = MappingState(self.mapping_engine)
                 for index, contract in enumerate(contracts):
-                    state.keep(contract, candidate.mapping[contract.component], index)
+                    state.keep(contract, decision.placement[contract.component], index)
                     provided.update(provision.service for provision in contract.provides)
             else:
                 contract = request.contract
+                if contract.component in state.placement:
+                    break
                 provided.update(provision.service for provision in contract.provides)
                 if any(not requirement.optional and requirement.service not in provided
                        for requirement in contract.requires):
@@ -171,11 +176,12 @@ class IntegrationProcess:
                     state.place(contract, position)
                 except MappingError:
                     break
+                decision = state.decision()
                 report = IntegrationReport(request_id=request.request_id)
                 self._record_services(report, [])
-                self._record_mapping(candidate, state.decision(), report)
+                self._record_mapping(decision, report)
             reports.append(report)
-            decisions.append((candidate.mapping, candidate.priorities))
+            decisions.append(decision)
         passing = len(reports)
         if passing and not self._passes(final[:installed + passing],
                                         decisions[passing - 1]):
@@ -189,41 +195,40 @@ class IntegrationProcess:
                 else:
                     high = middle
             passing = low
-        if passing and len(candidate) != installed + passing:
-            mapping, priorities = decisions[passing - 1]
-            candidate = SystemModel(contracts=final[:installed + passing],
-                                    mapping=mapping, priorities=priorities,
-                                    version=model.version)
+        if not passing:
+            return model, []
         results = {test.viewpoint: True for test in self.acceptance_tests}
         for report in reports[:passing]:
             report.acceptance_results = dict(results)
             report.add_step("acceptance-tests", "run viewpoint analyses",
                             results=dict(results))
             report.accepted = True
-        return candidate, reports[:passing]
+        decision = decisions[passing - 1]
+        return (SystemModel(final[:installed + passing], decision.placement,
+                            decision.priorities, model.version + passing),
+                reports[:passing])
 
-    def _passes(self, contracts: List[Contract],
-                decision: Tuple[Dict[str, str], Dict[str, int]]) -> bool:
+    def _passes(self, contracts: List[Contract], decision: MappingDecision) -> bool:
         """Whether ``contracts``, mapped and prioritised as ``decision``
         records, pass every acceptance test; stops at the first that
         fails."""
-        mapping, priorities = decision
-        return all(test.run(contracts, mapping, priorities, self.platform).passed
+        return all(test.run(contracts, decision.placement, decision.priorities,
+                            self.platform).passed
                    for test in self.acceptance_tests)
 
     def _refine(self, candidate: SystemModel, contracts: List[Contract],
-                problems: List[str], report: IntegrationReport) -> bool:
+                problems: List[str], report: IntegrationReport
+                ) -> Optional[MappingDecision]:
         """Steps 1-3 of :meth:`integrate` on ``candidate``, given its
         ``contracts`` and their validation ``problems``, recorded in
-        ``report``; fills in the candidate's mapping and priorities.
-        ``False`` when the candidate is rejected (its findings are in
-        ``report``)."""
+        ``report``.  Returns the mapping decision, or ``None`` when the
+        candidate is rejected (its findings are in ``report``)."""
         # Step 1: functional architecture — validate contracts and service
         # completeness.
         problems = problems + [f"missing provider for {entry}"
                                for entry in candidate.missing_services()]
         if not self._record_services(report, problems):
-            return False
+            return None
 
         # Step 2: technical architecture — map components to the platform.
         try:
@@ -233,9 +238,9 @@ class IntegrationProcess:
             report.add_step("technical-architecture", "mapping failed", error=str(exc))
             report.findings.append(str(exc))
             report.accepted = False
-            return False
-        self._record_mapping(candidate, decision, report)
-        return True
+            return None
+        self._record_mapping(decision, report)
+        return decision
 
     @staticmethod
     def _record_services(report: IntegrationReport, problems: List[str]) -> bool:
@@ -251,12 +256,9 @@ class IntegrationProcess:
         return True
 
     @staticmethod
-    def _record_mapping(candidate: SystemModel, decision: MappingDecision,
+    def _record_mapping(decision: MappingDecision,
                         report: IntegrationReport) -> None:
-        """Give ``candidate`` the mapping and priorities of ``decision`` and
-        record steps 2 and 3."""
-        candidate.mapping = decision.placement
-        candidate.priorities = decision.priorities
+        """Record steps 2 and 3 of ``decision``."""
         report.add_step("technical-architecture",
                         "map components to processing resources",
                         placement=dict(decision.placement),
@@ -273,28 +275,21 @@ class IntegrationProcess:
         analyse for ``request`` applied to ``model``.
 
         Runs the same candidate construction, validation and mapping steps as
-        :meth:`integrate` on a scratch copy, without any acceptance test.
-        Returns ``None`` when the request would be rejected before the
-        acceptance phase (invalid change, contract problems, mapping
-        failure).
+        :meth:`integrate`, without any acceptance test.  Returns ``None``
+        when the request would be rejected before the acceptance phase
+        (invalid change, contract problems, mapping failure).
         """
-        candidate = model.candidate()
         try:
-            candidate.apply_change(request)
+            candidate = model.changed(request)
         except (ValueError, KeyError):
             return None
-        for contract in candidate.contracts():
-            if contract.validate():
-                return None
-        if candidate.missing_services():
-            return None
-        try:
-            decision = self.mapping_engine.map(candidate.contracts(),
-                                               existing=candidate.mapping)
-        except MappingError:
-            return None
-        return tasksets_from_mapping(candidate.contracts(), decision.placement,
-                                     decision.priorities)
+        contracts = candidate.contracts()
+        problems = [problem for contract in contracts
+                    for problem in contract.validate()]
+        decision = self._refine(candidate, contracts, problems,
+                                IntegrationReport(request_id=request.request_id))
+        return None if decision is None else tasksets_from_mapping(
+            contracts, decision.placement, decision.priorities)
 
     def synthesize_configuration(self, model: SystemModel, version: int) -> RteConfiguration:
         """Produce the deployable configuration from an accepted model."""
@@ -302,5 +297,5 @@ class IntegrationProcess:
             raise IntegrationError(
                 f"model has unmapped components: {model.unmapped_components()}")
         return RteConfiguration(version=version, contracts=model.contracts(),
-                                mapping=dict(model.mapping),
-                                priorities=dict(model.priorities))
+                                mapping=model.mapping,
+                                priorities=model.priorities)

@@ -44,9 +44,6 @@ class MappingDecision:
     priorities: Dict[str, int]
     utilization: Dict[str, float]
 
-    def processor_of(self, component: str) -> Optional[str]:
-        return self.placement.get(component)
-
 
 class MappingEngine:
     """Heuristic component-to-processor mapping with priority assignment.

@@ -10,7 +10,7 @@ RTE is also the attachment point for the application/platform monitors
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.contracts.model import Contract
 from repro.platform.components import (
@@ -28,9 +28,10 @@ class CapabilityError(PermissionError):
     """Raised when a component uses a service without an active session."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RteConfiguration:
-    """A deployable system configuration produced by the MCC.
+    """A deployable system configuration produced by the MCC; frozen, as
+    stamped and replayed fleet vehicles share it.
 
     Attributes
     ----------
@@ -39,21 +40,23 @@ class RteConfiguration:
     contracts:
         The contracts of all components in the configuration.
     mapping:
-        Component name -> processor name.
+        Component name -> processor name (the MCC passes its model's
+        read-only mapping).
     priorities:
-        Task name -> fixed priority.
+        Task name -> fixed priority (read-only, as ``mapping``).
     sessions:
         Explicit client/provider/service triples to wire.
     """
 
     version: int
-    contracts: List[Contract] = field(default_factory=list)
-    mapping: Dict[str, str] = field(default_factory=dict)
-    priorities: Dict[str, int] = field(default_factory=dict)
-    sessions: List[Dict[str, str]] = field(default_factory=list)
+    contracts: Tuple[Contract, ...] = ()
+    mapping: Mapping[str, str] = field(default_factory=dict)
+    priorities: Mapping[str, int] = field(default_factory=dict)
+    sessions: Tuple[Dict[str, str], ...] = ()
 
-    def component_names(self) -> List[str]:
-        return [contract.component for contract in self.contracts]
+    def __post_init__(self) -> None:
+        self.__dict__.update(  # frozen fields, written once
+            contracts=tuple(self.contracts), sessions=tuple(self.sessions))
 
 
 class RuntimeEnvironment:

@@ -20,6 +20,11 @@ holds the pieces those suites share:
 * randomized change-request chains over UUniFast component pools
   (``random_chain``, ``make_contract``, ``clone_request``,
   ``build_platform``);
+* the mutating admission reference :class:`ReferenceController`, over a
+  model class of its own, :class:`ReferenceModel`: each request edits a
+  copy of the adopted model in place, the mapping step writes its decision
+  into that copy and adoption assigns its version, with every refinement
+  step re-derived per request;
 * the event-driven CAN bus ground truth ``simulate_latencies`` and the
   ``frame_workloads`` hypothesis strategy used by the CAN RTA suite;
 * the fleet provisioning references used by the fleet stamping suite:
@@ -52,18 +57,21 @@ from repro.can.controller import CanController
 from repro.can.frame import CanFrame
 from repro.contracts.language import ContractParser
 from repro.contracts.model import (Contract, RealTimeRequirement,
-                                   SafetyRequirement, SecurityRequirement)
+                                   SafetyRequirement, SecurityRequirement,
+                                   ServiceProvision)
 from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
                                  VehicleVariant, build_vehicle_platform,
                                  generate_fleet, generate_variants,
                                  variant_contracts)
 from repro.mcc.acceptance import (AcceptanceResult, AcceptanceTest,
                                   default_acceptance_tests, tasksets_from_mapping)
-from repro.mcc.configuration import ChangeKind, ChangeRequest
-from repro.mcc.controller import MultiChangeController
-from repro.mcc.mapping import MappingEngine, MappingError, MappingState
+from repro.mcc.configuration import ChangeKind, ChangeRequest, IntegrationReport
+from repro.mcc.controller import MultiChangeController, derive_expectation
+from repro.mcc.mapping import (MappingEngine, MappingError, MappingState,
+                               MappingStrategy)
+from repro.monitoring.deviation import ExpectedBehaviour
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
-from repro.platform.rte import RuntimeEnvironment
+from repro.platform.rte import RteConfiguration, RuntimeEnvironment
 from repro.platform.tasks import Task, TaskSet
 from repro.sim.kernel import Simulator
 from repro.sim.random import SeededRNG
@@ -263,13 +271,12 @@ def build_platform(num_processors: int, capacity: float = 0.9) -> Platform:
 
 
 def make_contract(name: str, period: float, wcet: float) -> Contract:
-    contract = Contract(component=name)
-    contract.add_requirement(RealTimeRequirement(
-        period=period, wcet=min(wcet, 0.9 * period)))
-    contract.add_requirement(SafetyRequirement(asil="B"))
-    contract.add_requirement(SecurityRequirement(level="MEDIUM"))
-    contract.add_provided_service(f"service_{name}")
-    return contract
+    return Contract(component=name,
+                    requirements=[RealTimeRequirement(
+                        period=period, wcet=min(wcet, 0.9 * period)),
+                        SafetyRequirement(asil="B"),
+                        SecurityRequirement(level="MEDIUM")],
+                    provides=[ServiceProvision(f"service_{name}")])
 
 
 def random_chain(rng: SeededRNG, pool_size: int,
@@ -306,6 +313,194 @@ def random_chain(rng: SeededRNG, pool_size: int,
                                        component=name,
                                        contract=make_contract(name, period, wcet)))
     return chain
+
+
+class ReferenceModel:
+    """A mutable system model: contracts plus mapping, edited in place.
+
+    The reference for :class:`~repro.mcc.configuration.SystemModel`.  A
+    candidate is a :meth:`copy` of the adopted model that
+    :meth:`edit` edits; the controller adopts it by reference.
+    """
+
+    def __init__(self, contracts: Iterable[Contract] = ()) -> None:
+        self._contracts: Dict[str, Contract] = {}
+        for contract in contracts:
+            self.add(contract)
+        self.mapping: Dict[str, str] = {}
+        self.priorities: Dict[str, int] = {}
+        self.version = 0
+
+    def add(self, contract: Contract) -> None:
+        if contract.component in self._contracts:
+            raise ValueError(f"duplicate contract for {contract.component!r}")
+        self._contracts[contract.component] = contract
+
+    def exchange(self, contract: Contract) -> None:
+        if contract.component not in self._contracts:
+            raise KeyError(f"no contract for {contract.component!r}")
+        self._contracts[contract.component] = contract
+
+    def remove(self, component: str) -> None:
+        if component not in self._contracts:
+            raise KeyError(f"no contract for {component!r}")
+        del self._contracts[component]
+        self.mapping.pop(component, None)
+        # Priorities are keyed ``<component>.task``, so this pops nothing:
+        # the mapping step replaces a candidate's priorities before anything
+        # reads them.
+        self.priorities.pop(component, None)
+
+    def contracts(self) -> List[Contract]:
+        return list(self._contracts.values())
+
+    def copy(self) -> "ReferenceModel":
+        """A copy for what-if integration: contracts shared, mapping and
+        priorities copied."""
+        copy = ReferenceModel(self.contracts())
+        copy.mapping, copy.priorities = dict(self.mapping), dict(self.priorities)
+        copy.version = self.version
+        return copy
+
+    def edit(self, request: ChangeRequest) -> None:
+        """Edit this model in place as ``request`` asks."""
+        if request.kind is ChangeKind.ADD_COMPONENT:
+            self.add(request.contract)
+        elif request.kind is ChangeKind.UPDATE_COMPONENT:
+            self.exchange(request.contract)
+            # A changed contract invalidates the old mapping decision for it.
+            self.mapping.pop(request.component, None)
+            self.priorities.pop(request.component, None)
+        else:
+            self.remove(request.component)
+
+    def missing_services(self) -> List[str]:
+        providers: Dict[str, List[str]] = {}
+        for contract in self._contracts.values():
+            for provision in contract.provides:
+                providers.setdefault(provision.service, []).append(contract.component)
+        missing: List[str] = []
+        for contract in self._contracts.values():
+            for requirement in contract.requires:
+                if not requirement.optional and requirement.service not in providers:
+                    missing.append(f"{contract.component}:{requirement.service}")
+        return sorted(missing)
+
+
+class ReferenceController:
+    """The mutating admission flow, every request integrated on its own.
+
+    The reference for :class:`~repro.mcc.controller.MultiChangeController`:
+    :meth:`request_change` applies the request to a copy of the adopted
+    :class:`ReferenceModel`, validates, maps and prioritises it, writing
+    the mapping decision into the copy, runs every acceptance test and, on
+    acceptance, assigns the copy its version, adopts it and deploys its
+    configuration.  :meth:`request_changes` is the per-request loop, and
+    :meth:`snapshot`/:meth:`rollback` capture and restore the adopted model
+    and configuration by reference.  It shares the mapping engine, the
+    acceptance tests and the report and configuration types with the
+    controller, none of its control flow.
+    """
+
+    def __init__(self, platform: Platform,
+                 rte: Optional[RuntimeEnvironment] = None,
+                 acceptance_tests: Optional[List[AcceptanceTest]] = None,
+                 mapping_strategy: MappingStrategy = MappingStrategy.FIRST_FIT
+                 ) -> None:
+        self.platform = platform
+        self.rte = rte
+        self.model = ReferenceModel()
+        self.acceptance_tests = (acceptance_tests if acceptance_tests is not None
+                                 else default_acceptance_tests())
+        self.mapping_engine = MappingEngine(platform, strategy=mapping_strategy)
+        self.reports: List[IntegrationReport] = []
+        self.deployed_configuration: Optional[RteConfiguration] = None
+
+    def request_change(self, request: ChangeRequest) -> IntegrationReport:
+        candidate = self.model.copy()
+        try:
+            candidate.edit(request)
+        except (ValueError, KeyError) as exc:
+            report = IntegrationReport(request_id=request.request_id, accepted=False)
+            report.findings.append(str(exc))
+        else:
+            report = self._integrate(candidate, request)
+            if report.accepted:
+                candidate.version = self.model.version + 1
+                self.model = candidate
+                report.configuration_version = self._deploy(RteConfiguration(
+                    version=candidate.version, contracts=candidate.contracts(),
+                    mapping=dict(candidate.mapping),
+                    priorities=dict(candidate.priorities)))
+        self.reports.append(report)
+        return report
+
+    def request_changes(self, requests: List[ChangeRequest]) -> List[IntegrationReport]:
+        return [self.request_change(request) for request in requests]
+
+    def _integrate(self, candidate: ReferenceModel,
+                   request: ChangeRequest) -> IntegrationReport:
+        report = IntegrationReport(request_id=request.request_id)
+        contracts = candidate.contracts()
+        problems = [problem for contract in contracts
+                    for problem in contract.validate()]
+        problems += [f"missing provider for {entry}"
+                     for entry in candidate.missing_services()]
+        report.add_step("functional-architecture",
+                        "validate contracts and service completeness",
+                        problems=list(problems))
+        if problems:
+            report.findings.extend(problems)
+            return report
+        try:
+            decision = self.mapping_engine.map(contracts, existing=candidate.mapping)
+        except MappingError as exc:
+            report.add_step("technical-architecture", "mapping failed", error=str(exc))
+            report.findings.append(str(exc))
+            return report
+        candidate.mapping = decision.placement
+        candidate.priorities = decision.priorities
+        report.add_step("technical-architecture",
+                        "map components to processing resources",
+                        placement=dict(decision.placement),
+                        utilization=dict(decision.utilization))
+        report.add_step("implementation-model",
+                        "assign scheduling priorities (deadline monotonic per resource)",
+                        priorities=dict(decision.priorities))
+        all_passed = True
+        for test in self.acceptance_tests:
+            result = test.run(contracts, candidate.mapping, candidate.priorities,
+                              self.platform)
+            report.acceptance_results[test.viewpoint] = result.passed
+            if not result.passed:
+                report.findings.extend(f"[{test.viewpoint}] {finding}"
+                                       for finding in result.findings)
+            all_passed = all_passed and result.passed
+        report.add_step("acceptance-tests", "run viewpoint analyses",
+                        results=dict(report.acceptance_results))
+        report.accepted = all_passed
+        return report
+
+    def _deploy(self, configuration: RteConfiguration) -> int:
+        self.deployed_configuration = configuration
+        if self.rte is not None:
+            self.rte.deploy(configuration)
+        return configuration.version
+
+    def snapshot(self) -> Tuple[ReferenceModel, Optional[RteConfiguration]]:
+        return self.model, self.deployed_configuration
+
+    def rollback(self, snapshot: Tuple[ReferenceModel,
+                                       Optional[RteConfiguration]]) -> None:
+        self.model, configuration = snapshot
+        self.deployed_configuration = configuration
+        if self.rte is not None and configuration is not None:
+            self.rte.deploy(configuration)
+
+    @property
+    def expectations(self) -> Tuple[ExpectedBehaviour, ...]:
+        derived = (derive_expectation(c) for c in self.model.contracts())
+        return tuple(e for e in derived if e is not None)
 
 
 def clone_request(request: ChangeRequest) -> ChangeRequest:

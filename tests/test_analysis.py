@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from repro.contracts.model import (
     Contract,
     SafetyRequirement,
     SecurityRequirement,
+    ServiceProvision,
+    ServiceRequirement,
 )
 from repro.mcc import acceptance
 from repro.mcc.acceptance import AcceptanceResult, SecurityAcceptanceTest
@@ -122,18 +126,16 @@ class TestDependencyAnalysis:
 
 
 def _threat_contracts():
-    gateway = Contract("gateway")
-    gateway.add_requirement(SecurityRequirement(level="HIGH", external_interface=True))
-    gateway.add_provided_service("remote")
-    planner = Contract("planner")
-    planner.add_requirement(SecurityRequirement(level="MEDIUM"))
-    planner.add_requirement(SafetyRequirement(asil="C"))
-    planner.add_required_service("remote")
-    planner.add_provided_service("trajectory")
-    brake = Contract("brake")
-    brake.add_requirement(SecurityRequirement(level="LOW"))
-    brake.add_requirement(SafetyRequirement(asil="D"))
-    brake.add_required_service("trajectory")
+    gateway = Contract("gateway", requirements=[
+        SecurityRequirement(level="HIGH", external_interface=True)],
+        provides=[ServiceProvision("remote")])
+    planner = Contract("planner", requirements=[
+        SecurityRequirement(level="MEDIUM"), SafetyRequirement(asil="C")],
+        requires=[ServiceRequirement("remote")],
+        provides=[ServiceProvision("trajectory")])
+    brake = Contract("brake", requirements=[
+        SecurityRequirement(level="LOW"), SafetyRequirement(asil="D")],
+        requires=[ServiceRequirement("trajectory")])
     return gateway, planner, brake
 
 
@@ -169,8 +171,9 @@ class TestThreatModel:
         assert "planner" not in assessment.under_protected
         # Now weaken the planner.
         gateway, planner, brake = _threat_contracts()
-        planner.requirements = [r for r in planner.requirements if r.viewpoint != "security"]
-        planner.add_requirement(SecurityRequirement(level="NONE"))
+        planner = replace(planner, requirements=[
+            *(r for r in planner.requirements if r.viewpoint != "security"),
+            SecurityRequirement(level="NONE")])
         model = ThreatModel()
         model.add_components([gateway, planner, brake])
         model.add_session("planner", "gateway")
@@ -202,15 +205,13 @@ class TestThreatModel:
 
 class TestSafetyAnalysis:
     def _contracts(self):
-        high = Contract("braking")
-        high.add_requirement(SafetyRequirement(asil="D", fail_operational=True,
-                                               redundancy_group="brake"))
-        high.add_required_service("wheel_speed")
-        backup = Contract("braking_backup")
-        backup.add_requirement(SafetyRequirement(asil="D", redundancy_group="brake"))
-        low = Contract("wheel_sensor")
-        low.add_requirement(SafetyRequirement(asil="A"))
-        low.add_provided_service("wheel_speed")
+        high = Contract("braking", requirements=[SafetyRequirement(
+            asil="D", fail_operational=True, redundancy_group="brake")],
+            requires=[ServiceRequirement("wheel_speed")])
+        backup = Contract("braking_backup", requirements=[
+            SafetyRequirement(asil="D", redundancy_group="brake")])
+        low = Contract("wheel_sensor", requirements=[SafetyRequirement(asil="A")],
+                       provides=[ServiceProvision("wheel_speed")])
         return [high, backup, low]
 
     def test_asil_inheritance_violation_detected(self):
@@ -224,8 +225,8 @@ class TestSafetyAnalysis:
         assert any(f.kind == "missing-provider" for f in findings)
 
     def test_fail_operational_needs_redundancy(self):
-        lonely = Contract("steering")
-        lonely.add_requirement(SafetyRequirement(asil="D", fail_operational=True))
+        lonely = Contract("steering", requirements=[
+            SafetyRequirement(asil="D", fail_operational=True)])
         findings = SafetyAnalysis([lonely]).check_fail_operational_redundancy()
         assert any(f.kind == "missing-redundancy" for f in findings)
         # With a redundancy peer the finding disappears.
@@ -245,8 +246,7 @@ class TestSafetyAnalysis:
         assert findings and findings[0].blocking
 
     def test_acceptable_configuration(self):
-        safe = Contract("comp")
-        safe.add_requirement(SafetyRequirement(asil="B"))
+        safe = Contract("comp", requirements=[SafetyRequirement(asil="B")])
         analysis = SafetyAnalysis([safe], {"comp": "cpu0"})
         assert analysis.acceptable()
         assert analysis.analyse() == []
@@ -288,21 +288,22 @@ def service_contracts(draw, exposed=st.just(False)):
     contract may provide a service more than once."""
     contracts = []
     for index in range(draw(st.integers(1, 8))):
-        contract = Contract(f"c{index}")
+        requirements = []
         if draw(st.booleans()):
-            contract.add_requirement(SafetyRequirement(
+            requirements.append(SafetyRequirement(
                 asil=draw(st.sampled_from(list(AsilLevel))),
                 redundancy_group=draw(st.sampled_from([None, "g"]))))
         if draw(st.booleans()):
-            contract.add_requirement(SecurityRequirement(
+            requirements.append(SecurityRequirement(
                 level=draw(st.sampled_from(["NONE", "LOW", "MEDIUM", "HIGH"])),
                 external_interface=draw(exposed)))
-        for service in draw(st.lists(st.sampled_from(_SERVICES), max_size=3)):
-            contract.add_provided_service(service)
-        for service in draw(st.lists(st.sampled_from(_SERVICES), max_size=2,
-                                     unique=True)):
-            contract.add_required_service(service, optional=draw(st.booleans()))
-        contracts.append(contract)
+        provides = [ServiceProvision(service) for service in
+                    draw(st.lists(st.sampled_from(_SERVICES), max_size=3))]
+        requires = [ServiceRequirement(service, optional=draw(st.booleans()))
+                    for service in draw(st.lists(st.sampled_from(_SERVICES),
+                                                 max_size=2, unique=True))]
+        contracts.append(Contract(f"c{index}", requirements=requirements,
+                                  requires=requires, provides=provides))
     return contracts
 
 
@@ -315,12 +316,10 @@ class TestSafetyProviderIndex:
             asil_decomposition_by_scan(analysis)
 
     def test_a_service_provided_twice_is_one_provider(self):
-        client = Contract("client")
-        client.add_requirement(SafetyRequirement(asil="C"))
-        client.add_required_service("svc")
-        provider = Contract("provider")
-        provider.add_requirement(SafetyRequirement(asil="A"))
-        provider.add_provided_service("svc").add_provided_service("svc")
+        client = Contract("client", requirements=[SafetyRequirement(asil="C")],
+                          requires=[ServiceRequirement("svc")])
+        provider = Contract("provider", requirements=[SafetyRequirement(asil="A")],
+                            provides=[ServiceProvision("svc")] * 2)
         analysis = SafetyAnalysis([client, provider])
         findings = analysis.check_asil_decomposition()
         assert findings == asil_decomposition_by_scan(analysis)

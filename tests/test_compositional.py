@@ -19,7 +19,8 @@ from repro.analysis.compositional import (CanAnalysisError,
                                           distributed_end_to_end_latency)
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
 from repro.contracts.model import (Contract, RealTimeRequirement,
-                                   SafetyRequirement, SecurityRequirement)
+                                   SafetyRequirement, SecurityRequirement,
+                                   ServiceProvision, ServiceRequirement)
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.acceptance import (DistributedChainSpec,
                                   DistributedTimingAcceptanceTest, MessageSpec,
@@ -363,15 +364,12 @@ class TestChainLatency:
 
 
 def make_contract(name, period, wcet, provides=(), requires=()) -> Contract:
-    contract = Contract(component=name)
-    contract.add_requirement(RealTimeRequirement(period=period, wcet=wcet))
-    contract.add_requirement(SafetyRequirement(asil="B"))
-    contract.add_requirement(SecurityRequirement(level="MEDIUM"))
-    for service in provides:
-        contract.add_provided_service(service)
-    for service in requires:
-        contract.add_required_service(service)
-    return contract
+    return Contract(component=name,
+                    requirements=[RealTimeRequirement(period=period, wcet=wcet),
+                                  SafetyRequirement(asil="B"),
+                                  SecurityRequirement(level="MEDIUM")],
+                    requires=[ServiceRequirement(service) for service in requires],
+                    provides=[ServiceProvision(service) for service in provides])
 
 
 def chain_battery(deadline, cache=None):
@@ -495,9 +493,8 @@ class TestDistributedTimingAcceptanceTest:
         tests = default_acceptance_tests() + [distributed]
         mcc = MultiChangeController(dual_core_platform, acceptance_tests=tests)
         reports = deploy_chain(mcc)
-        logger = Contract(component="logger")
-        logger.add_requirement(SafetyRequirement(asil="QM"))
-        logger.add_requirement(SecurityRequirement(level="MEDIUM"))
+        logger = Contract(component="logger", requirements=[
+            SafetyRequirement(asil="QM"), SecurityRequirement(level="MEDIUM")])
         reports.append(mcc.add_component(logger))
         assert all(report.accepted for report in reports)
         assert distributed.last_metrics["e2e.active"] == 0.0

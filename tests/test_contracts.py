@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import FrozenInstanceError, field, make_dataclass, replace
 import subprocess
 import sys
 
@@ -21,6 +22,8 @@ from repro.contracts.model import (
     SafetyRequirement,
     SecurityLevel,
     SecurityRequirement,
+    ServiceProvision,
+    ServiceRequirement,
 )
 from repro.contracts.viewpoints import STANDARD_VIEWPOINTS, Viewpoint, ViewpointRegistry
 
@@ -82,11 +85,11 @@ class TestRealTimeRequirement:
 
 class TestContract:
     def test_viewpoint_accessors(self):
-        contract = Contract("comp")
-        contract.add_requirement(RealTimeRequirement(period=0.01, wcet=0.001))
-        contract.add_requirement(SafetyRequirement(asil="C", fail_operational=True))
-        contract.add_requirement(SecurityRequirement(level="HIGH"))
-        contract.add_requirement(ResourceRequirement(memory_kib=128))
+        contract = Contract("comp", requirements=[
+            RealTimeRequirement(period=0.01, wcet=0.001),
+            SafetyRequirement(asil="C", fail_operational=True),
+            SecurityRequirement(level="HIGH"),
+            ResourceRequirement(memory_kib=128)])
         assert contract.timing.period == 0.01
         assert contract.safety.asil == AsilLevel.C
         assert contract.security.level == SecurityLevel.HIGH
@@ -101,26 +104,24 @@ class TestContract:
             Contract("")
 
     def test_service_helpers(self):
-        contract = Contract("comp")
-        contract.add_provided_service("svc_a").add_required_service("svc_b", max_latency=0.01)
+        contract = Contract("comp", requires=[ServiceRequirement("svc_b", max_latency=0.01)],
+                            provides=[ServiceProvision("svc_a")])
         assert contract.provided_services() == ["svc_a"]
         assert contract.required_services() == ["svc_b"]
         assert contract.requires[0].max_latency == 0.01
 
     def test_validate_flags_provide_and_require_overlap(self):
-        contract = Contract("comp")
-        contract.add_provided_service("svc").add_required_service("svc")
+        contract = Contract("comp", requires=[ServiceRequirement("svc")],
+                            provides=[ServiceProvision("svc")])
         assert any("provides and requires" in problem for problem in contract.validate())
 
     def test_validate_flags_duplicate_provision(self):
-        contract = Contract("comp")
-        contract.add_provided_service("svc").add_provided_service("svc")
+        contract = Contract("comp", provides=[ServiceProvision("svc")] * 2)
         assert contract.validate()
 
     def test_validate_flags_duplicate_viewpoint(self):
-        contract = Contract("comp")
-        contract.add_requirement(SafetyRequirement(asil="A"))
-        contract.add_requirement(SafetyRequirement(asil="B"))
+        contract = Contract("comp", requirements=[SafetyRequirement(asil="A"),
+                                                  SafetyRequirement(asil="B")])
         assert any("multiple safety" in problem for problem in contract.validate())
 
     def test_validate_reports_duplicates_in_first_appearance_order(self):
@@ -129,12 +130,10 @@ class TestContract:
         script = (
             "from repro.contracts.model import (Contract, RealTimeRequirement,"
             " ResourceRequirement, SafetyRequirement, SecurityRequirement)\n"
-            "contract = Contract('comp')\n"
-            "for _ in range(2):\n"
-            "    for requirement in (ResourceRequirement(), SecurityRequirement(),"
+            "contract = Contract('comp', requirements=2 * ["
+            "ResourceRequirement(), SecurityRequirement(),"
             " RealTimeRequirement(period=0.01, wcet=0.001),"
-            " SafetyRequirement()):\n"
-            "        contract.add_requirement(requirement)\n"
+            " SafetyRequirement()])\n"
             "print(contract.validate())\n")
         outputs = set()
         for seed in ("0", "1"):
@@ -157,17 +156,30 @@ class TestContract:
         with pytest.raises(ContractViolation):
             ResourceRequirement(memory_kib=-1)
 
+    @pytest.mark.parametrize("budget", ["memory_kib", "can_bandwidth_bps"])
+    def test_nan_resources_rejected(self, budget):
+        """A NaN budget would make its processor's or the bus's summed
+        demand NaN, which passes every capacity check."""
+        with pytest.raises(ContractViolation):
+            ResourceRequirement(**{budget: float("nan")})
+
 
 _RESOLVED = {"timing": RealTimeRequirement, "safety": SafetyRequirement,
              "security": SecurityRequirement, "resources": ResourceRequirement}
 
 
+#: viewpoint -> a requirement type that claims it without being the
+#: viewpoint's own type: the accessor of that viewpoint must then read
+#: ``None``.
+_CLAIMING = {viewpoint: make_dataclass(
+    f"Claims{viewpoint.title()}",
+    [("viewpoint", str, field(init=False, default=viewpoint))],
+    bases=(Requirement,), frozen=True)
+    for viewpoint in ["generic", "timing", "safety", "security", "resources"]}
+
+
 def _claiming(viewpoint):
-    """A base :class:`Requirement` that claims ``viewpoint`` with the wrong
-    type: the accessor of that viewpoint must then read ``None``."""
-    requirement = Requirement()
-    requirement.viewpoint = viewpoint
-    return requirement
+    return _CLAIMING[viewpoint]()
 
 
 _typed_requirements = st.one_of(
@@ -195,40 +207,125 @@ def assert_resolved_like_the_scan(contract):
     assert contract.asil == expected_asil
 
 
+_names = st.text("abcdefgh_", min_size=1, max_size=6)
+
+#: Valid contracts as the parser builds them: at most one typed
+#: requirement per viewpoint, required services with latencies and
+#: optional flags, provided services with client limits, security peers
+#: and string metadata.
+_documented_contracts = st.builds(
+    Contract,
+    component=_names,
+    requirements=st.lists(st.one_of(
+        st.builds(RealTimeRequirement, period=st.just(0.1),
+                  wcet=st.floats(0.001, 0.05),
+                  deadline=st.none() | st.floats(0.05, 0.2),
+                  jitter=st.floats(0.0, 0.01)),
+        st.builds(SafetyRequirement, asil=st.sampled_from(list(AsilLevel)),
+                  fail_operational=st.booleans(),
+                  redundancy_group=st.none() | _names),
+        st.builds(SecurityRequirement,
+                  level=st.sampled_from(list(SecurityLevel)),
+                  allowed_peers=st.lists(_names, max_size=3),
+                  external_interface=st.booleans()),
+        st.builds(ResourceRequirement, memory_kib=st.floats(0.0, 1e6),
+                  can_bandwidth_bps=st.floats(0.0, 1e6),
+                  requires_vm_isolation=st.booleans())),
+        max_size=4, unique_by=lambda requirement: requirement.viewpoint),
+    requires=st.lists(st.builds(ServiceRequirement, service=_names,
+                                max_latency=st.none() | st.floats(0.001, 1.0),
+                                optional=st.booleans()), max_size=3),
+    provides=st.lists(st.builds(ServiceProvision, service=_names,
+                                max_clients=st.none() | st.integers(0, 16)),
+                      max_size=3),
+    metadata=st.dictionaries(_names, st.text(max_size=8), max_size=3))
+
+
 class TestResolvedViewpoints:
-    """``timing``/``safety``/``security``/``resources`` are resolved when
-    the requirement list changes; every route must agree with a scan."""
+    """``timing``/``safety``/``security``/``resources`` are resolved when a
+    contract is built; every way of building one must agree with a scan."""
 
     @settings(max_examples=60, deadline=None)
     @given(requirements=st.lists(_requirements, max_size=7))
     def test_construction_add_and_reassignment(self, requirements):
+        """Built at once, built one added requirement at a time, and
+        rebuilt from another contract with the list exchanged."""
         constructed = Contract("comp", requirements=list(requirements))
         assert_resolved_like_the_scan(constructed)
         added = Contract("comp")
         for requirement in requirements:
-            added.add_requirement(requirement)
+            added = replace(added, requirements=added.requirements + (requirement,))
             assert_resolved_like_the_scan(added)
         reassigned = Contract("comp", requirements=[
             SafetyRequirement(asil="D"), RealTimeRequirement(period=1.0, wcet=0.5)])
-        reassigned.requirements = list(requirements)
+        reassigned = replace(reassigned, requirements=list(requirements))
         assert_resolved_like_the_scan(reassigned)
         assert constructed == added == reassigned
 
-    @settings(max_examples=30, deadline=None)
-    @given(requirements=st.lists(_typed_requirements, max_size=4,
-                                 unique_by=lambda requirement: requirement.viewpoint))
-    def test_parse_serialize_round_trip(self, requirements):
+    @settings(max_examples=60, deadline=None)
+    @given(original=_documented_contracts)
+    def test_parse_serialize_round_trip(self, original):
+        """``parse(to_dict(c)) == c`` field for field, and the parsed
+        contract writes the same document."""
         parser, serializer = ContractParser(), ContractSerializer()
-        original = Contract("comp", requirements=list(requirements))
-        parsed = parser.parse(serializer.to_dict(original))
+        document = serializer.to_dict(original)
+        parsed = parser.parse(document)
+        assert parsed == original
+        for name in ("requirements", "requires", "provides"):
+            assert type(getattr(parsed, name)) is tuple
+        assert dict(parsed.metadata) == dict(original.metadata)
         assert_resolved_like_the_scan(parsed)
         for viewpoint in _RESOLVED:
             assert getattr(parsed, viewpoint) == getattr(original, viewpoint)
+        assert serializer.to_dict(parsed) == document
 
-    def test_asil_follows_an_in_place_change(self):
-        contract = Contract("comp", requirements=[SafetyRequirement(asil="A")])
-        contract.safety.asil = AsilLevel.D
-        assert contract.asil == AsilLevel.D
+
+#: One instance of every frozen contract type, and a field of it.
+_FROZEN = {
+    "Contract": (Contract("comp"), "component"),
+    "RealTimeRequirement": (RealTimeRequirement(period=0.1, wcet=0.01), "wcet"),
+    "SafetyRequirement": (SafetyRequirement(asil="A"), "asil"),
+    "SecurityRequirement": (SecurityRequirement(level="LOW"), "level"),
+    "ResourceRequirement": (ResourceRequirement(memory_kib=1.0), "memory_kib"),
+    "ServiceRequirement": (ServiceRequirement("svc"), "max_latency"),
+    "ServiceProvision": (ServiceProvision("svc"), "max_clients"),
+}
+
+
+class TestImmutability:
+    """Contracts are shared by models, configurations and fleet vehicles,
+    so no part of one can change once it is built."""
+
+    @pytest.mark.parametrize("kind", list(_FROZEN))
+    def test_assigning_a_field_raises(self, kind):
+        value, name = _FROZEN[kind]
+        before = getattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+        assert getattr(value, name) == before
+
+    def test_sequences_are_tuples_and_metadata_is_read_only(self):
+        peers = ["tracker"]
+        requirements = [SecurityRequirement(level="LOW", allowed_peers=peers)]
+        metadata = {"skill": "acc_driving"}
+        contract = Contract("comp", requirements=requirements,
+                            requires=[ServiceRequirement("a")],
+                            provides=[ServiceProvision("b")], metadata=metadata)
+        assert contract.requirements == tuple(requirements)
+        assert contract.requires == (ServiceRequirement("a"),)
+        assert contract.provides == (ServiceProvision("b"),)
+        assert contract.security.allowed_peers == ("tracker",)
+        with pytest.raises(TypeError):
+            contract.metadata["skill"] = "other"
+        # The contract holds copies: the caller's objects stay its own.
+        peers.append("planner")
+        requirements.clear()
+        metadata["skill"] = "other"
+        assert contract.security.allowed_peers == ("tracker",)
+        assert contract.security is contract.requirements[0]
+        assert contract.metadata == {"skill": "acc_driving"}
 
 
 class TestContractParser:
@@ -247,7 +344,7 @@ class TestContractParser:
         assert contract.component == "acc"
         assert contract.timing.jitter == 0.001
         assert contract.safety.redundancy_group == "ctl"
-        assert contract.security.allowed_peers == ["tracker"]
+        assert contract.security.allowed_peers == ("tracker",)
         assert contract.provides[0].max_clients == 2
         assert contract.metadata["skill"] == "acc_driving"
 
@@ -289,6 +386,24 @@ class TestContractParser:
     def test_non_dict_requirement_rejected(self, parser):
         with pytest.raises(ContractSyntaxError):
             parser.parse({"component": "x", "safety": "ASIL-D"})
+
+    @pytest.mark.parametrize("document", [
+        {"provides": None},
+        {"requires": None},
+        {"safety": {"asil": {}}},
+        {"security": {"level": None}},
+        {"metadata": [1, 2]},
+        {"metadata": "ab"},
+        {"requires": [{"service": "s", "max_latency": "soon"}]},
+        {"provides": [{"service": "s", "max_clients": "many"}]},
+    ], ids=["provides-null", "requires-null", "asil-dict", "level-null",
+            "metadata-list", "metadata-string", "max-latency-text",
+            "max-clients-text"])
+    def test_malformed_fields_raise_syntax_errors(self, parser, document):
+        """Each of these escaped as a TypeError, an AttributeError or a
+        plain ValueError."""
+        with pytest.raises(ContractSyntaxError):
+            parser.parse({"component": "x", **document})
 
     def test_parse_many(self, parser):
         contracts = parser.parse_many([{"component": "a"}, {"component": "b"}])

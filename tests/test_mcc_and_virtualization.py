@@ -3,6 +3,8 @@ deployment path and the hypervisor/VM layer."""
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.analysis.cpa import ResponseTimeAnalysis
@@ -10,7 +12,7 @@ from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.can.controller import AcceptanceFilter
 from repro.can.bus import CanBus
 from repro.can.virtualization import VirtualizedCanController
-from repro.contracts.language import ContractParser
+from repro.contracts.language import ContractParser, ContractSyntaxError
 from repro.contracts.model import RealTimeRequirement
 from repro.mcc.acceptance import (
     ResourceAcceptanceTest,
@@ -31,28 +33,75 @@ from repro.virtualization.vm import VirtualMachine, VmError
 
 
 class TestSystemModel:
-    def test_apply_changes(self, acc_contracts, parser):
+    def test_changed_adds_and_removes(self, acc_contracts, parser):
         model = SystemModel(contracts=acc_contracts)
         assert len(model) == 3
         new = parser.parse({"component": "logger", "provides": ["log"]})
-        model.apply_change(ChangeRequest(ChangeKind.ADD_COMPONENT, "logger", new))
-        assert "logger" in model
-        model.apply_change(ChangeRequest(ChangeKind.REMOVE_COMPONENT, "logger"))
-        assert "logger" not in model
+        added = model.changed(ChangeRequest(ChangeKind.ADD_COMPONENT, "logger", new))
+        assert "logger" in added and "logger" not in model
+        removed = added.changed(ChangeRequest(ChangeKind.REMOVE_COMPONENT, "logger"))
+        assert "logger" not in removed and "logger" in added
+        assert removed.components() == model.components()
+        # The messages become report findings.
+        with pytest.raises(ValueError, match="duplicate contract for 'logger'"):
+            added.changed(ChangeRequest(ChangeKind.ADD_COMPONENT, "logger", new))
+        with pytest.raises(KeyError, match="no contract for 'logger'"):
+            model.changed(ChangeRequest(ChangeKind.UPDATE_COMPONENT, "logger",
+                                        parser.parse({"component": "logger"})))
+        with pytest.raises(KeyError, match="no contract for 'ghost'"):
+            model.changed(ChangeRequest(ChangeKind.REMOVE_COMPONENT, "ghost"))
 
     def test_update_invalidates_mapping(self, acc_contracts, parser):
-        model = SystemModel(contracts=acc_contracts, mapping={"tracker": "cpu0"})
+        model = SystemModel(contracts=acc_contracts,
+                            mapping={"tracker": "cpu0", "actuator": "cpu1"},
+                            priorities={"tracker.task": 0, "actuator.task": 0})
         updated = parser.parse({"component": "tracker",
                                 "timing": {"period": 0.05, "wcet": 0.02},
                                 "provides": ["object_list"]})
-        model.apply_change(ChangeRequest(ChangeKind.UPDATE_COMPONENT, "tracker", updated))
-        assert "tracker" not in model.mapping
+        candidate = model.changed(
+            ChangeRequest(ChangeKind.UPDATE_COMPONENT, "tracker", updated))
+        assert candidate.contracts() == [updated] + acc_contracts[1:]
+        assert candidate.mapping == {"actuator": "cpu1"}
+        assert candidate.priorities == {"actuator.task": 0}
+
+    def test_remove_drops_the_placement_and_priority(self, acc_contracts):
+        """The removed component's ``<component>.task`` priority goes with
+        its placement."""
+        model = SystemModel(contracts=acc_contracts,
+                            mapping={"tracker": "cpu0", "actuator": "cpu1"},
+                            priorities={"tracker.task": 0, "actuator.task": 0},
+                            version=4)
+        candidate = model.changed(
+            ChangeRequest(ChangeKind.REMOVE_COMPONENT, "tracker"))
+        assert candidate.components() == ["actuator", "controller"]
+        assert candidate.mapping == {"actuator": "cpu1"}
+        assert candidate.priorities == {"actuator.task": 0}
+        assert candidate.version == 4
 
     def test_candidate_is_isolated(self, acc_contracts):
+        mapping, priorities = {"tracker": "cpu0"}, {"tracker.task": 0}
+        model = SystemModel(contracts=acc_contracts, mapping=mapping,
+                            priorities=priorities)
+        candidate = model.changed(
+            ChangeRequest(ChangeKind.REMOVE_COMPONENT, "tracker"))
+        assert model.contracts() == acc_contracts
+        assert model.mapping == {"tracker": "cpu0"}
+        assert model.priorities == {"tracker.task": 0}
+        with pytest.raises(TypeError):
+            candidate.mapping["tracker"] = "cpu0"
+        with pytest.raises(TypeError):
+            candidate.priorities["tracker.task"] = 0
+        # The model holds copies of the mappings it was given.
+        mapping["actuator"] = "cpu1"
+        priorities.clear()
+        assert model.mapping == {"tracker": "cpu0"}
+        assert model.priorities == {"tracker.task": 0}
+
+    def test_equality_and_hashing_are_by_identity(self, acc_contracts):
         model = SystemModel(contracts=acc_contracts)
-        candidate = model.candidate()
-        candidate.mapping["tracker"] = "cpu0"
-        assert "tracker" not in model.mapping
+        twin = SystemModel(contracts=acc_contracts)
+        assert model == model and model != twin
+        assert len({model, twin, model}) == 2
 
     def test_missing_services(self, parser):
         model = SystemModel(contracts=[parser.parse(
@@ -65,6 +114,50 @@ class TestSystemModel:
         with pytest.raises(ValueError):
             ChangeRequest(ChangeKind.ADD_COMPONENT, "x",
                           parser.parse({"component": "y"}))
+
+
+class TestFrozenValues:
+    """Fleet campaigns hand one request to many vehicles, and stamped and
+    replayed vehicles share the adopted model and configuration, so none
+    of them can change once built."""
+
+    @pytest.mark.parametrize("kind", ["ChangeRequest", "RteConfiguration",
+                                      "SystemModel"])
+    def test_assigning_a_field_raises(self, kind, acc_contracts,
+                                      dual_core_platform):
+        mcc = MultiChangeController(dual_core_platform)
+        request = ChangeRequest(ChangeKind.ADD_COMPONENT, "tracker",
+                                acc_contracts[0])
+        mcc.request_change(request)
+        value, name = {"ChangeRequest": (request, "contract"),
+                       "RteConfiguration": (mcc.deployed_configuration,
+                                            "version"),
+                       "SystemModel": (mcc.model, "version")}[kind]
+        before = getattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            value.extra = None
+        assert getattr(value, name) is before
+
+    def test_sequences_are_tuples_and_mappings_read_only(
+            self, acc_contracts, dual_core_platform):
+        mcc = MultiChangeController(dual_core_platform)
+        mcc.request_changes([ChangeRequest(ChangeKind.ADD_COMPONENT,
+                                           contract.component, contract)
+                             for contract in acc_contracts])
+        configuration, model = mcc.deployed_configuration, mcc.model
+        assert configuration.contracts == tuple(acc_contracts)
+        assert configuration.sessions == ()
+        for mapping in (model.mapping, model.priorities,
+                        configuration.mapping, configuration.priorities):
+            assert mapping
+            with pytest.raises(TypeError):
+                mapping["tracker"] = "cpu0"
+        assert configuration.mapping == model.mapping
+        assert configuration.priorities == model.priorities
 
 
 class TestMappingEngine:
@@ -157,6 +250,21 @@ class TestAcceptanceTests:
         result = ResourceAcceptanceTest().run(contracts, {"memory_hog": "cpu0"}, {},
                                               dual_core_platform)
         assert not result.passed
+
+    def test_nan_budget_cannot_switch_off_the_resource_viewpoint(self, parser):
+        """On one 64 KiB processor, a contract with NaN budgets was
+        admitted, and then a 10^9 KiB one, which is rejected on its own:
+        the summed demand was NaN, and no capacity check rejects NaN."""
+        platform = Platform(name="small")
+        platform.add_processor(ProcessingResource("cpu0", memory_kib=64))
+        mcc = MultiChangeController(platform)
+        with pytest.raises(ContractSyntaxError):
+            parser.parse('{"component": "nan", "resources": '
+                         '{"memory_kib": NaN, "can_bandwidth_bps": NaN}}')
+        report = mcc.add_component(parser.parse(
+            {"component": "hog", "resources": {"memory_kib": 1e9}}))
+        assert not report.accepted
+        assert report.failed_viewpoints() == ["resources"]
 
     def test_timing_without_cache_analyses_cold(self, monkeypatch,
                                                 dual_core_platform,

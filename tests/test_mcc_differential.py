@@ -26,19 +26,31 @@ mapping strategy, with every kind of rejection mixed in and additions
 following each rejection.  Fixed cases pin the ``request_change`` calls and
 battery runs of split runs, and cover the contract sets whose prefixes fail
 although the whole set passes.
+
+A third oracle pins the frozen model domain against the mutating
+reference of ``tests/harness.py``: every candidate comes from
+:meth:`~repro.mcc.configuration.SystemModel.changed` and the integration
+builds the model to adopt, where the reference edits a copy of the adopted
+model in place.  Over add/update/remove chains with duplicate additions,
+updates and removals of absent components, runs through
+``request_changes`` and rollbacks to earlier snapshots, both must leave the
+same reports, models, configurations and execution domains.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from harness import (ColdTimingAcceptanceTest, build_platform, clone_request,
-                     make_contract, random_chain)
+from harness import (ColdTimingAcceptanceTest, ReferenceController,
+                     build_platform, clone_request, make_contract, random_chain)
 from repro.analysis.cache import AnalysisCache
 from repro.contracts.model import (Contract, RealTimeRequirement,
-                                   SafetyRequirement, SecurityRequirement)
+                                   SafetyRequirement, SecurityRequirement,
+                                   ServiceProvision, ServiceRequirement)
 from repro.mcc.acceptance import (ResourceAcceptanceTest, SafetyAcceptanceTest,
                                   SecurityAcceptanceTest, TimingAcceptanceTest,
                                   default_acceptance_tests)
@@ -274,17 +286,15 @@ def run_both(make_platform, base, requests, deploy=False, extra=None,
 
 def invalid_contract(name, period, wcet):
     """Provides and requires the same service: fails validation."""
-    contract = make_contract(name, period, wcet)
-    contract.add_required_service(f"service_{name}", optional=True)
-    return contract
+    return replace(make_contract(name, period, wcet), requires=[
+        ServiceRequirement(f"service_{name}", optional=True)])
 
 
 def client_contract(name, service):
     """Requires ``service``: fails service completeness while nothing
     provides it."""
-    contract = make_contract(name, 0.1, 0.001)
-    contract.add_required_service(service)
-    return contract
+    return replace(make_contract(name, 0.1, 0.001),
+                   requires=[ServiceRequirement(service)])
 
 
 @st.composite
@@ -577,18 +587,16 @@ class TestSplitRuns:
 def component(name, *, utilization=0.05, asil="B", level="MEDIUM",
               external=False, fail_operational=False, group=None,
               provides=(), requires=(), optional=False):
-    contract = Contract(component=name)
-    contract.add_requirement(RealTimeRequirement(period=0.1,
-                                                 wcet=0.1 * utilization))
-    contract.add_requirement(SafetyRequirement(
-        asil=asil, fail_operational=fail_operational, redundancy_group=group))
-    contract.add_requirement(SecurityRequirement(
-        level=level, external_interface=external))
-    for service in provides:
-        contract.add_provided_service(service)
-    for service in requires:
-        contract.add_required_service(service, optional=optional)
-    return contract
+    return Contract(
+        component=name,
+        requirements=[
+            RealTimeRequirement(period=0.1, wcet=0.1 * utilization),
+            SafetyRequirement(asil=asil, fail_operational=fail_operational,
+                              redundancy_group=group),
+            SecurityRequirement(level=level, external_interface=external)],
+        requires=[ServiceRequirement(service, optional=optional)
+                  for service in requires],
+        provides=[ServiceProvision(service) for service in provides])
 
 
 def uneven_platform():
@@ -693,3 +701,96 @@ class TestPrefixesThatFail:
             assert work == (0, 1)
             assert all(entry[1] for entry in vouched["reports"])
             assert vouched["reports"] != reference["reports"]
+
+
+# -- frozen models against the mutating reference -------------------------------
+
+
+@st.composite
+def admission_scripts(draw):
+    """A platform shape, a mapping strategy, whether to deploy, and a script
+    over a :func:`random_chain`: groups of requests, each sent one by one
+    or as one ``request_changes`` run, with snapshots and rollbacks to an
+    earlier snapshot between them.  Mixed into the chain are duplicate
+    additions, updates and removals of absent components, clients without
+    a provider and heavy tasks that the mapping or the timing viewpoint
+    rejects."""
+    processors = draw(st.integers(min_value=1, max_value=3))
+    capacity = draw(st.sampled_from([0.9, 1.0]))
+    strategy = draw(st.sampled_from(list(MappingStrategy)))
+    chain = random_chain(SeededRNG(draw(st.integers(0, 2 ** 16))),
+                         pool_size=draw(st.integers(2, 8)),
+                         length=draw(st.integers(0, 12)))
+    requests = []
+    for request in chain:
+        requests.append(request)
+        extra = draw(st.sampled_from([None] * 5 + ["duplicate", "update", "remove",
+                                                   "client", "hog", "hog"]))
+        if extra == "client":
+            requests.append(add(client_contract(f"client{len(requests)}",
+                                                "service_none")))
+        elif extra == "hog":
+            # Beside a heavy task whose period its own does not divide, a
+            # heavy task can miss its deadline on a processor with room.
+            for period, share in ((0.07, 0.4), (0.05, draw(st.floats(0.35, 0.5)))):
+                requests.append(add(make_contract(f"hog{len(requests)}", period,
+                                                  period * share)))
+        elif extra == "duplicate":
+            requests.append(add(make_contract(request.component, 0.1, 0.001)))
+        elif extra == "update":
+            requests.append(ChangeRequest(kind=ChangeKind.UPDATE_COMPONENT,
+                                          component="ghost",
+                                          contract=make_contract("ghost", 0.1, 0.001)))
+        elif extra == "remove":
+            requests.append(ChangeRequest(kind=ChangeKind.REMOVE_COMPONENT,
+                                          component="ghost"))
+    steps, snapshots, position = [("snapshot",)], 1, 0
+    while position < len(requests):
+        size = draw(st.integers(min_value=1, max_value=4))
+        group = requests[position:position + size]
+        position += size
+        steps.append(("run" if draw(st.booleans()) else "each", group))
+        choice = draw(st.integers(min_value=0, max_value=5))
+        if choice == 0:
+            steps.append(("snapshot",))
+            snapshots += 1
+        elif choice == 1:
+            steps.append(("rollback", draw(st.integers(0, snapshots - 1))))
+    return processors, capacity, strategy, draw(st.booleans()), steps
+
+
+class TestFrozenModelDifferential:
+    """Frozen models, built whole, leave exactly what the mutating
+    reference leaves."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(script=admission_scripts())
+    def test_scripts_match_the_mutating_reference(self, script):
+        processors, capacity, strategy, deploy, steps = script
+        controllers = []
+        for kind in (MultiChangeController, ReferenceController):
+            platform = build_platform(processors, capacity)
+            controllers.append(kind(
+                platform, rte=RuntimeEnvironment(platform) if deploy else None,
+                mapping_strategy=strategy))
+        snapshots = []
+        for step in steps:
+            if step[0] == "snapshot":
+                snapshots.append([mcc.snapshot() for mcc in controllers])
+            elif step[0] == "rollback":
+                event("rollback")
+                for mcc, snapshot in zip(controllers, snapshots[step[1]]):
+                    mcc.rollback(snapshot)
+            else:
+                returned = [mcc.request_changes(step[1]) if step[0] == "run"
+                            else [mcc.request_change(r) for r in step[1]]
+                            for mcc in controllers]
+                assert [report_fields(report) for report in returned[0]] == \
+                    [report_fields(report) for report in returned[1]]
+            assert controller_state(controllers[0]) == \
+                controller_state(controllers[1])
+        for report in controllers[1].reports:
+            event("accepted" if report.accepted else
+                  f"rejected at {report.steps[-1].name}" if report.steps else
+                  "rejected before refinement")

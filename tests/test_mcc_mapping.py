@@ -25,14 +25,12 @@ from repro.platform.resources import Platform, ProcessingResource
 def contract(name: str, utilization: float, period: float = 0.1,
              deadline: float = None, asil: str = "QM",
              redundancy_group: str = None) -> Contract:
-    result = Contract(component=name)
-    result.add_requirement(RealTimeRequirement(period=period,
-                                               wcet=utilization * period,
-                                               deadline=deadline))
+    requirements = [RealTimeRequirement(period=period, wcet=utilization * period,
+                                        deadline=deadline)]
     if asil != "QM" or redundancy_group is not None:
-        result.add_requirement(SafetyRequirement(asil=asil,
-                                                 redundancy_group=redundancy_group))
-    return result
+        requirements.append(SafetyRequirement(asil=asil,
+                                              redundancy_group=redundancy_group))
+    return Contract(component=name, requirements=requirements)
 
 
 def platform_with(capacities) -> Platform:
@@ -294,19 +292,20 @@ def mapping_runs(draw):
                            strategy=draw(st.sampled_from(list(MappingStrategy))))
     contracts = []
     for index in range(draw(st.integers(min_value=1, max_value=10))):
-        result = Contract(component=f"c{draw(st.integers(0, 99)):02d}_{index}")
+        name = f"c{draw(st.integers(0, 99)):02d}_{index}"
+        requirements = []
         if draw(st.integers(0, 4)):
             period = draw(st.sampled_from([0.01, 0.02, 0.05]))
             utilization = draw(st.sampled_from([0.05, 0.1, 0.15, 0.25, 0.4]))
-            result.add_requirement(RealTimeRequirement(
+            requirements.append(RealTimeRequirement(
                 period=period, wcet=utilization * period,
                 deadline=draw(st.sampled_from([None, 0.5 * period]))))
         asil = draw(st.sampled_from(["QM", "B", "D"]))
         group = draw(st.sampled_from([None, None, "g0", "g1"]))
         if asil != "QM" or group is not None:
-            result.add_requirement(SafetyRequirement(asil=asil,
-                                                     redundancy_group=group))
-        contracts.append(result)
+            requirements.append(SafetyRequirement(asil=asil,
+                                                  redundancy_group=group))
+        contracts.append(Contract(component=name, requirements=requirements))
     return engine, contracts
 
 

@@ -15,7 +15,7 @@ from repro.platform.resources import (
 )
 from repro.platform.tasks import Task, TaskError, TaskSet
 from repro.platform.thermal import DvfsGovernor, OperatingPoint, ThermalModel
-from repro.contracts.model import Contract
+from repro.contracts.model import Contract, ServiceProvision, ServiceRequirement
 
 
 class TestTask:
@@ -187,12 +187,8 @@ class TestPlatform:
 
 class TestComponents:
     def _contract(self, name, provides=(), requires=()):
-        contract = Contract(name)
-        for service in provides:
-            contract.add_provided_service(service)
-        for service in requires:
-            contract.add_required_service(service)
-        return contract
+        return Contract(name, requires=[ServiceRequirement(s) for s in requires],
+                        provides=[ServiceProvision(s) for s in provides])
 
     def test_lifecycle(self):
         component = Component(self._contract("c"))
@@ -243,8 +239,8 @@ class TestComponents:
 
     def test_autowire_skips_optional_missing(self):
         registry = ComponentRegistry()
-        contract = Contract("cli")
-        contract.add_required_service("missing", optional=True)
+        contract = Contract("cli", requires=[
+            ServiceRequirement("missing", optional=True)])
         registry.add(Component(contract))
         assert registry.autowire() == []
 

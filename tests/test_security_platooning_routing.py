@@ -20,7 +20,7 @@ from repro.security.attacks import (
     MessageInjectionAttack,
 )
 from repro.security.ids import IdsRule, IntrusionDetectionSystem
-from repro.contracts.model import Contract
+from repro.contracts.model import Contract, ServiceProvision, ServiceRequirement
 from repro.platform.components import Component, ComponentRegistry
 from repro.vehicle.environment import Weather, WeatherCondition
 
@@ -81,10 +81,8 @@ class TestIds:
 class TestAccessControlDerivation:
     def test_policy_from_registry(self):
         registry = ComponentRegistry()
-        provider = Contract("srv")
-        provider.add_provided_service("svc")
-        client = Contract("cli")
-        client.add_required_service("svc")
+        provider = Contract("srv", provides=[ServiceProvision("svc")])
+        client = Contract("cli", requires=[ServiceRequirement("svc")])
         registry.add(Component(provider))
         registry.add(Component(client))
         registry.autowire()
