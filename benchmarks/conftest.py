@@ -85,9 +85,10 @@ def best_of(fn, repeats: int = 3):
     result.
 
     min-of-N on both sides of a speedup comparison keeps a single scheduler
-    stall on a loaded CI runner from flipping a hard speedup assertion; the
-    E9 and E11 speedup benchmarks share this helper so their methodology
-    stays consistent.
+    stall on a loaded CI runner from flipping a hard speedup assertion.  The
+    E9 speedup benchmarks use it; it times one arm after the other, so a
+    slow spell of the host can still hit one arm only, which E11 avoids by
+    interleaving its arms sample by sample.
     """
     best = float("inf")
     result = None

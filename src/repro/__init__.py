@@ -25,45 +25,16 @@ The package is organized by system layer (see DESIGN.md):
   the ``python -m repro.experiments`` CLI
 """
 
-from repro.core import (
-    ArbitrationPolicy,
-    CrossLayerCoordinator,
-    Countermeasure,
-    CountermeasureCatalog,
-    Layer,
-    SelfAwareVehicle,
-    SelfAwarenessLoop,
-    SelfModel,
-    VehicleSystemConfig,
-)
-from repro.monitoring import Anomaly, AnomalySeverity, AnomalyType
-from repro.skills import (
-    AbilityGraph,
-    AbilityLevel,
-    SkillGraph,
-    build_acc_ability_graph,
-    build_acc_skill_graph,
-)
+from repro import _lazy
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArbitrationPolicy",
-    "CrossLayerCoordinator",
-    "Countermeasure",
-    "CountermeasureCatalog",
-    "Layer",
-    "SelfAwareVehicle",
-    "SelfAwarenessLoop",
-    "SelfModel",
-    "VehicleSystemConfig",
-    "Anomaly",
-    "AnomalySeverity",
-    "AnomalyType",
-    "AbilityGraph",
-    "AbilityLevel",
-    "SkillGraph",
-    "build_acc_ability_graph",
-    "build_acc_skill_graph",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "core": ["ArbitrationPolicy", "CrossLayerCoordinator", "Countermeasure",
+             "CountermeasureCatalog", "Layer", "SelfAwareVehicle",
+             "SelfAwarenessLoop", "SelfModel", "VehicleSystemConfig"],
+    "monitoring": ["Anomaly", "AnomalySeverity", "AnomalyType"],
+    "skills": ["AbilityGraph", "AbilityLevel", "SkillGraph",
+               "build_acc_ability_graph", "build_acc_skill_graph"],
+})
+__all__.append("__version__")

@@ -24,58 +24,19 @@ as acceptance tests during the in-field integration process:
   and jitter-aware distributed cause-effect-chain latency bounds.
 """
 
-from repro.analysis.cpa import (
-    EventModel,
-    ResponseTimeResult,
-    ResponseTimeAnalysis,
-    EndToEndPath,
-    end_to_end_latency,
-)
-from repro.analysis.dependency import (
-    DependencyKind,
-    Dependency,
-    DependencyGraph,
-    DependencyAnalysis,
-    FailureEffect,
-)
-from repro.analysis.threat import ThreatModel, ThreatAssessment, AttackPath
-from repro.analysis.safety import SafetyAnalysis, SafetyFinding
-from repro.analysis.cache import AnalysisCache, taskset_key
-from repro.analysis.incremental import IncrementalResponseTimeAnalysis
-from repro.analysis.compositional import (
-    CanResponseTimeAnalysis,
-    CauseEffectChain,
-    EventLink,
-    FrameSpec,
-    SystemAnalysis,
-    SystemAnalysisResult,
-    distributed_end_to_end_latency,
-)
+from repro import _lazy
 
-__all__ = [
-    "EventModel",
-    "ResponseTimeResult",
-    "ResponseTimeAnalysis",
-    "EndToEndPath",
-    "end_to_end_latency",
-    "DependencyKind",
-    "Dependency",
-    "DependencyGraph",
-    "DependencyAnalysis",
-    "FailureEffect",
-    "ThreatModel",
-    "ThreatAssessment",
-    "AttackPath",
-    "SafetyAnalysis",
-    "SafetyFinding",
-    "AnalysisCache",
-    "taskset_key",
-    "IncrementalResponseTimeAnalysis",
-    "CanResponseTimeAnalysis",
-    "CauseEffectChain",
-    "EventLink",
-    "FrameSpec",
-    "SystemAnalysis",
-    "SystemAnalysisResult",
-    "distributed_end_to_end_latency",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "cpa": ["EventModel", "ResponseTimeResult", "ResponseTimeAnalysis",
+            "EndToEndPath", "end_to_end_latency"],
+    "dependency": ["DependencyKind", "Dependency", "DependencyGraph",
+                   "DependencyAnalysis", "FailureEffect"],
+    "threat": ["ThreatModel", "ThreatAssessment", "AttackPath"],
+    "safety": ["SafetyAnalysis", "SafetyFinding"],
+    "cache": ["AnalysisCache", "taskset_key"],
+    "incremental": ["IncrementalResponseTimeAnalysis"],
+    "compositional": ["CanResponseTimeAnalysis", "CauseEffectChain",
+                      "EventLink", "FrameSpec", "SystemAnalysis",
+                      "SystemAnalysisResult",
+                      "distributed_end_to_end_latency"],
+})

@@ -15,30 +15,11 @@ system requires:
   cause-effect-chain latency bounds.
 """
 
-from repro.analysis.compositional.can_rta import (
-    CanAnalysisError,
-    CanResponseTimeAnalysis,
-    FrameSpec,
-)
-from repro.analysis.compositional.system import (
-    CauseEffectChain,
-    EventLink,
-    SystemAnalysis,
-    SystemAnalysisResult,
-    SystemConfigurationError,
-    SystemModel,
-    distributed_end_to_end_latency,
-)
+from repro import _lazy
 
-__all__ = [
-    "CanAnalysisError",
-    "CanResponseTimeAnalysis",
-    "FrameSpec",
-    "CauseEffectChain",
-    "EventLink",
-    "SystemAnalysis",
-    "SystemAnalysisResult",
-    "SystemConfigurationError",
-    "SystemModel",
-    "distributed_end_to_end_latency",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "can_rta": ["CanAnalysisError", "CanResponseTimeAnalysis", "FrameSpec"],
+    "system": ["CauseEffectChain", "EventLink", "SystemAnalysis",
+               "SystemAnalysisResult", "SystemConfigurationError",
+               "SystemModel", "distributed_end_to_end_latency"],
+})

@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.contracts.model import Contract, SecurityLevel
+
+#: ``networkx``, imported by the first :class:`ThreatModel`: the MCC builds
+#: one only for a candidate with an external interface.
+nx = None
 
 
 @dataclass
@@ -69,6 +71,8 @@ class ThreatModel:
     HOP_ATTENUATION = 0.6
 
     def __init__(self) -> None:
+        global nx
+        import networkx as nx
         self._graph = nx.DiGraph()
         self._contracts: Dict[str, Contract] = {}
 

@@ -8,35 +8,15 @@ the PF/VF virtualization layer with a calibrated latency model, and an
 analytical FPGA resource model used for the break-even analysis (E3).
 """
 
-from repro.can.frame import CanFrame, FrameType, frame_bit_length
-from repro.can.bus import CanBus, BusError, BusStatistics
-from repro.can.controller import CanController, TxRequest, RxMessage, AcceptanceFilter
-from repro.can.virtualization import (
-    VirtualFunction,
-    PhysicalFunction,
-    VirtualizedCanController,
-    VirtualizationLatencyModel,
-    TxSchedulingPolicy,
-)
-from repro.can.resources import FpgaResourceModel, ResourceEstimate, break_even_vms
+from repro import _lazy
 
-__all__ = [
-    "CanFrame",
-    "FrameType",
-    "frame_bit_length",
-    "CanBus",
-    "BusError",
-    "BusStatistics",
-    "CanController",
-    "TxRequest",
-    "RxMessage",
-    "AcceptanceFilter",
-    "VirtualFunction",
-    "PhysicalFunction",
-    "VirtualizedCanController",
-    "VirtualizationLatencyModel",
-    "TxSchedulingPolicy",
-    "FpgaResourceModel",
-    "ResourceEstimate",
-    "break_even_vms",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "frame": ["CanFrame", "FrameType", "frame_bit_length"],
+    "bus": ["CanBus", "BusError", "BusStatistics"],
+    "controller": ["CanController", "TxRequest", "RxMessage",
+                   "AcceptanceFilter"],
+    "virtualization": ["VirtualFunction", "PhysicalFunction",
+                       "VirtualizedCanController",
+                       "VirtualizationLatencyModel", "TxSchedulingPolicy"],
+    "resources": ["FpgaResourceModel", "ResourceEstimate", "break_even_vms"],
+})

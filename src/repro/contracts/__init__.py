@@ -6,38 +6,15 @@ viewpoint-specific analyses (safety, timing, security, resources) as
 acceptance tests during in-field integration.
 """
 
-from repro.contracts.model import (
-    AsilLevel,
-    SecurityLevel,
-    Requirement,
-    RealTimeRequirement,
-    SafetyRequirement,
-    SecurityRequirement,
-    ResourceRequirement,
-    ServiceRequirement,
-    ServiceProvision,
-    Contract,
-    ContractViolation,
-)
-from repro.contracts.language import ContractParser, ContractSerializer, ContractSyntaxError
-from repro.contracts.viewpoints import Viewpoint, ViewpointRegistry, STANDARD_VIEWPOINTS
+from repro import _lazy
 
-__all__ = [
-    "AsilLevel",
-    "SecurityLevel",
-    "Requirement",
-    "RealTimeRequirement",
-    "SafetyRequirement",
-    "SecurityRequirement",
-    "ResourceRequirement",
-    "ServiceRequirement",
-    "ServiceProvision",
-    "Contract",
-    "ContractViolation",
-    "ContractParser",
-    "ContractSerializer",
-    "ContractSyntaxError",
-    "Viewpoint",
-    "ViewpointRegistry",
-    "STANDARD_VIEWPOINTS",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "model": ["AsilLevel", "SecurityLevel", "Requirement",
+              "RealTimeRequirement", "SafetyRequirement",
+              "SecurityRequirement", "ResourceRequirement",
+              "ServiceRequirement", "ServiceProvision", "Contract",
+              "ContractViolation"],
+    "language": ["ContractParser", "ContractSerializer",
+                 "ContractSyntaxError"],
+    "viewpoints": ["Viewpoint", "ViewpointRegistry", "STANDARD_VIEWPOINTS"],
+})

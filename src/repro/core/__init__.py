@@ -19,27 +19,15 @@ graphs, driving objectives) into a *coherent vehicle self-awareness*:
   vehicle out of the substrates (used by the examples and scenarios).
 """
 
-from repro.core.layers import Layer, LayerHandler, LAYER_ORDER
-from repro.core.self_model import SelfModel, SelfModelSnapshot
-from repro.core.countermeasures import Countermeasure, CountermeasureCatalog, Resolution
-from repro.core.arbitration import ArbitrationPolicy, CrossLayerCoordinator, EscalationRecord
-from repro.core.awareness import SelfAwarenessLoop, AwarenessCycleResult
-from repro.core.vehicle_system import SelfAwareVehicle, VehicleSystemConfig
+from repro import _lazy
 
-__all__ = [
-    "Layer",
-    "LayerHandler",
-    "LAYER_ORDER",
-    "SelfModel",
-    "SelfModelSnapshot",
-    "Countermeasure",
-    "CountermeasureCatalog",
-    "Resolution",
-    "ArbitrationPolicy",
-    "CrossLayerCoordinator",
-    "EscalationRecord",
-    "SelfAwarenessLoop",
-    "AwarenessCycleResult",
-    "SelfAwareVehicle",
-    "VehicleSystemConfig",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "layers": ["Layer", "LayerHandler", "LAYER_ORDER"],
+    "self_model": ["SelfModel", "SelfModelSnapshot"],
+    "countermeasures": ["Countermeasure", "CountermeasureCatalog",
+                        "Resolution"],
+    "arbitration": ["ArbitrationPolicy", "CrossLayerCoordinator",
+                    "EscalationRecord"],
+    "awareness": ["SelfAwarenessLoop", "AwarenessCycleResult"],
+    "vehicle_system": ["SelfAwareVehicle", "VehicleSystemConfig"],
+})

@@ -24,44 +24,13 @@ Repeated CPA invocations inside acceptance sweeps are memoized by
 :class:`repro.analysis.cache.AnalysisCache` (see ``cache-bench``).
 """
 
-from repro.experiments.registry import (
-    Parameter,
-    Scenario,
-    ScenarioError,
-    ScenarioRegistry,
-    SCENARIOS,
-    run_scenario,
-    run_scenario_raw,
-)
-from repro.experiments.spec import ExperimentSpec, RunSpec, SpecError, builtin_specs
-from repro.experiments.runner import ExperimentResult, Runner, RunRecord, execute_run
-from repro.experiments.aggregate import (
-    diff_records,
-    format_table,
-    percentile,
-    summarize,
-    summarize_result,
-)
+from repro import _lazy
 
-__all__ = [
-    "Parameter",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioRegistry",
-    "SCENARIOS",
-    "run_scenario",
-    "run_scenario_raw",
-    "ExperimentSpec",
-    "RunSpec",
-    "SpecError",
-    "builtin_specs",
-    "ExperimentResult",
-    "Runner",
-    "RunRecord",
-    "execute_run",
-    "diff_records",
-    "format_table",
-    "percentile",
-    "summarize",
-    "summarize_result",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "registry": ["Parameter", "Scenario", "ScenarioError", "ScenarioRegistry",
+                 "SCENARIOS", "run_scenario", "run_scenario_raw"],
+    "spec": ["ExperimentSpec", "RunSpec", "SpecError", "builtin_specs"],
+    "runner": ["ExperimentResult", "Runner", "RunRecord", "execute_run"],
+    "aggregate": ["diff_records", "format_table", "percentile", "summarize",
+                  "summarize_result"],
+})

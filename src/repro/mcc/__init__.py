@@ -12,45 +12,18 @@ a candidate configuration (functional architecture -> technical architecture
 configuration over to the execution domain's RTE.
 """
 
-from repro.mcc.configuration import ChangeRequest, ChangeKind, SystemModel, IntegrationReport
-from repro.mcc.mapping import MappingEngine, MappingStrategy, MappingError
-from repro.mcc.acceptance import (
-    AcceptanceResult,
-    AcceptanceTest,
-    TimingAcceptanceTest,
-    DistributedTimingAcceptanceTest,
-    DistributedChainSpec,
-    MessageSpec,
-    SafetyAcceptanceTest,
-    SecurityAcceptanceTest,
-    ResourceAcceptanceTest,
-    default_acceptance_tests,
-    tasksets_from_mapping,
-)
-from repro.mcc.integration import IntegrationProcess, IntegrationError
-from repro.mcc.controller import MccSnapshot, MultiChangeController
+from repro import _lazy
 
-__all__ = [
-    "ChangeRequest",
-    "ChangeKind",
-    "SystemModel",
-    "IntegrationReport",
-    "MappingEngine",
-    "MappingStrategy",
-    "MappingError",
-    "AcceptanceResult",
-    "AcceptanceTest",
-    "TimingAcceptanceTest",
-    "DistributedTimingAcceptanceTest",
-    "DistributedChainSpec",
-    "MessageSpec",
-    "SafetyAcceptanceTest",
-    "SecurityAcceptanceTest",
-    "ResourceAcceptanceTest",
-    "default_acceptance_tests",
-    "tasksets_from_mapping",
-    "IntegrationProcess",
-    "IntegrationError",
-    "MccSnapshot",
-    "MultiChangeController",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "configuration": ["ChangeRequest", "ChangeKind", "SystemModel",
+                      "IntegrationReport"],
+    "mapping": ["MappingEngine", "MappingStrategy", "MappingError"],
+    "acceptance": ["AcceptanceResult", "AcceptanceTest",
+                   "TimingAcceptanceTest", "DistributedTimingAcceptanceTest",
+                   "DistributedChainSpec", "MessageSpec",
+                   "SafetyAcceptanceTest", "SecurityAcceptanceTest",
+                   "ResourceAcceptanceTest", "default_acceptance_tests",
+                   "tasksets_from_mapping"],
+    "integration": ["IntegrationProcess", "IntegrationError"],
+    "controller": ["MccSnapshot", "MultiChangeController"],
+})

@@ -8,39 +8,15 @@ objects, the common currency consumed by the cross-layer self-awareness
 coordinator in :mod:`repro.core`.
 """
 
-from repro.monitoring.anomaly import Anomaly, AnomalySeverity, AnomalyType
-from repro.monitoring.metrics import MetricSeries, MetricRegistry, MetricSummary
-from repro.monitoring.monitors import (
-    Monitor,
-    HeartbeatMonitor,
-    ValueRangeMonitor,
-    ExecutionTimeMonitor,
-    DeadlineMonitor,
-    TemperatureMonitor,
-    SensorQualityMonitor,
-    MonitorSuite,
-)
-from repro.monitoring.deviation import DeviationDetector, ExpectedBehaviour
-from repro.monitoring.enforcement import BudgetEnforcer, AccessPolicyEnforcer, EnforcementAction
+from repro import _lazy
 
-__all__ = [
-    "Anomaly",
-    "AnomalySeverity",
-    "AnomalyType",
-    "MetricSeries",
-    "MetricRegistry",
-    "MetricSummary",
-    "Monitor",
-    "HeartbeatMonitor",
-    "ValueRangeMonitor",
-    "ExecutionTimeMonitor",
-    "DeadlineMonitor",
-    "TemperatureMonitor",
-    "SensorQualityMonitor",
-    "MonitorSuite",
-    "DeviationDetector",
-    "ExpectedBehaviour",
-    "BudgetEnforcer",
-    "AccessPolicyEnforcer",
-    "EnforcementAction",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "anomaly": ["Anomaly", "AnomalySeverity", "AnomalyType"],
+    "metrics": ["MetricSeries", "MetricRegistry", "MetricSummary"],
+    "monitors": ["Monitor", "HeartbeatMonitor", "ValueRangeMonitor",
+                 "ExecutionTimeMonitor", "DeadlineMonitor",
+                 "TemperatureMonitor", "SensorQualityMonitor", "MonitorSuite"],
+    "deviation": ["DeviationDetector", "ExpectedBehaviour"],
+    "enforcement": ["BudgetEnforcer", "AccessPolicyEnforcer",
+                    "EnforcementAction"],
+})

@@ -17,17 +17,11 @@ them back together:
   records.
 """
 
-from repro.observability.tracer import (WALL_CLOCK_FIELDS, CampaignTracer,
-                                        TraceError, load_trace)
-from repro.observability.dashboard import (flatten_result_documents,
-                                           render_dashboard, wave_latencies)
+from repro import _lazy
 
-__all__ = [
-    "CampaignTracer",
-    "TraceError",
-    "WALL_CLOCK_FIELDS",
-    "flatten_result_documents",
-    "load_trace",
-    "render_dashboard",
-    "wave_latencies",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "tracer": ["CampaignTracer", "TraceError", "WALL_CLOCK_FIELDS",
+               "load_trace"],
+    "dashboard": ["flatten_result_documents", "render_dashboard",
+                  "wave_latencies"],
+})

@@ -7,47 +7,16 @@ fixed-priority preemptive scheduling simulator, and the RTE configuration
 object that the MCC deploys and that monitors attach to.
 """
 
-from repro.platform.tasks import Task, TaskState, Job, TaskSet
-from repro.platform.resources import (
-    ProcessingResource,
-    NetworkResource,
-    MemoryPool,
-    ResourceError,
-    Platform,
-)
-from repro.platform.components import (
-    Component,
-    MicroServer,
-    ServiceSession,
-    ComponentRegistry,
-    ComponentError,
-)
-from repro.platform.scheduler import FixedPriorityScheduler, SchedulerStats, ResourceScheduler
-from repro.platform.rte import RuntimeEnvironment, RteConfiguration, CapabilityError
-from repro.platform.thermal import ThermalModel, DvfsGovernor, OperatingPoint
+from repro import _lazy
 
-__all__ = [
-    "Task",
-    "TaskState",
-    "Job",
-    "TaskSet",
-    "ProcessingResource",
-    "NetworkResource",
-    "MemoryPool",
-    "ResourceError",
-    "Platform",
-    "Component",
-    "MicroServer",
-    "ServiceSession",
-    "ComponentRegistry",
-    "ComponentError",
-    "FixedPriorityScheduler",
-    "SchedulerStats",
-    "ResourceScheduler",
-    "RuntimeEnvironment",
-    "RteConfiguration",
-    "CapabilityError",
-    "ThermalModel",
-    "DvfsGovernor",
-    "OperatingPoint",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "tasks": ["Task", "TaskState", "Job", "TaskSet"],
+    "resources": ["ProcessingResource", "NetworkResource", "MemoryPool",
+                  "ResourceError", "Platform"],
+    "components": ["Component", "MicroServer", "ServiceSession",
+                   "ComponentRegistry", "ComponentError"],
+    "scheduler": ["FixedPriorityScheduler", "SchedulerStats",
+                  "ResourceScheduler"],
+    "rte": ["RuntimeEnvironment", "RteConfiguration", "CapabilityError"],
+    "thermal": ["ThermalModel", "DvfsGovernor", "OperatingPoint"],
+})

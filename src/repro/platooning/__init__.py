@@ -8,23 +8,11 @@ communication to or the platform of another vehicle might not be fully
 trustworthy or even compromised."
 """
 
-from repro.platooning.trust import TrustModel, TrustLevel
-from repro.platooning.consensus import (
-    ConsensusProtocol,
-    ConsensusResult,
-    Proposal,
-    median_consensus,
-)
-from repro.platooning.platoon import Platoon, PlatoonMember, PlatoonError
+from repro import _lazy
 
-__all__ = [
-    "TrustModel",
-    "TrustLevel",
-    "ConsensusProtocol",
-    "ConsensusResult",
-    "Proposal",
-    "median_consensus",
-    "Platoon",
-    "PlatoonMember",
-    "PlatoonError",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "trust": ["TrustModel", "TrustLevel"],
+    "consensus": ["ConsensusProtocol", "ConsensusResult", "Proposal",
+                  "median_consensus"],
+    "platoon": ["Platoon", "PlatoonMember", "PlatoonError"],
+})

@@ -8,18 +8,11 @@ whether it is advantageous to take a longer detour without risking degraded
 performance."
 """
 
-from repro.routing.road_network import RoadNetwork, RoadSegment, RouteError
-from repro.routing.weather_forecast import WeatherForecast, SegmentForecast
-from repro.routing.planner import RiskAwarePlanner, Route, PlannerConfig, build_alpine_network
+from repro import _lazy
 
-__all__ = [
-    "RoadNetwork",
-    "RoadSegment",
-    "RouteError",
-    "WeatherForecast",
-    "SegmentForecast",
-    "RiskAwarePlanner",
-    "Route",
-    "PlannerConfig",
-    "build_alpine_network",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "road_network": ["RoadNetwork", "RoadSegment", "RouteError"],
+    "weather_forecast": ["WeatherForecast", "SegmentForecast"],
+    "planner": ["RiskAwarePlanner", "Route", "PlannerConfig",
+                "build_alpine_network"],
+})

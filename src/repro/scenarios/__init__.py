@@ -5,42 +5,22 @@ disturbance the paper describes, runs the closed loop and returns a result
 object with the metrics the benchmarks (E1, E5–E8) and examples report.
 """
 
-from repro.scenarios.intrusion import IntrusionScenarioResult, run_intrusion_scenario
-from repro.scenarios.thermal import ThermalScenarioResult, ThermalStrategy, run_thermal_scenario
-from repro.scenarios.platooning_fog import FogPlatooningResult, run_fog_platooning_scenario
-from repro.scenarios.weather_routing import WeatherRoutingResult, run_weather_routing_scenario
-from repro.scenarios.infield_update import InFieldUpdateResult, run_infield_update_scenario
-from repro.scenarios.fleet_campaign import FleetCampaignResult, run_fleet_campaign_scenario
-from repro.scenarios.distributed_e2e import DistributedE2EResult, run_distributed_e2e_scenario
-from repro.scenarios.adversity_campaigns import (
-    IntrusionCampaignResult,
-    LossyOtaCampaignResult,
-    ThermalCampaignResult,
-    run_intrusion_campaign_scenario,
-    run_lossy_ota_campaign_scenario,
-    run_thermal_campaign_scenario,
-)
+from repro import _lazy
 
-__all__ = [
-    "IntrusionScenarioResult",
-    "run_intrusion_scenario",
-    "ThermalScenarioResult",
-    "ThermalStrategy",
-    "run_thermal_scenario",
-    "FogPlatooningResult",
-    "run_fog_platooning_scenario",
-    "WeatherRoutingResult",
-    "run_weather_routing_scenario",
-    "InFieldUpdateResult",
-    "run_infield_update_scenario",
-    "FleetCampaignResult",
-    "run_fleet_campaign_scenario",
-    "DistributedE2EResult",
-    "run_distributed_e2e_scenario",
-    "IntrusionCampaignResult",
-    "LossyOtaCampaignResult",
-    "ThermalCampaignResult",
-    "run_intrusion_campaign_scenario",
-    "run_lossy_ota_campaign_scenario",
-    "run_thermal_campaign_scenario",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "intrusion": ["IntrusionScenarioResult", "run_intrusion_scenario"],
+    "thermal": ["ThermalScenarioResult", "ThermalStrategy",
+                "run_thermal_scenario"],
+    "platooning_fog": ["FogPlatooningResult", "run_fog_platooning_scenario"],
+    "weather_routing": ["WeatherRoutingResult",
+                        "run_weather_routing_scenario"],
+    "infield_update": ["InFieldUpdateResult", "run_infield_update_scenario"],
+    "fleet_campaign": ["FleetCampaignResult", "run_fleet_campaign_scenario"],
+    "distributed_e2e": ["DistributedE2EResult",
+                        "run_distributed_e2e_scenario"],
+    "adversity_campaigns": ["IntrusionCampaignResult",
+                            "LossyOtaCampaignResult", "ThermalCampaignResult",
+                            "run_intrusion_campaign_scenario",
+                            "run_lossy_ota_campaign_scenario",
+                            "run_thermal_campaign_scenario"],
+})

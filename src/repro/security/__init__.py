@@ -8,25 +8,12 @@ configuration derived from the deployed contracts, and attack injectors used
 by the scenarios and benchmarks.
 """
 
-from repro.security.ids import IntrusionDetectionSystem, IdsRule, IntrusionAlert
-from repro.security.access_control import AccessControlConfig, build_policy_from_registry
-from repro.security.attacks import (
-    Attack,
-    MessageInjectionAttack,
-    ComponentCompromiseAttack,
-    FloodingAttack,
-    AttackInjector,
-)
+from repro import _lazy
 
-__all__ = [
-    "IntrusionDetectionSystem",
-    "IdsRule",
-    "IntrusionAlert",
-    "AccessControlConfig",
-    "build_policy_from_registry",
-    "Attack",
-    "MessageInjectionAttack",
-    "ComponentCompromiseAttack",
-    "FloodingAttack",
-    "AttackInjector",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "ids": ["IntrusionDetectionSystem", "IdsRule", "IntrusionAlert"],
+    "access_control": ["AccessControlConfig", "build_policy_from_registry"],
+    "attacks": ["Attack", "MessageInjectionAttack",
+                "ComponentCompromiseAttack", "FloodingAttack",
+                "AttackInjector"],
+})

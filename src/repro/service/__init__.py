@@ -15,28 +15,11 @@ and the E17 benchmark).
 workload against the service from the command line.
 """
 
-from repro.service.admission import AdmissionService
-from repro.service.schemas import (
-    CampaignStatus,
-    HaltRequest,
-    JobState,
-    ResumeRequest,
-    RollbackRequest,
-    ServiceError,
-    SubmitCampaign,
-    SubmitReceipt,
-    WaveProgress,
-)
+from repro import _lazy
 
-__all__ = [
-    "AdmissionService",
-    "CampaignStatus",
-    "HaltRequest",
-    "JobState",
-    "ResumeRequest",
-    "RollbackRequest",
-    "ServiceError",
-    "SubmitCampaign",
-    "SubmitReceipt",
-    "WaveProgress",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "admission": ["AdmissionService"],
+    "schemas": ["CampaignStatus", "HaltRequest", "JobState", "ResumeRequest",
+                "RollbackRequest", "ServiceError", "SubmitCampaign",
+                "SubmitReceipt", "WaveProgress"],
+})

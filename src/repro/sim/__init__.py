@@ -7,18 +7,10 @@ event calendar ordered by (time, priority, sequence number), a simulation
 clock, and a trace recorder that downstream analyses and benchmarks consume.
 """
 
-from repro.sim.kernel import Event, EventQueue, Simulator, Process
-from repro.sim.trace import Trace, TraceRecord, TraceRecorder
-from repro.sim.random import SeededRNG, derive_seed
+from repro import _lazy
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "Process",
-    "Trace",
-    "TraceRecord",
-    "TraceRecorder",
-    "SeededRNG",
-    "derive_seed",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "kernel": ["Event", "EventQueue", "Simulator", "Process"],
+    "trace": ["Trace", "TraceRecord", "TraceRecorder"],
+    "random": ["SeededRNG", "derive_seed"],
+})

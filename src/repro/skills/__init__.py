@@ -8,39 +8,15 @@ current system performance, propagate degradations towards the main skill,
 and drive graceful-degradation decisions.
 """
 
-from repro.skills.graph import NodeKind, SkillNode, SkillGraph, SkillGraphError
-from repro.skills.ability import (
-    AbilityLevel,
-    Ability,
-    AbilityGraph,
-    PropagationPolicy,
-)
-from repro.skills.degradation import (
-    DegradationAction,
-    DegradationActionKind,
-    DegradationPlan,
-    DegradationManager,
-    OperationalRestriction,
-    RedundancySwitch,
-)
-from repro.skills.acc_example import build_acc_skill_graph, build_acc_ability_graph, ACC_MAIN_SKILL
+from repro import _lazy
 
-__all__ = [
-    "NodeKind",
-    "SkillNode",
-    "SkillGraph",
-    "SkillGraphError",
-    "AbilityLevel",
-    "Ability",
-    "AbilityGraph",
-    "PropagationPolicy",
-    "DegradationAction",
-    "DegradationActionKind",
-    "DegradationPlan",
-    "DegradationManager",
-    "OperationalRestriction",
-    "RedundancySwitch",
-    "build_acc_skill_graph",
-    "build_acc_ability_graph",
-    "ACC_MAIN_SKILL",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "graph": ["NodeKind", "SkillNode", "SkillGraph", "SkillGraphError"],
+    "ability": ["AbilityLevel", "Ability", "AbilityGraph",
+                "PropagationPolicy"],
+    "degradation": ["DegradationAction", "DegradationActionKind",
+                    "DegradationPlan", "DegradationManager",
+                    "OperationalRestriction", "RedundancySwitch"],
+    "acc_example": ["build_acc_skill_graph", "build_acc_ability_graph",
+                    "ACC_MAIN_SKILL"],
+})

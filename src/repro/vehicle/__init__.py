@@ -9,44 +9,17 @@ brakes, including the drive-train braking fallback used in the rear-brake
 intrusion example) and an ACC controller.
 """
 
-from repro.vehicle.dynamics import VehicleParameters, VehicleState, LongitudinalDynamics
-from repro.vehicle.environment import Weather, WeatherCondition, Environment, LeadVehicle
-from repro.vehicle.sensors import (
-    Sensor,
-    RadarSensor,
-    CameraSensor,
-    LidarSensor,
-    SensorFault,
-    SensorReading,
-)
-from repro.vehicle.tracking import ObjectTracker, TrackedObject
-from repro.vehicle.driver import DriverIntentEstimator, DriverIntent
-from repro.vehicle.actuators import Actuator, BrakeActuator, PowertrainActuator, ActuatorFault
-from repro.vehicle.acc import AccController, AccConfig, AccStatus
+from repro import _lazy
 
-__all__ = [
-    "VehicleParameters",
-    "VehicleState",
-    "LongitudinalDynamics",
-    "Weather",
-    "WeatherCondition",
-    "Environment",
-    "LeadVehicle",
-    "Sensor",
-    "RadarSensor",
-    "CameraSensor",
-    "LidarSensor",
-    "SensorFault",
-    "SensorReading",
-    "ObjectTracker",
-    "TrackedObject",
-    "DriverIntentEstimator",
-    "DriverIntent",
-    "Actuator",
-    "BrakeActuator",
-    "PowertrainActuator",
-    "ActuatorFault",
-    "AccController",
-    "AccConfig",
-    "AccStatus",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "dynamics": ["VehicleParameters", "VehicleState", "LongitudinalDynamics"],
+    "environment": ["Weather", "WeatherCondition", "Environment",
+                    "LeadVehicle"],
+    "sensors": ["Sensor", "RadarSensor", "CameraSensor", "LidarSensor",
+                "SensorFault", "SensorReading"],
+    "tracking": ["ObjectTracker", "TrackedObject"],
+    "driver": ["DriverIntentEstimator", "DriverIntent"],
+    "actuators": ["Actuator", "BrakeActuator", "PowertrainActuator",
+                  "ActuatorFault"],
+    "acc": ["AccController", "AccConfig", "AccStatus"],
+})

@@ -7,14 +7,9 @@ peripherals (such as the CAN controller) and assigns virtual functions to
 guest VMs; modifications inside one VM cannot affect other VMs.
 """
 
-from repro.virtualization.vm import VirtualMachine, VmState, VmError
-from repro.virtualization.hypervisor import Hypervisor, DeviceAssignment, IsolationViolation
+from repro import _lazy
 
-__all__ = [
-    "VirtualMachine",
-    "VmState",
-    "VmError",
-    "Hypervisor",
-    "DeviceAssignment",
-    "IsolationViolation",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "vm": ["VirtualMachine", "VmState", "VmError"],
+    "hypervisor": ["Hypervisor", "DeviceAssignment", "IsolationViolation"],
+})

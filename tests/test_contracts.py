@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+import re
 from dataclasses import FrozenInstanceError, field, make_dataclass, replace
 import subprocess
 import sys
@@ -404,6 +406,35 @@ class TestContractParser:
         plain ValueError."""
         with pytest.raises(ContractSyntaxError):
             parser.parse({"component": "x", **document})
+
+    @pytest.mark.parametrize("document,path", [
+        ({"component": 7}, "component"),
+        ({"component": True}, "component"),
+        ({"timing": {"period": "0.1", "wcet": 0.01}}, "timing.period"),
+        ({"timing": {"period": True, "wcet": 0.01}}, "timing.period"),
+        ({"timing": {"period": float("inf"), "wcet": 0.01}}, "timing.period"),
+        ({"resources": {"memory_kib": "12"}}, "resources.memory_kib"),
+        ({"safety": {"asil": True}}, "safety.asil"),
+        ({"safety": {"fail_operational": 1}}, "safety.fail_operational"),
+        ({"security": {"external_interface": "yes"}},
+         "security.external_interface"),
+        ({"requires": [{"service": "s", "optional": "no"}]},
+         "requires[0].optional"),
+        ({"provides": [{"service": 5}]}, "provides[0].service"),
+        ({"provides": [{"service": "s", "max_clients": 1.5}]},
+         "provides[0].max_clients"),
+    ], ids=["component-int", "component-bool", "period-string", "period-bool",
+            "period-infinity", "memory-string", "asil-bool",
+            "fail-operational-int", "external-interface-string",
+            "optional-string", "service-int", "max-clients-float"])
+    def test_coercible_values_are_rejected(self, parser, document, path):
+        """Each of these was coerced (``"0.1"`` to 0.1, ``true`` to ASIL A,
+        ``1.5`` clients to 1, ...); the error names the field's JSON path.
+        The document goes through its JSON text, where ``inf`` is the
+        ``Infinity`` literal."""
+        text = json.dumps({"component": "x", **document})
+        with pytest.raises(ContractSyntaxError, match=re.escape(path)):
+            parser.parse(text)
 
     def test_parse_many(self, parser):
         contracts = parser.parse_many([{"component": "a"}, {"component": "b"}])

@@ -2,13 +2,17 @@
 
 This is the automated form of the docs audit: ``__all__`` entries must
 resolve, public imported names must be listed, and every package/module must
-carry a docstring.
+carry a docstring.  Packages re-export lazily (``repro._lazy``), so an
+exported name must also be listed by ``dir()`` and read as the very object
+that its defining submodule binds.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
+import sys
 import types
 
 import pytest
@@ -17,9 +21,10 @@ import repro
 
 SUBPACKAGES = ["repro"] + [
     f"repro.{name}" for name in
-    ["analysis", "can", "contracts", "core", "experiments", "fleet", "mcc",
-     "monitoring", "platform", "platooning", "routing", "scenarios", "security",
-     "service", "sim", "skills", "vehicle", "virtualization"]
+    ["analysis", "analysis.compositional", "can", "contracts", "core",
+     "experiments", "fleet", "mcc", "monitoring", "observability", "platform",
+     "platooning", "routing", "scenarios", "security", "service", "sim",
+     "skills", "vehicle", "virtualization"]
 ]
 
 
@@ -43,6 +48,33 @@ def test_public_names_are_exported(package):
               and name not in ("annotations",)}
     missing = public - exported
     assert not missing, f"{package}: public names not in __all__: {sorted(missing)}"
+
+
+def _submodules(package):
+    """Every module below ``package``, imported."""
+    path = importlib.import_module(package).__path__
+    return [importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(path, prefix=package + ".")
+            if not info.name.endswith("__main__")]
+
+
+@pytest.mark.parametrize("package", SUBPACKAGES)
+def test_exports_are_in_dir_and_are_their_submodules_objects(package):
+    """The defining submodule of a class or a function is its own
+    ``__module__``; a constant must be bound by some submodule."""
+    module = importlib.import_module(package)
+    listed = dir(module)
+    submodules = _submodules(package)
+    for name in module.__all__:
+        assert name in listed, f"{package}: dir() lacks {name!r}"
+        value = getattr(module, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__.startswith(package + "."), (package, name)
+            home = vars(sys.modules[value.__module__])
+            assert home.get(name) is value, (package, name)
+        elif name != "__version__":  # set by repro/__init__.py itself
+            assert any(vars(submodule).get(name) is value
+                       for submodule in submodules), (package, name)
 
 
 def test_every_module_has_a_docstring():
